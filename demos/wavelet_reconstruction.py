@@ -1,6 +1,6 @@
 """Sampled wavelet systems: admissibility, scale coverage, reconstruction.
 
-Run with: python demos/wavelet_reconstruction.py  (takes ~15 s)
+Run with: python demos/wavelet_reconstruction.py
 """
 
 import numpy as np

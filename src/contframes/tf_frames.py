@@ -9,10 +9,14 @@ The wavelet family is sampled from a scale/shift grid carrying the weight
 da db / a^2.  Columns are built in the frequency domain from an analytic
 profile psi_hat evaluated at integer frequencies of the d-point signal space
 (period 1), then mapped back by the unitary inverse DFT.  With a full uniform
-shift grid the frame operator is diagonal in the frequency basis, with
-diagonal close to the positive-axis admissibility constant on the covered
-band; reconstruction divided by that constant is the sampled reproducing
-identity.
+shift grid (every scale carries the same n_b >= d shifts, 1/n_b apart, with
+equal weights) the frame operator is exactly diagonal in the frequency basis:
+the shift sum over frequency pairs k != l is a full geometric sum of
+exp(-2 pi i m / n_b) with 0 < |m| < d <= n_b, which vanishes.  The diagonal is
+``scale_profile``, close to the positive-axis admissibility constant on the
+covered band; reconstruction divided by that constant is the sampled
+reproducing identity, and ``calderon_residual`` evaluates it on that diagonal
+without building the frame.
 """
 
 from __future__ import annotations
@@ -248,13 +252,9 @@ def dft_frequencies(d: int) -> np.ndarray:
     return np.fft.fftfreq(d, 1.0 / d)
 
 
-def wavelet_frame(wavelet: WaveletSpec, grid: MeasureSpace, d: int) -> SampledFrame:
-    """Sampled dilated/shifted wavelet family over a scale/shift grid.
-
-    Column (a, b) has frequency content sqrt(a) psi_hat(a gamma_k)
-    exp(-2 pi i b gamma_k) on the d integer frequencies and is mapped to the
-    time domain by the unitary inverse DFT.
-    """
+def _check_family(wavelet: WaveletSpec, grid: MeasureSpace) -> float:
+    """Reject grids and profiles no wavelet family can be built from; return
+    the positive-axis admissibility constant."""
     if grid.points.shape[1] != 2:
         raise ShapeMismatchError("scale/shift grid must have 2-coordinate points")
     if not wavelet.is_callable:
@@ -264,10 +264,21 @@ def wavelet_frame(wavelet: WaveletSpec, grid: MeasureSpace, d: int) -> SampledFr
         raise InvalidParameterError(
             f"profile is not admissible (positive-axis constant {c_plus})"
         )
+    if np.any(grid.points[:, 0] <= 0.0):
+        raise InvalidDomainError("scale coordinates must be positive")
+    return c_plus
+
+
+def wavelet_frame(wavelet: WaveletSpec, grid: MeasureSpace, d: int) -> SampledFrame:
+    """Sampled dilated/shifted wavelet family over a scale/shift grid.
+
+    Column (a, b) has frequency content sqrt(a) psi_hat(a gamma_k)
+    exp(-2 pi i b gamma_k) on the d integer frequencies and is mapped to the
+    time domain by the unitary inverse DFT.
+    """
+    _check_family(wavelet, grid)
     a = grid.points[:, 0]
     b = grid.points[:, 1]
-    if np.any(a <= 0.0):
-        raise InvalidDomainError("scale coordinates must be positive")
     gamma = dft_frequencies(d)
     freq_cols = (np.sqrt(a)[:, None] * wavelet.evaluate(a[:, None] * gamma[None, :])
                  * np.exp(-2j * np.pi * b[:, None] * gamma[None, :]))
@@ -283,9 +294,30 @@ def scale_profile(wavelet: WaveletSpec, grid: MeasureSpace, d: int) -> np.ndarra
     band it approaches the positive-axis admissibility constant.
     """
     a = grid.points[:, 0]
-    gamma = dft_frequencies(d)
-    values = np.abs(wavelet.evaluate(a[:, None] * gamma[None, :])) ** 2
-    return (grid.weights * a) @ values
+    scales, index = np.unique(a, return_inverse=True)
+    mass = np.bincount(index, weights=grid.weights * a)
+    values = np.abs(wavelet.evaluate(scales[:, None] * dft_frequencies(d)[None, :])) ** 2
+    return mass @ values
+
+
+def _full_uniform_shifts(grid: MeasureSpace, d: int) -> bool:
+    """Whether every distinct scale carries the same n_b >= d shifts, spaced
+    1/n_b apart up to rounding, all with one weight.
+
+    On such a grid the frame operator is exactly diagonal in the frequency
+    basis of C^d, with diagonal ``scale_profile``.
+    """
+    a, b = grid.points[:, 0], grid.points[:, 1]
+    order = np.lexsort((b, a))
+    _, counts = np.unique(a[order], return_counts=True)
+    n_b = int(counts[0])
+    if n_b < d or np.any(counts != n_b):
+        return False
+    b = b[order].reshape(-1, n_b)
+    w = grid.weights[order].reshape(-1, n_b)
+    slack = 16 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(b))))
+    evenly_spaced = np.all(np.abs(b - b[:, :1] - np.arange(n_b) / n_b) <= slack)
+    return bool(evenly_spaced and np.all(w == w[:, :1]))
 
 
 def bandlimited_bump(d: int, band: tuple[float, float], taper: float = 1.0) -> np.ndarray:
@@ -313,10 +345,10 @@ def bandlimited_bump(d: int, band: tuple[float, float], taper: float = 1.0) -> n
     return f.real.astype(complex)
 
 
-def coverage_deviation(wavelet: WaveletSpec, grid: MeasureSpace, d: int) -> np.ndarray:
+def coverage_deviation(wavelet: WaveletSpec, grid: MeasureSpace, d: int,
+                       c_plus: float) -> np.ndarray:
     """Relative deviation of the scale quadrature from the reproducing constant
-    at every frequency; small entries mark well-covered frequencies."""
-    c_plus = positive_axis_constant(wavelet)
+    c_plus at every frequency; small entries mark well-covered frequencies."""
     return np.abs(scale_profile(wavelet, grid, d) / c_plus - 1.0)
 
 
@@ -325,27 +357,36 @@ def calderon_residual(wavelet: WaveletSpec, grid: MeasureSpace, f,
     """Relative error of reconstruction through the sampled wavelet family.
 
     Computes || synthesis(W, analysis(W, f)) / c_plus - f || / ||f|| with
-    c_plus the positive-axis admissibility constant.  Signals with spectral
-    energy at badly covered frequencies are reported with a warning; the
-    residual is returned regardless.
+    c_plus the positive-axis admissibility constant.  On a full uniform shift
+    grid (every scale with the same n_b >= d shifts, 1/n_b apart, equal
+    weights) the frame operator is exactly the diagonal ``scale_profile`` in
+    the frequency basis, so the residual is || (profile / c_plus - 1) f_hat ||
+    / || f_hat || and the frame is never built.  Any other grid, where shifts
+    may alias, goes through the dense frame.  Signals with spectral energy at
+    badly covered frequencies are reported with a warning; the residual is
+    returned regardless.
     """
     f = np.asarray(f, dtype=complex).ravel()
     scale = float(np.linalg.norm(f))
     if scale == 0.0:
         return 0.0
     d = f.shape[0]
+    c_family = _check_family(wavelet, grid)
     if c_plus is None:
-        c_plus = positive_axis_constant(wavelet)
+        c_plus = c_family
 
-    deviation = coverage_deviation(wavelet, grid, d)
-    spectrum = np.abs(np.fft.fft(f)) ** 2
-    uncovered = float(np.sum(spectrum[deviation > 0.1]) / np.sum(spectrum))
+    deviation = coverage_deviation(wavelet, grid, d, c_plus)
+    spectrum = np.fft.fft(f)
+    energy = np.abs(spectrum) ** 2
+    uncovered = float(np.sum(energy[deviation > 0.1]) / np.sum(energy))
     if uncovered > 1e-8:
         warnings.warn(
             f"{uncovered:.2e} of the signal energy sits at frequencies the "
             "scale grid does not cover; the residual reflects that truncation",
             stacklevel=2,
         )
+    if _full_uniform_shifts(grid, d):
+        return float(np.linalg.norm(deviation * spectrum) / np.linalg.norm(spectrum))
     frame = wavelet_frame(wavelet, grid, d)
     reconstructed = synthesis(frame, analysis(frame, f)) / c_plus
     return float(np.linalg.norm(reconstructed - f) / scale)

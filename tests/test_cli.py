@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from contframes import tf_frames as tf
 from contframes.cli import main
 from contframes.frame import SampledFrame
 from contframes.measure import Symbol, counting_space
-from contframes.suites import SuiteConfig, run_multiplier, run_suite
+from contframes.suites import SuiteConfig, run_multiplier, run_suite, run_wavelet
 
 
 def read_json(path):
@@ -56,6 +57,23 @@ def test_verify_tolerance_override_fails_run(tmp_path):
 
 def test_verify_bad_tolerance_syntax():
     assert main(["verify", "--suite", "identities", "--tol", "oops"]) == 2
+
+
+def test_verify_unknown_tolerance_key_flag(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "gabor", "--tol", "gabor_tightnes=1e-30",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_verify_unknown_tolerance_key_config(tmp_path):
+    cfg = {"suite": "gabor", "trials": 2, "d": 4, "n": 8,
+           "tolerances": {"gabor_tightnes": 1e-30},
+           "output": str(tmp_path / "r.json")}
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_csv_output(tmp_path):
@@ -150,6 +168,31 @@ def test_wavelet_command_light(tmp_path):
             "calderon_refinement"} <= ids
     residual = next(c for c in data["checks"] if c["check_id"] == "calderon_residual")
     assert residual["measured"] <= 0.02
+
+
+def admissibility_check(report):
+    return next(c for c in report.checks if c.check_id == "admissibility_constant")
+
+
+def test_run_wavelet_admissibility_gate_can_fail(monkeypatch):
+    light = dict(d=64, n_a=24, band=(2.0, 6.0))
+    assert admissibility_check(run_wavelet(**light)).passed
+    profile = tf.mexican_hat_fourier
+    monkeypatch.setattr(tf, "mexican_hat_fourier", lambda g: 2.0 * profile(g))
+    report = run_wavelet(**light)
+    check = admissibility_check(report)
+    assert check.measured == pytest.approx(1.0, abs=1e-4)
+    assert not check.passed
+    assert not report.all_passed
+
+
+def test_run_wavelet_custom_profile_admissibility_ungated():
+    doubled = tf.WaveletSpec("given-fourier", lambda g: 2.0 * tf.mexican_hat_fourier(g))
+    check = admissibility_check(run_wavelet(d=64, wavelet=doubled, n_a=24,
+                                            band=(2.0, 6.0)))
+    assert check.measured == pytest.approx(1.0, abs=1e-4)
+    assert check.passed
+    assert check.detail.startswith("ungated")
 
 
 def test_run_suite_determinism_inprocess():

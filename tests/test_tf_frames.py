@@ -9,7 +9,7 @@ from contframes.errors import (
     InvalidParameterError,
     ShapeMismatchError,
 )
-from contframes.frame import analysis, frame_bounds, frame_operator
+from contframes.frame import analysis, frame_bounds, frame_operator, synthesis
 from contframes.measure import MeasureSpace, wavelet_grid
 
 
@@ -279,3 +279,100 @@ def test_calderon_warns_on_uncovered_energy():
     f = random_vec(rng, d)  # full-spectrum signal, includes frequency zero
     with pytest.warns(UserWarning):
         tf.calderon_residual(wavelet, grid, f)
+
+
+def dense_calderon_residual(wavelet, grid, f):
+    frame = tf.wavelet_frame(wavelet, grid, f.shape[0])
+    reconstructed = synthesis(frame, analysis(frame, f)) / tf.positive_axis_constant(wavelet)
+    return float(np.linalg.norm(reconstructed - f) / np.linalg.norm(f))
+
+
+def spy_wavelet_frame(monkeypatch):
+    calls = []
+    build = tf.wavelet_frame
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(tf, "wavelet_frame", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n_b", [64, 128])
+def test_calderon_diagonal_path_matches_dense_oracle(monkeypatch, n_b):
+    d, _, wavelet = small_setup()
+    grid = wavelet_grid(2.0**-6, 4.0, 48, 0.0, 1.0, n_b)
+    f = tf.bandlimited_bump(d, (2.0, 8.0), 1.0)
+    oracle = dense_calderon_residual(wavelet, grid, f)
+    calls = spy_wavelet_frame(monkeypatch)
+    residual = tf.calderon_residual(wavelet, grid, f)
+    assert calls == []
+    assert residual == pytest.approx(oracle, rel=1e-10)
+
+
+def test_calderon_aliased_shifts_use_dense_frame(monkeypatch):
+    # n_b = 32 < d: shifts alias, the frame operator is not diagonal and the
+    # scale-profile formula would understate the residual by a factor ~350
+    d, _, wavelet = small_setup()
+    grid = wavelet_grid(2.0**-6, 4.0, 48, 0.0, 1.0, 32)
+    f = tf.bandlimited_bump(d, (2.0, 8.0), 1.0)
+    oracle = dense_calderon_residual(wavelet, grid, f)
+    spectrum = np.fft.fft(f)
+    gain = tf.scale_profile(wavelet, grid, d) / tf.positive_axis_constant(wavelet) - 1.0
+    diagonal = float(np.linalg.norm(gain * spectrum) / np.linalg.norm(spectrum))
+    calls = spy_wavelet_frame(monkeypatch)
+    residual = tf.calderon_residual(wavelet, grid, f)
+    assert len(calls) == 1
+    assert residual == pytest.approx(oracle, rel=1e-12)
+    assert residual == pytest.approx(0.16, abs=0.01)
+    assert diagonal < 1e-3
+
+
+def nudged_shift(grid):
+    points = grid.points.copy()
+    points[0, 1] += 1e-3
+    return MeasureSpace(points, grid.weights)
+
+
+def alternating_weights(grid):
+    return MeasureSpace(grid.points,
+                        grid.weights * (1.0 + 1e-3 * (np.arange(grid.n_points) % 2)))
+
+
+@pytest.mark.parametrize("perturb", [nudged_shift, alternating_weights])
+def test_calderon_irregular_grids_use_dense_frame(monkeypatch, perturb):
+    d, grid, wavelet = small_setup()
+    grid = perturb(grid)
+    f = tf.bandlimited_bump(d, (2.0, 8.0), 1.0)
+    oracle = dense_calderon_residual(wavelet, grid, f)
+    calls = spy_wavelet_frame(monkeypatch)
+    assert tf.calderon_residual(wavelet, grid, f) == pytest.approx(oracle, rel=1e-12)
+    assert len(calls) == 1
+
+
+def test_calderon_diagonal_path_validates_the_family():
+    d, grid, _ = small_setup()
+    f = tf.bandlimited_bump(d, (2.0, 8.0), 1.0)
+    sampled = tf.WaveletSpec("given-fourier", fourier_profile=np.ones(10))
+    dead = tf.WaveletSpec("given-fourier", lambda g: np.zeros_like(np.asarray(g)))
+    for wavelet in (sampled, dead):
+        with pytest.raises(InvalidParameterError):
+            tf.calderon_residual(wavelet, grid, f)
+    mirrored = MeasureSpace(grid.points * [-1.0, 1.0], grid.weights)
+    with pytest.raises(InvalidDomainError):
+        tf.calderon_residual(tf.WaveletSpec(), mirrored, f)
+
+
+def test_scale_profile_repeated_scales_match_per_point_formula():
+    rng = np.random.default_rng(6)
+    d = 64
+    scales = 2.0 ** rng.uniform(-6.0, 2.0, 12)
+    a = rng.choice(scales, 500)
+    points = np.column_stack([a, rng.uniform(0.0, 1.0, 500)])
+    grid = MeasureSpace(points, rng.uniform(0.1, 2.0, 500))
+    wavelet = tf.WaveletSpec()
+    gamma = tf.dft_frequencies(d)
+    per_point = (grid.weights * a) @ np.abs(wavelet.evaluate(a[:, None] * gamma)) ** 2
+    np.testing.assert_allclose(tf.scale_profile(wavelet, grid, d), per_point,
+                               rtol=1e-13, atol=0.0)
