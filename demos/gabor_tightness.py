@@ -7,8 +7,10 @@ import numpy as np
 
 from contframes import (
     frame_bounds,
+    analysis,
     frame_operator,
     gabor_frame,
+    gabor_frame_operator,
     gaussian_window,
     stft,
     stft_orthogonality_residual,
@@ -50,3 +52,17 @@ vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(4)]
 vecs = [v / np.linalg.norm(v) for v in vecs]
 print(f"orthogonality relation residual: "
       f"{stft_orthogonality_residual(*vecs):.2e}")
+
+print("\n== structured paths agree with the explicit d x d^2 family ==")
+d = 64
+g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+dense = gabor_frame(g, d)
+S_dense = frame_operator(dense)
+S = gabor_frame_operator(g, d)  # (T T^*) o (Phi Phi^*) / d, no d x d^2 matrix
+print(f"Hadamard-product frame operator vs dense: "
+      f"{np.linalg.norm(S - S_dense, 2) / np.linalg.norm(S_dense, 2):.2e} relative")
+c_dense = analysis(dense, f)
+c = stft(f, g).values  # d FFTs of length d
+print(f"FFT short-time transform vs dense analysis: "
+      f"{np.linalg.norm(c - c_dense) / np.linalg.norm(c_dense):.2e} relative")

@@ -81,6 +81,7 @@ from .tf_frames import (
     bandlimited_bump,
     calderon_residual,
     gabor_frame,
+    gabor_frame_operator,
     gaussian_window,
     log_freq_grid,
     mexican_hat_fourier,

@@ -37,16 +37,24 @@ def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
     return tolerances
 
 
+def _number(value: float | None, spec: str) -> str:
+    return "n/a" if value is None else format(value, spec)
+
+
 def _emit(report: Report, fmt: str, out: str | None) -> None:
     text = report.to_json() if fmt == "json" else report.to_csv()
     if out:
         Path(out).write_text(text)
     for check in report.sorted_checks():
         status = "PASS" if check.passed else "FAIL"
-        line = (f"[{status}] {check.check_id}: measured={check.measured:.6g} "
-                f"budget={check.budget:.6g} tol={check.tolerance:g}")
+        line = (f"[{status}] {check.check_id}: "
+                f"measured={_number(check.measured, '.6g')} "
+                f"budget={_number(check.budget, '.6g')} "
+                f"tol={_number(check.tolerance, 'g')}")
         if check.detail:
             line += f"  ({check.detail})"
+        if check.error:
+            line += f"  (error: {check.error})"
         print(line)
     summary = report.summary
     print(f"{report.suite}: {summary['passed']}/{summary['total']} checks passed")

@@ -2,7 +2,9 @@
 
 A report is a list of checks, each carrying an identifier, a one-line
 statement of the verified relation, the measured value, the budget or
-expected value it is held against, the tolerance and the verdict.  Reports
+expected value it is held against, the tolerance and the verdict.  A check
+that aborted has no measured value or budget (``None``, JSON ``null``, an
+empty CSV cell) and carries the exception in its ``error`` field.  Reports
 serialize to JSON (checks sorted by identifier, so reruns with one seed are
 byte-identical apart from timestamps) and to CSV.
 """
@@ -19,11 +21,12 @@ from dataclasses import dataclass, field
 class Check:
     check_id: str
     claim: str
-    measured: float
-    budget: float
-    tolerance: float
+    measured: float | None
+    budget: float | None
+    tolerance: float | None
     passed: bool
     detail: str = ""
+    error: str = ""
 
     def to_dict(self) -> dict:
         out = {
@@ -36,6 +39,8 @@ class Check:
         }
         if self.detail:
             out["detail"] = self.detail
+        if self.error:
+            out["error"] = self.error
         return out
 
     @classmethod
@@ -48,6 +53,7 @@ class Check:
             tolerance=data["tolerance"],
             passed=data["pass"],
             detail=data.get("detail", ""),
+            error=data.get("error", ""),
         )
 
 
@@ -92,8 +98,9 @@ class Report:
         writer.writerow(["check_id", "claim", "measured", "budget",
                          "tolerance", "pass"])
         for c in self.sorted_checks():
-            writer.writerow([c.check_id, c.claim, repr(c.measured),
-                             repr(c.budget), repr(c.tolerance),
+            writer.writerow([c.check_id, c.claim,
+                             *("" if v is None else repr(v)
+                               for v in (c.measured, c.budget, c.tolerance)),
                              "true" if c.passed else "false"])
         return out.getvalue()
 

@@ -1,9 +1,22 @@
 """Concrete frame families: cyclic Gabor systems and sampled wavelet systems.
 
 The Gabor family lives on the cyclic group Z_d: all d^2 modulated translates
-of a window, each carrying quadrature weight 1/d.  With that weight the frame
-operator is exactly ||g||^2 times the identity, so tightness is an identity
-to rounding, not an approximation.
+M_b T_a g of a window, each carrying quadrature weight 1/d.  With that weight
+the frame operator is exactly ||g||^2 times the identity, so tightness is an
+identity to rounding, not an approximation.  Translation and modulation
+invariance give both Gabor operators a structured form, so neither needs the
+d x d^2 matrix of the family:
+
+* frame operator: with T = [T_0 g | ... | T_{d-1} g] the circulant of
+  translates and Phi[t, b] = exp(2 pi i t b / d) the phase matrix,
+  S[t, s] = (1/d) sum_a g_{t-a} conj(g_{s-a}) sum_b exp(2 pi i b (t - s) / d),
+  that is S = (T T^*) o (Phi Phi^*) / d, a Hadamard product of two d x d Gram
+  matrices (``gabor_frame_operator``, O(d^3) flops, O(d^2) memory);
+* STFT: coefficient (a, b) is <f, M_b T_a g> = FFT_t(f conj(T_a g))[b], so
+  the transform is d FFTs of length d (``stft``, O(d^2 log d)).
+
+``gabor_frame`` still builds the explicit family from the same translate and
+phase helpers; it is the dense oracle the structured paths are tested against.
 
 The wavelet family is sampled from a scale/shift grid carrying the weight
 da db / a^2.  Columns are built in the frequency domain from an analytic
@@ -41,16 +54,25 @@ WINDOW_KINDS = ("gaussian", "given-samples")
 WAVELET_KINDS = ("mexican-hat-fourier", "given-fourier")
 
 
+def _translates(x: np.ndarray, shifts) -> np.ndarray:
+    """x_{(t - a) mod d} over t, one column per shift a (a scalar gives a vector)."""
+    return x[np.subtract.outer(np.arange(x.shape[0]), shifts) % x.shape[0]]
+
+
+def _phases(d: int, freqs) -> np.ndarray:
+    """exp(2 pi i b t / d) over t, one column per frequency b (a scalar gives a vector)."""
+    return np.exp(np.multiply.outer(np.arange(d), 2j * np.pi * np.asarray(freqs)) / d)
+
+
 def translate(x, a: int) -> np.ndarray:
     """Cyclic shift (T_a x)_t = x_{(t - a) mod d}."""
-    return np.roll(np.asarray(x, dtype=complex).ravel(), int(a))
+    return _translates(np.asarray(x, dtype=complex).ravel(), int(a))
 
 
 def modulate(x, b: int) -> np.ndarray:
     """Pointwise phase ramp (M_b x)_t = exp(2 pi i b t / d) x_t."""
     x = np.asarray(x, dtype=complex).ravel()
-    d = x.shape[0]
-    return np.exp(2j * np.pi * int(b) * np.arange(d) / d) * x
+    return _phases(x.shape[0], int(b)) * x
 
 
 def gaussian_window(d: int) -> np.ndarray:
@@ -77,9 +99,7 @@ class WindowSpec:
         if self.kind == "given-samples":
             if self.samples is None:
                 raise InvalidParameterError("given-samples window needs samples")
-            samples = np.asarray(self.samples, dtype=complex).ravel()
-            if float(np.linalg.norm(samples)) == 0.0:
-                raise InvalidParameterError("window must be nonzero")
+            samples = _checked_samples(np.asarray(self.samples, dtype=complex).ravel())
             object.__setattr__(self, "samples", samples)
 
     def build(self, d: int) -> np.ndarray:
@@ -92,15 +112,22 @@ class WindowSpec:
         return self.samples
 
 
+def _checked_samples(g: np.ndarray) -> np.ndarray:
+    """Reject window samples that are not finite or all zero."""
+    if not np.all(np.isfinite(g)):
+        raise InvalidParameterError("window samples must be finite")
+    if float(np.linalg.norm(g)) == 0.0:
+        raise InvalidParameterError("window must be nonzero")
+    return g
+
+
 def _as_window(window, d: int) -> np.ndarray:
     if isinstance(window, WindowSpec):
         return window.build(d)
     g = np.asarray(window, dtype=complex).ravel()
     if g.shape[0] != d:
         raise ShapeMismatchError(f"window of length {g.shape[0]} for d={d}")
-    if float(np.linalg.norm(g)) == 0.0:
-        raise InvalidParameterError("window must be nonzero")
-    return g
+    return _checked_samples(g)
 
 
 def gabor_space(d: int) -> MeasureSpace:
@@ -113,23 +140,45 @@ def gabor_space(d: int) -> MeasureSpace:
 def gabor_frame(window, d: int) -> SampledFrame:
     """Frame of all modulated translates M_b T_a g over Z_d x Z_d.
 
-    The 1/d point mass makes sum over (a, b) of the rank-one projections
-    exactly ||g||^2 I.
+    Column a d + b is M_b T_a g.  The 1/d point mass makes sum over (a, b) of
+    the rank-one projections exactly ||g||^2 I.  This explicit d x d^2 family
+    is the dense oracle of ``gabor_frame_operator`` and ``stft``.
     """
     g = _as_window(window, d)
-    phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
-    cols = np.empty((d, d * d), dtype=complex)
-    for a in range(d):
-        shifted = np.roll(g, a)
-        cols[:, a * d:(a + 1) * d] = shifted[:, None] * phases
-    return SampledFrame(gabor_space(d), cols)
+    shifts = np.arange(d)
+    cols = _translates(g, shifts)[:, :, None] * _phases(d, shifts)[:, None, :]
+    return SampledFrame(gabor_space(d), cols.reshape(d, d * d))
+
+
+def gabor_frame_operator(window, d: int) -> np.ndarray:
+    """Frame operator of the cyclic Gabor family, without building the family.
+
+    S = (T T^*) o (Phi Phi^*) / d, the Hadamard product of the Gram matrix of
+    the d translates T_a g and that of the d phase columns
+    Phi[:, b] = exp(2 pi i b t / d), scaled by the point mass 1/d.  Both Gram
+    matrices are computed, so the result carries the rounding of the family
+    it stands for rather than the ||g||^2 I the theory predicts.  Equals
+    ``frame_operator(gabor_frame(window, d))`` up to rounding, at O(d^3)
+    flops and O(d^2) memory instead of O(d^4) and O(d^3).
+    """
+    g = _as_window(window, d)
+    shifts = np.arange(d)
+    translates = _translates(g, shifts)
+    phases = _phases(d, shifts)
+    return (translates @ translates.conj().T) * (phases @ phases.conj().T) / d
 
 
 def stft(f, window) -> Symbol:
-    """Coefficient function <f, M_b T_a g> as a symbol on the Gabor space."""
+    """Coefficient function <f, M_b T_a g> as a symbol on the Gabor space.
+
+    Coefficient a d + b is FFT_t(f conj(T_a g))[b]: d FFTs of length d, in
+    the point order of ``gabor_space`` and of the columns of ``gabor_frame``.
+    """
     f = np.asarray(f, dtype=complex).ravel()
-    frame = gabor_frame(window, f.shape[0])
-    return Symbol(analysis(frame, f), frame.space)
+    d = f.shape[0]
+    g = _as_window(window, d)
+    coeffs = np.fft.fft(_translates(g, np.arange(d)).conj().T * f, axis=1)
+    return Symbol(coeffs.ravel(), gabor_space(d))
 
 
 def stft_orthogonality_residual(f1, f2, g1, g2) -> float:
@@ -142,8 +191,8 @@ def stft_orthogonality_residual(f1, f2, g1, g2) -> float:
     if not (f1.shape == f2.shape == g1.shape == g2.shape):
         raise ShapeMismatchError("all four vectors must share one dimension")
     d = f1.shape[0]
-    c1 = analysis(gabor_frame(g1, d), f1)
-    c2 = analysis(gabor_frame(g2, d), f2)
+    c1 = stft(f1, g1).values
+    c2 = stft(f2, g2).values
     lhs = np.sum(c1 * c2.conj()) / d
     rhs = inner(f1, f2) * inner(g2, g1)
     return float(abs(lhs - rhs))

@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from contframes import controlled as ctrl
+from contframes import frame as fr
+from contframes import suites
 from contframes import tf_frames as tf
 from contframes.cli import main
 from contframes.frame import SampledFrame
 from contframes.measure import Symbol, counting_space
+from contframes.reporting import Report
 from contframes.suites import SuiteConfig, run_multiplier, run_suite, run_wavelet
 
 
@@ -108,6 +112,14 @@ def test_gabor_custom_window(tmp_path):
     out = tmp_path / "gabor.json"
     assert main(["gabor", "--d", "4", "--window", str(window),
                  "--out", str(out)]) == 0
+
+
+def test_gabor_rejects_non_finite_window(tmp_path, capsys):
+    window = tmp_path / "window.json"
+    window.write_text(json.dumps([1.0, float("nan"), 0.0, 0.0]))
+    assert "NaN" in window.read_text()
+    assert main(["gabor", "--d", "4", "--window", str(window)]) == 2
+    assert "window samples must be finite" in capsys.readouterr().err
 
 
 def test_multiplier_command(tmp_path):
@@ -230,3 +242,66 @@ def test_verify_config_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert main(["verify", "--config", str(bad)]) == 2
+
+
+def reject_constant(token):
+    raise ValueError(f"invalid JSON constant {token}")
+
+
+def test_aborted_checks_write_valid_json(monkeypatch, tmp_path, capsys):
+    def check_gabor_tightness(cfg):
+        raise RuntimeError("boom")
+
+    def check_unlisted(cfg):
+        raise FloatingPointError("overflow")
+
+    monkeypatch.setitem(suites.SUITE_CHECKS, "gabor",
+                        [check_gabor_tightness, check_unlisted,
+                         suites.check_tf_shift_unitarity])
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "gabor", "--out", str(out)]) == 1
+    data = json.loads(out.read_text(), parse_constant=reject_constant)
+    checks = {c["check_id"]: c for c in data["checks"]}
+    aborted = checks["gabor_tightness"]
+    assert not aborted["pass"]
+    assert aborted["measured"] is None and aborted["budget"] is None
+    assert aborted["tolerance"] == suites.DEFAULT_TOLERANCES["gabor_tightness"]
+    assert aborted["error"] == "RuntimeError: boom"
+    assert checks["unlisted"]["tolerance"] is None
+    assert checks["unlisted"]["error"] == "FloatingPointError: overflow"
+    assert checks["tf_shift_unitarity"]["pass"]
+    assert "error" not in checks["tf_shift_unitarity"]
+    assert "measured=n/a budget=n/a" in capsys.readouterr().out
+
+    assert Report.from_dict(data).to_dict() == data
+    csv_out = tmp_path / "report.csv"
+    assert main(["report", "--in", str(out), "--out", str(csv_out)]) == 1
+    row = next(line for line in csv_out.read_text().splitlines()
+               if line.startswith("unlisted,"))
+    assert row.endswith(",,,,false")
+
+
+def test_frame_iff_invertible_lets_unexpected_errors_abort(monkeypatch):
+    def broken_invert(T):
+        raise FloatingPointError("overflow")
+
+    monkeypatch.setattr(suites.hb, "invert", broken_invert)
+    with pytest.raises(FloatingPointError):
+        suites.check_frame_iff_invertible(SuiteConfig(trials=2, d=3, n_points=8))
+
+
+def test_controlled_spectral_mapping_catches_relative_map_error(monkeypatch):
+    cfg = SuiteConfig(trials=10)
+    assert suites.check_controlled_spectral_mapping(cfg).passed
+    true_map = ctrl.ControlSpec.spectral_map
+
+    def true_control(spec, F):
+        lam, U = np.linalg.eigh(fr.frame_operator(F))
+        return (U * true_map(spec, lam)) @ U.conj().T
+
+    monkeypatch.setattr(ctrl.ControlSpec, "spectral_map",
+                        lambda spec, lam: true_map(spec, lam) * (1 + 1e-10))
+    monkeypatch.setattr(ctrl, "make_control", true_control)
+    check = suites.check_controlled_spectral_mapping(cfg)
+    assert check.measured > 1e-11
+    assert not check.passed

@@ -1,9 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contframes import tf_frames as tf
+from contframes.cli import main
 from contframes.errors import (
     InvalidDomainError,
     InvalidParameterError,
@@ -82,6 +86,72 @@ def test_gabor_rejects_zero_window():
         tf.WindowSpec("given-samples", samples=np.zeros(4))
     with pytest.raises(ShapeMismatchError):
         tf.gabor_frame(np.ones(3), 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gabor_paths_reject_non_finite_windows(bad):
+    g = np.ones(4, dtype=complex)
+    g[1] = bad
+    with pytest.raises(InvalidParameterError):
+        tf.WindowSpec("given-samples", samples=g)
+    with pytest.raises(InvalidParameterError):
+        tf.gabor_frame(g, 4)
+    with pytest.raises(InvalidParameterError):
+        tf.gabor_frame_operator(g, 4)
+    with pytest.raises(InvalidParameterError):
+        tf.stft(np.ones(4), g)
+
+
+def assert_structured_matches_dense(window, d, f):
+    """Hadamard-product S and FFT STFT agree with the explicit family."""
+    frame = tf.gabor_frame(window, d)
+    S_dense = frame_operator(frame)
+    S = tf.gabor_frame_operator(window, d)
+    assert np.linalg.norm(S - S_dense, 2) <= 1e-12 * np.linalg.norm(S_dense, 2)
+    c_dense = analysis(frame, f)
+    c = tf.stft(f, window).values
+    assert np.linalg.norm(c - c_dense) <= 1e-12 * np.linalg.norm(c_dense)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 64])
+def test_structured_gabor_paths_match_dense_oracle(d):
+    rng = np.random.default_rng(100 + d)
+    windows = [random_vec(rng, d) for _ in range(5)] + [tf.WindowSpec("gaussian")]
+    for window in windows:
+        assert_structured_matches_dense(window, d, random_vec(rng, d))
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                   allow_infinity=False)
+
+
+@st.composite
+def gabor_windows(draw):
+    d = draw(st.integers(min_value=1, max_value=24))
+    re = np.array(draw(st.lists(finite, min_size=d, max_size=d)))
+    im = np.array(draw(st.lists(finite, min_size=d, max_size=d)))
+    return re + 1j * im
+
+
+@settings(deadline=None, max_examples=50)
+@given(g=gabor_windows(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_structured_gabor_paths_match_dense_property(g, seed):
+    # well above the underflow threshold, so entries of S stay normal numbers
+    assume(np.linalg.norm(g) > 1e-100)
+    d = g.shape[0]
+    assert_structured_matches_dense(g, d, random_vec(np.random.default_rng(seed), d))
+
+
+def test_gabor_command_never_builds_the_dense_frame(monkeypatch, tmp_path):
+    def no_dense_frame(*args, **kwargs):
+        raise AssertionError("the d x d^2 Gabor frame was built")
+
+    monkeypatch.setattr(tf, "gabor_frame", no_dense_frame)
+    out = tmp_path / "gabor.json"
+    assert main(["gabor", "--d", "256", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 3
+    assert all(c["pass"] for c in checks)
 
 
 def test_stft_is_frame_analysis():
