@@ -33,6 +33,7 @@ from .measure import (
 )
 from .hilbert import (
     adjoint,
+    extreme_eigenvalues,
     hermitian_bounds,
     inner,
     invert,

@@ -142,13 +142,13 @@ def controlled_bounds(C, F: SampledFrame) -> tuple[float, float]:
     """
     C = np.asarray(C, dtype=complex)
     S = frame_operator(F)
-    scale = float(np.linalg.norm(C, 2))
-    if float(np.linalg.norm(C - C.conj().T, 2)) > 1e-10 * max(1.0, scale):
+    scale = hilbert.operator_norm(C)
+    if hilbert.operator_norm(C - C.conj().T) > 1e-10 * max(1.0, scale):
         raise ContractViolationError("control operator is not self-adjoint")
     if not hilbert.is_positive(C, 1e-10):
         raise ContractViolationError("control operator is not positive")
-    commutator = float(np.linalg.norm(C @ S - S @ C, 2))
-    if commutator > 1e-10 * max(1.0, scale * float(np.linalg.norm(S, 2))):
+    commutator = hilbert.operator_norm(C @ S - S @ C)
+    if commutator > 1e-10 * max(1.0, scale * hilbert.operator_norm(S)):
         raise ContractViolationError(
             f"control does not commute with the frame operator (defect {commutator:.3e})"
         )
@@ -170,6 +170,6 @@ def precondition_identity_residual(control_spec: ControlSpec,
                        SampledFrame(G.space, D @ G.vectors))
     plain = multiplier(m, F, G)
     defect = hilbert.invert(D) @ mixed @ hilbert.invert(C) - plain
-    scale = float(np.linalg.norm(plain, 2))
-    residual = float(np.linalg.norm(defect, 2))
+    scale = hilbert.operator_norm(plain)
+    residual = hilbert.operator_norm(defect)
     return residual / scale if scale > 0.0 else residual

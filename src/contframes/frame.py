@@ -114,10 +114,20 @@ def frame_operator(F: SampledFrame) -> np.ndarray:
     return (F.vectors * F.space.weights) @ F.vectors.conj().T
 
 
-def frame_bounds(F: SampledFrame) -> FrameBounds:
-    lower, upper = hilbert.hermitian_bounds(frame_operator(F))
+def _bounds(S: np.ndarray) -> FrameBounds:
+    lower, upper = hilbert.extreme_eigenvalues(S)
     lower = max(lower, 0.0)
     return FrameBounds(lower, upper, bool(lower > FRAME_RTOL * max(upper, 1.0)))
+
+
+def frame_bounds(F: SampledFrame) -> FrameBounds:
+    """Optimal frame bounds: the extreme eigenvalues of (S + S^*)/2.
+
+    S = frame_operator(F) is Hermitian by construction, so it is not
+    re-validated; the Hermiticity check of ``hilbert.hermitian_bounds`` is
+    for operators from outside the program.
+    """
+    return _bounds(frame_operator(F))
 
 
 def norm_bound(F: SampledFrame) -> float:
@@ -127,11 +137,11 @@ def norm_bound(F: SampledFrame) -> float:
 
 def canonical_dual(F: SampledFrame) -> SampledFrame:
     """Frame with columns S^-1 F_j; reconstructs against F."""
-    bounds = frame_bounds(F)
+    S = frame_operator(F)
+    bounds = _bounds(S)
     if not bounds.is_frame:
         raise NotAFrameError(f"lower frame bound is numerically zero ({bounds.lower:.3e})")
-    s_inv = hilbert.invert(frame_operator(F))
-    return SampledFrame(F.space, s_inv @ F.vectors)
+    return SampledFrame(F.space, hilbert.invert(S) @ F.vectors)
 
 
 def is_dual_pair(F: SampledFrame, G: SampledFrame, tol: float = 1e-10) -> bool:
@@ -144,7 +154,7 @@ def duality_defect(F: SampledFrame, G: SampledFrame) -> float:
     """|| sum_j w_j G_j F_j^* - I ||."""
     _check_compatible(F, G)
     op = (G.vectors * F.space.weights) @ F.vectors.conj().T
-    return float(np.linalg.norm(op - np.eye(F.dim), 2))
+    return hilbert.operator_norm(op - np.eye(F.dim))
 
 
 def is_riesz_type(F: SampledFrame, tol: float = RANK_RTOL) -> bool:

@@ -71,27 +71,42 @@ def operator_norm(T) -> float:
     return schatten_norm(T, math.inf)
 
 
+def extreme_eigenvalues(T) -> tuple[float, float]:
+    """Extreme eigenvalues (smallest, largest) of the Hermitian part (T + T^*)/2.
+
+    No Hermiticity check: for operators that are Hermitian by construction,
+    such as frame operators, the bounds are the extreme eigenvalues of the
+    symmetrized operator.  Raises NumericFailureError on non-finite entries.
+    """
+    T = _as_operator(T)
+    if not np.all(np.isfinite(T)):
+        raise NumericFailureError("operator has non-finite entries")
+    eigs = np.linalg.eigvalsh(0.5 * (T + T.conj().T))
+    return float(eigs[0]), float(eigs[-1])
+
+
 def hermitian_bounds(T) -> tuple[float, float]:
     """Extreme eigenvalues (smallest, largest) of a Hermitian operator.
 
-    The input must be Hermitian to 1e-10 relative to its operator norm.
+    For operators from outside the program: the input must be Hermitian to
+    1e-10 relative to its operator norm, and the bounds are then those of
+    ``extreme_eigenvalues``, the extreme eigenvalues of (T + T^*)/2.
     """
     T = _as_operator(T)
-    scale = float(np.linalg.norm(T, 2))
-    defect = float(np.linalg.norm(T - T.conj().T, 2))
+    scale = operator_norm(T)
+    defect = operator_norm(T - T.conj().T)
     if defect > 1e-10 * scale:
         raise ContractViolationError(
             f"operator is not Hermitian: defect {defect:.3e} vs norm {scale:.3e}"
         )
-    eigs = np.linalg.eigvalsh(0.5 * (T + T.conj().T))
-    return float(eigs[0]), float(eigs[-1])
+    return extreme_eigenvalues(T)
 
 
 def is_positive(T, tol: float = 1e-10) -> bool:
     """True when T is Hermitian to tol and its spectrum is >= -tol (scaled)."""
     T = _as_operator(T)
-    scale = float(np.linalg.norm(T, 2))
-    if float(np.linalg.norm(T - T.conj().T, 2)) > tol * max(1.0, scale):
+    scale = operator_norm(T)
+    if operator_norm(T - T.conj().T) > tol * max(1.0, scale):
         return False
     eigs = np.linalg.eigvalsh(0.5 * (T + T.conj().T))
     return bool(eigs[0] >= -tol * max(1.0, eigs[-1]))
@@ -123,7 +138,7 @@ def trace_abs_over_basis(T, onb) -> float:
             f"basis of {E.shape[1]} vectors of dim {E.shape[0]} for operator {T.shape}"
         )
     gram = E.conj().T @ E
-    if float(np.linalg.norm(gram - np.eye(E.shape[1]), 2)) > 1e-10:
+    if operator_norm(gram - np.eye(E.shape[1])) > 1e-10:
         raise ContractViolationError("basis is not orthonormal to 1e-10")
     return float(np.sum(np.abs(np.diagonal(E.conj().T @ T @ E))))
 

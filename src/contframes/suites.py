@@ -112,6 +112,13 @@ CALDERON_DEFAULTS = {
 }
 
 
+def _is_tolerance(value) -> bool:
+    try:
+        return 0.0 <= float(value) < math.inf
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass
 class SuiteConfig:
     suite: str = "all"
@@ -133,6 +140,10 @@ class SuiteConfig:
         unknown = sorted(set(self.tolerances) - DEFAULT_TOLERANCES.keys())
         if unknown:
             raise InvalidParameterError(f"unknown tolerance keys {unknown}")
+        bad = {key: value for key, value in self.tolerances.items()
+               if not _is_tolerance(value)}
+        if bad:
+            raise InvalidParameterError(f"tolerances must be finite and >= 0, got {bad}")
 
     def tol(self, check_id: str) -> float:
         return float(self.tolerances.get(check_id, DEFAULT_TOLERANCES[check_id]))
@@ -207,8 +218,7 @@ def check_frame_factorization(cfg: SuiteConfig) -> Check:
         composed = np.column_stack(
             [fr.synthesis(F, fr.analysis(F, e)) for e in np.eye(cfg.d)]
         )
-        worst = max(worst, float(np.linalg.norm(S - composed, 2)
-                                 / np.linalg.norm(S, 2)))
+        worst = max(worst, hb.operator_norm(S - composed) / hb.operator_norm(S))
     tol = cfg.tol("frame_factorization")
     return _check(cfg, "frame_factorization",
                   "frame operator equals synthesis composed with analysis",
@@ -251,8 +261,8 @@ def check_multiplier_adjoint(cfg: SuiteConfig) -> Check:
         m, F, G = random_instance(cfg.seed, 104, i, cfg.d, cfg.n_points)
         M = multiplier(m, F, G)
         other = multiplier(m.values.conj(), G, F)
-        worst = max(worst, float(np.linalg.norm(M.conj().T - other, 2)
-                                 / max(np.linalg.norm(M, 2), 1e-300)))
+        worst = max(worst, hb.operator_norm(M.conj().T - other)
+                    / max(hb.operator_norm(M), 1e-300))
     tol = cfg.tol("multiplier_adjoint")
     return _check(cfg, "multiplier_adjoint",
                   "adjoint of the multiplier is the conjugate-symbol multiplier "
@@ -314,8 +324,7 @@ def check_weighted_identity(cfg: SuiteConfig) -> Check:
         m = Symbol(rng.uniform(0.0, 3.0, size=cfg.n_points).astype(complex), F.space)
         M = multiplier(m, F, F)
         S = fr.frame_operator(fr.weighted(F, m))
-        worst = max(worst, float(np.linalg.norm(M - S, 2)
-                                 / max(np.linalg.norm(S, 2), 1.0)))
+        worst = max(worst, hb.operator_norm(M - S) / max(hb.operator_norm(S), 1.0))
     tol = cfg.tol("weighted_identity")
     return _check(cfg, "weighted_identity",
                   "multiplier with a nonnegative symbol is the frame operator "
@@ -685,7 +694,7 @@ def check_gabor_tightness(cfg: SuiteConfig) -> Check:
             S = tf.gabor_frame_operator(g, d)
             gsq = float(np.linalg.norm(g) ** 2)
             worst = max(worst,
-                        float(np.linalg.norm(S - gsq * np.eye(d), 2)) / gsq)
+                        hb.operator_norm(S - gsq * np.eye(d)) / gsq)
     tol = cfg.tol("gabor_tightness")
     return _check(cfg, "gabor_tightness",
                   "cyclic Gabor frame operator is exactly ||g||^2 times the "
@@ -844,8 +853,7 @@ def check_wavelet_band_constant(cfg: SuiteConfig) -> Check:
 def check_wavelet_shift_commutation(cfg: SuiteConfig) -> Check:
     d, _, _, S, _ = _small_wavelet_setup()
     shift = np.roll(np.eye(d), 1, axis=0)
-    measured = float(np.linalg.norm(S @ shift - shift @ S, 2)
-                     / np.linalg.norm(S, 2))
+    measured = hb.operator_norm(S @ shift - shift @ S) / hb.operator_norm(S)
     tol = cfg.tol("wavelet_shift_commutation")
     return _check(cfg, "wavelet_shift_commutation",
                   "frame operator commutes with the one-step cyclic shift",
@@ -917,10 +925,10 @@ def check_controlled_factorization(cfg: SuiteConfig) -> Check:
         C = ctrl.make_control(_control_specs(rng), F)
         S = fr.frame_operator(F)
         L = ctrl.controlled_frame_operator(C, F)
-        scale = max(float(np.linalg.norm(L, 2)), 1.0)
+        scale = max(hb.operator_norm(L), 1.0)
         worst = max(worst,
-                    float(np.linalg.norm(L - C @ S, 2)) / scale,
-                    float(np.linalg.norm(L - S @ C.conj().T, 2)) / scale)
+                    hb.operator_norm(L - C @ S) / scale,
+                    hb.operator_norm(L - S @ C.conj().T) / scale)
     tol = cfg.tol("controlled_factorization")
     return _check(cfg, "controlled_factorization",
                   "mixed operator equals C S and S C* for self-adjoint "
@@ -959,7 +967,7 @@ def check_controlled_spectral_mapping(cfg: SuiteConfig) -> Check:
         lam = np.linalg.eigvalsh(fr.frame_operator(F))
         mapped = np.sort(spec.spectral_map(lam) * lam)
         spectrum = np.sort(np.linalg.eigvalsh(0.5 * (L + L.conj().T)))
-        scale = max(float(np.linalg.norm(L, 2)), 1.0)
+        scale = max(hb.operator_norm(L), 1.0)
         worst = max(worst, float(np.max(np.abs(spectrum - mapped))) / scale)
     tol = cfg.tol("controlled_spectral_mapping")
     return _check(cfg, "controlled_spectral_mapping",
@@ -1194,10 +1202,10 @@ def run_gabor(d: int, window="gaussian", seed: int = 0) -> Report:
     g = window.build(d) if isinstance(window, tf.WindowSpec) else np.asarray(window)
     report = Report(suite="gabor-run", seed=seed, started=_timestamp())
     S = tf.gabor_frame_operator(g, d)
-    lower, upper = hb.hermitian_bounds(S)
+    lower, upper = hb.extreme_eigenvalues(S)
     lower = max(lower, 0.0)
     gsq = float(np.linalg.norm(g) ** 2)
-    residual = float(np.linalg.norm(S - gsq * np.eye(d), 2)) / gsq
+    residual = hb.operator_norm(S - gsq * np.eye(d)) / gsq
     tol = 1e-10
     report.checks.extend([
         Check("gabor_lower_bound", "optimal lower bound equals ||g||^2",
@@ -1280,16 +1288,16 @@ def run_multiplier(config: dict, seed: int = 0) -> tuple[Report, str]:
             budget.actuals[p], budget.schatten_budgets[p], tolerance,
             budget.actuals[p] <= budget.schatten_budgets[p] + tolerance))
 
-    adjoint_defect = float(np.linalg.norm(
-        M.conj().T - multiplier(m.values.conj(), G, F), 2))
-    scale = max(float(np.linalg.norm(M, 2)), 1e-300)
+    adjoint_defect = hb.operator_norm(
+        M.conj().T - multiplier(m.values.conj(), G, F))
+    scale = max(hb.operator_norm(M), 1e-300)
     report.checks.append(Check(
         "adjoint_identity",
         "adjoint equals the conjugate-symbol multiplier with frames swapped",
         adjoint_defect / scale, 1e-12, 1e-12, adjoint_defect / scale <= 1e-12))
 
     if np.allclose(m.values, 1.0) and np.array_equal(F.vectors, G.vectors):
-        s_defect = float(np.linalg.norm(M - fr.frame_operator(F), 2)) / scale
+        s_defect = hb.operator_norm(M - fr.frame_operator(F)) / scale
         report.checks.append(Check(
             "equals_frame_operator",
             "unit symbol with equal frames reproduces the frame operator",

@@ -8,6 +8,7 @@ from contframes import frame as fr
 from contframes import suites
 from contframes import tf_frames as tf
 from contframes.cli import main
+from contframes.errors import InvalidParameterError
 from contframes.frame import SampledFrame
 from contframes.measure import Symbol, counting_space
 from contframes.reporting import Report
@@ -73,6 +74,36 @@ def test_verify_unknown_tolerance_key_flag(tmp_path):
 def test_verify_unknown_tolerance_key_config(tmp_path):
     cfg = {"suite": "gabor", "trials": 2, "d": 4, "n": 8,
            "tolerances": {"gabor_tightnes": 1e-30},
+           "output": str(tmp_path / "r.json")}
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, float("-inf")])
+def test_suite_config_rejects_bad_tolerance(value):
+    with pytest.raises(InvalidParameterError, match="finite and >= 0"):
+        SuiteConfig(suite="gabor", tolerances={"gabor_tightness": value})
+
+
+def test_suite_config_accepts_zero_tolerance():
+    assert SuiteConfig(suite="gabor", tolerances={"gabor_tightness": 0}).tol(
+        "gabor_tightness") == 0.0
+
+
+def test_verify_non_finite_tolerance_flag(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "gabor", "--tol", "gabor_tightness=nan",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [-1.0, None, "loose"])
+def test_verify_bad_tolerance_config(tmp_path, value):
+    cfg = {"suite": "gabor", "trials": 2, "d": 4, "n": 8,
+           "tolerances": {"gabor_tightness": value},
            "output": str(tmp_path / "r.json")}
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -305,3 +336,15 @@ def test_controlled_spectral_mapping_catches_relative_map_error(monkeypatch):
     check = suites.check_controlled_spectral_mapping(cfg)
     assert check.measured > 1e-11
     assert not check.passed
+
+
+def test_run_gabor_takes_bounds_without_the_oracle(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("hermitian_bounds was called")
+
+    monkeypatch.setattr(suites.hb, "hermitian_bounds", no_oracle)
+    window = np.random.default_rng(24).standard_normal(256)
+    report = suites.run_gabor(256, window)
+    assert [c.check_id for c in report.checks] == [
+        "gabor_lower_bound", "gabor_upper_bound", "gabor_tightness_residual"]
+    assert report.all_passed

@@ -9,6 +9,7 @@ from contframes.errors import (
     InvalidParameterError,
     InvalidSymbolError,
     NotAFrameError,
+    NumericFailureError,
     ShapeMismatchError,
 )
 from contframes.measure import (
@@ -132,6 +133,69 @@ def test_random_gaussian_frames_have_positive_lower_bound():
     for _ in range(100):
         F = random_frame(rng, 4, 16, space=counting_space(16))
         assert fr.frame_bounds(F).lower > 0.0
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(21)
+    for d in (1, 2, 8, 64):
+        for n in sorted({max(d // 2, 1), d, 8 * d}):
+            yield random_frame(rng, d, n)
+        # weights spanning 1e-8..1e8
+        space = MeasureSpace(np.arange(float(4 * d))[:, None],
+                             np.logspace(-8, 8, 4 * d))
+        yield random_frame(rng, d, 4 * d, space=space)
+        # rank deficient for d > 1: columns span a subspace of dimension d // 2
+        basis = rng.standard_normal((d, max(d // 2, 1)))
+        yield fr.SampledFrame(counting_space(3 * d),
+                              basis @ rng.standard_normal((basis.shape[1], 3 * d)))
+
+
+def test_frame_bounds_equal_the_validated_dense_oracle():
+    # frame_bounds skips the Hermiticity check; hermitian_bounds keeps it
+    for F in _oracle_cases():
+        lower, upper = hb.hermitian_bounds(fr.frame_operator(F))
+        bounds = fr.frame_bounds(F)
+        assert bounds.upper == upper
+        assert bounds.lower == max(lower, 0.0)
+        assert bounds.is_frame == (bounds.lower > fr.FRAME_RTOL * max(upper, 1.0))
+
+
+def test_frame_bounds_take_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("frame_bounds ran an SVD")
+
+    F = random_frame(np.random.default_rng(22), 8, 64)
+    expected = fr.frame_bounds(F)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert fr.frame_bounds(F) == expected
+
+
+def test_canonical_dual_builds_one_frame_operator_and_no_oracle(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("hermitian_bounds was called")
+
+    calls = []
+    frame_operator = fr.frame_operator
+
+    def counted(F):
+        calls.append(F)
+        return frame_operator(F)
+
+    monkeypatch.setattr(hb, "hermitian_bounds", no_oracle)
+    monkeypatch.setattr(fr, "frame_operator", counted)
+    F = random_frame(np.random.default_rng(23), 4, 12)
+    dual = fr.canonical_dual(F)
+    assert len(calls) == 1
+    assert fr.is_dual_pair(F, dual)
+
+
+def test_overflowing_frame_is_a_numeric_failure():
+    F = fr.SampledFrame(counting_space(4), np.full((2, 4), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericFailureError):
+            fr.frame_bounds(F)
+        with pytest.raises(NumericFailureError):
+            fr.canonical_dual(F)
 
 
 def test_norm_bound():

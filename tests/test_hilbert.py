@@ -8,6 +8,7 @@ from contframes.errors import (
     ContractViolationError,
     InvalidParameterError,
     NotInvertibleError,
+    NumericFailureError,
     ShapeMismatchError,
 )
 
@@ -102,6 +103,20 @@ def test_hermitian_bounds_pin_quadratic_form():
         q = hb.inner(T @ x, x).real
         nsq = float(np.linalg.norm(x) ** 2)
         assert lo * nsq - 1e-10 <= q <= hi * nsq + 1e-10
+
+
+def test_extreme_eigenvalues_use_the_hermitian_part_without_checking():
+    # no Hermiticity check: a nilpotent input gives the bounds of (T + T^*)/2
+    lo, hi = hb.extreme_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert (lo, hi) == (pytest.approx(-0.5), pytest.approx(0.5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_extreme_eigenvalues_reject_non_finite(bad):
+    T = np.eye(3, dtype=complex)
+    T[1, 2] = bad
+    with pytest.raises(NumericFailureError):
+        hb.extreme_eigenvalues(T)
 
 
 def test_is_positive():
