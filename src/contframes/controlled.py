@@ -23,7 +23,7 @@ from .errors import (
     NotInvertibleError,
     ShapeMismatchError,
 )
-from .frame import SampledFrame, frame_bounds, frame_operator
+from .frame import SampledFrame, frame_bounds, frame_operator, weighted_gram
 from .multiplier import multiplier
 
 SPECTRAL_KINDS = ("identity", "inverse", "sqrt", "power", "affine")
@@ -127,8 +127,7 @@ def controlled_frame_operator(C, F: SampledFrame) -> np.ndarray:
         raise ShapeMismatchError(
             f"control of shape {C.shape} for frame of dimension {F.dim}"
         )
-    mixed = C @ F.vectors
-    return (mixed * F.space.weights) @ F.vectors.conj().T
+    return weighted_gram(C @ F.vectors, F.space.weights, F.vectors)
 
 
 def controlled_bounds(C, F: SampledFrame) -> tuple[float, float]:
@@ -145,7 +144,9 @@ def controlled_bounds(C, F: SampledFrame) -> tuple[float, float]:
     scale = hilbert.operator_norm(C)
     if hilbert.operator_norm(C - C.conj().T) > 1e-10 * max(1.0, scale):
         raise ContractViolationError("control operator is not self-adjoint")
-    if not hilbert.is_positive(C, 1e-10):
+    # hilbert.is_positive(C, 1e-10) without repeating its Hermiticity test
+    lower, upper = hilbert.extreme_eigenvalues(C)
+    if not lower >= -1e-10 * max(1.0, upper):
         raise ContractViolationError("control operator is not positive")
     commutator = hilbert.operator_norm(C @ S - S @ C)
     if commutator > 1e-10 * max(1.0, scale * hilbert.operator_norm(S)):

@@ -11,6 +11,7 @@ constants, i.e. the extreme eigenvalues of the frame operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,12 +22,30 @@ from .errors import (
     NotAFrameError,
     ShapeMismatchError,
 )
-from .measure import MeasureSpace, partition, same_space, symbol_values
+from .measure import MeasureSpace, partition, read_only, same_space, symbol_values
 
 # a lower bound below this multiple of max(upper, 1) counts as zero
 FRAME_RTOL = 1e-12
 # relative rank cutoff for the surjectivity test
 RANK_RTOL = 1e-10
+
+
+def weighted_gram(X: np.ndarray, c, Y: np.ndarray) -> np.ndarray:
+    """sum_j c_j X_j Y_j^* for d x N column arrays X, Y and N coefficients c.
+
+    The frame operator, the duality defect, the multiplier and the controlled
+    mixed operator are all this product.  It is formed as conj(conj(X c) Y^T)
+    with one d x N temporary, conjugated in place; rounding is symmetric in
+    sign, so the result equals (X * c) @ Y.conj().T, which needs a second
+    d x N temporary for the conjugate of Y, value for value.  Only the sign
+    of an exact zero can differ, such as a vanishing imaginary part on the
+    diagonal of a frame operator.
+    """
+    A = X * c
+    np.conj(A, out=A)
+    out = A @ Y.T
+    np.conj(out, out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -47,12 +66,20 @@ class SampledFrame:
             )
         if not np.all(np.isfinite(vectors)):
             raise InvalidParameterError("frame vectors must be finite")
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "vectors", read_only(vectors))
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
+
+    @cached_property
+    def _frame_operator(self) -> np.ndarray:
+        # the frame is frozen and its vectors and weights are read-only, so
+        # the cached operator cannot go stale; it is read-only in turn, so a
+        # caller cannot corrupt it in place
+        S = weighted_gram(self.vectors, self.space.weights, self.vectors)
+        S.setflags(write=False)
+        return S
 
     def to_dict(self) -> dict:
         return {
@@ -96,7 +123,7 @@ def analysis(F: SampledFrame, f) -> np.ndarray:
     f = np.asarray(f, dtype=complex).ravel()
     if f.shape[0] != F.dim:
         raise ShapeMismatchError(f"vector of dim {f.shape[0]} for frame of dim {F.dim}")
-    return F.vectors.conj().T @ f
+    return np.conj(f.conj() @ F.vectors)
 
 
 def synthesis(F: SampledFrame, c) -> np.ndarray:
@@ -110,8 +137,11 @@ def synthesis(F: SampledFrame, c) -> np.ndarray:
 
 
 def frame_operator(F: SampledFrame) -> np.ndarray:
-    """S = sum_j w_j F_j F_j^*, a Hermitian positive-semidefinite d x d matrix."""
-    return (F.vectors * F.space.weights) @ F.vectors.conj().T
+    """S = sum_j w_j F_j F_j^*, a Hermitian positive-semidefinite d x d matrix.
+
+    Computed once per frame and returned read-only.
+    """
+    return F._frame_operator
 
 
 def _bounds(S: np.ndarray) -> FrameBounds:
@@ -153,7 +183,7 @@ def is_dual_pair(F: SampledFrame, G: SampledFrame, tol: float = 1e-10) -> bool:
 def duality_defect(F: SampledFrame, G: SampledFrame) -> float:
     """|| sum_j w_j G_j F_j^* - I ||."""
     _check_compatible(F, G)
-    op = (G.vectors * F.space.weights) @ F.vectors.conj().T
+    op = weighted_gram(G.vectors, F.space.weights, F.vectors)
     return hilbert.operator_norm(op - np.eye(F.dim))
 
 
@@ -229,7 +259,9 @@ def perturb(G: SampledFrame, F: SampledFrame, eps: float) -> SampledFrame:
     _check_compatible(G, F)
     if not eps > 0.0:
         raise InvalidParameterError(f"need eps > 0, got {eps}")
-    return SampledFrame(G.space, G.vectors + eps * F.vectors)
+    vectors = eps * F.vectors
+    vectors += G.vectors
+    return SampledFrame(G.space, vectors)
 
 
 def weighted(F: SampledFrame, m) -> SampledFrame:

@@ -24,6 +24,16 @@ from .errors import (
 )
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only; copied first when a caller could still write to its
+    memory through another array, so a frozen object's data cannot change."""
+    base = a.base
+    if base is not None and (not isinstance(base, np.ndarray) or base.flags.writeable):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class MeasureSpace:
     """Finite weighted point set.
@@ -57,10 +67,8 @@ class MeasureSpace:
             raise InvalidDomainError("non-finite point coordinate")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
             raise InvalidDomainError("weights must be positive and finite")
-        points.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "points", read_only(points))
+        object.__setattr__(self, "weights", read_only(weights))
 
     @property
     def n_points(self) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import InvalidParameterError, NotAFrameError, ShapeMismatchError
-from .frame import SampledFrame, frame_bounds, norm_bound
+from .frame import SampledFrame, frame_bounds, norm_bound, weighted_gram
 from .measure import Symbol, lp_norm, same_space, symbol_values
 
 DEFAULT_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
@@ -35,7 +35,7 @@ def _aligned(m, F: SampledFrame, G: SampledFrame) -> np.ndarray:
 def multiplier(m, F: SampledFrame, G: SampledFrame) -> np.ndarray:
     """Assemble sum_j w_j m_j G_j F_j^* as a dense d x d matrix."""
     values = _aligned(m, F, G)
-    return (G.vectors * (F.space.weights * values)) @ F.vectors.conj().T
+    return weighted_gram(G.vectors, F.space.weights * values, F.vectors)
 
 
 def diag_singular_values(m) -> np.ndarray:

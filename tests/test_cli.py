@@ -348,3 +348,12 @@ def test_run_gabor_takes_bounds_without_the_oracle(monkeypatch):
     assert [c.check_id for c in report.checks] == [
         "gabor_lower_bound", "gabor_upper_bound", "gabor_tightness_residual"]
     assert report.all_passed
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (8, 64), (64, 4096)])
+def test_random_frame_draws_the_same_values_as_the_dense_expression(d, n):
+    space = suites.random_space(np.random.default_rng(0), n)
+    F = suites.random_frame(np.random.default_rng([25, d]), d, n, space=space)
+    rng = np.random.default_rng([25, d])
+    dense = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+    assert np.array_equal(F.vectors.view(float), dense.view(float))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from contframes import controlled as ctrl
+from contframes import frame as fr
 from contframes import hilbert as hb
 from contframes.controlled import (
     ControlSpec,
@@ -162,12 +164,12 @@ def test_controlled_bounds_reject_bad_control():
     F = random_frame(6)
     rng = np.random.default_rng(6)
     asym = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="not self-adjoint"):
         controlled_bounds(asym, F)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="not positive"):
         controlled_bounds(-np.eye(4), F)
     hermitian_not_commuting = np.diag([1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="does not commute"):
         controlled_bounds(hermitian_not_commuting, F)
 
 
@@ -232,3 +234,29 @@ def test_mixed_multiplier_factorization():
                        SampledFrame(G.space, D @ G.vectors))
     expected = D @ multiplier(m, F, G) @ C.conj().T
     assert np.linalg.norm(mixed - expected, 2) <= 1e-12 * np.linalg.norm(expected, 2)
+
+
+def test_controlled_frame_operator_matches_the_dense_product():
+    F = random_frame(40, d=8, n=64)
+    C = make_control(ControlSpec("sqrt"), F)
+    dense = ((C @ F.vectors) * F.space.weights) @ F.vectors.conj().T
+    assert np.array_equal(controlled_frame_operator(C, F).view(float), dense.view(float))
+
+
+def test_frame_operator_is_built_once_across_bounds_dual_and_control(monkeypatch):
+    calls = []
+    weighted_gram = fr.weighted_gram
+
+    def counted(X, c, Y):
+        calls.append(X)
+        return weighted_gram(X, c, Y)
+
+    # controlled imports the kernel by name, so a recomputation there counts too
+    monkeypatch.setattr(fr, "weighted_gram", counted)
+    monkeypatch.setattr(ctrl, "weighted_gram", counted)
+    F = random_frame(41)
+    frame_bounds(F)
+    fr.canonical_dual(F)
+    for spec in SPECS:
+        make_control(spec, F)
+    assert len(calls) == 1

@@ -427,3 +427,87 @@ def test_weighted_frame_equals_multiplier():
         lhs = fr.frame_operator(fr.weighted(F, m))
         rhs = multiplier(m, F, F)
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-12 * max(1.0, np.linalg.norm(lhs, 2))
+
+
+# ---------------------------------------------------------------------------
+# the weighted Gram kernel against the dense expressions it replaced
+# ---------------------------------------------------------------------------
+
+def bits(a):
+    """Float view of a complex array: np.array_equal on it compares every real
+    and imaginary part exactly (treating -0.0 and 0.0 as equal)."""
+    return np.ascontiguousarray(a).view(float)
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (8, 64), (64, 4096)])
+@pytest.mark.parametrize("complex_c", [False, True])
+@pytest.mark.parametrize("same", [True, False])
+def test_weighted_gram_equals_the_dense_product(d, n, complex_c, same):
+    rng = np.random.default_rng([19, d, n])
+    X = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+    Y = X if same else rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+    c = rng.uniform(0.2, 2.0, n)
+    if complex_c:
+        c = c * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    oracle = (X * c) @ Y.conj().T
+    assert np.array_equal(bits(fr.weighted_gram(X, c, Y)), bits(oracle))
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (8, 64), (64, 4096)])
+def test_frame_operator_and_duality_defect_match_the_dense_products(d, n):
+    rng = np.random.default_rng([20, d, n])
+    F = random_frame(rng, d, n)
+    G = random_frame(rng, d, n, space=F.space)
+    w = F.space.weights
+    S = (F.vectors * w) @ F.vectors.conj().T
+    assert np.array_equal(bits(fr.frame_operator(F)), bits(S))
+    defect = hb.operator_norm((G.vectors * w) @ F.vectors.conj().T - np.eye(d))
+    assert fr.duality_defect(F, G) == defect
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (8, 64), (64, 4096)])
+def test_analysis_equals_the_dense_product(d, n):
+    rng = np.random.default_rng([21, d, n])
+    F = random_frame(rng, d, n)
+    f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    assert np.array_equal(bits(fr.analysis(F, f)), bits(F.vectors.conj().T @ f))
+
+
+def test_perturb_equals_the_dense_sum():
+    rng = np.random.default_rng(22)
+    G = random_frame(rng, 8, 64)
+    F = random_frame(rng, 8, 64, space=G.space)
+    assert np.array_equal(bits(fr.perturb(G, F, 0.3).vectors),
+                          bits(G.vectors + 0.3 * F.vectors))
+
+
+def test_frame_operator_is_computed_once_and_read_only(monkeypatch):
+    calls = []
+    weighted_gram = fr.weighted_gram
+
+    def counted(X, c, Y):
+        calls.append(X)
+        return weighted_gram(X, c, Y)
+
+    monkeypatch.setattr(fr, "weighted_gram", counted)
+    F = random_frame(np.random.default_rng(24), 4, 12)
+    S = fr.frame_operator(F)
+    assert fr.frame_operator(F) is S
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        S[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        S += 1.0
+
+
+def test_cached_frame_operator_cannot_go_stale_through_a_callers_array():
+    rng = np.random.default_rng(26)
+    vectors = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    weights = rng.uniform(0.2, 2.0, 8)
+    F = fr.SampledFrame(MeasureSpace(np.arange(8.0), weights), vectors[:, :])
+    S = fr.frame_operator(F).copy()
+    vectors[0, 0] = 100.0
+    weights[1] = 100.0
+    assert F.vectors[0, 0] != 100.0 and F.space.weights[1] != 100.0
+    assert np.array_equal(bits(fr.frame_operator(F)), bits(S))
+    assert np.array_equal(bits(S), bits((F.vectors * F.space.weights) @ F.vectors.conj().T))

@@ -52,6 +52,13 @@ def test_multiplier_matches_brute_force():
         assert np.max(np.abs(fast - slow)) <= 1e-12 * max(1.0, np.max(np.abs(slow)))
 
 
+@pytest.mark.parametrize("d,n", [(1, 1), (8, 64), (64, 4096)])
+def test_multiplier_equals_the_dense_product(d, n):
+    m, F, G = random_instance(d + n, d=d, n=n)
+    dense = (G.vectors * (F.space.weights * m.values)) @ F.vectors.conj().T
+    assert np.array_equal(multiplier(m, F, G).view(float), dense.view(float))
+
+
 def test_multiplier_weak_form():
     rng = np.random.default_rng(42)
     m, F, G = random_instance(7, d=4, n=12)
