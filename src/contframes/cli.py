@@ -128,17 +128,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             if args.config:
-                payload = json.loads(Path(args.config).read_text())
-                config = SuiteConfig(
-                    suite=payload.get("suite", "all"),
-                    seed=int(payload.get("seed", 0)),
-                    trials=int(payload.get("trials", 200)),
-                    d=int(payload.get("d", 8)),
-                    n_points=int(payload.get("n", 64)),
-                    tolerances=payload.get("tolerances", {}),
-                    output=payload.get("output"),
-                    format=payload.get("format", "json"),
-                )
+                config = SuiteConfig.from_dict(
+                    json.loads(Path(args.config).read_text()))
                 args.out = args.out or config.output
                 args.format = config.format
             else:

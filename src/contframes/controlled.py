@@ -101,7 +101,7 @@ def make_control(spec: ControlSpec, F: SampledFrame) -> np.ndarray:
                 f"control of shape {C.shape} for frame of dimension {F.dim}"
             )
         sigma = hilbert.singular_values(C)
-        if sigma[0] == 0.0 or sigma[-1] <= hilbert.INVERT_RTOL * sigma[0]:
+        if hilbert.is_singular(sigma):
             raise NotInvertibleError(
                 "explicit control operator is numerically singular",
                 smallest_singular_value=float(sigma[-1]),
@@ -145,15 +145,15 @@ def controlled_bounds(C, F: SampledFrame) -> tuple[float, float]:
     if hilbert.operator_norm(C - C.conj().T) > 1e-10 * max(1.0, scale):
         raise ContractViolationError("control operator is not self-adjoint")
     # hilbert.is_positive(C, 1e-10) without repeating its Hermiticity test
-    lower, upper = hilbert.extreme_eigenvalues(C)
-    if not lower >= -1e-10 * max(1.0, upper):
+    if not hilbert.nonnegative_spectrum(*hilbert.extreme_eigenvalues(C), 1e-10):
         raise ContractViolationError("control operator is not positive")
     commutator = hilbert.operator_norm(C @ S - S @ C)
     if commutator > 1e-10 * max(1.0, scale * hilbert.operator_norm(S)):
         raise ContractViolationError(
             f"control does not commute with the frame operator (defect {commutator:.3e})"
         )
-    return hilbert.hermitian_bounds(controlled_frame_operator(C, F))
+    # Hermitian by the hypotheses just checked, so not re-validated
+    return hilbert.extreme_eigenvalues(controlled_frame_operator(C, F))
 
 
 def precondition_identity_residual(control_spec: ControlSpec,

@@ -6,6 +6,13 @@ coefficient function ``c_j = <f, F_j>`` (weights are not folded in; they
 enter through integration), synthesis is the weighted sum back into C^d,
 and the frame operator is their composition.  Frame bounds are the optimal
 constants, i.e. the extreme eigenvalues of the frame operator.
+
+The functions on ``SampledFrame`` objects validate one frame.  They are built
+on array kernels (``weighted_gram``, ``coefficients``, ``synthesize``,
+``operator_bounds``, ``dual_vectors``, ``max_column_norm``, ``perturbed``)
+that also take stacks of frames along leading axes, so a batch of trials is
+measured with one numpy call per step and the values of each frame equal
+those of the single-frame functions.
 """
 
 from __future__ import annotations
@@ -40,17 +47,53 @@ def weighted_gram(X: np.ndarray, c, Y: np.ndarray) -> np.ndarray:
     d x N temporary for the conjugate of Y, value for value.  Only the sign
     of an exact zero can differ, such as a vanishing imaginary part on the
     diagonal of a frame operator.
+
+    Stacks: X and Y of shape (..., d, N) with c of shape (..., N) give the
+    (..., d, d) products, one BLAS product each.
     """
+    c = np.asarray(c)
+    if c.ndim > 1:
+        # one coefficient row per product; a 1-d c multiplies unexpanded,
+        # because numpy rounds a one-element complex product differently
+        # once the operand carries an extra axis
+        c = c[..., None, :]
     A = X * c
     np.conj(A, out=A)
-    out = A @ Y.T
+    out = A @ Y.swapaxes(-1, -2)
     np.conj(out, out=out)
     return out
 
 
-@dataclass(frozen=True)
+def coefficients(vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Analysis coefficients <f, F_j> of the vectors f (last axis d) against
+    the columns of ``vectors`` (d x N); leading axes broadcast.
+
+    One BLAS matrix-vector product per vector, whether f is one vector or a
+    stack of them.
+    """
+    c = f.conj()[..., None, :] @ vectors
+    np.conj(c, out=c)
+    return c[..., 0, :]
+
+
+def synthesize(vectors: np.ndarray, weights: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Weighted synthesis sum_j w_j c_j F_j of coefficients c (last axis N);
+    leading axes broadcast, one BLAS matrix-vector product per vector."""
+    return (vectors @ (weights * c)[..., None])[..., 0]
+
+
+def max_column_norm(vectors: np.ndarray):
+    """Largest column norm sup_j ||F_j||: a float for one frame, an array for
+    a stack."""
+    return hilbert.value_or_stack(np.max(np.linalg.norm(vectors, axis=-2), axis=-1))
+
+
+@dataclass(frozen=True, eq=False)
 class SampledFrame:
-    """Map from the points of a measure space into C^d, stored columnwise."""
+    """Map from the points of a measure space into C^d, stored columnwise.
+
+    Two frames are equal when their spaces and vectors are.
+    """
 
     space: MeasureSpace
     vectors: np.ndarray
@@ -67,6 +110,12 @@ class SampledFrame:
         if not np.all(np.isfinite(vectors)):
             raise InvalidParameterError("frame vectors must be finite")
         object.__setattr__(self, "vectors", read_only(vectors))
+
+    def __eq__(self, other):
+        if not isinstance(other, SampledFrame):
+            return NotImplemented
+        return same_space(self.space, other.space) and np.array_equal(
+            self.vectors, other.vectors)
 
     @property
     def dim(self) -> int:
@@ -104,7 +153,11 @@ class SampledFrame:
 
 @dataclass(frozen=True)
 class FrameBounds:
-    """Optimal frame constants: extreme eigenvalues of the frame operator."""
+    """Optimal frame constants: extreme eigenvalues of the frame operator.
+
+    For a stack of frame operators (``operator_bounds``) each field is an
+    array over the stack.
+    """
 
     lower: float
     upper: float
@@ -123,7 +176,7 @@ def analysis(F: SampledFrame, f) -> np.ndarray:
     f = np.asarray(f, dtype=complex).ravel()
     if f.shape[0] != F.dim:
         raise ShapeMismatchError(f"vector of dim {f.shape[0]} for frame of dim {F.dim}")
-    return np.conj(f.conj() @ F.vectors)
+    return coefficients(F.vectors, f)
 
 
 def synthesis(F: SampledFrame, c) -> np.ndarray:
@@ -133,7 +186,7 @@ def synthesis(F: SampledFrame, c) -> np.ndarray:
         raise ShapeMismatchError(
             f"{c.shape[0]} coefficients for {F.space.n_points} points"
         )
-    return F.vectors @ (F.space.weights * c)
+    return synthesize(F.vectors, F.space.weights, c)
 
 
 def frame_operator(F: SampledFrame) -> np.ndarray:
@@ -144,34 +197,46 @@ def frame_operator(F: SampledFrame) -> np.ndarray:
     return F._frame_operator
 
 
-def _bounds(S: np.ndarray) -> FrameBounds:
+def operator_bounds(S: np.ndarray) -> FrameBounds:
+    """Optimal frame bounds from a frame operator S, or from each of a stack:
+    the extreme eigenvalues of (S + S^*)/2, the lower one clamped at 0.
+
+    S is Hermitian by construction, so it is not re-validated; the
+    Hermiticity check of ``hilbert.hermitian_bounds`` is for operators from
+    outside the program.
+    """
     lower, upper = hilbert.extreme_eigenvalues(S)
-    lower = max(lower, 0.0)
-    return FrameBounds(lower, upper, bool(lower > FRAME_RTOL * max(upper, 1.0)))
+    lower = np.where(0.0 > lower, 0.0, lower)  # max(lower, 0.0), NaN kept
+    is_frame = lower > FRAME_RTOL * np.maximum(upper, 1.0)
+    if np.ndim(upper) == 0:
+        return FrameBounds(float(lower), upper, bool(is_frame))
+    return FrameBounds(lower, upper, is_frame)
 
 
 def frame_bounds(F: SampledFrame) -> FrameBounds:
-    """Optimal frame bounds: the extreme eigenvalues of (S + S^*)/2.
-
-    S = frame_operator(F) is Hermitian by construction, so it is not
-    re-validated; the Hermiticity check of ``hilbert.hermitian_bounds`` is
-    for operators from outside the program.
-    """
-    return _bounds(frame_operator(F))
+    """Optimal frame bounds: the extreme eigenvalues of (S + S^*)/2 for
+    S = frame_operator(F)."""
+    return operator_bounds(frame_operator(F))
 
 
 def norm_bound(F: SampledFrame) -> float:
     """Largest column norm, sup_j ||F_j||."""
-    return float(np.max(np.linalg.norm(F.vectors, axis=0)))
+    return max_column_norm(F.vectors)
+
+
+def dual_vectors(S: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Columns S^-1 F_j of the canonical dual, from the frame operator S and
+    the vectors of a frame, or of each frame of a stack."""
+    bounds = operator_bounds(S)
+    if not np.all(bounds.is_frame):
+        lower = np.ravel(bounds.lower)[np.argmin(np.ravel(bounds.is_frame))]
+        raise NotAFrameError(f"lower frame bound is numerically zero ({lower:.3e})")
+    return hilbert.invert(S) @ vectors
 
 
 def canonical_dual(F: SampledFrame) -> SampledFrame:
     """Frame with columns S^-1 F_j; reconstructs against F."""
-    S = frame_operator(F)
-    bounds = _bounds(S)
-    if not bounds.is_frame:
-        raise NotAFrameError(f"lower frame bound is numerically zero ({bounds.lower:.3e})")
-    return SampledFrame(F.space, hilbert.invert(S) @ F.vectors)
+    return SampledFrame(F.space, dual_vectors(frame_operator(F), F.vectors))
 
 
 def is_dual_pair(F: SampledFrame, G: SampledFrame, tol: float = 1e-10) -> bool:
@@ -257,11 +322,19 @@ def perturb(G: SampledFrame, F: SampledFrame, eps: float) -> SampledFrame:
     norms from F.
     """
     _check_compatible(G, F)
-    if not eps > 0.0:
-        raise InvalidParameterError(f"need eps > 0, got {eps}")
-    vectors = eps * F.vectors
-    vectors += G.vectors
-    return SampledFrame(G.space, vectors)
+    return SampledFrame(G.space, perturbed(G.vectors, F.vectors, eps))
+
+
+def perturbed(g: np.ndarray, f: np.ndarray, eps) -> np.ndarray:
+    """Vectors g + eps f (eps > 0); for stacks eps has one value per frame,
+    shaped to broadcast against the vectors."""
+    positive = np.asarray(eps) > 0.0
+    if not np.all(positive):
+        first = eps if positive.ndim == 0 else np.ravel(eps)[np.argmin(np.ravel(positive))]
+        raise InvalidParameterError(f"need eps > 0, got {first}")
+    vectors = eps * f
+    vectors += g
+    return vectors
 
 
 def weighted(F: SampledFrame, m) -> SampledFrame:

@@ -3,7 +3,9 @@
 Vectors are 1-d complex arrays, operators are square 2-d complex arrays.
 The inner product is linear in the first argument and conjugate-linear in
 the second.  All spectral routines are thin wrappers over LAPACK with the
-package's error contract on top.
+package's error contract on top.  The norms, spectra and the inverse also
+take a stack of operators along leading axes: LAPACK then runs once per
+operator, as for a single call, and the values come back as arrays.
 """
 
 from __future__ import annotations
@@ -34,8 +36,38 @@ def inner(x, y) -> complex:
     return complex(np.vdot(y, x))
 
 
-def norm(x) -> float:
-    return float(np.linalg.norm(np.asarray(x, dtype=complex).ravel()))
+def norm(x):
+    """Euclidean norm over the last axis: a float for one vector, an array
+    for a stack of them.
+
+    Summed as ``np.linalg.norm`` sums one complex vector, by two BLAS dot
+    products of the real and the imaginary parts, so each vector of a stack
+    gets the value a call on that vector alone would.
+    """
+    x = np.asarray(x, dtype=complex)
+    re, im = x.real, x.imag
+    squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return value_or_stack(np.sqrt(squares[..., 0, 0]))
+
+
+def power(x, y):
+    """x ** y element by element with the C library's pow: a float for a
+    scalar x, an array for an array.
+
+    The norms and budgets of one operator end in a scalar power, of a float
+    or a numpy scalar.  numpy's vectorized power (SVML on AVX-512 hosts) can
+    round differently, so stacked values take their roots and squares here
+    and equal the single-operator values bit for bit.
+    """
+    if np.ndim(x) == 0:
+        return float(x) ** y
+    x = np.asarray(x)
+    return np.array([v ** y for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def value_or_stack(values):
+    """A float for the value of one operator or vector, the array for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _as_operator(T) -> np.ndarray:
@@ -45,44 +77,71 @@ def _as_operator(T) -> np.ndarray:
     return T
 
 
+def _as_operators(T) -> np.ndarray:
+    """A square operator, or a stack of them along the leading axes."""
+    T = np.asarray(T, dtype=complex)
+    if T.ndim < 2 or T.shape[-1] != T.shape[-2]:
+        raise ShapeMismatchError(f"operator must be square, got shape {T.shape}")
+    return T
+
+
 def adjoint(T) -> np.ndarray:
-    return _as_operator(T).conj().T
+    return _as_operators(T).conj().swapaxes(-1, -2)
 
 
 def singular_values(T) -> np.ndarray:
-    """Singular values in nonincreasing order."""
+    """Singular values in nonincreasing order, along the last axis for a stack."""
     try:
-        return np.linalg.svd(_as_operator(T), compute_uv=False)
+        return np.linalg.svd(_as_operators(T), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"singular value decomposition failed: {exc}")
 
 
-def schatten_norm(T, p: float) -> float:
-    """(sum_n s_n^p)^(1/p) of the singular values; p = inf is the operator norm."""
-    s = singular_values(T)
+def schatten_of(sigma, p: float):
+    """(sum_n s_n^p)^(1/p) of singular values sigma (nonincreasing along the
+    last axis); p = inf is the largest.  A float for one operator's values,
+    an array for a stack."""
     if p == math.inf:
-        return float(s[0])
+        return value_or_stack(sigma[..., 0])
     if p < 1:
         raise InvalidParameterError(f"need p >= 1 or p = inf, got {p}")
-    return float(np.sum(s**p) ** (1.0 / p))
+    return value_or_stack(power(np.sum(sigma**p, axis=-1), 1.0 / p))
 
 
-def operator_norm(T) -> float:
+def schatten_norm(T, p: float):
+    """Schatten p-norm; p = inf is the operator norm.  Stacks give arrays."""
+    return schatten_of(singular_values(T), p)
+
+
+def operator_norm(T):
     return schatten_norm(T, math.inf)
 
 
-def extreme_eigenvalues(T) -> tuple[float, float]:
+def hermitian_part(T) -> np.ndarray:
+    """(T + T^*)/2, for one operator or a stack."""
+    T = _as_operators(T)
+    return 0.5 * (T + adjoint(T))
+
+
+def extreme_eigenvalues(T):
     """Extreme eigenvalues (smallest, largest) of the Hermitian part (T + T^*)/2.
 
     No Hermiticity check: for operators that are Hermitian by construction,
     such as frame operators, the bounds are the extreme eigenvalues of the
-    symmetrized operator.  Raises NumericFailureError on non-finite entries.
+    symmetrized operator.  Floats for one operator, arrays for a stack.
+    Raises NumericFailureError on non-finite entries.
     """
-    T = _as_operator(T)
+    T = _as_operators(T)
     if not np.all(np.isfinite(T)):
         raise NumericFailureError("operator has non-finite entries")
-    eigs = np.linalg.eigvalsh(0.5 * (T + T.conj().T))
-    return float(eigs[0]), float(eigs[-1])
+    eigs = np.linalg.eigvalsh(hermitian_part(T))
+    return value_or_stack(eigs[..., 0]), value_or_stack(eigs[..., -1])
+
+
+def is_hermitian(T, tol: float = 1e-10) -> bool:
+    """True when ||T - T^*|| <= tol max(1, ||T||)."""
+    T = _as_operator(T)
+    return bool(operator_norm(T - adjoint(T)) <= tol * max(1.0, operator_norm(T)))
 
 
 def hermitian_bounds(T) -> tuple[float, float]:
@@ -102,25 +161,36 @@ def hermitian_bounds(T) -> tuple[float, float]:
     return extreme_eigenvalues(T)
 
 
+def nonnegative_spectrum(lower: float, upper: float, tol: float = 1e-10) -> bool:
+    """True when extreme eigenvalues (lower, upper) put the spectrum at or
+    above -tol max(1, upper)."""
+    return bool(lower >= -tol * max(1.0, upper))
+
+
 def is_positive(T, tol: float = 1e-10) -> bool:
     """True when T is Hermitian to tol and its spectrum is >= -tol (scaled)."""
-    T = _as_operator(T)
-    scale = operator_norm(T)
-    if operator_norm(T - T.conj().T) > tol * max(1.0, scale):
-        return False
-    eigs = np.linalg.eigvalsh(0.5 * (T + T.conj().T))
-    return bool(eigs[0] >= -tol * max(1.0, eigs[-1]))
+    return is_hermitian(T, tol) and nonnegative_spectrum(*extreme_eigenvalues(T), tol)
+
+
+def is_singular(sigma):
+    """The invertibility cutoff: True where singular values sigma
+    (nonincreasing along the last axis) have relative condition below
+    double-precision trust.  An array for a stack."""
+    return (sigma[..., 0] == 0.0) | (sigma[..., -1] <= INVERT_RTOL * sigma[..., 0])
 
 
 def invert(T) -> np.ndarray:
-    """Inverse of a well-conditioned operator.
+    """Inverse of a well-conditioned operator, or of each of a stack.
 
-    Raises NotInvertibleError (carrying the smallest singular value) when the
-    relative condition falls below double-precision trust.
+    Raises NotInvertibleError (carrying the smallest singular value of the
+    first operator that fails) when the relative condition falls below
+    double-precision trust.
     """
-    T = _as_operator(T)
+    T = _as_operators(T)
     s = singular_values(T)
-    if s[0] == 0.0 or s[-1] <= INVERT_RTOL * s[0]:
+    singular = is_singular(s)
+    if np.any(singular):
+        s = s.reshape(-1, s.shape[-1])[np.argmax(np.ravel(singular))]
         raise NotInvertibleError(
             f"smallest singular value {s[-1]:.3e} below cutoff "
             f"{INVERT_RTOL:.0e} * {s[0]:.3e}",

@@ -22,6 +22,7 @@ from .errors import (
     InvalidParameterError,
     ShapeMismatchError,
 )
+from .hilbert import power, value_or_stack
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -34,9 +35,9 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureSpace:
-    """Finite weighted point set.
+    """Finite weighted point set; two are equal when ``same_space`` says so.
 
     Parameters
     ----------
@@ -70,6 +71,11 @@ class MeasureSpace:
         object.__setattr__(self, "points", read_only(points))
         object.__setattr__(self, "weights", read_only(weights))
 
+    def __eq__(self, other):
+        if not isinstance(other, MeasureSpace):
+            return NotImplemented
+        return same_space(self, other)
+
     @property
     def n_points(self) -> int:
         return self.weights.shape[0]
@@ -90,9 +96,12 @@ class MeasureSpace:
                    np.asarray(data["weights"], dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Symbol:
-    """Complex-valued function sampled on the points of a measure space."""
+    """Complex-valued function sampled on the points of a measure space.
+
+    Two symbols are equal when their spaces and values are.
+    """
 
     values: np.ndarray
     space: MeasureSpace
@@ -108,6 +117,12 @@ class Symbol:
             raise InvalidParameterError("symbol values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, Symbol):
+            return NotImplemented
+        return same_space(self.space, other.space) and np.array_equal(
+            self.values, other.values)
 
     def to_dict(self) -> dict:
         return {"re": list(self.values.real), "im": list(self.values.imag)}
@@ -217,12 +232,20 @@ def lp_norm(space: MeasureSpace, m, p: float) -> float:
     On a finite space with positive weights the essential supremum is the
     plain maximum.
     """
-    values = np.abs(symbol_values(space, m))
+    return weighted_lp_norm(space.weights, symbol_values(space, m), p)
+
+
+def weighted_lp_norm(weights, values, p: float):
+    """L^p norm of sampled values under point weights, over the last axis: a
+    float for one symbol, an array for a stack of them."""
+    values = np.abs(values)
     if p == math.inf:
-        return float(np.max(values))
-    if p < 1:
+        norms = np.max(values, axis=-1)
+    elif p < 1:
         raise InvalidParameterError(f"need p >= 1 or p = inf, got {p}")
-    return float(np.sum(space.weights * values**p) ** (1.0 / p))
+    else:
+        norms = power(np.sum(weights * values**p, axis=-1), 1.0 / p)
+    return value_or_stack(norms)
 
 
 def partition(space: MeasureSpace, k: int) -> list[np.ndarray]:

@@ -50,18 +50,21 @@ def diag_singular_values(m) -> np.ndarray:
     return np.sort(np.abs(np.asarray(m, dtype=complex).ravel()))[::-1]
 
 
-def schatten_budget(p: float, m_norm_p: float, lf: float, lg: float,
-                    bf: float, bg: float) -> float:
+def schatten_budget(p: float, m_norm_p, lf, lg, bf, bg):
     """Budget ||m||_p (L_F L_G)^(1/p) (B_F B_G)^((p-1)/(2p)).
 
     The exponents interpolate between the trace budget at p = 1 and the
-    operator-norm budget at p = inf.
+    operator-norm budget at p = inf.  A float for floats; arrays of values,
+    one per instance of a stack, give the array of budgets.
     """
     if p == math.inf:
-        return m_norm_p * math.sqrt(bf * bg)
-    if p < 1:
+        budget = m_norm_p * np.sqrt(np.multiply(bf, bg))
+    elif p < 1:
         raise InvalidParameterError(f"need p >= 1 or p = inf, got {p}")
-    return m_norm_p * (lf * lg) ** (1.0 / p) * (bf * bg) ** ((p - 1.0) / (2.0 * p))
+    else:
+        budget = (m_norm_p * hilbert.power(np.multiply(lf, lg), 1.0 / p)
+                  * hilbert.power(np.multiply(bf, bg), (p - 1.0) / (2.0 * p)))
+    return hilbert.value_or_stack(budget)
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,7 @@ def bound_budget(m, F: SampledFrame, G: SampledFrame,
     budgets, actuals, passed = {}, {}, {}
     for p in ps:
         budgets[p] = schatten_budget(p, lp_norm(F.space, values, p), lf, lg, bf, bg)
-        if p == math.inf:
-            actuals[p] = float(sigma[0])
-        else:
-            actuals[p] = float(np.sum(sigma**p) ** (1.0 / p))
+        actuals[p] = hilbert.schatten_of(sigma, p)
         passed[p] = bool(actuals[p] <= budgets[p] + tolerance)
     op_budget = lp_norm(F.space, values, math.inf) * math.sqrt(bf * bg)
     trace_budget = lp_norm(F.space, values, 1.0) * lf * lg

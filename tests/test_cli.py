@@ -11,6 +11,7 @@ from contframes.cli import main
 from contframes.errors import InvalidParameterError
 from contframes.frame import SampledFrame
 from contframes.measure import Symbol, counting_space
+from contframes.multiplier import multiplier
 from contframes.reporting import Report
 from contframes.suites import SuiteConfig, run_multiplier, run_suite, run_wavelet
 
@@ -357,3 +358,64 @@ def test_random_frame_draws_the_same_values_as_the_dense_expression(d, n):
     rng = np.random.default_rng([25, d])
     dense = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
     assert np.array_equal(F.vectors.view(float), dense.view(float))
+
+
+def test_suite_config_from_dict_keeps_the_defaults():
+    assert SuiteConfig.from_dict({}) == SuiteConfig()
+    config = SuiteConfig.from_dict({"suite": "bounds", "seed": "3", "trials": 7,
+                                    "d": 4, "n": 16, "format": "csv",
+                                    "output": "r.csv",
+                                    "tolerances": {"trace_budget": 1e-9}})
+    assert config == SuiteConfig(suite="bounds", seed=3, trials=7, d=4, n_points=16,
+                                 tolerances={"trace_budget": 1e-9},
+                                 output="r.csv", format="csv")
+
+
+@pytest.mark.parametrize("payload", [{"n_points": 16}, {"trials": 2, "sed": 1}, [1]])
+def test_suite_config_from_dict_rejects_unknown_keys(payload):
+    with pytest.raises(InvalidParameterError):
+        SuiteConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"suite": "gabor", "trials": 2, "n_points": 16},
+    {"suite": "gabor", "trials": None},
+    {"suite": "gabor", "tolerances": None},
+])
+def test_verify_config_with_unknown_key_or_bad_value_exits_2(tmp_path, capsys, payload):
+    payload["output"] = str(tmp_path / "r.json")
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(payload))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "r.json").exists()
+    assert "error:" in capsys.readouterr().err
+
+
+def test_positive_symbol_coercivity_takes_one_eigvalsh_of_the_multiplier(monkeypatch):
+    cfg = SuiteConfig(trials=6, d=4, n_points=12)
+    before = suites.check_positive_symbol_coercivity(cfg)
+
+    def removed(*args, **kwargs):
+        raise AssertionError("is_positive was called")
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(suites.hb, "is_positive", removed)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert suites.check_positive_symbol_coercivity(cfg) == before
+    assert before.passed
+    # one for the multiplier and one for the frame bounds of F, per trial
+    assert len(calls) == 2 * cfg.trials
+
+
+def test_positive_symbol_coercivity_counts_non_hermitian_multipliers(monkeypatch):
+    cfg = SuiteConfig(trials=3, d=4, n_points=12)
+    monkeypatch.setattr(suites, "multiplier",
+                        lambda m, F, G: multiplier(m, F, G) + 1e-3 * np.triu(
+                            np.ones((F.dim, F.dim)), 1))
+    assert not suites.check_positive_symbol_coercivity(cfg).passed

@@ -260,3 +260,18 @@ def test_frame_operator_is_built_once_across_bounds_dual_and_control(monkeypatch
     for spec in SPECS:
         make_control(spec, F)
     assert len(calls) == 1
+
+
+def test_controlled_bounds_take_no_second_hermiticity_check(monkeypatch):
+    expected = []
+    for seed, spec in enumerate(SPECS):
+        F = random_frame(seed + 40)
+        C = make_control(spec, F)
+        expected.append((C, F, hb.hermitian_bounds(controlled_frame_operator(C, F))))
+
+    def removed(*args, **kwargs):
+        raise AssertionError("hermitian_bounds was called")
+
+    monkeypatch.setattr(hb, "hermitian_bounds", removed)
+    for C, F, bounds in expected:
+        assert controlled_bounds(C, F) == bounds

@@ -12,22 +12,24 @@ SRC = str(Path(contframes.__file__).resolve().parents[1])
 TIMESTAMP = re.compile(r'^  "(started|finished)": .*$', re.MULTILINE)
 
 
-def verify_report(tmp_path: Path, threads: str, d: int, n: int, trials: int) -> str:
+def verify_report(tmp_path: Path, threads: str, d: int, n: int, trials: int,
+                  suite: str) -> str:
     out = tmp_path / f"report_{threads}.json"
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
     subprocess.run(
-        [sys.executable, "-m", "contframes.cli", "verify", "--suite", "identities",
+        [sys.executable, "-m", "contframes.cli", "verify", "--suite", suite,
          "--d", str(d), "--n", str(n), "--trials", str(trials), "--out", str(out)],
         env=env, check=True, capture_output=True, timeout=60,
     )
     return out.read_text()
 
 
-def assert_same_across_threads(tmp_path: Path, d: int, n: int, trials: int):
-    one = verify_report(tmp_path, "1", d, n, trials)
-    two = verify_report(tmp_path, "2", d, n, trials)
+def assert_same_across_threads(tmp_path: Path, d: int, n: int, trials: int,
+                               suite: str = "identities"):
+    one = verify_report(tmp_path, "1", d, n, trials, suite)
+    two = verify_report(tmp_path, "2", d, n, trials, suite)
     assert len(TIMESTAMP.findall(one)) == 2
     assert TIMESTAMP.sub("", one) == TIMESTAMP.sub("", two)
 
@@ -39,3 +41,8 @@ def test_identities_report_independent_of_blas_threads(tmp_path):
 def test_large_identities_report_independent_of_blas_threads(tmp_path):
     # at d = 8 BLAS keeps every product on one thread; at 64 x 4096 it splits them
     assert_same_across_threads(tmp_path, 64, 4096, 1)
+
+
+def test_bounds_report_independent_of_blas_threads(tmp_path):
+    # 70 trials at d = 8, N = 64 stack as chunks of 64 and 6
+    assert_same_across_threads(tmp_path, 8, 64, 70, suite="bounds")
