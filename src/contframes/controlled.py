@@ -7,6 +7,14 @@ are accepted and validated instead.  The mixed operator L_C assembles the
 weighted outer products of C F_j against F_j and factors as C times the
 frame operator, which is what makes the control a preconditioner for
 multipliers.
+
+The functions on ``SampledFrame`` objects validate one frame and call array
+kernels (``spectral_controls``, ``mixed_operator``, ``mixed_bounds``,
+``precondition_residual``) that also take stacks of frame operators,
+controls and frame vectors along leading axes, so a stack of instances gives,
+instance by instance, the values of single calls.  Each instance keeps its
+own ``ControlSpec``: its spectral map is applied to that instance's row of
+eigenvalues on its own (``spectral_maps``), as for a single frame.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from .errors import (
     NotInvertibleError,
     ShapeMismatchError,
 )
-from .frame import SampledFrame, frame_bounds, frame_operator, weighted_gram
-from .multiplier import multiplier
+from .frame import SampledFrame, frame_operator, operator_bounds, weighted_gram
+from .multiplier import _aligned
 
 SPECTRAL_KINDS = ("identity", "inverse", "sqrt", "power", "affine")
 CONTROL_KINDS = SPECTRAL_KINDS + ("explicit",)
@@ -107,17 +115,43 @@ def make_control(spec: ControlSpec, F: SampledFrame) -> np.ndarray:
                 smallest_singular_value=float(sigma[-1]),
             )
         return C
-    if not frame_bounds(F).is_frame:
+    return spectral_controls([spec], frame_operator(F))
+
+
+def spectral_maps(specs, lam: np.ndarray) -> np.ndarray:
+    """phi(lambda) for eigenvalue rows lam (..., d), one spectral ControlSpec
+    per row in the order of the stack.
+
+    Each spec maps its own row with one call, as for a single frame: numpy's
+    vectorized power can round differently over a longer array.
+    """
+    rows = np.reshape(lam, (-1, np.shape(lam)[-1]))
+    if len(specs) != len(rows):
+        raise ShapeMismatchError(f"{len(specs)} control specs for {len(rows)} operators")
+    return np.array([spec.spectral_map(row) for spec, row in zip(specs, rows)]
+                    ).reshape(np.shape(lam))
+
+
+def spectral_controls(specs, S: np.ndarray) -> np.ndarray:
+    """Spectral controls U phi(Lambda) U^* of frame operators S = U Lambda U^*:
+    one d x d operator, or a stack along leading axes, with one spectral
+    ControlSpec per operator in the order of the stack."""
+    if not np.all(operator_bounds(S).is_frame):
         raise NotAFrameError("spectral controls need a frame with positive lower bound")
-    lam, U = np.linalg.eigh(frame_operator(F))
-    phi = spec.spectral_map(lam)
-    finite = np.all(np.isfinite(phi))
-    if not finite or np.min(np.abs(phi)) <= hilbert.INVERT_RTOL * np.max(np.abs(phi)):
+    lam, U = np.linalg.eigh(S)
+    phi = spectral_maps(specs, lam)
+    magnitude = np.abs(phi)
+    finite = np.all(np.isfinite(phi), axis=-1)
+    smallest = np.min(magnitude, axis=-1)
+    singular = ~finite | (smallest <= hilbert.INVERT_RTOL * np.max(magnitude, axis=-1))
+    if np.any(singular):
+        first = int(np.argmax(np.ravel(singular)))
         raise NotInvertibleError(
-            f"spectral map produces a singular control ({spec.kind})",
-            smallest_singular_value=float(np.min(np.abs(phi))) if finite else 0.0,
+            f"spectral map produces a singular control ({specs[first].kind})",
+            smallest_singular_value=(float(np.ravel(smallest)[first])
+                                     if np.ravel(finite)[first] else 0.0),
         )
-    return (U * phi) @ U.conj().T
+    return (U * phi[..., None, :]) @ hilbert.adjoint(U)
 
 
 def controlled_frame_operator(C, F: SampledFrame) -> np.ndarray:
@@ -127,7 +161,13 @@ def controlled_frame_operator(C, F: SampledFrame) -> np.ndarray:
         raise ShapeMismatchError(
             f"control of shape {C.shape} for frame of dimension {F.dim}"
         )
-    return weighted_gram(C @ F.vectors, F.space.weights, F.vectors)
+    return mixed_operator(C, F.space.weights, F.vectors)
+
+
+def mixed_operator(C: np.ndarray, w, vectors: np.ndarray) -> np.ndarray:
+    """sum_j w_j (C F_j) F_j^* for a control C and frame vectors F under
+    weights w, or for each instance of a stack."""
+    return weighted_gram(C @ vectors, w, vectors)
 
 
 def controlled_bounds(C, F: SampledFrame) -> tuple[float, float]:
@@ -139,21 +179,31 @@ def controlled_bounds(C, F: SampledFrame) -> tuple[float, float]:
     bound certifies the controlled frame property, and implies the plain
     frame property of F.
     """
-    C = np.asarray(C, dtype=complex)
-    S = frame_operator(F)
+    return mixed_bounds(np.asarray(C, dtype=complex), frame_operator(F),
+                        F.space.weights, F.vectors)
+
+
+def mixed_bounds(C: np.ndarray, S: np.ndarray, w, vectors: np.ndarray):
+    """The bounds of ``controlled_bounds`` from a control C, the frame operator
+    S, the weights w and the vectors of the frame, or for each instance of a
+    stack (floats for one, arrays for a stack); raises on the first
+    hypothesis that some instance violates."""
     scale = hilbert.operator_norm(C)
-    if hilbert.operator_norm(C - C.conj().T) > 1e-10 * max(1.0, scale):
+    if np.any(hilbert.operator_norm(C - hilbert.adjoint(C))
+              > 1e-10 * np.maximum(1.0, scale)):
         raise ContractViolationError("control operator is not self-adjoint")
     # hilbert.is_positive(C, 1e-10) without repeating its Hermiticity test
-    if not hilbert.nonnegative_spectrum(*hilbert.extreme_eigenvalues(C), 1e-10):
+    if not np.all(hilbert.nonnegative_spectrum(*hilbert.extreme_eigenvalues(C), 1e-10)):
         raise ContractViolationError("control operator is not positive")
     commutator = hilbert.operator_norm(C @ S - S @ C)
-    if commutator > 1e-10 * max(1.0, scale * hilbert.operator_norm(S)):
+    apart = commutator > 1e-10 * np.maximum(1.0, scale * hilbert.operator_norm(S))
+    if np.any(apart):
+        defect = np.ravel(commutator)[np.argmax(np.ravel(apart))]
         raise ContractViolationError(
-            f"control does not commute with the frame operator (defect {commutator:.3e})"
+            f"control does not commute with the frame operator (defect {defect:.3e})"
         )
     # Hermitian by the hypotheses just checked, so not re-validated
-    return hilbert.extreme_eigenvalues(controlled_frame_operator(C, F))
+    return hilbert.extreme_eigenvalues(mixed_operator(C, w, vectors))
 
 
 def precondition_identity_residual(control_spec: ControlSpec,
@@ -167,10 +217,18 @@ def precondition_identity_residual(control_spec: ControlSpec,
     """
     C = make_control(control_spec, F)
     D = make_control(dual_spec, G)
-    mixed = multiplier(m, SampledFrame(F.space, C @ F.vectors),
-                       SampledFrame(G.space, D @ G.vectors))
-    plain = multiplier(m, F, G)
+    values = _aligned(m, F, G)
+    return precondition_residual(C, D, F.space.weights * values, F.vectors, G.vectors)
+
+
+def precondition_residual(C: np.ndarray, D: np.ndarray, c, F: np.ndarray,
+                          G: np.ndarray):
+    """||D^-1 M_C C^-1 - M|| / ||M|| (the unscaled norm when M = 0), where M
+    is the multiplier sum_j c_j G_j F_j^* and M_C that of the controlled
+    vectors C F_j, D G_j; for one instance or each of a stack."""
+    mixed = weighted_gram(D @ G, c, C @ F)
+    plain = weighted_gram(G, c, F)
     defect = hilbert.invert(D) @ mixed @ hilbert.invert(C) - plain
     scale = hilbert.operator_norm(plain)
     residual = hilbert.operator_norm(defect)
-    return residual / scale if scale > 0.0 else residual
+    return hilbert.value_or_stack(residual / np.where(scale > 0.0, scale, 1.0))

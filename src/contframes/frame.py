@@ -8,8 +8,9 @@ and the frame operator is their composition.  Frame bounds are the optimal
 constants, i.e. the extreme eigenvalues of the frame operator.
 
 The functions on ``SampledFrame`` objects validate one frame.  They are built
-on array kernels (``weighted_gram``, ``coefficients``, ``synthesize``,
-``operator_bounds``, ``dual_vectors``, ``max_column_norm``, ``perturbed``)
+on array kernels (``weighted_gram``, ``scaled_columns``, ``coefficients``,
+``synthesize``, ``operator_bounds``, ``dual_vectors``, ``max_column_norm``,
+``perturbed``)
 that also take stacks of frames along leading axes, so a batch of trials is
 measured with one numpy call per step and the values of each frame equal
 those of the single-frame functions.
@@ -51,17 +52,23 @@ def weighted_gram(X: np.ndarray, c, Y: np.ndarray) -> np.ndarray:
     Stacks: X and Y of shape (..., d, N) with c of shape (..., N) give the
     (..., d, d) products, one BLAS product each.
     """
-    c = np.asarray(c)
-    if c.ndim > 1:
-        # one coefficient row per product; a 1-d c multiplies unexpanded,
-        # because numpy rounds a one-element complex product differently
-        # once the operand carries an extra axis
-        c = c[..., None, :]
-    A = X * c
+    A = scaled_columns(X, c)
     np.conj(A, out=A)
     out = A @ Y.swapaxes(-1, -2)
     np.conj(out, out=out)
     return out
+
+
+def scaled_columns(X: np.ndarray, c) -> np.ndarray:
+    """Columns c_j X_j of d x N arrays X, or of a stack (..., d, N) with one
+    row of coefficients (..., N) each."""
+    c = np.asarray(c)
+    if c.ndim > 1:
+        # one coefficient row per array; a 1-d c multiplies unexpanded,
+        # because numpy rounds a one-element complex product differently
+        # once the operand carries an extra axis
+        c = c[..., None, :]
+    return X * c
 
 
 def coefficients(vectors: np.ndarray, f: np.ndarray) -> np.ndarray:

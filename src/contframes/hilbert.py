@@ -138,10 +138,16 @@ def extreme_eigenvalues(T):
     return value_or_stack(eigs[..., 0]), value_or_stack(eigs[..., -1])
 
 
-def is_hermitian(T, tol: float = 1e-10) -> bool:
-    """True when ||T - T^*|| <= tol max(1, ||T||)."""
-    T = _as_operator(T)
-    return bool(operator_norm(T - adjoint(T)) <= tol * max(1.0, operator_norm(T)))
+def _flag_or_stack(flags):
+    """A bool for the verdict on one operator, the array for a stack."""
+    return bool(flags) if np.ndim(flags) == 0 else flags
+
+
+def is_hermitian(T, tol: float = 1e-10):
+    """True when ||T - T^*|| <= tol max(1, ||T||); an array for a stack."""
+    T = _as_operators(T)
+    return _flag_or_stack(operator_norm(T - adjoint(T))
+                          <= tol * np.maximum(1.0, operator_norm(T)))
 
 
 def hermitian_bounds(T) -> tuple[float, float]:
@@ -161,15 +167,16 @@ def hermitian_bounds(T) -> tuple[float, float]:
     return extreme_eigenvalues(T)
 
 
-def nonnegative_spectrum(lower: float, upper: float, tol: float = 1e-10) -> bool:
+def nonnegative_spectrum(lower, upper, tol: float = 1e-10):
     """True when extreme eigenvalues (lower, upper) put the spectrum at or
-    above -tol max(1, upper)."""
-    return bool(lower >= -tol * max(1.0, upper))
+    above -tol max(1, upper); an array for arrays of them."""
+    return _flag_or_stack(lower >= -tol * np.maximum(1.0, upper))
 
 
-def is_positive(T, tol: float = 1e-10) -> bool:
-    """True when T is Hermitian to tol and its spectrum is >= -tol (scaled)."""
-    return is_hermitian(T, tol) and nonnegative_spectrum(*extreme_eigenvalues(T), tol)
+def is_positive(T, tol: float = 1e-10):
+    """True when T is Hermitian to tol and its spectrum is >= -tol (scaled);
+    an array for a stack."""
+    return is_hermitian(T, tol) & nonnegative_spectrum(*extreme_eigenvalues(T), tol)
 
 
 def is_singular(sigma):

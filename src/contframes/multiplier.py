@@ -7,6 +7,13 @@ budgets this factorization implies, symbol truncation, the certificates an
 invertible multiplier yields for the lower frame bounds of the weighted
 families, the dual frame it induces, and convergence experiments for
 perturbed symbols or frames.
+
+Truncation, the certificates, the induced dual and the convergence steps are
+computed by array kernels (``truncated``, ``certificate_values``,
+``multiplier_dual_vectors``, ``convergence_steps``) that also take stacks of
+weights, symbols and frames along leading axes; the functions on ``Symbol``
+and ``SampledFrame`` objects validate one instance and call them, so a stack
+of instances gives, instance by instance, the values of single calls.
 """
 
 from __future__ import annotations
@@ -18,8 +25,16 @@ import numpy as np
 
 from . import hilbert
 from .errors import InvalidParameterError, NotAFrameError, ShapeMismatchError
-from .frame import SampledFrame, frame_bounds, norm_bound, weighted_gram
-from .measure import Symbol, lp_norm, same_space, symbol_values
+from .frame import (
+    SampledFrame,
+    frame_bounds,
+    max_column_norm,
+    norm_bound,
+    operator_bounds,
+    scaled_columns,
+    weighted_gram,
+)
+from .measure import Symbol, lp_norm, same_space, symbol_values, weighted_lp_norm
 
 DEFAULT_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
 
@@ -122,9 +137,16 @@ def truncate_symbol(m: Symbol, keep) -> Symbol:
     n = m.space.n_points
     if keep.size and (keep.min() < 0 or keep.max() >= n):
         raise ShapeMismatchError(f"kept index out of range for {n} points")
-    values = np.zeros(n, dtype=complex)
-    values[keep] = m.values[keep]
-    return Symbol(values, m.space)
+    return Symbol(truncated(m.values, keep), m.space)
+
+
+def truncated(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Complex values equal to ``values`` at the indices ``keep`` and zero
+    elsewhere, along the last axis; a stack of value rows takes one row of
+    kept indices each."""
+    out = np.zeros(np.shape(values), dtype=complex)
+    np.put_along_axis(out, keep, np.take_along_axis(values, keep, axis=-1), axis=-1)
+    return out
 
 
 def dual_from_multiplier(m, F: SampledFrame, G: SampledFrame) -> SampledFrame:
@@ -134,10 +156,18 @@ def dual_from_multiplier(m, F: SampledFrame, G: SampledFrame) -> SampledFrame:
     against analysis by G (or vice versa) reproduces the identity.
     """
     values = _aligned(m, F, G)
-    if not frame_bounds(G).is_frame:
+    return SampledFrame(F.space, multiplier_dual_vectors(
+        F.space.weights, values, F.vectors, G.vectors))
+
+
+def multiplier_dual_vectors(w, values, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Columns (M^-1)^* conj(m_j) F_j of the dual of G that the multiplier M
+    of symbol values m, analysis vectors F and synthesis vectors G induces,
+    under weights w; for one instance or each of a stack."""
+    if not np.all(operator_bounds(weighted_gram(G, w, G)).is_frame):
         raise NotAFrameError("G must be a frame to admit a dual")
-    m_inv = hilbert.invert(multiplier(values, F, G))
-    return SampledFrame(F.space, m_inv.conj().T @ (F.vectors * values.conj()))
+    m_inv = hilbert.invert(weighted_gram(G, w * values, F))
+    return hilbert.adjoint(m_inv) @ scaled_columns(F, values.conj())
 
 
 @dataclass(frozen=True)
@@ -186,45 +216,60 @@ def lower_bound_certificates(m, F: SampledFrame, G: SampledFrame,
     by sup|m|^2; (5) F and G are frames.
     """
     values = _aligned(m, F, G)
-    m_inv = hilbert.invert(multiplier(values, F, G))
-    inv_norm = float(hilbert.singular_values(m_inv)[0])
+    measured, floors, passed = certificate_values(F.space.weights, values, F.vectors,
+                                                  G.vectors, tolerance)
+    parts = tuple(
+        Certificate(part, description, value, None if math.isnan(floor) else floor,
+                    ok, degenerate=part == 4 and math.isnan(floor))
+        for part, description, value, floor, ok in zip(
+            range(1, 6), CERTIFICATES, measured.tolist(), floors.tolist(),
+            passed.tolist()))
+    return CertificateReport(parts, tolerance)
 
-    mf = SampledFrame(F.space, F.vectors * values.conj())
-    mg = SampledFrame(G.space, G.vectors * values)
-    bounds_f, bounds_g = frame_bounds(F), frame_bounds(G)
-    bounds_mf, bounds_mg = frame_bounds(mf), frame_bounds(mg)
 
-    floor1 = 1.0 / (bounds_g.upper * inv_norm**2)
-    part1 = Certificate(
-        1, "lower bound of conj(m) F against 1/(B_G ||inv||^2)",
-        bounds_mf.lower, floor1, bool(bounds_mf.lower >= floor1 - tolerance),
-    )
-    floor2 = 1.0 / (bounds_f.upper * inv_norm**2)
-    part2 = Certificate(
-        2, "lower bound of m G against 1/(B_F ||inv||^2)",
-        bounds_mg.lower, floor2, bool(bounds_mg.lower >= floor2 - tolerance),
-    )
-    part3 = Certificate(
-        3, "both weighted families are frames",
-        min(bounds_mf.lower, bounds_mg.lower), None,
-        bool(bounds_mf.is_frame and bounds_mg.is_frame),
-    )
-    m_sup = lp_norm(F.space, values, math.inf)
-    if m_sup == 0.0:
-        part4 = Certificate(4, "lower bound of F against A(conj(m) F)/sup|m|^2",
-                            bounds_f.lower, None, True, degenerate=True)
-    else:
-        floor4 = bounds_mf.lower / m_sup**2
-        part4 = Certificate(
-            4, "lower bound of F against A(conj(m) F)/sup|m|^2",
-            bounds_f.lower, floor4, bool(bounds_f.lower >= floor4 - tolerance),
-        )
-    part5 = Certificate(
-        5, "F and G are frames",
-        min(bounds_f.lower, bounds_g.lower), None,
-        bool(bounds_f.is_frame and bounds_g.is_frame),
-    )
-    return CertificateReport((part1, part2, part3, part4, part5), tolerance)
+CERTIFICATES = (
+    "lower bound of conj(m) F against 1/(B_G ||inv||^2)",
+    "lower bound of m G against 1/(B_F ||inv||^2)",
+    "both weighted families are frames",
+    "lower bound of F against A(conj(m) F)/sup|m|^2",
+    "F and G are frames",
+)
+
+
+def certificate_values(w, values, F: np.ndarray, G: np.ndarray,
+                       tolerance: float = 1e-10):
+    """Measured value, floor and verdict of each certificate of
+    ``lower_bound_certificates``, for symbol values m, analysis vectors F and
+    synthesis vectors G under weights w, or for each instance of a stack.
+
+    Three arrays with the five parts along a new last axis; a floor is NaN
+    where the part has none (parts 3 and 5, and part 4 when sup|m| = 0).
+    """
+    m_inv = hilbert.invert(weighted_gram(G, w * values, F))
+    inv_sq = hilbert.power(hilbert.singular_values(m_inv)[..., 0], 2)
+    bounds_f = operator_bounds(weighted_gram(F, w, F))
+    bounds_g = operator_bounds(weighted_gram(G, w, G))
+    mf = scaled_columns(F, values.conj())
+    mg = scaled_columns(G, values)
+    bounds_mf = operator_bounds(weighted_gram(mf, w, mf))
+    bounds_mg = operator_bounds(weighted_gram(mg, w, mg))
+
+    floor1 = 1.0 / (bounds_g.upper * inv_sq)
+    floor2 = 1.0 / (bounds_f.upper * inv_sq)
+    # NaN for sup|m| = 0, where part 4 holds trivially
+    m_sup = weighted_lp_norm(w, values, math.inf)
+    floor4 = bounds_mf.lower / hilbert.power(np.where(m_sup == 0.0, np.nan, m_sup), 2)
+    none = np.full(np.shape(floor1), np.nan)
+    measured = np.stack([bounds_mf.lower, bounds_mg.lower,
+                         np.minimum(bounds_mf.lower, bounds_mg.lower), bounds_f.lower,
+                         np.minimum(bounds_f.lower, bounds_g.lower)], axis=-1)
+    floors = np.stack([floor1, floor2, none, floor4, none], axis=-1)
+    passed = np.stack([bounds_mf.lower >= floor1 - tolerance,
+                       bounds_mg.lower >= floor2 - tolerance,
+                       bounds_mf.is_frame & bounds_mg.is_frame,
+                       np.isnan(floor4) | (bounds_f.lower >= floor4 - tolerance),
+                       bounds_f.is_frame & bounds_g.is_frame], axis=-1)
+    return measured, floors, passed
 
 
 @dataclass(frozen=True)
@@ -281,30 +326,57 @@ def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
         raise InvalidParameterError("symbol_p experiments need an explicit p")
 
     values = _aligned(m, F, G)
-    base = multiplier(values, F, G)
-    bf, bg = frame_bounds(F).upper, frame_bounds(G).upper
-    lf, lg = norm_bound(F), norm_bound(G)
+    if kind == "symbol_p":
+        items = [symbol_values(F.space, item) for item in schedule]
+    else:
+        if not all(isinstance(item, SampledFrame) for item in schedule):
+            raise InvalidParameterError("frame schedules must list frames")
+        for item in schedule:
+            _aligned(values, item, G)
+        items = [item.vectors for item in schedule]
+    # the same frame twice (as in a truncation experiment) is passed as one
+    # array, so its frame operator is formed once
+    synthesis = F.vectors if G is F else G.vectors
+    eps, measured, budget = convergence_steps(kind, F.space.weights, values, F.vectors,
+                                              synthesis, items, p)
+    steps = tuple(ConvergenceStep(e, d, b, d <= b + tolerance) for e, d, b in zip(
+        eps.tolist(), measured.tolist(), budget.tolist()))
+    measured_seq = [s.measured for s in steps]
+    monotone = all(b <= a + tolerance for a, b in zip(measured_seq, measured_seq[1:]))
+    return ConvergenceReport(kind, p, steps, monotone, all(s.passed for s in steps))
+
+
+def convergence_steps(kind: str, w, values, F: np.ndarray, G: np.ndarray,
+                      schedule, p: float | None = None):
+    """Distance, deviation and budget of each step of a convergence
+    experiment (see ``convergence_experiment``), for symbol values m,
+    analysis vectors F and synthesis vectors G under weights w, or for each
+    instance of a stack.
+
+    The schedule lists symbol values for "symbol_p" and analysis vectors for
+    the frame kinds, shaped as m or F; it is read one step at a time, so a
+    generator holds one step in memory.  Three arrays with the steps along a
+    new last axis.
+    """
+    base = weighted_gram(G, w * values, F)
+    bf = operator_bounds(weighted_gram(F, w, F)).upper
+    bg = bf if G is F else operator_bounds(weighted_gram(G, w, G)).upper
+    lf = max_column_norm(F)
+    lg = lf if G is F else max_column_norm(G)
+    if kind == "frame_uniform_L2":
+        m_norm, factor = weighted_lp_norm(w, values, 2.0), np.sqrt(bg)
+    elif kind == "frame_uniform_L1":
+        m_norm, factor = weighted_lp_norm(w, values, 1.0), lg
 
     steps = []
     for item in schedule:
         if kind == "symbol_p":
-            delta = symbol_values(F.space, item) - values
-            eps = lp_norm(F.space, delta, p)
-            measured = hilbert.schatten_norm(multiplier(item, F, G) - base, p)
+            eps = weighted_lp_norm(w, item - values, p)
+            measured = hilbert.schatten_norm(weighted_gram(G, w * item, F) - base, p)
             budget = schatten_budget(p, eps, lf, lg, bf, bg)
         else:
-            if not isinstance(item, SampledFrame):
-                raise InvalidParameterError("frame schedules must list frames")
-            eps = float(np.max(np.linalg.norm(item.vectors - F.vectors, axis=0)))
-            measured = hilbert.operator_norm(multiplier(values, item, G) - base)
-            if kind == "frame_uniform_L2":
-                budget = eps * lp_norm(F.space, values, 2.0) * math.sqrt(bg)
-            else:
-                budget = eps * lp_norm(F.space, values, 1.0) * lg
-        steps.append(ConvergenceStep(float(eps), float(measured), float(budget),
-                                     bool(measured <= budget + tolerance)))
-
-    measured_seq = [s.measured for s in steps]
-    monotone = all(b <= a + tolerance for a, b in zip(measured_seq, measured_seq[1:]))
-    return ConvergenceReport(kind, p, tuple(steps), monotone,
-                             all(s.passed for s in steps))
+            eps = max_column_norm(item - F)
+            measured = hilbert.operator_norm(weighted_gram(G, w * values, item) - base)
+            budget = eps * m_norm * factor
+        steps.append((eps, measured, budget))
+    return tuple(np.stack(column, axis=-1) for column in zip(*steps))

@@ -6,16 +6,24 @@ bound, and records the verdict against its tolerance.  All randomness flows
 through per-check, per-instance seed derivation, so a report for a given
 configuration is reproducible bit-for-bit (timestamps aside).
 
-The checks of the identities and bounds suites evaluate their trials in
-stacks.  A chunk of max(1, STACK_ENTRIES // (d N)) consecutive trials is
-drawn trial by trial, each from its own stream _rng(seed, branch, trial)
-with the calls and order of the single-instance draws (random_frame,
-random_instance, ...), into (T, d, N) and (T, N) arrays; every step is then
-one numpy call over the stack, through the array kernels the single-frame
-API is built on, and the chunk's values are folded into the check's max in
-trial order.  numpy runs the same BLAS or LAPACK routine per trial as a
-single call would, so the values equal those of a per-trial loop.
-STACKED holds the draw and the measure of each of these checks.
+The checks of the identities, bounds, convergence, controlled and weighted
+suites evaluate their trials in stacks; only the gabor suite, whose trials
+draw their own sizes, and the checks that loop over grids rather than trials
+run one instance at a time.  A chunk of max(1, STACK_ENTRIES // (d N))
+consecutive trials of a check's trial count (capped at 100, 50 or 20 for
+some checks) is drawn trial by trial, each from its own stream
+_rng(seed, branch, trial) with the calls and order of the single-instance
+draws (random_frame, random_instance, ...), into (T, d, N) and (T, N)
+arrays; every step is then one numpy call over the stack, through the array
+kernels the single-frame API is built on, and the chunk's values are folded
+into the check's max or count in trial order.  numpy runs the same BLAS or
+LAPACK routine per trial as a single call would, so the values equal those
+of a per-trial loop.  Control specs stay per trial: each one maps its own
+row of eigenvalues.  Invertible instances draw attempt 0 of the whole chunk
+and redraw only the trials whose multiplier fails, from the attempt streams
+of random_invertible_instance.  STACKED holds the draw and the measure of
+each of these checks; the two truncation checks read one experiment,
+measured once per configuration.
 """
 
 from __future__ import annotations
@@ -35,12 +43,12 @@ from . import tf_frames as tf
 from .multiplier import (
     DEFAULT_PS,
     bound_budget,
-    convergence_experiment,
-    dual_from_multiplier,
-    lower_bound_certificates,
+    certificate_values,
+    convergence_steps,
     multiplier,
+    multiplier_dual_vectors,
     schatten_budget,
-    truncate_symbol,
+    truncated,
 )
 from .errors import InvalidParameterError, NotInvertibleError
 from .measure import (
@@ -239,20 +247,17 @@ def random_instance(seed: int, branch: int, idx: int, d: int, n: int):
 
 
 def random_invertible_instance(seed: int, branch: int, idx: int, d: int, n: int):
-    """Random instance whose multiplier is comfortably invertible."""
-    for attempt in range(64):
-        rng = _rng(seed, branch, idx, attempt)
-        F = random_frame(rng, d, n)
-        G = random_frame(rng, d, n, space=F.space)
-        m = random_symbol(rng, F.space)
-        sigma = hb.singular_values(multiplier(m, F, G))
-        if sigma[-1] > 1e-6 * sigma[0]:
-            return m, F, G
-    raise InvalidParameterError("could not draw an invertible instance")  # pragma: no cover
+    """Random instance whose multiplier is comfortably invertible: the first
+    attempt k = 0, 1, ... whose stream _rng(seed, branch, idx, k) draws a
+    multiplier with sigma_min > 1e-6 sigma_max."""
+    w, F, G, m = (a[0] for a in _invertible_draws(
+        SuiteConfig(seed=seed, d=d, n_points=n), branch, _instance, range(idx, idx + 1)))
+    space = MeasureSpace(np.arange(n, dtype=float)[:, None], w)
+    return Symbol(m, space), fr.SampledFrame(space, F), fr.SampledFrame(space, G)
 
 
 # ---------------------------------------------------------------------------
-# stacked trials of the identities and bounds suites
+# stacked trials
 # ---------------------------------------------------------------------------
 
 # complex entries one stack of trial frames holds: a chunk of a check's
@@ -261,27 +266,63 @@ def random_invertible_instance(seed: int, branch: int, idx: int, d: int, n: int)
 STACK_ENTRIES = 2**15
 
 
-def _chunks(cfg: SuiteConfig) -> list[range]:
+def _chunks(cfg: SuiteConfig, cap: int | None = None) -> list[range]:
+    """Consecutive chunks of the first min(cfg.trials, cap) trials."""
+    trials = cfg.trials if cap is None else min(cfg.trials, cap)
     size = max(1, STACK_ENTRIES // (cfg.d * cfg.n_points))
-    return [range(i, min(i + size, cfg.trials)) for i in range(0, cfg.trials, size)]
+    return [range(i, min(i + size, trials)) for i in range(0, trials, size)]
 
 
-def _stack(draws, count: int) -> list[np.ndarray]:
-    """The arrays of ``count`` per-trial draws, each stacked over the trials.
+def _stack(draws, count: int) -> list:
+    """The arrays of ``count`` per-trial draws, each stacked over the trials;
+    control specs, which are no arrays, are listed in trial order.
 
     Each trial is copied into the stacks as it is drawn, so no more than one
     trial is held twice; a chunk of one trial, the large sizes, is viewed
     rather than copied, so it takes the memory of a per-trial loop.
     """
     stacks = None
-    for k, arrays in enumerate(draws):
+    for k, items in enumerate(draws):
         if count == 1:
-            return [np.asarray(a)[None] for a in arrays]
+            return [[a] if isinstance(a, ctrl.ControlSpec) else np.asarray(a)[None]
+                    for a in items]
         if stacks is None:
-            stacks = [np.empty((count, *np.shape(a)), np.result_type(a)) for a in arrays]
-        for stack, a in zip(stacks, arrays):
+            stacks = [[None] * count if isinstance(a, ctrl.ControlSpec)
+                      else np.empty((count, *np.shape(a)), np.result_type(a))
+                      for a in items]
+        for stack, a in zip(stacks, items):
             stack[k] = a
     return stacks
+
+
+def _draws(cfg: SuiteConfig, branch: int, draw, trials: range) -> list:
+    """The stacks of a chunk of trials, each drawn from _rng(seed, branch, trial)."""
+    return _stack((draw(_rng(cfg.seed, branch, i), cfg) for i in trials), len(trials))
+
+
+def _invertible_draws(cfg: SuiteConfig, branch: int, draw, trials: range) -> list:
+    """The stacks of random_invertible_instance for a chunk of trials.
+
+    Attempt 0 of every trial is drawn from _rng(seed, branch, trial, 0); then
+    only the trials whose multiplier fails the sigma_min > 1e-6 sigma_max test
+    are redrawn, attempt k from _rng(seed, branch, trial, k), up to 64.
+    """
+    stacks = None
+    pending = np.arange(len(trials))
+    for attempt in range(64):
+        drawn = _stack((draw(_rng(cfg.seed, branch, trials[k], attempt), cfg)
+                        for k in pending), len(pending))
+        if stacks is None:
+            stacks = drawn
+        else:
+            for stack, redrawn in zip(stacks, drawn):
+                stack[pending] = redrawn
+        w, F, G, m = drawn
+        sigma = hb.singular_values(fr.weighted_gram(G, w * m, F))
+        pending = pending[~(sigma[..., -1] > 1e-6 * sigma[..., 0])]
+        if not pending.size:
+            return stacks
+    raise InvalidParameterError("could not draw an invertible instance")  # pragma: no cover
 
 
 # per-trial draws: the arrays of one trial, in the order the single-instance
@@ -340,6 +381,40 @@ def _perturbation(rng, cfg: SuiteConfig):
 def _counting_frame(rng, cfg: SuiteConfig):
     """Vectors on counting_space(n), which draws nothing."""
     return (_normal(rng, (cfg.d, cfg.n_points)),)
+
+
+def _control_specs(rng) -> ctrl.ControlSpec:
+    kind = rng.choice(["identity", "inverse", "sqrt", "power", "affine"])
+    if kind == "power":
+        return ctrl.ControlSpec("power", t=float(rng.uniform(-1.0, 1.5)))
+    if kind == "affine":
+        return ctrl.ControlSpec("affine", alpha=float(rng.uniform(0.5, 2.0)),
+                                beta=float(rng.uniform(0.1, 1.0)))
+    return ctrl.ControlSpec(str(kind))
+
+
+def _frame_and_control(rng, cfg: SuiteConfig):
+    """A frame, then the spec of its control."""
+    return (*_frame(rng, cfg), _control_specs(rng))
+
+
+def _instance_and_controls(rng, cfg: SuiteConfig):
+    """An instance, then the specs of the analysis and the synthesis control."""
+    return (*_instance(rng, cfg), _control_specs(rng), _control_specs(rng))
+
+
+def _instance_and_frame(rng, cfg: SuiteConfig):
+    """An instance, then the vectors of one more frame on its space."""
+    return (*_instance(rng, cfg), _normal(rng, (cfg.d, cfg.n_points)))
+
+
+def _coercive_instance(rng, cfg: SuiteConfig):
+    """A frame, a floor delta uniform in [0.1, 1] and a symbol uniform in
+    [delta, delta + 2]."""
+    weights, vectors = _frame(rng, cfg)
+    delta = float(rng.uniform(0.1, 1.0))
+    return (weights, vectors, delta,
+            rng.uniform(delta, delta + 2.0, size=cfg.n_points).astype(complex))
 
 
 def _deficient_frame(rng, cfg: SuiteConfig):
@@ -471,14 +546,141 @@ def _discrete_bessel_norm_bound(cfg, F):
     return fr.max_column_norm(F) - cap
 
 
+def _truncation_cuts(n: int) -> list[int]:
+    """Sizes of the kept sets of the truncation schedule: nested (each at
+    least one point) and ending at all n points."""
+    return [max(1, n // 8), max(1, n // 4), max(1, n // 2), n]
+
+
+def _truncation(cfg, w, F, m):
+    """Deviation and budget of each nested truncation of a nonnegative symbol
+    against one frame, (T, 2, steps): the largest values are kept first, so
+    the cut remainder is a sum of positive rank-one terms and its norm
+    shrinks monotonically as the kept set grows."""
+    order = np.argsort(np.abs(m), axis=-1)[..., ::-1]
+    schedule = (truncated(m, order[..., :c]) for c in _truncation_cuts(cfg.n_points))
+    _, measured, budget = convergence_steps("symbol_p", w, m, F, F, schedule, math.inf)
+    return np.stack([measured, budget], axis=-2)
+
+
+# the schedules of the convergence checks: the base plus bump / n
+CONVERGENCE_STEPS = (1, 2, 4, 8, 16)
+
+
+def _symbol_convergence(cfg, w, F, G, m, bump, p):
+    schedule = (m + bump / n for n in CONVERGENCE_STEPS)
+    _, measured, budget = convergence_steps("symbol_p", w, m, F, G, schedule, p)
+    return measured - budget
+
+
+def _frame_convergence(cfg, w, F, G, m, bump, kind):
+    schedule = (F + bump / n for n in CONVERGENCE_STEPS)
+    _, measured, budget = convergence_steps(kind, w, m, F, G, schedule)
+    return measured - budget
+
+
+def _controls(w, F, specs):
+    """Frame operators and spectral controls of a stack of trials."""
+    S = fr.weighted_gram(F, w, F)
+    return S, ctrl.spectral_controls(specs, S)
+
+
+def _mapped_spectrum(S, specs):
+    """phi(lambda) lambda over the eigenvalues of each frame operator."""
+    lam = np.linalg.eigvalsh(S)
+    return ctrl.spectral_maps(specs, lam) * lam
+
+
+def _controlled_factorization(cfg, w, F, specs):
+    S, C = _controls(w, F, specs)
+    L = ctrl.mixed_operator(C, w, F)
+    scale = np.maximum(hb.operator_norm(L), 1.0)
+    return np.stack([hb.operator_norm(L - C @ S) / scale,
+                     hb.operator_norm(L - S @ hb.adjoint(C)) / scale], axis=-1)
+
+
+def _controlled_bounds_map(cfg, w, F, specs):
+    S, C = _controls(w, F, specs)
+    low, high = ctrl.mixed_bounds(C, S, w, F)
+    mapped = _mapped_spectrum(S, specs)
+    scale = np.maximum(np.max(np.abs(mapped), axis=-1), 1.0)
+    return np.stack([np.abs(low - np.min(mapped, axis=-1)) / scale,
+                     np.abs(high - np.max(mapped, axis=-1)) / scale], axis=-1)
+
+
+def _controlled_spectral_mapping(cfg, w, F, specs):
+    S, C = _controls(w, F, specs)
+    L = ctrl.mixed_operator(C, w, F)
+    mapped = np.sort(_mapped_spectrum(S, specs), axis=-1)
+    spectrum = np.sort(np.linalg.eigvalsh(hb.hermitian_part(L)), axis=-1)
+    scale = np.maximum(hb.operator_norm(L), 1.0)
+    return np.max(np.abs(spectrum - mapped), axis=-1) / scale
+
+
+def _controlled_positivity(cfg, w, F, specs):
+    """True where the mixed operator is not positive."""
+    _, C = _controls(w, F, specs)
+    return ~hb.is_positive(ctrl.mixed_operator(C, w, F), 1e-10)
+
+
+def _controlled_implies_frame(cfg, w, F, specs):
+    """True where a positive controlled lower bound meets no frame."""
+    S, C = _controls(w, F, specs)
+    low, _ = ctrl.mixed_bounds(C, S, w, F)
+    return (low > 0.0) & ~fr.operator_bounds(S).is_frame
+
+
+def _precondition_identity(cfg, w, F, G, m, control_specs, dual_specs):
+    C = ctrl.spectral_controls(control_specs, fr.weighted_gram(F, w, F))
+    D = ctrl.spectral_controls(dual_specs, fr.weighted_gram(G, w, G))
+    return ctrl.precondition_residual(C, D, w * m, F, G)
+
+
+def _weighted_scaling(cfg, w, F):
+    bounds = fr.operator_bounds(fr.weighted_gram(F, w, F))
+    # the vectors of fr.weighted(F, 4): each column times sqrt(4), exactly
+    scaled_vectors = 2.0 * F
+    scaled = fr.operator_bounds(fr.weighted_gram(scaled_vectors, w, scaled_vectors))
+    return np.stack([np.abs(scaled.lower - 4.0 * bounds.lower) / (4.0 * bounds.upper),
+                     np.abs(scaled.upper - 4.0 * bounds.upper) / (4.0 * bounds.upper)],
+                    axis=-1)
+
+
+def _certificates(cfg, w, F, G, m):
+    """floor - measured of certificate 1, and True where a certificate fails."""
+    measured, floors, passed = certificate_values(w, m, F, G)
+    return floors[..., 0] - measured[..., 0], ~np.all(passed, axis=-1)
+
+
+def _multiplier_dual(cfg, w, F, G, m):
+    H = multiplier_dual_vectors(w, m, F, G)
+    return hb.operator_norm(fr.weighted_gram(G, w, H) - np.eye(cfg.d))
+
+
+def _positive_symbol_coercivity(cfg, w, F, delta, m):
+    """delta A_F - lambda_min(M), and True where M is not positive."""
+    M = fr.weighted_gram(F, w * m, F)
+    # hb.is_positive(M, 1e-10) on the one eigvalsh that also gives lam_min
+    lam_min, lam_max = hb.extreme_eigenvalues(M)
+    not_positive = ~(hb.is_hermitian(M, 1e-10)
+                     & hb.nonnegative_spectrum(lam_min, lam_max, 1e-10))
+    floor = delta * fr.operator_bounds(fr.weighted_gram(F, w, F)).lower
+    return floor - lam_min, not_positive
+
+
 class Stacked(NamedTuple):
     """A check measured over stacks of trials: draw(rng, cfg) gives one
-    trial's arrays from its stream _rng(seed, branch, trial), and
-    measure(cfg, *stacks) the values the check folds with max."""
+    trial's arrays from its stream, and measure(cfg, *stacks) the values the
+    check folds.  The check takes min(cfg.trials, cap) trials, and
+    stacks(cfg, branch, draw, trials) draws a chunk of them: _draws, each
+    trial from _rng(seed, branch, trial), or _invertible_draws, the attempts
+    of random_invertible_instance."""
 
     branch: int
     draw: Callable
     measure: Callable
+    cap: int | None = None
+    stacks: Callable = _draws
 
 
 STACKED = {
@@ -512,6 +714,42 @@ STACKED = {
     "perturb_lower": Stacked(121, _two_frames, _perturb_lower),
     "discrete_bessel_norm_bound": Stacked(122, _counting_frame,
                                           _discrete_bessel_norm_bound),
+    # read by both truncation checks (_truncation_steps)
+    "truncation": Stacked(125, _nonnegative_instance, _truncation, cap=50),
+    "symbol_convergence_p1": Stacked(
+        126, functools.partial(_difference_instance, extra=0),
+        functools.partial(_symbol_convergence, p=1.0), cap=20),
+    "symbol_convergence_p2": Stacked(
+        127, functools.partial(_difference_instance, extra=0),
+        functools.partial(_symbol_convergence, p=2.0), cap=20),
+    "symbol_convergence_pinf": Stacked(
+        128, functools.partial(_difference_instance, extra=0),
+        functools.partial(_symbol_convergence, p=math.inf), cap=20),
+    "frame_uniform_l2": Stacked(
+        129, _instance_and_frame,
+        functools.partial(_frame_convergence, kind="frame_uniform_L2"), cap=20),
+    "frame_uniform_l1": Stacked(
+        130, _instance_and_frame,
+        functools.partial(_frame_convergence, kind="frame_uniform_L1"), cap=20),
+    "controlled_factorization": Stacked(136, _frame_and_control,
+                                        _controlled_factorization, cap=100),
+    "controlled_bounds_map": Stacked(137, _frame_and_control, _controlled_bounds_map,
+                                     cap=100),
+    "controlled_spectral_mapping": Stacked(138, _frame_and_control,
+                                           _controlled_spectral_mapping, cap=100),
+    "controlled_positivity": Stacked(139, _frame_and_control, _controlled_positivity,
+                                     cap=100),
+    "controlled_implies_frame": Stacked(140, _frame_and_control,
+                                        _controlled_implies_frame, cap=100),
+    "precondition_identity": Stacked(141, _instance_and_controls,
+                                     _precondition_identity, cap=100),
+    "weighted_scaling": Stacked(142, _frame, _weighted_scaling, cap=100),
+    "certificates": Stacked(143, _instance, _certificates, cap=100,
+                            stacks=_invertible_draws),
+    "multiplier_dual": Stacked(144, _instance, _multiplier_dual, cap=50,
+                               stacks=_invertible_draws),
+    "positive_symbol_coercivity": Stacked(145, _coercive_instance,
+                                          _positive_symbol_coercivity, cap=100),
 }
 
 
@@ -519,14 +757,24 @@ def stacked_values(cfg: SuiteConfig, check_id: str):
     """The values of a stacked check, chunk by chunk in trial order."""
     spec = STACKED[check_id]
     stacks = None
-    for trials in _chunks(cfg):
+    for trials in _chunks(cfg, spec.cap):
         # the last chunk's stacks stay referenced while the next one is drawn,
         # as a per-trial loop holds its last instance: released first, malloc
         # trims their pages and the draw faults them in again (about 10^3
         # page faults a trial at d = 64, N = 4096)
-        stacks = _stack((spec.draw(_rng(cfg.seed, spec.branch, i), cfg) for i in trials),
-                        len(trials))
+        stacks = spec.stacks(cfg, spec.branch, spec.draw, trials)
         yield spec.measure(cfg, *stacks)
+
+
+@functools.lru_cache(maxsize=1)
+def _truncation_steps(seed: int, d: int, n: int, trials: int) -> np.ndarray:
+    """Deviation and budget of every step of the truncation experiment,
+    (trials, 2, steps), read-only: measured once for the two truncation
+    checks."""
+    cfg = SuiteConfig(seed=seed, d=d, n_points=n, trials=trials)
+    steps = np.concatenate(list(stacked_values(cfg, "truncation")))
+    steps.setflags(write=False)
+    return steps
 
 
 def _inverts(S: np.ndarray) -> bool:
@@ -563,14 +811,35 @@ def _check(cfg: SuiteConfig, check_id: str, claim: str, measured: float,
                  cfg.tol(check_id), bool(passed), detail)
 
 
-def _stacked_check(cfg: SuiteConfig, check_id: str, claim: str,
-                   worst: float = 0.0) -> Check:
-    """worst <= tol, where worst is max(worst, every value) in trial order,
-    as the per-trial loops folded it."""
-    for values in stacked_values(cfg, check_id):
+def _max_check(cfg: SuiteConfig, check_id: str, claim: str, chunks,
+               worst: float = 0.0) -> Check:
+    """worst <= tol, where worst is max(worst, every value) over the chunks'
+    values in trial order, as the per-trial loops folded it."""
+    for values in chunks:
         worst = max(worst, *np.ravel(values).tolist())
     tol = cfg.tol(check_id)
     return _check(cfg, check_id, claim, worst, tol, worst <= tol)
+
+
+def _stacked_check(cfg: SuiteConfig, check_id: str, claim: str,
+                   worst: float = 0.0) -> Check:
+    return _max_check(cfg, check_id, claim, stacked_values(cfg, check_id), worst)
+
+
+def _counted_check(cfg: SuiteConfig, check_id: str, claim: str) -> Check:
+    """No trial fails: the number of failing trials against the tolerance."""
+    bad = sum(int(np.count_nonzero(failing)) for failing in stacked_values(cfg, check_id))
+    return _check(cfg, check_id, claim, bad, cfg.tol(check_id), bad == 0)
+
+
+def _max_and_count(cfg: SuiteConfig, check_id: str) -> tuple[float, int]:
+    """The max of the values from -inf in trial order, and the number of
+    failing trials, of a check that measures both."""
+    worst, bad = -math.inf, 0
+    for values, failing in stacked_values(cfg, check_id):
+        worst = max(worst, *values.tolist())
+        bad += int(np.count_nonzero(failing))
+    return worst, bad
 
 
 def check_frame_factorization(cfg: SuiteConfig) -> Check:
@@ -734,123 +1003,56 @@ def check_unbounded_bessel_cap(cfg: SuiteConfig) -> Check:
                   "quadrature on every refinement", worst, tol, worst <= tol)
 
 
-def _truncation_schedule(m: Symbol) -> list:
-    order = np.argsort(np.abs(m.values))[::-1]
-    cuts = [max(1, m.space.n_points // 8), m.space.n_points // 4,
-            m.space.n_points // 2, m.space.n_points]
-    return [truncate_symbol(m, order[:c]) for c in cuts]
-
-
-def _truncation_instance(seed: int, branch: int, idx: int, d: int, n: int):
-    # nonnegative symbol against a single frame: the cut remainder is then a
-    # sum of positive rank-one terms, so its norm shrinks monotonically as
-    # the kept set grows
-    rng = _rng(seed, branch, idx)
-    F = random_frame(rng, d, n)
-    m = Symbol(rng.uniform(0.0, 3.0, size=n).astype(complex), F.space)
-    return m, F
+def _truncation_of(cfg: SuiteConfig) -> np.ndarray:
+    return _truncation_steps(cfg.seed, cfg.d, cfg.n_points,
+                             min(cfg.trials, STACKED["truncation"].cap))
 
 
 def check_truncation_budget(cfg: SuiteConfig) -> Check:
-    worst = -math.inf
-    trials = min(cfg.trials, 50)
-    for i in range(trials):
-        m, F = _truncation_instance(cfg.seed, 125, i, cfg.d, cfg.n_points)
-        report = convergence_experiment("symbol_p", m, F, F,
-                                        _truncation_schedule(m), p=math.inf)
-        worst = max(worst, max(s.measured - s.budget for s in report.steps))
-    tol = cfg.tol("truncation_budget")
-    return _check(cfg, "truncation_budget",
-                  "truncated-symbol deviation stays under "
-                  "sup|m - m_n| sqrt(B_F B_G)", worst, tol, worst <= tol)
+    steps = _truncation_of(cfg)
+    return _max_check(cfg, "truncation_budget",
+                      "truncated-symbol deviation stays under "
+                      "sup|m - m_n| sqrt(B_F B_G)", [steps[:, 0] - steps[:, 1]],
+                      -math.inf)
 
 
 def check_truncation_monotone(cfg: SuiteConfig) -> Check:
-    worst = -math.inf
-    trials = min(cfg.trials, 50)
-    for i in range(trials):
-        m, F = _truncation_instance(cfg.seed, 125, i, cfg.d, cfg.n_points)
-        report = convergence_experiment("symbol_p", m, F, F,
-                                        _truncation_schedule(m), p=math.inf)
-        measured = [s.measured for s in report.steps]
-        rise = max(b - a for a, b in zip(measured, measured[1:]))
-        worst = max(worst, rise, measured[-1])
-    tol = cfg.tol("truncation_monotone")
-    return _check(cfg, "truncation_monotone",
-                  "nested truncations decrease the deviation monotonically "
-                  "to zero", worst, tol, worst <= tol)
-
-
-def _symbol_convergence(cfg: SuiteConfig, branch: int, p: float) -> float:
-    worst = -math.inf
-    schedules = min(cfg.trials, 20)
-    for i in range(schedules):
-        rng = _rng(cfg.seed, branch, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        G = random_frame(rng, cfg.d, cfg.n_points, space=F.space)
-        m = random_symbol(rng, F.space)
-        bump = random_symbol(rng, F.space)
-        schedule = [Symbol(m.values + bump.values / n, F.space)
-                    for n in (1, 2, 4, 8, 16)]
-        report = convergence_experiment("symbol_p", m, F, G, schedule, p=p)
-        worst = max(worst, max(s.measured - s.budget for s in report.steps))
-    return worst
+    measured = _truncation_of(cfg)[:, 0]
+    # per trial the rise of every step, then the last deviation
+    values = np.concatenate([np.diff(measured, axis=-1), measured[:, -1:]], axis=-1)
+    return _max_check(cfg, "truncation_monotone",
+                      "nested truncations decrease the deviation monotonically "
+                      "to zero", [values], -math.inf)
 
 
 def check_symbol_convergence_p1(cfg: SuiteConfig) -> Check:
-    worst = _symbol_convergence(cfg, 126, 1.0)
-    tol = cfg.tol("symbol_convergence_p1")
-    return _check(cfg, "symbol_convergence_p1",
-                  "trace-norm deviation tracks the L1 distance of the symbols",
-                  worst, tol, worst <= tol)
+    return _stacked_check(cfg, "symbol_convergence_p1",
+                          "trace-norm deviation tracks the L1 distance of the symbols",
+                          -math.inf)
 
 
 def check_symbol_convergence_p2(cfg: SuiteConfig) -> Check:
-    worst = _symbol_convergence(cfg, 127, 2.0)
-    tol = cfg.tol("symbol_convergence_p2")
-    return _check(cfg, "symbol_convergence_p2",
-                  "Hilbert-Schmidt deviation tracks the L2 distance of the symbols",
-                  worst, tol, worst <= tol)
+    return _stacked_check(cfg, "symbol_convergence_p2",
+                          "Hilbert-Schmidt deviation tracks the L2 distance of the "
+                          "symbols", -math.inf)
 
 
 def check_symbol_convergence_pinf(cfg: SuiteConfig) -> Check:
-    worst = _symbol_convergence(cfg, 128, math.inf)
-    tol = cfg.tol("symbol_convergence_pinf")
-    return _check(cfg, "symbol_convergence_pinf",
-                  "operator-norm deviation tracks the sup distance of the symbols",
-                  worst, tol, worst <= tol)
-
-
-def _frame_convergence(cfg: SuiteConfig, branch: int, kind: str) -> float:
-    worst = -math.inf
-    schedules = min(cfg.trials, 20)
-    for i in range(schedules):
-        rng = _rng(cfg.seed, branch, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        G = random_frame(rng, cfg.d, cfg.n_points, space=F.space)
-        m = random_symbol(rng, F.space)
-        bump = random_frame(rng, cfg.d, cfg.n_points, space=F.space)
-        schedule = [fr.SampledFrame(F.space, F.vectors + bump.vectors / n)
-                    for n in (1, 2, 4, 8, 16)]
-        report = convergence_experiment(kind, m, F, G, schedule)
-        worst = max(worst, max(s.measured - s.budget for s in report.steps))
-    return worst
+    return _stacked_check(cfg, "symbol_convergence_pinf",
+                          "operator-norm deviation tracks the sup distance of the "
+                          "symbols", -math.inf)
 
 
 def check_frame_uniform_l2(cfg: SuiteConfig) -> Check:
-    worst = _frame_convergence(cfg, 129, "frame_uniform_L2")
-    tol = cfg.tol("frame_uniform_l2")
-    return _check(cfg, "frame_uniform_l2",
-                  "uniform frame perturbation is dominated by "
-                  "eps ||m||_2 sqrt(B_G)", worst, tol, worst <= tol)
+    return _stacked_check(cfg, "frame_uniform_l2",
+                          "uniform frame perturbation is dominated by "
+                          "eps ||m||_2 sqrt(B_G)", -math.inf)
 
 
 def check_frame_uniform_l1(cfg: SuiteConfig) -> Check:
-    worst = _frame_convergence(cfg, 130, "frame_uniform_L1")
-    tol = cfg.tol("frame_uniform_l1")
-    return _check(cfg, "frame_uniform_l1",
-                  "uniform frame perturbation is dominated by eps ||m||_1 L_G",
-                  worst, tol, worst <= tol)
+    return _stacked_check(cfg, "frame_uniform_l1",
+                          "uniform frame perturbation is dominated by eps ||m||_1 L_G",
+                          -math.inf)
 
 
 def check_gabor_tightness(cfg: SuiteConfig) -> Check:
@@ -1074,149 +1276,47 @@ def check_calderon_refinement(cfg: SuiteConfig) -> Check:
                   detail=f"residuals {coarse!r} -> {fine!r}")
 
 
-def _control_specs(rng) -> ctrl.ControlSpec:
-    kind = rng.choice(["identity", "inverse", "sqrt", "power", "affine"])
-    if kind == "power":
-        return ctrl.ControlSpec("power", t=float(rng.uniform(-1.0, 1.5)))
-    if kind == "affine":
-        return ctrl.ControlSpec("affine", alpha=float(rng.uniform(0.5, 2.0)),
-                                beta=float(rng.uniform(0.1, 1.0)))
-    return ctrl.ControlSpec(str(kind))
-
-
 def check_controlled_factorization(cfg: SuiteConfig) -> Check:
-    worst = 0.0
-    trials = min(cfg.trials, 100)
-    for i in range(trials):
-        rng = _rng(cfg.seed, 136, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        C = ctrl.make_control(_control_specs(rng), F)
-        S = fr.frame_operator(F)
-        L = ctrl.controlled_frame_operator(C, F)
-        scale = max(hb.operator_norm(L), 1.0)
-        worst = max(worst,
-                    hb.operator_norm(L - C @ S) / scale,
-                    hb.operator_norm(L - S @ C.conj().T) / scale)
-    tol = cfg.tol("controlled_factorization")
-    return _check(cfg, "controlled_factorization",
-                  "mixed operator equals C S and S C* for self-adjoint "
-                  "commuting controls", worst, tol, worst <= tol)
+    return _stacked_check(cfg, "controlled_factorization",
+                          "mixed operator equals C S and S C* for self-adjoint "
+                          "commuting controls")
 
 
 def check_controlled_bounds_map(cfg: SuiteConfig) -> Check:
-    worst = 0.0
-    trials = min(cfg.trials, 100)
-    for i in range(trials):
-        rng = _rng(cfg.seed, 137, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        spec = _control_specs(rng)
-        C = ctrl.make_control(spec, F)
-        low, high = ctrl.controlled_bounds(C, F)
-        lam = np.linalg.eigvalsh(fr.frame_operator(F))
-        mapped = spec.spectral_map(lam) * lam
-        scale = max(float(np.max(np.abs(mapped))), 1.0)
-        worst = max(worst, abs(low - float(np.min(mapped))) / scale,
-                    abs(high - float(np.max(mapped))) / scale)
-    tol = cfg.tol("controlled_bounds_map")
-    return _check(cfg, "controlled_bounds_map",
-                  "controlled bounds are the extremes of phi(lambda) lambda "
-                  "over the frame spectrum", worst, tol, worst <= tol)
+    return _stacked_check(cfg, "controlled_bounds_map",
+                          "controlled bounds are the extremes of phi(lambda) lambda "
+                          "over the frame spectrum")
 
 
 def check_controlled_spectral_mapping(cfg: SuiteConfig) -> Check:
-    worst = 0.0
-    trials = min(cfg.trials, 100)
-    for i in range(trials):
-        rng = _rng(cfg.seed, 138, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        spec = _control_specs(rng)
-        C = ctrl.make_control(spec, F)
-        L = ctrl.controlled_frame_operator(C, F)
-        lam = np.linalg.eigvalsh(fr.frame_operator(F))
-        mapped = np.sort(spec.spectral_map(lam) * lam)
-        spectrum = np.sort(np.linalg.eigvalsh(0.5 * (L + L.conj().T)))
-        scale = max(hb.operator_norm(L), 1.0)
-        worst = max(worst, float(np.max(np.abs(spectrum - mapped))) / scale)
-    tol = cfg.tol("controlled_spectral_mapping")
-    return _check(cfg, "controlled_spectral_mapping",
-                  "spectrum of the mixed operator is the mapped frame spectrum, "
-                  "relative to max(||L||, 1)",
-                  worst, tol, worst <= tol)
+    return _stacked_check(cfg, "controlled_spectral_mapping",
+                          "spectrum of the mixed operator is the mapped frame "
+                          "spectrum, relative to max(||L||, 1)")
 
 
 def check_controlled_positivity(cfg: SuiteConfig) -> Check:
-    bad = 0
-    trials = min(cfg.trials, 100)
-    for i in range(trials):
-        rng = _rng(cfg.seed, 139, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        spec = _control_specs(rng)
-        C = ctrl.make_control(spec, F)
-        if not hb.is_positive(ctrl.controlled_frame_operator(C, F), 1e-10):
-            bad += 1
-    return _check(cfg, "controlled_positivity",
-                  "mixed operator of a positive commuting control is positive",
-                  bad, cfg.tol("controlled_positivity"), bad == 0)
+    return _counted_check(cfg, "controlled_positivity",
+                          "mixed operator of a positive commuting control is positive")
 
 
 def check_controlled_implies_frame(cfg: SuiteConfig) -> Check:
-    bad = 0
-    trials = min(cfg.trials, 100)
-    for i in range(trials):
-        rng = _rng(cfg.seed, 140, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        C = ctrl.make_control(_control_specs(rng), F)
-        low, _ = ctrl.controlled_bounds(C, F)
-        if low > 0.0 and not fr.frame_bounds(F).is_frame:
-            bad += 1
-    return _check(cfg, "controlled_implies_frame",
-                  "a positive controlled lower bound certifies the frame "
-                  "property", bad, cfg.tol("controlled_implies_frame"), bad == 0)
+    return _counted_check(cfg, "controlled_implies_frame",
+                          "a positive controlled lower bound certifies the frame "
+                          "property")
 
 
 def check_precondition_identity(cfg: SuiteConfig) -> Check:
-    worst = 0.0
-    trials = min(cfg.trials, 100)
-    for i in range(trials):
-        rng = _rng(cfg.seed, 141, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        G = random_frame(rng, cfg.d, cfg.n_points, space=F.space)
-        m = random_symbol(rng, F.space)
-        worst = max(worst, ctrl.precondition_identity_residual(
-            _control_specs(rng), _control_specs(rng), m, F, G))
-    tol = cfg.tol("precondition_identity")
-    return _check(cfg, "precondition_identity",
-                  "undoing the controls recovers the plain multiplier",
-                  worst, tol, worst <= tol)
+    return _stacked_check(cfg, "precondition_identity",
+                          "undoing the controls recovers the plain multiplier")
 
 
 def check_weighted_scaling(cfg: SuiteConfig) -> Check:
-    worst = 0.0
-    for i in range(min(cfg.trials, 100)):
-        rng = _rng(cfg.seed, 142, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        bounds = fr.frame_bounds(F)
-        scaled = fr.frame_bounds(fr.weighted(F, np.full(cfg.n_points, 4.0)))
-        worst = max(worst,
-                    abs(scaled.lower - 4.0 * bounds.lower) / (4.0 * bounds.upper),
-                    abs(scaled.upper - 4.0 * bounds.upper) / (4.0 * bounds.upper))
-    tol = cfg.tol("weighted_scaling")
-    return _check(cfg, "weighted_scaling",
-                  "a constant weight scales both frame bounds by that constant",
-                  worst, tol, worst <= tol)
+    return _stacked_check(cfg, "weighted_scaling",
+                          "a constant weight scales both frame bounds by that constant")
 
 
 def check_certificates(cfg: SuiteConfig) -> Check:
-    worst = -math.inf
-    failed = 0
-    trials = min(cfg.trials, 100)
-    for i in range(trials):
-        m, F, G = random_invertible_instance(cfg.seed, 143, i, cfg.d, cfg.n_points)
-        report = lower_bound_certificates(m, F, G)
-        if not report.all_passed:
-            failed += 1
-        part1 = report.parts[0]
-        worst = max(worst, part1.floor - part1.measured)
+    worst, failed = _max_and_count(cfg, "certificates")
     tol = cfg.tol("certificates")
     return _check(cfg, "certificates",
                   "all five lower-bound certificates hold on invertible "
@@ -1225,35 +1325,12 @@ def check_certificates(cfg: SuiteConfig) -> Check:
 
 
 def check_multiplier_dual(cfg: SuiteConfig) -> Check:
-    worst = 0.0
-    trials = min(cfg.trials, 50)
-    for i in range(trials):
-        m, F, G = random_invertible_instance(cfg.seed, 144, i, cfg.d, cfg.n_points)
-        H = dual_from_multiplier(m, F, G)
-        worst = max(worst, fr.duality_defect(H, G))
-    tol = cfg.tol("multiplier_dual")
-    return _check(cfg, "multiplier_dual",
-                  "the frame built from the inverse multiplier is a dual of G",
-                  worst, tol, worst <= tol)
+    return _stacked_check(cfg, "multiplier_dual",
+                          "the frame built from the inverse multiplier is a dual of G")
 
 
 def check_positive_symbol_coercivity(cfg: SuiteConfig) -> Check:
-    worst = -math.inf
-    bad = 0
-    for i in range(min(cfg.trials, 100)):
-        rng = _rng(cfg.seed, 145, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        delta = float(rng.uniform(0.1, 1.0))
-        m = Symbol(rng.uniform(delta, delta + 2.0,
-                               size=cfg.n_points).astype(complex), F.space)
-        M = multiplier(m, F, F)
-        # hb.is_positive(M, 1e-10) on the one eigvalsh that also gives lam_min
-        lam_min, lam_max = hb.extreme_eigenvalues(M)
-        if not (hb.is_hermitian(M, 1e-10)
-                and hb.nonnegative_spectrum(lam_min, lam_max, 1e-10)):
-            bad += 1
-        floor = delta * fr.frame_bounds(F).lower
-        worst = max(worst, floor - lam_min)
+    worst, bad = _max_and_count(cfg, "positive_symbol_coercivity")
     tol = cfg.tol("positive_symbol_coercivity")
     return _check(cfg, "positive_symbol_coercivity",
                   "a symbol bounded below by delta makes the multiplier "

@@ -11,7 +11,6 @@ from contframes.cli import main
 from contframes.errors import InvalidParameterError
 from contframes.frame import SampledFrame
 from contframes.measure import Symbol, counting_space
-from contframes.multiplier import multiplier
 from contframes.reporting import Report
 from contframes.suites import SuiteConfig, run_multiplier, run_suite, run_wavelet
 
@@ -327,13 +326,14 @@ def test_controlled_spectral_mapping_catches_relative_map_error(monkeypatch):
     assert suites.check_controlled_spectral_mapping(cfg).passed
     true_map = ctrl.ControlSpec.spectral_map
 
-    def true_control(spec, F):
-        lam, U = np.linalg.eigh(fr.frame_operator(F))
-        return (U * true_map(spec, lam)) @ U.conj().T
+    def true_controls(specs, S):
+        lam, U = np.linalg.eigh(S)
+        phi = np.array([true_map(spec, row) for spec, row in zip(specs, lam)])
+        return (U * phi[:, None, :]) @ U.conj().swapaxes(-1, -2)
 
     monkeypatch.setattr(ctrl.ControlSpec, "spectral_map",
                         lambda spec, lam: true_map(spec, lam) * (1 + 1e-10))
-    monkeypatch.setattr(ctrl, "make_control", true_control)
+    monkeypatch.setattr(ctrl, "spectral_controls", true_controls)
     check = suites.check_controlled_spectral_mapping(cfg)
     assert check.measured > 1e-11
     assert not check.passed
@@ -409,13 +409,23 @@ def test_positive_symbol_coercivity_takes_one_eigvalsh_of_the_multiplier(monkeyp
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     assert suites.check_positive_symbol_coercivity(cfg) == before
     assert before.passed
-    # one for the multiplier and one for the frame bounds of F, per trial
-    assert len(calls) == 2 * cfg.trials
+    # one for the multipliers and one for the frame bounds of F, over the
+    # stack of the six trials
+    assert calls == [(cfg.trials, 4, 4)] * 2
 
 
 def test_positive_symbol_coercivity_counts_non_hermitian_multipliers(monkeypatch):
     cfg = SuiteConfig(trials=3, d=4, n_points=12)
-    monkeypatch.setattr(suites, "multiplier",
-                        lambda m, F, G: multiplier(m, F, G) + 1e-3 * np.triu(
-                            np.ones((F.dim, F.dim)), 1))
-    assert not suites.check_positive_symbol_coercivity(cfg).passed
+    weighted_gram = fr.weighted_gram
+
+    def non_hermitian_multipliers(X, c, Y):
+        # the multipliers' coefficients w m are complex, the frame operator's
+        # weights w real
+        out = weighted_gram(X, c, Y)
+        if np.iscomplexobj(c):
+            out = out + 1e-3 * np.triu(np.ones(out.shape[-2:]), 1)
+        return out
+
+    monkeypatch.setattr(fr, "weighted_gram", non_hermitian_multipliers)
+    check = suites.check_positive_symbol_coercivity(cfg)
+    assert check.measured < 0.0 and not check.passed

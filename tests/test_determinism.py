@@ -46,3 +46,8 @@ def test_large_identities_report_independent_of_blas_threads(tmp_path):
 def test_bounds_report_independent_of_blas_threads(tmp_path):
     # 70 trials at d = 8, N = 64 stack as chunks of 64 and 6
     assert_same_across_threads(tmp_path, 8, 64, 70, suite="bounds")
+
+
+def test_controlled_report_independent_of_blas_threads(tmp_path):
+    # 70 trials under the cap of 100 stack as chunks of 64 and 6
+    assert_same_across_threads(tmp_path, 8, 64, 70, suite="controlled")

@@ -1,10 +1,11 @@
-"""The stacked trials of the identities and bounds suites against the
-single-frame API.
+"""The stacked trials of the identities, bounds, convergence, controlled and
+weighted suites against the single-frame API.
 
 Every stacked check measures a chunk of trials with one numpy call per step.
 The oracle here is the per-trial loop it replaced, written with the 2-d API
-(``frame_bounds``, ``canonical_dual``, ``multiplier``, ``bound_budget``, ...)
-on the instances the suites draw; the stacked rows must equal it exactly.
+(``frame_bounds``, ``canonical_dual``, ``multiplier``, ``bound_budget``,
+``make_control``, ``convergence_experiment``, ...) on the instances the
+suites draw; the stacked rows must equal it exactly.
 """
 
 import math
@@ -15,6 +16,13 @@ import pytest
 from contframes import frame as fr
 from contframes import hilbert as hb
 from contframes import suites
+from contframes.controlled import (
+    ControlSpec,
+    controlled_bounds,
+    controlled_frame_operator,
+    make_control,
+    precondition_identity_residual,
+)
 from contframes.errors import (
     InvalidParameterError,
     NotAFrameError,
@@ -27,8 +35,22 @@ from contframes.measure import (
     lp_norm,
     weighted_lp_norm,
 )
-from contframes.multiplier import bound_budget, multiplier, schatten_budget
-from contframes.suites import SuiteConfig, random_frame, random_instance, run_suite
+from contframes.multiplier import (
+    bound_budget,
+    convergence_experiment,
+    dual_from_multiplier,
+    lower_bound_certificates,
+    multiplier,
+    schatten_budget,
+    truncate_symbol,
+)
+from contframes.suites import (
+    SuiteConfig,
+    random_frame,
+    random_instance,
+    random_invertible_instance,
+    run_suite,
+)
 
 
 def bits(a):
@@ -201,6 +223,151 @@ def discrete_bessel_norm_bound(cfg, i):
     return [fr.norm_bound(F) - math.sqrt(fr.frame_bounds(F).upper)]
 
 
+def truncation(cfg, i):
+    rng = stream(cfg, 125, i)
+    F = random_frame(rng, cfg.d, cfg.n_points)
+    m = Symbol(rng.uniform(0.0, 3.0, size=cfg.n_points).astype(complex), F.space)
+    order = np.argsort(np.abs(m.values))[::-1]
+    n = cfg.n_points
+    schedule = [truncate_symbol(m, order[:c])
+                for c in (max(1, n // 8), max(1, n // 4), max(1, n // 2), n)]
+    steps = convergence_experiment("symbol_p", m, F, F, schedule, p=math.inf).steps
+    return [s.measured for s in steps] + [s.budget for s in steps]
+
+
+def symbol_convergence(branch, p):
+    def oracle(cfg, i):
+        rng = stream(cfg, branch, i)
+        F = random_frame(rng, cfg.d, cfg.n_points)
+        G = random_frame(rng, cfg.d, cfg.n_points, space=F.space)
+        m = suites.random_symbol(rng, F.space)
+        bump = suites.random_symbol(rng, F.space)
+        schedule = [Symbol(m.values + bump.values / n, F.space) for n in (1, 2, 4, 8, 16)]
+        report = convergence_experiment("symbol_p", m, F, G, schedule, p=p)
+        return [s.measured - s.budget for s in report.steps]
+    return oracle
+
+
+def frame_convergence(branch, kind):
+    def oracle(cfg, i):
+        rng = stream(cfg, branch, i)
+        F = random_frame(rng, cfg.d, cfg.n_points)
+        G = random_frame(rng, cfg.d, cfg.n_points, space=F.space)
+        m = suites.random_symbol(rng, F.space)
+        bump = random_frame(rng, cfg.d, cfg.n_points, space=F.space)
+        schedule = [fr.SampledFrame(F.space, F.vectors + bump.vectors / n)
+                    for n in (1, 2, 4, 8, 16)]
+        report = convergence_experiment(kind, m, F, G, schedule)
+        return [s.measured - s.budget for s in report.steps]
+    return oracle
+
+
+def controlled(branch):
+    """A frame, its control spec and the control, as a trial draws them."""
+    def instance(cfg, i):
+        rng = stream(cfg, branch, i)
+        F = random_frame(rng, cfg.d, cfg.n_points)
+        spec = suites._control_specs(rng)
+        return F, spec, make_control(spec, F)
+    return instance
+
+
+def mapped_spectrum(F, spec):
+    lam = np.linalg.eigvalsh(fr.frame_operator(F))
+    return spec.spectral_map(lam) * lam
+
+
+def controlled_factorization(cfg, i):
+    F, _, C = controlled(136)(cfg, i)
+    S = fr.frame_operator(F)
+    L = controlled_frame_operator(C, F)
+    scale = max(hb.operator_norm(L), 1.0)
+    return [hb.operator_norm(L - C @ S) / scale,
+            hb.operator_norm(L - S @ C.conj().T) / scale]
+
+
+def controlled_bounds_map(cfg, i):
+    F, spec, C = controlled(137)(cfg, i)
+    low, high = controlled_bounds(C, F)
+    mapped = mapped_spectrum(F, spec)
+    scale = max(float(np.max(np.abs(mapped))), 1.0)
+    return [abs(low - float(np.min(mapped))) / scale,
+            abs(high - float(np.max(mapped))) / scale]
+
+
+def controlled_spectral_mapping(cfg, i):
+    F, spec, C = controlled(138)(cfg, i)
+    L = controlled_frame_operator(C, F)
+    mapped = np.sort(mapped_spectrum(F, spec))
+    spectrum = np.sort(np.linalg.eigvalsh(0.5 * (L + L.conj().T)))
+    return [float(np.max(np.abs(spectrum - mapped))) / max(hb.operator_norm(L), 1.0)]
+
+
+def controlled_positivity(cfg, i):  # True for a failing trial
+    F, _, C = controlled(139)(cfg, i)
+    return [not hb.is_positive(controlled_frame_operator(C, F), 1e-10)]
+
+
+def controlled_implies_frame(cfg, i):
+    F, _, C = controlled(140)(cfg, i)
+    low, _ = controlled_bounds(C, F)
+    return [low > 0.0 and not fr.frame_bounds(F).is_frame]
+
+
+def precondition_identity(cfg, i):
+    rng = stream(cfg, 141, i)
+    F = random_frame(rng, cfg.d, cfg.n_points)
+    G = random_frame(rng, cfg.d, cfg.n_points, space=F.space)
+    m = suites.random_symbol(rng, F.space)
+    return [precondition_identity_residual(suites._control_specs(rng),
+                                           suites._control_specs(rng), m, F, G)]
+
+
+def weighted_scaling(cfg, i):
+    F = random_frame(stream(cfg, 142, i), cfg.d, cfg.n_points)
+    bounds = fr.frame_bounds(F)
+    scaled = fr.frame_bounds(fr.weighted(F, np.full(cfg.n_points, 4.0)))
+    return [abs(scaled.lower - 4.0 * bounds.lower) / (4.0 * bounds.upper),
+            abs(scaled.upper - 4.0 * bounds.upper) / (4.0 * bounds.upper)]
+
+
+def invertible_instance(seed, branch, idx, d, n):
+    """The per-trial retry loop: (m, F, G) of the first attempt whose
+    multiplier passes the sigma test, and that attempt."""
+    for attempt in range(64):
+        rng = np.random.default_rng([seed, branch, idx, attempt])
+        F = random_frame(rng, d, n)
+        G = random_frame(rng, d, n, space=F.space)
+        m = suites.random_symbol(rng, F.space)
+        sigma = hb.singular_values(multiplier(m, F, G))
+        if sigma[-1] > 1e-6 * sigma[0]:
+            return m, F, G, attempt
+    raise InvalidParameterError("could not draw an invertible instance")
+
+
+def certificates(cfg, i):  # floor - measured of part 1, then True for a failing trial
+    m, F, G, _ = invertible_instance(cfg.seed, 143, i, cfg.d, cfg.n_points)
+    report = lower_bound_certificates(m, F, G)
+    part1 = report.parts[0]
+    return [part1.floor - part1.measured, not report.all_passed]
+
+
+def multiplier_dual(cfg, i):
+    m, F, G, _ = invertible_instance(cfg.seed, 144, i, cfg.d, cfg.n_points)
+    return [fr.duality_defect(dual_from_multiplier(m, F, G), G)]
+
+
+def positive_symbol_coercivity(cfg, i):  # floor - lam_min, then True for a failing trial
+    rng = stream(cfg, 145, i)
+    F = random_frame(rng, cfg.d, cfg.n_points)
+    delta = float(rng.uniform(0.1, 1.0))
+    m = Symbol(rng.uniform(delta, delta + 2.0, size=cfg.n_points).astype(complex),
+               F.space)
+    M = multiplier(m, F, F)
+    return [delta * fr.frame_bounds(F).lower - hb.extreme_eigenvalues(M)[0],
+            not hb.is_positive(M, 1e-10)]
+
+
 ORACLES = {
     "frame_factorization": frame_factorization,
     "reconstruction": reconstruction(102, swapped=False),
@@ -223,26 +390,57 @@ ORACLES = {
     "perturb_upper": perturb_upper,
     "perturb_lower": perturb_lower,
     "discrete_bessel_norm_bound": discrete_bessel_norm_bound,
+    "truncation": truncation,
+    "symbol_convergence_p1": symbol_convergence(126, 1.0),
+    "symbol_convergence_p2": symbol_convergence(127, 2.0),
+    "symbol_convergence_pinf": symbol_convergence(128, math.inf),
+    "frame_uniform_l2": frame_convergence(129, "frame_uniform_L2"),
+    "frame_uniform_l1": frame_convergence(130, "frame_uniform_L1"),
+    "controlled_factorization": controlled_factorization,
+    "controlled_bounds_map": controlled_bounds_map,
+    "controlled_spectral_mapping": controlled_spectral_mapping,
+    "controlled_positivity": controlled_positivity,
+    "controlled_implies_frame": controlled_implies_frame,
+    "precondition_identity": precondition_identity,
+    "weighted_scaling": weighted_scaling,
+    "certificates": certificates,
+    "multiplier_dual": multiplier_dual,
+    "positive_symbol_coercivity": positive_symbol_coercivity,
 }
 
 
 def stacked(cfg, check_id):
-    return np.concatenate([np.ravel(v) for v in suites.stacked_values(cfg, check_id)])
+    """The values of a stacked check, trial by trial; a check that measures a
+    value and a verdict per trial gives both, in that order."""
+    rows = []
+    for chunk in suites.stacked_values(cfg, check_id):
+        parts = chunk if isinstance(chunk, tuple) else (chunk,)
+        rows += np.column_stack([np.reshape(p, (len(p), -1)) for p in parts]).tolist()
+    return [v for row in rows for v in row]
 
 
-def test_every_trial_loop_of_the_two_suites_is_stacked():
+ALGEBRA = ("identities", "bounds", "convergence", "controlled", "weighted")
+
+
+def test_every_trial_loop_of_the_algebra_suites_is_stacked():
     loops = {fn.__name__.removeprefix("check_")
-             for name in ("identities", "bounds") for fn in suites.SUITE_CHECKS[name]}
-    # the two unbounded-family checks loop over three grids, not over trials
+             for name in ALGEBRA for fn in suites.SUITE_CHECKS[name]}
+    # the two unbounded-family checks loop over three grids, not over trials;
+    # the two truncation checks read the one "truncation" row
     assert set(suites.STACKED) == loops - {"unbounded_norm_growth",
                                            "unbounded_bessel_cap",
-                                           "frame_iff_invertible"}
+                                           "frame_iff_invertible",
+                                           "truncation_budget",
+                                           "truncation_monotone"} | {"truncation"}
     assert set(ORACLES) == set(suites.STACKED)
 
 
 # at N < d the random families are no frames, which these checks need
 NEEDS_FRAMES = {"reconstruction", "reconstruction_swapped", "canonical_dual_pair",
-                "dual_bounds_inverse", "perturb_lower"}
+                "dual_bounds_inverse", "perturb_lower", "controlled_factorization",
+                "controlled_bounds_map", "controlled_spectral_mapping",
+                "controlled_positivity", "controlled_implies_frame",
+                "precondition_identity", "certificates", "multiplier_dual"}
 
 
 @pytest.mark.parametrize("check_id,d,n", [
@@ -251,7 +449,7 @@ NEEDS_FRAMES = {"reconstruction", "reconstruction_swapped", "canonical_dual_pair
 def test_stacked_rows_equal_the_single_frame_api(check_id, d, n):
     cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=3)
     oracle = [v for i in range(3) for v in ORACLES[check_id](cfg, i)]
-    assert stacked(cfg, check_id).tolist() == oracle
+    assert stacked(cfg, check_id) == oracle
 
 
 @pytest.mark.parametrize("d,n", [(4, 12), (8, 64), (8, 4)])
@@ -270,30 +468,179 @@ def test_stacked_dual_refuses_non_frames_like_canonical_dual():
     assert str(from_stack.value) == str(single.value)
 
 
+@pytest.mark.parametrize("check_id", sorted(
+    c for c in suites.STACKED
+    if c.startswith("controlled") or c == "precondition_identity"))
+def test_stacked_controls_refuse_non_frames_like_make_control(check_id):
+    cfg = SuiteConfig(seed=13, d=8, n_points=4, trials=3)
+    with pytest.raises(NotAFrameError) as from_stack:
+        stacked(cfg, check_id)
+    with pytest.raises(NotAFrameError) as single:
+        ORACLES[check_id](cfg, 0)
+    assert str(from_stack.value) == str(single.value)
+
+
+# ---------------------------------------------------------------------------
+# the truncation schedule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_truncation_cuts_are_nested(n):
+    cuts = suites._truncation_cuts(n)
+    assert cuts[0] >= 1 and cuts[-1] == n
+    assert cuts == sorted(cuts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_truncation_monotone_holds_on_few_points(n):
+    # the cuts n // 4 and n // 2 used to be 0 here, an empty symbol between
+    # nonempty ones, so the deviation rose and the check failed
+    check = suites.check_truncation_monotone(SuiteConfig(d=2, n_points=n, trials=5))
+    assert check.passed and check.measured == 0.0
+
+
+def test_truncation_experiment_runs_once_per_convergence_suite(monkeypatch):
+    calls = []
+    truncation_measure = suites._truncation
+
+    def counted(cfg, *stacks):
+        calls.append(len(stacks[0]))
+        return truncation_measure(cfg, *stacks)
+
+    monkeypatch.setitem(suites.STACKED, "truncation",
+                        suites.STACKED["truncation"]._replace(measure=counted))
+    suites._truncation_steps.cache_clear()
+    cfg = SuiteConfig(suite="convergence", d=4, n_points=12, trials=60)
+    report = run_suite(cfg)
+    # one chunk of the 50 capped trials, for both checks
+    assert calls == [50]
+    suites._truncation_steps.cache_clear()
+    checks = {c.check_id: c for c in report.checks}
+    assert checks["truncation_budget"] == suites.check_truncation_budget(cfg)
+    assert checks["truncation_monotone"] == suites.check_truncation_monotone(cfg)
+    assert calls == [50, 50]
+
+
+@pytest.mark.parametrize("d,n", [(4, 12), (8, 64)])
+def test_truncation_checks_fold_the_steps_like_the_per_trial_loops(d, n):
+    cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=7)
+    budget = monotone = -math.inf
+    for i in range(7):
+        values = truncation(cfg, i)
+        measured, budgets = values[:4], values[4:]
+        budget = max(budget, max(a - b for a, b in zip(measured, budgets)))
+        rise = max(b - a for a, b in zip(measured, measured[1:]))
+        monotone = max(monotone, rise, measured[-1])
+    assert suites.check_truncation_budget(cfg).measured == budget
+    assert suites.check_truncation_monotone(cfg).measured == monotone
+
+
+# ---------------------------------------------------------------------------
+# the single-instance API on the kernels keeps the values of its dense forms
+# ---------------------------------------------------------------------------
+
+def dense_control(spec, F):
+    lam, U = np.linalg.eigh(fr.frame_operator(F))
+    return (U * spec.spectral_map(lam)) @ U.conj().T
+
+
+def dense_convergence(kind, m, F, G, schedule, p=None):
+    base = multiplier(m, F, G)
+    bf, bg = fr.frame_bounds(F).upper, fr.frame_bounds(G).upper
+    lf, lg = fr.norm_bound(F), fr.norm_bound(G)
+    steps = []
+    for item in schedule:
+        if kind == "symbol_p":
+            eps = lp_norm(F.space, item.values - m.values, p)
+            measured = hb.schatten_norm(multiplier(item, F, G) - base, p)
+            budget = schatten_budget(p, eps, lf, lg, bf, bg)
+        else:
+            eps = float(np.max(np.linalg.norm(item.vectors - F.vectors, axis=0)))
+            measured = hb.operator_norm(multiplier(m, item, G) - base)
+            if kind == "frame_uniform_L2":
+                budget = eps * lp_norm(F.space, m, 2.0) * math.sqrt(bg)
+            else:
+                budget = eps * lp_norm(F.space, m, 1.0) * lg
+        steps.append((eps, measured, budget))
+    return steps
+
+
+def dense_certificates(m, F, G):
+    inv_norm = float(hb.singular_values(hb.invert(multiplier(m, F, G)))[0])
+    bf, bg = fr.frame_bounds(F), fr.frame_bounds(G)
+    bmf = fr.frame_bounds(fr.SampledFrame(F.space, F.vectors * m.values.conj()))
+    bmg = fr.frame_bounds(fr.SampledFrame(G.space, G.vectors * m.values))
+    floor1 = 1.0 / (bg.upper * inv_norm**2)
+    floor2 = 1.0 / (bf.upper * inv_norm**2)
+    floor4 = bmf.lower / lp_norm(F.space, m, math.inf) ** 2
+    return [(bmf.lower, floor1), (bmg.lower, floor2), (min(bmf.lower, bmg.lower), None),
+            (bf.lower, floor4), (min(bf.lower, bg.lower), None)]
+
+
+@pytest.mark.parametrize("d,n", [(4, 12), (8, 64)])
+def test_single_instance_api_equals_its_dense_form(d, n):
+    for i in range(3):
+        m, F, G = random_instance(17, 300, i, d, n)
+        rng = np.random.default_rng([17, 301, i])
+        bump = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+        frames = [fr.SampledFrame(F.space, F.vectors + bump / k) for k in (1, 2, 4)]
+        symbols = [Symbol(m.values + bump[0] / k, F.space) for k in (1, 2, 4)]
+        for kind, schedule, p in [("frame_uniform_L2", frames, None),
+                                  ("frame_uniform_L1", frames, None),
+                                  ("symbol_p", symbols, 1.5), ("symbol_p", symbols, math.inf)]:
+            report = convergence_experiment(kind, m, F, G, schedule, p=p)
+            assert [(s.epsilon, s.measured, s.budget) for s in report.steps] == (
+                dense_convergence(kind, m, F, G, schedule, p))
+        parts = lower_bound_certificates(m, F, G).parts
+        assert [(c.measured, c.floor) for c in parts] == dense_certificates(m, F, G)
+        values = m.values
+        m_inv = hb.invert(multiplier(m, F, G))
+        assert np.array_equal(bits(dual_from_multiplier(m, F, G).vectors),
+                              bits(m_inv.conj().T @ (F.vectors * values.conj())))
+        for spec in (ControlSpec("power", t=0.7), ControlSpec("affine", alpha=1.5, beta=0.3)):
+            C = make_control(spec, F)
+            assert np.array_equal(bits(C), bits(dense_control(spec, F)))
+            D = make_control(ControlSpec("sqrt"), G)
+            mixed = multiplier(m, fr.SampledFrame(F.space, C @ F.vectors),
+                               fr.SampledFrame(G.space, D @ G.vectors))
+            plain = multiplier(m, F, G)
+            residual = hb.operator_norm(hb.invert(D) @ mixed @ hb.invert(C) - plain)
+            assert precondition_identity_residual(spec, ControlSpec("sqrt"), m, F, G) == (
+                residual / hb.operator_norm(plain))
+
+
 # ---------------------------------------------------------------------------
 # chunks
 # ---------------------------------------------------------------------------
 
 def test_chunk_rule():
-    sizes = lambda d, n, trials: [len(c) for c in suites._chunks(
-        SuiteConfig(d=d, n_points=n, trials=trials))]
+    sizes = lambda d, n, trials, cap=None: [len(c) for c in suites._chunks(
+        SuiteConfig(d=d, n_points=n, trials=trials), cap)]
     assert sizes(8, 64, 200) == [64, 64, 64, 8]
     assert sizes(64, 4096, 4) == [1, 1, 1, 1]
     assert sizes(1, 1, 3) == [3]
+    assert sizes(8, 64, 200, cap=100) == [64, 36]
+    assert sizes(8, 64, 10, cap=20) == [10]
+
+
+def run_fresh(cfg):
+    # the truncation steps are cached per (seed, d, N, trials), not per chunk
+    suites._truncation_steps.cache_clear()
+    return run_suite(cfg).checks
 
 
 @pytest.mark.parametrize("per_chunk", [1, 7, 20])
 def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
     d, n, trials = 4, 12, 20
-    reference = {s: run_suite(SuiteConfig(suite=s, trials=trials, d=d, n_points=n,
-                                          seed=3)).checks
-                 for s in ("identities", "bounds")}
+    reference = {s: run_fresh(SuiteConfig(suite=s, trials=trials, d=d, n_points=n,
+                                          seed=3))
+                 for s in ALGEBRA}
     monkeypatch.setattr(suites, "STACK_ENTRIES", per_chunk * d * n)
     assert {len(c) for c in suites._chunks(
         SuiteConfig(trials=trials, d=d, n_points=n))} <= {per_chunk, trials % per_chunk}
     for suite, checks in reference.items():
-        assert run_suite(SuiteConfig(suite=suite, trials=trials, d=d, n_points=n,
-                                     seed=3)).checks == checks
+        assert run_fresh(SuiteConfig(suite=suite, trials=trials, d=d, n_points=n,
+                                     seed=3)) == checks
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +663,39 @@ def test_symbols_and_vectors_draw_the_values_of_the_dense_expression():
     dense = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     assert np.array_equal(bits(m.values), bits(dense))
     assert np.array_equal(bits(v), bits(dense))
+
+
+def forced_retries(monkeypatch):
+    """Make every multiplier whose (0, 0) entry has a positive real part fail
+    the invertibility test, for single operators and stacks alike."""
+    singular_values = hb.singular_values
+
+    def failing(T):
+        sigma = singular_values(T)
+        sigma[..., -1] = np.where(np.real(np.asarray(T)[..., 0, 0]) > 0.0, 0.0,
+                                  sigma[..., -1])
+        return sigma
+
+    monkeypatch.setattr(hb, "singular_values", failing)
+
+
+def test_stacked_invertible_draws_retry_like_the_per_trial_loop(monkeypatch):
+    forced_retries(monkeypatch)
+    cfg = SuiteConfig(seed=5, d=3, n_points=7)
+    trials = range(2, 12)
+    w, F, G, m = suites._invertible_draws(cfg, 143, suites._instance, trials)
+    attempts = []
+    for k, i in enumerate(trials):
+        mi, Fi, Gi, attempt = invertible_instance(5, 143, i, 3, 7)
+        attempts.append(attempt)
+        assert np.array_equal(w[k], Fi.space.weights)
+        assert np.array_equal(bits(F[k]), bits(Fi.vectors))
+        assert np.array_equal(bits(G[k]), bits(Gi.vectors))
+        assert np.array_equal(bits(m[k]), bits(mi.values))
+        single = random_invertible_instance(5, 143, i, 3, 7)
+        assert single[0] == mi and single[1] == Fi and single[2] == Gi
+    # some trials took the first attempt, others one or more retries
+    assert min(attempts) == 0 and max(attempts) >= 2
 
 
 def test_stacked_instances_equal_random_instance():
