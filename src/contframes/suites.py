@@ -9,21 +9,28 @@ configuration is reproducible bit-for-bit (timestamps aside).
 The checks of the identities, bounds, convergence, controlled and weighted
 suites evaluate their trials in stacks; only the gabor suite, whose trials
 draw their own sizes, and the checks that loop over grids rather than trials
-run one instance at a time.  A chunk of max(1, STACK_ENTRIES // (d N))
-consecutive trials of a check's trial count (capped at 100, 50 or 20 for
-some checks) is drawn trial by trial, each from its own stream
-_rng(seed, branch, trial) with the calls and order of the single-instance
-draws (random_frame, random_instance, ...), into (T, d, N) and (T, N)
-arrays; every step is then one numpy call over the stack, through the array
-kernels the single-frame API is built on, and the chunk's values are folded
-into the check's max or count in trial order.  numpy runs the same BLAS or
-LAPACK routine per trial as a single call would, so the values equal those
-of a per-trial loop.  Control specs stay per trial: each one maps its own
-row of eigenvalues.  Invertible instances draw attempt 0 of the whole chunk
-and redraw only the trials whose multiplier fails, from the attempt streams
-of random_invertible_instance.  STACKED holds the draw and the measure of
-each of these checks; the two truncation checks read one experiment,
-measured once per configuration.
+run one instance at a time, each on a stream of its own.  STACKED holds the
+roles and the measure of each stacked check.  A role is one array a trial
+draws: the weights, the analysis or synthesis vectors, a symbol, test
+vectors, a step eps, a control's kind or its parameters, ...  Role r of the
+check on branch b reads the stream _rng(seed, b, r), and reads it in trial
+order: numpy fills an array from one stream entry by entry, so one call of
+shape (T, ...) draws the values of T consecutive trials.  A chunk of
+max(1, STACK_ENTRIES // (d N)) consecutive trials of a check's trial count
+(capped at 100, 50 or 20 for some checks) thus takes one generator call per
+role into (T, d, N) and (T, N) arrays, and the reports do not depend on the
+chunk size.  Every step is then one numpy call over the stack, through the
+array kernels the single-frame API is built on, and the chunk's values are
+folded into the check's max or count in trial order.  numpy runs the same
+BLAS or LAPACK routine per trial as a single call would, so the values equal
+those of a per-trial loop on the same draws.  Each control spec maps its own
+row of eigenvalues.  Invertible instances take attempt 0 from the role
+streams and redraw only the trials whose multiplier fails, attempt k >= 1 of
+trial t from _rng(seed, b, t, k).
+
+Replay: trial K of a check reads row K of its role draws, so replaying it
+draws trials 0..K (Stacked.replay).  The two truncation checks read one
+experiment, measured once per configuration.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from .multiplier import (
     schatten_budget,
     truncated,
 )
-from .errors import InvalidParameterError, NotInvertibleError
+from .errors import InvalidParameterError
 from .measure import (
     MeasureSpace,
     Symbol,
@@ -238,20 +245,22 @@ def random_vector(rng, d: int) -> np.ndarray:
 
 
 def random_instance(seed: int, branch: int, idx: int, d: int, n: int):
-    """(symbol, analysis frame, synthesis frame) on one random space."""
-    rng = _rng(seed, branch, idx)
-    F = random_frame(rng, d, n)
-    G = random_frame(rng, d, n, space=F.space)
-    m = random_symbol(rng, F.space)
-    return m, F, G
+    """(symbol, analysis frame, synthesis frame) on one random space: trial
+    idx of the instance roles on the branch, which every check that draws an
+    instance reads first."""
+    return _instance_of(Stacked(branch, _INSTANCE, None), seed, idx, d, n)
 
 
 def random_invertible_instance(seed: int, branch: int, idx: int, d: int, n: int):
-    """Random instance whose multiplier is comfortably invertible: the first
-    attempt k = 0, 1, ... whose stream _rng(seed, branch, idx, k) draws a
-    multiplier with sigma_min > 1e-6 sigma_max."""
-    w, F, G, m = (a[0] for a in _invertible_draws(
-        SuiteConfig(seed=seed, d=d, n_points=n), branch, _instance, range(idx, idx + 1)))
+    """Random instance whose multiplier is comfortably invertible: trial idx
+    of the invertible draws on the branch (_invertible_draws), whose
+    multiplier has sigma_min > 1e-6 sigma_max."""
+    return _instance_of(Stacked(branch, _INSTANCE, None, draw=_invertible_draws),
+                        seed, idx, d, n)
+
+
+def _instance_of(spec, seed: int, idx: int, d: int, n: int):
+    w, F, G, m = spec.replay(SuiteConfig(seed=seed, d=d, n_points=n), idx)
     space = MeasureSpace(np.arange(n, dtype=float)[:, None], w)
     return Symbol(m, space), fr.SampledFrame(space, F), fr.SampledFrame(space, G)
 
@@ -273,48 +282,85 @@ def _chunks(cfg: SuiteConfig, cap: int | None = None) -> list[range]:
     return [range(i, min(i + size, trials)) for i in range(0, trials, size)]
 
 
-def _stack(draws, count: int) -> list:
-    """The arrays of ``count`` per-trial draws, each stacked over the trials;
-    control specs, which are no arrays, are listed in trial order.
+# roles: role(rng, cfg, count) draws the array of each of ``count``
+# consecutive trials, (count, ...), with one generator call on its stream;
+# "d", "d-1" and "n" in a shape are sizes from the configuration
 
-    Each trial is copied into the stacks as it is drawn, so no more than one
-    trial is held twice; a chunk of one trial, the large sizes, is viewed
-    rather than copied, so it takes the memory of a per-trial loop.
+def _shape(cfg: SuiteConfig, dims) -> tuple:
+    sizes = {"d": cfg.d, "d-1": cfg.d - 1, "n": cfg.n_points}
+    return tuple(sizes.get(dim, dim) for dim in dims)
+
+
+def _complex(*dims):
+    """Complex standard normals, the real and then the imaginary part of each
+    entry, filled in place."""
+    def draw(rng, cfg, count):
+        out = np.empty((count, *_shape(cfg, dims)), dtype=complex)
+        rng.standard_normal(out=out.view(float))
+        return out
+    return draw
+
+
+def _real(*dims):
+    return lambda rng, cfg, count: rng.standard_normal((count, *_shape(cfg, dims)))
+
+
+def _uniform(low, high, *dims, dtype=float):
+    """Uniform in [low, high); arrays of bounds give one per trailing entry."""
+    return lambda rng, cfg, count: rng.uniform(
+        low, high, size=(count, *_shape(cfg, dims))).astype(dtype, copy=False)
+
+
+def _kinds(rng, cfg, count):
+    """Indices into controlled.SPECTRAL_KINDS."""
+    return rng.integers(0, len(ctrl.SPECTRAL_KINDS), size=count)
+
+
+_WEIGHTS = _uniform(0.2, 2.0, "n")
+_VECTORS = _complex("d", "n")
+_SYMBOL = _complex("n")
+_NONNEGATIVE = _uniform(0.0, 3.0, "n", dtype=complex)
+_FRAME = (_WEIGHTS, _VECTORS)
+# weights, analysis vectors, synthesis vectors, symbol
+_INSTANCE = (*_FRAME, _VECTORS, _SYMBOL)
+# a control's kind, and the (t, alpha, beta) of a power or an affine map
+_CONTROL = (_kinds, _uniform((-1.0, 0.5, 0.1), (1.5, 2.0, 1.0), 3))
+
+
+def _spec(kind: int, t: float, alpha: float, beta: float) -> ctrl.ControlSpec:
+    kind = ctrl.SPECTRAL_KINDS[kind]
+    if kind == "power":
+        return ctrl.ControlSpec(kind, t=t)
+    if kind == "affine":
+        return ctrl.ControlSpec(kind, alpha=alpha, beta=beta)
+    return ctrl.ControlSpec(kind)
+
+
+def _specs(kinds, params) -> list[ctrl.ControlSpec]:
+    """The control spec of each trial, from its kind and its parameter row."""
+    return [_spec(kind, *row) for kind, row in zip(kinds.tolist(), params.tolist())]
+
+
+def _draws(cfg: SuiteConfig, spec, streams, trials: range) -> list:
+    """A chunk of trials: every role drawn for all of them from its stream."""
+    return [role(rng, cfg, len(trials)) for role, rng in zip(spec.roles, streams)]
+
+
+def _invertible_draws(cfg: SuiteConfig, spec, streams, trials: range) -> list:
+    """The instances of a chunk of trials whose multiplier passes the
+    sigma_min > 1e-6 sigma_max test.
+
+    Attempt 0 comes from the role streams; only the trials that fail are
+    redrawn, attempt k = 1, 2, ... of trial t reading every role in turn from
+    _rng(seed, branch, t, k), up to 64 attempts.
     """
-    stacks = None
-    for k, items in enumerate(draws):
-        if count == 1:
-            return [[a] if isinstance(a, ctrl.ControlSpec) else np.asarray(a)[None]
-                    for a in items]
-        if stacks is None:
-            stacks = [[None] * count if isinstance(a, ctrl.ControlSpec)
-                      else np.empty((count, *np.shape(a)), np.result_type(a))
-                      for a in items]
-        for stack, a in zip(stacks, items):
-            stack[k] = a
-    return stacks
-
-
-def _draws(cfg: SuiteConfig, branch: int, draw, trials: range) -> list:
-    """The stacks of a chunk of trials, each drawn from _rng(seed, branch, trial)."""
-    return _stack((draw(_rng(cfg.seed, branch, i), cfg) for i in trials), len(trials))
-
-
-def _invertible_draws(cfg: SuiteConfig, branch: int, draw, trials: range) -> list:
-    """The stacks of random_invertible_instance for a chunk of trials.
-
-    Attempt 0 of every trial is drawn from _rng(seed, branch, trial, 0); then
-    only the trials whose multiplier fails the sigma_min > 1e-6 sigma_max test
-    are redrawn, attempt k from _rng(seed, branch, trial, k), up to 64.
-    """
-    stacks = None
+    stacks = drawn = _draws(cfg, spec, streams, trials)
     pending = np.arange(len(trials))
     for attempt in range(64):
-        drawn = _stack((draw(_rng(cfg.seed, branch, trials[k], attempt), cfg)
-                        for k in pending), len(pending))
-        if stacks is None:
-            stacks = drawn
-        else:
+        if attempt:
+            retries = [[role(rng, cfg, 1) for role in spec.roles] for rng in (
+                _rng(cfg.seed, spec.branch, trials[k], attempt) for k in pending)]
+            drawn = [np.concatenate(arrays) for arrays in zip(*retries)]
             for stack, redrawn in zip(stacks, drawn):
                 stack[pending] = redrawn
         w, F, G, m = drawn
@@ -325,109 +371,24 @@ def _invertible_draws(cfg: SuiteConfig, branch: int, draw, trials: range) -> lis
     raise InvalidParameterError("could not draw an invertible instance")  # pragma: no cover
 
 
-# per-trial draws: the arrays of one trial, in the order the single-instance
-# functions (random_frame, random_instance, ...) draw them from its stream
-
-def _frame(rng, cfg: SuiteConfig):
-    """Weights and vectors of random_frame."""
-    return _weights(rng, cfg.n_points), _normal(rng, (cfg.d, cfg.n_points))
-
-
-def _instance(rng, cfg: SuiteConfig):
-    """Weights, analysis and synthesis vectors and symbol of random_instance."""
-    return (*_frame(rng, cfg), _normal(rng, (cfg.d, cfg.n_points)),
-            _normal(rng, cfg.n_points))
-
-
-def _vectors(rng, cfg: SuiteConfig, count: int) -> np.ndarray:
-    """count random_vector draws, one after the other, taken in one call:
-    the generator fills an array element by element from one stream, so
-    each vector's d real parts, then its d imaginary parts, are the values
-    its own call would draw."""
-    parts = rng.standard_normal((count, 2, cfg.d))
-    out = np.empty((count, cfg.d), dtype=complex)
-    out.real = parts[:, 0]
-    out.imag = parts[:, 1]
-    return out
-
-
-def _frame_and_vectors(rng, cfg: SuiteConfig, count: int):
-    return (*_frame(rng, cfg), _vectors(rng, cfg, count))
-
-
-def _two_frames(rng, cfg: SuiteConfig):
-    """Weights, then the vectors of two frames on that space."""
-    return (*_frame(rng, cfg), _normal(rng, (cfg.d, cfg.n_points)))
-
-
-def _difference_instance(rng, cfg: SuiteConfig, extra: int):
-    """An instance, a second symbol and ``extra`` more frames on its space."""
-    shape = (cfg.d, cfg.n_points)
-    return (*_instance(rng, cfg), _normal(rng, cfg.n_points),
-            *(_normal(rng, shape) for _ in range(extra)))
-
-
-def _nonnegative_instance(rng, cfg: SuiteConfig):
-    """A frame and a symbol uniform in [0, 3]."""
-    return (*_frame(rng, cfg),
-            rng.uniform(0.0, 3.0, size=cfg.n_points).astype(complex))
-
-
-def _perturbation(rng, cfg: SuiteConfig):
-    """Two frames and a step uniform in [0.05, 1]."""
-    return (*_two_frames(rng, cfg), rng.uniform(0.05, 1.0))
-
-
-def _counting_frame(rng, cfg: SuiteConfig):
-    """Vectors on counting_space(n), which draws nothing."""
-    return (_normal(rng, (cfg.d, cfg.n_points)),)
-
-
-def _control_specs(rng) -> ctrl.ControlSpec:
-    kind = rng.choice(["identity", "inverse", "sqrt", "power", "affine"])
-    if kind == "power":
-        return ctrl.ControlSpec("power", t=float(rng.uniform(-1.0, 1.5)))
-    if kind == "affine":
-        return ctrl.ControlSpec("affine", alpha=float(rng.uniform(0.5, 2.0)),
-                                beta=float(rng.uniform(0.1, 1.0)))
-    return ctrl.ControlSpec(str(kind))
-
-
-def _frame_and_control(rng, cfg: SuiteConfig):
-    """A frame, then the spec of its control."""
-    return (*_frame(rng, cfg), _control_specs(rng))
-
-
-def _instance_and_controls(rng, cfg: SuiteConfig):
-    """An instance, then the specs of the analysis and the synthesis control."""
-    return (*_instance(rng, cfg), _control_specs(rng), _control_specs(rng))
-
-
-def _instance_and_frame(rng, cfg: SuiteConfig):
-    """An instance, then the vectors of one more frame on its space."""
-    return (*_instance(rng, cfg), _normal(rng, (cfg.d, cfg.n_points)))
-
-
-def _coercive_instance(rng, cfg: SuiteConfig):
-    """A frame, a floor delta uniform in [0.1, 1] and a symbol uniform in
-    [delta, delta + 2]."""
-    weights, vectors = _frame(rng, cfg)
-    delta = float(rng.uniform(0.1, 1.0))
-    return (weights, vectors, delta,
-            rng.uniform(delta, delta + 2.0, size=cfg.n_points).astype(complex))
-
-
-def _deficient_frame(rng, cfg: SuiteConfig):
-    """Weights and vectors confined to a random (d - 1)-dimensional subspace."""
-    d, n = cfg.d, cfg.n_points
-    weights, basis = _weights(rng, n), _normal(rng, (d, d - 1))
-    return weights, basis @ rng.standard_normal((d - 1, n))
+def _half_deficient(cfg: SuiteConfig, spec, streams, trials: range) -> list:
+    """Weights and vectors of a chunk of trials: a random frame on even
+    trials; on odd ones, columns confined to a random (d - 1)-dimensional
+    subspace, so no frame.  The vectors role is read by the even trials, the
+    subspace basis and coefficient roles by the odd ones."""
+    weights, vectors, basis, coefficients = (
+        functools.partial(role, rng, cfg) for role, rng in zip(spec.roles, streams))
+    odd = np.arange(trials.start, trials.stop) % 2 == 1
+    F = np.empty((len(trials), cfg.d, cfg.n_points), dtype=complex)
+    F[~odd] = vectors(np.count_nonzero(~odd))
+    F[odd] = basis(np.count_nonzero(odd)) @ coefficients(np.count_nonzero(odd))
+    return [weights(len(trials)), F]
 
 
 # measures: the values of a stack of trials that a check folds with max, one
 # per trial or a row of them in the order the trial produces them
 
-def _frame_factorization(cfg, w, F, *_):
+def _frame_factorization(cfg, w, F):
     S = fr.weighted_gram(F, w, F)
     # column k of the composition synthesizes the analysis of basis vector k
     coeffs = fr.coefficients(F[:, None], np.eye(cfg.d, dtype=complex))
@@ -450,21 +411,20 @@ def _multiplier_adjoint(cfg, w, F, G, m):
             / np.maximum(hb.operator_norm(M), 1e-300))
 
 
-def _difference(cfg, w, F, G, m, m2, *more, which):
-    # "analysis" draws a second analysis frame; "synthesis" draws one too,
-    # unused, so that its second synthesis frame comes from the same stream
+def _difference(cfg, w, F, G, m, other, which):
+    """Entrywise defect of a difference of multipliers against the multiplier
+    of the difference; ``other`` is the second symbol, analysis frame or
+    synthesis frame."""
     wm = w * m
     if which == "symbol":
-        lhs = fr.weighted_gram(G, wm, F) - fr.weighted_gram(G, w * m2, F)
-        rhs = fr.weighted_gram(G, w * (m - m2), F)
+        lhs = fr.weighted_gram(G, wm, F) - fr.weighted_gram(G, w * other, F)
+        rhs = fr.weighted_gram(G, w * (m - other), F)
     elif which == "analysis":
-        F2 = more[0]
-        lhs = fr.weighted_gram(G, wm, F) - fr.weighted_gram(G, wm, F2)
-        rhs = fr.weighted_gram(G, wm, F - F2)
+        lhs = fr.weighted_gram(G, wm, F) - fr.weighted_gram(G, wm, other)
+        rhs = fr.weighted_gram(G, wm, F - other)
     else:
-        G2 = more[1]
-        lhs = fr.weighted_gram(G, wm, F) - fr.weighted_gram(G2, wm, F)
-        rhs = fr.weighted_gram(G - G2, wm, F)
+        lhs = fr.weighted_gram(G, wm, F) - fr.weighted_gram(other, wm, F)
+        rhs = fr.weighted_gram(G - other, wm, F)
     return np.max(np.abs(lhs - rhs), axis=(-2, -1))
 
 
@@ -579,10 +539,12 @@ def _frame_convergence(cfg, w, F, G, m, bump, kind):
     return measured - budget
 
 
-def _controls(w, F, specs):
-    """Frame operators and spectral controls of a stack of trials."""
+def _controls(w, F, kinds, params):
+    """Frame operators, control specs and spectral controls of a stack of
+    trials."""
     S = fr.weighted_gram(F, w, F)
-    return S, ctrl.spectral_controls(specs, S)
+    specs = _specs(kinds, params)
+    return S, specs, ctrl.spectral_controls(specs, S)
 
 
 def _mapped_spectrum(S, specs):
@@ -591,16 +553,16 @@ def _mapped_spectrum(S, specs):
     return ctrl.spectral_maps(specs, lam) * lam
 
 
-def _controlled_factorization(cfg, w, F, specs):
-    S, C = _controls(w, F, specs)
+def _controlled_factorization(cfg, w, F, *control):
+    S, _, C = _controls(w, F, *control)
     L = ctrl.mixed_operator(C, w, F)
     scale = np.maximum(hb.operator_norm(L), 1.0)
     return np.stack([hb.operator_norm(L - C @ S) / scale,
                      hb.operator_norm(L - S @ hb.adjoint(C)) / scale], axis=-1)
 
 
-def _controlled_bounds_map(cfg, w, F, specs):
-    S, C = _controls(w, F, specs)
+def _controlled_bounds_map(cfg, w, F, *control):
+    S, specs, C = _controls(w, F, *control)
     low, high = ctrl.mixed_bounds(C, S, w, F)
     mapped = _mapped_spectrum(S, specs)
     scale = np.maximum(np.max(np.abs(mapped), axis=-1), 1.0)
@@ -608,8 +570,8 @@ def _controlled_bounds_map(cfg, w, F, specs):
                      np.abs(high - np.max(mapped, axis=-1)) / scale], axis=-1)
 
 
-def _controlled_spectral_mapping(cfg, w, F, specs):
-    S, C = _controls(w, F, specs)
+def _controlled_spectral_mapping(cfg, w, F, *control):
+    S, specs, C = _controls(w, F, *control)
     L = ctrl.mixed_operator(C, w, F)
     mapped = np.sort(_mapped_spectrum(S, specs), axis=-1)
     spectrum = np.sort(np.linalg.eigvalsh(hb.hermitian_part(L)), axis=-1)
@@ -617,22 +579,22 @@ def _controlled_spectral_mapping(cfg, w, F, specs):
     return np.max(np.abs(spectrum - mapped), axis=-1) / scale
 
 
-def _controlled_positivity(cfg, w, F, specs):
+def _controlled_positivity(cfg, w, F, *control):
     """True where the mixed operator is not positive."""
-    _, C = _controls(w, F, specs)
+    *_, C = _controls(w, F, *control)
     return ~hb.is_positive(ctrl.mixed_operator(C, w, F), 1e-10)
 
 
-def _controlled_implies_frame(cfg, w, F, specs):
+def _controlled_implies_frame(cfg, w, F, *control):
     """True where a positive controlled lower bound meets no frame."""
-    S, C = _controls(w, F, specs)
+    S, _, C = _controls(w, F, *control)
     low, _ = ctrl.mixed_bounds(C, S, w, F)
     return (low > 0.0) & ~fr.operator_bounds(S).is_frame
 
 
-def _precondition_identity(cfg, w, F, G, m, control_specs, dual_specs):
-    C = ctrl.spectral_controls(control_specs, fr.weighted_gram(F, w, F))
-    D = ctrl.spectral_controls(dual_specs, fr.weighted_gram(G, w, G))
+def _precondition_identity(cfg, w, F, G, m, kinds, params, dual_kinds, dual_params):
+    C = ctrl.spectral_controls(_specs(kinds, params), fr.weighted_gram(F, w, F))
+    D = ctrl.spectral_controls(_specs(dual_kinds, dual_params), fr.weighted_gram(G, w, G))
     return ctrl.precondition_residual(C, D, w * m, F, G)
 
 
@@ -657,8 +619,10 @@ def _multiplier_dual(cfg, w, F, G, m):
     return hb.operator_norm(fr.weighted_gram(G, w, H) - np.eye(cfg.d))
 
 
-def _positive_symbol_coercivity(cfg, w, F, delta, m):
-    """delta A_F - lambda_min(M), and True where M is not positive."""
+def _positive_symbol_coercivity(cfg, w, F, delta, offsets):
+    """delta A_F - lambda_min(M), and True where M is not positive, for the
+    symbol delta + offsets in [delta, delta + 2)."""
+    m = (delta[:, None] + offsets).astype(complex)
     M = fr.weighted_gram(F, w * m, F)
     # hb.is_positive(M, 1e-10) on the one eigvalsh that also gives lam_min
     lam_min, lam_max = hb.extreme_eigenvalues(M)
@@ -668,101 +632,120 @@ def _positive_symbol_coercivity(cfg, w, F, delta, m):
     return floor - lam_min, not_positive
 
 
+def _frame_iff_invertible(cfg, w, F):
+    """True where the frame property and invertibility of the frame operator
+    disagree; invertibility is hilbert.invert's cutoff."""
+    S = fr.weighted_gram(F, w, F)
+    return fr.operator_bounds(S).is_frame == hb.is_singular(hb.singular_values(S))
+
+
 class Stacked(NamedTuple):
-    """A check measured over stacks of trials: draw(rng, cfg) gives one
-    trial's arrays from its stream, and measure(cfg, *stacks) the values the
-    check folds.  The check takes min(cfg.trials, cap) trials, and
-    stacks(cfg, branch, draw, trials) draws a chunk of them: _draws, each
-    trial from _rng(seed, branch, trial), or _invertible_draws, the attempts
-    of random_invertible_instance."""
+    """A check measured over stacks of trials.  Role r of ``roles`` draws one
+    array per trial from the stream _rng(seed, branch, r), read in trial
+    order; draw(cfg, spec, streams, trials) draws a chunk of trials from the
+    streams (_draws, _invertible_draws or _half_deficient), and
+    measure(cfg, *stacks) gives the values the check folds.  The check takes
+    min(cfg.trials, cap) trials."""
 
     branch: int
-    draw: Callable
+    roles: tuple
     measure: Callable
     cap: int | None = None
-    stacks: Callable = _draws
+    draw: Callable = _draws
+
+    def streams(self, cfg: SuiteConfig) -> list:
+        """The stream of each role, before trial 0."""
+        return [_rng(cfg.seed, self.branch, r) for r in range(len(self.roles))]
+
+    def replay(self, cfg: SuiteConfig, trial: int) -> list:
+        """The arrays trial ``trial`` measures: the last rows of trials
+        0..trial, drawn as one chunk."""
+        return [stack[-1] for stack in
+                self.draw(cfg, self, self.streams(cfg), range(trial + 1))]
 
 
 STACKED = {
-    "frame_factorization": Stacked(101, _instance, _frame_factorization),
-    "reconstruction": Stacked(102, functools.partial(_frame_and_vectors, count=20),
+    "frame_factorization": Stacked(101, _FRAME, _frame_factorization),
+    "reconstruction": Stacked(102, (*_FRAME, _complex(20, "d")),
                               functools.partial(_reconstruction, swapped=False)),
-    "reconstruction_swapped": Stacked(
-        103, functools.partial(_frame_and_vectors, count=20),
-        functools.partial(_reconstruction, swapped=True)),
-    "multiplier_adjoint": Stacked(104, _instance, _multiplier_adjoint),
-    "difference_symbol": Stacked(105, functools.partial(_difference_instance, extra=0),
+    "reconstruction_swapped": Stacked(103, (*_FRAME, _complex(20, "d")),
+                                      functools.partial(_reconstruction, swapped=True)),
+    "multiplier_adjoint": Stacked(104, _INSTANCE, _multiplier_adjoint),
+    "difference_symbol": Stacked(105, (*_INSTANCE, _SYMBOL),
                                  functools.partial(_difference, which="symbol")),
-    "difference_analysis": Stacked(106, functools.partial(_difference_instance, extra=1),
+    "difference_analysis": Stacked(106, (*_INSTANCE, _VECTORS),
                                    functools.partial(_difference, which="analysis")),
-    "difference_synthesis": Stacked(107,
-                                    functools.partial(_difference_instance, extra=2),
+    "difference_synthesis": Stacked(107, (*_INSTANCE, _VECTORS),
                                     functools.partial(_difference, which="synthesis")),
-    "weighted_identity": Stacked(108, _nonnegative_instance, _weighted_identity),
-    "canonical_dual_pair": Stacked(109, _frame, _canonical_dual_pair),
-    "dual_bounds_inverse": Stacked(110, _frame, _dual_bounds_inverse),
-    "bessel_inequality": Stacked(112, functools.partial(_frame_and_vectors, count=10),
-                                 _bessel_inequality),
-    "bessel_sharpness": Stacked(113, _frame, _bessel_sharpness),
-    "op_norm_budget": Stacked(114, _instance, functools.partial(_budget, p=math.inf)),
-    "trace_budget": Stacked(115, _instance, functools.partial(_budget, p=1.0)),
-    "schatten_budget_p15": Stacked(116, _instance, functools.partial(_budget, p=1.5)),
-    "schatten_budget_p2": Stacked(117, _instance, functools.partial(_budget, p=2.0)),
-    "schatten_budget_p3": Stacked(118, _instance, functools.partial(_budget, p=3.0)),
-    "schatten_monotonicity": Stacked(119, _instance, _schatten_monotonicity),
-    "perturb_upper": Stacked(120, _perturbation, _perturb_upper),
-    "perturb_lower": Stacked(121, _two_frames, _perturb_lower),
-    "discrete_bessel_norm_bound": Stacked(122, _counting_frame,
-                                          _discrete_bessel_norm_bound),
+    "weighted_identity": Stacked(108, (*_FRAME, _NONNEGATIVE), _weighted_identity),
+    "canonical_dual_pair": Stacked(109, _FRAME, _canonical_dual_pair),
+    "dual_bounds_inverse": Stacked(110, _FRAME, _dual_bounds_inverse),
+    "frame_iff_invertible": Stacked(
+        111, (*_FRAME, _complex("d", "d-1"), _real("d-1", "n")), _frame_iff_invertible,
+        draw=_half_deficient),
+    "bessel_inequality": Stacked(112, (*_FRAME, _complex(10, "d")), _bessel_inequality),
+    "bessel_sharpness": Stacked(113, _FRAME, _bessel_sharpness),
+    "op_norm_budget": Stacked(114, _INSTANCE, functools.partial(_budget, p=math.inf)),
+    "trace_budget": Stacked(115, _INSTANCE, functools.partial(_budget, p=1.0)),
+    "schatten_budget_p15": Stacked(116, _INSTANCE, functools.partial(_budget, p=1.5)),
+    "schatten_budget_p2": Stacked(117, _INSTANCE, functools.partial(_budget, p=2.0)),
+    "schatten_budget_p3": Stacked(118, _INSTANCE, functools.partial(_budget, p=3.0)),
+    "schatten_monotonicity": Stacked(119, _INSTANCE, _schatten_monotonicity),
+    # weights, G, F, eps
+    "perturb_upper": Stacked(120, (*_FRAME, _VECTORS, _uniform(0.05, 1.0)),
+                             _perturb_upper),
+    "perturb_lower": Stacked(121, (*_FRAME, _VECTORS), _perturb_lower),
+    # vectors on counting_space(n), which draws nothing
+    "discrete_bessel_norm_bound": Stacked(122, (_VECTORS,), _discrete_bessel_norm_bound),
     # read by both truncation checks (_truncation_steps)
-    "truncation": Stacked(125, _nonnegative_instance, _truncation, cap=50),
-    "symbol_convergence_p1": Stacked(
-        126, functools.partial(_difference_instance, extra=0),
-        functools.partial(_symbol_convergence, p=1.0), cap=20),
-    "symbol_convergence_p2": Stacked(
-        127, functools.partial(_difference_instance, extra=0),
-        functools.partial(_symbol_convergence, p=2.0), cap=20),
-    "symbol_convergence_pinf": Stacked(
-        128, functools.partial(_difference_instance, extra=0),
-        functools.partial(_symbol_convergence, p=math.inf), cap=20),
-    "frame_uniform_l2": Stacked(
-        129, _instance_and_frame,
-        functools.partial(_frame_convergence, kind="frame_uniform_L2"), cap=20),
-    "frame_uniform_l1": Stacked(
-        130, _instance_and_frame,
-        functools.partial(_frame_convergence, kind="frame_uniform_L1"), cap=20),
-    "controlled_factorization": Stacked(136, _frame_and_control,
+    "truncation": Stacked(125, (*_FRAME, _NONNEGATIVE), _truncation, cap=50),
+    # the instance, then the bump of the symbol or of the analysis frame
+    "symbol_convergence_p1": Stacked(126, (*_INSTANCE, _SYMBOL), functools.partial(
+        _symbol_convergence, p=1.0), cap=20),
+    "symbol_convergence_p2": Stacked(127, (*_INSTANCE, _SYMBOL), functools.partial(
+        _symbol_convergence, p=2.0), cap=20),
+    "symbol_convergence_pinf": Stacked(128, (*_INSTANCE, _SYMBOL), functools.partial(
+        _symbol_convergence, p=math.inf), cap=20),
+    "frame_uniform_l2": Stacked(129, (*_INSTANCE, _VECTORS), functools.partial(
+        _frame_convergence, kind="frame_uniform_L2"), cap=20),
+    "frame_uniform_l1": Stacked(130, (*_INSTANCE, _VECTORS), functools.partial(
+        _frame_convergence, kind="frame_uniform_L1"), cap=20),
+    "controlled_factorization": Stacked(136, (*_FRAME, *_CONTROL),
                                         _controlled_factorization, cap=100),
-    "controlled_bounds_map": Stacked(137, _frame_and_control, _controlled_bounds_map,
+    "controlled_bounds_map": Stacked(137, (*_FRAME, *_CONTROL), _controlled_bounds_map,
                                      cap=100),
-    "controlled_spectral_mapping": Stacked(138, _frame_and_control,
+    "controlled_spectral_mapping": Stacked(138, (*_FRAME, *_CONTROL),
                                            _controlled_spectral_mapping, cap=100),
-    "controlled_positivity": Stacked(139, _frame_and_control, _controlled_positivity,
+    "controlled_positivity": Stacked(139, (*_FRAME, *_CONTROL), _controlled_positivity,
                                      cap=100),
-    "controlled_implies_frame": Stacked(140, _frame_and_control,
+    "controlled_implies_frame": Stacked(140, (*_FRAME, *_CONTROL),
                                         _controlled_implies_frame, cap=100),
-    "precondition_identity": Stacked(141, _instance_and_controls,
+    # the instance, the analysis control, then the synthesis control
+    "precondition_identity": Stacked(141, (*_INSTANCE, *_CONTROL, *_CONTROL),
                                      _precondition_identity, cap=100),
-    "weighted_scaling": Stacked(142, _frame, _weighted_scaling, cap=100),
-    "certificates": Stacked(143, _instance, _certificates, cap=100,
-                            stacks=_invertible_draws),
-    "multiplier_dual": Stacked(144, _instance, _multiplier_dual, cap=50,
-                               stacks=_invertible_draws),
-    "positive_symbol_coercivity": Stacked(145, _coercive_instance,
-                                          _positive_symbol_coercivity, cap=100),
+    "weighted_scaling": Stacked(142, _FRAME, _weighted_scaling, cap=100),
+    "certificates": Stacked(143, _INSTANCE, _certificates, cap=100,
+                            draw=_invertible_draws),
+    "multiplier_dual": Stacked(144, _INSTANCE, _multiplier_dual, cap=50,
+                               draw=_invertible_draws),
+    # the frame, delta in [0.1, 1), then the symbol's offsets from delta
+    "positive_symbol_coercivity": Stacked(
+        145, (*_FRAME, _uniform(0.1, 1.0), _uniform(0.0, 2.0, "n")),
+        _positive_symbol_coercivity, cap=100),
 }
 
 
 def stacked_values(cfg: SuiteConfig, check_id: str):
     """The values of a stacked check, chunk by chunk in trial order."""
     spec = STACKED[check_id]
+    streams = spec.streams(cfg)
     stacks = None
     for trials in _chunks(cfg, spec.cap):
         # the last chunk's stacks stay referenced while the next one is drawn,
         # as a per-trial loop holds its last instance: released first, malloc
         # trims their pages and the draw faults them in again (about 10^3
         # page faults a trial at d = 64, N = 4096)
-        stacks = spec.stacks(cfg, spec.branch, spec.draw, trials)
+        stacks = spec.draw(cfg, spec, streams, trials)
         yield spec.measure(cfg, *stacks)
 
 
@@ -775,30 +758,6 @@ def _truncation_steps(seed: int, d: int, n: int, trials: int) -> np.ndarray:
     steps = np.concatenate(list(stacked_values(cfg, "truncation")))
     steps.setflags(write=False)
     return steps
-
-
-def _inverts(S: np.ndarray) -> bool:
-    # hb.invert refuses a whole stack when one operator is singular, so each
-    # trial's operator is inverted on its own
-    try:
-        hb.invert(S)
-    except NotInvertibleError:
-        return False
-    return True
-
-
-def _frames_half_deficient(cfg: SuiteConfig, trials: range):
-    """Weights and vectors of each trial: a random frame on even trials,
-    columns confined to a proper subspace, so no frame, on odd ones."""
-    return _stack(((_deficient_frame if i % 2 else _frame)(_rng(cfg.seed, 111, i), cfg)
-                   for i in trials), len(trials))
-
-
-def _frame_iff_invertible(w, F) -> np.ndarray:
-    """True where the frame property and invertibility of the frame operator
-    disagree."""
-    S = fr.weighted_gram(F, w, F)
-    return fr.operator_bounds(S).is_frame != np.array([_inverts(s) for s in S])
 
 
 # ---------------------------------------------------------------------------
@@ -899,15 +858,9 @@ def check_dual_bounds_inverse(cfg: SuiteConfig) -> Check:
 
 
 def check_frame_iff_invertible(cfg: SuiteConfig) -> Check:
-    bad = 0
-    for trials in _chunks(cfg):
-        # loop locals, so the last chunk stays referenced while the next is
-        # drawn, as in stacked_values
-        w, F = _frames_half_deficient(cfg, trials)
-        bad += int(np.count_nonzero(_frame_iff_invertible(w, F)))
-    return _check(cfg, "frame_iff_invertible",
-                  "frame property coincides with invertibility of the frame "
-                  "operator", bad, cfg.tol("frame_iff_invertible"), bad == 0)
+    return _counted_check(cfg, "frame_iff_invertible",
+                          "frame property coincides with invertibility of the frame "
+                          "operator")
 
 
 def check_bessel_inequality(cfg: SuiteConfig) -> Check:

@@ -313,10 +313,10 @@ def test_aborted_checks_write_valid_json(monkeypatch, tmp_path, capsys):
 
 
 def test_frame_iff_invertible_lets_unexpected_errors_abort(monkeypatch):
-    def broken_invert(T):
+    def broken_singular_values(T):
         raise FloatingPointError("overflow")
 
-    monkeypatch.setattr(suites.hb, "invert", broken_invert)
+    monkeypatch.setattr(suites.hb, "singular_values", broken_singular_values)
     with pytest.raises(FloatingPointError):
         suites.check_frame_iff_invertible(SuiteConfig(trials=2, d=3, n_points=8))
 

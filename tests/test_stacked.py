@@ -1,11 +1,12 @@
 """The stacked trials of the identities, bounds, convergence, controlled and
 weighted suites against the single-frame API.
 
-Every stacked check measures a chunk of trials with one numpy call per step.
-The oracle here is the per-trial loop it replaced, written with the 2-d API
-(``frame_bounds``, ``canonical_dual``, ``multiplier``, ``bound_budget``,
-``make_control``, ``convergence_experiment``, ...) on the instances the
-suites draw; the stacked rows must equal it exactly.
+Every stacked check draws a chunk of trials with one generator call per role
+and measures it with one numpy call per step.  The oracle here is the
+per-trial loop it replaced, written with the 2-d API (``frame_bounds``,
+``canonical_dual``, ``multiplier``, ``bound_budget``, ``make_control``,
+``convergence_experiment``, ...) on each trial's draws (``Stacked.replay``);
+the stacked rows must equal it exactly.
 """
 
 import math
@@ -44,9 +45,9 @@ from contframes.multiplier import (
     schatten_budget,
     truncate_symbol,
 )
+from contframes.cli import main
 from contframes.suites import (
     SuiteConfig,
-    random_frame,
     random_instance,
     random_invertible_instance,
     run_suite,
@@ -58,12 +59,31 @@ def bits(a):
     return a.view(float) if np.iscomplexobj(a) else a
 
 
-def stream(cfg, branch, i):
-    return np.random.default_rng([cfg.seed, branch, i])
+def draws(cfg, check_id, i):
+    """The arrays trial i of a stacked check measures, one per role."""
+    return suites.STACKED[check_id].replay(cfg, i)
 
 
-def vectors(rng, d, count):
-    return [suites.random_vector(rng, d) for _ in range(count)]
+def frames(w, *vectors):
+    """Frames with the given vectors on the space of the weights w."""
+    space = MeasureSpace(np.arange(len(w), dtype=float)[:, None], w)
+    return [fr.SampledFrame(space, V) for V in vectors]
+
+
+def frame(cfg, check_id, i):
+    w, V, *_ = draws(cfg, check_id, i)
+    return frames(w, V)[0]
+
+
+def instance(cfg, check_id, i):
+    """(m, F, G) of trial i, then the arrays of the roles after the instance."""
+    w, V, W, m, *rest = draws(cfg, check_id, i)
+    F, G = frames(w, V, W)
+    return Symbol(m, F.space), F, G, rest
+
+
+def spec_of(kind, params):
+    return suites._spec(int(kind), *params.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -71,21 +91,21 @@ def vectors(rng, d, count):
 # ---------------------------------------------------------------------------
 
 def frame_factorization(cfg, i):
-    _, F, _ = random_instance(cfg.seed, 101, i, cfg.d, cfg.n_points)
+    F = frame(cfg, "frame_factorization", i)
     S = fr.frame_operator(F)
     composed = np.column_stack([fr.synthesis(F, fr.analysis(F, e))
                                 for e in np.eye(cfg.d)])
     return [hb.operator_norm(S - composed) / hb.operator_norm(S)]
 
 
-def reconstruction(branch, swapped):
+def reconstruction(check_id, swapped):
     def oracle(cfg, i):
-        rng = stream(cfg, branch, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
+        w, V, tests = draws(cfg, check_id, i)
+        F, = frames(w, V)
         dual = fr.canonical_dual(F)
         analysis, synthesis = (dual, F) if swapped else (F, dual)
         out = []
-        for f in vectors(rng, cfg.d, 20):
+        for f in tests:
             rec = fr.synthesis(synthesis, fr.analysis(analysis, f))
             out.append(float(np.linalg.norm(rec - f) / np.linalg.norm(f)))
         return out
@@ -93,30 +113,24 @@ def reconstruction(branch, swapped):
 
 
 def multiplier_adjoint(cfg, i):
-    m, F, G = random_instance(cfg.seed, 104, i, cfg.d, cfg.n_points)
+    m, F, G, _ = instance(cfg, "multiplier_adjoint", i)
     M = multiplier(m, F, G)
     other = multiplier(m.values.conj(), G, F)
     return [hb.operator_norm(M.conj().T - other) / max(hb.operator_norm(M), 1e-300)]
 
 
-def difference(branch, which):
+def difference(check_id, which):
     def oracle(cfg, i):
-        d, n = cfg.d, cfg.n_points
-        rng = stream(cfg, branch, i)
-        F = random_frame(rng, d, n)
-        G = random_frame(rng, d, n, space=F.space)
-        m = suites.random_symbol(rng, F.space)
-        m2 = suites.random_symbol(rng, F.space)
+        m, F, G, (other,) = instance(cfg, check_id, i)
         if which == "symbol":
-            lhs = multiplier(m, F, G) - multiplier(m2, F, G)
-            rhs = multiplier(m.values - m2.values, F, G)
+            lhs = multiplier(m, F, G) - multiplier(other, F, G)
+            rhs = multiplier(m.values - other, F, G)
         elif which == "analysis":
-            F2 = random_frame(rng, d, n, space=F.space)
+            F2 = fr.SampledFrame(F.space, other)
             lhs = multiplier(m, F, G) - multiplier(m, F2, G)
             rhs = multiplier(m, fr.SampledFrame(F.space, F.vectors - F2.vectors), G)
         else:
-            random_frame(rng, d, n, space=F.space)
-            G2 = random_frame(rng, d, n, space=F.space)
+            G2 = fr.SampledFrame(F.space, other)
             lhs = multiplier(m, F, G) - multiplier(m, F, G2)
             rhs = multiplier(m, F, fr.SampledFrame(F.space, G.vectors - G2.vectors))
         return [float(np.max(np.abs(lhs - rhs)))]
@@ -124,36 +138,29 @@ def difference(branch, which):
 
 
 def weighted_identity(cfg, i):
-    rng = stream(cfg, 108, i)
-    F = random_frame(rng, cfg.d, cfg.n_points)
-    m = Symbol(rng.uniform(0.0, 3.0, size=cfg.n_points).astype(complex), F.space)
+    w, V, values = draws(cfg, "weighted_identity", i)
+    F, = frames(w, V)
+    m = Symbol(values, F.space)
     M = multiplier(m, F, F)
     S = fr.frame_operator(fr.weighted(F, m))
     return [hb.operator_norm(M - S) / max(hb.operator_norm(S), 1.0)]
 
 
 def canonical_dual_pair(cfg, i):
-    F = random_frame(stream(cfg, 109, i), cfg.d, cfg.n_points)
+    F = frame(cfg, "canonical_dual_pair", i)
     return [fr.duality_defect(F, fr.canonical_dual(F))]
 
 
 def dual_bounds_inverse(cfg, i):
-    F = random_frame(stream(cfg, 110, i), cfg.d, cfg.n_points)
+    F = frame(cfg, "dual_bounds_inverse", i)
     bounds = fr.frame_bounds(F)
     dual = fr.frame_bounds(fr.canonical_dual(F))
     return [abs(dual.lower - 1.0 / bounds.upper) * bounds.upper,
             abs(dual.upper - 1.0 / bounds.lower) * bounds.lower]
 
 
-def frame_iff_invertible(cfg, i):  # a count, not a max: measured apart
-    d, n = cfg.d, cfg.n_points
-    rng = stream(cfg, 111, i)
-    if i % 2:
-        space = suites.random_space(rng, n)
-        basis = rng.standard_normal((d, d - 1)) + 1j * rng.standard_normal((d, d - 1))
-        F = fr.SampledFrame(space, basis @ rng.standard_normal((d - 1, n)))
-    else:
-        F = random_frame(rng, d, n)
+def frame_iff_invertible(cfg, i):  # True for a failing trial
+    F = frame(cfg, "frame_iff_invertible", i)
     try:
         hb.invert(fr.frame_operator(F))
         invertible = True
@@ -163,11 +170,11 @@ def frame_iff_invertible(cfg, i):  # a count, not a max: measured apart
 
 
 def bessel_inequality(cfg, i):
-    rng = stream(cfg, 112, i)
-    F = random_frame(rng, cfg.d, cfg.n_points)
+    w, V, tests = draws(cfg, "bessel_inequality", i)
+    F, = frames(w, V)
     bounds = fr.frame_bounds(F)
     out = []
-    for f in vectors(rng, cfg.d, 10):
+    for f in tests:
         energy = float(np.sum(F.space.weights * np.abs(fr.analysis(F, f)) ** 2))
         nsq = float(np.linalg.norm(f) ** 2)
         out += [(bounds.lower * nsq - energy) / nsq, (energy - bounds.upper * nsq) / nsq]
@@ -175,7 +182,7 @@ def bessel_inequality(cfg, i):
 
 
 def bessel_sharpness(cfg, i):
-    F = random_frame(stream(cfg, 113, i), cfg.d, cfg.n_points)
+    F = frame(cfg, "bessel_sharpness", i)
     S = fr.frame_operator(F)
     upper = fr.frame_bounds(F).upper
     top = np.linalg.eigh(0.5 * (S + S.conj().T))[1][:, -1]
@@ -183,34 +190,31 @@ def bessel_sharpness(cfg, i):
     return [abs(energy - upper) / upper]
 
 
-def budget(branch, p):
+def budget(check_id, p):
     def oracle(cfg, i):
-        m, F, G = random_instance(cfg.seed, branch, i, cfg.d, cfg.n_points)
+        m, F, G, _ = instance(cfg, check_id, i)
         report = bound_budget(m, F, G, ps=(p,))
         return [report.actuals[p] - report.schatten_budgets[p]]
     return oracle
 
 
 def schatten_monotonicity(cfg, i):
-    m, F, G = random_instance(cfg.seed, 119, i, cfg.d, cfg.n_points)
+    m, F, G, _ = instance(cfg, "schatten_monotonicity", i)
     M = multiplier(m, F, G)
     norms = [hb.schatten_norm(M, p) for p in (1.0, 1.5, 2.0, 3.0, math.inf)]
     return [b - a for a, b in zip(norms, norms[1:])]
 
 
 def perturb_upper(cfg, i):
-    rng = stream(cfg, 120, i)
-    G = random_frame(rng, cfg.d, cfg.n_points)
-    F = random_frame(rng, cfg.d, cfg.n_points, space=G.space)
-    eps = float(rng.uniform(0.05, 1.0))
+    w, Gv, Fv, eps = draws(cfg, "perturb_upper", i)
+    G, F = frames(w, Gv, Fv)
+    eps = float(eps)
     upper = fr.frame_bounds(fr.perturb(G, F, eps)).upper
     return [upper - 2.0 * (fr.frame_bounds(G).upper + eps**2 * fr.frame_bounds(F).upper)]
 
 
 def perturb_lower(cfg, i):
-    rng = stream(cfg, 121, i)
-    G = random_frame(rng, cfg.d, cfg.n_points)
-    F = random_frame(rng, cfg.d, cfg.n_points, space=G.space)
+    G, F = frames(*draws(cfg, "perturb_lower", i))
     ag, bf = fr.frame_bounds(G).lower, fr.frame_bounds(F).upper
     eps = 0.5 * math.sqrt(ag / bf)
     lower = fr.frame_bounds(fr.perturb(G, F, eps)).lower
@@ -218,15 +222,15 @@ def perturb_lower(cfg, i):
 
 
 def discrete_bessel_norm_bound(cfg, i):
-    F = random_frame(stream(cfg, 122, i), cfg.d, cfg.n_points,
-                     space=counting_space(cfg.n_points))
+    V, = draws(cfg, "discrete_bessel_norm_bound", i)
+    F = fr.SampledFrame(counting_space(cfg.n_points), V)
     return [fr.norm_bound(F) - math.sqrt(fr.frame_bounds(F).upper)]
 
 
 def truncation(cfg, i):
-    rng = stream(cfg, 125, i)
-    F = random_frame(rng, cfg.d, cfg.n_points)
-    m = Symbol(rng.uniform(0.0, 3.0, size=cfg.n_points).astype(complex), F.space)
+    w, V, values = draws(cfg, "truncation", i)
+    F, = frames(w, V)
+    m = Symbol(values, F.space)
     order = np.argsort(np.abs(m.values))[::-1]
     n = cfg.n_points
     schedule = [truncate_symbol(m, order[:c])
@@ -235,41 +239,33 @@ def truncation(cfg, i):
     return [s.measured for s in steps] + [s.budget for s in steps]
 
 
-def symbol_convergence(branch, p):
+def symbol_convergence(check_id, p):
     def oracle(cfg, i):
-        rng = stream(cfg, branch, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        G = random_frame(rng, cfg.d, cfg.n_points, space=F.space)
-        m = suites.random_symbol(rng, F.space)
-        bump = suites.random_symbol(rng, F.space)
-        schedule = [Symbol(m.values + bump.values / n, F.space) for n in (1, 2, 4, 8, 16)]
+        m, F, G, (bump,) = instance(cfg, check_id, i)
+        schedule = [Symbol(m.values + bump / n, F.space) for n in (1, 2, 4, 8, 16)]
         report = convergence_experiment("symbol_p", m, F, G, schedule, p=p)
         return [s.measured - s.budget for s in report.steps]
     return oracle
 
 
-def frame_convergence(branch, kind):
+def frame_convergence(check_id, kind):
     def oracle(cfg, i):
-        rng = stream(cfg, branch, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        G = random_frame(rng, cfg.d, cfg.n_points, space=F.space)
-        m = suites.random_symbol(rng, F.space)
-        bump = random_frame(rng, cfg.d, cfg.n_points, space=F.space)
-        schedule = [fr.SampledFrame(F.space, F.vectors + bump.vectors / n)
+        m, F, G, (bump,) = instance(cfg, check_id, i)
+        schedule = [fr.SampledFrame(F.space, F.vectors + bump / n)
                     for n in (1, 2, 4, 8, 16)]
         report = convergence_experiment(kind, m, F, G, schedule)
         return [s.measured - s.budget for s in report.steps]
     return oracle
 
 
-def controlled(branch):
+def controlled(check_id):
     """A frame, its control spec and the control, as a trial draws them."""
-    def instance(cfg, i):
-        rng = stream(cfg, branch, i)
-        F = random_frame(rng, cfg.d, cfg.n_points)
-        spec = suites._control_specs(rng)
+    def trial(cfg, i):
+        w, V, kind, params = draws(cfg, check_id, i)
+        F, = frames(w, V)
+        spec = spec_of(kind, params)
         return F, spec, make_control(spec, F)
-    return instance
+    return trial
 
 
 def mapped_spectrum(F, spec):
@@ -278,7 +274,7 @@ def mapped_spectrum(F, spec):
 
 
 def controlled_factorization(cfg, i):
-    F, _, C = controlled(136)(cfg, i)
+    F, _, C = controlled("controlled_factorization")(cfg, i)
     S = fr.frame_operator(F)
     L = controlled_frame_operator(C, F)
     scale = max(hb.operator_norm(L), 1.0)
@@ -287,7 +283,7 @@ def controlled_factorization(cfg, i):
 
 
 def controlled_bounds_map(cfg, i):
-    F, spec, C = controlled(137)(cfg, i)
+    F, spec, C = controlled("controlled_bounds_map")(cfg, i)
     low, high = controlled_bounds(C, F)
     mapped = mapped_spectrum(F, spec)
     scale = max(float(np.max(np.abs(mapped))), 1.0)
@@ -296,7 +292,7 @@ def controlled_bounds_map(cfg, i):
 
 
 def controlled_spectral_mapping(cfg, i):
-    F, spec, C = controlled(138)(cfg, i)
+    F, spec, C = controlled("controlled_spectral_mapping")(cfg, i)
     L = controlled_frame_operator(C, F)
     mapped = np.sort(mapped_spectrum(F, spec))
     spectrum = np.sort(np.linalg.eigvalsh(0.5 * (L + L.conj().T)))
@@ -304,41 +300,55 @@ def controlled_spectral_mapping(cfg, i):
 
 
 def controlled_positivity(cfg, i):  # True for a failing trial
-    F, _, C = controlled(139)(cfg, i)
+    F, _, C = controlled("controlled_positivity")(cfg, i)
     return [not hb.is_positive(controlled_frame_operator(C, F), 1e-10)]
 
 
 def controlled_implies_frame(cfg, i):
-    F, _, C = controlled(140)(cfg, i)
+    F, _, C = controlled("controlled_implies_frame")(cfg, i)
     low, _ = controlled_bounds(C, F)
     return [low > 0.0 and not fr.frame_bounds(F).is_frame]
 
 
 def precondition_identity(cfg, i):
-    rng = stream(cfg, 141, i)
-    F = random_frame(rng, cfg.d, cfg.n_points)
-    G = random_frame(rng, cfg.d, cfg.n_points, space=F.space)
-    m = suites.random_symbol(rng, F.space)
-    return [precondition_identity_residual(suites._control_specs(rng),
-                                           suites._control_specs(rng), m, F, G)]
+    m, F, G, (kind, params, dual_kind, dual_params) = instance(
+        cfg, "precondition_identity", i)
+    return [precondition_identity_residual(spec_of(kind, params),
+                                           spec_of(dual_kind, dual_params), m, F, G)]
 
 
 def weighted_scaling(cfg, i):
-    F = random_frame(stream(cfg, 142, i), cfg.d, cfg.n_points)
+    F = frame(cfg, "weighted_scaling", i)
     bounds = fr.frame_bounds(F)
     scaled = fr.frame_bounds(fr.weighted(F, np.full(cfg.n_points, 4.0)))
     return [abs(scaled.lower - 4.0 * bounds.lower) / (4.0 * bounds.upper),
             abs(scaled.upper - 4.0 * bounds.upper) / (4.0 * bounds.upper)]
 
 
-def invertible_instance(seed, branch, idx, d, n):
+def complex_normal(rng, shape):
+    """Complex standard normals, each entry's real and imaginary part drawn
+    one after the other."""
+    parts = rng.standard_normal((*shape, 2))
+    return parts[..., 0] + 1j * parts[..., 1]
+
+
+def invertible_instance(cfg, check_id, idx):
     """The per-trial retry loop: (m, F, G) of the first attempt whose
-    multiplier passes the sigma test, and that attempt."""
+    multiplier passes the sigma test, and that attempt.  Attempt 0 is trial
+    idx of the instance roles; attempt k >= 1 draws the weights, the analysis
+    and synthesis vectors and the symbol, in turn, from the stream
+    [seed, branch, idx, k]."""
+    d, n = cfg.d, cfg.n_points
+    spec = suites.STACKED[check_id]
+    w, V, W, values = spec._replace(draw=suites._draws).replay(cfg, idx)
     for attempt in range(64):
-        rng = np.random.default_rng([seed, branch, idx, attempt])
-        F = random_frame(rng, d, n)
-        G = random_frame(rng, d, n, space=F.space)
-        m = suites.random_symbol(rng, F.space)
+        if attempt:
+            rng = np.random.default_rng([cfg.seed, spec.branch, idx, attempt])
+            w = rng.uniform(0.2, 2.0, n)
+            V, W, values = (complex_normal(rng, (d, n)), complex_normal(rng, (d, n)),
+                            complex_normal(rng, (n,)))
+        F, G = frames(w, V, W)
+        m = Symbol(values, F.space)
         sigma = hb.singular_values(multiplier(m, F, G))
         if sigma[-1] > 1e-6 * sigma[0]:
             return m, F, G, attempt
@@ -346,23 +356,22 @@ def invertible_instance(seed, branch, idx, d, n):
 
 
 def certificates(cfg, i):  # floor - measured of part 1, then True for a failing trial
-    m, F, G, _ = invertible_instance(cfg.seed, 143, i, cfg.d, cfg.n_points)
+    m, F, G, _ = invertible_instance(cfg, "certificates", i)
     report = lower_bound_certificates(m, F, G)
     part1 = report.parts[0]
     return [part1.floor - part1.measured, not report.all_passed]
 
 
 def multiplier_dual(cfg, i):
-    m, F, G, _ = invertible_instance(cfg.seed, 144, i, cfg.d, cfg.n_points)
+    m, F, G, _ = invertible_instance(cfg, "multiplier_dual", i)
     return [fr.duality_defect(dual_from_multiplier(m, F, G), G)]
 
 
 def positive_symbol_coercivity(cfg, i):  # floor - lam_min, then True for a failing trial
-    rng = stream(cfg, 145, i)
-    F = random_frame(rng, cfg.d, cfg.n_points)
-    delta = float(rng.uniform(0.1, 1.0))
-    m = Symbol(rng.uniform(delta, delta + 2.0, size=cfg.n_points).astype(complex),
-               F.space)
+    w, V, delta, offsets = draws(cfg, "positive_symbol_coercivity", i)
+    F, = frames(w, V)
+    delta = float(delta)
+    m = Symbol((delta + offsets).astype(complex), F.space)
     M = multiplier(m, F, F)
     return [delta * fr.frame_bounds(F).lower - hb.extreme_eigenvalues(M)[0],
             not hb.is_positive(M, 1e-10)]
@@ -370,32 +379,33 @@ def positive_symbol_coercivity(cfg, i):  # floor - lam_min, then True for a fail
 
 ORACLES = {
     "frame_factorization": frame_factorization,
-    "reconstruction": reconstruction(102, swapped=False),
-    "reconstruction_swapped": reconstruction(103, swapped=True),
+    "reconstruction": reconstruction("reconstruction", swapped=False),
+    "reconstruction_swapped": reconstruction("reconstruction_swapped", swapped=True),
     "multiplier_adjoint": multiplier_adjoint,
-    "difference_symbol": difference(105, "symbol"),
-    "difference_analysis": difference(106, "analysis"),
-    "difference_synthesis": difference(107, "synthesis"),
+    "difference_symbol": difference("difference_symbol", "symbol"),
+    "difference_analysis": difference("difference_analysis", "analysis"),
+    "difference_synthesis": difference("difference_synthesis", "synthesis"),
     "weighted_identity": weighted_identity,
     "canonical_dual_pair": canonical_dual_pair,
     "dual_bounds_inverse": dual_bounds_inverse,
+    "frame_iff_invertible": frame_iff_invertible,
     "bessel_inequality": bessel_inequality,
     "bessel_sharpness": bessel_sharpness,
-    "op_norm_budget": budget(114, math.inf),
-    "trace_budget": budget(115, 1.0),
-    "schatten_budget_p15": budget(116, 1.5),
-    "schatten_budget_p2": budget(117, 2.0),
-    "schatten_budget_p3": budget(118, 3.0),
+    "op_norm_budget": budget("op_norm_budget", math.inf),
+    "trace_budget": budget("trace_budget", 1.0),
+    "schatten_budget_p15": budget("schatten_budget_p15", 1.5),
+    "schatten_budget_p2": budget("schatten_budget_p2", 2.0),
+    "schatten_budget_p3": budget("schatten_budget_p3", 3.0),
     "schatten_monotonicity": schatten_monotonicity,
     "perturb_upper": perturb_upper,
     "perturb_lower": perturb_lower,
     "discrete_bessel_norm_bound": discrete_bessel_norm_bound,
     "truncation": truncation,
-    "symbol_convergence_p1": symbol_convergence(126, 1.0),
-    "symbol_convergence_p2": symbol_convergence(127, 2.0),
-    "symbol_convergence_pinf": symbol_convergence(128, math.inf),
-    "frame_uniform_l2": frame_convergence(129, "frame_uniform_L2"),
-    "frame_uniform_l1": frame_convergence(130, "frame_uniform_L1"),
+    "symbol_convergence_p1": symbol_convergence("symbol_convergence_p1", 1.0),
+    "symbol_convergence_p2": symbol_convergence("symbol_convergence_p2", 2.0),
+    "symbol_convergence_pinf": symbol_convergence("symbol_convergence_pinf", math.inf),
+    "frame_uniform_l2": frame_convergence("frame_uniform_l2", "frame_uniform_L2"),
+    "frame_uniform_l1": frame_convergence("frame_uniform_l1", "frame_uniform_L1"),
     "controlled_factorization": controlled_factorization,
     "controlled_bounds_map": controlled_bounds_map,
     "controlled_spectral_mapping": controlled_spectral_mapping,
@@ -429,7 +439,6 @@ def test_every_trial_loop_of_the_algebra_suites_is_stacked():
     # the two truncation checks read the one "truncation" row
     assert set(suites.STACKED) == loops - {"unbounded_norm_growth",
                                            "unbounded_bessel_cap",
-                                           "frame_iff_invertible",
                                            "truncation_budget",
                                            "truncation_monotone"} | {"truncation"}
     assert set(ORACLES) == set(suites.STACKED)
@@ -454,9 +463,13 @@ def test_stacked_rows_equal_the_single_frame_api(check_id, d, n):
 
 @pytest.mark.parametrize("d,n", [(4, 12), (8, 64), (8, 4)])
 def test_stacked_frame_iff_invertible_equals_the_single_frame_api(d, n):
-    cfg = SuiteConfig(seed=13, d=d, n_points=n)
-    mismatches = suites._frame_iff_invertible(*suites._frames_half_deficient(cfg, range(4)))
-    assert mismatches.tolist() == [v for i in range(4) for v in frame_iff_invertible(cfg, i)]
+    cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=4)
+    assert stacked(cfg, "frame_iff_invertible") == [
+        v for i in range(4) for v in frame_iff_invertible(cfg, i)]
+    # odd trials confine the columns to a proper subspace
+    is_frame = [fr.frame_bounds(frame(cfg, "frame_iff_invertible", i)).is_frame
+                for i in range(4)]
+    assert is_frame == [n >= d and i % 2 == 0 for i in range(4)]
 
 
 def test_stacked_dual_refuses_non_frames_like_canonical_dual():
@@ -647,12 +660,35 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
 # draws
 # ---------------------------------------------------------------------------
 
+# every distinct role of the stacked checks, by its first check and position
+ROLES = {}
+for _check_id, _spec in suites.STACKED.items():
+    for _r, _role in enumerate(_spec.roles):
+        if all(_role is not seen for seen in ROLES.values()):
+            ROLES[f"{_check_id}:{_r}"] = _role
+
+
+@pytest.mark.parametrize("d,n,trials", [(8, 64, 7), (64, 4096, 2)])
+@pytest.mark.parametrize("role", sorted(ROLES))
+def test_a_role_draws_a_chunk_as_its_trials_one_at_a_time(role, d, n, trials):
+    # at (64, 4096) the suites draw chunks of one trial
+    cfg = SuiteConfig(d=d, n_points=n)
+    draw = ROLES[role]
+    chunk = draw(np.random.default_rng(6), cfg, trials)
+    rng = np.random.default_rng(6)
+    each = np.concatenate([draw(rng, cfg, 1) for _ in range(trials)])
+    assert len(chunk) == trials
+    assert chunk.dtype == each.dtype and np.array_equal(bits(chunk), bits(each))
+
+
 def test_vectors_in_one_draw_equal_one_draw_per_vector():
     cfg = SuiteConfig(d=5)
-    one = suites._vectors(np.random.default_rng(4), cfg, 20)
+    vectors = suites._complex("d")
+    one = vectors(np.random.default_rng(4), cfg, 20)
     rng = np.random.default_rng(4)
-    each = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(20)]
+    each = [vectors(rng, cfg, 1)[0] for _ in range(20)]
     assert np.array_equal(bits(one), bits(np.array(each)))
+    assert np.array_equal(bits(one), bits(complex_normal(np.random.default_rng(4), (20, 5))))
 
 
 def test_symbols_and_vectors_draw_the_values_of_the_dense_expression():
@@ -663,6 +699,27 @@ def test_symbols_and_vectors_draw_the_values_of_the_dense_expression():
     dense = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     assert np.array_equal(bits(m.values), bits(dense))
     assert np.array_equal(bits(v), bits(dense))
+
+
+def test_control_specs_take_their_kind_and_parameter_row():
+    kinds = np.arange(5)
+    params = np.array([[0.25, 1.5, 0.5]] * 5)
+    assert suites._specs(kinds, params) == [
+        ControlSpec("identity"), ControlSpec("inverse"), ControlSpec("sqrt"),
+        ControlSpec("power", t=0.25), ControlSpec("affine", alpha=1.5, beta=0.5)]
+
+
+def recorded_streams(monkeypatch) -> list:
+    """The keys of every stream the suites open from now on, in order."""
+    keys = []
+    rng = suites._rng
+
+    def recorded(*key):
+        keys.append(key)
+        return rng(*key)
+
+    monkeypatch.setattr(suites, "_rng", recorded)
+    return keys
 
 
 def forced_retries(monkeypatch):
@@ -681,34 +738,58 @@ def forced_retries(monkeypatch):
 
 def test_stacked_invertible_draws_retry_like_the_per_trial_loop(monkeypatch):
     forced_retries(monkeypatch)
+    keys = recorded_streams(monkeypatch)
     cfg = SuiteConfig(seed=5, d=3, n_points=7)
-    trials = range(2, 12)
-    w, F, G, m = suites._invertible_draws(cfg, 143, suites._instance, trials)
+    spec = suites.STACKED["certificates"]
+    w, F, G, m = spec.draw(cfg, spec, spec.streams(cfg), range(12))
+    retries = {key for key in keys if len(key) == 4}
     attempts = []
-    for k, i in enumerate(trials):
-        mi, Fi, Gi, attempt = invertible_instance(5, 143, i, 3, 7)
+    for i in range(12):
+        mi, Fi, Gi, attempt = invertible_instance(cfg, "certificates", i)
         attempts.append(attempt)
-        assert np.array_equal(w[k], Fi.space.weights)
-        assert np.array_equal(bits(F[k]), bits(Fi.vectors))
-        assert np.array_equal(bits(G[k]), bits(Gi.vectors))
-        assert np.array_equal(bits(m[k]), bits(mi.values))
+        assert np.array_equal(w[i], Fi.space.weights)
+        assert np.array_equal(bits(F[i]), bits(Fi.vectors))
+        assert np.array_equal(bits(G[i]), bits(Gi.vectors))
+        assert np.array_equal(bits(m[i]), bits(mi.values))
         single = random_invertible_instance(5, 143, i, 3, 7)
         assert single[0] == mi and single[1] == Fi and single[2] == Gi
     # some trials took the first attempt, others one or more retries
     assert min(attempts) == 0 and max(attempts) >= 2
+    # attempt k >= 1 of trial t, and only those, from the stream [seed, branch, t, k]
+    assert retries == {(5, 143, i, k) for i, last in enumerate(attempts)
+                       for k in range(1, last + 1)}
 
 
 def test_stacked_instances_equal_random_instance():
     cfg = SuiteConfig(seed=2, d=3, n_points=5)
-    w, F, G, m = suites._stack((suites._instance(stream(cfg, 104, i), cfg)
-                                for i in range(4)), 4)
-    assert suites.STACKED["multiplier_adjoint"].draw is suites._instance
+    spec = suites.STACKED["multiplier_adjoint"]
+    assert spec.roles == suites._INSTANCE
+    w, F, G, m = spec.draw(cfg, spec, spec.streams(cfg), range(4))
     for i in range(4):
         mi, Fi, Gi = random_instance(2, 104, i, 3, 5)
         assert np.array_equal(w[i], Fi.space.weights)
         assert np.array_equal(bits(F[i]), bits(Fi.vectors))
         assert np.array_equal(bits(G[i]), bits(Gi.vectors))
         assert np.array_equal(bits(m[i]), bits(mi.values))
+
+
+def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
+    keys = recorded_streams(monkeypatch)
+    suites._truncation_steps.cache_clear()
+    assert main(["verify", "--suite", "all", "--d", "4", "--n", "12", "--trials", "9",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    suites._truncation_steps.cache_clear()
+
+    # SeedSequence pads its entropy with zeros, so [s, b, r] and [s, b, r, 0]
+    # seed the same stream
+    def stripped(key):
+        key = list(key)
+        while key and key[-1] == 0:
+            key.pop()
+        return tuple(key)
+
+    assert (0, 141, 7) in keys  # the last role of precondition_identity
+    assert len({stripped(key) for key in keys}) == len(keys)
 
 
 # ---------------------------------------------------------------------------
