@@ -179,14 +179,14 @@ def controlled_bounds(C, F: SampledFrame) -> tuple[float, float]:
     bound certifies the controlled frame property, and implies the plain
     frame property of F.
     """
-    return mixed_bounds(np.asarray(C, dtype=complex), frame_operator(F),
-                        F.space.weights, F.vectors)
+    C = np.asarray(C, dtype=complex)
+    return mixed_bounds(C, frame_operator(F), controlled_frame_operator(C, F))
 
 
-def mixed_bounds(C: np.ndarray, S: np.ndarray, w, vectors: np.ndarray):
+def mixed_bounds(C: np.ndarray, S: np.ndarray, L: np.ndarray):
     """The bounds of ``controlled_bounds`` from a control C, the frame operator
-    S, the weights w and the vectors of the frame, or for each instance of a
-    stack (floats for one, arrays for a stack); raises on the first
+    S and the mixed operator L (``mixed_operator``), or for each instance of
+    a stack (floats for one, arrays for a stack); raises on the first
     hypothesis that some instance violates."""
     scale = hilbert.operator_norm(C)
     if np.any(hilbert.operator_norm(C - hilbert.adjoint(C))
@@ -203,7 +203,7 @@ def mixed_bounds(C: np.ndarray, S: np.ndarray, w, vectors: np.ndarray):
             f"control does not commute with the frame operator (defect {defect:.3e})"
         )
     # Hermitian by the hypotheses just checked, so not re-validated
-    return hilbert.extreme_eigenvalues(mixed_operator(C, w, vectors))
+    return hilbert.extreme_eigenvalues(L)
 
 
 def precondition_identity_residual(control_spec: ControlSpec,

@@ -8,12 +8,13 @@ invertible multiplier yields for the lower frame bounds of the weighted
 families, the dual frame it induces, and convergence experiments for
 perturbed symbols or frames.
 
-Truncation, the certificates, the induced dual and the convergence steps are
-computed by array kernels (``truncated``, ``certificate_values``,
-``multiplier_dual_vectors``, ``convergence_steps``) that also take stacks of
-weights, symbols and frames along leading axes; the functions on ``Symbol``
-and ``SampledFrame`` objects validate one instance and call them, so a stack
-of instances gives, instance by instance, the values of single calls.
+The budgets, truncation, the certificates, the induced dual and the
+convergence steps are computed by array kernels (``budget_values``,
+``truncated``, ``certificate_values``, ``multiplier_dual_vectors``,
+``convergence_steps``) that also take stacks of weights, symbols and frames
+along leading axes; the functions on ``Symbol`` and ``SampledFrame`` objects
+validate one instance and call them, so a stack of instances gives, instance
+by instance, the values of single calls.
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ from . import hilbert
 from .errors import InvalidParameterError, NotAFrameError, ShapeMismatchError
 from .frame import (
     SampledFrame,
-    frame_bounds,
     max_column_norm,
-    norm_bound,
     operator_bounds,
     scaled_columns,
     weighted_gram,
 )
-from .measure import Symbol, lp_norm, same_space, symbol_values, weighted_lp_norm
+from .measure import Symbol, same_space, symbol_values, weighted_lp_norm
 
 DEFAULT_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
 
@@ -114,21 +113,34 @@ def bound_budget(m, F: SampledFrame, G: SampledFrame,
     """Compare every Schatten norm of the multiplier to its budget.
 
     Budgets use the optimal upper frame bounds and the exact largest column
-    norms, so they are the sharpest constants the factorization provides.
+    norms, so they are the sharpest constants the factorization provides;
+    the operator-norm and trace budgets are those at p = inf and p = 1.
     """
     values = _aligned(m, F, G)
-    bf, bg = frame_bounds(F).upper, frame_bounds(G).upper
-    lf, lg = norm_bound(F), norm_bound(G)
-    sigma = hilbert.singular_values(multiplier(values, F, G))
-
-    budgets, actuals, passed = {}, {}, {}
-    for p in ps:
-        budgets[p] = schatten_budget(p, lp_norm(F.space, values, p), lf, lg, bf, bg)
-        actuals[p] = hilbert.schatten_of(sigma, p)
-        passed[p] = bool(actuals[p] <= budgets[p] + tolerance)
-    op_budget = lp_norm(F.space, values, math.inf) * math.sqrt(bf * bg)
-    trace_budget = lp_norm(F.space, values, 1.0) * lf * lg
+    actuals, budgets = budget_values(F.space.weights, values, F.vectors, G.vectors,
+                                     (*ps, math.inf, 1.0))
+    *budgets, op_budget, trace_budget = budgets.tolist()
+    actuals = dict(zip(ps, actuals.tolist()))
+    budgets = dict(zip(ps, budgets))
+    passed = {p: bool(actuals[p] <= budgets[p] + tolerance) for p in ps}
     return BudgetReport(op_budget, trace_budget, budgets, actuals, passed, tolerance)
+
+
+def budget_values(w, values, F: np.ndarray, G: np.ndarray, ps=DEFAULT_PS):
+    """Schatten p-norm of the multiplier of symbol values m, analysis vectors
+    F and synthesis vectors G under weights w, and its budget, for each p of
+    ps from one SVD; for one instance or each of a stack.
+
+    Two arrays with ps along a new last axis.
+    """
+    bf = operator_bounds(weighted_gram(F, w, F)).upper
+    bg = bf if G is F else operator_bounds(weighted_gram(G, w, G)).upper
+    lf, lg = max_column_norm(F), max_column_norm(G)
+    sigma = hilbert.singular_values(weighted_gram(G, w * values, F))
+    actuals = [hilbert.schatten_of(sigma, p) for p in ps]
+    budgets = [schatten_budget(p, weighted_lp_norm(w, values, p), lf, lg, bf, bg)
+               for p in ps]
+    return np.stack(actuals, axis=-1), np.stack(budgets, axis=-1)
 
 
 def truncate_symbol(m: Symbol, keep) -> Symbol:
@@ -303,6 +315,8 @@ class ConvergenceReport:
 
 
 CONVERGENCE_KINDS = ("symbol_p", "frame_uniform_L2", "frame_uniform_L1")
+# the norm of the symbol in the budget of each frame kind
+FRAME_NORMS = {"frame_uniform_L2": 2.0, "frame_uniform_L1": 1.0}
 
 
 def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
@@ -327,18 +341,18 @@ def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
 
     values = _aligned(m, F, G)
     if kind == "symbol_p":
-        items = [symbol_values(F.space, item) for item in schedule]
+        items, ps = [symbol_values(F.space, item) for item in schedule], (p,)
     else:
         if not all(isinstance(item, SampledFrame) for item in schedule):
             raise InvalidParameterError("frame schedules must list frames")
         for item in schedule:
             _aligned(values, item, G)
-        items = [item.vectors for item in schedule]
+        items, ps = [item.vectors for item in schedule], (FRAME_NORMS[kind],)
     # the same frame twice (as in a truncation experiment) is passed as one
     # array, so its frame operator is formed once
     synthesis = F.vectors if G is F else G.vectors
-    eps, measured, budget = convergence_steps(kind, F.space.weights, values, F.vectors,
-                                              synthesis, items, p)
+    eps, measured, budget = (column[0] for column in convergence_steps(
+        kind, F.space.weights, values, F.vectors, synthesis, items, ps))
     steps = tuple(ConvergenceStep(e, d, b, d <= b + tolerance) for e, d, b in zip(
         eps.tolist(), measured.tolist(), budget.tolist()))
     measured_seq = [s.measured for s in steps]
@@ -347,36 +361,42 @@ def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
 
 
 def convergence_steps(kind: str, w, values, F: np.ndarray, G: np.ndarray,
-                      schedule, p: float | None = None):
+                      schedule, ps):
     """Distance, deviation and budget of each step of a convergence
-    experiment (see ``convergence_experiment``), for symbol values m,
-    analysis vectors F and synthesis vectors G under weights w, or for each
-    instance of a stack.
+    experiment (see ``convergence_experiment``) for each p of ps, for symbol
+    values m, analysis vectors F and synthesis vectors G under weights w, or
+    for each instance of a stack.
 
-    The schedule lists symbol values for "symbol_p" and analysis vectors for
-    the frame kinds, shaped as m or F; it is read one step at a time, so a
-    generator holds one step in memory.  Three arrays with the steps along a
-    new last axis.
+    kind "symbol_p": the schedule lists symbol values shaped as m, and ps are
+    Schatten exponents.  Any other kind: the schedule lists analysis vectors
+    shaped as F, and ps are values of FRAME_NORMS, 2 for the budget of
+    "frame_uniform_L2" and 1 for that of "frame_uniform_L1".  A step takes
+    one Gram product and one SVD for all of ps.  The schedule is read one
+    step at a time, so a generator holds one step in memory.  Three arrays
+    shaped (..., len(ps), steps).
     """
-    base = weighted_gram(G, w * values, F)
+    wm = w * values
+    base = weighted_gram(G, wm, F)
     bf = operator_bounds(weighted_gram(F, w, F)).upper
     bg = bf if G is F else operator_bounds(weighted_gram(G, w, G)).upper
     lf = max_column_norm(F)
     lg = lf if G is F else max_column_norm(G)
-    if kind == "frame_uniform_L2":
-        m_norm, factor = weighted_lp_norm(w, values, 2.0), np.sqrt(bg)
-    elif kind == "frame_uniform_L1":
-        m_norm, factor = weighted_lp_norm(w, values, 1.0), lg
+    if kind != "symbol_p":
+        norms = [(weighted_lp_norm(w, values, p), np.sqrt(bg) if p == 2.0 else lg)
+                 for p in ps]
 
     steps = []
     for item in schedule:
         if kind == "symbol_p":
-            eps = weighted_lp_norm(w, item - values, p)
-            measured = hilbert.schatten_norm(weighted_gram(G, w * item, F) - base, p)
-            budget = schatten_budget(p, eps, lf, lg, bf, bg)
+            sigma = hilbert.singular_values(weighted_gram(G, w * item, F) - base)
+            delta = item - values
+            eps = [weighted_lp_norm(w, delta, p) for p in ps]
+            measured = [hilbert.schatten_of(sigma, p) for p in ps]
+            budget = [schatten_budget(p, e, lf, lg, bf, bg) for p, e in zip(ps, eps)]
         else:
-            eps = max_column_norm(item - F)
-            measured = hilbert.operator_norm(weighted_gram(G, w * values, item) - base)
-            budget = eps * m_norm * factor
-        steps.append((eps, measured, budget))
+            distance = max_column_norm(item - F)
+            deviation = hilbert.operator_norm(weighted_gram(G, wm, item) - base)
+            eps, measured = [distance] * len(ps), [deviation] * len(ps)
+            budget = [distance * m_norm * factor for m_norm, factor in norms]
+        steps.append([np.stack(column, axis=-1) for column in (eps, measured, budget)])
     return tuple(np.stack(column, axis=-1) for column in zip(*steps))

@@ -10,14 +10,14 @@ The checks of the identities, bounds, convergence, controlled and weighted
 suites evaluate their trials in stacks; only the gabor suite, whose trials
 draw their own sizes, and the checks that loop over grids rather than trials
 run one instance at a time, each on a stream of its own.  STACKED holds the
-roles and the measure of each stacked check.  A role is one array a trial
-draws: the weights, the analysis or synthesis vectors, a symbol, test
+row of each stacked check: its roles and its measure.  A role is one array a
+trial draws: the weights, the analysis or synthesis vectors, a symbol, test
 vectors, a step eps, a control's kind or its parameters, ...  Role r of the
-check on branch b reads the stream _rng(seed, b, r), and reads it in trial
+row on branch b reads the stream _rng(seed, b, r), and reads it in trial
 order: numpy fills an array from one stream entry by entry, so one call of
 shape (T, ...) draws the values of T consecutive trials.  A chunk of
-max(1, STACK_ENTRIES // (d N)) consecutive trials of a check's trial count
-(capped at 100, 50 or 20 for some checks) thus takes one generator call per
+max(1, STACK_ENTRIES // (d N)) consecutive trials of a row's trial count
+(capped at 100, 50 or 20 for some rows) thus takes one generator call per
 role into (T, d, N) and (T, N) arrays, and the reports do not depend on the
 chunk size.  Every step is then one numpy call over the stack, through the
 array kernels the single-frame API is built on, and the chunk's values are
@@ -28,9 +28,22 @@ row of eigenvalues.  Invertible instances take attempt 0 from the role
 streams and redraw only the trials whose multiplier fails, attempt k >= 1 of
 trial t from _rng(seed, b, t, k).
 
-Replay: trial K of a check reads row K of its role draws, so replaying it
-draws trials 0..K (Stacked.replay).  The two truncation checks read one
-experiment, measured once per configuration.
+Families: checks that read one operator of one instance share a family row,
+whose measure gives the values of every member from one draw and one Gram
+product per operator.  The budgets (branch 114: the five Schatten budgets
+and monotonicity from one SVD), the difference identities (105, with a
+second symbol and second vectors), the truncation checks (125), the symbol
+convergence checks (126: p = 1, 2 and inf from one SVD a step), the
+frame-uniform checks (129: the L2 and L1 budgets of one deviation a step) and
+the controlled checks (136: one S, C and L a trial, precondition_identity
+aside) are families; branches 106, 107, 115-119, 127, 128, 130 and 137-140
+are retired.  run_suite draws and measures a family once for all its
+members, which follow each other; a family whose measure raises aborts every
+member with the same error.
+
+Replay: trial K of a check reads row K of its row's role draws, so replaying
+it draws trials 0..K (Stacked.replay); a member of a family replays the
+family's row.
 """
 
 from __future__ import annotations
@@ -50,11 +63,11 @@ from . import tf_frames as tf
 from .multiplier import (
     DEFAULT_PS,
     bound_budget,
+    budget_values,
     certificate_values,
     convergence_steps,
     multiplier,
     multiplier_dual_vectors,
-    schatten_budget,
     truncated,
 )
 from .errors import InvalidParameterError
@@ -63,7 +76,6 @@ from .measure import (
     Symbol,
     uniform_grid_1d,
     wavelet_grid,
-    weighted_lp_norm,
 )
 from .reporting import Check, Report
 
@@ -214,30 +226,12 @@ def _rng(seed: int, *branch: int) -> np.random.Generator:
     return np.random.default_rng([int(seed)] + [int(b) for b in branch])
 
 
-def _weights(rng, n: int) -> np.ndarray:
-    return rng.uniform(0.2, 2.0, size=n)
-
-
 def _normal(rng, shape) -> np.ndarray:
     """Complex array of standard normal real parts, then imaginary parts."""
     out = np.empty(shape, dtype=complex)
     out.real = rng.standard_normal(shape)
     out.imag = rng.standard_normal(shape)
     return out
-
-
-def random_space(rng, n: int) -> MeasureSpace:
-    return MeasureSpace(np.arange(n, dtype=float)[:, None], _weights(rng, n))
-
-
-def random_frame(rng, d: int, n: int, space: MeasureSpace | None = None) -> fr.SampledFrame:
-    if space is None:
-        space = random_space(rng, n)
-    return fr.SampledFrame(space, _normal(rng, (d, n)))
-
-
-def random_symbol(rng, space: MeasureSpace) -> Symbol:
-    return Symbol(_normal(rng, space.n_points), space)
 
 
 def random_vector(rng, d: int) -> np.ndarray:
@@ -411,21 +405,18 @@ def _multiplier_adjoint(cfg, w, F, G, m):
             / np.maximum(hb.operator_norm(M), 1e-300))
 
 
-def _difference(cfg, w, F, G, m, other, which):
-    """Entrywise defect of a difference of multipliers against the multiplier
-    of the difference; ``other`` is the second symbol, analysis frame or
-    synthesis frame."""
+def _difference(cfg, w, F, G, m, symbol, vectors):
+    """Entrywise defects of a difference of multipliers against the multiplier
+    of the difference, from one base multiplier: over a second symbol, then
+    over the vectors as a second analysis frame, then as a second synthesis
+    frame."""
     wm = w * m
-    if which == "symbol":
-        lhs = fr.weighted_gram(G, wm, F) - fr.weighted_gram(G, w * other, F)
-        rhs = fr.weighted_gram(G, w * (m - other), F)
-    elif which == "analysis":
-        lhs = fr.weighted_gram(G, wm, F) - fr.weighted_gram(G, wm, other)
-        rhs = fr.weighted_gram(G, wm, F - other)
-    else:
-        lhs = fr.weighted_gram(G, wm, F) - fr.weighted_gram(other, wm, F)
-        rhs = fr.weighted_gram(G - other, wm, F)
-    return np.max(np.abs(lhs - rhs), axis=(-2, -1))
+    base = fr.weighted_gram(G, wm, F)
+    # (the second multiplier, the multiplier of the difference)
+    pairs = ((fr.weighted_gram(G, w * symbol, F), fr.weighted_gram(G, w * (m - symbol), F)),
+             (fr.weighted_gram(G, wm, vectors), fr.weighted_gram(G, wm, F - vectors)),
+             (fr.weighted_gram(vectors, wm, F), fr.weighted_gram(G - vectors, wm, F)))
+    return tuple(np.max(np.abs(base - other - rhs), axis=(-2, -1)) for other, rhs in pairs)
 
 
 def _weighted_identity(cfg, w, F, m):
@@ -471,20 +462,11 @@ def _upper_bound(w, vectors):
     return fr.operator_bounds(fr.weighted_gram(vectors, w, vectors)).upper
 
 
-def _budget(cfg, w, F, G, m, p):
-    """Schatten p-norm of the multiplier minus its budget, as bound_budget
-    measures them."""
-    actual = hb.schatten_norm(fr.weighted_gram(G, w * m, F), p)
-    budget = schatten_budget(p, weighted_lp_norm(w, m, p), fr.max_column_norm(F),
-                             fr.max_column_norm(G), _upper_bound(w, F),
-                             _upper_bound(w, G))
-    return actual - budget
-
-
-def _schatten_monotonicity(cfg, w, F, G, m):
-    sigma = hb.singular_values(fr.weighted_gram(G, w * m, F))
-    norms = [hb.schatten_of(sigma, p) for p in DEFAULT_PS]
-    return np.stack([b - a for a, b in zip(norms, norms[1:])], axis=-1)
+def _budgets(cfg, w, F, G, m):
+    """Schatten norm minus budget at p = inf, 1, 1.5, 2 and 3, then the rise
+    of the Schatten norms from each p to the next, from one SVD."""
+    actual, budget = budget_values(w, m, F, G, DEFAULT_PS)  # p = 1, 1.5, 2, 3, inf
+    return (*(actual - budget)[:, [4, 0, 1, 2, 3]].T, np.diff(actual, axis=-1))
 
 
 def _perturb_upper(cfg, w, G, F, eps):
@@ -513,83 +495,55 @@ def _truncation_cuts(n: int) -> list[int]:
 
 
 def _truncation(cfg, w, F, m):
-    """Deviation and budget of each nested truncation of a nonnegative symbol
-    against one frame, (T, 2, steps): the largest values are kept first, so
+    """Deviation minus budget of each nested truncation of a nonnegative
+    symbol against one frame, then the rise of the deviation from each step
+    to the next and its last value: the largest values are kept first, so
     the cut remainder is a sum of positive rank-one terms and its norm
     shrinks monotonically as the kept set grows."""
     order = np.argsort(np.abs(m), axis=-1)[..., ::-1]
     schedule = (truncated(m, order[..., :c]) for c in _truncation_cuts(cfg.n_points))
-    _, measured, budget = convergence_steps("symbol_p", w, m, F, F, schedule, math.inf)
-    return np.stack([measured, budget], axis=-2)
+    _, measured, budget = (a[:, 0] for a in convergence_steps(
+        "symbol_p", w, m, F, F, schedule, (math.inf,)))
+    rises = np.concatenate([np.diff(measured), measured[:, -1:]], axis=-1)
+    return measured - budget, rises
 
 
 # the schedules of the convergence checks: the base plus bump / n
 CONVERGENCE_STEPS = (1, 2, 4, 8, 16)
 
 
-def _symbol_convergence(cfg, w, F, G, m, bump, p):
-    schedule = (m + bump / n for n in CONVERGENCE_STEPS)
-    _, measured, budget = convergence_steps("symbol_p", w, m, F, G, schedule, p)
-    return measured - budget
+def _convergence(cfg, w, F, G, m, bump, kind, ps):
+    """Deviation minus budget of each step, one row per p, with the bump added
+    to the symbol for "symbol_p" and to the analysis vectors otherwise."""
+    base = m if kind == "symbol_p" else F
+    schedule = (base + bump / n for n in CONVERGENCE_STEPS)
+    _, measured, budget = convergence_steps(kind, w, m, F, G, schedule, ps)
+    return tuple(np.moveaxis(measured - budget, -2, 0))
 
 
-def _frame_convergence(cfg, w, F, G, m, bump, kind):
-    schedule = (F + bump / n for n in CONVERGENCE_STEPS)
-    _, measured, budget = convergence_steps(kind, w, m, F, G, schedule)
-    return measured - budget
-
-
-def _controls(w, F, kinds, params):
-    """Frame operators, control specs and spectral controls of a stack of
-    trials."""
+def _controlled(cfg, w, F, kinds, params):
+    """The factorization defects, the bounds-map defects, the spectral-mapping
+    defect, and where the mixed operator is not positive or a positive
+    controlled lower bound meets no frame, from one frame operator S, control
+    C and mixed operator L per trial."""
     S = fr.weighted_gram(F, w, F)
     specs = _specs(kinds, params)
-    return S, specs, ctrl.spectral_controls(specs, S)
-
-
-def _mapped_spectrum(S, specs):
-    """phi(lambda) lambda over the eigenvalues of each frame operator."""
+    C = ctrl.spectral_controls(specs, S)
+    L = ctrl.mixed_operator(C, w, F)
+    scale = np.maximum(hb.operator_norm(L), 1.0)
+    low, high = ctrl.mixed_bounds(C, S, L)
     lam = np.linalg.eigvalsh(S)
-    return ctrl.spectral_maps(specs, lam) * lam
-
-
-def _controlled_factorization(cfg, w, F, *control):
-    S, _, C = _controls(w, F, *control)
-    L = ctrl.mixed_operator(C, w, F)
-    scale = np.maximum(hb.operator_norm(L), 1.0)
-    return np.stack([hb.operator_norm(L - C @ S) / scale,
-                     hb.operator_norm(L - S @ hb.adjoint(C)) / scale], axis=-1)
-
-
-def _controlled_bounds_map(cfg, w, F, *control):
-    S, specs, C = _controls(w, F, *control)
-    low, high = ctrl.mixed_bounds(C, S, w, F)
-    mapped = _mapped_spectrum(S, specs)
-    scale = np.maximum(np.max(np.abs(mapped), axis=-1), 1.0)
-    return np.stack([np.abs(low - np.min(mapped, axis=-1)) / scale,
-                     np.abs(high - np.max(mapped, axis=-1)) / scale], axis=-1)
-
-
-def _controlled_spectral_mapping(cfg, w, F, *control):
-    S, specs, C = _controls(w, F, *control)
-    L = ctrl.mixed_operator(C, w, F)
-    mapped = np.sort(_mapped_spectrum(S, specs), axis=-1)
-    spectrum = np.sort(np.linalg.eigvalsh(hb.hermitian_part(L)), axis=-1)
-    scale = np.maximum(hb.operator_norm(L), 1.0)
-    return np.max(np.abs(spectrum - mapped), axis=-1) / scale
-
-
-def _controlled_positivity(cfg, w, F, *control):
-    """True where the mixed operator is not positive."""
-    *_, C = _controls(w, F, *control)
-    return ~hb.is_positive(ctrl.mixed_operator(C, w, F), 1e-10)
-
-
-def _controlled_implies_frame(cfg, w, F, *control):
-    """True where a positive controlled lower bound meets no frame."""
-    S, _, C = _controls(w, F, *control)
-    low, _ = ctrl.mixed_bounds(C, S, w, F)
-    return (low > 0.0) & ~fr.operator_bounds(S).is_frame
+    mapped = ctrl.spectral_maps(specs, lam) * lam  # phi(lambda) lambda
+    mapped_scale = np.maximum(np.max(np.abs(mapped), axis=-1), 1.0)
+    spectrum = np.linalg.eigvalsh(hb.hermitian_part(L))
+    return (np.stack([hb.operator_norm(L - C @ S) / scale,
+                      hb.operator_norm(L - S @ hb.adjoint(C)) / scale], axis=-1),
+            np.stack([np.abs(low - np.min(mapped, axis=-1)) / mapped_scale,
+                      np.abs(high - np.max(mapped, axis=-1)) / mapped_scale], axis=-1),
+            np.max(np.abs(np.sort(spectrum, axis=-1) - np.sort(mapped, axis=-1)),
+                   axis=-1) / scale,
+            ~hb.is_positive(L, 1e-10),
+            (low > 0.0) & ~fr.operator_bounds(S).is_frame)
 
 
 def _precondition_identity(cfg, w, F, G, m, kinds, params, dual_kinds, dual_params):
@@ -640,18 +594,20 @@ def _frame_iff_invertible(cfg, w, F):
 
 
 class Stacked(NamedTuple):
-    """A check measured over stacks of trials.  Role r of ``roles`` draws one
-    array per trial from the stream _rng(seed, branch, r), read in trial
-    order; draw(cfg, spec, streams, trials) draws a chunk of trials from the
+    """Trials measured in stacks.  Role r of ``roles`` draws one array per
+    trial from the stream _rng(seed, branch, r), read in trial order;
+    draw(cfg, spec, streams, trials) draws a chunk of trials from the
     streams (_draws, _invertible_draws or _half_deficient), and
-    measure(cfg, *stacks) gives the values the check folds.  The check takes
-    min(cfg.trials, cap) trials."""
+    measure(cfg, *stacks) gives the values a check folds.  A family row
+    serves every check of ``members``: its measure gives a tuple of their
+    values, in that order.  The row takes min(cfg.trials, cap) trials."""
 
     branch: int
     roles: tuple
     measure: Callable
     cap: int | None = None
     draw: Callable = _draws
+    members: tuple = ()
 
     def streams(self, cfg: SuiteConfig) -> list:
         """The stream of each role, before trial 0."""
@@ -664,6 +620,11 @@ class Stacked(NamedTuple):
                 self.draw(cfg, self, self.streams(cfg), range(trial + 1))]
 
 
+def _family(row: Stacked) -> dict:
+    return dict.fromkeys(row.members, row)
+
+
+# the row of every stacked check; the members of a family share one row
 STACKED = {
     "frame_factorization": Stacked(101, _FRAME, _frame_factorization),
     "reconstruction": Stacked(102, (*_FRAME, _complex(20, "d")),
@@ -671,12 +632,9 @@ STACKED = {
     "reconstruction_swapped": Stacked(103, (*_FRAME, _complex(20, "d")),
                                       functools.partial(_reconstruction, swapped=True)),
     "multiplier_adjoint": Stacked(104, _INSTANCE, _multiplier_adjoint),
-    "difference_symbol": Stacked(105, (*_INSTANCE, _SYMBOL),
-                                 functools.partial(_difference, which="symbol")),
-    "difference_analysis": Stacked(106, (*_INSTANCE, _VECTORS),
-                                   functools.partial(_difference, which="analysis")),
-    "difference_synthesis": Stacked(107, (*_INSTANCE, _VECTORS),
-                                    functools.partial(_difference, which="synthesis")),
+    # the instance, a second symbol, then second vectors
+    **_family(Stacked(105, (*_INSTANCE, _SYMBOL, _VECTORS), _difference, members=(
+        "difference_symbol", "difference_analysis", "difference_synthesis"))),
     "weighted_identity": Stacked(108, (*_FRAME, _NONNEGATIVE), _weighted_identity),
     "canonical_dual_pair": Stacked(109, _FRAME, _canonical_dual_pair),
     "dual_bounds_inverse": Stacked(110, _FRAME, _dual_bounds_inverse),
@@ -685,41 +643,28 @@ STACKED = {
         draw=_half_deficient),
     "bessel_inequality": Stacked(112, (*_FRAME, _complex(10, "d")), _bessel_inequality),
     "bessel_sharpness": Stacked(113, _FRAME, _bessel_sharpness),
-    "op_norm_budget": Stacked(114, _INSTANCE, functools.partial(_budget, p=math.inf)),
-    "trace_budget": Stacked(115, _INSTANCE, functools.partial(_budget, p=1.0)),
-    "schatten_budget_p15": Stacked(116, _INSTANCE, functools.partial(_budget, p=1.5)),
-    "schatten_budget_p2": Stacked(117, _INSTANCE, functools.partial(_budget, p=2.0)),
-    "schatten_budget_p3": Stacked(118, _INSTANCE, functools.partial(_budget, p=3.0)),
-    "schatten_monotonicity": Stacked(119, _INSTANCE, _schatten_monotonicity),
+    **_family(Stacked(114, _INSTANCE, _budgets, members=(
+        "op_norm_budget", "trace_budget", "schatten_budget_p15", "schatten_budget_p2",
+        "schatten_budget_p3", "schatten_monotonicity"))),
     # weights, G, F, eps
     "perturb_upper": Stacked(120, (*_FRAME, _VECTORS, _uniform(0.05, 1.0)),
                              _perturb_upper),
     "perturb_lower": Stacked(121, (*_FRAME, _VECTORS), _perturb_lower),
     # vectors on counting_space(n), which draws nothing
     "discrete_bessel_norm_bound": Stacked(122, (_VECTORS,), _discrete_bessel_norm_bound),
-    # read by both truncation checks (_truncation_steps)
-    "truncation": Stacked(125, (*_FRAME, _NONNEGATIVE), _truncation, cap=50),
-    # the instance, then the bump of the symbol or of the analysis frame
-    "symbol_convergence_p1": Stacked(126, (*_INSTANCE, _SYMBOL), functools.partial(
-        _symbol_convergence, p=1.0), cap=20),
-    "symbol_convergence_p2": Stacked(127, (*_INSTANCE, _SYMBOL), functools.partial(
-        _symbol_convergence, p=2.0), cap=20),
-    "symbol_convergence_pinf": Stacked(128, (*_INSTANCE, _SYMBOL), functools.partial(
-        _symbol_convergence, p=math.inf), cap=20),
-    "frame_uniform_l2": Stacked(129, (*_INSTANCE, _VECTORS), functools.partial(
-        _frame_convergence, kind="frame_uniform_L2"), cap=20),
-    "frame_uniform_l1": Stacked(130, (*_INSTANCE, _VECTORS), functools.partial(
-        _frame_convergence, kind="frame_uniform_L1"), cap=20),
-    "controlled_factorization": Stacked(136, (*_FRAME, *_CONTROL),
-                                        _controlled_factorization, cap=100),
-    "controlled_bounds_map": Stacked(137, (*_FRAME, *_CONTROL), _controlled_bounds_map,
-                                     cap=100),
-    "controlled_spectral_mapping": Stacked(138, (*_FRAME, *_CONTROL),
-                                           _controlled_spectral_mapping, cap=100),
-    "controlled_positivity": Stacked(139, (*_FRAME, *_CONTROL), _controlled_positivity,
-                                     cap=100),
-    "controlled_implies_frame": Stacked(140, (*_FRAME, *_CONTROL),
-                                        _controlled_implies_frame, cap=100),
+    **_family(Stacked(125, (*_FRAME, _NONNEGATIVE), _truncation, cap=50, members=(
+        "truncation_budget", "truncation_monotone"))),
+    # the instance, then the bump of the symbol or of the analysis vectors
+    **_family(Stacked(126, (*_INSTANCE, _SYMBOL), functools.partial(
+        _convergence, kind="symbol_p", ps=(1.0, 2.0, math.inf)), cap=20, members=(
+        "symbol_convergence_p1", "symbol_convergence_p2", "symbol_convergence_pinf"))),
+    **_family(Stacked(129, (*_INSTANCE, _VECTORS), functools.partial(
+        _convergence, kind="frame_uniform", ps=(2.0, 1.0)), cap=20, members=(
+        "frame_uniform_l2", "frame_uniform_l1"))),
+    **_family(Stacked(136, (*_FRAME, *_CONTROL), _controlled, cap=100, members=(
+        "controlled_factorization", "controlled_bounds_map",
+        "controlled_spectral_mapping", "controlled_positivity",
+        "controlled_implies_frame"))),
     # the instance, the analysis control, then the synthesis control
     "precondition_identity": Stacked(141, (*_INSTANCE, *_CONTROL, *_CONTROL),
                                      _precondition_identity, cap=100),
@@ -735,29 +680,42 @@ STACKED = {
 }
 
 
-def stacked_values(cfg: SuiteConfig, check_id: str):
-    """The values of a stacked check, chunk by chunk in trial order."""
-    spec = STACKED[check_id]
-    streams = spec.streams(cfg)
-    stacks = None
-    for trials in _chunks(cfg, spec.cap):
+def _row_values(row: Stacked, seed: int, d: int, n: int, chunks: tuple) -> tuple:
+    """The values of each chunk of trials of a row, in trial order."""
+    cfg = SuiteConfig(seed=seed, d=d, n_points=n, trials=chunks[-1].stop)
+    streams = row.streams(cfg)
+    values, stacks = [], None
+    for trials in chunks:
         # the last chunk's stacks stay referenced while the next one is drawn,
         # as a per-trial loop holds its last instance: released first, malloc
         # trims their pages and the draw faults them in again (about 10^3
         # page faults a trial at d = 64, N = 4096)
-        stacks = spec.draw(cfg, spec, streams, trials)
-        yield spec.measure(cfg, *stacks)
+        stacks = row.draw(cfg, row, streams, trials)
+        values.append(row.measure(cfg, *stacks))
+    return tuple(values)
 
 
-@functools.lru_cache(maxsize=1)
-def _truncation_steps(seed: int, d: int, n: int, trials: int) -> np.ndarray:
-    """Deviation and budget of every step of the truncation experiment,
-    (trials, 2, steps), read-only: measured once for the two truncation
-    checks."""
-    cfg = SuiteConfig(seed=seed, d=d, n_points=n, trials=trials)
-    steps = np.concatenate(list(stacked_values(cfg, "truncation")))
-    steps.setflags(write=False)
-    return steps
+# one dict per running run_suite, holding the values of the row it measured
+# last by (row, seed, d, N, chunks): the members of a family follow each
+# other, so a run draws and measures each family once; outside run_suite
+# every call measures afresh
+_RUNS: list[dict] = []
+
+
+def stacked_values(cfg: SuiteConfig, check_id: str) -> list:
+    """The values of a stacked check, chunk by chunk in trial order; a member
+    of a family reads its own part of the family's values."""
+    row = STACKED[check_id]
+    key = (row, cfg.seed, cfg.d, cfg.n_points, tuple(_chunks(cfg, row.cap)))
+    run = _RUNS[-1] if _RUNS else {}
+    chunks = run.get(key)
+    if chunks is None:
+        run.clear()
+        chunks = run[key] = _row_values(*key)
+    if not row.members:
+        return list(chunks)
+    member = row.members.index(check_id)
+    return [values[member] for values in chunks]
 
 
 # ---------------------------------------------------------------------------
@@ -956,26 +914,16 @@ def check_unbounded_bessel_cap(cfg: SuiteConfig) -> Check:
                   "quadrature on every refinement", worst, tol, worst <= tol)
 
 
-def _truncation_of(cfg: SuiteConfig) -> np.ndarray:
-    return _truncation_steps(cfg.seed, cfg.d, cfg.n_points,
-                             min(cfg.trials, STACKED["truncation"].cap))
-
-
 def check_truncation_budget(cfg: SuiteConfig) -> Check:
-    steps = _truncation_of(cfg)
-    return _max_check(cfg, "truncation_budget",
-                      "truncated-symbol deviation stays under "
-                      "sup|m - m_n| sqrt(B_F B_G)", [steps[:, 0] - steps[:, 1]],
-                      -math.inf)
+    return _stacked_check(cfg, "truncation_budget",
+                          "truncated-symbol deviation stays under "
+                          "sup|m - m_n| sqrt(B_F B_G)", -math.inf)
 
 
 def check_truncation_monotone(cfg: SuiteConfig) -> Check:
-    measured = _truncation_of(cfg)[:, 0]
-    # per trial the rise of every step, then the last deviation
-    values = np.concatenate([np.diff(measured, axis=-1), measured[:, -1:]], axis=-1)
-    return _max_check(cfg, "truncation_monotone",
-                      "nested truncations decrease the deviation monotonically "
-                      "to zero", [values], -math.inf)
+    return _stacked_check(cfg, "truncation_monotone",
+                          "nested truncations decrease the deviation monotonically "
+                          "to zero", -math.inf)
 
 
 def check_symbol_convergence_p1(cfg: SuiteConfig) -> Check:
@@ -1373,24 +1321,29 @@ def run_suite(config: SuiteConfig) -> Report:
     """Run every check of the configured suite and collect a report.
 
     A check that raises is recorded as failed, with no measured value or
-    budget and the exception in its error field; the run continues.
+    budget and the exception in its error field; the run continues.  The
+    members of a family whose measure raises each record its error.
     """
     if config.suite == "all":
         fns = [fn for suite in SUITES[:-1] for fn in SUITE_CHECKS[suite]]
     else:
         fns = SUITE_CHECKS[config.suite]
     report = Report(suite=config.suite, seed=config.seed, started=_timestamp())
-    for fn in fns:
-        try:
-            report.checks.append(fn(config))
-        except Exception as exc:  # keep going; the report carries the failure
-            check_id = fn.__name__.removeprefix("check_")
-            tol = config.tolerances.get(check_id, DEFAULT_TOLERANCES.get(check_id))
-            report.checks.append(Check(
-                check_id, "check aborted with an exception", None, None,
-                None if tol is None else float(tol), False,
-                error=f"{type(exc).__name__}: {exc}",
-            ))
+    _RUNS.append({})
+    try:
+        for fn in fns:
+            try:
+                report.checks.append(fn(config))
+            except Exception as exc:  # keep going; the report carries the failure
+                check_id = fn.__name__.removeprefix("check_")
+                tol = config.tolerances.get(check_id, DEFAULT_TOLERANCES.get(check_id))
+                report.checks.append(Check(
+                    check_id, "check aborted with an exception", None, None,
+                    None if tol is None else float(tol), False,
+                    error=f"{type(exc).__name__}: {exc}",
+                ))
+    finally:
+        _RUNS.pop()
     report.finished = _timestamp()
     return report
 

@@ -351,15 +351,6 @@ def test_run_gabor_takes_bounds_without_the_oracle(monkeypatch):
     assert report.all_passed
 
 
-@pytest.mark.parametrize("d,n", [(1, 1), (8, 64), (64, 4096)])
-def test_random_frame_draws_the_same_values_as_the_dense_expression(d, n):
-    space = suites.random_space(np.random.default_rng(0), n)
-    F = suites.random_frame(np.random.default_rng([25, d]), d, n, space=space)
-    rng = np.random.default_rng([25, d])
-    dense = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-    assert np.array_equal(F.vectors.view(float), dense.view(float))
-
-
 def test_suite_config_from_dict_keeps_the_defaults():
     assert SuiteConfig.from_dict({}) == SuiteConfig()
     config = SuiteConfig.from_dict({"suite": "bounds", "seed": "3", "trials": 7,

@@ -43,6 +43,11 @@ def test_large_identities_report_independent_of_blas_threads(tmp_path):
     assert_same_across_threads(tmp_path, 64, 4096, 1)
 
 
+def test_small_bounds_report_independent_of_blas_threads(tmp_path):
+    # the budgets family: five budgets and monotonicity from one SVD a trial
+    assert_same_across_threads(tmp_path, 8, 64, 5, suite="bounds")
+
+
 def test_bounds_report_independent_of_blas_threads(tmp_path):
     # 70 trials at d = 8, N = 64 stack as chunks of 64 and 6
     assert_same_across_threads(tmp_path, 8, 64, 70, suite="bounds")

@@ -1,11 +1,11 @@
-"""Measured values of two seeded suites, pinned to literals.
+"""Measured values of four seeded suites, pinned to literals.
 
 The suites draw every instance from seeded streams, so a change to the
 streams, to the order in which roles read them or to a measure changes
 these values.  Such a change must be a deliberate rebaseline: update the
-literals here and record the old and new values.  Values are rounding-level
-errors from numpy's bundled OpenBLAS on x86-64; another BLAS build may move
-their last digits.
+literals here and record the old and new values.  The values, rounding
+errors and distances to budgets, come from numpy's bundled OpenBLAS on
+x86-64; another BLAS build may move their last digits.
 """
 
 import json
@@ -16,24 +16,48 @@ from contframes.cli import main
 
 GOLDEN = {
     "identities": {
+        "canonical_dual_pair": 8.254756890813921e-16,
+        "difference_analysis": 1.0695084443661336e-14,
+        "difference_symbol": 1.5888218580782548e-14,
+        "difference_synthesis": 1.5888218580782548e-14,
+        "dual_bounds_inverse": 2.966043034739131e-15,
         "frame_factorization": 2.1515075745999557e-16,
+        "frame_iff_invertible": 0.0,
+        "multiplier_adjoint": 2.640477411196568e-16,
         "reconstruction": 6.389110110211377e-16,
         "reconstruction_swapped": 6.688427021606006e-16,
-        "multiplier_adjoint": 2.640477411196568e-16,
-        "difference_symbol": 1.5888218580782548e-14,
-        "difference_analysis": 7.944109290391274e-15,
-        "difference_synthesis": 2.139016888732267e-14,
         "weighted_identity": 2.223766973807737e-16,
-        "canonical_dual_pair": 8.254756890813921e-16,
-        "dual_bounds_inverse": 2.966043034739131e-15,
-        "frame_iff_invertible": 0.0,
+    },
+    "bounds": {
+        "bessel_inequality": 0.0,
+        "bessel_sharpness": 9.268517169424222e-16,
+        "discrete_bessel_norm_bound": -1.974616098693895,
+        "op_norm_budget": -42.93667828453415,
+        "perturb_lower": -1.8443007711815844,
+        "perturb_upper": -30.189584202254892,
+        "schatten_budget_p15": -63.6509205704235,
+        "schatten_budget_p2": -53.23734043003067,
+        "schatten_budget_p3": -45.439380712024445,
+        "schatten_monotonicity": 0.0,
+        "trace_budget": -91.95655279193639,
+        "unbounded_bessel_cap": 3.552713678800501e-15,
+        "unbounded_norm_growth": 1.7782794100389225,
+    },
+    "convergence": {
+        "frame_uniform_l1": -8.217734264604003,
+        "frame_uniform_l2": -3.9897916622802723,
+        "symbol_convergence_p1": -5.194882166736735,
+        "symbol_convergence_p2": -2.6888439154079076,
+        "symbol_convergence_pinf": -2.018169424119588,
+        "truncation_budget": 0.0,
+        "truncation_monotone": 0.0,
     },
     "controlled": {
+        "controlled_bounds_map": 2.220446049250313e-15,
         "controlled_factorization": 3.261548175029378e-15,
-        "controlled_bounds_map": 1.887379141862766e-15,
-        "controlled_spectral_mapping": 1.4432899320127035e-15,
-        "controlled_positivity": 0.0,
         "controlled_implies_frame": 0.0,
+        "controlled_positivity": 0.0,
+        "controlled_spectral_mapping": 2.2204460492503103e-15,
         "precondition_identity": 2.329661873606221e-15,
     },
 }

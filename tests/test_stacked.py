@@ -2,13 +2,16 @@
 weighted suites against the single-frame API.
 
 Every stacked check draws a chunk of trials with one generator call per role
-and measures it with one numpy call per step.  The oracle here is the
-per-trial loop it replaced, written with the 2-d API (``frame_bounds``,
-``canonical_dual``, ``multiplier``, ``bound_budget``, ``make_control``,
-``convergence_experiment``, ...) on each trial's draws (``Stacked.replay``);
-the stacked rows must equal it exactly.
+and measures it with one numpy call per step; the members of a family read
+one row, drawn and measured once.  The oracle here is the per-trial loop,
+written with the 2-d API (``frame_bounds``, ``canonical_dual``,
+``multiplier``, ``bound_budget``, ``make_control``, ``controlled_bounds``,
+``convergence_experiment``, ...) on each trial's draws (``Stacked.replay``
+of the check's row); the stacked values of every check must equal it
+exactly.
 """
 
+import json
 import math
 
 import numpy as np
@@ -121,16 +124,16 @@ def multiplier_adjoint(cfg, i):
 
 def difference(check_id, which):
     def oracle(cfg, i):
-        m, F, G, (other,) = instance(cfg, check_id, i)
+        m, F, G, (symbol, vectors) = instance(cfg, check_id, i)
         if which == "symbol":
-            lhs = multiplier(m, F, G) - multiplier(other, F, G)
-            rhs = multiplier(m.values - other, F, G)
+            lhs = multiplier(m, F, G) - multiplier(symbol, F, G)
+            rhs = multiplier(m.values - symbol, F, G)
         elif which == "analysis":
-            F2 = fr.SampledFrame(F.space, other)
+            F2 = fr.SampledFrame(F.space, vectors)
             lhs = multiplier(m, F, G) - multiplier(m, F2, G)
             rhs = multiplier(m, fr.SampledFrame(F.space, F.vectors - F2.vectors), G)
         else:
-            G2 = fr.SampledFrame(F.space, other)
+            G2 = fr.SampledFrame(F.space, vectors)
             lhs = multiplier(m, F, G) - multiplier(m, F, G2)
             rhs = multiplier(m, F, fr.SampledFrame(F.space, G.vectors - G2.vectors))
         return [float(np.max(np.abs(lhs - rhs)))]
@@ -200,8 +203,8 @@ def budget(check_id, p):
 
 def schatten_monotonicity(cfg, i):
     m, F, G, _ = instance(cfg, "schatten_monotonicity", i)
-    M = multiplier(m, F, G)
-    norms = [hb.schatten_norm(M, p) for p in (1.0, 1.5, 2.0, 3.0, math.inf)]
+    actuals = bound_budget(m, F, G).actuals
+    norms = [actuals[p] for p in (1.0, 1.5, 2.0, 3.0, math.inf)]
     return [b - a for a, b in zip(norms, norms[1:])]
 
 
@@ -228,7 +231,8 @@ def discrete_bessel_norm_bound(cfg, i):
 
 
 def truncation(cfg, i):
-    w, V, values = draws(cfg, "truncation", i)
+    """Deviations and budgets of the steps of trial i's truncation experiment."""
+    w, V, values = draws(cfg, "truncation_budget", i)
     F, = frames(w, V)
     m = Symbol(values, F.space)
     order = np.argsort(np.abs(m.values))[::-1]
@@ -236,7 +240,17 @@ def truncation(cfg, i):
     schedule = [truncate_symbol(m, order[:c])
                 for c in (max(1, n // 8), max(1, n // 4), max(1, n // 2), n)]
     steps = convergence_experiment("symbol_p", m, F, F, schedule, p=math.inf).steps
-    return [s.measured for s in steps] + [s.budget for s in steps]
+    return [s.measured for s in steps], [s.budget for s in steps]
+
+
+def truncation_budget(cfg, i):
+    measured, budgets = truncation(cfg, i)
+    return [a - b for a, b in zip(measured, budgets)]
+
+
+def truncation_monotone(cfg, i):  # the rise of every step, then the last deviation
+    measured, _ = truncation(cfg, i)
+    return [b - a for a, b in zip(measured, measured[1:])] + measured[-1:]
 
 
 def symbol_convergence(check_id, p):
@@ -400,7 +414,8 @@ ORACLES = {
     "perturb_upper": perturb_upper,
     "perturb_lower": perturb_lower,
     "discrete_bessel_norm_bound": discrete_bessel_norm_bound,
-    "truncation": truncation,
+    "truncation_budget": truncation_budget,
+    "truncation_monotone": truncation_monotone,
     "symbol_convergence_p1": symbol_convergence("symbol_convergence_p1", 1.0),
     "symbol_convergence_p2": symbol_convergence("symbol_convergence_p2", 2.0),
     "symbol_convergence_pinf": symbol_convergence("symbol_convergence_pinf", math.inf),
@@ -435,13 +450,22 @@ ALGEBRA = ("identities", "bounds", "convergence", "controlled", "weighted")
 def test_every_trial_loop_of_the_algebra_suites_is_stacked():
     loops = {fn.__name__.removeprefix("check_")
              for name in ALGEBRA for fn in suites.SUITE_CHECKS[name]}
-    # the two unbounded-family checks loop over three grids, not over trials;
-    # the two truncation checks read the one "truncation" row
+    # every algebra check is a row or a member of one; the two
+    # unbounded-family checks loop over three grids, not over trials
     assert set(suites.STACKED) == loops - {"unbounded_norm_growth",
-                                           "unbounded_bessel_cap",
-                                           "truncation_budget",
-                                           "truncation_monotone"} | {"truncation"}
+                                           "unbounded_bessel_cap"}
     assert set(ORACLES) == set(suites.STACKED)
+    for check_id, row in suites.STACKED.items():
+        assert {c for c, other in suites.STACKED.items() if other is row} == set(
+            row.members or (check_id,))
+    assert {row.branch for row in suites.STACKED.values()
+            if row.members} == set(FAMILIES)
+
+
+# the first member of each family row, by the row's branch
+FAMILIES = {105: "difference_symbol", 114: "op_norm_budget", 125: "truncation_budget",
+            126: "symbol_convergence_p1", 129: "frame_uniform_l2",
+            136: "controlled_factorization"}
 
 
 # at N < d the random families are no frames, which these checks need
@@ -512,26 +536,66 @@ def test_truncation_monotone_holds_on_few_points(n):
     assert check.passed and check.measured == 0.0
 
 
-def test_truncation_experiment_runs_once_per_convergence_suite(monkeypatch):
+# ---------------------------------------------------------------------------
+# families
+# ---------------------------------------------------------------------------
+
+def replace_family(monkeypatch, row, **fields):
+    """Every member of a family reads one row with the given fields."""
+    replaced = row._replace(**fields)
+    for member in row.members:
+        monkeypatch.setitem(suites.STACKED, member, replaced)
+    return replaced
+
+
+def test_each_family_draws_and_measures_once_per_configuration(monkeypatch):
+    # chunks of 7 trials: 20 trials, or 20 under the cap of 20, take three
+    monkeypatch.setattr(suites, "STACK_ENTRIES", 7 * 4 * 12)
+    cfg = SuiteConfig(suite="all", d=4, n_points=12, trials=20)
+    expected = {check_id: getattr(suites, f"check_{check_id}")(cfg)
+                for check_id in suites.STACKED}
     calls = []
-    truncation_measure = suites._truncation
 
-    def counted(cfg, *stacks):
-        calls.append(len(stacks[0]))
-        return truncation_measure(cfg, *stacks)
+    def counted(branch, step, fn):
+        return lambda *args: calls.append((branch, step)) or fn(*args)
 
-    monkeypatch.setitem(suites.STACKED, "truncation",
-                        suites.STACKED["truncation"]._replace(measure=counted))
-    suites._truncation_steps.cache_clear()
-    cfg = SuiteConfig(suite="convergence", d=4, n_points=12, trials=60)
-    report = run_suite(cfg)
-    # one chunk of the 50 capped trials, for both checks
-    assert calls == [50]
-    suites._truncation_steps.cache_clear()
-    checks = {c.check_id: c for c in report.checks}
-    assert checks["truncation_budget"] == suites.check_truncation_budget(cfg)
-    assert checks["truncation_monotone"] == suites.check_truncation_monotone(cfg)
-    assert calls == [50, 50]
+    for branch, first in FAMILIES.items():
+        row = suites.STACKED[first]
+        replace_family(monkeypatch, row, draw=counted(branch, "draw", row.draw),
+                       measure=counted(branch, "measure", row.measure))
+    checks = {c.check_id: c for c in run_suite(cfg).checks}
+    assert sorted(calls) == sorted(
+        (branch, step) for branch in FAMILIES for step in ("draw", "measure") * 3)
+    assert all(checks[check_id] == check for check_id, check in expected.items())
+
+
+def test_a_family_whose_measure_raises_aborts_every_member(monkeypatch, tmp_path):
+    def broken(cfg, *stacks):
+        raise FloatingPointError("overflow in the budgets")
+
+    row = replace_family(monkeypatch, suites.STACKED["op_norm_budget"], measure=broken)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "bounds", "--d", "4", "--n", "12", "--trials", "3",
+                 "--out", str(out)]) == 1
+    checks = {c["check_id"]: c for c in json.loads(
+        out.read_text(), parse_constant=lambda token: pytest.fail(token))["checks"]}
+    for member in row.members:
+        assert checks[member]["measured"] is None and not checks[member]["pass"]
+        assert checks[member]["error"] == "FloatingPointError: overflow in the budgets"
+    assert len(checks) == 13
+    assert all(check["pass"] for check_id, check in checks.items()
+               if check_id not in row.members)
+
+
+def test_back_to_back_runs_measure_their_own_configurations():
+    configs = [SuiteConfig(suite="convergence", d=4, n_points=12, trials=5, seed=seed)
+               for seed in (1, 2)] + [SuiteConfig(suite="convergence", d=4, n_points=12,
+                                                  trials=3, seed=2)]
+    runs = [run_suite(cfg).checks for cfg in configs]
+    for cfg, checks in zip(configs, runs):
+        assert checks == [fn(cfg) for fn in suites.SUITE_CHECKS["convergence"]]
+    for first, second in zip(runs, runs[1:]):
+        assert [c.measured for c in first] != [c.measured for c in second]
 
 
 @pytest.mark.parametrize("d,n", [(4, 12), (8, 64)])
@@ -539,8 +603,7 @@ def test_truncation_checks_fold_the_steps_like_the_per_trial_loops(d, n):
     cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=7)
     budget = monotone = -math.inf
     for i in range(7):
-        values = truncation(cfg, i)
-        measured, budgets = values[:4], values[4:]
+        measured, budgets = truncation(cfg, i)
         budget = max(budget, max(a - b for a, b in zip(measured, budgets)))
         rise = max(b - a for a, b in zip(measured, measured[1:]))
         monotone = max(monotone, rise, measured[-1])
@@ -637,8 +700,6 @@ def test_chunk_rule():
 
 
 def run_fresh(cfg):
-    # the truncation steps are cached per (seed, d, N, trials), not per chunk
-    suites._truncation_steps.cache_clear()
     return run_suite(cfg).checks
 
 
@@ -691,13 +752,10 @@ def test_vectors_in_one_draw_equal_one_draw_per_vector():
     assert np.array_equal(bits(one), bits(complex_normal(np.random.default_rng(4), (20, 5))))
 
 
-def test_symbols_and_vectors_draw_the_values_of_the_dense_expression():
-    space = counting_space(7)
-    m = suites.random_symbol(np.random.default_rng(9), space)
+def test_random_vector_draws_the_values_of_the_dense_expression():
     v = suites.random_vector(np.random.default_rng(9), 7)
     rng = np.random.default_rng(9)
     dense = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    assert np.array_equal(bits(m.values), bits(dense))
     assert np.array_equal(bits(v), bits(dense))
 
 
@@ -775,10 +833,8 @@ def test_stacked_instances_equal_random_instance():
 
 def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
     keys = recorded_streams(monkeypatch)
-    suites._truncation_steps.cache_clear()
     assert main(["verify", "--suite", "all", "--d", "4", "--n", "12", "--trials", "9",
                  "--out", str(tmp_path / "report.json")]) == 0
-    suites._truncation_steps.cache_clear()
 
     # SeedSequence pads its entropy with zeros, so [s, b, r] and [s, b, r, 0]
     # seed the same stream
