@@ -9,7 +9,7 @@ frame operator, which is what makes the control a preconditioner for
 multipliers.
 
 The functions on ``SampledFrame`` objects validate one frame and call array
-kernels (``spectral_controls``, ``mixed_operator``, ``mixed_bounds``,
+kernels (``spectral_controls``, ``mixed_operator``, ``mixed_spectrum``,
 ``precondition_residual``) that also take stacks of frame operators,
 controls and frame vectors along leading axes, so a stack of instances gives,
 instance by instance, the values of single calls.  Each instance keeps its
@@ -132,11 +132,13 @@ def spectral_maps(specs, lam: np.ndarray) -> np.ndarray:
                     ).reshape(np.shape(lam))
 
 
-def spectral_controls(specs, S: np.ndarray) -> np.ndarray:
+def spectral_controls(specs, S: np.ndarray, bounds=None) -> np.ndarray:
     """Spectral controls U phi(Lambda) U^* of frame operators S = U Lambda U^*:
     one d x d operator, or a stack along leading axes, with one spectral
-    ControlSpec per operator in the order of the stack."""
-    if not np.all(operator_bounds(S).is_frame):
+    ControlSpec per operator in the order of the stack; ``bounds`` are
+    operator_bounds(S) where the caller has them."""
+    bounds = operator_bounds(S) if bounds is None else bounds
+    if not np.all(bounds.is_frame):
         raise NotAFrameError("spectral controls need a frame with positive lower bound")
     lam, U = np.linalg.eigh(S)
     phi = spectral_maps(specs, lam)
@@ -180,14 +182,15 @@ def controlled_bounds(C, F: SampledFrame) -> tuple[float, float]:
     frame property of F.
     """
     C = np.asarray(C, dtype=complex)
-    return mixed_bounds(C, frame_operator(F), controlled_frame_operator(C, F))
+    spectrum = mixed_spectrum(C, frame_operator(F), controlled_frame_operator(C, F))
+    return float(spectrum[0]), float(spectrum[-1])
 
 
-def mixed_bounds(C: np.ndarray, S: np.ndarray, L: np.ndarray):
-    """The bounds of ``controlled_bounds`` from a control C, the frame operator
-    S and the mixed operator L (``mixed_operator``), or for each instance of
-    a stack (floats for one, arrays for a stack); raises on the first
-    hypothesis that some instance violates."""
+def mixed_spectrum(C: np.ndarray, S: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """The ascending spectrum of the mixed operator L (``mixed_operator``) of
+    a control C and the frame operator S, whose extremes are the bounds of
+    ``controlled_bounds``, or of each instance of a stack along the last
+    axis; raises on the first hypothesis that some instance violates."""
     scale = hilbert.operator_norm(C)
     if np.any(hilbert.operator_norm(C - hilbert.adjoint(C))
               > 1e-10 * np.maximum(1.0, scale)):
@@ -203,7 +206,7 @@ def mixed_bounds(C: np.ndarray, S: np.ndarray, L: np.ndarray):
             f"control does not commute with the frame operator (defect {defect:.3e})"
         )
     # Hermitian by the hypotheses just checked, so not re-validated
-    return hilbert.extreme_eigenvalues(L)
+    return hilbert.hermitian_spectrum(L)
 
 
 def precondition_identity_residual(control_spec: ControlSpec,

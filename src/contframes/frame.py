@@ -231,10 +231,11 @@ def norm_bound(F: SampledFrame) -> float:
     return max_column_norm(F.vectors)
 
 
-def dual_vectors(S: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def dual_vectors(S: np.ndarray, vectors: np.ndarray, bounds=None) -> np.ndarray:
     """Columns S^-1 F_j of the canonical dual, from the frame operator S and
-    the vectors of a frame, or of each frame of a stack."""
-    bounds = operator_bounds(S)
+    the vectors of a frame, or of each frame of a stack; ``bounds`` are
+    operator_bounds(S) where the caller has them."""
+    bounds = operator_bounds(S) if bounds is None else bounds
     if not np.all(bounds.is_frame):
         lower = np.ravel(bounds.lower)[np.argmin(np.ravel(bounds.is_frame))]
         raise NotAFrameError(f"lower frame bound is numerically zero ({lower:.3e})")

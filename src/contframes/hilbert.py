@@ -123,18 +123,24 @@ def hermitian_part(T) -> np.ndarray:
     return 0.5 * (T + adjoint(T))
 
 
-def extreme_eigenvalues(T):
-    """Extreme eigenvalues (smallest, largest) of the Hermitian part (T + T^*)/2.
+def hermitian_spectrum(T) -> np.ndarray:
+    """Eigenvalues of the Hermitian part (T + T^*)/2 in ascending order, along
+    the last axis for a stack.
 
     No Hermiticity check: for operators that are Hermitian by construction,
-    such as frame operators, the bounds are the extreme eigenvalues of the
-    symmetrized operator.  Floats for one operator, arrays for a stack.
-    Raises NumericFailureError on non-finite entries.
+    such as frame operators, this is the spectrum of the symmetrized
+    operator.  Raises NumericFailureError on non-finite entries.
     """
     T = _as_operators(T)
     if not np.all(np.isfinite(T)):
         raise NumericFailureError("operator has non-finite entries")
-    eigs = np.linalg.eigvalsh(hermitian_part(T))
+    return np.linalg.eigvalsh(hermitian_part(T))
+
+
+def extreme_eigenvalues(T):
+    """Extreme eigenvalues (smallest, largest) of ``hermitian_spectrum``:
+    floats for one operator, arrays for a stack."""
+    eigs = hermitian_spectrum(T)
     return value_or_stack(eigs[..., 0]), value_or_stack(eigs[..., -1])
 
 

@@ -126,17 +126,20 @@ def bound_budget(m, F: SampledFrame, G: SampledFrame,
     return BudgetReport(op_budget, trace_budget, budgets, actuals, passed, tolerance)
 
 
-def budget_values(w, values, F: np.ndarray, G: np.ndarray, ps=DEFAULT_PS):
+def budget_values(w, values, F: np.ndarray, G: np.ndarray, ps=DEFAULT_PS,
+                  sigma=None):
     """Schatten p-norm of the multiplier of symbol values m, analysis vectors
     F and synthesis vectors G under weights w, and its budget, for each p of
-    ps from one SVD; for one instance or each of a stack.
+    ps from one SVD; for one instance or each of a stack.  ``sigma`` are the
+    multiplier's singular values where the caller has them.
 
     Two arrays with ps along a new last axis.
     """
     bf = operator_bounds(weighted_gram(F, w, F)).upper
     bg = bf if G is F else operator_bounds(weighted_gram(G, w, G)).upper
     lf, lg = max_column_norm(F), max_column_norm(G)
-    sigma = hilbert.singular_values(weighted_gram(G, w * values, F))
+    if sigma is None:
+        sigma = hilbert.singular_values(weighted_gram(G, w * values, F))
     actuals = [hilbert.schatten_of(sigma, p) for p in ps]
     budgets = [schatten_budget(p, weighted_lp_norm(w, values, p), lf, lg, bf, bg)
                for p in ps]
@@ -351,8 +354,9 @@ def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
     # the same frame twice (as in a truncation experiment) is passed as one
     # array, so its frame operator is formed once
     synthesis = F.vectors if G is F else G.vectors
-    eps, measured, budget = (column[0] for column in convergence_steps(
-        kind, F.space.weights, values, F.vectors, synthesis, items, ps))
+    (steps,) = convergence_steps(F.space.weights, values, F.vectors, synthesis,
+                                 [(kind, items, ps)])
+    eps, measured, budget = (column[0] for column in steps)
     steps = tuple(ConvergenceStep(e, d, b, d <= b + tolerance) for e, d, b in zip(
         eps.tolist(), measured.tolist(), budget.tolist()))
     measured_seq = [s.measured for s in steps]
@@ -360,12 +364,12 @@ def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
     return ConvergenceReport(kind, p, steps, monotone, all(s.passed for s in steps))
 
 
-def convergence_steps(kind: str, w, values, F: np.ndarray, G: np.ndarray,
-                      schedule, ps):
-    """Distance, deviation and budget of each step of a convergence
-    experiment (see ``convergence_experiment``) for each p of ps, for symbol
+def convergence_steps(w, values, F: np.ndarray, G: np.ndarray, experiments) -> list:
+    """Distance, deviation and budget of each step of convergence experiments
+    (see ``convergence_experiment``) against one base multiplier, for symbol
     values m, analysis vectors F and synthesis vectors G under weights w, or
-    for each instance of a stack.
+    for each instance of a stack; one triple per (kind, schedule, ps) of
+    ``experiments``.
 
     kind "symbol_p": the schedule lists symbol values shaped as m, and ps are
     Schatten exponents.  Any other kind: the schedule lists analysis vectors
@@ -373,7 +377,7 @@ def convergence_steps(kind: str, w, values, F: np.ndarray, G: np.ndarray,
     "frame_uniform_L2" and 1 for that of "frame_uniform_L1".  A step takes
     one Gram product and one SVD for all of ps.  The schedule is read one
     step at a time, so a generator holds one step in memory.  Three arrays
-    shaped (..., len(ps), steps).
+    shaped (..., len(ps), steps) per experiment.
     """
     wm = w * values
     base = weighted_gram(G, wm, F)
@@ -381,22 +385,25 @@ def convergence_steps(kind: str, w, values, F: np.ndarray, G: np.ndarray,
     bg = bf if G is F else operator_bounds(weighted_gram(G, w, G)).upper
     lf = max_column_norm(F)
     lg = lf if G is F else max_column_norm(G)
-    if kind != "symbol_p":
-        norms = [(weighted_lp_norm(w, values, p), np.sqrt(bg) if p == 2.0 else lg)
-                 for p in ps]
 
-    steps = []
-    for item in schedule:
-        if kind == "symbol_p":
-            sigma = hilbert.singular_values(weighted_gram(G, w * item, F) - base)
-            delta = item - values
-            eps = [weighted_lp_norm(w, delta, p) for p in ps]
-            measured = [hilbert.schatten_of(sigma, p) for p in ps]
-            budget = [schatten_budget(p, e, lf, lg, bf, bg) for p, e in zip(ps, eps)]
-        else:
-            distance = max_column_norm(item - F)
-            deviation = hilbert.operator_norm(weighted_gram(G, wm, item) - base)
-            eps, measured = [distance] * len(ps), [deviation] * len(ps)
-            budget = [distance * m_norm * factor for m_norm, factor in norms]
-        steps.append([np.stack(column, axis=-1) for column in (eps, measured, budget)])
-    return tuple(np.stack(column, axis=-1) for column in zip(*steps))
+    triples = []
+    for kind, schedule, ps in experiments:
+        if kind != "symbol_p":
+            norms = [(weighted_lp_norm(w, values, p), np.sqrt(bg) if p == 2.0 else lg)
+                     for p in ps]
+        steps = []
+        for item in schedule:
+            if kind == "symbol_p":
+                sigma = hilbert.singular_values(weighted_gram(G, w * item, F) - base)
+                delta = item - values
+                eps = [weighted_lp_norm(w, delta, p) for p in ps]
+                measured = [hilbert.schatten_of(sigma, p) for p in ps]
+                budget = [schatten_budget(p, e, lf, lg, bf, bg) for p, e in zip(ps, eps)]
+            else:
+                distance = max_column_norm(item - F)
+                deviation = hilbert.operator_norm(weighted_gram(G, wm, item) - base)
+                eps, measured = [distance] * len(ps), [deviation] * len(ps)
+                budget = [distance * m_norm * factor for m_norm, factor in norms]
+            steps.append([np.stack(column, axis=-1) for column in (eps, measured, budget)])
+        triples.append(tuple(np.stack(column, axis=-1) for column in zip(*steps)))
+    return triples

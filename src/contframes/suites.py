@@ -30,16 +30,27 @@ trial t from _rng(seed, b, t, k).
 
 Families: checks that read one operator of one instance share a family row,
 whose measure gives the values of every member from one draw and one Gram
-product per operator.  The budgets (branch 114: the five Schatten budgets
-and monotonicity from one SVD), the difference identities (105, with a
-second symbol and second vectors), the truncation checks (125), the symbol
-convergence checks (126: p = 1, 2 and inf from one SVD a step), the
-frame-uniform checks (129: the L2 and L1 budgets of one deviation a step) and
-the controlled checks (136: one S, C and L a trial, precondition_identity
-aside) are families; branches 106, 107, 115-119, 127, 128, 130 and 137-140
-are retired.  run_suite draws and measures a family once for all its
-members, which follow each other; a family whose measure raises aborts every
-member with the same error.
+product per operator: the frame checks (branch 101: the factorization, both
+reconstructions of one set of test vectors, the dual pair and the dual
+bounds from one S, one set of its bounds and one canonical dual), the
+difference identities and the adjoint (105: a second symbol and second
+vectors against one base multiplier), the Bessel checks (112: one S), the
+budgets (114: five Schatten budgets and monotonicity from one SVD), the
+perturbation bounds (120: one set of bounds of G and one B_F), truncation
+(125), convergence (126: the symbol bumps at p = 1, 2 and inf from one SVD a
+step, then the frame-uniform L2 and L1 budgets of one deviation a step), the
+controlled checks (136: one S, C and L a trial) and the weighted checks (142:
+the scaled bounds and the coercivity of a positive symbol from one S).
+Branches 102-104, 106, 107, 109, 110, 113, 115-119, 121, 127-130, 137-140
+and 145 are retired.  Rows of their own: certificates and multiplier_dual
+(their trial caps differ), weighted_identity (another operator),
+frame_iff_invertible (half-deficient draws), discrete_bessel_norm_bound
+(counting weights) and precondition_identity (controls of its own).
+run_suite keeps the values of every row it measures for the run, so each
+family is drawn and measured once although its members need not follow
+each other.  A family whose measure raises aborts every member with the
+same error; a member that needs what the others do not (a frame, a positive
+step) fails alone, with the error a row of its own would raise.
 
 Replay: trial K of a check reads row K of its row's role draws, so replaying
 it draws trials 0..K (Stacked.replay); a member of a family replays the
@@ -62,7 +73,6 @@ from . import hilbert as hb
 from . import tf_frames as tf
 from .multiplier import (
     DEFAULT_PS,
-    bound_budget,
     budget_values,
     certificate_values,
     convergence_steps,
@@ -380,43 +390,73 @@ def _half_deficient(cfg: SuiteConfig, spec, streams, trials: range) -> list:
 
 
 # measures: the values of a stack of trials that a check folds with max, one
-# per trial or a row of them in the order the trial produces them
+# per trial or a row of them in the order the trial produces them; a family's
+# measure gives a tuple of its members' values
 
-def _frame_factorization(cfg, w, F):
+def _or_errors(count: int, measure, *args) -> tuple:
+    """measure(*args), the values of ``count`` members of a family, or the
+    exception it raises in place of each: the members that need a frame or a
+    positive step fail alone, as rows of their own would, and the rest of
+    the family keeps its values."""
+    try:
+        return measure(*args)
+    except Exception as exc:  # each member it stands for re-raises it
+        return (exc,) * count
+
+
+def _frame(cfg, w, F, f):
+    """The factorization defect of S, then the reconstruction defects of the
+    test vectors through the canonical dual and through F, the dual pair
+    defect and the dual bounds defects, from one S, one set of its bounds
+    and one dual a trial."""
     S = fr.weighted_gram(F, w, F)
+    return (_factorization(cfg, w, F, S), *_or_errors(4, _dual, cfg, w, F, f, S))
+
+
+def _factorization(cfg, w, F, S):
     # column k of the composition synthesizes the analysis of basis vector k
     coeffs = fr.coefficients(F[:, None], np.eye(cfg.d, dtype=complex))
     composed = fr.synthesize(F[:, None], w[:, None], coeffs).swapaxes(-1, -2)
     return hb.operator_norm(S - composed) / hb.operator_norm(S)
 
 
-def _reconstruction(cfg, w, F, f, swapped):
-    dual = fr.dual_vectors(fr.weighted_gram(F, w, F), F)
-    analysis, synthesis = (dual, F) if swapped else (F, dual)
+def _reconstruction(w, analysis, synthesis, f):
     rec = fr.synthesize(synthesis[:, None], w[:, None],
                         fr.coefficients(analysis[:, None], f))
     return hb.norm(rec - f) / hb.norm(f)
 
 
-def _multiplier_adjoint(cfg, w, F, G, m):
-    M = fr.weighted_gram(G, w * m, F)
-    other = fr.weighted_gram(F, w * m.conj(), G)
-    return (hb.operator_norm(hb.adjoint(M) - other)
-            / np.maximum(hb.operator_norm(M), 1e-300))
+def _dual(cfg, w, F, f, S):
+    bounds = fr.operator_bounds(S)
+    dual = fr.dual_vectors(S, F, bounds)
+    # the reconstructions first: their temporaries are the family's largest,
+    # and a product freed before them leaves heap pages they do not reuse
+    # (about 0.5 MB more peak RSS at d = 8, N = 64)
+    forward, backward = _reconstruction(w, F, dual, f), _reconstruction(w, dual, F, f)
+    dual_bounds = fr.operator_bounds(fr.weighted_gram(dual, w, dual))
+    return (forward, backward,
+            hb.operator_norm(fr.weighted_gram(dual, w, F) - np.eye(cfg.d)),
+            np.stack([np.abs(dual_bounds.lower - 1.0 / bounds.upper) * bounds.upper,
+                      np.abs(dual_bounds.upper - 1.0 / bounds.lower) * bounds.lower],
+                     axis=-1))
 
 
 def _difference(cfg, w, F, G, m, symbol, vectors):
     """Entrywise defects of a difference of multipliers against the multiplier
     of the difference, from one base multiplier: over a second symbol, then
     over the vectors as a second analysis frame, then as a second synthesis
-    frame."""
+    frame; then the defect of the base multiplier's adjoint against the
+    conjugate-symbol multiplier with the frames swapped."""
     wm = w * m
     base = fr.weighted_gram(G, wm, F)
     # (the second multiplier, the multiplier of the difference)
     pairs = ((fr.weighted_gram(G, w * symbol, F), fr.weighted_gram(G, w * (m - symbol), F)),
              (fr.weighted_gram(G, wm, vectors), fr.weighted_gram(G, wm, F - vectors)),
              (fr.weighted_gram(vectors, wm, F), fr.weighted_gram(G - vectors, wm, F)))
-    return tuple(np.max(np.abs(base - other - rhs), axis=(-2, -1)) for other, rhs in pairs)
+    swapped = fr.weighted_gram(F, w * m.conj(), G)
+    return (*(np.max(np.abs(base - other - rhs), axis=(-2, -1)) for other, rhs in pairs),
+            hb.operator_norm(hb.adjoint(base) - swapped)
+            / np.maximum(hb.operator_norm(base), 1e-300))
 
 
 def _weighted_identity(cfg, w, F, m):
@@ -426,36 +466,20 @@ def _weighted_identity(cfg, w, F, m):
     return hb.operator_norm(M - S) / np.maximum(hb.operator_norm(S), 1.0)
 
 
-def _canonical_dual_pair(cfg, w, F):
-    dual = fr.dual_vectors(fr.weighted_gram(F, w, F), F)
-    return hb.operator_norm(fr.weighted_gram(dual, w, F) - np.eye(cfg.d))
-
-
-def _dual_bounds_inverse(cfg, w, F):
+def _bessel(cfg, w, F, f):
+    """The Bessel inequality defects of the test vectors, then how far the
+    top eigenvector's energy is from the upper bound, from one S and one set
+    of its bounds a trial."""
     S = fr.weighted_gram(F, w, F)
     bounds = fr.operator_bounds(S)
-    dual = fr.dual_vectors(S, F)
-    dual_bounds = fr.operator_bounds(fr.weighted_gram(dual, w, dual))
-    return np.stack([np.abs(dual_bounds.lower - 1.0 / bounds.upper) * bounds.upper,
-                     np.abs(dual_bounds.upper - 1.0 / bounds.lower) * bounds.lower],
-                    axis=-1)
-
-
-def _bessel_inequality(cfg, w, F, f):
-    bounds = fr.operator_bounds(fr.weighted_gram(F, w, F))
     energy = np.sum(w[:, None] * np.abs(fr.coefficients(F[:, None], f)) ** 2, axis=-1)
     nsq = hb.power(hb.norm(f), 2)
     lower, upper = bounds.lower[:, None], bounds.upper[:, None]
-    return np.stack([(lower * nsq - energy) / nsq, (energy - upper * nsq) / nsq],
-                    axis=-1)
-
-
-def _bessel_sharpness(cfg, w, F):
-    S = fr.weighted_gram(F, w, F)
-    upper = fr.operator_bounds(S).upper
     _, vecs = np.linalg.eigh(hb.hermitian_part(S))
-    energy = np.sum(w * np.abs(fr.coefficients(F, vecs[..., -1])) ** 2, axis=-1)
-    return np.abs(energy - upper) / upper
+    top = np.sum(w * np.abs(fr.coefficients(F, vecs[..., -1])) ** 2, axis=-1)
+    return (np.stack([(lower * nsq - energy) / nsq, (energy - upper * nsq) / nsq],
+                     axis=-1),
+            np.abs(top - bounds.upper) / bounds.upper)
 
 
 def _upper_bound(w, vectors):
@@ -469,18 +493,22 @@ def _budgets(cfg, w, F, G, m):
     return (*(actual - budget)[:, [4, 0, 1, 2, 3]].T, np.diff(actual, axis=-1))
 
 
-def _perturb_upper(cfg, w, G, F, eps):
-    upper = _upper_bound(w, fr.perturbed(G, F, eps[:, None, None]))
-    return upper - 2.0 * (_upper_bound(w, G) + hb.power(eps, 2) * _upper_bound(w, F))
-
-
-def _perturb_lower(cfg, w, G, F):
-    ag = fr.operator_bounds(fr.weighted_gram(G, w, G)).lower
+def _perturbation(cfg, w, G, F, eps):
+    """The upper bound of G + eps F minus 2 (B_G + eps^2 B_F), then the lower
+    bound defect of G + eps' F at eps' = sqrt(A_G / B_F) / 2, from one set of
+    bounds of G and one B_F a trial."""
+    bounds = fr.operator_bounds(fr.weighted_gram(G, w, G))
     bf = _upper_bound(w, F)
+    upper = _upper_bound(w, fr.perturbed(G, F, eps[:, None, None]))
+    return (upper - 2.0 * (bounds.upper + hb.power(eps, 2) * bf),
+            *_or_errors(1, _perturb_lower, w, G, F, bounds.lower, bf))
+
+
+def _perturb_lower(w, G, F, ag, bf):
     eps = 0.5 * np.sqrt(ag / bf)
     P = fr.perturbed(G, F, eps[:, None, None])
     lower = fr.operator_bounds(fr.weighted_gram(P, w, P)).lower
-    return hb.power(np.sqrt(ag) - eps * np.sqrt(bf), 2) - lower
+    return (hb.power(np.sqrt(ag) - eps * np.sqrt(bf), 2) - lower,)
 
 
 def _discrete_bessel_norm_bound(cfg, F):
@@ -502,8 +530,8 @@ def _truncation(cfg, w, F, m):
     shrinks monotonically as the kept set grows."""
     order = np.argsort(np.abs(m), axis=-1)[..., ::-1]
     schedule = (truncated(m, order[..., :c]) for c in _truncation_cuts(cfg.n_points))
-    _, measured, budget = (a[:, 0] for a in convergence_steps(
-        "symbol_p", w, m, F, F, schedule, (math.inf,)))
+    (steps,) = convergence_steps(w, m, F, F, [("symbol_p", schedule, (math.inf,))])
+    _, measured, budget = (a[:, 0] for a in steps)
     rises = np.concatenate([np.diff(measured), measured[:, -1:]], axis=-1)
     return measured - budget, rises
 
@@ -512,38 +540,47 @@ def _truncation(cfg, w, F, m):
 CONVERGENCE_STEPS = (1, 2, 4, 8, 16)
 
 
-def _convergence(cfg, w, F, G, m, bump, kind, ps):
-    """Deviation minus budget of each step, one row per p, with the bump added
-    to the symbol for "symbol_p" and to the analysis vectors otherwise."""
-    base = m if kind == "symbol_p" else F
-    schedule = (base + bump / n for n in CONVERGENCE_STEPS)
-    _, measured, budget = convergence_steps(kind, w, m, F, G, schedule, ps)
-    return tuple(np.moveaxis(measured - budget, -2, 0))
+def _convergence(cfg, w, F, G, m, symbol_bump, vectors_bump):
+    """Deviation minus budget of each step: the symbol plus a bump at p = 1, 2
+    and inf, then the analysis vectors plus a bump against the L2 and L1
+    budgets, one row per p."""
+    def bumped(base, bump):
+        return (base + bump / n for n in CONVERGENCE_STEPS)
+
+    experiments = [("symbol_p", bumped(m, symbol_bump), (1.0, 2.0, math.inf)),
+                   ("frame_uniform", bumped(F, vectors_bump), (2.0, 1.0))]
+    return tuple(row for _, measured, budget in convergence_steps(w, m, F, G, experiments)
+                 for row in np.moveaxis(measured - budget, -2, 0))
 
 
 def _controlled(cfg, w, F, kinds, params):
     """The factorization defects, the bounds-map defects, the spectral-mapping
     defect, and where the mixed operator is not positive or a positive
-    controlled lower bound meets no frame, from one frame operator S, control
-    C and mixed operator L per trial."""
+    controlled lower bound meets no frame, from one frame operator S, set of
+    its bounds, control C and mixed operator L per trial, and one spectrum
+    and one norm of L."""
     S = fr.weighted_gram(F, w, F)
     specs = _specs(kinds, params)
-    C = ctrl.spectral_controls(specs, S)
+    bounds = fr.operator_bounds(S)
+    C = ctrl.spectral_controls(specs, S, bounds)
     L = ctrl.mixed_operator(C, w, F)
     scale = np.maximum(hb.operator_norm(L), 1.0)
-    low, high = ctrl.mixed_bounds(C, S, L)
+    spectrum = ctrl.mixed_spectrum(C, S, L)
+    low, high = spectrum[..., 0], spectrum[..., -1]
     lam = np.linalg.eigvalsh(S)
     mapped = ctrl.spectral_maps(specs, lam) * lam  # phi(lambda) lambda
     mapped_scale = np.maximum(np.max(np.abs(mapped), axis=-1), 1.0)
-    spectrum = np.linalg.eigvalsh(hb.hermitian_part(L))
+    # hb.is_positive(L, 1e-10) on the norm and the spectrum taken above
+    positive = ((hb.operator_norm(L - hb.adjoint(L)) <= 1e-10 * scale)
+                & hb.nonnegative_spectrum(low, high, 1e-10))
     return (np.stack([hb.operator_norm(L - C @ S) / scale,
                       hb.operator_norm(L - S @ hb.adjoint(C)) / scale], axis=-1),
             np.stack([np.abs(low - np.min(mapped, axis=-1)) / mapped_scale,
                       np.abs(high - np.max(mapped, axis=-1)) / mapped_scale], axis=-1),
             np.max(np.abs(np.sort(spectrum, axis=-1) - np.sort(mapped, axis=-1)),
                    axis=-1) / scale,
-            ~hb.is_positive(L, 1e-10),
-            (low > 0.0) & ~fr.operator_bounds(S).is_frame)
+            ~positive,
+            (low > 0.0) & ~bounds.is_frame)
 
 
 def _precondition_identity(cfg, w, F, G, m, kinds, params, dual_kinds, dual_params):
@@ -552,14 +589,25 @@ def _precondition_identity(cfg, w, F, G, m, kinds, params, dual_kinds, dual_para
     return ctrl.precondition_residual(C, D, w * m, F, G)
 
 
-def _weighted_scaling(cfg, w, F):
+def _weighted(cfg, w, F, delta, offsets):
+    """The bounds defects of the frame under the constant weight 4, then
+    delta A_F - lambda_min(M) and True where M is not positive, for the
+    multiplier M of the symbol delta + offsets in [delta, delta + 2), from
+    one S and one set of its bounds a trial."""
     bounds = fr.operator_bounds(fr.weighted_gram(F, w, F))
     # the vectors of fr.weighted(F, 4): each column times sqrt(4), exactly
     scaled_vectors = 2.0 * F
     scaled = fr.operator_bounds(fr.weighted_gram(scaled_vectors, w, scaled_vectors))
-    return np.stack([np.abs(scaled.lower - 4.0 * bounds.lower) / (4.0 * bounds.upper),
-                     np.abs(scaled.upper - 4.0 * bounds.upper) / (4.0 * bounds.upper)],
-                    axis=-1)
+    m = (delta[:, None] + offsets).astype(complex)
+    M = fr.weighted_gram(F, w * m, F)
+    # hb.is_positive(M, 1e-10) on the one eigvalsh that also gives lam_min
+    lam_min, lam_max = hb.extreme_eigenvalues(M)
+    not_positive = ~(hb.is_hermitian(M, 1e-10)
+                     & hb.nonnegative_spectrum(lam_min, lam_max, 1e-10))
+    return (np.stack([np.abs(scaled.lower - 4.0 * bounds.lower) / (4.0 * bounds.upper),
+                      np.abs(scaled.upper - 4.0 * bounds.upper) / (4.0 * bounds.upper)],
+                     axis=-1),
+            (delta * bounds.lower - lam_min, not_positive))
 
 
 def _certificates(cfg, w, F, G, m):
@@ -571,19 +619,6 @@ def _certificates(cfg, w, F, G, m):
 def _multiplier_dual(cfg, w, F, G, m):
     H = multiplier_dual_vectors(w, m, F, G)
     return hb.operator_norm(fr.weighted_gram(G, w, H) - np.eye(cfg.d))
-
-
-def _positive_symbol_coercivity(cfg, w, F, delta, offsets):
-    """delta A_F - lambda_min(M), and True where M is not positive, for the
-    symbol delta + offsets in [delta, delta + 2)."""
-    m = (delta[:, None] + offsets).astype(complex)
-    M = fr.weighted_gram(F, w * m, F)
-    # hb.is_positive(M, 1e-10) on the one eigvalsh that also gives lam_min
-    lam_min, lam_max = hb.extreme_eigenvalues(M)
-    not_positive = ~(hb.is_hermitian(M, 1e-10)
-                     & hb.nonnegative_spectrum(lam_min, lam_max, 1e-10))
-    floor = delta * fr.operator_bounds(fr.weighted_gram(F, w, F)).lower
-    return floor - lam_min, not_positive
 
 
 def _frame_iff_invertible(cfg, w, F):
@@ -626,41 +661,35 @@ def _family(row: Stacked) -> dict:
 
 # the row of every stacked check; the members of a family share one row
 STACKED = {
-    "frame_factorization": Stacked(101, _FRAME, _frame_factorization),
-    "reconstruction": Stacked(102, (*_FRAME, _complex(20, "d")),
-                              functools.partial(_reconstruction, swapped=False)),
-    "reconstruction_swapped": Stacked(103, (*_FRAME, _complex(20, "d")),
-                                      functools.partial(_reconstruction, swapped=True)),
-    "multiplier_adjoint": Stacked(104, _INSTANCE, _multiplier_adjoint),
+    # the frame, then test vectors
+    **_family(Stacked(101, (*_FRAME, _complex(20, "d")), _frame, members=(
+        "frame_factorization", "reconstruction", "reconstruction_swapped",
+        "canonical_dual_pair", "dual_bounds_inverse"))),
     # the instance, a second symbol, then second vectors
     **_family(Stacked(105, (*_INSTANCE, _SYMBOL, _VECTORS), _difference, members=(
-        "difference_symbol", "difference_analysis", "difference_synthesis"))),
+        "difference_symbol", "difference_analysis", "difference_synthesis",
+        "multiplier_adjoint"))),
     "weighted_identity": Stacked(108, (*_FRAME, _NONNEGATIVE), _weighted_identity),
-    "canonical_dual_pair": Stacked(109, _FRAME, _canonical_dual_pair),
-    "dual_bounds_inverse": Stacked(110, _FRAME, _dual_bounds_inverse),
     "frame_iff_invertible": Stacked(
         111, (*_FRAME, _complex("d", "d-1"), _real("d-1", "n")), _frame_iff_invertible,
         draw=_half_deficient),
-    "bessel_inequality": Stacked(112, (*_FRAME, _complex(10, "d")), _bessel_inequality),
-    "bessel_sharpness": Stacked(113, _FRAME, _bessel_sharpness),
+    **_family(Stacked(112, (*_FRAME, _complex(10, "d")), _bessel, members=(
+        "bessel_inequality", "bessel_sharpness"))),
     **_family(Stacked(114, _INSTANCE, _budgets, members=(
         "op_norm_budget", "trace_budget", "schatten_budget_p15", "schatten_budget_p2",
         "schatten_budget_p3", "schatten_monotonicity"))),
     # weights, G, F, eps
-    "perturb_upper": Stacked(120, (*_FRAME, _VECTORS, _uniform(0.05, 1.0)),
-                             _perturb_upper),
-    "perturb_lower": Stacked(121, (*_FRAME, _VECTORS), _perturb_lower),
+    **_family(Stacked(120, (*_FRAME, _VECTORS, _uniform(0.05, 1.0)), _perturbation,
+                      members=("perturb_upper", "perturb_lower"))),
     # vectors on counting_space(n), which draws nothing
     "discrete_bessel_norm_bound": Stacked(122, (_VECTORS,), _discrete_bessel_norm_bound),
     **_family(Stacked(125, (*_FRAME, _NONNEGATIVE), _truncation, cap=50, members=(
         "truncation_budget", "truncation_monotone"))),
-    # the instance, then the bump of the symbol or of the analysis vectors
-    **_family(Stacked(126, (*_INSTANCE, _SYMBOL), functools.partial(
-        _convergence, kind="symbol_p", ps=(1.0, 2.0, math.inf)), cap=20, members=(
-        "symbol_convergence_p1", "symbol_convergence_p2", "symbol_convergence_pinf"))),
-    **_family(Stacked(129, (*_INSTANCE, _VECTORS), functools.partial(
-        _convergence, kind="frame_uniform", ps=(2.0, 1.0)), cap=20, members=(
-        "frame_uniform_l2", "frame_uniform_l1"))),
+    # the instance, then the bumps of the symbol and of the analysis vectors
+    **_family(Stacked(126, (*_INSTANCE, _SYMBOL, _VECTORS), _convergence, cap=20,
+                      members=("symbol_convergence_p1", "symbol_convergence_p2",
+                               "symbol_convergence_pinf", "frame_uniform_l2",
+                               "frame_uniform_l1"))),
     **_family(Stacked(136, (*_FRAME, *_CONTROL), _controlled, cap=100, members=(
         "controlled_factorization", "controlled_bounds_map",
         "controlled_spectral_mapping", "controlled_positivity",
@@ -668,15 +697,14 @@ STACKED = {
     # the instance, the analysis control, then the synthesis control
     "precondition_identity": Stacked(141, (*_INSTANCE, *_CONTROL, *_CONTROL),
                                      _precondition_identity, cap=100),
-    "weighted_scaling": Stacked(142, _FRAME, _weighted_scaling, cap=100),
+    # the frame, delta in [0.1, 1), then the symbol's offsets from delta
+    **_family(Stacked(142, (*_FRAME, _uniform(0.1, 1.0), _uniform(0.0, 2.0, "n")),
+                      _weighted, cap=100, members=(
+                          "weighted_scaling", "positive_symbol_coercivity"))),
     "certificates": Stacked(143, _INSTANCE, _certificates, cap=100,
                             draw=_invertible_draws),
     "multiplier_dual": Stacked(144, _INSTANCE, _multiplier_dual, cap=50,
                                draw=_invertible_draws),
-    # the frame, delta in [0.1, 1), then the symbol's offsets from delta
-    "positive_symbol_coercivity": Stacked(
-        145, (*_FRAME, _uniform(0.1, 1.0), _uniform(0.0, 2.0, "n")),
-        _positive_symbol_coercivity, cap=100),
 }
 
 
@@ -695,27 +723,31 @@ def _row_values(row: Stacked, seed: int, d: int, n: int, chunks: tuple) -> tuple
     return tuple(values)
 
 
-# one dict per running run_suite, holding the values of the row it measured
-# last by (row, seed, d, N, chunks): the members of a family follow each
-# other, so a run draws and measures each family once; outside run_suite
+# one dict per running run_suite, holding the values of every row it measured
+# by (row, seed, d, N, chunks): the members of a family need not follow each
+# other, and a run draws and measures each family once; outside run_suite
 # every call measures afresh
 _RUNS: list[dict] = []
 
 
 def stacked_values(cfg: SuiteConfig, check_id: str) -> list:
     """The values of a stacked check, chunk by chunk in trial order; a member
-    of a family reads its own part of the family's values."""
+    of a family reads its own part of the family's values, and raises the
+    error that stands in a chunk's place."""
     row = STACKED[check_id]
     key = (row, cfg.seed, cfg.d, cfg.n_points, tuple(_chunks(cfg, row.cap)))
     run = _RUNS[-1] if _RUNS else {}
     chunks = run.get(key)
     if chunks is None:
-        run.clear()
         chunks = run[key] = _row_values(*key)
     if not row.members:
         return list(chunks)
     member = row.members.index(check_id)
-    return [values[member] for values in chunks]
+    values = [chunk[member] for chunk in chunks]
+    for error in values:
+        if isinstance(error, Exception):
+            raise error
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -738,15 +770,26 @@ def _max_check(cfg: SuiteConfig, check_id: str, claim: str, chunks,
     return _check(cfg, check_id, claim, worst, tol, worst <= tol)
 
 
-def _stacked_check(cfg: SuiteConfig, check_id: str, claim: str,
-                   worst: float = 0.0) -> Check:
-    return _max_check(cfg, check_id, claim, stacked_values(cfg, check_id), worst)
+def _named(check_id: str, check: Callable) -> Callable:
+    check.__name__ = check.__qualname__ = f"check_{check_id}"
+    return check
 
 
-def _counted_check(cfg: SuiteConfig, check_id: str, claim: str) -> Check:
-    """No trial fails: the number of failing trials against the tolerance."""
-    bad = sum(int(np.count_nonzero(failing)) for failing in stacked_values(cfg, check_id))
-    return _check(cfg, check_id, claim, bad, cfg.tol(check_id), bad == 0)
+def _stacked(check_id: str, claim: str, worst: float = 0.0) -> Callable:
+    """The check function of a stacked check whose values fold with max from
+    ``worst`` (_max_check)."""
+    return _named(check_id, lambda cfg: _max_check(
+        cfg, check_id, claim, stacked_values(cfg, check_id), worst))
+
+
+def _counted(check_id: str, claim: str) -> Callable:
+    """The check function of a stacked check that no trial may fail: the
+    number of failing trials against the tolerance."""
+    def check(cfg: SuiteConfig) -> Check:
+        bad = sum(int(np.count_nonzero(failing))
+                  for failing in stacked_values(cfg, check_id))
+        return _check(cfg, check_id, claim, bad, cfg.tol(check_id), bad == 0)
+    return _named(check_id, check)
 
 
 def _max_and_count(cfg: SuiteConfig, check_id: str) -> tuple[float, int]:
@@ -759,128 +802,86 @@ def _max_and_count(cfg: SuiteConfig, check_id: str) -> tuple[float, int]:
     return worst, bad
 
 
-def check_frame_factorization(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "frame_factorization",
-                          "frame operator equals synthesis composed with analysis")
+check_frame_factorization = _stacked(
+    "frame_factorization", "frame operator equals synthesis composed with analysis")
 
+check_reconstruction = _stacked(
+    "reconstruction", "canonical dual reconstructs every vector from analysis by F")
 
-def check_reconstruction(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "reconstruction",
-                          "canonical dual reconstructs every vector from analysis by F")
+check_reconstruction_swapped = _stacked(
+    "reconstruction_swapped",
+    "F reconstructs every vector from analysis by the canonical dual")
 
+check_multiplier_adjoint = _stacked(
+    "multiplier_adjoint",
+    "adjoint of the multiplier is the conjugate-symbol multiplier with frames swapped")
 
-def check_reconstruction_swapped(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "reconstruction_swapped",
-                          "F reconstructs every vector from analysis by the "
-                          "canonical dual")
+check_difference_symbol = _stacked(
+    "difference_symbol",
+    "difference of multipliers equals the multiplier of the symbol difference")
 
+check_difference_analysis = _stacked(
+    "difference_analysis",
+    "difference over analysis frames equals the multiplier of the frame difference")
 
-def check_multiplier_adjoint(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "multiplier_adjoint",
-                          "adjoint of the multiplier is the conjugate-symbol "
-                          "multiplier with frames swapped")
+check_difference_synthesis = _stacked(
+    "difference_synthesis",
+    "difference over synthesis frames equals the multiplier of the frame difference")
 
+check_weighted_identity = _stacked(
+    "weighted_identity",
+    "multiplier with a nonnegative symbol is the frame operator of the reweighted frame")
 
-def check_difference_symbol(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "difference_symbol",
-                          "difference of multipliers equals the multiplier of the "
-                          "symbol difference")
+check_canonical_dual_pair = _stacked(
+    "canonical_dual_pair", "frame and its canonical dual synthesize the identity")
 
+check_dual_bounds_inverse = _stacked(
+    "dual_bounds_inverse", "canonical dual bounds are the reciprocals (1/B, 1/A)")
 
-def check_difference_analysis(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "difference_analysis",
-                          "difference over analysis frames equals the multiplier of "
-                          "the frame difference")
+check_frame_iff_invertible = _counted(
+    "frame_iff_invertible",
+    "frame property coincides with invertibility of the frame operator")
 
+check_bessel_inequality = _stacked(
+    "bessel_inequality",
+    "weighted coefficient energy lies between the optimal bounds times ||f||^2")
 
-def check_difference_synthesis(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "difference_synthesis",
-                          "difference over synthesis frames equals the multiplier of "
-                          "the frame difference")
+check_bessel_sharpness = _stacked(
+    "bessel_sharpness", "the top eigenvector attains the upper bound with equality")
 
+check_op_norm_budget = _stacked(
+    "op_norm_budget", "operator norm is at most sup|m| sqrt(B_F B_G)", -math.inf)
 
-def check_weighted_identity(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "weighted_identity",
-                          "multiplier with a nonnegative symbol is the frame "
-                          "operator of the reweighted frame")
+check_trace_budget = _stacked(
+    "trace_budget", "trace norm is at most ||m||_1 L_F L_G", -math.inf)
 
+check_schatten_budget_p15 = _stacked(
+    "schatten_budget_p15",
+    "Schatten 1.5-norm stays under its interpolation budget", -math.inf)
 
-def check_canonical_dual_pair(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "canonical_dual_pair",
-                          "frame and its canonical dual synthesize the identity")
+check_schatten_budget_p2 = _stacked(
+    "schatten_budget_p2",
+    "Hilbert-Schmidt norm stays under its interpolation budget", -math.inf)
 
+check_schatten_budget_p3 = _stacked(
+    "schatten_budget_p3",
+    "Schatten 3-norm stays under its interpolation budget", -math.inf)
 
-def check_dual_bounds_inverse(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "dual_bounds_inverse",
-                          "canonical dual bounds are the reciprocals (1/B, 1/A)")
+check_schatten_monotonicity = _stacked(
+    "schatten_monotonicity", "Schatten norms are nonincreasing in p")
 
+check_perturb_upper = _stacked(
+    "perturb_upper",
+    "upper bound of G + eps F is at most 2 (B_G + eps^2 B_F)", -math.inf)
 
-def check_frame_iff_invertible(cfg: SuiteConfig) -> Check:
-    return _counted_check(cfg, "frame_iff_invertible",
-                          "frame property coincides with invertibility of the frame "
-                          "operator")
+check_perturb_lower = _stacked(
+    "perturb_lower",
+    "lower bound of G + eps F is at least (sqrt(A_G) - eps sqrt(B_F))^2 for "
+    "small eps", -math.inf)
 
-
-def check_bessel_inequality(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "bessel_inequality",
-                          "weighted coefficient energy lies between the optimal "
-                          "bounds times ||f||^2")
-
-
-def check_bessel_sharpness(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "bessel_sharpness",
-                          "the top eigenvector attains the upper bound with equality")
-
-
-def check_op_norm_budget(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "op_norm_budget",
-                          "operator norm is at most sup|m| sqrt(B_F B_G)", -math.inf)
-
-
-def check_trace_budget(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "trace_budget",
-                          "trace norm is at most ||m||_1 L_F L_G", -math.inf)
-
-
-def check_schatten_budget_p15(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "schatten_budget_p15",
-                          "Schatten 1.5-norm stays under its interpolation budget",
-                          -math.inf)
-
-
-def check_schatten_budget_p2(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "schatten_budget_p2",
-                          "Hilbert-Schmidt norm stays under its interpolation budget",
-                          -math.inf)
-
-
-def check_schatten_budget_p3(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "schatten_budget_p3",
-                          "Schatten 3-norm stays under its interpolation budget",
-                          -math.inf)
-
-
-def check_schatten_monotonicity(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "schatten_monotonicity",
-                          "Schatten norms are nonincreasing in p")
-
-
-def check_perturb_upper(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "perturb_upper",
-                          "upper bound of G + eps F is at most 2 (B_G + eps^2 B_F)",
-                          -math.inf)
-
-
-def check_perturb_lower(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "perturb_lower",
-                          "lower bound of G + eps F is at least "
-                          "(sqrt(A_G) - eps sqrt(B_F))^2 for small eps", -math.inf)
-
-
-def check_discrete_bessel_norm_bound(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "discrete_bessel_norm_bound",
-                          "with unit weights every frame vector norm is at most "
-                          "sqrt(B)", -math.inf)
+check_discrete_bessel_norm_bound = _stacked(
+    "discrete_bessel_norm_bound",
+    "with unit weights every frame vector norm is at most sqrt(B)", -math.inf)
 
 
 def check_unbounded_norm_growth(cfg: SuiteConfig) -> Check:
@@ -914,46 +915,33 @@ def check_unbounded_bessel_cap(cfg: SuiteConfig) -> Check:
                   "quadrature on every refinement", worst, tol, worst <= tol)
 
 
-def check_truncation_budget(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "truncation_budget",
-                          "truncated-symbol deviation stays under "
-                          "sup|m - m_n| sqrt(B_F B_G)", -math.inf)
+check_truncation_budget = _stacked(
+    "truncation_budget",
+    "truncated-symbol deviation stays under sup|m - m_n| sqrt(B_F B_G)", -math.inf)
 
+check_truncation_monotone = _stacked(
+    "truncation_monotone",
+    "nested truncations decrease the deviation monotonically to zero", -math.inf)
 
-def check_truncation_monotone(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "truncation_monotone",
-                          "nested truncations decrease the deviation monotonically "
-                          "to zero", -math.inf)
+check_symbol_convergence_p1 = _stacked(
+    "symbol_convergence_p1",
+    "trace-norm deviation tracks the L1 distance of the symbols", -math.inf)
 
+check_symbol_convergence_p2 = _stacked(
+    "symbol_convergence_p2",
+    "Hilbert-Schmidt deviation tracks the L2 distance of the symbols", -math.inf)
 
-def check_symbol_convergence_p1(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "symbol_convergence_p1",
-                          "trace-norm deviation tracks the L1 distance of the symbols",
-                          -math.inf)
+check_symbol_convergence_pinf = _stacked(
+    "symbol_convergence_pinf",
+    "operator-norm deviation tracks the sup distance of the symbols", -math.inf)
 
+check_frame_uniform_l2 = _stacked(
+    "frame_uniform_l2",
+    "uniform frame perturbation is dominated by eps ||m||_2 sqrt(B_G)", -math.inf)
 
-def check_symbol_convergence_p2(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "symbol_convergence_p2",
-                          "Hilbert-Schmidt deviation tracks the L2 distance of the "
-                          "symbols", -math.inf)
-
-
-def check_symbol_convergence_pinf(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "symbol_convergence_pinf",
-                          "operator-norm deviation tracks the sup distance of the "
-                          "symbols", -math.inf)
-
-
-def check_frame_uniform_l2(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "frame_uniform_l2",
-                          "uniform frame perturbation is dominated by "
-                          "eps ||m||_2 sqrt(B_G)", -math.inf)
-
-
-def check_frame_uniform_l1(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "frame_uniform_l1",
-                          "uniform frame perturbation is dominated by eps ||m||_1 L_G",
-                          -math.inf)
+check_frame_uniform_l1 = _stacked(
+    "frame_uniform_l1",
+    "uniform frame perturbation is dominated by eps ||m||_1 L_G", -math.inf)
 
 
 def check_gabor_tightness(cfg: SuiteConfig) -> Check:
@@ -1177,43 +1165,32 @@ def check_calderon_refinement(cfg: SuiteConfig) -> Check:
                   detail=f"residuals {coarse!r} -> {fine!r}")
 
 
-def check_controlled_factorization(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "controlled_factorization",
-                          "mixed operator equals C S and S C* for self-adjoint "
-                          "commuting controls")
+check_controlled_factorization = _stacked(
+    "controlled_factorization",
+    "mixed operator equals C S and S C* for self-adjoint commuting controls")
 
+check_controlled_bounds_map = _stacked(
+    "controlled_bounds_map",
+    "controlled bounds are the extremes of phi(lambda) lambda over the frame spectrum")
 
-def check_controlled_bounds_map(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "controlled_bounds_map",
-                          "controlled bounds are the extremes of phi(lambda) lambda "
-                          "over the frame spectrum")
+check_controlled_spectral_mapping = _stacked(
+    "controlled_spectral_mapping",
+    "spectrum of the mixed operator is the mapped frame spectrum, relative to "
+    "max(||L||, 1)")
 
+check_controlled_positivity = _counted(
+    "controlled_positivity",
+    "mixed operator of a positive commuting control is positive")
 
-def check_controlled_spectral_mapping(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "controlled_spectral_mapping",
-                          "spectrum of the mixed operator is the mapped frame "
-                          "spectrum, relative to max(||L||, 1)")
+check_controlled_implies_frame = _counted(
+    "controlled_implies_frame",
+    "a positive controlled lower bound certifies the frame property")
 
+check_precondition_identity = _stacked(
+    "precondition_identity", "undoing the controls recovers the plain multiplier")
 
-def check_controlled_positivity(cfg: SuiteConfig) -> Check:
-    return _counted_check(cfg, "controlled_positivity",
-                          "mixed operator of a positive commuting control is positive")
-
-
-def check_controlled_implies_frame(cfg: SuiteConfig) -> Check:
-    return _counted_check(cfg, "controlled_implies_frame",
-                          "a positive controlled lower bound certifies the frame "
-                          "property")
-
-
-def check_precondition_identity(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "precondition_identity",
-                          "undoing the controls recovers the plain multiplier")
-
-
-def check_weighted_scaling(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "weighted_scaling",
-                          "a constant weight scales both frame bounds by that constant")
+check_weighted_scaling = _stacked(
+    "weighted_scaling", "a constant weight scales both frame bounds by that constant")
 
 
 def check_certificates(cfg: SuiteConfig) -> Check:
@@ -1225,9 +1202,8 @@ def check_certificates(cfg: SuiteConfig) -> Check:
                   detail=f"{failed} failing instance(s)")
 
 
-def check_multiplier_dual(cfg: SuiteConfig) -> Check:
-    return _stacked_check(cfg, "multiplier_dual",
-                          "the frame built from the inverse multiplier is a dual of G")
+check_multiplier_dual = _stacked(
+    "multiplier_dual", "the frame built from the inverse multiplier is a dual of G")
 
 
 def check_positive_symbol_coercivity(cfg: SuiteConfig) -> Check:
@@ -1432,18 +1408,20 @@ def run_multiplier(config: dict, seed: int = 0) -> tuple[Report, str]:
     tolerance = float(config.get("tolerance", 1e-10))
 
     report = Report(suite="multiplier-run", seed=seed, started=_timestamp())
+    # one M and one SVD for the budgets, the scale and the CSV
     M = multiplier(m, F, G)
-    budget = bound_budget(m, F, G, tolerance=tolerance)
-    for p in sorted(budget.actuals, key=lambda q: (math.isinf(q), q)):
+    sigma = hb.singular_values(M)
+    actuals, budgets = budget_values(F.space.weights, m.values, F.vectors, G.vectors,
+                                     DEFAULT_PS, sigma)
+    for p, actual, budget in zip(DEFAULT_PS, actuals.tolist(), budgets.tolist()):
         tag = "inf" if p == math.inf else f"{p:g}"
         report.checks.append(Check(
             f"budget_p{tag}", f"Schatten {tag}-norm within its budget",
-            budget.actuals[p], budget.schatten_budgets[p], tolerance,
-            budget.actuals[p] <= budget.schatten_budgets[p] + tolerance))
+            actual, budget, tolerance, actual <= budget + tolerance))
 
     adjoint_defect = hb.operator_norm(
         M.conj().T - multiplier(m.values.conj(), G, F))
-    scale = max(hb.operator_norm(M), 1e-300)
+    scale = max(hb.schatten_of(sigma, math.inf), 1e-300)
     report.checks.append(Check(
         "adjoint_identity",
         "adjoint equals the conjugate-symbol multiplier with frames swapped",
@@ -1456,6 +1434,6 @@ def run_multiplier(config: dict, seed: int = 0) -> tuple[Report, str]:
             "unit symbol with equal frames reproduces the frame operator",
             s_defect, 1e-12, 1e-12, s_defect <= 1e-12))
 
-    csv_text = hb.spectrum_to_csv(hb.singular_values(M))
+    csv_text = hb.spectrum_to_csv(sigma)
     report.finished = _timestamp()
     return report, csv_text

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from contframes import tf_frames as tf
 from contframes.cli import main
 from contframes.errors import InvalidParameterError
 from contframes.frame import SampledFrame
-from contframes.measure import Symbol, counting_space
+from contframes.measure import MeasureSpace, Symbol, counting_space
 from contframes.reporting import Report
 from contframes.suites import SuiteConfig, run_multiplier, run_suite, run_wavelet
+
+
+TIMESTAMP = re.compile(r'^  "(started|finished)": .*\n', re.MULTILINE)
 
 
 def read_json(path):
@@ -179,6 +183,93 @@ def test_multiplier_command(tmp_path):
     assert len(lines) == 5  # d singular values
 
 
+# the report of the configuration below without its timestamps, and its CSV;
+# the last digits come from numpy's bundled OpenBLAS, as in tests/test_golden.py
+MULTIPLIER_REPORT = """\
+{
+  "suite": "multiplier-run",
+  "seed": 0,
+  "checks": [
+    {
+      "check_id": "adjoint_identity",
+      "claim": "adjoint equals the conjugate-symbol multiplier with frames swapped",
+      "measured": 1.3451255843317014e-16,
+      "budget": 1e-12,
+      "tolerance": 1e-12,
+      "pass": true
+    },
+    {
+      "check_id": "budget_p1",
+      "claim": "Schatten 1-norm within its budget",
+      "measured": 26.381392812877404,
+      "budget": 60.680109485883,
+      "tolerance": 1e-10,
+      "pass": true
+    },
+    {
+      "check_id": "budget_p1.5",
+      "claim": "Schatten 1.5-norm within its budget",
+      "measured": 21.90698340132846,
+      "budget": 48.23285245856012,
+      "tolerance": 1e-10,
+      "pass": true
+    },
+    {
+      "check_id": "budget_p2",
+      "claim": "Schatten 2-norm within its budget",
+      "measured": 20.650805810043867,
+      "budget": 44.66236203056543,
+      "tolerance": 1e-10,
+      "pass": true
+    },
+    {
+      "check_id": "budget_p3",
+      "claim": "Schatten 3-norm within its budget",
+      "measured": 20.020442060519382,
+      "budget": 43.33049983349158,
+      "tolerance": 1e-10,
+      "pass": true
+    },
+    {
+      "check_id": "budget_pinf",
+      "claim": "Schatten inf-norm within its budget",
+      "measured": 19.88052221398031,
+      "budget": 48.09082907687736,
+      "tolerance": 1e-10,
+      "pass": true
+    }
+  ],
+  "summary": {
+    "total": 6,
+    "passed": 6
+  }
+}
+"""
+MULTIPLIER_CSV = """\
+index,sigma
+0,19.88052221398031
+1,5.4965383504876835
+2,1.0043322484094122
+"""
+
+
+def test_multiplier_command_output_is_pinned(tmp_path):
+    rng = np.random.default_rng(7)
+    space = MeasureSpace(np.arange(6, dtype=float)[:, None], rng.uniform(0.2, 2.0, 6))
+    F, G = (SampledFrame(space, rng.standard_normal((3, 6))
+                         + 1j * rng.standard_normal((3, 6))) for _ in range(2))
+    m = Symbol(rng.standard_normal(6) + 1j * rng.standard_normal(6), space)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"analysis_frame": F.to_dict(),
+                                    "synthesis_frame": G.to_dict(),
+                                    "symbol": m.to_dict()}))
+    out, sigma = tmp_path / "report.json", tmp_path / "sigma.csv"
+    assert main(["multiplier", "--config", str(cfg_path), "--out", str(out),
+                 "--sigma-csv", str(sigma)]) == 0
+    assert TIMESTAMP.sub("", out.read_text()) == MULTIPLIER_REPORT
+    assert sigma.read_text() == MULTIPLIER_CSV
+
+
 def test_multiplier_malformed_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -326,7 +417,7 @@ def test_controlled_spectral_mapping_catches_relative_map_error(monkeypatch):
     assert suites.check_controlled_spectral_mapping(cfg).passed
     true_map = ctrl.ControlSpec.spectral_map
 
-    def true_controls(specs, S):
+    def true_controls(specs, S, bounds=None):
         lam, U = np.linalg.eigh(S)
         phi = np.array([true_map(spec, row) for spec, row in zip(specs, lam)])
         return (U * phi[:, None, :]) @ U.conj().swapaxes(-1, -2)
@@ -384,7 +475,8 @@ def test_verify_config_with_unknown_key_or_bad_value_exits_2(tmp_path, capsys, p
 
 def test_positive_symbol_coercivity_takes_one_eigvalsh_of_the_multiplier(monkeypatch):
     cfg = SuiteConfig(trials=6, d=4, n_points=12)
-    before = suites.check_positive_symbol_coercivity(cfg)
+    before = [suites.check_weighted_scaling(cfg),
+              suites.check_positive_symbol_coercivity(cfg)]
 
     def removed(*args, **kwargs):
         raise AssertionError("is_positive was called")
@@ -398,11 +490,13 @@ def test_positive_symbol_coercivity_takes_one_eigvalsh_of_the_multiplier(monkeyp
 
     monkeypatch.setattr(suites.hb, "is_positive", removed)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    assert suites.check_positive_symbol_coercivity(cfg) == before
-    assert before.passed
-    # one for the multipliers and one for the frame bounds of F, over the
-    # stack of the six trials
-    assert calls == [(cfg.trials, 4, 4)] * 2
+    # outside run_suite each check measures the family afresh
+    assert [suites.check_weighted_scaling(cfg),
+            suites.check_positive_symbol_coercivity(cfg)] == before
+    assert all(check.passed for check in before)
+    # one for the frame operators of F and of its reweighting by 4 and one for
+    # the multipliers, over the stack of the six trials, per measure
+    assert calls == [(cfg.trials, 4, 4)] * 3 * 2
 
 
 def test_positive_symbol_coercivity_counts_non_hermitian_multipliers(monkeypatch):

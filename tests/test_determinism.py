@@ -56,3 +56,13 @@ def test_bounds_report_independent_of_blas_threads(tmp_path):
 def test_controlled_report_independent_of_blas_threads(tmp_path):
     # 70 trials under the cap of 100 stack as chunks of 64 and 6
     assert_same_across_threads(tmp_path, 8, 64, 70, suite="controlled")
+
+
+def test_convergence_report_independent_of_blas_threads(tmp_path):
+    # the convergence family: symbol and frame bumps of one instance a trial
+    assert_same_across_threads(tmp_path, 8, 64, 5, suite="convergence")
+
+
+def test_weighted_report_independent_of_blas_threads(tmp_path):
+    # the weighted family beside the invertible draws of the other two rows
+    assert_same_across_threads(tmp_path, 8, 64, 5, suite="weighted")

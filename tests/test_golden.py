@@ -1,4 +1,4 @@
-"""Measured values of four seeded suites, pinned to literals.
+"""Measured values of five seeded suites, pinned to literals.
 
 The suites draw every instance from seeded streams, so a change to the
 streams, to the order in which roles read them or to a measure changes
@@ -16,24 +16,24 @@ from contframes.cli import main
 
 GOLDEN = {
     "identities": {
-        "canonical_dual_pair": 8.254756890813921e-16,
+        "canonical_dual_pair": 1.199995929184332e-15,
         "difference_analysis": 1.0695084443661336e-14,
         "difference_symbol": 1.5888218580782548e-14,
         "difference_synthesis": 1.5888218580782548e-14,
-        "dual_bounds_inverse": 2.966043034739131e-15,
+        "dual_bounds_inverse": 2.2011934827683625e-15,
         "frame_factorization": 2.1515075745999557e-16,
         "frame_iff_invertible": 0.0,
-        "multiplier_adjoint": 2.640477411196568e-16,
-        "reconstruction": 6.389110110211377e-16,
-        "reconstruction_swapped": 6.688427021606006e-16,
+        "multiplier_adjoint": 2.5078722452141928e-16,
+        "reconstruction": 1.0013901968566236e-15,
+        "reconstruction_swapped": 1.229696823415234e-15,
         "weighted_identity": 2.223766973807737e-16,
     },
     "bounds": {
         "bessel_inequality": 0.0,
-        "bessel_sharpness": 9.268517169424222e-16,
+        "bessel_sharpness": 1.1254700079851817e-15,
         "discrete_bessel_norm_bound": -1.974616098693895,
         "op_norm_budget": -42.93667828453415,
-        "perturb_lower": -1.8443007711815844,
+        "perturb_lower": -5.085961320263733,
         "perturb_upper": -30.189584202254892,
         "schatten_budget_p15": -63.6509205704235,
         "schatten_budget_p2": -53.23734043003067,
@@ -44,8 +44,8 @@ GOLDEN = {
         "unbounded_norm_growth": 1.7782794100389225,
     },
     "convergence": {
-        "frame_uniform_l1": -8.217734264604003,
-        "frame_uniform_l2": -3.9897916622802723,
+        "frame_uniform_l1": -8.874091942681142,
+        "frame_uniform_l2": -4.738068856648278,
         "symbol_convergence_p1": -5.194882166736735,
         "symbol_convergence_p2": -2.6888439154079076,
         "symbol_convergence_pinf": -2.018169424119588,
@@ -59,6 +59,12 @@ GOLDEN = {
         "controlled_positivity": 0.0,
         "controlled_spectral_mapping": 2.2204460492503103e-15,
         "precondition_identity": 2.329661873606221e-15,
+    },
+    "weighted": {
+        "certificates": -2.2372336813793114,
+        "multiplier_dual": 5.2661621412764984e-15,
+        "positive_symbol_coercivity": -3.005037894920724,
+        "weighted_scaling": 0.0,
     },
 }
 

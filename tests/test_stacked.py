@@ -217,7 +217,8 @@ def perturb_upper(cfg, i):
 
 
 def perturb_lower(cfg, i):
-    G, F = frames(*draws(cfg, "perturb_lower", i))
+    w, Gv, Fv, _ = draws(cfg, "perturb_lower", i)
+    G, F = frames(w, Gv, Fv)
     ag, bf = fr.frame_bounds(G).lower, fr.frame_bounds(F).upper
     eps = 0.5 * math.sqrt(ag / bf)
     lower = fr.frame_bounds(fr.perturb(G, F, eps)).lower
@@ -255,7 +256,7 @@ def truncation_monotone(cfg, i):  # the rise of every step, then the last deviat
 
 def symbol_convergence(check_id, p):
     def oracle(cfg, i):
-        m, F, G, (bump,) = instance(cfg, check_id, i)
+        m, F, G, (bump, _) = instance(cfg, check_id, i)
         schedule = [Symbol(m.values + bump / n, F.space) for n in (1, 2, 4, 8, 16)]
         report = convergence_experiment("symbol_p", m, F, G, schedule, p=p)
         return [s.measured - s.budget for s in report.steps]
@@ -264,7 +265,7 @@ def symbol_convergence(check_id, p):
 
 def frame_convergence(check_id, kind):
     def oracle(cfg, i):
-        m, F, G, (bump,) = instance(cfg, check_id, i)
+        m, F, G, (_, bump) = instance(cfg, check_id, i)
         schedule = [fr.SampledFrame(F.space, F.vectors + bump / n)
                     for n in (1, 2, 4, 8, 16)]
         report = convergence_experiment(kind, m, F, G, schedule)
@@ -463,9 +464,10 @@ def test_every_trial_loop_of_the_algebra_suites_is_stacked():
 
 
 # the first member of each family row, by the row's branch
-FAMILIES = {105: "difference_symbol", 114: "op_norm_budget", 125: "truncation_budget",
-            126: "symbol_convergence_p1", 129: "frame_uniform_l2",
-            136: "controlled_factorization"}
+FAMILIES = {101: "frame_factorization", 105: "difference_symbol",
+            112: "bessel_inequality", 114: "op_norm_budget", 120: "perturb_upper",
+            125: "truncation_budget", 126: "symbol_convergence_p1",
+            136: "controlled_factorization", 142: "weighted_scaling"}
 
 
 # at N < d the random families are no frames, which these checks need
@@ -585,6 +587,41 @@ def test_a_family_whose_measure_raises_aborts_every_member(monkeypatch, tmp_path
     assert len(checks) == 13
     assert all(check["pass"] for check_id, check in checks.items()
                if check_id not in row.members)
+
+
+def test_a_family_measures_once_although_its_members_are_apart(monkeypatch):
+    # the frame family's members are the 1st to 3rd, 9th and 10th identities
+    cfg = SuiteConfig(suite="identities", d=4, n_points=12, trials=5)
+    ids = [fn.__name__.removeprefix("check_") for fn in suites.SUITE_CHECKS["identities"]]
+    row = suites.STACKED["frame_factorization"]
+    assert [ids.index(member) for member in row.members] == [0, 1, 2, 8, 9]
+    expected = run_suite(cfg).checks
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return row.measure(*args)
+
+    replace_family(monkeypatch, row, measure=counted)
+    assert run_suite(cfg).checks == expected
+    assert len(calls) == 1
+
+
+def test_a_member_that_needs_a_frame_fails_alone():
+    # at N < d no draw is a frame: the members built on the canonical dual or
+    # on a step from A_G abort with the error a row of their own raised, the
+    # rest of their families keep their values
+    checks = {c.check_id: c for suite in ("identities", "bounds") for c in run_suite(
+        SuiteConfig(suite=suite, d=8, n_points=4, trials=5)).checks}
+    dual = ("reconstruction", "reconstruction_swapped", "canonical_dual_pair",
+            "dual_bounds_inverse")
+    for check_id in dual + ("perturb_lower",):
+        assert checks[check_id].measured is None and not checks[check_id].passed
+    assert {checks[c].error for c in dual} == {
+        "NotAFrameError: lower frame bound is numerically zero (0.000e+00)"}
+    assert checks["perturb_lower"].error == "InvalidParameterError: need eps > 0, got 0.0"
+    for check_id in ("frame_factorization", "perturb_upper"):
+        assert checks[check_id].passed and not checks[check_id].error
 
 
 def test_back_to_back_runs_measure_their_own_configurations():
@@ -821,10 +858,10 @@ def test_stacked_invertible_draws_retry_like_the_per_trial_loop(monkeypatch):
 def test_stacked_instances_equal_random_instance():
     cfg = SuiteConfig(seed=2, d=3, n_points=5)
     spec = suites.STACKED["multiplier_adjoint"]
-    assert spec.roles == suites._INSTANCE
-    w, F, G, m = spec.draw(cfg, spec, spec.streams(cfg), range(4))
+    assert spec.roles[:4] == suites._INSTANCE
+    w, F, G, m, *_ = spec.draw(cfg, spec, spec.streams(cfg), range(4))
     for i in range(4):
-        mi, Fi, Gi = random_instance(2, 104, i, 3, 5)
+        mi, Fi, Gi = random_instance(2, 105, i, 3, 5)
         assert np.array_equal(w[i], Fi.space.weights)
         assert np.array_equal(bits(F[i]), bits(Fi.vectors))
         assert np.array_equal(bits(G[i]), bits(Gi.vectors))
