@@ -31,7 +31,7 @@ from .errors import (
     NotInvertibleError,
     ShapeMismatchError,
 )
-from .frame import SampledFrame, frame_operator, operator_bounds, weighted_gram
+from .frame import SampledFrame, frame_operator, spectrum_bounds, weighted_gram
 from .multiplier import _aligned
 
 SPECTRAL_KINDS = ("identity", "inverse", "sqrt", "power", "affine")
@@ -132,15 +132,15 @@ def spectral_maps(specs, lam: np.ndarray) -> np.ndarray:
                     ).reshape(np.shape(lam))
 
 
-def spectral_controls(specs, S: np.ndarray, bounds=None) -> np.ndarray:
+def spectral_controls(specs, S: np.ndarray, eigen=None) -> np.ndarray:
     """Spectral controls U phi(Lambda) U^* of frame operators S = U Lambda U^*:
     one d x d operator, or a stack along leading axes, with one spectral
-    ControlSpec per operator in the order of the stack; ``bounds`` are
-    operator_bounds(S) where the caller has them."""
-    bounds = operator_bounds(S) if bounds is None else bounds
-    if not np.all(bounds.is_frame):
+    ControlSpec per operator in the order of the stack.  One eigensolver
+    gives the frame test and the controls: ``eigen`` is np.linalg.eigh(S)
+    where the caller has it."""
+    lam, U = np.linalg.eigh(S) if eigen is None else eigen
+    if not np.all(spectrum_bounds(lam[..., 0], lam[..., -1]).is_frame):
         raise NotAFrameError("spectral controls need a frame with positive lower bound")
-    lam, U = np.linalg.eigh(S)
     phi = spectral_maps(specs, lam)
     magnitude = np.abs(phi)
     finite = np.all(np.isfinite(phi), axis=-1)

@@ -212,7 +212,12 @@ def operator_bounds(S: np.ndarray) -> FrameBounds:
     Hermiticity check of ``hilbert.hermitian_bounds`` is for operators from
     outside the program.
     """
-    lower, upper = hilbert.extreme_eigenvalues(S)
+    return spectrum_bounds(*hilbert.extreme_eigenvalues(S))
+
+
+def spectrum_bounds(lower, upper) -> FrameBounds:
+    """Optimal frame bounds from the extreme eigenvalues of a frame operator,
+    or arrays of them for a stack, the lower one clamped at 0."""
     lower = np.where(0.0 > lower, 0.0, lower)  # max(lower, 0.0), NaN kept
     is_frame = lower > FRAME_RTOL * np.maximum(upper, 1.0)
     if np.ndim(upper) == 0:

@@ -127,16 +127,16 @@ def bound_budget(m, F: SampledFrame, G: SampledFrame,
 
 
 def budget_values(w, values, F: np.ndarray, G: np.ndarray, ps=DEFAULT_PS,
-                  sigma=None):
+                  sigma=None, upper=None):
     """Schatten p-norm of the multiplier of symbol values m, analysis vectors
     F and synthesis vectors G under weights w, and its budget, for each p of
     ps from one SVD; for one instance or each of a stack.  ``sigma`` are the
-    multiplier's singular values where the caller has them.
+    multiplier's singular values and ``upper`` the upper frame bounds
+    (B_F, B_G) where the caller has them.
 
     Two arrays with ps along a new last axis.
     """
-    bf = operator_bounds(weighted_gram(F, w, F)).upper
-    bg = bf if G is F else operator_bounds(weighted_gram(G, w, G)).upper
+    bf, bg = _upper_bounds(w, F, G) if upper is None else upper
     lf, lg = max_column_norm(F), max_column_norm(G)
     if sigma is None:
         sigma = hilbert.singular_values(weighted_gram(G, w * values, F))
@@ -144,6 +144,12 @@ def budget_values(w, values, F: np.ndarray, G: np.ndarray, ps=DEFAULT_PS,
     budgets = [schatten_budget(p, weighted_lp_norm(w, values, p), lf, lg, bf, bg)
                for p in ps]
     return np.stack(actuals, axis=-1), np.stack(budgets, axis=-1)
+
+
+def _upper_bounds(w, F: np.ndarray, G: np.ndarray) -> tuple:
+    """(B_F, B_G), the frame operator formed once when G is F."""
+    bf = operator_bounds(weighted_gram(F, w, F)).upper
+    return bf, bf if G is F else operator_bounds(weighted_gram(G, w, G)).upper
 
 
 def truncate_symbol(m: Symbol, keep) -> Symbol:
@@ -175,13 +181,18 @@ def dual_from_multiplier(m, F: SampledFrame, G: SampledFrame) -> SampledFrame:
         F.space.weights, values, F.vectors, G.vectors))
 
 
-def multiplier_dual_vectors(w, values, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+def multiplier_dual_vectors(w, values, F: np.ndarray, G: np.ndarray, m_inv=None,
+                            bounds=None) -> np.ndarray:
     """Columns (M^-1)^* conj(m_j) F_j of the dual of G that the multiplier M
     of symbol values m, analysis vectors F and synthesis vectors G induces,
-    under weights w; for one instance or each of a stack."""
-    if not np.all(operator_bounds(weighted_gram(G, w, G)).is_frame):
+    under weights w; for one instance or each of a stack.  ``m_inv`` is M^-1
+    and ``bounds`` the operator_bounds of G's frame operator where the
+    caller has them."""
+    bounds = operator_bounds(weighted_gram(G, w, G)) if bounds is None else bounds
+    if not np.all(bounds.is_frame):
         raise NotAFrameError("G must be a frame to admit a dual")
-    m_inv = hilbert.invert(weighted_gram(G, w * values, F))
+    if m_inv is None:
+        m_inv = hilbert.invert(weighted_gram(G, w * values, F))
     return hilbert.adjoint(m_inv) @ scaled_columns(F, values.conj())
 
 
@@ -252,18 +263,22 @@ CERTIFICATES = (
 
 
 def certificate_values(w, values, F: np.ndarray, G: np.ndarray,
-                       tolerance: float = 1e-10):
+                       tolerance: float = 1e-10, m_inv=None, bounds=None):
     """Measured value, floor and verdict of each certificate of
     ``lower_bound_certificates``, for symbol values m, analysis vectors F and
     synthesis vectors G under weights w, or for each instance of a stack.
+    ``m_inv`` is the inverse multiplier and ``bounds`` the operator_bounds of
+    the frame operators of F and G where the caller has them.
 
     Three arrays with the five parts along a new last axis; a floor is NaN
     where the part has none (parts 3 and 5, and part 4 when sup|m| = 0).
     """
-    m_inv = hilbert.invert(weighted_gram(G, w * values, F))
+    if m_inv is None:
+        m_inv = hilbert.invert(weighted_gram(G, w * values, F))
     inv_sq = hilbert.power(hilbert.singular_values(m_inv)[..., 0], 2)
-    bounds_f = operator_bounds(weighted_gram(F, w, F))
-    bounds_g = operator_bounds(weighted_gram(G, w, G))
+    bounds_f, bounds_g = (
+        (operator_bounds(weighted_gram(F, w, F)), operator_bounds(weighted_gram(G, w, G)))
+        if bounds is None else bounds)
     mf = scaled_columns(F, values.conj())
     mg = scaled_columns(G, values)
     bounds_mf = operator_bounds(weighted_gram(mf, w, mf))
@@ -364,7 +379,8 @@ def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
     return ConvergenceReport(kind, p, steps, monotone, all(s.passed for s in steps))
 
 
-def convergence_steps(w, values, F: np.ndarray, G: np.ndarray, experiments) -> list:
+def convergence_steps(w, values, F: np.ndarray, G: np.ndarray, experiments,
+                      upper=None) -> list:
     """Distance, deviation and budget of each step of convergence experiments
     (see ``convergence_experiment``) against one base multiplier, for symbol
     values m, analysis vectors F and synthesis vectors G under weights w, or
@@ -377,12 +393,12 @@ def convergence_steps(w, values, F: np.ndarray, G: np.ndarray, experiments) -> l
     "frame_uniform_L2" and 1 for that of "frame_uniform_L1".  A step takes
     one Gram product and one SVD for all of ps.  The schedule is read one
     step at a time, so a generator holds one step in memory.  Three arrays
-    shaped (..., len(ps), steps) per experiment.
+    shaped (..., len(ps), steps) per experiment.  ``upper`` are the upper
+    frame bounds (B_F, B_G) where the caller has them.
     """
     wm = w * values
     base = weighted_gram(G, wm, F)
-    bf = operator_bounds(weighted_gram(F, w, F)).upper
-    bg = bf if G is F else operator_bounds(weighted_gram(G, w, G)).upper
+    bf, bg = _upper_bounds(w, F, G) if upper is None else upper
     lf = max_column_norm(F)
     lg = lf if G is F else max_column_norm(G)
 

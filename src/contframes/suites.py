@@ -3,65 +3,54 @@
 Each check draws deterministic random instances from the configured seed,
 measures the worst deviation of an identity or the worst violation of a
 bound, and records the verdict against its tolerance.  All randomness flows
-through per-check, per-instance seed derivation, so a report for a given
+through per-kind, per-role seed derivation, so a report for a given
 configuration is reproducible bit-for-bit (timestamps aside).
 
-The checks of the identities, bounds, convergence, controlled and weighted
-suites evaluate their trials in stacks; only the gabor suite, whose trials
-draw their own sizes, and the checks that loop over grids rather than trials
-run one instance at a time, each on a stream of its own.  STACKED holds the
-row of each stacked check: its roles and its measure.  A role is one array a
-trial draws: the weights, the analysis or synthesis vectors, a symbol, test
-vectors, a step eps, a control's kind or its parameters, ...  Role r of the
-row on branch b reads the stream _rng(seed, b, r), and reads it in trial
-order: numpy fills an array from one stream entry by entry, so one call of
-shape (T, ...) draws the values of T consecutive trials.  A chunk of
-max(1, STACK_ENTRIES // (d N)) consecutive trials of a row's trial count
-(capped at 100, 50 or 20 for some rows) thus takes one generator call per
-role into (T, d, N) and (T, N) arrays, and the reports do not depend on the
-chunk size.  Every step is then one numpy call over the stack, through the
-array kernels the single-frame API is built on, and the chunk's values are
-folded into the check's max or count in trial order.  numpy runs the same
-BLAS or LAPACK routine per trial as a single call would, so the values equal
-those of a per-trial loop on the same draws.  Each control spec maps its own
-row of eigenvalues.  Invertible instances take attempt 0 from the role
-streams and redraw only the trials whose multiplier fails, attempt k >= 1 of
-trial t from _rng(seed, b, t, k).
+The identities, bounds, convergence, controlled and weighted suites measure
+their trials in stacks: a chunk of max(1, STACK_ENTRIES // (d N)) trials is
+drawn at once and every step is one numpy call over the stack, through the
+array kernels of the single-frame API, so the values equal those of a
+per-trial loop on the same draws.  The gabor checks draw their sizes from
+one stream and the vectors of each size as one stack; the checks that loop
+over grids run one instance at a time.
 
-Families: checks that read one operator of one instance share a family row,
-whose measure gives the values of every member from one draw and one Gram
-product per operator: the frame checks (branch 101: the factorization, both
-reconstructions of one set of test vectors, the dual pair and the dual
-bounds from one S, one set of its bounds and one canonical dual), the
-difference identities and the adjoint (105: a second symbol and second
-vectors against one base multiplier), the Bessel checks (112: one S), the
-budgets (114: five Schatten budgets and monotonicity from one SVD), the
-perturbation bounds (120: one set of bounds of G and one B_F), truncation
-(125), convergence (126: the symbol bumps at p = 1, 2 and inf from one SVD a
-step, then the frame-uniform L2 and L1 budgets of one deviation a step), the
-controlled checks (136: one S, C and L a trial) and the weighted checks (142:
-the scaled bounds and the coercivity of a positive symbol from one S).
-Branches 102-104, 106, 107, 109, 110, 113, 115-119, 121, 127-130, 137-140
-and 145 are retired.  Rows of their own: certificates and multiplier_dual
-(their trial caps differ), weighted_identity (another operator),
-frame_iff_invertible (half-deficient draws), discrete_bessel_norm_bound
-(counting weights) and precondition_identity (controls of its own).
-run_suite keeps the values of every row it measures for the run, so each
-family is drawn and measured once although its members need not follow
-each other.  A family whose measure raises aborts every member with the
-same error; a member that needs what the others do not (a frame, a positive
-step) fails alone, with the error a row of its own would raise.
+Trial contexts: the paper states each result for one frame pair (F, G) and
+one symbol, so the checks of a suite read one instance per trial.  STACKED
+gives each stacked check a draw kind, a measure (a function of a Trials
+context) and a trial cap.  The kinds: PLAIN, the instance (w, F, G, m) and,
+drawn on first use, a second symbol, second vectors (the difference
+identities and the convergence bumps), test vectors, eps, a nonnegative
+symbol, the controls of F and of G, delta and offsets above it (counting
+weights draw nothing: discrete_bessel_norm_bound reads F with unit weights);
+HALF_DEFICIENT, a frame on even trials and columns in a hyperplane on odd
+ones; INVERTIBLE, the instance redrawn where its multiplier fails the
+sigma_min > 1e-6 sigma_max test.  Role r of a kind reads the stream
+_rng(seed, kind.number, r) in trial order, so one call of shape (T, ...)
+draws T consecutive trials and reports do not depend on the chunk size;
+attempt k >= 1 of invertible trial t reads _rng(seed, kind.number, t, k).
 
-Replay: trial K of a check reads row K of its row's role draws, so replaying
-it draws trials 0..K (Stacked.replay); a member of a family replays the
-family's row.
+A context computes each quantity of SHARED once, on first use: S_F and S_G
+with their bounds, M, sigma(M) and M^-1, the canonical dual's defects, the
+budgets, the controls and their mixed operator.  One that raises (the dual
+of a draw that is no frame) raises in every check that reads it and in no
+other.  d x N arrays derived from the draws, such as the dual or a perturbed
+frame, live only inside the quantity or measure that forms them.
+run_suite evaluates chunk by chunk: for each kind in turn it builds the
+chunk's context, runs every stacked measure of the run that reads the kind
+on it, keeps the per-trial values and drops the context before it draws the
+next kind or chunk, so the arrays of one chunk of one kind are live at a
+time rather than every trial's.  A check capped at 100, 50 or 20 trials
+reads a head of the chunk that straddles its cap.
+Stacked.replay(cfg, K) is the context of trial K alone, the last row of
+trials 0..K drawn as one chunk, on which a check's measure gives trial K's
+values.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
@@ -92,64 +81,81 @@ from .reporting import Check, Report
 SUITES = ("identities", "bounds", "convergence", "gabor", "wavelet",
           "controlled", "weighted", "all")
 
-DEFAULT_TOLERANCES = {
-    "frame_factorization": 1e-12,
-    "reconstruction": 1e-10,
-    "reconstruction_swapped": 1e-10,
-    "multiplier_adjoint": 1e-12,
-    "difference_symbol": 1e-12,
-    "difference_analysis": 1e-12,
-    "difference_synthesis": 1e-12,
-    "weighted_identity": 1e-12,
-    "canonical_dual_pair": 1e-10,
-    "dual_bounds_inverse": 1e-10,
-    "frame_iff_invertible": 0.0,
-    "bessel_inequality": 1e-10,
-    "bessel_sharpness": 1e-10,
-    "op_norm_budget": 1e-10,
-    "trace_budget": 1e-10,
-    "schatten_budget_p15": 1e-10,
-    "schatten_budget_p2": 1e-10,
-    "schatten_budget_p3": 1e-10,
-    "schatten_monotonicity": 1e-10,
-    "perturb_upper": 1e-10,
-    "perturb_lower": 1e-10,
-    "discrete_bessel_norm_bound": 1e-10,
-    "unbounded_norm_growth": 1.5,
-    "unbounded_bessel_cap": 1e-10,
-    "truncation_budget": 1e-10,
-    "truncation_monotone": 1e-10,
-    "symbol_convergence_p1": 1e-10,
-    "symbol_convergence_p2": 1e-10,
-    "symbol_convergence_pinf": 1e-10,
-    "frame_uniform_l2": 1e-10,
-    "frame_uniform_l1": 1e-10,
-    "gabor_tightness": 1e-10,
-    "stft_matches_analysis": 1e-12,
-    "stft_energy": 1e-10,
-    "stft_orthogonality": 1e-10,
-    "tf_shift_unitarity": 1e-12,
-    "admissibility_oracle": 1e-4,
-    "admissibility_scaling": 1e-12,
-    "admissibility_phase_invariance": 1e-12,
-    "wavelet_diagonality": 1e-10,
-    "wavelet_diagonal_oracle": 1e-10,
-    "wavelet_band_constant": 0.02,
-    "wavelet_shift_commutation": 1e-10,
-    "wavelet_column_norms": 1e-10,
-    "calderon_default": 0.02,
-    "calderon_refinement": 3.0,
-    "controlled_factorization": 1e-12,
-    "controlled_bounds_map": 1e-10,
-    "controlled_spectral_mapping": 1e-12,
-    "controlled_positivity": 1e-10,
-    "controlled_implies_frame": 0.0,
-    "precondition_identity": 1e-10,
-    "weighted_scaling": 1e-12,
-    "certificates": 1e-10,
-    "multiplier_dual": 1e-9,
-    "positive_symbol_coercivity": 1e-10,
+# the checks of each suite in report order, each with its default tolerance
+SUITE_TOLERANCES = {
+    "identities": {
+        "frame_factorization": 1e-12,
+        "reconstruction": 1e-10,
+        "reconstruction_swapped": 1e-10,
+        "multiplier_adjoint": 1e-12,
+        "difference_symbol": 1e-12,
+        "difference_analysis": 1e-12,
+        "difference_synthesis": 1e-12,
+        "weighted_identity": 1e-12,
+        "canonical_dual_pair": 1e-10,
+        "dual_bounds_inverse": 1e-10,
+        "frame_iff_invertible": 0.0,
+    },
+    "bounds": {
+        "bessel_inequality": 1e-10,
+        "bessel_sharpness": 1e-10,
+        "op_norm_budget": 1e-10,
+        "trace_budget": 1e-10,
+        "schatten_budget_p15": 1e-10,
+        "schatten_budget_p2": 1e-10,
+        "schatten_budget_p3": 1e-10,
+        "schatten_monotonicity": 1e-10,
+        "perturb_upper": 1e-10,
+        "perturb_lower": 1e-10,
+        "discrete_bessel_norm_bound": 1e-10,
+        "unbounded_norm_growth": 1.5,
+        "unbounded_bessel_cap": 1e-10,
+    },
+    "convergence": {
+        "truncation_budget": 1e-10,
+        "truncation_monotone": 1e-10,
+        "symbol_convergence_p1": 1e-10,
+        "symbol_convergence_p2": 1e-10,
+        "symbol_convergence_pinf": 1e-10,
+        "frame_uniform_l2": 1e-10,
+        "frame_uniform_l1": 1e-10,
+    },
+    "gabor": {
+        "gabor_tightness": 1e-10,
+        "stft_matches_analysis": 1e-12,
+        "stft_energy": 1e-10,
+        "stft_orthogonality": 1e-10,
+        "tf_shift_unitarity": 1e-12,
+    },
+    "wavelet": {
+        "admissibility_oracle": 1e-4,
+        "admissibility_scaling": 1e-12,
+        "admissibility_phase_invariance": 1e-12,
+        "wavelet_diagonality": 1e-10,
+        "wavelet_diagonal_oracle": 1e-10,
+        "wavelet_band_constant": 0.02,
+        "wavelet_shift_commutation": 1e-10,
+        "wavelet_column_norms": 1e-10,
+        "calderon_default": 0.02,
+        "calderon_refinement": 3.0,
+    },
+    "controlled": {
+        "controlled_factorization": 1e-12,
+        "controlled_bounds_map": 1e-10,
+        "controlled_spectral_mapping": 1e-12,
+        "controlled_positivity": 1e-10,
+        "controlled_implies_frame": 0.0,
+        "precondition_identity": 1e-10,
+    },
+    "weighted": {
+        "weighted_scaling": 1e-12,
+        "certificates": 1e-10,
+        "multiplier_dual": 1e-9,
+        "positive_symbol_coercivity": 1e-10,
+    },
 }
+DEFAULT_TOLERANCES = {check_id: tol for checks in SUITE_TOLERANCES.values()
+                      for check_id, tol in checks.items()}
 
 # keys of a JSON suite configuration and the SuiteConfig fields they set
 CONFIG_KEYS = {"suite": "suite", "seed": "seed", "trials": "trials", "d": "d",
@@ -227,51 +233,13 @@ class SuiteConfig:
         return cls(**fields)
 
 
-
 # ---------------------------------------------------------------------------
 # deterministic random instances
 # ---------------------------------------------------------------------------
 
-def _rng(seed: int, *branch: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed)] + [int(b) for b in branch])
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng([int(seed)] + [int(k) for k in key])
 
-
-def _normal(rng, shape) -> np.ndarray:
-    """Complex array of standard normal real parts, then imaginary parts."""
-    out = np.empty(shape, dtype=complex)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
-    return out
-
-
-def random_vector(rng, d: int) -> np.ndarray:
-    return _normal(rng, d)
-
-
-def random_instance(seed: int, branch: int, idx: int, d: int, n: int):
-    """(symbol, analysis frame, synthesis frame) on one random space: trial
-    idx of the instance roles on the branch, which every check that draws an
-    instance reads first."""
-    return _instance_of(Stacked(branch, _INSTANCE, None), seed, idx, d, n)
-
-
-def random_invertible_instance(seed: int, branch: int, idx: int, d: int, n: int):
-    """Random instance whose multiplier is comfortably invertible: trial idx
-    of the invertible draws on the branch (_invertible_draws), whose
-    multiplier has sigma_min > 1e-6 sigma_max."""
-    return _instance_of(Stacked(branch, _INSTANCE, None, draw=_invertible_draws),
-                        seed, idx, d, n)
-
-
-def _instance_of(spec, seed: int, idx: int, d: int, n: int):
-    w, F, G, m = spec.replay(SuiteConfig(seed=seed, d=d, n_points=n), idx)
-    space = MeasureSpace(np.arange(n, dtype=float)[:, None], w)
-    return Symbol(m, space), fr.SampledFrame(space, F), fr.SampledFrame(space, G)
-
-
-# ---------------------------------------------------------------------------
-# stacked trials
-# ---------------------------------------------------------------------------
 
 # complex entries one stack of trial frames holds: a chunk of a check's
 # trials has max(1, STACK_ENTRIES // (d N)) of them, 64 at d = 8, N = 64, and
@@ -295,14 +263,16 @@ def _shape(cfg: SuiteConfig, dims) -> tuple:
     return tuple(sizes.get(dim, dim) for dim in dims)
 
 
-def _complex(*dims):
+def _normals(rng, shape) -> np.ndarray:
     """Complex standard normals, the real and then the imaginary part of each
     entry, filled in place."""
-    def draw(rng, cfg, count):
-        out = np.empty((count, *_shape(cfg, dims)), dtype=complex)
-        rng.standard_normal(out=out.view(float))
-        return out
-    return draw
+    out = np.empty(shape, dtype=complex)
+    rng.standard_normal(out=out.view(float))
+    return out
+
+
+def _complex(*dims):
+    return lambda rng, cfg, count: _normals(rng, (count, *_shape(cfg, dims)))
 
 
 def _real(*dims):
@@ -323,12 +293,10 @@ def _kinds(rng, cfg, count):
 _WEIGHTS = _uniform(0.2, 2.0, "n")
 _VECTORS = _complex("d", "n")
 _SYMBOL = _complex("n")
-_NONNEGATIVE = _uniform(0.0, 3.0, "n", dtype=complex)
-_FRAME = (_WEIGHTS, _VECTORS)
+# the (t, alpha, beta) of a power or an affine control
+_PARAMS = _uniform((-1.0, 0.5, 0.1), (1.5, 2.0, 1.0), 3)
 # weights, analysis vectors, synthesis vectors, symbol
-_INSTANCE = (*_FRAME, _VECTORS, _SYMBOL)
-# a control's kind, and the (t, alpha, beta) of a power or an affine map
-_CONTROL = (_kinds, _uniform((-1.0, 0.5, 0.1), (1.5, 2.0, 1.0), 3))
+_INSTANCE = {"w": _WEIGHTS, "F": _VECTORS, "G": _VECTORS, "m": _SYMBOL}
 
 
 def _spec(kind: int, t: float, alpha: float, beta: float) -> ctrl.ControlSpec:
@@ -345,80 +313,170 @@ def _specs(kinds, params) -> list[ctrl.ControlSpec]:
     return [_spec(kind, *row) for kind, row in zip(kinds.tolist(), params.tolist())]
 
 
-def _draws(cfg: SuiteConfig, spec, streams, trials: range) -> list:
-    """A chunk of trials: every role drawn for all of them from its stream."""
-    return [role(rng, cfg, len(trials)) for role, rng in zip(spec.roles, streams)]
-
-
-def _invertible_draws(cfg: SuiteConfig, spec, streams, trials: range) -> list:
-    """The instances of a chunk of trials whose multiplier passes the
-    sigma_min > 1e-6 sigma_max test.
+def _invertible(t: "Trials") -> dict:
+    """The instance of each trial of context t whose multiplier M passes the
+    sigma_min > 1e-6 sigma_max test, with M and its singular values.
 
     Attempt 0 comes from the role streams; only the trials that fail are
-    redrawn, attempt k = 1, 2, ... of trial t reading every role in turn from
-    _rng(seed, branch, t, k), up to 64 attempts.
+    redrawn, attempt k = 1, 2, ... of trial s reading every role in turn
+    from _rng(seed, kind, s, k), up to 64 attempts.
     """
-    stacks = drawn = _draws(cfg, spec, streams, trials)
-    pending = np.arange(len(trials))
+    names = tuple(_INSTANCE)
+    stacks = drawn = [t._read(name) for name in names]
+    pending = np.arange(len(t.trials))
+    multipliers = np.empty((len(t.trials), t.cfg.d, t.cfg.d), dtype=complex)
+    sigmas = np.empty((len(t.trials), t.cfg.d))
     for attempt in range(64):
         if attempt:
-            retries = [[role(rng, cfg, 1) for role in spec.roles] for rng in (
-                _rng(cfg.seed, spec.branch, trials[k], attempt) for k in pending)]
+            retries = [[t.kind.roles[name](rng, t.cfg, 1) for name in names] for rng in (
+                _rng(t.cfg.seed, t.kind.number, t.trials[k], attempt) for k in pending)]
             drawn = [np.concatenate(arrays) for arrays in zip(*retries)]
             for stack, redrawn in zip(stacks, drawn):
                 stack[pending] = redrawn
         w, F, G, m = drawn
-        sigma = hb.singular_values(fr.weighted_gram(G, w * m, F))
+        M = fr.weighted_gram(G, w * m, F)
+        sigma = hb.singular_values(M)
+        multipliers[pending], sigmas[pending] = M, sigma
         pending = pending[~(sigma[..., -1] > 1e-6 * sigma[..., 0])]
         if not pending.size:
-            return stacks
+            return {**dict(zip(names, stacks)), "M": multipliers, "sigma_M": sigmas}
     raise InvalidParameterError("could not draw an invertible instance")  # pragma: no cover
 
 
-def _half_deficient(cfg: SuiteConfig, spec, streams, trials: range) -> list:
-    """Weights and vectors of a chunk of trials: a random frame on even
-    trials; on odd ones, columns confined to a random (d - 1)-dimensional
-    subspace, so no frame.  The vectors role is read by the even trials, the
-    subspace basis and coefficient roles by the odd ones."""
-    weights, vectors, basis, coefficients = (
-        functools.partial(role, rng, cfg) for role, rng in zip(spec.roles, streams))
-    odd = np.arange(trials.start, trials.stop) % 2 == 1
-    F = np.empty((len(trials), cfg.d, cfg.n_points), dtype=complex)
-    F[~odd] = vectors(np.count_nonzero(~odd))
-    F[odd] = basis(np.count_nonzero(odd)) @ coefficients(np.count_nonzero(odd))
-    return [weights(len(trials)), F]
+def _half_deficient(t: "Trials") -> dict:
+    """Weights and vectors of context t: a random frame on even trials; on
+    odd ones, columns confined to a random (d - 1)-dimensional subspace, so
+    no frame.  The vectors role is read by the even trials, the subspace
+    basis and coefficient roles by the odd ones."""
+    odd = np.arange(t.trials.start, t.trials.stop) % 2 == 1
+    F = np.empty((len(t.trials), t.cfg.d, t.cfg.n_points), dtype=complex)
+    F[~odd] = t._read("vectors", np.count_nonzero(~odd))
+    F[odd] = (t._read("basis", np.count_nonzero(odd))
+              @ t._read("coefficients", np.count_nonzero(odd)))
+    return {"w": t._read("w"), "F": F}
 
 
-# measures: the values of a stack of trials that a check folds with max, one
-# per trial or a row of them in the order the trial produces them; a family's
-# measure gives a tuple of its members' values
+@dataclass(frozen=True, eq=False)
+class Kind:
+    """A draw kind: ``roles`` maps each role's name to its draw, role r
+    reading the stream _rng(seed, number, r); draw(context), where given,
+    draws the arrays named ``drawn`` together."""
 
-def _or_errors(count: int, measure, *args) -> tuple:
-    """measure(*args), the values of ``count`` members of a family, or the
-    exception it raises in place of each: the members that need a frame or a
-    positive step fail alone, as rows of their own would, and the rest of
-    the family keeps its values."""
-    try:
-        return measure(*args)
-    except Exception as exc:  # each member it stands for re-raises it
-        return (exc,) * count
+    number: int
+    roles: dict
+    draw: Callable | None = None
+    drawn: tuple = ()
 
 
-def _frame(cfg, w, F, f):
-    """The factorization defect of S, then the reconstruction defects of the
-    test vectors through the canonical dual and through F, the dual pair
-    defect and the dual bounds defects, from one S, one set of its bounds
-    and one dual a trial."""
-    S = fr.weighted_gram(F, w, F)
-    return (_factorization(cfg, w, F, S), *_or_errors(4, _dual, cfg, w, F, f, S))
+PLAIN = Kind(105, {**_INSTANCE, "symbol": _SYMBOL, "vectors": _VECTORS,
+                   "tests": _complex(20, "d"), "eps": _uniform(0.05, 1.0),
+                   "nonnegative": _uniform(0.0, 3.0, "n", dtype=complex),
+                   "kinds": _kinds, "params": _PARAMS,
+                   "dual_kinds": _kinds, "dual_params": _PARAMS,
+                   "delta": _uniform(0.1, 1.0), "offsets": _uniform(0.0, 2.0, "n")})
+HALF_DEFICIENT = Kind(111, {"w": _WEIGHTS, "vectors": _VECTORS,
+                            "basis": _complex("d", "d-1"),
+                            "coefficients": _real("d-1", "n")},
+                      _half_deficient, ("w", "F"))
+INVERTIBLE = Kind(143, _INSTANCE, _invertible, (*_INSTANCE, "M", "sigma_M"))
 
 
-def _factorization(cfg, w, F, S):
-    # column k of the composition synthesizes the analysis of basis vector k
-    coeffs = fr.coefficients(F[:, None], np.eye(cfg.d, dtype=complex))
-    composed = fr.synthesize(F[:, None], w[:, None], coeffs).swapaxes(-1, -2)
-    return hb.operator_norm(S - composed) / hb.operator_norm(S)
+class Trials:
+    """The context of a chunk of trials of one draw kind: the arrays its
+    roles draw and the quantities of SHARED, each evaluated on first use
+    (as an attribute) and kept while the context lives; what raises is
+    raised again to every later reader.  A part of a context (``part``)
+    reads rows of its parent's draws and computes the quantities it reads on
+    its own rows."""
 
+    def __init__(self, kind: Kind, cfg: SuiteConfig, trials: range,
+                 streams: dict | None = None, parent: "Trials | None" = None,
+                 rows: slice | None = None):
+        self.kind, self.cfg, self.trials = kind, cfg, trials
+        # role name -> [stream, first trial it has not drawn], for the run
+        self._streams = {} if streams is None else streams
+        self._parent, self._rows, self._errors = parent, rows, {}
+
+    def part(self, rows: slice) -> "Trials":
+        return Trials(self.kind, self.cfg, self.trials[rows], parent=self, rows=rows)
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        if name in self._errors:
+            raise self._errors[name]
+        try:
+            values = self._evaluate(name)
+        except Exception as exc:
+            group = self.kind.drawn if name in self.kind.drawn else (name,)
+            self._errors.update(dict.fromkeys(group, exc))
+            raise
+        vars(self).update(values)
+        return values[name]
+
+    def _evaluate(self, name: str) -> dict:
+        drawn = name in self.kind.drawn or name in self.kind.roles
+        if drawn and self._parent is not None:
+            return {name: getattr(self._parent, name)[self._rows]}
+        if name in self.kind.drawn:
+            return self.kind.draw(self)
+        if drawn:
+            return {name: self._read(name)}
+        if name in SHARED:
+            return {name: SHARED[name](self)}
+        raise AttributeError(name)
+
+    def _read(self, name: str, count: int | None = None) -> np.ndarray:
+        """``count`` draws (one per trial by default) of role ``name``, read
+        from its stream where the context's trials begin."""
+        stream = self._streams.get(name)
+        if stream is None:
+            index = list(self.kind.roles).index(name)
+            stream = self._streams[name] = [_rng(self.cfg.seed, self.kind.number, index), 0]
+        if stream[1] != self.trials.start:
+            raise RuntimeError(f"role {name!r} read out of trial order")
+        stream[1] = self.trials.stop
+        return self.kind.roles[name](stream[0], self.cfg,
+                                     len(self.trials) if count is None else count)
+
+
+class Stacked(NamedTuple):
+    """A check measured on trial contexts of ``kind``: measure(context) gives
+    the values of the context's trials that the check folds, one per trial
+    or a row of them.  The check takes min(cfg.trials, cap) trials."""
+
+    kind: Kind
+    measure: Callable
+    cap: int | None = None
+
+    def replay(self, cfg: SuiteConfig, trial: int) -> Trials:
+        """The context of trial ``trial`` alone: the last row of trials
+        0..trial, drawn as one chunk."""
+        return Trials(self.kind, cfg, range(trial + 1)).part(slice(trial, trial + 1))
+
+
+def random_instance(seed: int, kind: int, idx: int, d: int, n: int):
+    """(symbol, analysis frame, synthesis frame) on one random space: trial
+    idx of the plain instance on the streams numbered ``kind``."""
+    return _instance_of(replace(PLAIN, number=kind), seed, idx, d, n)
+
+
+def random_invertible_instance(seed: int, kind: int, idx: int, d: int, n: int):
+    """Random instance whose multiplier is comfortably invertible: trial idx
+    of the invertible draws on the streams numbered ``kind``, whose
+    multiplier has sigma_min > 1e-6 sigma_max."""
+    return _instance_of(replace(INVERTIBLE, number=kind), seed, idx, d, n)
+
+
+def _instance_of(kind: Kind, seed: int, idx: int, d: int, n: int):
+    t = Stacked(kind, None).replay(SuiteConfig(seed=seed, d=d, n_points=n), idx)
+    space = MeasureSpace(np.arange(n, dtype=float)[:, None], t.w[0])
+    return Symbol(t.m[0], space), fr.SampledFrame(space, t.F[0]), fr.SampledFrame(space, t.G[0])
+
+
+# ---------------------------------------------------------------------------
+# shared quantities and measures
+# ---------------------------------------------------------------------------
 
 def _reconstruction(w, analysis, synthesis, f):
     rec = fr.synthesize(synthesis[:, None], w[:, None],
@@ -426,94 +484,22 @@ def _reconstruction(w, analysis, synthesis, f):
     return hb.norm(rec - f) / hb.norm(f)
 
 
-def _dual(cfg, w, F, f, S):
-    bounds = fr.operator_bounds(S)
-    dual = fr.dual_vectors(S, F, bounds)
-    # the reconstructions first: their temporaries are the family's largest,
-    # and a product freed before them leaves heap pages they do not reuse
-    # (about 0.5 MB more peak RSS at d = 8, N = 64)
-    forward, backward = _reconstruction(w, F, dual, f), _reconstruction(w, dual, F, f)
+def _dual(t: Trials) -> tuple:
+    """The reconstruction defects of the test vectors through the canonical
+    dual and through F, the dual pair defect and the dual bounds defects,
+    from one dual."""
+    w, F, bounds = t.w, t.F, t.bounds_F
+    dual = fr.dual_vectors(t.S_F, F, bounds)
+    # the reconstructions first: their temporaries are the largest here, and
+    # a product freed before them leaves heap pages they do not reuse
+    forward, backward = (_reconstruction(w, F, dual, t.tests),
+                         _reconstruction(w, dual, F, t.tests))
     dual_bounds = fr.operator_bounds(fr.weighted_gram(dual, w, dual))
     return (forward, backward,
-            hb.operator_norm(fr.weighted_gram(dual, w, F) - np.eye(cfg.d)),
+            hb.operator_norm(fr.weighted_gram(dual, w, F) - np.eye(t.cfg.d)),
             np.stack([np.abs(dual_bounds.lower - 1.0 / bounds.upper) * bounds.upper,
                       np.abs(dual_bounds.upper - 1.0 / bounds.lower) * bounds.lower],
                      axis=-1))
-
-
-def _difference(cfg, w, F, G, m, symbol, vectors):
-    """Entrywise defects of a difference of multipliers against the multiplier
-    of the difference, from one base multiplier: over a second symbol, then
-    over the vectors as a second analysis frame, then as a second synthesis
-    frame; then the defect of the base multiplier's adjoint against the
-    conjugate-symbol multiplier with the frames swapped."""
-    wm = w * m
-    base = fr.weighted_gram(G, wm, F)
-    # (the second multiplier, the multiplier of the difference)
-    pairs = ((fr.weighted_gram(G, w * symbol, F), fr.weighted_gram(G, w * (m - symbol), F)),
-             (fr.weighted_gram(G, wm, vectors), fr.weighted_gram(G, wm, F - vectors)),
-             (fr.weighted_gram(vectors, wm, F), fr.weighted_gram(G - vectors, wm, F)))
-    swapped = fr.weighted_gram(F, w * m.conj(), G)
-    return (*(np.max(np.abs(base - other - rhs), axis=(-2, -1)) for other, rhs in pairs),
-            hb.operator_norm(hb.adjoint(base) - swapped)
-            / np.maximum(hb.operator_norm(base), 1e-300))
-
-
-def _weighted_identity(cfg, w, F, m):
-    M = fr.weighted_gram(F, w * m, F)
-    reweighted = F * np.sqrt(m.real)[:, None, :]
-    S = fr.weighted_gram(reweighted, w, reweighted)
-    return hb.operator_norm(M - S) / np.maximum(hb.operator_norm(S), 1.0)
-
-
-def _bessel(cfg, w, F, f):
-    """The Bessel inequality defects of the test vectors, then how far the
-    top eigenvector's energy is from the upper bound, from one S and one set
-    of its bounds a trial."""
-    S = fr.weighted_gram(F, w, F)
-    bounds = fr.operator_bounds(S)
-    energy = np.sum(w[:, None] * np.abs(fr.coefficients(F[:, None], f)) ** 2, axis=-1)
-    nsq = hb.power(hb.norm(f), 2)
-    lower, upper = bounds.lower[:, None], bounds.upper[:, None]
-    _, vecs = np.linalg.eigh(hb.hermitian_part(S))
-    top = np.sum(w * np.abs(fr.coefficients(F, vecs[..., -1])) ** 2, axis=-1)
-    return (np.stack([(lower * nsq - energy) / nsq, (energy - upper * nsq) / nsq],
-                     axis=-1),
-            np.abs(top - bounds.upper) / bounds.upper)
-
-
-def _upper_bound(w, vectors):
-    return fr.operator_bounds(fr.weighted_gram(vectors, w, vectors)).upper
-
-
-def _budgets(cfg, w, F, G, m):
-    """Schatten norm minus budget at p = inf, 1, 1.5, 2 and 3, then the rise
-    of the Schatten norms from each p to the next, from one SVD."""
-    actual, budget = budget_values(w, m, F, G, DEFAULT_PS)  # p = 1, 1.5, 2, 3, inf
-    return (*(actual - budget)[:, [4, 0, 1, 2, 3]].T, np.diff(actual, axis=-1))
-
-
-def _perturbation(cfg, w, G, F, eps):
-    """The upper bound of G + eps F minus 2 (B_G + eps^2 B_F), then the lower
-    bound defect of G + eps' F at eps' = sqrt(A_G / B_F) / 2, from one set of
-    bounds of G and one B_F a trial."""
-    bounds = fr.operator_bounds(fr.weighted_gram(G, w, G))
-    bf = _upper_bound(w, F)
-    upper = _upper_bound(w, fr.perturbed(G, F, eps[:, None, None]))
-    return (upper - 2.0 * (bounds.upper + hb.power(eps, 2) * bf),
-            *_or_errors(1, _perturb_lower, w, G, F, bounds.lower, bf))
-
-
-def _perturb_lower(w, G, F, ag, bf):
-    eps = 0.5 * np.sqrt(ag / bf)
-    P = fr.perturbed(G, F, eps[:, None, None])
-    lower = fr.operator_bounds(fr.weighted_gram(P, w, P)).lower
-    return (hb.power(np.sqrt(ag) - eps * np.sqrt(bf), 2) - lower,)
-
-
-def _discrete_bessel_norm_bound(cfg, F):
-    cap = np.sqrt(_upper_bound(np.ones(cfg.n_points), F))
-    return fr.max_column_norm(F) - cap
 
 
 def _truncation_cuts(n: int) -> list[int]:
@@ -522,15 +508,18 @@ def _truncation_cuts(n: int) -> list[int]:
     return [max(1, n // 8), max(1, n // 4), max(1, n // 2), n]
 
 
-def _truncation(cfg, w, F, m):
-    """Deviation minus budget of each nested truncation of a nonnegative
-    symbol against one frame, then the rise of the deviation from each step
-    to the next and its last value: the largest values are kept first, so
-    the cut remainder is a sum of positive rank-one terms and its norm
-    shrinks monotonically as the kept set grows."""
+def _truncation(t: Trials) -> tuple:
+    """Deviation minus budget of each nested truncation of the nonnegative
+    symbol against F, then the rise of the deviation from each step to the
+    next and its last value: the largest values are kept first, so the cut
+    remainder is a sum of positive rank-one terms and its norm shrinks
+    monotonically as the kept set grows."""
+    m = t.nonnegative
     order = np.argsort(np.abs(m), axis=-1)[..., ::-1]
-    schedule = (truncated(m, order[..., :c]) for c in _truncation_cuts(cfg.n_points))
-    (steps,) = convergence_steps(w, m, F, F, [("symbol_p", schedule, (math.inf,))])
+    schedule = (truncated(m, order[..., :c]) for c in _truncation_cuts(t.cfg.n_points))
+    bf = t.bounds_F.upper
+    (steps,) = convergence_steps(t.w, m, t.F, t.F, [("symbol_p", schedule, (math.inf,))],
+                                 (bf, bf))
     _, measured, budget = (a[:, 0] for a in steps)
     rises = np.concatenate([np.diff(measured), measured[:, -1:]], axis=-1)
     return measured - budget, rises
@@ -540,213 +529,125 @@ def _truncation(cfg, w, F, m):
 CONVERGENCE_STEPS = (1, 2, 4, 8, 16)
 
 
-def _convergence(cfg, w, F, G, m, symbol_bump, vectors_bump):
-    """Deviation minus budget of each step: the symbol plus a bump at p = 1, 2
-    and inf, then the analysis vectors plus a bump against the L2 and L1
-    budgets, one row per p."""
+def _convergence(t: Trials) -> tuple:
+    """Deviation minus budget of each step: the symbol plus the second symbol
+    as a bump at p = 1, 2 and inf, then F plus the second vectors as a bump
+    against the L2 and L1 budgets, one row per p."""
     def bumped(base, bump):
         return (base + bump / n for n in CONVERGENCE_STEPS)
 
-    experiments = [("symbol_p", bumped(m, symbol_bump), (1.0, 2.0, math.inf)),
-                   ("frame_uniform", bumped(F, vectors_bump), (2.0, 1.0))]
-    return tuple(row for _, measured, budget in convergence_steps(w, m, F, G, experiments)
+    experiments = [("symbol_p", bumped(t.m, t.symbol), (1.0, 2.0, math.inf)),
+                   ("frame_uniform", bumped(t.F, t.vectors), (2.0, 1.0))]
+    steps = convergence_steps(t.w, t.m, t.F, t.G, experiments,
+                              (t.bounds_F.upper, t.bounds_G.upper))
+    return tuple(row for _, measured, budget in steps
                  for row in np.moveaxis(measured - budget, -2, 0))
 
 
-def _controlled(cfg, w, F, kinds, params):
-    """The factorization defects, the bounds-map defects, the spectral-mapping
-    defect, and where the mixed operator is not positive or a positive
-    controlled lower bound meets no frame, from one frame operator S, set of
-    its bounds, control C and mixed operator L per trial, and one spectrum
-    and one norm of L."""
-    S = fr.weighted_gram(F, w, F)
-    specs = _specs(kinds, params)
-    bounds = fr.operator_bounds(S)
-    C = ctrl.spectral_controls(specs, S, bounds)
-    L = ctrl.mixed_operator(C, w, F)
-    scale = np.maximum(hb.operator_norm(L), 1.0)
-    spectrum = ctrl.mixed_spectrum(C, S, L)
-    low, high = spectrum[..., 0], spectrum[..., -1]
-    lam = np.linalg.eigvalsh(S)
-    mapped = ctrl.spectral_maps(specs, lam) * lam  # phi(lambda) lambda
-    mapped_scale = np.maximum(np.max(np.abs(mapped), axis=-1), 1.0)
-    # hb.is_positive(L, 1e-10) on the norm and the spectrum taken above
-    positive = ((hb.operator_norm(L - hb.adjoint(L)) <= 1e-10 * scale)
-                & hb.nonnegative_spectrum(low, high, 1e-10))
-    return (np.stack([hb.operator_norm(L - C @ S) / scale,
-                      hb.operator_norm(L - S @ hb.adjoint(C)) / scale], axis=-1),
-            np.stack([np.abs(low - np.min(mapped, axis=-1)) / mapped_scale,
-                      np.abs(high - np.max(mapped, axis=-1)) / mapped_scale], axis=-1),
-            np.max(np.abs(np.sort(spectrum, axis=-1) - np.sort(mapped, axis=-1)),
-                   axis=-1) / scale,
-            ~positive,
-            (low > 0.0) & ~bounds.is_frame)
-
-
-def _precondition_identity(cfg, w, F, G, m, kinds, params, dual_kinds, dual_params):
-    C = ctrl.spectral_controls(_specs(kinds, params), fr.weighted_gram(F, w, F))
-    D = ctrl.spectral_controls(_specs(dual_kinds, dual_params), fr.weighted_gram(G, w, G))
-    return ctrl.precondition_residual(C, D, w * m, F, G)
-
-
-def _weighted(cfg, w, F, delta, offsets):
-    """The bounds defects of the frame under the constant weight 4, then
-    delta A_F - lambda_min(M) and True where M is not positive, for the
-    multiplier M of the symbol delta + offsets in [delta, delta + 2), from
-    one S and one set of its bounds a trial."""
-    bounds = fr.operator_bounds(fr.weighted_gram(F, w, F))
-    # the vectors of fr.weighted(F, 4): each column times sqrt(4), exactly
-    scaled_vectors = 2.0 * F
-    scaled = fr.operator_bounds(fr.weighted_gram(scaled_vectors, w, scaled_vectors))
-    m = (delta[:, None] + offsets).astype(complex)
-    M = fr.weighted_gram(F, w * m, F)
-    # hb.is_positive(M, 1e-10) on the one eigvalsh that also gives lam_min
-    lam_min, lam_max = hb.extreme_eigenvalues(M)
-    not_positive = ~(hb.is_hermitian(M, 1e-10)
-                     & hb.nonnegative_spectrum(lam_min, lam_max, 1e-10))
-    return (np.stack([np.abs(scaled.lower - 4.0 * bounds.lower) / (4.0 * bounds.upper),
-                      np.abs(scaled.upper - 4.0 * bounds.upper) / (4.0 * bounds.upper)],
-                     axis=-1),
-            (delta * bounds.lower - lam_min, not_positive))
-
-
-def _certificates(cfg, w, F, G, m):
-    """floor - measured of certificate 1, and True where a certificate fails."""
-    measured, floors, passed = certificate_values(w, m, F, G)
-    return floors[..., 0] - measured[..., 0], ~np.all(passed, axis=-1)
-
-
-def _multiplier_dual(cfg, w, F, G, m):
-    H = multiplier_dual_vectors(w, m, F, G)
-    return hb.operator_norm(fr.weighted_gram(G, w, H) - np.eye(cfg.d))
-
-
-def _frame_iff_invertible(cfg, w, F):
-    """True where the frame property and invertibility of the frame operator
-    disagree; invertibility is hilbert.invert's cutoff."""
-    S = fr.weighted_gram(F, w, F)
-    return fr.operator_bounds(S).is_frame == hb.is_singular(hb.singular_values(S))
-
-
-class Stacked(NamedTuple):
-    """Trials measured in stacks.  Role r of ``roles`` draws one array per
-    trial from the stream _rng(seed, branch, r), read in trial order;
-    draw(cfg, spec, streams, trials) draws a chunk of trials from the
-    streams (_draws, _invertible_draws or _half_deficient), and
-    measure(cfg, *stacks) gives the values a check folds.  A family row
-    serves every check of ``members``: its measure gives a tuple of their
-    values, in that order.  The row takes min(cfg.trials, cap) trials."""
-
-    branch: int
-    roles: tuple
-    measure: Callable
-    cap: int | None = None
-    draw: Callable = _draws
-    members: tuple = ()
-
-    def streams(self, cfg: SuiteConfig) -> list:
-        """The stream of each role, before trial 0."""
-        return [_rng(cfg.seed, self.branch, r) for r in range(len(self.roles))]
-
-    def replay(self, cfg: SuiteConfig, trial: int) -> list:
-        """The arrays trial ``trial`` measures: the last rows of trials
-        0..trial, drawn as one chunk."""
-        return [stack[-1] for stack in
-                self.draw(cfg, self, self.streams(cfg), range(trial + 1))]
-
-
-def _family(row: Stacked) -> dict:
-    return dict.fromkeys(row.members, row)
-
-
-# the row of every stacked check; the members of a family share one row
-STACKED = {
-    # the frame, then test vectors
-    **_family(Stacked(101, (*_FRAME, _complex(20, "d")), _frame, members=(
-        "frame_factorization", "reconstruction", "reconstruction_swapped",
-        "canonical_dual_pair", "dual_bounds_inverse"))),
-    # the instance, a second symbol, then second vectors
-    **_family(Stacked(105, (*_INSTANCE, _SYMBOL, _VECTORS), _difference, members=(
-        "difference_symbol", "difference_analysis", "difference_synthesis",
-        "multiplier_adjoint"))),
-    "weighted_identity": Stacked(108, (*_FRAME, _NONNEGATIVE), _weighted_identity),
-    "frame_iff_invertible": Stacked(
-        111, (*_FRAME, _complex("d", "d-1"), _real("d-1", "n")), _frame_iff_invertible,
-        draw=_half_deficient),
-    **_family(Stacked(112, (*_FRAME, _complex(10, "d")), _bessel, members=(
-        "bessel_inequality", "bessel_sharpness"))),
-    **_family(Stacked(114, _INSTANCE, _budgets, members=(
-        "op_norm_budget", "trace_budget", "schatten_budget_p15", "schatten_budget_p2",
-        "schatten_budget_p3", "schatten_monotonicity"))),
-    # weights, G, F, eps
-    **_family(Stacked(120, (*_FRAME, _VECTORS, _uniform(0.05, 1.0)), _perturbation,
-                      members=("perturb_upper", "perturb_lower"))),
-    # vectors on counting_space(n), which draws nothing
-    "discrete_bessel_norm_bound": Stacked(122, (_VECTORS,), _discrete_bessel_norm_bound),
-    **_family(Stacked(125, (*_FRAME, _NONNEGATIVE), _truncation, cap=50, members=(
-        "truncation_budget", "truncation_monotone"))),
-    # the instance, then the bumps of the symbol and of the analysis vectors
-    **_family(Stacked(126, (*_INSTANCE, _SYMBOL, _VECTORS), _convergence, cap=20,
-                      members=("symbol_convergence_p1", "symbol_convergence_p2",
-                               "symbol_convergence_pinf", "frame_uniform_l2",
-                               "frame_uniform_l1"))),
-    **_family(Stacked(136, (*_FRAME, *_CONTROL), _controlled, cap=100, members=(
-        "controlled_factorization", "controlled_bounds_map",
-        "controlled_spectral_mapping", "controlled_positivity",
-        "controlled_implies_frame"))),
-    # the instance, the analysis control, then the synthesis control
-    "precondition_identity": Stacked(141, (*_INSTANCE, *_CONTROL, *_CONTROL),
-                                     _precondition_identity, cap=100),
-    # the frame, delta in [0.1, 1), then the symbol's offsets from delta
-    **_family(Stacked(142, (*_FRAME, _uniform(0.1, 1.0), _uniform(0.0, 2.0, "n")),
-                      _weighted, cap=100, members=(
-                          "weighted_scaling", "positive_symbol_coercivity"))),
-    "certificates": Stacked(143, _INSTANCE, _certificates, cap=100,
-                            draw=_invertible_draws),
-    "multiplier_dual": Stacked(144, _INSTANCE, _multiplier_dual, cap=50,
-                               draw=_invertible_draws),
+# the quantities a context computes once, on first use
+SHARED = {
+    "S_F": lambda t: fr.weighted_gram(t.F, t.w, t.F),
+    "S_G": lambda t: fr.weighted_gram(t.G, t.w, t.G),
+    "bounds_F": lambda t: fr.operator_bounds(t.S_F),
+    "bounds_G": lambda t: fr.operator_bounds(t.S_G),
+    "M": lambda t: fr.weighted_gram(t.G, t.w * t.m, t.F),
+    "sigma_M": lambda t: hb.singular_values(t.M),
+    "M_inv": lambda t: hb.invert(t.M),
+    "dual": _dual,
+    # Schatten norms and budgets at p = 1, 1.5, 2, 3, inf
+    "budgets": lambda t: budget_values(t.w, t.m, t.F, t.G, DEFAULT_PS, t.sigma_M,
+                                       (t.bounds_F.upper, t.bounds_G.upper)),
+    "truncation": _truncation,
+    "convergence": _convergence,
+    # one eigendecomposition of S_F for the controls, their frame test and
+    # the mapped spectrum
+    "eigen_F": lambda t: np.linalg.eigh(t.S_F),
+    "specs": lambda t: _specs(t.kinds, t.params),
+    "C": lambda t: ctrl.spectral_controls(t.specs, t.S_F, t.eigen_F),
+    "L": lambda t: ctrl.mixed_operator(t.C, t.w, t.F),
+    "L_spectrum": lambda t: ctrl.mixed_spectrum(t.C, t.S_F, t.L),
+    "L_scale": lambda t: np.maximum(hb.operator_norm(t.L), 1.0),
+    # phi(lambda) lambda
+    "mapped": lambda t: ctrl.spectral_maps(t.specs, t.eigen_F.eigenvalues) * t.eigen_F.eigenvalues,
 }
 
 
-def _row_values(row: Stacked, seed: int, d: int, n: int, chunks: tuple) -> tuple:
-    """The values of each chunk of trials of a row, in trial order."""
-    cfg = SuiteConfig(seed=seed, d=d, n_points=n, trials=chunks[-1].stop)
-    streams = row.streams(cfg)
-    values, stacks = [], None
-    for trials in chunks:
-        # the last chunk's stacks stay referenced while the next one is drawn,
-        # as a per-trial loop holds its last instance: released first, malloc
-        # trims their pages and the draw faults them in again (about 10^3
-        # page faults a trial at d = 64, N = 4096)
-        stacks = row.draw(cfg, row, streams, trials)
-        values.append(row.measure(cfg, *stacks))
-    return tuple(values)
+# ---------------------------------------------------------------------------
+# evaluation chunk by chunk
+# ---------------------------------------------------------------------------
+
+# the trial contexts of every stacked check, filled by its definition below
+STACKED: dict[str, Stacked] = {}
 
 
-# one dict per running run_suite, holding the values of every row it measured
-# by (row, seed, d, N, chunks): the members of a family need not follow each
-# other, and a run draws and measures each family once; outside run_suite
-# every call measures afresh
-_RUNS: list[dict] = []
+def _stacked_values(cfg: SuiteConfig, check_ids) -> dict:
+    """The values of each stacked check of ``check_ids``, chunk by chunk in
+    trial order, or the first exception its measure raised."""
+    checks = {c: STACKED[c] for c in check_ids if c in STACKED}
+    limits = {c: cfg.trials if row.cap is None else min(cfg.trials, row.cap)
+              for c, row in checks.items()}
+    values = {c: [] for c in checks}
+    streams = {}  # kind -> its role streams for the run
+    for chunk in _chunks(cfg, max(limits.values(), default=0)):
+        for kind in dict.fromkeys(row.kind for row in checks.values()):
+            _measure_chunk(Trials(kind, cfg, chunk, streams.setdefault(kind, {})),
+                           {c: row for c, row in checks.items() if row.kind is kind},
+                           limits, values)
+    return values
+
+
+def _measure_chunk(root: Trials, checks: dict, limits: dict, values: dict) -> None:
+    """Run the measure of every check of the context's kind that reads a
+    trial of its chunk on the context, or on its head up to the check's cap.
+    The context dies on return, before the next kind draws."""
+    chunk, heads = root.trials, {}
+    for check_id, row in checks.items():
+        count = min(len(chunk), limits[check_id] - chunk.start)
+        if count <= 0 or isinstance(values[check_id], Exception):
+            continue
+        if count < len(chunk) and count not in heads:
+            heads[count] = root.part(slice(count))
+        try:
+            values[check_id].append(row.measure(heads.get(count, root)))
+        except Exception as exc:  # the check aborts with it, the others go on
+            values[check_id] = exc.with_traceback(None)
+
+
+class _Run(NamedTuple):
+    cfg: SuiteConfig
+    check_ids: tuple
+    cache: dict
+
+
+# one entry per running run_suite: its configuration, its check ids and what
+# it computes once (the stacked values, the Calderon study); outside
+# run_suite every call computes afresh
+_RUNS: list[_Run] = []
+
+
+def _run(cfg: SuiteConfig) -> _Run | None:
+    return _RUNS[-1] if _RUNS and _RUNS[-1].cfg is cfg else None
+
+
+def _per_run(cfg: SuiteConfig, key: str, compute: Callable):
+    """compute(), once per run_suite call on ``cfg``; afresh outside one."""
+    run = _run(cfg)
+    if run is None:
+        return compute()
+    if key not in run.cache:
+        run.cache[key] = compute()
+    return run.cache[key]
 
 
 def stacked_values(cfg: SuiteConfig, check_id: str) -> list:
-    """The values of a stacked check, chunk by chunk in trial order; a member
-    of a family reads its own part of the family's values, and raises the
-    error that stands in a chunk's place."""
-    row = STACKED[check_id]
-    key = (row, cfg.seed, cfg.d, cfg.n_points, tuple(_chunks(cfg, row.cap)))
-    run = _RUNS[-1] if _RUNS else {}
-    chunks = run.get(key)
-    if chunks is None:
-        chunks = run[key] = _row_values(*key)
-    if not row.members:
-        return list(chunks)
-    member = row.members.index(check_id)
-    values = [chunk[member] for chunk in chunks]
-    for error in values:
-        if isinstance(error, Exception):
-            raise error
+    """The values of a stacked check, chunk by chunk in trial order; raises
+    what its measure raised.  A run measures all its stacked checks
+    together."""
+    run = _run(cfg)
+    ids = run.check_ids if run else (check_id,)
+    values = _per_run(cfg, "stacked", lambda: _stacked_values(cfg, ids))[check_id]
+    if isinstance(values, Exception):
+        raise values
     return values
 
 
@@ -760,133 +661,355 @@ def _check(cfg: SuiteConfig, check_id: str, claim: str, measured: float,
                  cfg.tol(check_id), bool(passed), detail)
 
 
-def _max_check(cfg: SuiteConfig, check_id: str, claim: str, chunks,
-               worst: float = 0.0) -> Check:
-    """worst <= tol, where worst is max(worst, every value) over the chunks'
-    values in trial order, as the per-trial loops folded it."""
-    for values in chunks:
-        worst = max(worst, *np.ravel(values).tolist())
+def _within(cfg: SuiteConfig, check_id: str, claim: str, measured: float,
+            detail: str = "") -> Check:
+    """measured <= tol."""
     tol = cfg.tol(check_id)
-    return _check(cfg, check_id, claim, worst, tol, worst <= tol)
+    return _check(cfg, check_id, claim, measured, tol, measured <= tol, detail)
 
 
-def _named(check_id: str, check: Callable) -> Callable:
-    check.__name__ = check.__qualname__ = f"check_{check_id}"
-    return check
+def _row(check_id: str, kind: Kind, cap: int | None, fold: Callable) -> Callable:
+    """Decorator of a stacked check's measure: stores it in STACKED and gives
+    the check function, fold(cfg, values of every chunk)."""
+    def register(measure: Callable) -> Callable:
+        STACKED[check_id] = Stacked(kind, measure, cap)
+
+        def check(cfg: SuiteConfig) -> Check:
+            return fold(cfg, stacked_values(cfg, check_id))
+        check.__name__ = check.__qualname__ = f"check_{check_id}"
+        return check
+    return register
 
 
-def _stacked(check_id: str, claim: str, worst: float = 0.0) -> Callable:
-    """The check function of a stacked check whose values fold with max from
-    ``worst`` (_max_check)."""
-    return _named(check_id, lambda cfg: _max_check(
-        cfg, check_id, claim, stacked_values(cfg, check_id), worst))
+def _stacked(check_id: str, claim: str, worst: float = 0.0, kind: Kind = PLAIN,
+             cap: int | None = None) -> Callable:
+    """A stacked check whose values fold with max from ``worst``:
+    worst <= tol over every value in trial order."""
+    def fold(cfg: SuiteConfig, chunks) -> Check:
+        value = worst
+        for values in chunks:
+            value = max(value, *np.ravel(values).tolist())
+        return _within(cfg, check_id, claim, value)
+    return _row(check_id, kind, cap, fold)
 
 
-def _counted(check_id: str, claim: str) -> Callable:
-    """The check function of a stacked check that no trial may fail: the
-    number of failing trials against the tolerance."""
-    def check(cfg: SuiteConfig) -> Check:
-        bad = sum(int(np.count_nonzero(failing))
-                  for failing in stacked_values(cfg, check_id))
+def _counted(check_id: str, claim: str, kind: Kind = PLAIN,
+             cap: int | None = None) -> Callable:
+    """A stacked check that no trial may fail: the number of failing trials
+    against the tolerance."""
+    def fold(cfg: SuiteConfig, chunks) -> Check:
+        bad = sum(int(np.count_nonzero(failing)) for failing in chunks)
         return _check(cfg, check_id, claim, bad, cfg.tol(check_id), bad == 0)
-    return _named(check_id, check)
+    return _row(check_id, kind, cap, fold)
 
 
-def _max_and_count(cfg: SuiteConfig, check_id: str) -> tuple[float, int]:
-    """The max of the values from -inf in trial order, and the number of
-    failing trials, of a check that measures both."""
-    worst, bad = -math.inf, 0
-    for values, failing in stacked_values(cfg, check_id):
-        worst = max(worst, *values.tolist())
-        bad += int(np.count_nonzero(failing))
-    return worst, bad
+def _max_and_count(check_id: str, claim: str, detail: bool, kind: Kind = PLAIN,
+                   cap: int | None = None) -> Callable:
+    """A stacked check that measures a value and a verdict per trial: the max
+    of the values from -inf in trial order within the tolerance, and no
+    failing trial."""
+    def fold(cfg: SuiteConfig, chunks) -> Check:
+        worst, bad = -math.inf, 0
+        for values, failing in chunks:
+            worst = max(worst, *values.tolist())
+            bad += int(np.count_nonzero(failing))
+        tol = cfg.tol(check_id)
+        return _check(cfg, check_id, claim, worst, tol, bad == 0 and worst <= tol,
+                      detail=f"{bad} failing instance(s)" if detail else "")
+    return _row(check_id, kind, cap, fold)
 
 
-check_frame_factorization = _stacked(
-    "frame_factorization", "frame operator equals synthesis composed with analysis")
+def _item(name: str, index: int) -> Callable:
+    """The measure that reads part ``index`` of a shared quantity."""
+    return lambda t: getattr(t, name)[index]
+
+
+@_stacked("frame_factorization", "frame operator equals synthesis composed with analysis")
+def check_frame_factorization(t: Trials):
+    # column k of the composition synthesizes the analysis of basis vector k
+    coeffs = fr.coefficients(t.F[:, None], np.eye(t.cfg.d, dtype=complex))
+    composed = fr.synthesize(t.F[:, None], t.w[:, None], coeffs).swapaxes(-1, -2)
+    return hb.operator_norm(t.S_F - composed) / hb.operator_norm(t.S_F)
+
 
 check_reconstruction = _stacked(
-    "reconstruction", "canonical dual reconstructs every vector from analysis by F")
+    "reconstruction", "canonical dual reconstructs every vector from analysis by F",
+)(_item("dual", 0))
 
 check_reconstruction_swapped = _stacked(
     "reconstruction_swapped",
-    "F reconstructs every vector from analysis by the canonical dual")
+    "F reconstructs every vector from analysis by the canonical dual")(_item("dual", 1))
 
-check_multiplier_adjoint = _stacked(
-    "multiplier_adjoint",
-    "adjoint of the multiplier is the conjugate-symbol multiplier with frames swapped")
+
+@_stacked("multiplier_adjoint",
+          "adjoint of the multiplier is the conjugate-symbol multiplier with frames swapped")
+def check_multiplier_adjoint(t: Trials):
+    swapped = fr.weighted_gram(t.F, t.w * t.m.conj(), t.G)
+    return (hb.operator_norm(hb.adjoint(t.M) - swapped)
+            / np.maximum(t.sigma_M[..., 0], 1e-300))
+
+
+def _difference(pair: Callable) -> Callable:
+    """The entrywise defect of M minus the multiplier that pair(t) gives
+    first, against the multiplier of the difference it gives second."""
+    def measure(t: Trials):
+        other, rhs = pair(t)
+        return np.max(np.abs(t.M - other - rhs), axis=(-2, -1))
+    return measure
+
 
 check_difference_symbol = _stacked(
     "difference_symbol",
-    "difference of multipliers equals the multiplier of the symbol difference")
+    "difference of multipliers equals the multiplier of the symbol difference",
+)(_difference(lambda t: (fr.weighted_gram(t.G, t.w * t.symbol, t.F),
+                         fr.weighted_gram(t.G, t.w * (t.m - t.symbol), t.F))))
 
 check_difference_analysis = _stacked(
     "difference_analysis",
-    "difference over analysis frames equals the multiplier of the frame difference")
+    "difference over analysis frames equals the multiplier of the frame difference",
+)(_difference(lambda t: (fr.weighted_gram(t.G, t.w * t.m, t.vectors),
+                         fr.weighted_gram(t.G, t.w * t.m, t.F - t.vectors))))
 
 check_difference_synthesis = _stacked(
     "difference_synthesis",
-    "difference over synthesis frames equals the multiplier of the frame difference")
+    "difference over synthesis frames equals the multiplier of the frame difference",
+)(_difference(lambda t: (fr.weighted_gram(t.vectors, t.w * t.m, t.F),
+                         fr.weighted_gram(t.G - t.vectors, t.w * t.m, t.F))))
 
-check_weighted_identity = _stacked(
-    "weighted_identity",
-    "multiplier with a nonnegative symbol is the frame operator of the reweighted frame")
+
+@_stacked("weighted_identity",
+          "multiplier with a nonnegative symbol is the frame operator of the reweighted frame")
+def check_weighted_identity(t: Trials):
+    M = fr.weighted_gram(t.F, t.w * t.nonnegative, t.F)
+    reweighted = t.F * np.sqrt(t.nonnegative.real)[:, None, :]
+    S = fr.weighted_gram(reweighted, t.w, reweighted)
+    return hb.operator_norm(M - S) / np.maximum(hb.operator_norm(S), 1.0)
+
 
 check_canonical_dual_pair = _stacked(
-    "canonical_dual_pair", "frame and its canonical dual synthesize the identity")
+    "canonical_dual_pair", "frame and its canonical dual synthesize the identity",
+)(_item("dual", 2))
 
 check_dual_bounds_inverse = _stacked(
-    "dual_bounds_inverse", "canonical dual bounds are the reciprocals (1/B, 1/A)")
+    "dual_bounds_inverse", "canonical dual bounds are the reciprocals (1/B, 1/A)",
+)(_item("dual", 3))
 
-check_frame_iff_invertible = _counted(
-    "frame_iff_invertible",
-    "frame property coincides with invertibility of the frame operator")
 
-check_bessel_inequality = _stacked(
-    "bessel_inequality",
-    "weighted coefficient energy lies between the optimal bounds times ||f||^2")
+@_counted("frame_iff_invertible",
+          "frame property coincides with invertibility of the frame operator",
+          HALF_DEFICIENT)
+def check_frame_iff_invertible(t: Trials):
+    # True where they disagree; invertibility is hilbert.invert's cutoff
+    return t.bounds_F.is_frame == hb.is_singular(hb.singular_values(t.S_F))
 
-check_bessel_sharpness = _stacked(
-    "bessel_sharpness", "the top eigenvector attains the upper bound with equality")
+
+@_stacked("bessel_inequality",
+          "weighted coefficient energy lies between the optimal bounds times ||f||^2")
+def check_bessel_inequality(t: Trials):
+    f = t.tests
+    energy = np.sum(t.w[:, None] * np.abs(fr.coefficients(t.F[:, None], f)) ** 2, axis=-1)
+    nsq = hb.power(hb.norm(f), 2)
+    lower, upper = t.bounds_F.lower[:, None], t.bounds_F.upper[:, None]
+    return np.stack([(lower * nsq - energy) / nsq, (energy - upper * nsq) / nsq], axis=-1)
+
+
+@_stacked("bessel_sharpness", "the top eigenvector attains the upper bound with equality")
+def check_bessel_sharpness(t: Trials):
+    _, vecs = np.linalg.eigh(hb.hermitian_part(t.S_F))
+    top = np.sum(t.w * np.abs(fr.coefficients(t.F, vecs[..., -1])) ** 2, axis=-1)
+    return np.abs(top - t.bounds_F.upper) / t.bounds_F.upper
+
+
+def _budget(p: float) -> Callable:
+    """The Schatten p-norm minus its budget."""
+    column = DEFAULT_PS.index(p)
+    return lambda t: t.budgets[0][:, column] - t.budgets[1][:, column]
+
 
 check_op_norm_budget = _stacked(
-    "op_norm_budget", "operator norm is at most sup|m| sqrt(B_F B_G)", -math.inf)
+    "op_norm_budget", "operator norm is at most sup|m| sqrt(B_F B_G)", -math.inf,
+)(_budget(math.inf))
 
 check_trace_budget = _stacked(
-    "trace_budget", "trace norm is at most ||m||_1 L_F L_G", -math.inf)
+    "trace_budget", "trace norm is at most ||m||_1 L_F L_G", -math.inf)(_budget(1.0))
 
 check_schatten_budget_p15 = _stacked(
     "schatten_budget_p15",
-    "Schatten 1.5-norm stays under its interpolation budget", -math.inf)
+    "Schatten 1.5-norm stays under its interpolation budget", -math.inf)(_budget(1.5))
 
 check_schatten_budget_p2 = _stacked(
     "schatten_budget_p2",
-    "Hilbert-Schmidt norm stays under its interpolation budget", -math.inf)
+    "Hilbert-Schmidt norm stays under its interpolation budget", -math.inf)(_budget(2.0))
 
 check_schatten_budget_p3 = _stacked(
     "schatten_budget_p3",
-    "Schatten 3-norm stays under its interpolation budget", -math.inf)
+    "Schatten 3-norm stays under its interpolation budget", -math.inf)(_budget(3.0))
 
 check_schatten_monotonicity = _stacked(
-    "schatten_monotonicity", "Schatten norms are nonincreasing in p")
+    "schatten_monotonicity", "Schatten norms are nonincreasing in p",
+)(lambda t: np.diff(t.budgets[0], axis=-1))
 
-check_perturb_upper = _stacked(
-    "perturb_upper",
-    "upper bound of G + eps F is at most 2 (B_G + eps^2 B_F)", -math.inf)
 
-check_perturb_lower = _stacked(
-    "perturb_lower",
-    "lower bound of G + eps F is at least (sqrt(A_G) - eps sqrt(B_F))^2 for "
-    "small eps", -math.inf)
+def _bounds(w, vectors) -> fr.FrameBounds:
+    return fr.operator_bounds(fr.weighted_gram(vectors, w, vectors))
 
-check_discrete_bessel_norm_bound = _stacked(
-    "discrete_bessel_norm_bound",
-    "with unit weights every frame vector norm is at most sqrt(B)", -math.inf)
+
+@_stacked("perturb_upper",
+          "upper bound of G + eps F is at most 2 (B_G + eps^2 B_F)", -math.inf)
+def check_perturb_upper(t: Trials):
+    upper = _bounds(t.w, fr.perturbed(t.G, t.F, t.eps[:, None, None])).upper
+    return upper - 2.0 * (t.bounds_G.upper + hb.power(t.eps, 2) * t.bounds_F.upper)
+
+
+@_stacked("perturb_lower",
+          "lower bound of G + eps F is at least (sqrt(A_G) - eps sqrt(B_F))^2 for "
+          "small eps", -math.inf)
+def check_perturb_lower(t: Trials):
+    # at eps = sqrt(A_G / B_F) / 2
+    ag, bf = t.bounds_G.lower, t.bounds_F.upper
+    eps = 0.5 * np.sqrt(ag / bf)
+    lower = _bounds(t.w, fr.perturbed(t.G, t.F, eps[:, None, None])).lower
+    return hb.power(np.sqrt(ag) - eps * np.sqrt(bf), 2) - lower
+
+
+@_stacked("discrete_bessel_norm_bound",
+          "with unit weights every frame vector norm is at most sqrt(B)", -math.inf)
+def check_discrete_bessel_norm_bound(t: Trials):
+    return fr.max_column_norm(t.F) - np.sqrt(_bounds(np.ones(t.cfg.n_points), t.F).upper)
+
+
+check_truncation_budget = _stacked(
+    "truncation_budget",
+    "truncated-symbol deviation stays under sup|m - m_n| sqrt(B_F B_G)", -math.inf,
+    cap=50)(_item("truncation", 0))
+
+check_truncation_monotone = _stacked(
+    "truncation_monotone",
+    "nested truncations decrease the deviation monotonically to zero", -math.inf,
+    cap=50)(_item("truncation", 1))
+
+check_symbol_convergence_p1 = _stacked(
+    "symbol_convergence_p1",
+    "trace-norm deviation tracks the L1 distance of the symbols", -math.inf,
+    cap=20)(_item("convergence", 0))
+
+check_symbol_convergence_p2 = _stacked(
+    "symbol_convergence_p2",
+    "Hilbert-Schmidt deviation tracks the L2 distance of the symbols", -math.inf,
+    cap=20)(_item("convergence", 1))
+
+check_symbol_convergence_pinf = _stacked(
+    "symbol_convergence_pinf",
+    "operator-norm deviation tracks the sup distance of the symbols", -math.inf,
+    cap=20)(_item("convergence", 2))
+
+check_frame_uniform_l2 = _stacked(
+    "frame_uniform_l2",
+    "uniform frame perturbation is dominated by eps ||m||_2 sqrt(B_G)", -math.inf,
+    cap=20)(_item("convergence", 3))
+
+check_frame_uniform_l1 = _stacked(
+    "frame_uniform_l1",
+    "uniform frame perturbation is dominated by eps ||m||_1 L_G", -math.inf,
+    cap=20)(_item("convergence", 4))
+
+
+@_stacked("controlled_factorization",
+          "mixed operator equals C S and S C* for self-adjoint commuting controls", cap=100)
+def check_controlled_factorization(t: Trials):
+    L, C, S = t.L, t.C, t.S_F
+    return np.stack([hb.operator_norm(L - C @ S) / t.L_scale,
+                     hb.operator_norm(L - S @ hb.adjoint(C)) / t.L_scale], axis=-1)
+
+
+@_stacked("controlled_bounds_map",
+          "controlled bounds are the extremes of phi(lambda) lambda over the frame "
+          "spectrum", cap=100)
+def check_controlled_bounds_map(t: Trials):
+    low, high, mapped = t.L_spectrum[..., 0], t.L_spectrum[..., -1], t.mapped
+    scale = np.maximum(np.max(np.abs(mapped), axis=-1), 1.0)
+    return np.stack([np.abs(low - np.min(mapped, axis=-1)) / scale,
+                     np.abs(high - np.max(mapped, axis=-1)) / scale], axis=-1)
+
+
+@_stacked("controlled_spectral_mapping",
+          "spectrum of the mixed operator is the mapped frame spectrum, relative to "
+          "max(||L||, 1)", cap=100)
+def check_controlled_spectral_mapping(t: Trials):
+    return np.max(np.abs(np.sort(t.L_spectrum, axis=-1) - np.sort(t.mapped, axis=-1)),
+                  axis=-1) / t.L_scale
+
+
+@_counted("controlled_positivity",
+          "mixed operator of a positive commuting control is positive", cap=100)
+def check_controlled_positivity(t: Trials):
+    # hb.is_positive(L, 1e-10) on the norm and the spectrum of L taken once
+    L, spectrum = t.L, t.L_spectrum
+    return ~((hb.operator_norm(L - hb.adjoint(L)) <= 1e-10 * t.L_scale)
+             & hb.nonnegative_spectrum(spectrum[..., 0], spectrum[..., -1], 1e-10))
+
+
+@_counted("controlled_implies_frame",
+          "a positive controlled lower bound certifies the frame property", cap=100)
+def check_controlled_implies_frame(t: Trials):
+    # the frame test reads the eigenvalues the controls are built from
+    lam = t.eigen_F.eigenvalues
+    is_frame = fr.spectrum_bounds(lam[..., 0], lam[..., -1]).is_frame
+    return (t.L_spectrum[..., 0] > 0.0) & ~is_frame
+
+
+@_stacked("precondition_identity", "undoing the controls recovers the plain multiplier",
+          cap=100)
+def check_precondition_identity(t: Trials):
+    D = ctrl.spectral_controls(_specs(t.dual_kinds, t.dual_params), t.S_G)
+    return ctrl.precondition_residual(t.C, D, t.w * t.m, t.F, t.G)
+
+
+@_stacked("weighted_scaling", "a constant weight scales both frame bounds by that constant",
+          cap=100)
+def check_weighted_scaling(t: Trials):
+    bounds = t.bounds_F
+    # the vectors of fr.weighted(F, 4): each column times sqrt(4), exactly
+    scaled = _bounds(t.w, 2.0 * t.F)
+    return np.stack([np.abs(scaled.lower - 4.0 * bounds.lower) / (4.0 * bounds.upper),
+                     np.abs(scaled.upper - 4.0 * bounds.upper) / (4.0 * bounds.upper)],
+                    axis=-1)
+
+
+@_max_and_count("certificates",
+                "all five lower-bound certificates hold on invertible instances", True,
+                INVERTIBLE, cap=100)
+def check_certificates(t: Trials):
+    # floor - measured of certificate 1, and True where a certificate fails
+    measured, floors, passed = certificate_values(
+        t.w, t.m, t.F, t.G, m_inv=t.M_inv, bounds=(t.bounds_F, t.bounds_G))
+    return floors[..., 0] - measured[..., 0], ~np.all(passed, axis=-1)
+
+
+@_stacked("multiplier_dual", "the frame built from the inverse multiplier is a dual of G",
+          kind=INVERTIBLE, cap=50)
+def check_multiplier_dual(t: Trials):
+    H = multiplier_dual_vectors(t.w, t.m, t.F, t.G, t.M_inv, t.bounds_G)
+    return hb.operator_norm(fr.weighted_gram(t.G, t.w, H) - np.eye(t.cfg.d))
+
+
+@_max_and_count("positive_symbol_coercivity",
+                "a symbol bounded below by delta makes the multiplier positive with "
+                "lower bound delta A_F", False, cap=100)
+def check_positive_symbol_coercivity(t: Trials):
+    # delta A_F - lambda_min(M), and True where M is not positive, for the
+    # multiplier M of the symbol delta + offsets in [delta, delta + 2)
+    m = (t.delta[:, None] + t.offsets).astype(complex)
+    M = fr.weighted_gram(t.F, t.w * m, t.F)
+    # hb.is_positive(M, 1e-10) on the one eigvalsh that also gives lam_min
+    lam_min, lam_max = hb.extreme_eigenvalues(M)
+    not_positive = ~(hb.is_hermitian(M, 1e-10)
+                     & hb.nonnegative_spectrum(lam_min, lam_max, 1e-10))
+    return t.delta * t.bounds_F.lower - lam_min, not_positive
 
 
 def check_unbounded_norm_growth(cfg: SuiteConfig) -> Check:
-    rng = _rng(cfg.seed, 123)
-    h = random_vector(rng, cfg.d)
+    h = _complex("d")(_rng(cfg.seed, 123), cfg, 1)[0]
     norms = [fr.norm_bound(fr.scaled_singleton(uniform_grid_1d(0.0, 1.0, n), h))
              for n in (100, 1000, 10000)]
     ratios = [b / a for a, b in zip(norms, norms[1:])]
@@ -899,8 +1022,7 @@ def check_unbounded_norm_growth(cfg: SuiteConfig) -> Check:
 
 
 def check_unbounded_bessel_cap(cfg: SuiteConfig) -> Check:
-    rng = _rng(cfg.seed, 124)
-    h = random_vector(rng, cfg.d)
+    h = _complex("d")(_rng(cfg.seed, 124), cfg, 1)[0]
     hsq = float(np.linalg.norm(h) ** 2)
     worst = -math.inf
     for n in (100, 1000, 10000):
@@ -909,158 +1031,117 @@ def check_unbounded_bessel_cap(cfg: SuiteConfig) -> Check:
         quad = float(np.sum(grid.weights
                             * fr.unbounded_amplitude(grid.points[:, 0]) ** 2))
         worst = max(worst, fr.frame_bounds(S).upper - hsq * quad)
-    tol = cfg.tol("unbounded_bessel_cap")
-    return _check(cfg, "unbounded_bessel_cap",
-                  "Bessel bound stays below ||h||^2 times the amplitude "
-                  "quadrature on every refinement", worst, tol, worst <= tol)
+    return _within(cfg, "unbounded_bessel_cap",
+                   "Bessel bound stays below ||h||^2 times the amplitude "
+                   "quadrature on every refinement", worst)
 
 
-check_truncation_budget = _stacked(
-    "truncation_budget",
-    "truncated-symbol deviation stays under sup|m - m_n| sqrt(B_F B_G)", -math.inf)
+def _by_size(cfg: SuiteConfig, key: int, sizes, per_trial: int = 1) -> list:
+    """(d, vectors) for each distinct size d of ``sizes``, one size per trial,
+    in ascending order: the (count, per_trial, d) complex normals of the
+    trials of size d, drawn as one stack from the stream _rng(seed, key, 1)
+    in that order."""
+    rng = _rng(cfg.seed, key, 1)
+    return [(d, _normals(rng, (int(np.count_nonzero(sizes == d)), per_trial, d)))
+            for d in sorted(set(sizes.tolist()))]
 
-check_truncation_monotone = _stacked(
-    "truncation_monotone",
-    "nested truncations decrease the deviation monotonically to zero", -math.inf)
 
-check_symbol_convergence_p1 = _stacked(
-    "symbol_convergence_p1",
-    "trace-norm deviation tracks the L1 distance of the symbols", -math.inf)
-
-check_symbol_convergence_p2 = _stacked(
-    "symbol_convergence_p2",
-    "Hilbert-Schmidt deviation tracks the L2 distance of the symbols", -math.inf)
-
-check_symbol_convergence_pinf = _stacked(
-    "symbol_convergence_pinf",
-    "operator-norm deviation tracks the sup distance of the symbols", -math.inf)
-
-check_frame_uniform_l2 = _stacked(
-    "frame_uniform_l2",
-    "uniform frame perturbation is dominated by eps ||m||_2 sqrt(B_G)", -math.inf)
-
-check_frame_uniform_l1 = _stacked(
-    "frame_uniform_l1",
-    "uniform frame perturbation is dominated by eps ||m||_1 L_G", -math.inf)
+def _sizes(cfg: SuiteConfig, key: int, choices, trials: int) -> np.ndarray:
+    """The size of each trial, drawn from the stream _rng(seed, key, 0)."""
+    return _rng(cfg.seed, key, 0).choice(choices, size=trials)
 
 
 def check_gabor_tightness(cfg: SuiteConfig) -> Check:
     worst = 0.0
-    for d in (4, 8, 16, 64):
-        for i in range(20):
-            rng = _rng(cfg.seed, 131, d, i)
-            g = random_vector(rng, d)
+    for d, windows in _by_size(cfg, 131, np.repeat([4, 8, 16, 64], 20)):
+        for (g,) in windows:
             S = tf.gabor_frame_operator(g, d)
             gsq = float(np.linalg.norm(g) ** 2)
-            worst = max(worst,
-                        hb.operator_norm(S - gsq * np.eye(d)) / gsq)
-    tol = cfg.tol("gabor_tightness")
-    return _check(cfg, "gabor_tightness",
-                  "cyclic Gabor frame operator is exactly ||g||^2 times the "
-                  "identity", worst, tol, worst <= tol)
+            worst = max(worst, hb.operator_norm(S - gsq * np.eye(d)) / gsq)
+    return _within(cfg, "gabor_tightness",
+                   "cyclic Gabor frame operator is exactly ||g||^2 times the "
+                   "identity", worst)
 
 
 def check_stft_matches_analysis(cfg: SuiteConfig) -> Check:
     worst = 0.0
-    for i in range(20):
-        rng = _rng(cfg.seed, 132, i)
-        d = int(rng.choice([4, 8, 16]))
-        g = random_vector(rng, d)
-        f = random_vector(rng, d)
-        coeffs = tf.stft(f, g)
-        direct = fr.analysis(tf.gabor_frame(g, d), f)
-        worst = max(worst, float(np.max(np.abs(coeffs.values - direct))))
-    tol = cfg.tol("stft_matches_analysis")
-    return _check(cfg, "stft_matches_analysis",
-                  "transform coefficients equal frame analysis entrywise",
-                  worst, tol, worst <= tol)
+    for d, pairs in _by_size(cfg, 132, _sizes(cfg, 132, [4, 8, 16], 20), 2):
+        for g, f in pairs:
+            coeffs = tf.stft(f, g)
+            direct = fr.analysis(tf.gabor_frame(g, d), f)
+            worst = max(worst, float(np.max(np.abs(coeffs.values - direct))))
+    return _within(cfg, "stft_matches_analysis",
+                   "transform coefficients equal frame analysis entrywise",
+                   worst)
 
 
 def check_stft_energy(cfg: SuiteConfig) -> Check:
     worst = 0.0
-    for i in range(50):
-        rng = _rng(cfg.seed, 133, i)
-        d = int(rng.choice([4, 8, 16]))
-        g = random_vector(rng, d)
-        f = random_vector(rng, d)
-        coeffs = tf.stft(f, g)
-        energy = float(np.sum(coeffs.space.weights * np.abs(coeffs.values) ** 2))
-        expected = float(np.linalg.norm(g) ** 2 * np.linalg.norm(f) ** 2)
-        worst = max(worst, abs(energy - expected) / expected)
-    tol = cfg.tol("stft_energy")
-    return _check(cfg, "stft_energy",
-                  "weighted coefficient energy equals ||g||^2 ||f||^2",
-                  worst, tol, worst <= tol)
+    for _, pairs in _by_size(cfg, 133, _sizes(cfg, 133, [4, 8, 16], 50), 2):
+        for g, f in pairs:
+            coeffs = tf.stft(f, g)
+            energy = float(np.sum(coeffs.space.weights * np.abs(coeffs.values) ** 2))
+            expected = float(np.linalg.norm(g) ** 2 * np.linalg.norm(f) ** 2)
+            worst = max(worst, abs(energy - expected) / expected)
+    return _within(cfg, "stft_energy",
+                   "weighted coefficient energy equals ||g||^2 ||f||^2",
+                   worst)
 
 
 def check_stft_orthogonality(cfg: SuiteConfig) -> Check:
     worst = 0.0
-    for i in range(100):
-        rng = _rng(cfg.seed, 134, i)
-        d = int(rng.choice([4, 8, 16]))
-        vecs = [random_vector(rng, d) for _ in range(4)]
-        vecs = [v / np.linalg.norm(v) for v in vecs]
-        worst = max(worst, tf.stft_orthogonality_residual(*vecs))
-    tol = cfg.tol("stft_orthogonality")
-    return _check(cfg, "stft_orthogonality",
-                  "coefficient pairing of two windows factors into the two "
-                  "inner products", worst, tol, worst <= tol)
+    for _, quadruples in _by_size(cfg, 134, _sizes(cfg, 134, [4, 8, 16], 100), 4):
+        for vecs in quadruples:
+            vecs = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+            worst = max(worst, tf.stft_orthogonality_residual(*vecs))
+    return _within(cfg, "stft_orthogonality",
+                   "coefficient pairing of two windows factors into the two "
+                   "inner products", worst)
 
 
 def check_tf_shift_unitarity(cfg: SuiteConfig) -> Check:
     worst = 0.0
-    for i in range(100):
-        rng = _rng(cfg.seed, 135, i)
-        d = int(rng.choice([4, 8, 16, 32]))
-        x = random_vector(rng, d)
-        a, b = int(rng.integers(0, d)), int(rng.integers(0, d))
-        shifted = tf.modulate(tf.translate(x, a), b)
-        worst = max(worst, abs(float(np.linalg.norm(shifted) - np.linalg.norm(x))))
-    tol = cfg.tol("tf_shift_unitarity")
-    return _check(cfg, "tf_shift_unitarity",
-                  "time and frequency shifts preserve norms", worst, tol,
-                  worst <= tol)
+    shifts = _rng(cfg.seed, 135, 2)
+    for d, vectors in _by_size(cfg, 135, _sizes(cfg, 135, [4, 8, 16, 32], 100)):
+        for (x,), (a, b) in zip(vectors, shifts.integers(0, d, size=(len(vectors), 2))):
+            shifted = tf.modulate(tf.translate(x, int(a)), int(b))
+            worst = max(worst, abs(float(np.linalg.norm(shifted) - np.linalg.norm(x))))
+    return _within(cfg, "tf_shift_unitarity",
+                   "time and frequency shifts preserve norms", worst)
+
+
+def _admissibility(wavelet: tf.WaveletSpec) -> float:
+    """The two-sided admissibility constant on the oracle's frequency grid."""
+    return tf.admissibility_constant(
+        wavelet, tf.log_freq_grid(1e-3, 10.0, 2000, two_sided=True))
 
 
 def check_admissibility_oracle(cfg: SuiteConfig) -> Check:
-    grid = tf.log_freq_grid(1e-3, 10.0, 2000, two_sided=True)
-    value = tf.admissibility_constant(tf.WaveletSpec(), grid)
-    measured = abs(value - 0.25)
-    tol = cfg.tol("admissibility_oracle")
-    return _check(cfg, "admissibility_oracle",
-                  "quadrature admissibility constant matches the closed form 1/4",
-                  measured, tol, measured <= tol,
-                  detail=f"value {value!r}")
+    value = _admissibility(tf.WaveletSpec())
+    return _within(cfg, "admissibility_oracle",
+                   "quadrature admissibility constant matches the closed form 1/4",
+                   abs(value - 0.25), detail=f"value {value!r}")
 
 
 def check_admissibility_scaling(cfg: SuiteConfig) -> Check:
-    grid = tf.log_freq_grid(1e-3, 10.0, 2000, two_sided=True)
-    base = tf.admissibility_constant(tf.WaveletSpec(), grid)
+    base = _admissibility(tf.WaveletSpec())
     worst = 0.0
     for c in (0.5, 2.0, 3.0 + 4.0j):
-        scaled = tf.WaveletSpec("given-fourier",
-                                lambda g, c=c: c * tf.mexican_hat_fourier(g))
-        value = tf.admissibility_constant(scaled, grid)
+        value = _admissibility(tf.WaveletSpec(
+            "given-fourier", lambda g, c=c: c * tf.mexican_hat_fourier(g)))
         worst = max(worst, abs(value - abs(c) ** 2 * base) / (abs(c) ** 2 * base))
-    tol = cfg.tol("admissibility_scaling")
-    return _check(cfg, "admissibility_scaling",
-                  "scaling the profile by c scales the constant by |c|^2",
-                  worst, tol, worst <= tol)
+    return _within(cfg, "admissibility_scaling",
+                   "scaling the profile by c scales the constant by |c|^2", worst)
 
 
 def check_admissibility_phase_invariance(cfg: SuiteConfig) -> Check:
-    grid = tf.log_freq_grid(1e-3, 10.0, 2000, two_sided=True)
-    base = tf.admissibility_constant(tf.WaveletSpec(), grid)
-    phased = tf.WaveletSpec(
+    base = _admissibility(tf.WaveletSpec())
+    value = _admissibility(tf.WaveletSpec(
         "given-fourier",
-        lambda g: tf.mexican_hat_fourier(g) * np.exp(1j * np.sign(g) * 0.7),
-    )
-    value = tf.admissibility_constant(phased, grid)
-    measured = abs(value - base) / base
-    tol = cfg.tol("admissibility_phase_invariance")
-    return _check(cfg, "admissibility_phase_invariance",
-                  "the constant depends on the profile modulus only",
-                  measured, tol, measured <= tol)
+        lambda g: tf.mexican_hat_fourier(g) * np.exp(1j * np.sign(g) * 0.7)))
+    return _within(cfg, "admissibility_phase_invariance",
+                   "the constant depends on the profile modulus only",
+                   abs(value - base) / base)
 
 
 @functools.lru_cache(maxsize=1)
@@ -1079,10 +1160,9 @@ def check_wavelet_diagonality(cfg: SuiteConfig) -> Check:
     diag_scale = float(np.max(np.abs(np.diagonal(S_freq))))
     off = S_freq - np.diag(np.diagonal(S_freq))
     measured = float(np.max(np.abs(off))) / diag_scale
-    tol = cfg.tol("wavelet_diagonality")
-    return _check(cfg, "wavelet_diagonality",
-                  "frame operator is diagonal in the frequency basis under a "
-                  "full uniform shift grid", measured, tol, measured <= tol)
+    return _within(cfg, "wavelet_diagonality",
+                   "frame operator is diagonal in the frequency basis under a "
+                   "full uniform shift grid", measured)
 
 
 def check_wavelet_diagonal_oracle(cfg: SuiteConfig) -> Check:
@@ -1090,10 +1170,9 @@ def check_wavelet_diagonal_oracle(cfg: SuiteConfig) -> Check:
     oracle = tf.scale_profile(wavelet, grid, d)
     diag = np.real(np.diagonal(S_freq))
     measured = float(np.max(np.abs(diag - oracle)) / np.max(oracle))
-    tol = cfg.tol("wavelet_diagonal_oracle")
-    return _check(cfg, "wavelet_diagonal_oracle",
-                  "frequency-basis diagonal matches the per-frequency scale "
-                  "quadrature", measured, tol, measured <= tol)
+    return _within(cfg, "wavelet_diagonal_oracle",
+                   "frequency-basis diagonal matches the per-frequency scale "
+                   "quadrature", measured)
 
 
 def check_wavelet_band_constant(cfg: SuiteConfig) -> Check:
@@ -1103,20 +1182,17 @@ def check_wavelet_band_constant(cfg: SuiteConfig) -> Check:
     band = (np.abs(freqs) >= 1.0) & (np.abs(freqs) <= 9.0)
     diag = np.real(np.diagonal(S_freq))
     measured = float(np.max(np.abs(diag[band] / c_plus - 1.0)))
-    tol = cfg.tol("wavelet_band_constant")
-    return _check(cfg, "wavelet_band_constant",
-                  "well-covered diagonal entries match the positive-axis "
-                  "admissibility constant", measured, tol, measured <= tol)
+    return _within(cfg, "wavelet_band_constant",
+                   "well-covered diagonal entries match the positive-axis "
+                   "admissibility constant", measured)
 
 
 def check_wavelet_shift_commutation(cfg: SuiteConfig) -> Check:
     d, _, _, S, _ = _small_wavelet_setup()
     shift = np.roll(np.eye(d), 1, axis=0)
     measured = hb.operator_norm(S @ shift - shift @ S) / hb.operator_norm(S)
-    tol = cfg.tol("wavelet_shift_commutation")
-    return _check(cfg, "wavelet_shift_commutation",
-                  "frame operator commutes with the one-step cyclic shift",
-                  measured, tol, measured <= tol)
+    return _within(cfg, "wavelet_shift_commutation",
+                   "frame operator commutes with the one-step cyclic shift", measured)
 
 
 def check_wavelet_column_norms(cfg: SuiteConfig) -> Check:
@@ -1126,10 +1202,9 @@ def check_wavelet_column_norms(cfg: SuiteConfig) -> Check:
     W = tf.wavelet_frame(tf.WaveletSpec(), grid, d)
     norms = np.linalg.norm(W.vectors, axis=0).reshape(n_a, n_b)
     measured = float(np.max(np.ptp(norms, axis=1) / np.max(norms, axis=1)))
-    tol = cfg.tol("wavelet_column_norms")
-    return _check(cfg, "wavelet_column_norms",
-                  "column norms do not depend on the shift coordinate",
-                  measured, tol, measured <= tol)
+    return _within(cfg, "wavelet_column_norms",
+                   "column norms do not depend on the shift coordinate",
+                   measured)
 
 
 def _calderon_study(wavelet: tf.WaveletSpec, d: int, a_min: float, a_max: float,
@@ -1147,16 +1222,22 @@ def _calderon_study(wavelet: tf.WaveletSpec, d: int, a_min: float, a_max: float,
     return c_plus, coarse, fine
 
 
+def _default_calderon_study(cfg: SuiteConfig) -> tuple[float, float, float]:
+    """_calderon_study of the default wavelet on CALDERON_DEFAULTS, computed
+    once per run for both Calderon checks."""
+    return _per_run(cfg, "calderon",
+                    lambda: _calderon_study(tf.WaveletSpec(), **CALDERON_DEFAULTS))
+
+
 def check_calderon_default(cfg: SuiteConfig) -> Check:
-    _, residual, _ = _calderon_study(tf.WaveletSpec(), **CALDERON_DEFAULTS)
-    tol = cfg.tol("calderon_default")
-    return _check(cfg, "calderon_default",
-                  "reconstruction residual at the default grid stays under 2%",
-                  residual, tol, residual <= tol)
+    _, residual, _ = _default_calderon_study(cfg)
+    return _within(cfg, "calderon_default",
+                   "reconstruction residual at the default grid stays under 2%",
+                   residual)
 
 
 def check_calderon_refinement(cfg: SuiteConfig) -> Check:
-    _, coarse, fine = _calderon_study(tf.WaveletSpec(), **CALDERON_DEFAULTS)
+    _, coarse, fine = _default_calderon_study(cfg)
     ratio = coarse / fine
     upper = cfg.tol("calderon_refinement")
     return _check(cfg, "calderon_refinement",
@@ -1165,128 +1246,8 @@ def check_calderon_refinement(cfg: SuiteConfig) -> Check:
                   detail=f"residuals {coarse!r} -> {fine!r}")
 
 
-check_controlled_factorization = _stacked(
-    "controlled_factorization",
-    "mixed operator equals C S and S C* for self-adjoint commuting controls")
-
-check_controlled_bounds_map = _stacked(
-    "controlled_bounds_map",
-    "controlled bounds are the extremes of phi(lambda) lambda over the frame spectrum")
-
-check_controlled_spectral_mapping = _stacked(
-    "controlled_spectral_mapping",
-    "spectrum of the mixed operator is the mapped frame spectrum, relative to "
-    "max(||L||, 1)")
-
-check_controlled_positivity = _counted(
-    "controlled_positivity",
-    "mixed operator of a positive commuting control is positive")
-
-check_controlled_implies_frame = _counted(
-    "controlled_implies_frame",
-    "a positive controlled lower bound certifies the frame property")
-
-check_precondition_identity = _stacked(
-    "precondition_identity", "undoing the controls recovers the plain multiplier")
-
-check_weighted_scaling = _stacked(
-    "weighted_scaling", "a constant weight scales both frame bounds by that constant")
-
-
-def check_certificates(cfg: SuiteConfig) -> Check:
-    worst, failed = _max_and_count(cfg, "certificates")
-    tol = cfg.tol("certificates")
-    return _check(cfg, "certificates",
-                  "all five lower-bound certificates hold on invertible "
-                  "instances", worst, tol, failed == 0 and worst <= tol,
-                  detail=f"{failed} failing instance(s)")
-
-
-check_multiplier_dual = _stacked(
-    "multiplier_dual", "the frame built from the inverse multiplier is a dual of G")
-
-
-def check_positive_symbol_coercivity(cfg: SuiteConfig) -> Check:
-    worst, bad = _max_and_count(cfg, "positive_symbol_coercivity")
-    tol = cfg.tol("positive_symbol_coercivity")
-    return _check(cfg, "positive_symbol_coercivity",
-                  "a symbol bounded below by delta makes the multiplier "
-                  "positive with lower bound delta A_F", worst, tol,
-                  bad == 0 and worst <= tol)
-
-
-SUITE_CHECKS = {
-    "identities": [
-        check_frame_factorization,
-        check_reconstruction,
-        check_reconstruction_swapped,
-        check_multiplier_adjoint,
-        check_difference_symbol,
-        check_difference_analysis,
-        check_difference_synthesis,
-        check_weighted_identity,
-        check_canonical_dual_pair,
-        check_dual_bounds_inverse,
-        check_frame_iff_invertible,
-    ],
-    "bounds": [
-        check_bessel_inequality,
-        check_bessel_sharpness,
-        check_op_norm_budget,
-        check_trace_budget,
-        check_schatten_budget_p15,
-        check_schatten_budget_p2,
-        check_schatten_budget_p3,
-        check_schatten_monotonicity,
-        check_perturb_upper,
-        check_perturb_lower,
-        check_discrete_bessel_norm_bound,
-        check_unbounded_norm_growth,
-        check_unbounded_bessel_cap,
-    ],
-    "convergence": [
-        check_truncation_budget,
-        check_truncation_monotone,
-        check_symbol_convergence_p1,
-        check_symbol_convergence_p2,
-        check_symbol_convergence_pinf,
-        check_frame_uniform_l2,
-        check_frame_uniform_l1,
-    ],
-    "gabor": [
-        check_gabor_tightness,
-        check_stft_matches_analysis,
-        check_stft_energy,
-        check_stft_orthogonality,
-        check_tf_shift_unitarity,
-    ],
-    "wavelet": [
-        check_admissibility_oracle,
-        check_admissibility_scaling,
-        check_admissibility_phase_invariance,
-        check_wavelet_diagonality,
-        check_wavelet_diagonal_oracle,
-        check_wavelet_band_constant,
-        check_wavelet_shift_commutation,
-        check_wavelet_column_norms,
-        check_calderon_default,
-        check_calderon_refinement,
-    ],
-    "controlled": [
-        check_controlled_factorization,
-        check_controlled_bounds_map,
-        check_controlled_spectral_mapping,
-        check_controlled_positivity,
-        check_controlled_implies_frame,
-        check_precondition_identity,
-    ],
-    "weighted": [
-        check_weighted_scaling,
-        check_certificates,
-        check_multiplier_dual,
-        check_positive_symbol_coercivity,
-    ],
-}
+SUITE_CHECKS = {suite: [globals()[f"check_{check_id}"] for check_id in checks]
+                for suite, checks in SUITE_TOLERANCES.items()}
 
 
 def _timestamp() -> str:
@@ -1297,15 +1258,15 @@ def run_suite(config: SuiteConfig) -> Report:
     """Run every check of the configured suite and collect a report.
 
     A check that raises is recorded as failed, with no measured value or
-    budget and the exception in its error field; the run continues.  The
-    members of a family whose measure raises each record its error.
+    budget and the exception in its error field; the run continues.  Every
+    check that reads a shared quantity that raises records its error.
     """
     if config.suite == "all":
         fns = [fn for suite in SUITES[:-1] for fn in SUITE_CHECKS[suite]]
     else:
         fns = SUITE_CHECKS[config.suite]
     report = Report(suite=config.suite, seed=config.seed, started=_timestamp())
-    _RUNS.append({})
+    _RUNS.append(_Run(config, tuple(fn.__name__.removeprefix("check_") for fn in fns), {}))
     try:
         for fn in fns:
             try:
@@ -1363,8 +1324,7 @@ def run_wavelet(d: int = CALDERON_DEFAULTS["d"],
     n_b = d if n_b is None else n_b
     report = Report(suite="wavelet-run", seed=seed, started=_timestamp())
 
-    oracle_grid = tf.log_freq_grid(1e-3, 10.0, 2000, two_sided=True)
-    c_full = tf.admissibility_constant(wavelet, oracle_grid)
+    c_full = _admissibility(wavelet)
     c_plus, coarse, fine = _calderon_study(wavelet, d, a_min, a_max, n_a, n_b,
                                            band, taper)
     ratio = coarse / fine

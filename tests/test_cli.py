@@ -417,7 +417,7 @@ def test_controlled_spectral_mapping_catches_relative_map_error(monkeypatch):
     assert suites.check_controlled_spectral_mapping(cfg).passed
     true_map = ctrl.ControlSpec.spectral_map
 
-    def true_controls(specs, S, bounds=None):
+    def true_controls(specs, S, eigen=None):
         lam, U = np.linalg.eigh(S)
         phi = np.array([true_map(spec, row) for spec, row in zip(specs, lam)])
         return (U * phi[:, None, :]) @ U.conj().swapaxes(-1, -2)
@@ -490,13 +490,13 @@ def test_positive_symbol_coercivity_takes_one_eigvalsh_of_the_multiplier(monkeyp
 
     monkeypatch.setattr(suites.hb, "is_positive", removed)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    # outside run_suite each check measures the family afresh
+    # outside run_suite each check draws and measures afresh
     assert [suites.check_weighted_scaling(cfg),
             suites.check_positive_symbol_coercivity(cfg)] == before
     assert all(check.passed for check in before)
-    # one for the frame operators of F and of its reweighting by 4 and one for
-    # the multipliers, over the stack of the six trials, per measure
-    assert calls == [(cfg.trials, 4, 4)] * 3 * 2
+    # over the stack of the six trials: the frame operator of F and that of
+    # its reweighting by 4, then the frame operator of F and the multipliers
+    assert calls == [(cfg.trials, 4, 4)] * 2 * 2
 
 
 def test_positive_symbol_coercivity_counts_non_hermitian_multipliers(monkeypatch):

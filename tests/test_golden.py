@@ -16,54 +16,54 @@ from contframes.cli import main
 
 GOLDEN = {
     "identities": {
-        "canonical_dual_pair": 1.199995929184332e-15,
+        "canonical_dual_pair": 1.2569902702610734e-15,
         "difference_analysis": 1.0695084443661336e-14,
         "difference_symbol": 1.5888218580782548e-14,
         "difference_synthesis": 1.5888218580782548e-14,
-        "dual_bounds_inverse": 2.2011934827683625e-15,
-        "frame_factorization": 2.1515075745999557e-16,
+        "dual_bounds_inverse": 1.4461162734675848e-15,
+        "frame_factorization": 1.3826846630759348e-16,
         "frame_iff_invertible": 0.0,
         "multiplier_adjoint": 2.5078722452141928e-16,
-        "reconstruction": 1.0013901968566236e-15,
-        "reconstruction_swapped": 1.229696823415234e-15,
-        "weighted_identity": 2.223766973807737e-16,
+        "reconstruction": 1.1512429381535383e-15,
+        "reconstruction_swapped": 1.0279834381240728e-15,
+        "weighted_identity": 3.1105545004796053e-16,
     },
     "bounds": {
         "bessel_inequality": 0.0,
-        "bessel_sharpness": 1.1254700079851817e-15,
-        "discrete_bessel_norm_bound": -1.974616098693895,
-        "op_norm_budget": -42.93667828453415,
-        "perturb_lower": -5.085961320263733,
-        "perturb_upper": -30.189584202254892,
-        "schatten_budget_p15": -63.6509205704235,
-        "schatten_budget_p2": -53.23734043003067,
-        "schatten_budget_p3": -45.439380712024445,
+        "bessel_sharpness": 1.009641813399767e-15,
+        "discrete_bessel_norm_bound": -2.037248279694829,
+        "op_norm_budget": -51.664492111894376,
+        "perturb_lower": -2.539172223664094,
+        "perturb_upper": -46.276112416845955,
+        "schatten_budget_p15": -65.09032771531463,
+        "schatten_budget_p2": -52.50239155251346,
+        "schatten_budget_p3": -44.002966728821264,
         "schatten_monotonicity": 0.0,
-        "trace_budget": -91.95655279193639,
-        "unbounded_bessel_cap": 3.552713678800501e-15,
+        "trace_budget": -105.15762236795852,
+        "unbounded_bessel_cap": 0.0,
         "unbounded_norm_growth": 1.7782794100389225,
     },
     "convergence": {
-        "frame_uniform_l1": -8.874091942681142,
-        "frame_uniform_l2": -4.738068856648278,
-        "symbol_convergence_p1": -5.194882166736735,
-        "symbol_convergence_p2": -2.6888439154079076,
-        "symbol_convergence_pinf": -2.018169424119588,
+        "frame_uniform_l1": -5.940591257441418,
+        "frame_uniform_l2": -2.7974945515779828,
+        "symbol_convergence_p1": -7.72008321396879,
+        "symbol_convergence_p2": -3.756374954448974,
+        "symbol_convergence_pinf": -2.737848160735737,
         "truncation_budget": 0.0,
         "truncation_monotone": 0.0,
     },
     "controlled": {
-        "controlled_bounds_map": 2.220446049250313e-15,
-        "controlled_factorization": 3.261548175029378e-15,
+        "controlled_bounds_map": 1.7763568394002505e-15,
+        "controlled_factorization": 1.1399210068873836e-15,
         "controlled_implies_frame": 0.0,
         "controlled_positivity": 0.0,
-        "controlled_spectral_mapping": 2.2204460492503103e-15,
-        "precondition_identity": 2.329661873606221e-15,
+        "controlled_spectral_mapping": 1.7763568394002493e-15,
+        "precondition_identity": 1.7871451817326477e-15,
     },
     "weighted": {
         "certificates": -2.2372336813793114,
-        "multiplier_dual": 5.2661621412764984e-15,
-        "positive_symbol_coercivity": -3.005037894920724,
+        "multiplier_dual": 3.362477566625024e-15,
+        "positive_symbol_coercivity": -1.808466761974103,
         "weighted_scaling": 0.0,
     },
 }

@@ -1,18 +1,21 @@
 """The stacked trials of the identities, bounds, convergence, controlled and
 weighted suites against the single-frame API.
 
-Every stacked check draws a chunk of trials with one generator call per role
-and measures it with one numpy call per step; the members of a family read
-one row, drawn and measured once.  The oracle here is the per-trial loop,
-written with the 2-d API (``frame_bounds``, ``canonical_dual``,
-``multiplier``, ``bound_budget``, ``make_control``, ``controlled_bounds``,
-``convergence_experiment``, ...) on each trial's draws (``Stacked.replay``
-of the check's row); the stacked values of every check must equal it
-exactly.
+Every stacked check reads a trial context: the draws of one draw kind for a
+chunk of trials, with one generator call per role, and the quantities the
+checks share, each computed once per chunk.  The oracle here is the
+per-trial loop, written with the 2-d API (``frame_bounds``,
+``canonical_dual``, ``multiplier``, ``bound_budget``, ``make_control``,
+``controlled_bounds``, ``convergence_experiment``, ...) on each trial's
+instance (``Stacked.replay`` of the check); the stacked values of every
+check must equal it exactly.
 """
 
+import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -50,6 +53,9 @@ from contframes.multiplier import (
 )
 from contframes.cli import main
 from contframes.suites import (
+    HALF_DEFICIENT,
+    INVERTIBLE,
+    PLAIN,
     SuiteConfig,
     random_instance,
     random_invertible_instance,
@@ -62,9 +68,15 @@ def bits(a):
     return a.view(float) if np.iscomplexobj(a) else a
 
 
-def draws(cfg, check_id, i):
-    """The arrays trial i of a stacked check measures, one per role."""
-    return suites.STACKED[check_id].replay(cfg, i)
+class draws:
+    """Trial i of a stacked check: each array of its replayed context, as
+    the single-frame API takes it."""
+
+    def __init__(self, cfg, check_id, i):
+        self.context = suites.STACKED[check_id].replay(cfg, i)
+
+    def __getattr__(self, name):
+        return getattr(self.context, name)[0]
 
 
 def frames(w, *vectors):
@@ -74,15 +86,15 @@ def frames(w, *vectors):
 
 
 def frame(cfg, check_id, i):
-    w, V, *_ = draws(cfg, check_id, i)
-    return frames(w, V)[0]
+    t = draws(cfg, check_id, i)
+    return frames(t.w, t.F)[0]
 
 
 def instance(cfg, check_id, i):
-    """(m, F, G) of trial i, then the arrays of the roles after the instance."""
-    w, V, W, m, *rest = draws(cfg, check_id, i)
-    F, G = frames(w, V, W)
-    return Symbol(m, F.space), F, G, rest
+    """(m, F, G) of trial i, then the trial's draws."""
+    t = draws(cfg, check_id, i)
+    F, G = frames(t.w, t.F, t.G)
+    return Symbol(t.m, F.space), F, G, t
 
 
 def spec_of(kind, params):
@@ -103,12 +115,12 @@ def frame_factorization(cfg, i):
 
 def reconstruction(check_id, swapped):
     def oracle(cfg, i):
-        w, V, tests = draws(cfg, check_id, i)
-        F, = frames(w, V)
+        t = draws(cfg, check_id, i)
+        F, = frames(t.w, t.F)
         dual = fr.canonical_dual(F)
         analysis, synthesis = (dual, F) if swapped else (F, dual)
         out = []
-        for f in tests:
+        for f in t.tests:
             rec = fr.synthesis(synthesis, fr.analysis(analysis, f))
             out.append(float(np.linalg.norm(rec - f) / np.linalg.norm(f)))
         return out
@@ -124,16 +136,16 @@ def multiplier_adjoint(cfg, i):
 
 def difference(check_id, which):
     def oracle(cfg, i):
-        m, F, G, (symbol, vectors) = instance(cfg, check_id, i)
+        m, F, G, t = instance(cfg, check_id, i)
         if which == "symbol":
-            lhs = multiplier(m, F, G) - multiplier(symbol, F, G)
-            rhs = multiplier(m.values - symbol, F, G)
+            lhs = multiplier(m, F, G) - multiplier(t.symbol, F, G)
+            rhs = multiplier(m.values - t.symbol, F, G)
         elif which == "analysis":
-            F2 = fr.SampledFrame(F.space, vectors)
+            F2 = fr.SampledFrame(F.space, t.vectors)
             lhs = multiplier(m, F, G) - multiplier(m, F2, G)
             rhs = multiplier(m, fr.SampledFrame(F.space, F.vectors - F2.vectors), G)
         else:
-            G2 = fr.SampledFrame(F.space, vectors)
+            G2 = fr.SampledFrame(F.space, t.vectors)
             lhs = multiplier(m, F, G) - multiplier(m, F, G2)
             rhs = multiplier(m, F, fr.SampledFrame(F.space, G.vectors - G2.vectors))
         return [float(np.max(np.abs(lhs - rhs)))]
@@ -141,9 +153,9 @@ def difference(check_id, which):
 
 
 def weighted_identity(cfg, i):
-    w, V, values = draws(cfg, "weighted_identity", i)
-    F, = frames(w, V)
-    m = Symbol(values, F.space)
+    t = draws(cfg, "weighted_identity", i)
+    F, = frames(t.w, t.F)
+    m = Symbol(t.nonnegative, F.space)
     M = multiplier(m, F, F)
     S = fr.frame_operator(fr.weighted(F, m))
     return [hb.operator_norm(M - S) / max(hb.operator_norm(S), 1.0)]
@@ -173,11 +185,11 @@ def frame_iff_invertible(cfg, i):  # True for a failing trial
 
 
 def bessel_inequality(cfg, i):
-    w, V, tests = draws(cfg, "bessel_inequality", i)
-    F, = frames(w, V)
+    t = draws(cfg, "bessel_inequality", i)
+    F, = frames(t.w, t.F)
     bounds = fr.frame_bounds(F)
     out = []
-    for f in tests:
+    for f in t.tests:
         energy = float(np.sum(F.space.weights * np.abs(fr.analysis(F, f)) ** 2))
         nsq = float(np.linalg.norm(f) ** 2)
         out += [(bounds.lower * nsq - energy) / nsq, (energy - bounds.upper * nsq) / nsq]
@@ -209,16 +221,14 @@ def schatten_monotonicity(cfg, i):
 
 
 def perturb_upper(cfg, i):
-    w, Gv, Fv, eps = draws(cfg, "perturb_upper", i)
-    G, F = frames(w, Gv, Fv)
-    eps = float(eps)
+    _, F, G, t = instance(cfg, "perturb_upper", i)
+    eps = float(t.eps)
     upper = fr.frame_bounds(fr.perturb(G, F, eps)).upper
     return [upper - 2.0 * (fr.frame_bounds(G).upper + eps**2 * fr.frame_bounds(F).upper)]
 
 
 def perturb_lower(cfg, i):
-    w, Gv, Fv, _ = draws(cfg, "perturb_lower", i)
-    G, F = frames(w, Gv, Fv)
+    _, F, G, _ = instance(cfg, "perturb_lower", i)
     ag, bf = fr.frame_bounds(G).lower, fr.frame_bounds(F).upper
     eps = 0.5 * math.sqrt(ag / bf)
     lower = fr.frame_bounds(fr.perturb(G, F, eps)).lower
@@ -226,16 +236,16 @@ def perturb_lower(cfg, i):
 
 
 def discrete_bessel_norm_bound(cfg, i):
-    V, = draws(cfg, "discrete_bessel_norm_bound", i)
-    F = fr.SampledFrame(counting_space(cfg.n_points), V)
+    F = fr.SampledFrame(counting_space(cfg.n_points),
+                        draws(cfg, "discrete_bessel_norm_bound", i).F)
     return [fr.norm_bound(F) - math.sqrt(fr.frame_bounds(F).upper)]
 
 
 def truncation(cfg, i):
     """Deviations and budgets of the steps of trial i's truncation experiment."""
-    w, V, values = draws(cfg, "truncation_budget", i)
-    F, = frames(w, V)
-    m = Symbol(values, F.space)
+    t = draws(cfg, "truncation_budget", i)
+    F, = frames(t.w, t.F)
+    m = Symbol(t.nonnegative, F.space)
     order = np.argsort(np.abs(m.values))[::-1]
     n = cfg.n_points
     schedule = [truncate_symbol(m, order[:c])
@@ -256,8 +266,8 @@ def truncation_monotone(cfg, i):  # the rise of every step, then the last deviat
 
 def symbol_convergence(check_id, p):
     def oracle(cfg, i):
-        m, F, G, (bump, _) = instance(cfg, check_id, i)
-        schedule = [Symbol(m.values + bump / n, F.space) for n in (1, 2, 4, 8, 16)]
+        m, F, G, t = instance(cfg, check_id, i)
+        schedule = [Symbol(m.values + t.symbol / n, F.space) for n in (1, 2, 4, 8, 16)]
         report = convergence_experiment("symbol_p", m, F, G, schedule, p=p)
         return [s.measured - s.budget for s in report.steps]
     return oracle
@@ -265,8 +275,8 @@ def symbol_convergence(check_id, p):
 
 def frame_convergence(check_id, kind):
     def oracle(cfg, i):
-        m, F, G, (_, bump) = instance(cfg, check_id, i)
-        schedule = [fr.SampledFrame(F.space, F.vectors + bump / n)
+        m, F, G, t = instance(cfg, check_id, i)
+        schedule = [fr.SampledFrame(F.space, F.vectors + t.vectors / n)
                     for n in (1, 2, 4, 8, 16)]
         report = convergence_experiment(kind, m, F, G, schedule)
         return [s.measured - s.budget for s in report.steps]
@@ -276,15 +286,16 @@ def frame_convergence(check_id, kind):
 def controlled(check_id):
     """A frame, its control spec and the control, as a trial draws them."""
     def trial(cfg, i):
-        w, V, kind, params = draws(cfg, check_id, i)
-        F, = frames(w, V)
-        spec = spec_of(kind, params)
+        t = draws(cfg, check_id, i)
+        F, = frames(t.w, t.F)
+        spec = spec_of(t.kinds, t.params)
         return F, spec, make_control(spec, F)
     return trial
 
 
 def mapped_spectrum(F, spec):
-    lam = np.linalg.eigvalsh(fr.frame_operator(F))
+    # the eigenvalues of the eigendecomposition the control is built from
+    lam = np.linalg.eigh(fr.frame_operator(F))[0]
     return spec.spectral_map(lam) * lam
 
 
@@ -326,10 +337,9 @@ def controlled_implies_frame(cfg, i):
 
 
 def precondition_identity(cfg, i):
-    m, F, G, (kind, params, dual_kind, dual_params) = instance(
-        cfg, "precondition_identity", i)
-    return [precondition_identity_residual(spec_of(kind, params),
-                                           spec_of(dual_kind, dual_params), m, F, G)]
+    m, F, G, t = instance(cfg, "precondition_identity", i)
+    return [precondition_identity_residual(spec_of(t.kinds, t.params),
+                                           spec_of(t.dual_kinds, t.dual_params), m, F, G)]
 
 
 def weighted_scaling(cfg, i):
@@ -352,13 +362,15 @@ def invertible_instance(cfg, check_id, idx):
     multiplier passes the sigma test, and that attempt.  Attempt 0 is trial
     idx of the instance roles; attempt k >= 1 draws the weights, the analysis
     and synthesis vectors and the symbol, in turn, from the stream
-    [seed, branch, idx, k]."""
+    [seed, kind, idx, k]."""
     d, n = cfg.d, cfg.n_points
-    spec = suites.STACKED[check_id]
-    w, V, W, values = spec._replace(draw=suites._draws).replay(cfg, idx)
+    kind = suites.STACKED[check_id].kind
+    unfiltered = dataclasses.replace(kind, draw=None, drawn=())
+    t = suites.Stacked(unfiltered, None).replay(cfg, idx)
+    w, V, W, values = t.w[0], t.F[0], t.G[0], t.m[0]
     for attempt in range(64):
         if attempt:
-            rng = np.random.default_rng([cfg.seed, spec.branch, idx, attempt])
+            rng = np.random.default_rng([cfg.seed, kind.number, idx, attempt])
             w = rng.uniform(0.2, 2.0, n)
             V, W, values = (complex_normal(rng, (d, n)), complex_normal(rng, (d, n)),
                             complex_normal(rng, (n,)))
@@ -383,10 +395,10 @@ def multiplier_dual(cfg, i):
 
 
 def positive_symbol_coercivity(cfg, i):  # floor - lam_min, then True for a failing trial
-    w, V, delta, offsets = draws(cfg, "positive_symbol_coercivity", i)
-    F, = frames(w, V)
-    delta = float(delta)
-    m = Symbol((delta + offsets).astype(complex), F.space)
+    t = draws(cfg, "positive_symbol_coercivity", i)
+    F, = frames(t.w, t.F)
+    delta = float(t.delta)
+    m = Symbol((delta + t.offsets).astype(complex), F.space)
     M = multiplier(m, F, F)
     return [delta * fr.frame_bounds(F).lower - hb.extreme_eigenvalues(M)[0],
             not hb.is_positive(M, 1e-10)]
@@ -448,29 +460,25 @@ def stacked(cfg, check_id):
 ALGEBRA = ("identities", "bounds", "convergence", "controlled", "weighted")
 
 
+def check_ids(suite):
+    return [fn.__name__.removeprefix("check_") for fn in suites.SUITE_CHECKS[suite]]
+
+
 def test_every_trial_loop_of_the_algebra_suites_is_stacked():
-    loops = {fn.__name__.removeprefix("check_")
-             for name in ALGEBRA for fn in suites.SUITE_CHECKS[name]}
-    # every algebra check is a row or a member of one; the two
-    # unbounded-family checks loop over three grids, not over trials
+    loops = {check_id for name in ALGEBRA for check_id in check_ids(name)}
+    # every algebra check reads trial contexts; the two unbounded-family
+    # checks loop over three grids, not over trials
     assert set(suites.STACKED) == loops - {"unbounded_norm_growth",
                                            "unbounded_bessel_cap"}
     assert set(ORACLES) == set(suites.STACKED)
-    for check_id, row in suites.STACKED.items():
-        assert {c for c, other in suites.STACKED.items() if other is row} == set(
-            row.members or (check_id,))
-    assert {row.branch for row in suites.STACKED.values()
-            if row.members} == set(FAMILIES)
+    kinds = {check_id: row.kind for check_id, row in suites.STACKED.items()}
+    assert {c for c, kind in kinds.items() if kind is not PLAIN} == {
+        "frame_iff_invertible", "certificates", "multiplier_dual"}
+    assert kinds["frame_iff_invertible"] is HALF_DEFICIENT
+    assert kinds["certificates"] is kinds["multiplier_dual"] is INVERTIBLE
 
 
-# the first member of each family row, by the row's branch
-FAMILIES = {101: "frame_factorization", 105: "difference_symbol",
-            112: "bessel_inequality", 114: "op_norm_budget", 120: "perturb_upper",
-            125: "truncation_budget", 126: "symbol_convergence_p1",
-            136: "controlled_factorization", 142: "weighted_scaling"}
-
-
-# at N < d the random families are no frames, which these checks need
+# at N < d the random draws are no frames, which these checks need
 NEEDS_FRAMES = {"reconstruction", "reconstruction_swapped", "canonical_dual_pair",
                 "dual_bounds_inverse", "perturb_lower", "controlled_factorization",
                 "controlled_bounds_map", "controlled_spectral_mapping",
@@ -539,78 +547,85 @@ def test_truncation_monotone_holds_on_few_points(n):
 
 
 # ---------------------------------------------------------------------------
-# families
+# trial contexts
 # ---------------------------------------------------------------------------
 
-def replace_family(monkeypatch, row, **fields):
-    """Every member of a family reads one row with the given fields."""
-    replaced = row._replace(**fields)
-    for member in row.members:
-        monkeypatch.setitem(suites.STACKED, member, replaced)
-    return replaced
+def recorded_evaluations(monkeypatch) -> list:
+    """(kind, first trial, name) of every role draw and shared quantity the
+    contexts evaluate from now on, in order; a draw kind's group of roles
+    counts once, under the name read first."""
+    calls = []
+    evaluate = suites.Trials._evaluate
+
+    def recorded(self, name):
+        if self._parent is None or name in suites.SHARED:
+            calls.append((self.kind, self.trials.start, name))
+        return evaluate(self, name)
+
+    monkeypatch.setattr(suites.Trials, "_evaluate", recorded)
+    return calls
 
 
 def test_each_family_draws_and_measures_once_per_configuration(monkeypatch):
-    # chunks of 7 trials: 20 trials, or 20 under the cap of 20, take three
+    # the family of a role or quantity: the checks that read it
+    # chunks of 7 trials: 20 trials, or 20 under the cap of 20, take three;
+    # every check of every suite reads the contexts of the same three chunks
     monkeypatch.setattr(suites, "STACK_ENTRIES", 7 * 4 * 12)
     cfg = SuiteConfig(suite="all", d=4, n_points=12, trials=20)
     expected = {check_id: getattr(suites, f"check_{check_id}")(cfg)
                 for check_id in suites.STACKED}
-    calls = []
-
-    def counted(branch, step, fn):
-        return lambda *args: calls.append((branch, step)) or fn(*args)
-
-    for branch, first in FAMILIES.items():
-        row = suites.STACKED[first]
-        replace_family(monkeypatch, row, draw=counted(branch, "draw", row.draw),
-                       measure=counted(branch, "measure", row.measure))
+    calls = recorded_evaluations(monkeypatch)
     checks = {c.check_id: c for c in run_suite(cfg).checks}
-    assert sorted(calls) == sorted(
-        (branch, step) for branch in FAMILIES for step in ("draw", "measure") * 3)
     assert all(checks[check_id] == check for check_id, check in expected.items())
+    # each role of a kind drawn and each quantity computed once a chunk
+    assert len(set(calls)) == len(calls)
+    assert {start for _, start, _ in calls} == {0, 7, 14}
+    names = {(kind, name) for kind, _, name in calls}
+    assert sorted(calls, key=lambda call: call[1]) == calls
+    assert len(calls) == 3 * len(names)
+    assert {name for kind, name in names if kind is PLAIN} >= set(suites.SHARED) - {
+        "M_inv"}
 
 
 def test_a_family_whose_measure_raises_aborts_every_member(monkeypatch, tmp_path):
-    def broken(cfg, *stacks):
+    # the budgets family: the six checks that read the shared budgets
+    def broken(t):
         raise FloatingPointError("overflow in the budgets")
 
-    row = replace_family(monkeypatch, suites.STACKED["op_norm_budget"], measure=broken)
+    monkeypatch.setitem(suites.SHARED, "budgets", broken)
+    readers = ("op_norm_budget", "trace_budget", "schatten_budget_p15",
+               "schatten_budget_p2", "schatten_budget_p3", "schatten_monotonicity")
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "bounds", "--d", "4", "--n", "12", "--trials", "3",
                  "--out", str(out)]) == 1
     checks = {c["check_id"]: c for c in json.loads(
         out.read_text(), parse_constant=lambda token: pytest.fail(token))["checks"]}
-    for member in row.members:
-        assert checks[member]["measured"] is None and not checks[member]["pass"]
-        assert checks[member]["error"] == "FloatingPointError: overflow in the budgets"
+    for reader in readers:
+        assert checks[reader]["measured"] is None and not checks[reader]["pass"]
+        assert checks[reader]["error"] == "FloatingPointError: overflow in the budgets"
     assert len(checks) == 13
     assert all(check["pass"] for check_id, check in checks.items()
-               if check_id not in row.members)
+               if check_id not in readers)
 
 
 def test_a_family_measures_once_although_its_members_are_apart(monkeypatch):
-    # the frame family's members are the 1st to 3rd, 9th and 10th identities
+    # the checks of the canonical dual are the 2nd, 3rd, 9th and 10th
+    # identities, the 1st reads S_F too
     cfg = SuiteConfig(suite="identities", d=4, n_points=12, trials=5)
-    ids = [fn.__name__.removeprefix("check_") for fn in suites.SUITE_CHECKS["identities"]]
-    row = suites.STACKED["frame_factorization"]
-    assert [ids.index(member) for member in row.members] == [0, 1, 2, 8, 9]
+    ids = check_ids("identities")
+    assert [ids.index(c) for c in ("reconstruction", "reconstruction_swapped",
+                                   "canonical_dual_pair", "dual_bounds_inverse")] == [1, 2, 8, 9]
     expected = run_suite(cfg).checks
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return row.measure(*args)
-
-    replace_family(monkeypatch, row, measure=counted)
+    calls = recorded_evaluations(monkeypatch)
     assert run_suite(cfg).checks == expected
-    assert len(calls) == 1
+    assert [name for _, _, name in calls].count("dual") == 1
+    assert [name for _, _, name in calls].count("S_F") == 2  # the plain and half-deficient F
 
 
 def test_a_member_that_needs_a_frame_fails_alone():
-    # at N < d no draw is a frame: the members built on the canonical dual or
-    # on a step from A_G abort with the error a row of their own raised, the
-    # rest of their families keep their values
+    # at N < d no draw is a frame: the checks built on the canonical dual or
+    # on a step from A_G abort with the error of the quantity they read, the
+    # checks that read only S_F, its bounds or other steps keep their values
     checks = {c.check_id: c for suite in ("identities", "bounds") for c in run_suite(
         SuiteConfig(suite=suite, d=8, n_points=4, trials=5)).checks}
     dual = ("reconstruction", "reconstruction_swapped", "canonical_dual_pair",
@@ -625,9 +640,10 @@ def test_a_member_that_needs_a_frame_fails_alone():
 
 
 def test_back_to_back_runs_measure_their_own_configurations():
+    # seed 1 is taken last: at seed 2 the first trial gives every value
     configs = [SuiteConfig(suite="convergence", d=4, n_points=12, trials=5, seed=seed)
-               for seed in (1, 2)] + [SuiteConfig(suite="convergence", d=4, n_points=12,
-                                                  trials=3, seed=2)]
+               for seed in (2, 1)] + [SuiteConfig(suite="convergence", d=4, n_points=12,
+                                                  trials=3, seed=1)]
     runs = [run_suite(cfg).checks for cfg in configs]
     for cfg, checks in zip(configs, runs):
         assert checks == [fn(cfg) for fn in suites.SUITE_CHECKS["convergence"]]
@@ -646,6 +662,71 @@ def test_truncation_checks_fold_the_steps_like_the_per_trial_loops(d, n):
         monotone = max(monotone, rise, measured[-1])
     assert suites.check_truncation_budget(cfg).measured == budget
     assert suites.check_truncation_monotone(cfg).measured == monotone
+
+
+@pytest.mark.parametrize("suite,per_trial", [
+    ("identities", 4), ("bounds", 2), ("convergence", 3), ("controlled", 2),
+    ("weighted", 3)])
+def test_each_algebra_suite_draws_its_frames_once_a_trial(monkeypatch, suite, per_trial):
+    # d x N draws: F, G and the second vectors of the plain instance, F of the
+    # half-deficient draw (the vectors of even trials, the coefficients in a
+    # hyperplane of odd ones) and F, G of the invertible instance
+    d, n, trials = 8, 64, 5
+    read = suites.Trials._read
+    rows = []
+
+    def counted(self, name, count=None):
+        values = read(self, name, count)
+        if values.shape[-2:] in {(d, n), (d - 1, n)}:
+            rows.append(len(values))
+        return values
+
+    monkeypatch.setattr(suites.Trials, "_read", counted)
+    assert run_suite(SuiteConfig(suite=suite, d=d, n_points=n, trials=trials)).all_passed
+    assert sum(rows) == per_trial * trials
+
+
+def test_one_chunk_context_is_alive_at_a_time(monkeypatch):
+    monkeypatch.setattr(suites, "STACK_ENTRIES", 3 * 4 * 12)
+    alive = []
+    init = suites.Trials.__init__
+    chunks = set()
+
+    def tracked(self, kind, cfg, trials, *args, **kwargs):
+        init(self, kind, cfg, trials, *args, **kwargs)
+        live = [ref() for ref in alive if ref() is not None and ref()._parent is None]
+        if self._parent is None:
+            chunks.add(trials.start)
+            # the contexts of other chunks and kinds are gone before this one draws
+            assert not live
+        alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(suites.Trials, "__init__", tracked)
+    gc.disable()  # freed by reference counting alone, without waiting for a collection
+    try:
+        assert run_suite(SuiteConfig(suite="all", d=4, n_points=12, trials=10)).all_passed
+    finally:
+        gc.enable()
+    assert chunks == {0, 3, 6, 9}
+    assert all(ref() is None for ref in alive)
+
+
+def test_suite_all_reports_the_checks_of_every_suite():
+    cfg = dict(d=4, n_points=12, trials=8, seed=5)
+    union = [check for suite in suites.SUITES[:-1]
+             for check in run_suite(SuiteConfig(suite=suite, **cfg)).checks]
+    assert run_suite(SuiteConfig(suite="all", **cfg)).checks == union
+
+
+def test_calderon_checks_read_one_study_per_run(monkeypatch):
+    cfg = SuiteConfig(suite="wavelet")
+    expected = run_suite(cfg).checks
+    study = suites._calderon_study
+    calls = []
+    monkeypatch.setattr(suites, "_calderon_study",
+                        lambda *args, **kwargs: calls.append(args) or study(*args, **kwargs))
+    assert run_suite(cfg).checks == expected
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -758,12 +839,28 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
 # draws
 # ---------------------------------------------------------------------------
 
-# every distinct role of the stacked checks, by its first check and position
-ROLES = {}
-for _check_id, _spec in suites.STACKED.items():
-    for _r, _role in enumerate(_spec.roles):
-        if all(_role is not seen for seen in ROLES.values()):
-            ROLES[f"{_check_id}:{_r}"] = _role
+# every distinct role draw of the draw kinds, under a check that reads it
+ROLES = {
+    "frame_factorization:0": PLAIN.roles["w"],
+    "frame_factorization:1": PLAIN.roles["F"],
+    "frame_factorization:2": PLAIN.roles["tests"],
+    "difference_symbol:3": PLAIN.roles["m"],
+    "weighted_identity:2": PLAIN.roles["nonnegative"],
+    "frame_iff_invertible:2": HALF_DEFICIENT.roles["basis"],
+    "frame_iff_invertible:3": HALF_DEFICIENT.roles["coefficients"],
+    "perturb_upper:3": PLAIN.roles["eps"],
+    "controlled_factorization:2": PLAIN.roles["kinds"],
+    "controlled_factorization:3": PLAIN.roles["params"],
+    "weighted_scaling:2": PLAIN.roles["delta"],
+    "weighted_scaling:3": PLAIN.roles["offsets"],
+}
+
+
+def test_the_role_table_holds_every_role_draw():
+    draws_of_kinds = {id(draw) for kind in (PLAIN, HALF_DEFICIENT, INVERTIBLE)
+                      for draw in kind.roles.values()}
+    assert {id(draw) for draw in ROLES.values()} == draws_of_kinds
+    assert len(ROLES) == len(draws_of_kinds)
 
 
 @pytest.mark.parametrize("d,n,trials", [(8, 64, 7), (64, 4096, 2)])
@@ -789,11 +886,16 @@ def test_vectors_in_one_draw_equal_one_draw_per_vector():
     assert np.array_equal(bits(one), bits(complex_normal(np.random.default_rng(4), (20, 5))))
 
 
-def test_random_vector_draws_the_values_of_the_dense_expression():
-    v = suites.random_vector(np.random.default_rng(9), 7)
-    rng = np.random.default_rng(9)
-    dense = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    assert np.array_equal(bits(v), bits(dense))
+def test_gabor_checks_draw_each_size_group_as_one_stack():
+    cfg = SuiteConfig(seed=9)
+    sizes = suites._sizes(cfg, 132, [4, 8, 16], 20)
+    assert np.array_equal(sizes, np.random.default_rng([9, 132, 0]).choice([4, 8, 16], 20))
+    groups = suites._by_size(cfg, 132, sizes, 2)
+    assert [d for d, _ in groups] == sorted(set(sizes.tolist()))
+    rng = np.random.default_rng([9, 132, 1])
+    for d, stack in groups:
+        assert stack.shape == (np.count_nonzero(sizes == d), 2, d)
+        assert np.array_equal(bits(stack), bits(complex_normal(rng, stack.shape)))
 
 
 def test_control_specs_take_their_kind_and_parameter_row():
@@ -835,8 +937,8 @@ def test_stacked_invertible_draws_retry_like_the_per_trial_loop(monkeypatch):
     forced_retries(monkeypatch)
     keys = recorded_streams(monkeypatch)
     cfg = SuiteConfig(seed=5, d=3, n_points=7)
-    spec = suites.STACKED["certificates"]
-    w, F, G, m = spec.draw(cfg, spec, spec.streams(cfg), range(12))
+    t = suites.Trials(INVERTIBLE, cfg, range(12))
+    w, F, G, m = t.w, t.F, t.G, t.m
     retries = {key for key in keys if len(key) == 4}
     attempts = []
     for i in range(12):
@@ -846,34 +948,37 @@ def test_stacked_invertible_draws_retry_like_the_per_trial_loop(monkeypatch):
         assert np.array_equal(bits(F[i]), bits(Fi.vectors))
         assert np.array_equal(bits(G[i]), bits(Gi.vectors))
         assert np.array_equal(bits(m[i]), bits(mi.values))
+        assert np.array_equal(bits(t.M[i]), bits(multiplier(mi, Fi, Gi)))
         single = random_invertible_instance(5, 143, i, 3, 7)
         assert single[0] == mi and single[1] == Fi and single[2] == Gi
     # some trials took the first attempt, others one or more retries
     assert min(attempts) == 0 and max(attempts) >= 2
-    # attempt k >= 1 of trial t, and only those, from the stream [seed, branch, t, k]
+    # attempt k >= 1 of trial t, and only those, from the stream [seed, kind, t, k]
     assert retries == {(5, 143, i, k) for i, last in enumerate(attempts)
                        for k in range(1, last + 1)}
 
 
 def test_stacked_instances_equal_random_instance():
     cfg = SuiteConfig(seed=2, d=3, n_points=5)
-    spec = suites.STACKED["multiplier_adjoint"]
-    assert spec.roles[:4] == suites._INSTANCE
-    w, F, G, m, *_ = spec.draw(cfg, spec, spec.streams(cfg), range(4))
+    assert suites.STACKED["multiplier_adjoint"].kind is PLAIN
+    t = suites.Trials(PLAIN, cfg, range(4))
     for i in range(4):
-        mi, Fi, Gi = random_instance(2, 105, i, 3, 5)
-        assert np.array_equal(w[i], Fi.space.weights)
-        assert np.array_equal(bits(F[i]), bits(Fi.vectors))
-        assert np.array_equal(bits(G[i]), bits(Gi.vectors))
-        assert np.array_equal(bits(m[i]), bits(mi.values))
+        mi, Fi, Gi = random_instance(2, PLAIN.number, i, 3, 5)
+        assert np.array_equal(t.w[i], Fi.space.weights)
+        assert np.array_equal(bits(t.F[i]), bits(Fi.vectors))
+        assert np.array_equal(bits(t.G[i]), bits(Gi.vectors))
+        assert np.array_equal(bits(t.m[i]), bits(mi.values))
 
 
 def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
+    # the checks of a suite read the streams of their draw kind, [seed, kind,
+    # role], so a run opens each of them once, and no two roles, kinds,
+    # gabor checks or invertible attempts share one
     keys = recorded_streams(monkeypatch)
     assert main(["verify", "--suite", "all", "--d", "4", "--n", "12", "--trials", "9",
                  "--out", str(tmp_path / "report.json")]) == 0
 
-    # SeedSequence pads its entropy with zeros, so [s, b, r] and [s, b, r, 0]
+    # SeedSequence pads its entropy with zeros, so [s, k, r] and [s, k, r, 0]
     # seed the same stream
     def stripped(key):
         key = list(key)
@@ -881,7 +986,9 @@ def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
             key.pop()
         return tuple(key)
 
-    assert (0, 141, 7) in keys  # the last role of precondition_identity
+    assert (0, PLAIN.number, len(PLAIN.roles) - 1) in keys  # the offsets above delta
+    assert {key[1] for key in keys} >= {PLAIN.number, HALF_DEFICIENT.number,
+                                        INVERTIBLE.number}
     assert len({stripped(key) for key in keys}) == len(keys)
 
 
