@@ -27,13 +27,19 @@ from .errors import (
 INVERT_RTOL = 1e-12
 
 
-def inner(x, y) -> complex:
-    """<x, y> = sum_t x_t * conj(y_t)."""
-    x = np.asarray(x, dtype=complex).ravel()
-    y = np.asarray(y, dtype=complex).ravel()
+def inner(x, y):
+    """<x, y> = sum_t x_t * conj(y_t) over the last axis: a complex for one
+    pair of vectors, an array for a stack of pairs.
+
+    One BLAS dot product per pair, as ``np.vdot`` takes it, so each pair of
+    a stack gets the value a call on that pair alone would.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
     if x.shape != y.shape:
         raise ShapeMismatchError(f"dimension mismatch {x.shape} vs {y.shape}")
-    return complex(np.vdot(y, x))
+    products = (y.conj()[..., None, :] @ x[..., :, None])[..., 0, 0]
+    return complex(products) if products.ndim == 0 else products
 
 
 def norm(x):
@@ -192,23 +198,30 @@ def is_singular(sigma):
     return (sigma[..., 0] == 0.0) | (sigma[..., -1] <= INVERT_RTOL * sigma[..., 0])
 
 
-def invert(T) -> np.ndarray:
-    """Inverse of a well-conditioned operator, or of each of a stack.
-
-    Raises NotInvertibleError (carrying the smallest singular value of the
-    first operator that fails) when the relative condition falls below
-    double-precision trust.
-    """
-    T = _as_operators(T)
-    s = singular_values(T)
-    singular = is_singular(s)
+def require_invertible(sigma) -> None:
+    """Raise NotInvertibleError, carrying the smallest singular value of the
+    first operator that fails, where singular values sigma (nonincreasing
+    along the last axis) have relative condition below double-precision
+    trust."""
+    singular = is_singular(sigma)
     if np.any(singular):
-        s = s.reshape(-1, s.shape[-1])[np.argmax(np.ravel(singular))]
+        s = sigma.reshape(-1, sigma.shape[-1])[np.argmax(np.ravel(singular))]
         raise NotInvertibleError(
             f"smallest singular value {s[-1]:.3e} below cutoff "
             f"{INVERT_RTOL:.0e} * {s[0]:.3e}",
             smallest_singular_value=float(s[-1]),
         )
+
+
+def invert(T, sigma=None) -> np.ndarray:
+    """Inverse of a well-conditioned operator, or of each of a stack.
+
+    Raises NotInvertibleError as ``require_invertible`` does.  ``sigma``, the
+    singular values of T where the caller has them, spares the SVD of that
+    test.
+    """
+    T = _as_operators(T)
+    require_invertible(singular_values(T) if sigma is None else sigma)
     return np.linalg.inv(T)
 
 

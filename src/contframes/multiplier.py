@@ -263,19 +263,25 @@ CERTIFICATES = (
 
 
 def certificate_values(w, values, F: np.ndarray, G: np.ndarray,
-                       tolerance: float = 1e-10, m_inv=None, bounds=None):
+                       tolerance: float = 1e-10, sigma=None, bounds=None):
     """Measured value, floor and verdict of each certificate of
     ``lower_bound_certificates``, for symbol values m, analysis vectors F and
     synthesis vectors G under weights w, or for each instance of a stack.
-    ``m_inv`` is the inverse multiplier and ``bounds`` the operator_bounds of
-    the frame operators of F and G where the caller has them.
+    ``sigma`` is the singular values of the multiplier M and ``bounds`` the
+    operator_bounds of the frame operators of F and G where the caller has
+    them.  With sigma, ||M^-1|| is 1 / sigma_min(M); without, it is the norm
+    of the inverse M^-1.
 
     Three arrays with the five parts along a new last axis; a floor is NaN
     where the part has none (parts 3 and 5, and part 4 when sup|m| = 0).
     """
-    if m_inv is None:
-        m_inv = hilbert.invert(weighted_gram(G, w * values, F))
-    inv_sq = hilbert.power(hilbert.singular_values(m_inv)[..., 0], 2)
+    if sigma is None:
+        inv_norm = hilbert.singular_values(
+            hilbert.invert(weighted_gram(G, w * values, F)))[..., 0]
+    else:
+        hilbert.require_invertible(sigma)
+        inv_norm = 1.0 / sigma[..., -1]
+    inv_sq = hilbert.power(inv_norm, 2)
     bounds_f, bounds_g = (
         (operator_bounds(weighted_gram(F, w, F)), operator_bounds(weighted_gram(G, w, G)))
         if bounds is None else bounds)

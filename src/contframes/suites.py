@@ -11,8 +11,11 @@ their trials in stacks: a chunk of max(1, STACK_ENTRIES // (d N)) trials is
 drawn at once and every step is one numpy call over the stack, through the
 array kernels of the single-frame API, so the values equal those of a
 per-trial loop on the same draws.  The gabor checks draw their sizes from
-one stream and the vectors of each size as one stack; the checks that loop
-over grids run one instance at a time.
+one stream and the vectors of each size as one stack, and measure each size
+group in stacks of at most max(1, STACK_ENTRIES // entries an instance)
+instances through the stacked kernels of tf_frames, again with the values
+of a per-instance loop.  The wavelet and unbounded-family checks measure a
+few fixed grids and signals.
 
 Trial contexts: the paper states each result for one frame pair (F, G) and
 one symbol, so the checks of a suite read one instance per trial.  STACKED
@@ -40,7 +43,8 @@ chunk's context, runs every stacked measure of the run that reads the kind
 on it, keeps the per-trial values and drops the context before it draws the
 next kind or chunk, so the arrays of one chunk of one kind are live at a
 time rather than every trial's.  A check capped at 100, 50 or 20 trials
-reads a head of the chunk that straddles its cap.
+reads a head of the chunk that straddles its cap; the heads slice what the
+chunk's context already holds.
 Stacked.replay(cfg, K) is the context of trial K alone, the last row of
 trials 0..K drawn as one chunk, on which a check's measure gives trial K's
 values.
@@ -243,7 +247,8 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 # complex entries one stack of trial frames holds: a chunk of a check's
 # trials has max(1, STACK_ENTRIES // (d N)) of them, 64 at d = 8, N = 64, and
-# one, as in a per-trial loop, from d N = 2^15 on
+# one, as in a per-trial loop, from d N = 2^15 on; a stack of gabor
+# instances has max(1, STACK_ENTRIES // entries an instance)
 STACK_ENTRIES = 2**15
 
 
@@ -381,13 +386,25 @@ HALF_DEFICIENT = Kind(111, {"w": _WEIGHTS, "vectors": _VECTORS,
 INVERTIBLE = Kind(143, _INSTANCE, _invertible, (*_INSTANCE, "M", "sigma_M"))
 
 
+def _rows_of(value, rows: slice):
+    """Rows ``rows`` of a drawn array or a shared quantity of a context: of
+    an array or a list, of each field of frame bounds, of each part of a
+    tuple (the eigh result is a named one)."""
+    if isinstance(value, fr.FrameBounds):
+        return fr.FrameBounds(value.lower[rows], value.upper[rows], value.is_frame[rows])
+    if isinstance(value, tuple):
+        parts = [_rows_of(part, rows) for part in value]
+        return type(value)(*parts) if hasattr(value, "_fields") else tuple(parts)
+    return value[rows]
+
+
 class Trials:
     """The context of a chunk of trials of one draw kind: the arrays its
     roles draw and the quantities of SHARED, each evaluated on first use
     (as an attribute) and kept while the context lives; what raises is
     raised again to every later reader.  A part of a context (``part``)
-    reads rows of its parent's draws and computes the quantities it reads on
-    its own rows."""
+    reads rows of its parent's draws and of the quantities its parent
+    holds, and computes the others it reads on its own rows."""
 
     def __init__(self, kind: Kind, cfg: SuiteConfig, trials: range,
                  streams: dict | None = None, parent: "Trials | None" = None,
@@ -416,8 +433,8 @@ class Trials:
 
     def _evaluate(self, name: str) -> dict:
         drawn = name in self.kind.drawn or name in self.kind.roles
-        if drawn and self._parent is not None:
-            return {name: getattr(self._parent, name)[self._rows]}
+        if self._parent is not None and (drawn or self._parent._holds(name)):
+            return {name: _rows_of(getattr(self._parent, name), self._rows)}
         if name in self.kind.drawn:
             return self.kind.draw(self)
         if drawn:
@@ -425,6 +442,10 @@ class Trials:
         if name in SHARED:
             return {name: SHARED[name](self)}
         raise AttributeError(name)
+
+    def _holds(self, name: str) -> bool:
+        """Whether the context or a context it is part of holds ``name``."""
+        return name in vars(self) or (self._parent is not None and self._parent._holds(name))
 
     def _read(self, name: str, count: int | None = None) -> np.ndarray:
         """``count`` draws (one per trial by default) of role ``name``, read
@@ -552,7 +573,7 @@ SHARED = {
     "bounds_G": lambda t: fr.operator_bounds(t.S_G),
     "M": lambda t: fr.weighted_gram(t.G, t.w * t.m, t.F),
     "sigma_M": lambda t: hb.singular_values(t.M),
-    "M_inv": lambda t: hb.invert(t.M),
+    "M_inv": lambda t: hb.invert(t.M, t.sigma_M),
     "dual": _dual,
     # Schatten norms and budgets at p = 1, 1.5, 2, 3, inf
     "budgets": lambda t: budget_values(t.w, t.m, t.F, t.G, DEFAULT_PS, t.sigma_M,
@@ -599,16 +620,18 @@ def _stacked_values(cfg: SuiteConfig, check_ids) -> dict:
 def _measure_chunk(root: Trials, checks: dict, limits: dict, values: dict) -> None:
     """Run the measure of every check of the context's kind that reads a
     trial of its chunk on the context, or on its head up to the check's cap.
+    The checks run from the most trials to the fewest, each head a part of
+    the last context, so a head slices what a longer context already holds.
     The context dies on return, before the next kind draws."""
-    chunk, heads = root.trials, {}
-    for check_id, row in checks.items():
-        count = min(len(chunk), limits[check_id] - chunk.start)
-        if count <= 0 or isinstance(values[check_id], Exception):
+    chunk, context = root.trials, root
+    counts = {c: min(len(chunk), limits[c] - chunk.start) for c in checks}
+    for check_id in sorted(checks, key=lambda c: -counts[c]):
+        if counts[check_id] <= 0 or isinstance(values[check_id], Exception):
             continue
-        if count < len(chunk) and count not in heads:
-            heads[count] = root.part(slice(count))
+        if counts[check_id] < len(context.trials):
+            context = context.part(slice(counts[check_id]))
         try:
-            values[check_id].append(row.measure(heads.get(count, root)))
+            values[check_id].append(checks[check_id].measure(context))
         except Exception as exc:  # the check aborts with it, the others go on
             values[check_id] = exc.with_traceback(None)
 
@@ -982,7 +1005,7 @@ def check_weighted_scaling(t: Trials):
 def check_certificates(t: Trials):
     # floor - measured of certificate 1, and True where a certificate fails
     measured, floors, passed = certificate_values(
-        t.w, t.m, t.F, t.G, m_inv=t.M_inv, bounds=(t.bounds_F, t.bounds_G))
+        t.w, t.m, t.F, t.G, sigma=t.sigma_M, bounds=(t.bounds_F, t.bounds_G))
     return floors[..., 0] - measured[..., 0], ~np.all(passed, axis=-1)
 
 
@@ -1051,63 +1074,98 @@ def _sizes(cfg: SuiteConfig, key: int, choices, trials: int) -> np.ndarray:
     return _rng(cfg.seed, key, 0).choice(choices, size=trials)
 
 
-def check_gabor_tightness(cfg: SuiteConfig) -> Check:
+def _worst(groups, entries: Callable, measure: Callable) -> float:
+    """The max from 0 of measure(d, *stacks) over each size group (d, *arrays)
+    in trial order, every array of a group cut into stacks of at most
+    max(1, STACK_ENTRIES // entries(d)) trials."""
     worst = 0.0
-    for d, windows in _by_size(cfg, 131, np.repeat([4, 8, 16, 64], 20)):
-        for (g,) in windows:
-            S = tf.gabor_frame_operator(g, d)
-            gsq = float(np.linalg.norm(g) ** 2)
-            worst = max(worst, hb.operator_norm(S - gsq * np.eye(d)) / gsq)
+    for d, *arrays in groups:
+        size = max(1, STACK_ENTRIES // entries(d))
+        for i in range(0, len(arrays[0]), size):
+            worst = max(worst, *measure(d, *(a[i:i + size] for a in arrays)).tolist())
+    return worst
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """||x||^2 of each vector of a stack, as float(np.linalg.norm(x) ** 2)
+    takes it for one."""
+    return hb.power(hb.norm(x), 2)
+
+
+def _tightness(d: int, windows: np.ndarray) -> np.ndarray:
+    g = windows[:, 0]
+    gsq = _sq_norms(g)
+    S = tf.gabor_operator(g)
+    return hb.operator_norm(S - gsq[:, None, None] * np.eye(d)) / gsq
+
+
+def check_gabor_tightness(cfg: SuiteConfig) -> Check:
+    worst = _worst(_by_size(cfg, 131, np.repeat([4, 8, 16, 64], 20)),
+                   lambda d: d * d, _tightness)
     return _within(cfg, "gabor_tightness",
                    "cyclic Gabor frame operator is exactly ||g||^2 times the "
                    "identity", worst)
 
 
+def _stft_matches(d: int, pairs: np.ndarray) -> np.ndarray:
+    g, f = pairs[:, 0], pairs[:, 1]
+    direct = fr.coefficients(tf.gabor_vectors(g), f)
+    return np.max(np.abs(tf.stft_coefficients(f, g) - direct), axis=-1)
+
+
 def check_stft_matches_analysis(cfg: SuiteConfig) -> Check:
-    worst = 0.0
-    for d, pairs in _by_size(cfg, 132, _sizes(cfg, 132, [4, 8, 16], 20), 2):
-        for g, f in pairs:
-            coeffs = tf.stft(f, g)
-            direct = fr.analysis(tf.gabor_frame(g, d), f)
-            worst = max(worst, float(np.max(np.abs(coeffs.values - direct))))
+    # the dense oracle holds d^3 entries an instance
+    worst = _worst(_by_size(cfg, 132, _sizes(cfg, 132, [4, 8, 16], 20), 2),
+                   lambda d: d**3, _stft_matches)
     return _within(cfg, "stft_matches_analysis",
                    "transform coefficients equal frame analysis entrywise",
                    worst)
 
 
+def _stft_energy(d: int, pairs: np.ndarray) -> np.ndarray:
+    g, f = pairs[:, 0], pairs[:, 1]
+    coeffs = tf.stft_coefficients(f, g)
+    # each coefficient carries the point mass 1/d of the Gabor space
+    energy = np.sum((1.0 / d) * np.abs(coeffs) ** 2, axis=-1)
+    expected = _sq_norms(g) * _sq_norms(f)
+    return np.abs(energy - expected) / expected
+
+
 def check_stft_energy(cfg: SuiteConfig) -> Check:
-    worst = 0.0
-    for _, pairs in _by_size(cfg, 133, _sizes(cfg, 133, [4, 8, 16], 50), 2):
-        for g, f in pairs:
-            coeffs = tf.stft(f, g)
-            energy = float(np.sum(coeffs.space.weights * np.abs(coeffs.values) ** 2))
-            expected = float(np.linalg.norm(g) ** 2 * np.linalg.norm(f) ** 2)
-            worst = max(worst, abs(energy - expected) / expected)
+    worst = _worst(_by_size(cfg, 133, _sizes(cfg, 133, [4, 8, 16], 50), 2),
+                   lambda d: d * d, _stft_energy)
     return _within(cfg, "stft_energy",
                    "weighted coefficient energy equals ||g||^2 ||f||^2",
                    worst)
 
 
+def _stft_orthogonality(d: int, quadruples: np.ndarray) -> np.ndarray:
+    quadruples = quadruples / np.linalg.norm(quadruples, axis=-1, keepdims=True)
+    return tf.stft_orthogonality_residual(*np.moveaxis(quadruples, 1, 0))
+
+
 def check_stft_orthogonality(cfg: SuiteConfig) -> Check:
-    worst = 0.0
-    for _, quadruples in _by_size(cfg, 134, _sizes(cfg, 134, [4, 8, 16], 100), 4):
-        for vecs in quadruples:
-            vecs = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
-            worst = max(worst, tf.stft_orthogonality_residual(*vecs))
+    # two transforms of d^2 coefficients an instance
+    worst = _worst(_by_size(cfg, 134, _sizes(cfg, 134, [4, 8, 16], 100), 4),
+                   lambda d: 2 * d * d, _stft_orthogonality)
     return _within(cfg, "stft_orthogonality",
                    "coefficient pairing of two windows factors into the two "
                    "inner products", worst)
 
 
+def _shift_unitarity(d: int, vectors: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    x = vectors[:, 0]
+    shifted = tf.modulate(tf.translate(x, shifts[:, 0]), shifts[:, 1])
+    return np.abs(hb.norm(shifted) - hb.norm(x))
+
+
 def check_tf_shift_unitarity(cfg: SuiteConfig) -> Check:
-    worst = 0.0
     shifts = _rng(cfg.seed, 135, 2)
-    for d, vectors in _by_size(cfg, 135, _sizes(cfg, 135, [4, 8, 16, 32], 100)):
-        for (x,), (a, b) in zip(vectors, shifts.integers(0, d, size=(len(vectors), 2))):
-            shifted = tf.modulate(tf.translate(x, int(a)), int(b))
-            worst = max(worst, abs(float(np.linalg.norm(shifted) - np.linalg.norm(x))))
+    groups = [(d, vectors, shifts.integers(0, d, size=(len(vectors), 2)))
+              for d, vectors in _by_size(cfg, 135, _sizes(cfg, 135, [4, 8, 16, 32], 100))]
     return _within(cfg, "tf_shift_unitarity",
-                   "time and frequency shifts preserve norms", worst)
+                   "time and frequency shifts preserve norms",
+                   _worst(groups, lambda d: d, _shift_unitarity))
 
 
 def _admissibility(wavelet: tf.WaveletSpec) -> float:

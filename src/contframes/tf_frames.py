@@ -18,6 +18,15 @@ d x d^2 matrix of the family:
 ``gabor_frame`` still builds the explicit family from the same translate and
 phase helpers; it is the dense oracle the structured paths are tested against.
 
+Batch axes: the array kernels ``gabor_operator``, ``stft_coefficients`` and
+``gabor_vectors`` take windows and signals of shape (..., d) and keep the
+leading axes, giving (..., d, d), (..., d^2) and (..., d, d^2); ``translate``
+and ``modulate`` take one shift for a stack or one per vector, and
+``stft_orthogonality_residual`` takes four stacks.  Each vector of a stack
+gets the bits of a call on it alone, so a stack of checks measures what a
+loop would.  The kernels do not validate; ``gabor_frame``,
+``gabor_frame_operator`` and ``stft`` check one window and call them.
+
 The wavelet family is sampled from a scale/shift grid carrying the weight
 da db / a^2.  Columns are built in the frequency domain from an analytic
 profile psi_hat evaluated at integer frequencies of the d-point signal space
@@ -47,7 +56,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .frame import SampledFrame, analysis, synthesis
-from .hilbert import inner
+from .hilbert import inner, norm, value_or_stack
 from .measure import MeasureSpace, Symbol
 
 WINDOW_KINDS = ("gaussian", "given-samples")
@@ -55,8 +64,10 @@ WAVELET_KINDS = ("mexican-hat-fourier", "given-fourier")
 
 
 def _translates(x: np.ndarray, shifts) -> np.ndarray:
-    """x_{(t - a) mod d} over t, one column per shift a (a scalar gives a vector)."""
-    return x[np.subtract.outer(np.arange(x.shape[0]), shifts) % x.shape[0]]
+    """x_{(t - a) mod d} over t, one column per shift a (a scalar gives a
+    vector); the leading axes of x are kept."""
+    d = x.shape[-1]
+    return x[..., np.subtract.outer(np.arange(d), shifts) % d]
 
 
 def _phases(d: int, freqs) -> np.ndarray:
@@ -64,15 +75,46 @@ def _phases(d: int, freqs) -> np.ndarray:
     return np.exp(np.multiply.outer(np.arange(d), 2j * np.pi * np.asarray(freqs)) / d)
 
 
-def translate(x, a: int) -> np.ndarray:
-    """Cyclic shift (T_a x)_t = x_{(t - a) mod d}."""
-    return _translates(np.asarray(x, dtype=complex).ravel(), int(a))
+def translate(x, a) -> np.ndarray:
+    """Cyclic shift (T_a x)_t = x_{(t - a) mod d} along the last axis; a
+    stack of vectors takes one shift or one per vector."""
+    x = np.asarray(x, dtype=complex)
+    index = (np.arange(x.shape[-1]) - np.asarray(a, dtype=int)[..., None]) % x.shape[-1]
+    return np.take_along_axis(x, np.broadcast_to(index, x.shape), axis=-1)
 
 
-def modulate(x, b: int) -> np.ndarray:
-    """Pointwise phase ramp (M_b x)_t = exp(2 pi i b t / d) x_t."""
-    x = np.asarray(x, dtype=complex).ravel()
-    return _phases(x.shape[0], int(b)) * x
+def modulate(x, b) -> np.ndarray:
+    """Pointwise phase ramp (M_b x)_t = exp(2 pi i b t / d) x_t along the last
+    axis; a stack of vectors takes one frequency or one per vector."""
+    x = np.asarray(x, dtype=complex)
+    return np.moveaxis(_phases(x.shape[-1], np.asarray(b, dtype=int)), 0, -1) * x
+
+
+def gabor_vectors(g: np.ndarray) -> np.ndarray:
+    """The d x d^2 array of all modulated translates of a window g, column
+    a d + b holding M_b T_a g; windows (..., d) give (..., d, d^2)."""
+    d = g.shape[-1]
+    shifts = np.arange(d)
+    cols = _translates(g, shifts)[..., None] * _phases(d, shifts)[:, None, :]
+    return cols.reshape(*g.shape, d * d)
+
+
+def gabor_operator(g: np.ndarray) -> np.ndarray:
+    """(T T^*) o (Phi Phi^*) / d for a window g, the frame operator of its
+    Gabor family; windows (..., d) give (..., d, d), one BLAS product each."""
+    d = g.shape[-1]
+    shifts = np.arange(d)
+    translates = _translates(g, shifts)
+    phases = _phases(d, shifts)
+    return (translates @ translates.conj().swapaxes(-1, -2)) * (phases @ phases.conj().T) / d
+
+
+def stft_coefficients(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """<f, M_b T_a g> at index a d + b: FFT_t(f conj(T_a g))[b], d FFTs of
+    length d; vectors f and windows g of shape (..., d) give (..., d^2)."""
+    d = f.shape[-1]
+    products = _translates(g, np.arange(d)).conj().swapaxes(-1, -2) * f[..., None, :]
+    return np.fft.fft(products, axis=-1).reshape(*products.shape[:-2], d * d)
 
 
 def gaussian_window(d: int) -> np.ndarray:
@@ -113,10 +155,11 @@ class WindowSpec:
 
 
 def _checked_samples(g: np.ndarray) -> np.ndarray:
-    """Reject window samples that are not finite or all zero."""
+    """Reject window samples that are not finite or all zero, of one window
+    or of any window of a stack (..., d)."""
     if not np.all(np.isfinite(g)):
         raise InvalidParameterError("window samples must be finite")
-    if float(np.linalg.norm(g)) == 0.0:
+    if np.any(norm(g) == 0.0):
         raise InvalidParameterError("window must be nonzero")
     return g
 
@@ -144,10 +187,7 @@ def gabor_frame(window, d: int) -> SampledFrame:
     the rank-one projections exactly ||g||^2 I.  This explicit d x d^2 family
     is the dense oracle of ``gabor_frame_operator`` and ``stft``.
     """
-    g = _as_window(window, d)
-    shifts = np.arange(d)
-    cols = _translates(g, shifts)[:, :, None] * _phases(d, shifts)[:, None, :]
-    return SampledFrame(gabor_space(d), cols.reshape(d, d * d))
+    return SampledFrame(gabor_space(d), gabor_vectors(_as_window(window, d)))
 
 
 def gabor_frame_operator(window, d: int) -> np.ndarray:
@@ -161,11 +201,7 @@ def gabor_frame_operator(window, d: int) -> np.ndarray:
     ``frame_operator(gabor_frame(window, d))`` up to rounding, at O(d^3)
     flops and O(d^2) memory instead of O(d^4) and O(d^3).
     """
-    g = _as_window(window, d)
-    shifts = np.arange(d)
-    translates = _translates(g, shifts)
-    phases = _phases(d, shifts)
-    return (translates @ translates.conj().T) * (phases @ phases.conj().T) / d
+    return gabor_operator(_as_window(window, d))
 
 
 def stft(f, window) -> Symbol:
@@ -176,26 +212,33 @@ def stft(f, window) -> Symbol:
     """
     f = np.asarray(f, dtype=complex).ravel()
     d = f.shape[0]
-    g = _as_window(window, d)
-    coeffs = np.fft.fft(_translates(g, np.arange(d)).conj().T * f, axis=1)
-    return Symbol(coeffs.ravel(), gabor_space(d))
+    return Symbol(stft_coefficients(f, _as_window(window, d)), gabor_space(d))
 
 
-def stft_orthogonality_residual(f1, f2, g1, g2) -> float:
-    """Deviation of the weighted coefficient pairing from <f1,f2><g2,g1>.
+def stft_orthogonality_residual(f1, f2, g1, g2):
+    """Deviation of the weighted coefficient pairing from <f1,f2><g2,g1>: a
+    float for four vectors, an array for four stacks of them (..., d).
 
     On the full cyclic Gabor system the pairing identity is exact, so the
     residual is rounding noise.
     """
-    f1, f2, g1, g2 = (np.asarray(v, dtype=complex).ravel() for v in (f1, f2, g1, g2))
+    f1, f2, g1, g2 = (np.asarray(v, dtype=complex) for v in (f1, f2, g1, g2))
     if not (f1.shape == f2.shape == g1.shape == g2.shape):
         raise ShapeMismatchError("all four vectors must share one dimension")
-    d = f1.shape[0]
-    c1 = stft(f1, g1).values
-    c2 = stft(f2, g2).values
-    lhs = np.sum(c1 * c2.conj()) / d
-    rhs = inner(f1, f2) * inner(g2, g1)
-    return float(abs(lhs - rhs))
+    c1 = stft_coefficients(f1, _checked_samples(g1))
+    c2 = stft_coefficients(f2, _checked_samples(g2))
+    # conjugated in place and multiplied as named arrays: numpy would reuse a
+    # large temporary conjugate as the output and swap the factors, which
+    # rounds the imaginary parts differently
+    np.conj(c2, out=c2)
+    lhs = np.sum(c1 * c2, axis=-1) / f1.shape[-1]
+    # <f1,f2><g2,g1> and |lhs - rhs| of each quadruple as for one complex
+    # scalar, by the product formula and the C library's hypot: numpy's
+    # vectorized complex multiply and abs can round differently
+    rhs = np.array([x * y for x, y in zip(np.ravel(inner(f1, f2)).tolist(),
+                                          np.ravel(inner(g2, g1)).tolist())])
+    gap = lhs - rhs.reshape(np.shape(lhs))
+    return value_or_stack(np.hypot(gap.real, gap.imag))
 
 
 def mexican_hat_fourier(gamma) -> np.ndarray:

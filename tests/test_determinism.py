@@ -68,6 +68,11 @@ def test_weighted_report_independent_of_blas_threads(tmp_path):
     assert_same_across_threads(tmp_path, 8, 64, 5, suite="weighted")
 
 
+def test_gabor_report_independent_of_blas_threads(tmp_path):
+    # the gabor checks measure each size group in stacks of windows and vectors
+    assert_same_across_threads(tmp_path, 8, 64, 5, suite="gabor")
+
+
 def test_all_suites_report_independent_of_blas_threads(tmp_path):
     # every suite in one run: the checks of each draw kind read one context
     # per chunk, shared across the algebra suites

@@ -22,6 +22,15 @@ def test_inner_examples():
     assert hb.inner([1, 1j], [1, 1j]) == pytest.approx(2.0)
     with pytest.raises(ShapeMismatchError):
         hb.inner([1, 0], [1, 0, 0])
+    # a stack of pairs gives, pair by pair, the value of np.vdot on that pair
+    rng = np.random.default_rng(2)
+    for d in (1, 4, 8, 16, 64):
+        x = rng.standard_normal((7, d)) + 1j * rng.standard_normal((7, d))
+        y = rng.standard_normal((7, d)) + 1j * rng.standard_normal((7, d))
+        stacked = hb.inner(x, y)
+        assert stacked.shape == (7,)
+        assert stacked.tolist() == [complex(np.vdot(b, a)) for a, b in zip(x, y)]
+        assert stacked.tolist() == [hb.inner(a, b) for a, b in zip(x, y)]
 
 
 def test_inner_linear_first_argument():

@@ -44,6 +44,7 @@ from contframes.measure import (
 )
 from contframes.multiplier import (
     bound_budget,
+    certificate_values,
     convergence_experiment,
     dual_from_multiplier,
     lower_bound_certificates,
@@ -383,10 +384,12 @@ def invertible_instance(cfg, check_id, idx):
 
 
 def certificates(cfg, i):  # floor - measured of part 1, then True for a failing trial
+    # the check takes ||M^-1|| as 1 / sigma_min(M) from the SVD of M it keeps
     m, F, G, _ = invertible_instance(cfg, "certificates", i)
-    report = lower_bound_certificates(m, F, G)
-    part1 = report.parts[0]
-    return [part1.floor - part1.measured, not report.all_passed]
+    measured, floors, passed = certificate_values(
+        F.space.weights, m.values, F.vectors, G.vectors,
+        sigma=hb.singular_values(multiplier(m, F, G)))
+    return [floors[0] - measured[0], not np.all(passed)]
 
 
 def multiplier_dual(cfg, i):
@@ -684,6 +687,26 @@ def test_each_algebra_suite_draws_its_frames_once_a_trial(monkeypatch, suite, pe
     monkeypatch.setattr(suites.Trials, "_read", counted)
     assert run_suite(SuiteConfig(suite=suite, d=d, n_points=n, trials=trials)).all_passed
     assert sum(rows) == per_trial * trials
+
+
+def test_each_shared_quantity_is_formed_once_a_trial(monkeypatch):
+    # 70 trials: chunks of 64 and 6, and in chunk 0 the heads of the checks
+    # capped at 50 and 20 trials, which slice what the chunk's context holds
+    formed = {}
+
+    def counted(name, compute):
+        def wrapper(t):
+            formed.setdefault((name, t.kind.number), []).extend(t.trials)
+            return compute(t)
+        return wrapper
+
+    names = ("S_F", "S_G", "bounds_F", "bounds_G", "M", "sigma_M")
+    for name in names:
+        monkeypatch.setitem(suites.SHARED, name, counted(name, suites.SHARED[name]))
+    assert run_suite(SuiteConfig(suite="all", d=8, n_points=64, trials=70)).all_passed
+    assert {name for name, _ in formed} == set(names)
+    for key, trials in formed.items():
+        assert len(trials) == len(set(trials)), key
 
 
 def test_one_chunk_context_is_alive_at_a_time(monkeypatch):

@@ -33,6 +33,10 @@ def test_translate_modulate_examples():
     np.testing.assert_array_equal(tf.modulate(ones, 0), ones)
 
 
+def same_bits(stacked, single) -> bool:
+    return stacked.shape == single.shape and stacked.tobytes() == single.tobytes()
+
+
 def test_shifts_are_unitary_and_commute_up_to_phase():
     rng = np.random.default_rng(0)
     for _ in range(30):
@@ -45,6 +49,16 @@ def test_shifts_are_unitary_and_commute_up_to_phase():
         lhs = tf.translate(tf.modulate(x, b), a)
         rhs = np.exp(-2j * np.pi * a * b / d) * tf.modulate(tf.translate(x, a), b)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+    # a stack takes one shift per vector, or one for all, and gives each
+    # vector the bits of the single-vector call
+    for d in (1, 4, 8, 16, 64):
+        x = np.array([random_vec(rng, d) for _ in range(7)])
+        a, b = rng.integers(0, d, size=7), rng.integers(0, d, size=7)
+        shifted = tf.modulate(tf.translate(x, a), b)
+        common = tf.modulate(tf.translate(x, int(a[0])), int(b[0]))
+        for i in range(7):
+            assert same_bits(shifted[i], tf.modulate(tf.translate(x[i], int(a[i])), int(b[i])))
+            assert same_bits(common[i], tf.modulate(tf.translate(x[i], int(a[0])), int(b[0])))
 
 
 def test_gabor_frame_tight_for_gaussian():
@@ -100,6 +114,8 @@ def test_gabor_paths_reject_non_finite_windows(bad):
         tf.gabor_frame_operator(g, 4)
     with pytest.raises(InvalidParameterError):
         tf.stft(np.ones(4), g)
+    with pytest.raises(InvalidParameterError):
+        tf.stft_orthogonality_residual(np.ones(4), np.ones(4), np.ones(4), g)
 
 
 def assert_structured_matches_dense(window, d, f):
@@ -113,12 +129,23 @@ def assert_structured_matches_dense(window, d, f):
     assert np.linalg.norm(c - c_dense) <= 1e-12 * np.linalg.norm(c_dense)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 64])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 16, 64])
 def test_structured_gabor_paths_match_dense_oracle(d):
     rng = np.random.default_rng(100 + d)
     windows = [random_vec(rng, d) for _ in range(5)] + [tf.WindowSpec("gaussian")]
     for window in windows:
         assert_structured_matches_dense(window, d, random_vec(rng, d))
+    # the kernels over stacks: each row has the bits of the single-window call
+    g, f = np.array(windows[:5]), np.array([random_vec(rng, d) for _ in range(5)])
+    q = np.array([[random_vec(rng, d) for _ in range(4)] for _ in range(5)])
+    operators, coeffs = tf.gabor_operator(g), tf.stft_coefficients(f, g)
+    vectors = tf.gabor_vectors(g)
+    residuals = tf.stft_orthogonality_residual(*np.moveaxis(q, 1, 0))
+    for i in range(5):
+        assert same_bits(operators[i], tf.gabor_frame_operator(g[i], d))
+        assert same_bits(coeffs[i], tf.stft(f[i], g[i]).values)
+        assert same_bits(vectors[i], tf.gabor_frame(g[i], d).vectors)
+        assert residuals[i] == tf.stft_orthogonality_residual(*q[i])
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
