@@ -1,4 +1,4 @@
-"""Measured values of six seeded suites, pinned to literals.
+"""Measured values of the seven verify suites, pinned to literals.
 
 The suites draw every instance from seeded streams, so a change to the
 streams, to the order in which roles read them or to a measure changes
@@ -66,6 +66,18 @@ GOLDEN = {
         "stft_matches_analysis": 1.2515439318724856e-13,
         "stft_orthogonality": 1.2412670766236366e-16,
         "tf_shift_unitarity": 1.7763568394002505e-15,
+    },
+    "wavelet": {
+        "admissibility_oracle": 2.2091197987572642e-07,
+        "admissibility_phase_invariance": 2.220444087159515e-16,
+        "admissibility_scaling": 0.0,
+        "calderon_default": 0.0002258643967253934,
+        "calderon_refinement": 2.1741990666546505,
+        "wavelet_band_constant": 0.0005556057916942247,
+        "wavelet_column_norms": 6.217774350604046e-16,
+        "wavelet_diagonal_oracle": 2.2192120464740292e-15,
+        "wavelet_diagonality": 3.169212279980924e-15,
+        "wavelet_shift_commutation": 1.6987957064560696e-14,
     },
     "weighted": {
         "certificates": -2.2372336813793114,
