@@ -242,8 +242,9 @@ def lower_bound_certificates(m, F: SampledFrame, G: SampledFrame,
     by sup|m|^2; (5) F and G are frames.
     """
     values = _aligned(m, F, G)
+    sigma = hilbert.singular_values(multiplier(values, F, G))
     measured, floors, passed = certificate_values(F.space.weights, values, F.vectors,
-                                                  G.vectors, tolerance)
+                                                  G.vectors, sigma, tolerance)
     parts = tuple(
         Certificate(part, description, value, None if math.isnan(floor) else floor,
                     ok, degenerate=part == 4 and math.isnan(floor))
@@ -262,26 +263,20 @@ CERTIFICATES = (
 )
 
 
-def certificate_values(w, values, F: np.ndarray, G: np.ndarray,
-                       tolerance: float = 1e-10, sigma=None, bounds=None):
+def certificate_values(w, values, F: np.ndarray, G: np.ndarray, sigma,
+                       tolerance: float = 1e-10, bounds=None):
     """Measured value, floor and verdict of each certificate of
     ``lower_bound_certificates``, for symbol values m, analysis vectors F and
     synthesis vectors G under weights w, or for each instance of a stack.
-    ``sigma`` is the singular values of the multiplier M and ``bounds`` the
-    operator_bounds of the frame operators of F and G where the caller has
-    them.  With sigma, ||M^-1|| is 1 / sigma_min(M); without, it is the norm
-    of the inverse M^-1.
+    ``sigma`` is the singular values of the multiplier M, and ||M^-1|| is
+    1 / sigma_min(M); ``bounds`` is the operator_bounds of the frame
+    operators of F and G where the caller has them.
 
     Three arrays with the five parts along a new last axis; a floor is NaN
     where the part has none (parts 3 and 5, and part 4 when sup|m| = 0).
     """
-    if sigma is None:
-        inv_norm = hilbert.singular_values(
-            hilbert.invert(weighted_gram(G, w * values, F)))[..., 0]
-    else:
-        hilbert.require_invertible(sigma)
-        inv_norm = 1.0 / sigma[..., -1]
-    inv_sq = hilbert.power(inv_norm, 2)
+    hilbert.require_invertible(sigma)
+    inv_sq = hilbert.power(1.0 / sigma[..., -1], 2)
     bounds_f, bounds_g = (
         (operator_bounds(weighted_gram(F, w, F)), operator_bounds(weighted_gram(G, w, G)))
         if bounds is None else bounds)

@@ -1,10 +1,15 @@
 """Seeded verification suites over randomized frame/multiplier instances.
 
-Each check draws deterministic random instances from the configured seed,
-measures the worst deviation of an identity or the worst violation of a
-bound, and records the verdict against its tolerance.  All randomness flows
-through per-kind, per-role seed derivation, so a report for a given
-configuration is reproducible bit-for-bit (timestamps aside).
+CHECKS is the one table of the checks, in report order; a new check is one
+row.  A row holds the suite, the claim, the default tolerance, the gate and
+the measure of its check, and for a stacked check its draw kind and trial
+cap.  The gate says how verdict() folds the values and compares them: max
+from 0 or from -inf <= tol, count == 0 (of failing trials), both of those,
+>= floor or in [1.5, tol].  run_suite measures the stacked rows of its
+suite together and builds every Check through verdict(); run_check(cfg, id)
+runs one check afresh.  All randomness flows through per-kind, per-role
+seed derivation, so a report for a given configuration is reproducible
+bit-for-bit (timestamps aside).
 
 The identities, bounds, convergence, controlled and weighted suites measure
 their trials in stacks: a chunk of max(1, STACK_ENTRIES // (d N)) trials is
@@ -13,41 +18,33 @@ array kernels of the single-frame API, so the values equal those of a
 per-trial loop on the same draws.  The gabor checks draw their sizes from
 one stream and the vectors of each size as one stack, and measure each size
 group in stacks of at most max(1, STACK_ENTRIES // entries an instance)
-instances through the stacked kernels of tf_frames, again with the values
-of a per-instance loop.  The wavelet and unbounded-family checks measure a
-few fixed grids and signals.
+instances through the stacked kernels of tf_frames.  The gabor, wavelet and
+unbounded-family rows have no draw kind: their measure is a function of the
+configuration that gives the value, or the value and a detail.  The
+Calderon study reads no input and is computed once a process.
 
 Trial contexts: the paper states each result for one frame pair (F, G) and
-one symbol, so the checks of a suite read one instance per trial.  STACKED
-gives each stacked check a draw kind, a measure (a function of a Trials
-context) and a trial cap.  The kinds: PLAIN, the instance (w, F, G, m) and,
-drawn on first use, a second symbol, second vectors (the difference
-identities and the convergence bumps), test vectors, eps, a nonnegative
-symbol, the controls of F and of G, delta and offsets above it (counting
-weights draw nothing: discrete_bessel_norm_bound reads F with unit weights);
-HALF_DEFICIENT, a frame on even trials and columns in a hyperplane on odd
-ones; INVERTIBLE, the instance redrawn where its multiplier fails the
-sigma_min > 1e-6 sigma_max test.  Role r of a kind reads the stream
-_rng(seed, kind.number, r) in trial order, so one call of shape (T, ...)
-draws T consecutive trials and reports do not depend on the chunk size;
-attempt k >= 1 of invertible trial t reads _rng(seed, kind.number, t, k).
+one symbol, so the checks of a suite read one instance per trial.  A
+stacked row's measure is a function of a Trials context of its draw kind.
+The kinds: PLAIN, the instance (w, F, G, m) and, drawn on first use, a
+second symbol, second vectors (the difference identities and the
+convergence bumps), test vectors, eps, a nonnegative symbol, the controls
+of F and of G, delta and offsets above it; HALF_DEFICIENT, a frame on even
+trials and columns in a hyperplane on odd ones; INVERTIBLE, the instance
+redrawn where its multiplier fails the sigma_min > 1e-6 sigma_max test.
+Role r of a kind reads the stream _rng(seed, kind.number, r) in trial
+order, so reports do not depend on the chunk size; attempt k >= 1 of
+invertible trial t reads _rng(seed, kind.number, t, k).
 
-A context computes each quantity of SHARED once, on first use: S_F and S_G
-with their bounds, M, sigma(M) and M^-1, the canonical dual's defects, the
-budgets, the controls and their mixed operator.  One that raises (the dual
-of a draw that is no frame) raises in every check that reads it and in no
-other.  d x N arrays derived from the draws, such as the dual or a perturbed
-frame, live only inside the quantity or measure that forms them.
-run_suite evaluates chunk by chunk: for each kind in turn it builds the
-chunk's context, runs every stacked measure of the run that reads the kind
-on it, keeps the per-trial values and drops the context before it draws the
-next kind or chunk, so the arrays of one chunk of one kind are live at a
-time rather than every trial's.  A check capped at 100, 50 or 20 trials
-reads a head of the chunk that straddles its cap; the heads slice what the
-chunk's context already holds.
-Stacked.replay(cfg, K) is the context of trial K alone, the last row of
-trials 0..K drawn as one chunk, on which a check's measure gives trial K's
-values.
+A context computes each quantity of SHARED once, on first use.  One that
+raises (the dual of a draw that is no frame) raises in every check that
+reads it and in no other.  run_suite evaluates chunk by chunk: for each
+kind in turn it builds the chunk's context, runs every stacked measure of
+the run that reads the kind on it, keeps the per-trial values and drops the
+context before it draws the next kind or chunk.  A check capped at 100, 50
+or 20 trials reads a head of the chunk that straddles its cap, which slices
+what the chunk's context already holds.  CHECKS[id].replay(cfg, K) is the
+context of trial K alone, the last row of trials 0..K drawn as one chunk.
 """
 
 from __future__ import annotations
@@ -84,82 +81,6 @@ from .reporting import Check, Report
 
 SUITES = ("identities", "bounds", "convergence", "gabor", "wavelet",
           "controlled", "weighted", "all")
-
-# the checks of each suite in report order, each with its default tolerance
-SUITE_TOLERANCES = {
-    "identities": {
-        "frame_factorization": 1e-12,
-        "reconstruction": 1e-10,
-        "reconstruction_swapped": 1e-10,
-        "multiplier_adjoint": 1e-12,
-        "difference_symbol": 1e-12,
-        "difference_analysis": 1e-12,
-        "difference_synthesis": 1e-12,
-        "weighted_identity": 1e-12,
-        "canonical_dual_pair": 1e-10,
-        "dual_bounds_inverse": 1e-10,
-        "frame_iff_invertible": 0.0,
-    },
-    "bounds": {
-        "bessel_inequality": 1e-10,
-        "bessel_sharpness": 1e-10,
-        "op_norm_budget": 1e-10,
-        "trace_budget": 1e-10,
-        "schatten_budget_p15": 1e-10,
-        "schatten_budget_p2": 1e-10,
-        "schatten_budget_p3": 1e-10,
-        "schatten_monotonicity": 1e-10,
-        "perturb_upper": 1e-10,
-        "perturb_lower": 1e-10,
-        "discrete_bessel_norm_bound": 1e-10,
-        "unbounded_norm_growth": 1.5,
-        "unbounded_bessel_cap": 1e-10,
-    },
-    "convergence": {
-        "truncation_budget": 1e-10,
-        "truncation_monotone": 1e-10,
-        "symbol_convergence_p1": 1e-10,
-        "symbol_convergence_p2": 1e-10,
-        "symbol_convergence_pinf": 1e-10,
-        "frame_uniform_l2": 1e-10,
-        "frame_uniform_l1": 1e-10,
-    },
-    "gabor": {
-        "gabor_tightness": 1e-10,
-        "stft_matches_analysis": 1e-12,
-        "stft_energy": 1e-10,
-        "stft_orthogonality": 1e-10,
-        "tf_shift_unitarity": 1e-12,
-    },
-    "wavelet": {
-        "admissibility_oracle": 1e-4,
-        "admissibility_scaling": 1e-12,
-        "admissibility_phase_invariance": 1e-12,
-        "wavelet_diagonality": 1e-10,
-        "wavelet_diagonal_oracle": 1e-10,
-        "wavelet_band_constant": 0.02,
-        "wavelet_shift_commutation": 1e-10,
-        "wavelet_column_norms": 1e-10,
-        "calderon_default": 0.02,
-        "calderon_refinement": 3.0,
-    },
-    "controlled": {
-        "controlled_factorization": 1e-12,
-        "controlled_bounds_map": 1e-10,
-        "controlled_spectral_mapping": 1e-12,
-        "controlled_positivity": 1e-10,
-        "controlled_implies_frame": 0.0,
-        "precondition_identity": 1e-10,
-    },
-    "weighted": {
-        "weighted_scaling": 1e-12,
-        "certificates": 1e-10,
-        "multiplier_dual": 1e-9,
-        "positive_symbol_coercivity": 1e-10,
-    },
-}
-DEFAULT_TOLERANCES = {check_id: tol for checks in SUITE_TOLERANCES.values()
-                      for check_id, tol in checks.items()}
 
 # keys of a JSON suite configuration and the SuiteConfig fields they set
 CONFIG_KEYS = {"suite": "suite", "seed": "seed", "trials": "trials", "d": "d",
@@ -203,7 +124,7 @@ class SuiteConfig:
             raise InvalidParameterError("trials, d and n must all be >= 1")
         if self.format not in ("json", "csv"):
             raise InvalidParameterError(f"unknown format {self.format!r}")
-        unknown = sorted(set(self.tolerances) - DEFAULT_TOLERANCES.keys())
+        unknown = sorted(set(self.tolerances) - CHECKS.keys())
         if unknown:
             raise InvalidParameterError(f"unknown tolerance keys {unknown}")
         bad = {key: value for key, value in self.tolerances.items()
@@ -212,7 +133,7 @@ class SuiteConfig:
             raise InvalidParameterError(f"tolerances must be finite and >= 0, got {bad}")
 
     def tol(self, check_id: str) -> float:
-        return float(self.tolerances.get(check_id, DEFAULT_TOLERANCES[check_id]))
+        return float(self.tolerances.get(check_id, CHECKS[check_id].tolerance))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
@@ -461,20 +382,6 @@ class Trials:
                                      len(self.trials) if count is None else count)
 
 
-class Stacked(NamedTuple):
-    """A check measured on trial contexts of ``kind``: measure(context) gives
-    the values of the context's trials that the check folds, one per trial
-    or a row of them.  The check takes min(cfg.trials, cap) trials."""
-
-    kind: Kind
-    measure: Callable
-    cap: int | None = None
-
-    def replay(self, cfg: SuiteConfig, trial: int) -> Trials:
-        """The context of trial ``trial`` alone: the last row of trials
-        0..trial, drawn as one chunk."""
-        return Trials(self.kind, cfg, range(trial + 1)).part(slice(trial, trial + 1))
-
 
 def random_instance(seed: int, kind: int, idx: int, d: int, n: int):
     """(symbol, analysis frame, synthesis frame) on one random space: trial
@@ -490,7 +397,8 @@ def random_invertible_instance(seed: int, kind: int, idx: int, d: int, n: int):
 
 
 def _instance_of(kind: Kind, seed: int, idx: int, d: int, n: int):
-    t = Stacked(kind, None).replay(SuiteConfig(seed=seed, d=d, n_points=n), idx)
+    t = Trials(kind, SuiteConfig(seed=seed, d=d, n_points=n), range(idx + 1)).part(
+        slice(idx, idx + 1))
     space = MeasureSpace(np.arange(n, dtype=float)[:, None], t.w[0])
     return Symbol(t.m[0], space), fr.SampledFrame(space, t.F[0]), fr.SampledFrame(space, t.G[0])
 
@@ -597,14 +505,10 @@ SHARED = {
 # evaluation chunk by chunk
 # ---------------------------------------------------------------------------
 
-# the trial contexts of every stacked check, filled by its definition below
-STACKED: dict[str, Stacked] = {}
-
-
 def _stacked_values(cfg: SuiteConfig, check_ids) -> dict:
     """The values of each stacked check of ``check_ids``, chunk by chunk in
     trial order, or the first exception its measure raised."""
-    checks = {c: STACKED[c] for c in check_ids if c in STACKED}
+    checks = {c: CHECKS[c] for c in check_ids if CHECKS[c].kind is not None}
     limits = {c: cfg.trials if row.cap is None else min(cfg.trials, row.cap)
               for c, row in checks.items()}
     values = {c: [] for c in checks}
@@ -636,137 +540,73 @@ def _measure_chunk(root: Trials, checks: dict, limits: dict, values: dict) -> No
             values[check_id] = exc.with_traceback(None)
 
 
-class _Run(NamedTuple):
-    cfg: SuiteConfig
-    check_ids: tuple
-    cache: dict
+# ---------------------------------------------------------------------------
+# the gates and the verdict
+# ---------------------------------------------------------------------------
+
+# how verdict() folds a stacked row's values over every trial and holds the
+# result against the tolerance; a config row's measure gives it folded
+MAX0 = "max from 0 <= tol"
+MAX = "max from -inf <= tol"
+COUNT = "count == 0"
+MAX_COUNT = "max from -inf <= tol, count == 0"
+MAX_COUNT_SHOWN = "max from -inf <= tol, count == 0, count in detail"
+FLOOR = ">= floor"
+RANGE = "in [1.5, tol]"
 
 
-# one entry per running run_suite: its configuration, its check ids and what
-# it computes once (the stacked values, the Calderon study); outside
-# run_suite every call computes afresh
-_RUNS: list[_Run] = []
+def _max(start: float, chunks) -> float:
+    """max of ``start`` and every value of every chunk, in order."""
+    for values in chunks:
+        start = max([start, *np.ravel(values).tolist()])
+    return start
 
 
-def _run(cfg: SuiteConfig) -> _Run | None:
-    return _RUNS[-1] if _RUNS and _RUNS[-1].cfg is cfg else None
+def _count(chunks) -> int:
+    """The number of failing (true or nonzero) values of every chunk."""
+    return sum(int(np.count_nonzero(failing)) for failing in chunks)
 
 
-def _per_run(cfg: SuiteConfig, key: str, compute: Callable):
-    """compute(), once per run_suite call on ``cfg``; afresh outside one."""
-    run = _run(cfg)
-    if run is None:
-        return compute()
-    if key not in run.cache:
-        run.cache[key] = compute()
-    return run.cache[key]
-
-
-def stacked_values(cfg: SuiteConfig, check_id: str) -> list:
-    """The values of a stacked check, chunk by chunk in trial order; raises
-    what its measure raised.  A run measures all its stacked checks
-    together."""
-    run = _run(cfg)
-    ids = run.check_ids if run else (check_id,)
-    values = _per_run(cfg, "stacked", lambda: _stacked_values(cfg, ids))[check_id]
-    if isinstance(values, Exception):
-        raise values
-    return values
+def verdict(cfg: SuiteConfig, check_id: str, values) -> Check:
+    """The record of check ``check_id`` from what its measure gave, under
+    the tolerance ``cfg`` sets for it.  A stacked row gives the values of
+    each chunk in trial order, (value, failing) pairs under the gates that
+    count; a config row gives the value, or the value and a detail."""
+    row, tol = CHECKS[check_id], cfg.tol(check_id)
+    detail, failing = "", 0
+    if row.kind is None:
+        measured, detail = values if isinstance(values, tuple) else (values, "")
+    elif row.gate == COUNT:
+        measured = failing = _count(values)
+    elif row.gate in (MAX_COUNT, MAX_COUNT_SHOWN):
+        measured = _max(-math.inf, (chunk for chunk, _ in values))
+        failing = _count(flags for _, flags in values)
+    else:
+        measured = _max(0.0 if row.gate == MAX0 else -math.inf, values)
+    if row.gate == MAX_COUNT_SHOWN:
+        detail = f"{failing} failing instance(s)"
+    passed = {FLOOR: measured >= tol, RANGE: 1.5 <= measured <= tol,
+              COUNT: failing == 0}.get(row.gate, failing == 0 and measured <= tol)
+    return Check(check_id, row.claim, float(measured), tol, tol, bool(passed), detail)
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# the measures of the stacked rows: functions of a trial context
 # ---------------------------------------------------------------------------
-
-def _check(cfg: SuiteConfig, check_id: str, claim: str, measured: float,
-           budget: float, passed: bool, detail: str = "") -> Check:
-    return Check(check_id, claim, float(measured), float(budget),
-                 cfg.tol(check_id), bool(passed), detail)
-
-
-def _within(cfg: SuiteConfig, check_id: str, claim: str, measured: float,
-            detail: str = "") -> Check:
-    """measured <= tol."""
-    tol = cfg.tol(check_id)
-    return _check(cfg, check_id, claim, measured, tol, measured <= tol, detail)
-
-
-def _row(check_id: str, kind: Kind, cap: int | None, fold: Callable) -> Callable:
-    """Decorator of a stacked check's measure: stores it in STACKED and gives
-    the check function, fold(cfg, values of every chunk)."""
-    def register(measure: Callable) -> Callable:
-        STACKED[check_id] = Stacked(kind, measure, cap)
-
-        def check(cfg: SuiteConfig) -> Check:
-            return fold(cfg, stacked_values(cfg, check_id))
-        check.__name__ = check.__qualname__ = f"check_{check_id}"
-        return check
-    return register
-
-
-def _stacked(check_id: str, claim: str, worst: float = 0.0, kind: Kind = PLAIN,
-             cap: int | None = None) -> Callable:
-    """A stacked check whose values fold with max from ``worst``:
-    worst <= tol over every value in trial order."""
-    def fold(cfg: SuiteConfig, chunks) -> Check:
-        value = worst
-        for values in chunks:
-            value = max(value, *np.ravel(values).tolist())
-        return _within(cfg, check_id, claim, value)
-    return _row(check_id, kind, cap, fold)
-
-
-def _counted(check_id: str, claim: str, kind: Kind = PLAIN,
-             cap: int | None = None) -> Callable:
-    """A stacked check that no trial may fail: the number of failing trials
-    against the tolerance."""
-    def fold(cfg: SuiteConfig, chunks) -> Check:
-        bad = sum(int(np.count_nonzero(failing)) for failing in chunks)
-        return _check(cfg, check_id, claim, bad, cfg.tol(check_id), bad == 0)
-    return _row(check_id, kind, cap, fold)
-
-
-def _max_and_count(check_id: str, claim: str, detail: bool, kind: Kind = PLAIN,
-                   cap: int | None = None) -> Callable:
-    """A stacked check that measures a value and a verdict per trial: the max
-    of the values from -inf in trial order within the tolerance, and no
-    failing trial."""
-    def fold(cfg: SuiteConfig, chunks) -> Check:
-        worst, bad = -math.inf, 0
-        for values, failing in chunks:
-            worst = max(worst, *values.tolist())
-            bad += int(np.count_nonzero(failing))
-        tol = cfg.tol(check_id)
-        return _check(cfg, check_id, claim, worst, tol, bad == 0 and worst <= tol,
-                      detail=f"{bad} failing instance(s)" if detail else "")
-    return _row(check_id, kind, cap, fold)
-
 
 def _item(name: str, index: int) -> Callable:
     """The measure that reads part ``index`` of a shared quantity."""
     return lambda t: getattr(t, name)[index]
 
 
-@_stacked("frame_factorization", "frame operator equals synthesis composed with analysis")
-def check_frame_factorization(t: Trials):
+def _frame_factorization(t: Trials):
     # column k of the composition synthesizes the analysis of basis vector k
     coeffs = fr.coefficients(t.F[:, None], np.eye(t.cfg.d, dtype=complex))
     composed = fr.synthesize(t.F[:, None], t.w[:, None], coeffs).swapaxes(-1, -2)
     return hb.operator_norm(t.S_F - composed) / hb.operator_norm(t.S_F)
 
 
-check_reconstruction = _stacked(
-    "reconstruction", "canonical dual reconstructs every vector from analysis by F",
-)(_item("dual", 0))
-
-check_reconstruction_swapped = _stacked(
-    "reconstruction_swapped",
-    "F reconstructs every vector from analysis by the canonical dual")(_item("dual", 1))
-
-
-@_stacked("multiplier_adjoint",
-          "adjoint of the multiplier is the conjugate-symbol multiplier with frames swapped")
-def check_multiplier_adjoint(t: Trials):
+def _multiplier_adjoint(t: Trials):
     swapped = fr.weighted_gram(t.F, t.w * t.m.conj(), t.G)
     return (hb.operator_norm(hb.adjoint(t.M) - swapped)
             / np.maximum(t.sigma_M[..., 0], 1e-300))
@@ -781,54 +621,19 @@ def _difference(pair: Callable) -> Callable:
     return measure
 
 
-check_difference_symbol = _stacked(
-    "difference_symbol",
-    "difference of multipliers equals the multiplier of the symbol difference",
-)(_difference(lambda t: (fr.weighted_gram(t.G, t.w * t.symbol, t.F),
-                         fr.weighted_gram(t.G, t.w * (t.m - t.symbol), t.F))))
-
-check_difference_analysis = _stacked(
-    "difference_analysis",
-    "difference over analysis frames equals the multiplier of the frame difference",
-)(_difference(lambda t: (fr.weighted_gram(t.G, t.w * t.m, t.vectors),
-                         fr.weighted_gram(t.G, t.w * t.m, t.F - t.vectors))))
-
-check_difference_synthesis = _stacked(
-    "difference_synthesis",
-    "difference over synthesis frames equals the multiplier of the frame difference",
-)(_difference(lambda t: (fr.weighted_gram(t.vectors, t.w * t.m, t.F),
-                         fr.weighted_gram(t.G - t.vectors, t.w * t.m, t.F))))
-
-
-@_stacked("weighted_identity",
-          "multiplier with a nonnegative symbol is the frame operator of the reweighted frame")
-def check_weighted_identity(t: Trials):
+def _weighted_identity(t: Trials):
     M = fr.weighted_gram(t.F, t.w * t.nonnegative, t.F)
     reweighted = t.F * np.sqrt(t.nonnegative.real)[:, None, :]
     S = fr.weighted_gram(reweighted, t.w, reweighted)
     return hb.operator_norm(M - S) / np.maximum(hb.operator_norm(S), 1.0)
 
 
-check_canonical_dual_pair = _stacked(
-    "canonical_dual_pair", "frame and its canonical dual synthesize the identity",
-)(_item("dual", 2))
-
-check_dual_bounds_inverse = _stacked(
-    "dual_bounds_inverse", "canonical dual bounds are the reciprocals (1/B, 1/A)",
-)(_item("dual", 3))
-
-
-@_counted("frame_iff_invertible",
-          "frame property coincides with invertibility of the frame operator",
-          HALF_DEFICIENT)
-def check_frame_iff_invertible(t: Trials):
+def _frame_iff_invertible(t: Trials):
     # True where they disagree; invertibility is hilbert.invert's cutoff
     return t.bounds_F.is_frame == hb.is_singular(hb.singular_values(t.S_F))
 
 
-@_stacked("bessel_inequality",
-          "weighted coefficient energy lies between the optimal bounds times ||f||^2")
-def check_bessel_inequality(t: Trials):
+def _bessel_inequality(t: Trials):
     f = t.tests
     energy = np.sum(t.w[:, None] * np.abs(fr.coefficients(t.F[:, None], f)) ** 2, axis=-1)
     nsq = hb.power(hb.norm(f), 2)
@@ -836,8 +641,7 @@ def check_bessel_inequality(t: Trials):
     return np.stack([(lower * nsq - energy) / nsq, (energy - upper * nsq) / nsq], axis=-1)
 
 
-@_stacked("bessel_sharpness", "the top eigenvector attains the upper bound with equality")
-def check_bessel_sharpness(t: Trials):
+def _bessel_sharpness(t: Trials):
     _, vecs = np.linalg.eigh(hb.hermitian_part(t.S_F))
     top = np.sum(t.w * np.abs(fr.coefficients(t.F, vecs[..., -1])) ** 2, axis=-1)
     return np.abs(top - t.bounds_F.upper) / t.bounds_F.upper
@@ -849,45 +653,16 @@ def _budget(p: float) -> Callable:
     return lambda t: t.budgets[0][:, column] - t.budgets[1][:, column]
 
 
-check_op_norm_budget = _stacked(
-    "op_norm_budget", "operator norm is at most sup|m| sqrt(B_F B_G)", -math.inf,
-)(_budget(math.inf))
-
-check_trace_budget = _stacked(
-    "trace_budget", "trace norm is at most ||m||_1 L_F L_G", -math.inf)(_budget(1.0))
-
-check_schatten_budget_p15 = _stacked(
-    "schatten_budget_p15",
-    "Schatten 1.5-norm stays under its interpolation budget", -math.inf)(_budget(1.5))
-
-check_schatten_budget_p2 = _stacked(
-    "schatten_budget_p2",
-    "Hilbert-Schmidt norm stays under its interpolation budget", -math.inf)(_budget(2.0))
-
-check_schatten_budget_p3 = _stacked(
-    "schatten_budget_p3",
-    "Schatten 3-norm stays under its interpolation budget", -math.inf)(_budget(3.0))
-
-check_schatten_monotonicity = _stacked(
-    "schatten_monotonicity", "Schatten norms are nonincreasing in p",
-)(lambda t: np.diff(t.budgets[0], axis=-1))
-
-
 def _bounds(w, vectors) -> fr.FrameBounds:
     return fr.operator_bounds(fr.weighted_gram(vectors, w, vectors))
 
 
-@_stacked("perturb_upper",
-          "upper bound of G + eps F is at most 2 (B_G + eps^2 B_F)", -math.inf)
-def check_perturb_upper(t: Trials):
+def _perturb_upper(t: Trials):
     upper = _bounds(t.w, fr.perturbed(t.G, t.F, t.eps[:, None, None])).upper
     return upper - 2.0 * (t.bounds_G.upper + hb.power(t.eps, 2) * t.bounds_F.upper)
 
 
-@_stacked("perturb_lower",
-          "lower bound of G + eps F is at least (sqrt(A_G) - eps sqrt(B_F))^2 for "
-          "small eps", -math.inf)
-def check_perturb_lower(t: Trials):
+def _perturb_lower(t: Trials):
     # at eps = sqrt(A_G / B_F) / 2
     ag, bf = t.bounds_G.lower, t.bounds_F.upper
     eps = 0.5 * np.sqrt(ag / bf)
@@ -895,102 +670,48 @@ def check_perturb_lower(t: Trials):
     return hb.power(np.sqrt(ag) - eps * np.sqrt(bf), 2) - lower
 
 
-@_stacked("discrete_bessel_norm_bound",
-          "with unit weights every frame vector norm is at most sqrt(B)", -math.inf)
-def check_discrete_bessel_norm_bound(t: Trials):
+def _discrete_bessel_norm_bound(t: Trials):
     return fr.max_column_norm(t.F) - np.sqrt(_bounds(np.ones(t.cfg.n_points), t.F).upper)
 
 
-check_truncation_budget = _stacked(
-    "truncation_budget",
-    "truncated-symbol deviation stays under sup|m - m_n| sqrt(B_F B_G)", -math.inf,
-    cap=50)(_item("truncation", 0))
-
-check_truncation_monotone = _stacked(
-    "truncation_monotone",
-    "nested truncations decrease the deviation monotonically to zero", -math.inf,
-    cap=50)(_item("truncation", 1))
-
-check_symbol_convergence_p1 = _stacked(
-    "symbol_convergence_p1",
-    "trace-norm deviation tracks the L1 distance of the symbols", -math.inf,
-    cap=20)(_item("convergence", 0))
-
-check_symbol_convergence_p2 = _stacked(
-    "symbol_convergence_p2",
-    "Hilbert-Schmidt deviation tracks the L2 distance of the symbols", -math.inf,
-    cap=20)(_item("convergence", 1))
-
-check_symbol_convergence_pinf = _stacked(
-    "symbol_convergence_pinf",
-    "operator-norm deviation tracks the sup distance of the symbols", -math.inf,
-    cap=20)(_item("convergence", 2))
-
-check_frame_uniform_l2 = _stacked(
-    "frame_uniform_l2",
-    "uniform frame perturbation is dominated by eps ||m||_2 sqrt(B_G)", -math.inf,
-    cap=20)(_item("convergence", 3))
-
-check_frame_uniform_l1 = _stacked(
-    "frame_uniform_l1",
-    "uniform frame perturbation is dominated by eps ||m||_1 L_G", -math.inf,
-    cap=20)(_item("convergence", 4))
-
-
-@_stacked("controlled_factorization",
-          "mixed operator equals C S and S C* for self-adjoint commuting controls", cap=100)
-def check_controlled_factorization(t: Trials):
+def _controlled_factorization(t: Trials):
     L, C, S = t.L, t.C, t.S_F
     return np.stack([hb.operator_norm(L - C @ S) / t.L_scale,
                      hb.operator_norm(L - S @ hb.adjoint(C)) / t.L_scale], axis=-1)
 
 
-@_stacked("controlled_bounds_map",
-          "controlled bounds are the extremes of phi(lambda) lambda over the frame "
-          "spectrum", cap=100)
-def check_controlled_bounds_map(t: Trials):
+def _controlled_bounds_map(t: Trials):
     low, high, mapped = t.L_spectrum[..., 0], t.L_spectrum[..., -1], t.mapped
     scale = np.maximum(np.max(np.abs(mapped), axis=-1), 1.0)
     return np.stack([np.abs(low - np.min(mapped, axis=-1)) / scale,
                      np.abs(high - np.max(mapped, axis=-1)) / scale], axis=-1)
 
 
-@_stacked("controlled_spectral_mapping",
-          "spectrum of the mixed operator is the mapped frame spectrum, relative to "
-          "max(||L||, 1)", cap=100)
-def check_controlled_spectral_mapping(t: Trials):
+def _controlled_spectral_mapping(t: Trials):
     return np.max(np.abs(np.sort(t.L_spectrum, axis=-1) - np.sort(t.mapped, axis=-1)),
                   axis=-1) / t.L_scale
 
 
-@_counted("controlled_positivity",
-          "mixed operator of a positive commuting control is positive", cap=100)
-def check_controlled_positivity(t: Trials):
+def _controlled_positivity(t: Trials):
     # hb.is_positive(L, 1e-10) on the norm and the spectrum of L taken once
     L, spectrum = t.L, t.L_spectrum
     return ~((hb.operator_norm(L - hb.adjoint(L)) <= 1e-10 * t.L_scale)
              & hb.nonnegative_spectrum(spectrum[..., 0], spectrum[..., -1], 1e-10))
 
 
-@_counted("controlled_implies_frame",
-          "a positive controlled lower bound certifies the frame property", cap=100)
-def check_controlled_implies_frame(t: Trials):
+def _controlled_implies_frame(t: Trials):
     # the frame test reads the eigenvalues the controls are built from
     lam = t.eigen_F.eigenvalues
     is_frame = fr.spectrum_bounds(lam[..., 0], lam[..., -1]).is_frame
     return (t.L_spectrum[..., 0] > 0.0) & ~is_frame
 
 
-@_stacked("precondition_identity", "undoing the controls recovers the plain multiplier",
-          cap=100)
-def check_precondition_identity(t: Trials):
+def _precondition_identity(t: Trials):
     D = ctrl.spectral_controls(_specs(t.dual_kinds, t.dual_params), t.S_G)
     return ctrl.precondition_residual(t.C, D, t.w * t.m, t.F, t.G)
 
 
-@_stacked("weighted_scaling", "a constant weight scales both frame bounds by that constant",
-          cap=100)
-def check_weighted_scaling(t: Trials):
+def _weighted_scaling(t: Trials):
     bounds = t.bounds_F
     # the vectors of fr.weighted(F, 4): each column times sqrt(4), exactly
     scaled = _bounds(t.w, 2.0 * t.F)
@@ -999,27 +720,19 @@ def check_weighted_scaling(t: Trials):
                     axis=-1)
 
 
-@_max_and_count("certificates",
-                "all five lower-bound certificates hold on invertible instances", True,
-                INVERTIBLE, cap=100)
-def check_certificates(t: Trials):
+def _certificates(t: Trials):
     # floor - measured of certificate 1, and True where a certificate fails
     measured, floors, passed = certificate_values(
-        t.w, t.m, t.F, t.G, sigma=t.sigma_M, bounds=(t.bounds_F, t.bounds_G))
+        t.w, t.m, t.F, t.G, t.sigma_M, bounds=(t.bounds_F, t.bounds_G))
     return floors[..., 0] - measured[..., 0], ~np.all(passed, axis=-1)
 
 
-@_stacked("multiplier_dual", "the frame built from the inverse multiplier is a dual of G",
-          kind=INVERTIBLE, cap=50)
-def check_multiplier_dual(t: Trials):
+def _multiplier_dual(t: Trials):
     H = multiplier_dual_vectors(t.w, t.m, t.F, t.G, t.M_inv, t.bounds_G)
     return hb.operator_norm(fr.weighted_gram(t.G, t.w, H) - np.eye(t.cfg.d))
 
 
-@_max_and_count("positive_symbol_coercivity",
-                "a symbol bounded below by delta makes the multiplier positive with "
-                "lower bound delta A_F", False, cap=100)
-def check_positive_symbol_coercivity(t: Trials):
+def _positive_symbol_coercivity(t: Trials):
     # delta A_F - lambda_min(M), and True where M is not positive, for the
     # multiplier M of the symbol delta + offsets in [delta, delta + 2)
     m = (t.delta[:, None] + t.offsets).astype(complex)
@@ -1031,32 +744,28 @@ def check_positive_symbol_coercivity(t: Trials):
     return t.delta * t.bounds_F.lower - lam_min, not_positive
 
 
-def check_unbounded_norm_growth(cfg: SuiteConfig) -> Check:
+# ---------------------------------------------------------------------------
+# the measures of the config rows: functions of the configuration
+# ---------------------------------------------------------------------------
+
+def _unbounded_norm_growth(cfg: SuiteConfig) -> tuple:
     h = _complex("d")(_rng(cfg.seed, 123), cfg, 1)[0]
     norms = [fr.norm_bound(fr.scaled_singleton(uniform_grid_1d(0.0, 1.0, n), h))
              for n in (100, 1000, 10000)]
-    ratios = [b / a for a, b in zip(norms, norms[1:])]
-    floor = cfg.tol("unbounded_norm_growth")
-    measured = min(ratios)
-    return _check(cfg, "unbounded_norm_growth",
-                  "largest vector norm grows by at least 1.5x per grid decade",
-                  measured, floor, measured >= floor,
-                  detail=f"norms {['%.4g' % v for v in norms]}")
+    return (min(b / a for a, b in zip(norms, norms[1:])),
+            f"norms {['%.4g' % v for v in norms]}")
 
 
-def check_unbounded_bessel_cap(cfg: SuiteConfig) -> Check:
+def _unbounded_bessel_cap(cfg: SuiteConfig) -> float:
     h = _complex("d")(_rng(cfg.seed, 124), cfg, 1)[0]
     hsq = float(np.linalg.norm(h) ** 2)
-    worst = -math.inf
+    caps = []
     for n in (100, 1000, 10000):
         grid = uniform_grid_1d(0.0, 1.0, n)
-        S = fr.scaled_singleton(grid, h)
         quad = float(np.sum(grid.weights
                             * fr.unbounded_amplitude(grid.points[:, 0]) ** 2))
-        worst = max(worst, fr.frame_bounds(S).upper - hsq * quad)
-    return _within(cfg, "unbounded_bessel_cap",
-                   "Bessel bound stays below ||h||^2 times the amplitude "
-                   "quadrature on every refinement", worst)
+        caps.append(fr.frame_bounds(fr.scaled_singleton(grid, h)).upper - hsq * quad)
+    return _max(-math.inf, caps)
 
 
 def _by_size(cfg: SuiteConfig, key: int, sizes, per_trial: int = 1) -> list:
@@ -1078,12 +787,12 @@ def _worst(groups, entries: Callable, measure: Callable) -> float:
     """The max from 0 of measure(d, *stacks) over each size group (d, *arrays)
     in trial order, every array of a group cut into stacks of at most
     max(1, STACK_ENTRIES // entries(d)) trials."""
-    worst = 0.0
-    for d, *arrays in groups:
-        size = max(1, STACK_ENTRIES // entries(d))
-        for i in range(0, len(arrays[0]), size):
-            worst = max(worst, *measure(d, *(a[i:i + size] for a in arrays)).tolist())
-    return worst
+    def stacks():
+        for d, *arrays in groups:
+            size = max(1, STACK_ENTRIES // entries(d))
+            for i in range(0, len(arrays[0]), size):
+                yield measure(d, *(a[i:i + size] for a in arrays))
+    return _max(0.0, stacks())
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -1099,27 +808,10 @@ def _tightness(d: int, windows: np.ndarray) -> np.ndarray:
     return hb.operator_norm(S - gsq[:, None, None] * np.eye(d)) / gsq
 
 
-def check_gabor_tightness(cfg: SuiteConfig) -> Check:
-    worst = _worst(_by_size(cfg, 131, np.repeat([4, 8, 16, 64], 20)),
-                   lambda d: d * d, _tightness)
-    return _within(cfg, "gabor_tightness",
-                   "cyclic Gabor frame operator is exactly ||g||^2 times the "
-                   "identity", worst)
-
-
 def _stft_matches(d: int, pairs: np.ndarray) -> np.ndarray:
     g, f = pairs[:, 0], pairs[:, 1]
     direct = fr.coefficients(tf.gabor_vectors(g), f)
     return np.max(np.abs(tf.stft_coefficients(f, g) - direct), axis=-1)
-
-
-def check_stft_matches_analysis(cfg: SuiteConfig) -> Check:
-    # the dense oracle holds d^3 entries an instance
-    worst = _worst(_by_size(cfg, 132, _sizes(cfg, 132, [4, 8, 16], 20), 2),
-                   lambda d: d**3, _stft_matches)
-    return _within(cfg, "stft_matches_analysis",
-                   "transform coefficients equal frame analysis entrywise",
-                   worst)
 
 
 def _stft_energy(d: int, pairs: np.ndarray) -> np.ndarray:
@@ -1131,26 +823,9 @@ def _stft_energy(d: int, pairs: np.ndarray) -> np.ndarray:
     return np.abs(energy - expected) / expected
 
 
-def check_stft_energy(cfg: SuiteConfig) -> Check:
-    worst = _worst(_by_size(cfg, 133, _sizes(cfg, 133, [4, 8, 16], 50), 2),
-                   lambda d: d * d, _stft_energy)
-    return _within(cfg, "stft_energy",
-                   "weighted coefficient energy equals ||g||^2 ||f||^2",
-                   worst)
-
-
 def _stft_orthogonality(d: int, quadruples: np.ndarray) -> np.ndarray:
     quadruples = quadruples / np.linalg.norm(quadruples, axis=-1, keepdims=True)
     return tf.stft_orthogonality_residual(*np.moveaxis(quadruples, 1, 0))
-
-
-def check_stft_orthogonality(cfg: SuiteConfig) -> Check:
-    # two transforms of d^2 coefficients an instance
-    worst = _worst(_by_size(cfg, 134, _sizes(cfg, 134, [4, 8, 16], 100), 4),
-                   lambda d: 2 * d * d, _stft_orthogonality)
-    return _within(cfg, "stft_orthogonality",
-                   "coefficient pairing of two windows factors into the two "
-                   "inner products", worst)
 
 
 def _shift_unitarity(d: int, vectors: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -1159,13 +834,11 @@ def _shift_unitarity(d: int, vectors: np.ndarray, shifts: np.ndarray) -> np.ndar
     return np.abs(hb.norm(shifted) - hb.norm(x))
 
 
-def check_tf_shift_unitarity(cfg: SuiteConfig) -> Check:
+def _tf_shift_unitarity(cfg: SuiteConfig) -> float:
     shifts = _rng(cfg.seed, 135, 2)
     groups = [(d, vectors, shifts.integers(0, d, size=(len(vectors), 2)))
               for d, vectors in _by_size(cfg, 135, _sizes(cfg, 135, [4, 8, 16, 32], 100))]
-    return _within(cfg, "tf_shift_unitarity",
-                   "time and frequency shifts preserve norms",
-                   _worst(groups, lambda d: d, _shift_unitarity))
+    return _worst(groups, lambda d: d, _shift_unitarity)
 
 
 def _admissibility(wavelet: tf.WaveletSpec) -> float:
@@ -1174,32 +847,27 @@ def _admissibility(wavelet: tf.WaveletSpec) -> float:
         wavelet, tf.log_freq_grid(1e-3, 10.0, 2000, two_sided=True))
 
 
-def check_admissibility_oracle(cfg: SuiteConfig) -> Check:
+def _admissibility_oracle(cfg: SuiteConfig) -> tuple:
     value = _admissibility(tf.WaveletSpec())
-    return _within(cfg, "admissibility_oracle",
-                   "quadrature admissibility constant matches the closed form 1/4",
-                   abs(value - 0.25), detail=f"value {value!r}")
+    return abs(value - 0.25), f"value {value!r}"
 
 
-def check_admissibility_scaling(cfg: SuiteConfig) -> Check:
+def _admissibility_scaling(cfg: SuiteConfig) -> float:
     base = _admissibility(tf.WaveletSpec())
     worst = 0.0
     for c in (0.5, 2.0, 3.0 + 4.0j):
         value = _admissibility(tf.WaveletSpec(
             "given-fourier", lambda g, c=c: c * tf.mexican_hat_fourier(g)))
         worst = max(worst, abs(value - abs(c) ** 2 * base) / (abs(c) ** 2 * base))
-    return _within(cfg, "admissibility_scaling",
-                   "scaling the profile by c scales the constant by |c|^2", worst)
+    return worst
 
 
-def check_admissibility_phase_invariance(cfg: SuiteConfig) -> Check:
+def _admissibility_phase_invariance(cfg: SuiteConfig) -> float:
     base = _admissibility(tf.WaveletSpec())
     value = _admissibility(tf.WaveletSpec(
         "given-fourier",
         lambda g: tf.mexican_hat_fourier(g) * np.exp(1j * np.sign(g) * 0.7)))
-    return _within(cfg, "admissibility_phase_invariance",
-                   "the constant depends on the profile modulus only",
-                   abs(value - base) / base)
+    return abs(value - base) / base
 
 
 @functools.lru_cache(maxsize=1)
@@ -1213,56 +881,42 @@ def _small_wavelet_setup():
     return d, grid, wavelet, S, S_freq
 
 
-def check_wavelet_diagonality(cfg: SuiteConfig) -> Check:
+def _wavelet_diagonality(cfg: SuiteConfig) -> float:
     _, _, _, _, S_freq = _small_wavelet_setup()
     diag_scale = float(np.max(np.abs(np.diagonal(S_freq))))
     off = S_freq - np.diag(np.diagonal(S_freq))
-    measured = float(np.max(np.abs(off))) / diag_scale
-    return _within(cfg, "wavelet_diagonality",
-                   "frame operator is diagonal in the frequency basis under a "
-                   "full uniform shift grid", measured)
+    return float(np.max(np.abs(off))) / diag_scale
 
 
-def check_wavelet_diagonal_oracle(cfg: SuiteConfig) -> Check:
+def _wavelet_diagonal_oracle(cfg: SuiteConfig) -> float:
     d, grid, wavelet, _, S_freq = _small_wavelet_setup()
     oracle = tf.scale_profile(wavelet, grid, d)
     diag = np.real(np.diagonal(S_freq))
-    measured = float(np.max(np.abs(diag - oracle)) / np.max(oracle))
-    return _within(cfg, "wavelet_diagonal_oracle",
-                   "frequency-basis diagonal matches the per-frequency scale "
-                   "quadrature", measured)
+    return float(np.max(np.abs(diag - oracle)) / np.max(oracle))
 
 
-def check_wavelet_band_constant(cfg: SuiteConfig) -> Check:
+def _wavelet_band_constant(cfg: SuiteConfig) -> float:
     d, grid, wavelet, _, S_freq = _small_wavelet_setup()
     c_plus = tf.positive_axis_constant(wavelet)
     freqs = tf.dft_frequencies(d)
     band = (np.abs(freqs) >= 1.0) & (np.abs(freqs) <= 9.0)
     diag = np.real(np.diagonal(S_freq))
-    measured = float(np.max(np.abs(diag[band] / c_plus - 1.0)))
-    return _within(cfg, "wavelet_band_constant",
-                   "well-covered diagonal entries match the positive-axis "
-                   "admissibility constant", measured)
+    return float(np.max(np.abs(diag[band] / c_plus - 1.0)))
 
 
-def check_wavelet_shift_commutation(cfg: SuiteConfig) -> Check:
+def _wavelet_shift_commutation(cfg: SuiteConfig) -> float:
     d, _, _, S, _ = _small_wavelet_setup()
     shift = np.roll(np.eye(d), 1, axis=0)
-    measured = hb.operator_norm(S @ shift - shift @ S) / hb.operator_norm(S)
-    return _within(cfg, "wavelet_shift_commutation",
-                   "frame operator commutes with the one-step cyclic shift", measured)
+    return hb.operator_norm(S @ shift - shift @ S) / hb.operator_norm(S)
 
 
-def check_wavelet_column_norms(cfg: SuiteConfig) -> Check:
+def _wavelet_column_norms(cfg: SuiteConfig) -> float:
     d = 32
     n_a, n_b = 8, 16
     grid = wavelet_grid(0.25, 2.0, n_a, 0.0, 1.0, n_b)
     W = tf.wavelet_frame(tf.WaveletSpec(), grid, d)
     norms = np.linalg.norm(W.vectors, axis=0).reshape(n_a, n_b)
-    measured = float(np.max(np.ptp(norms, axis=1) / np.max(norms, axis=1)))
-    return _within(cfg, "wavelet_column_norms",
-                   "column norms do not depend on the shift coordinate",
-                   measured)
+    return float(np.max(np.ptp(norms, axis=1) / np.max(norms, axis=1)))
 
 
 def _calderon_study(wavelet: tf.WaveletSpec, d: int, a_min: float, a_max: float,
@@ -1280,67 +934,274 @@ def _calderon_study(wavelet: tf.WaveletSpec, d: int, a_min: float, a_max: float,
     return c_plus, coarse, fine
 
 
-def _default_calderon_study(cfg: SuiteConfig) -> tuple[float, float, float]:
-    """_calderon_study of the default wavelet on CALDERON_DEFAULTS, computed
-    once per run for both Calderon checks."""
-    return _per_run(cfg, "calderon",
-                    lambda: _calderon_study(tf.WaveletSpec(), **CALDERON_DEFAULTS))
+@functools.lru_cache(maxsize=1)
+def _default_calderon_study() -> tuple[float, float, float]:
+    """_calderon_study of the default wavelet on CALDERON_DEFAULTS: it reads
+    no input, so a process computes it once for both Calderon checks."""
+    return _calderon_study(tf.WaveletSpec(), **CALDERON_DEFAULTS)
 
 
-def check_calderon_default(cfg: SuiteConfig) -> Check:
-    _, residual, _ = _default_calderon_study(cfg)
-    return _within(cfg, "calderon_default",
-                   "reconstruction residual at the default grid stays under 2%",
-                   residual)
+def _calderon_refinement(cfg: SuiteConfig) -> tuple:
+    _, coarse, fine = _default_calderon_study()
+    return coarse / fine, f"residuals {coarse!r} -> {fine!r}"
 
 
-def check_calderon_refinement(cfg: SuiteConfig) -> Check:
-    _, coarse, fine = _default_calderon_study(cfg)
-    ratio = coarse / fine
-    upper = cfg.tol("calderon_refinement")
-    return _check(cfg, "calderon_refinement",
-                  "doubling the scale count shrinks the residual by a factor "
-                  "in [1.5, 3]", ratio, upper, 1.5 <= ratio <= upper,
-                  detail=f"residuals {coarse!r} -> {fine!r}")
+# ---------------------------------------------------------------------------
+# the check table
+# ---------------------------------------------------------------------------
+
+class Row(NamedTuple):
+    """A check: its suite, the claim it verifies, its default tolerance, its
+    gate and its measure.  A stacked row's measure reads trial contexts of
+    its draw ``kind``, min(cfg.trials, cap) trials; a config row (no kind)
+    has a measure of the configuration."""
+
+    suite: str
+    claim: str
+    tolerance: float
+    gate: str
+    measure: Callable
+    kind: Kind | None = None
+    cap: int | None = None
+
+    def replay(self, cfg: SuiteConfig, trial: int) -> Trials:
+        """The context of trial ``trial`` alone: the last row of trials
+        0..trial, drawn as one chunk."""
+        return Trials(self.kind, cfg, range(trial + 1)).part(slice(trial, trial + 1))
 
 
-SUITE_CHECKS = {suite: [globals()[f"check_{check_id}"] for check_id in checks]
-                for suite, checks in SUITE_TOLERANCES.items()}
+# every check in report order: the suites in the order of SUITES
+CHECKS: dict[str, Row] = {
+    "frame_factorization": Row(
+        "identities", "frame operator equals synthesis composed with analysis", 1e-12,
+        MAX0, _frame_factorization, PLAIN),
+    "reconstruction": Row(
+        "identities", "canonical dual reconstructs every vector from analysis by F",
+        1e-10, MAX0, _item("dual", 0), PLAIN),
+    "reconstruction_swapped": Row(
+        "identities", "F reconstructs every vector from analysis by the canonical dual",
+        1e-10, MAX0, _item("dual", 1), PLAIN),
+    "multiplier_adjoint": Row(
+        "identities",
+        "adjoint of the multiplier is the conjugate-symbol multiplier with frames swapped",
+        1e-12, MAX0, _multiplier_adjoint, PLAIN),
+    "difference_symbol": Row(
+        "identities",
+        "difference of multipliers equals the multiplier of the symbol difference",
+        1e-12, MAX0, _difference(lambda t: (
+            fr.weighted_gram(t.G, t.w * t.symbol, t.F),
+            fr.weighted_gram(t.G, t.w * (t.m - t.symbol), t.F))), PLAIN),
+    "difference_analysis": Row(
+        "identities",
+        "difference over analysis frames equals the multiplier of the frame difference",
+        1e-12, MAX0, _difference(lambda t: (
+            fr.weighted_gram(t.G, t.w * t.m, t.vectors),
+            fr.weighted_gram(t.G, t.w * t.m, t.F - t.vectors))), PLAIN),
+    "difference_synthesis": Row(
+        "identities",
+        "difference over synthesis frames equals the multiplier of the frame difference",
+        1e-12, MAX0, _difference(lambda t: (
+            fr.weighted_gram(t.vectors, t.w * t.m, t.F),
+            fr.weighted_gram(t.G - t.vectors, t.w * t.m, t.F))), PLAIN),
+    "weighted_identity": Row(
+        "identities",
+        "multiplier with a nonnegative symbol is the frame operator of the reweighted frame",
+        1e-12, MAX0, _weighted_identity, PLAIN),
+    "canonical_dual_pair": Row(
+        "identities", "frame and its canonical dual synthesize the identity", 1e-10,
+        MAX0, _item("dual", 2), PLAIN),
+    "dual_bounds_inverse": Row(
+        "identities", "canonical dual bounds are the reciprocals (1/B, 1/A)", 1e-10,
+        MAX0, _item("dual", 3), PLAIN),
+    "frame_iff_invertible": Row(
+        "identities", "frame property coincides with invertibility of the frame operator",
+        0.0, COUNT, _frame_iff_invertible, HALF_DEFICIENT),
+    "bessel_inequality": Row(
+        "bounds", "weighted coefficient energy lies between the optimal bounds times ||f||^2",
+        1e-10, MAX0, _bessel_inequality, PLAIN),
+    "bessel_sharpness": Row(
+        "bounds", "the top eigenvector attains the upper bound with equality", 1e-10,
+        MAX0, _bessel_sharpness, PLAIN),
+    "op_norm_budget": Row(
+        "bounds", "operator norm is at most sup|m| sqrt(B_F B_G)", 1e-10, MAX,
+        _budget(math.inf), PLAIN),
+    "trace_budget": Row(
+        "bounds", "trace norm is at most ||m||_1 L_F L_G", 1e-10, MAX, _budget(1.0), PLAIN),
+    "schatten_budget_p15": Row(
+        "bounds", "Schatten 1.5-norm stays under its interpolation budget", 1e-10, MAX,
+        _budget(1.5), PLAIN),
+    "schatten_budget_p2": Row(
+        "bounds", "Hilbert-Schmidt norm stays under its interpolation budget", 1e-10, MAX,
+        _budget(2.0), PLAIN),
+    "schatten_budget_p3": Row(
+        "bounds", "Schatten 3-norm stays under its interpolation budget", 1e-10, MAX,
+        _budget(3.0), PLAIN),
+    "schatten_monotonicity": Row(
+        "bounds", "Schatten norms are nonincreasing in p", 1e-10, MAX0,
+        lambda t: np.diff(t.budgets[0], axis=-1), PLAIN),
+    "perturb_upper": Row(
+        "bounds", "upper bound of G + eps F is at most 2 (B_G + eps^2 B_F)", 1e-10, MAX,
+        _perturb_upper, PLAIN),
+    "perturb_lower": Row(
+        "bounds", "lower bound of G + eps F is at least (sqrt(A_G) - eps sqrt(B_F))^2 "
+        "for small eps", 1e-10, MAX, _perturb_lower, PLAIN),
+    "discrete_bessel_norm_bound": Row(
+        "bounds", "with unit weights every frame vector norm is at most sqrt(B)", 1e-10,
+        MAX, _discrete_bessel_norm_bound, PLAIN),
+    "unbounded_norm_growth": Row(
+        "bounds", "largest vector norm grows by at least 1.5x per grid decade", 1.5,
+        FLOOR, _unbounded_norm_growth),
+    "unbounded_bessel_cap": Row(
+        "bounds", "Bessel bound stays below ||h||^2 times the amplitude quadrature on "
+        "every refinement", 1e-10, MAX, _unbounded_bessel_cap),
+    "truncation_budget": Row(
+        "convergence", "truncated-symbol deviation stays under sup|m - m_n| sqrt(B_F B_G)",
+        1e-10, MAX, _item("truncation", 0), PLAIN, 50),
+    "truncation_monotone": Row(
+        "convergence", "nested truncations decrease the deviation monotonically to zero",
+        1e-10, MAX, _item("truncation", 1), PLAIN, 50),
+    "symbol_convergence_p1": Row(
+        "convergence", "trace-norm deviation tracks the L1 distance of the symbols",
+        1e-10, MAX, _item("convergence", 0), PLAIN, 20),
+    "symbol_convergence_p2": Row(
+        "convergence", "Hilbert-Schmidt deviation tracks the L2 distance of the symbols",
+        1e-10, MAX, _item("convergence", 1), PLAIN, 20),
+    "symbol_convergence_pinf": Row(
+        "convergence", "operator-norm deviation tracks the sup distance of the symbols",
+        1e-10, MAX, _item("convergence", 2), PLAIN, 20),
+    "frame_uniform_l2": Row(
+        "convergence", "uniform frame perturbation is dominated by eps ||m||_2 sqrt(B_G)",
+        1e-10, MAX, _item("convergence", 3), PLAIN, 20),
+    "frame_uniform_l1": Row(
+        "convergence", "uniform frame perturbation is dominated by eps ||m||_1 L_G",
+        1e-10, MAX, _item("convergence", 4), PLAIN, 20),
+    "gabor_tightness": Row(
+        "gabor", "cyclic Gabor frame operator is exactly ||g||^2 times the identity",
+        1e-10, MAX0, lambda cfg: _worst(
+            _by_size(cfg, 131, np.repeat([4, 8, 16, 64], 20)), lambda d: d * d,
+            _tightness)),
+    # the dense oracle holds d^3 entries an instance
+    "stft_matches_analysis": Row(
+        "gabor", "transform coefficients equal frame analysis entrywise", 1e-12, MAX0,
+        lambda cfg: _worst(_by_size(cfg, 132, _sizes(cfg, 132, [4, 8, 16], 20), 2),
+                           lambda d: d**3, _stft_matches)),
+    "stft_energy": Row(
+        "gabor", "weighted coefficient energy equals ||g||^2 ||f||^2", 1e-10, MAX0,
+        lambda cfg: _worst(_by_size(cfg, 133, _sizes(cfg, 133, [4, 8, 16], 50), 2),
+                           lambda d: d * d, _stft_energy)),
+    # two transforms of d^2 coefficients an instance
+    "stft_orthogonality": Row(
+        "gabor", "coefficient pairing of two windows factors into the two inner products",
+        1e-10, MAX0, lambda cfg: _worst(
+            _by_size(cfg, 134, _sizes(cfg, 134, [4, 8, 16], 100), 4),
+            lambda d: 2 * d * d, _stft_orthogonality)),
+    "tf_shift_unitarity": Row(
+        "gabor", "time and frequency shifts preserve norms", 1e-12, MAX0,
+        _tf_shift_unitarity),
+    "admissibility_oracle": Row(
+        "wavelet", "quadrature admissibility constant matches the closed form 1/4", 1e-4,
+        MAX0, _admissibility_oracle),
+    "admissibility_scaling": Row(
+        "wavelet", "scaling the profile by c scales the constant by |c|^2", 1e-12, MAX0,
+        _admissibility_scaling),
+    "admissibility_phase_invariance": Row(
+        "wavelet", "the constant depends on the profile modulus only", 1e-12, MAX0,
+        _admissibility_phase_invariance),
+    "wavelet_diagonality": Row(
+        "wavelet", "frame operator is diagonal in the frequency basis under a full "
+        "uniform shift grid", 1e-10, MAX0, _wavelet_diagonality),
+    "wavelet_diagonal_oracle": Row(
+        "wavelet", "frequency-basis diagonal matches the per-frequency scale quadrature",
+        1e-10, MAX0, _wavelet_diagonal_oracle),
+    "wavelet_band_constant": Row(
+        "wavelet", "well-covered diagonal entries match the positive-axis admissibility "
+        "constant", 0.02, MAX0, _wavelet_band_constant),
+    "wavelet_shift_commutation": Row(
+        "wavelet", "frame operator commutes with the one-step cyclic shift", 1e-10, MAX0,
+        _wavelet_shift_commutation),
+    "wavelet_column_norms": Row(
+        "wavelet", "column norms do not depend on the shift coordinate", 1e-10, MAX0,
+        _wavelet_column_norms),
+    "calderon_default": Row(
+        "wavelet", "reconstruction residual at the default grid stays under 2%", 0.02,
+        MAX0, lambda cfg: _default_calderon_study()[1]),
+    "calderon_refinement": Row(
+        "wavelet", "doubling the scale count shrinks the residual by a factor in [1.5, 3]",
+        3.0, RANGE, _calderon_refinement),
+    "controlled_factorization": Row(
+        "controlled", "mixed operator equals C S and S C* for self-adjoint commuting "
+        "controls", 1e-12, MAX0, _controlled_factorization, PLAIN, 100),
+    "controlled_bounds_map": Row(
+        "controlled", "controlled bounds are the extremes of phi(lambda) lambda over the "
+        "frame spectrum", 1e-10, MAX0, _controlled_bounds_map, PLAIN, 100),
+    "controlled_spectral_mapping": Row(
+        "controlled", "spectrum of the mixed operator is the mapped frame spectrum, "
+        "relative to max(||L||, 1)", 1e-12, MAX0, _controlled_spectral_mapping, PLAIN, 100),
+    "controlled_positivity": Row(
+        "controlled", "mixed operator of a positive commuting control is positive", 1e-10,
+        COUNT, _controlled_positivity, PLAIN, 100),
+    "controlled_implies_frame": Row(
+        "controlled", "a positive controlled lower bound certifies the frame property",
+        0.0, COUNT, _controlled_implies_frame, PLAIN, 100),
+    "precondition_identity": Row(
+        "controlled", "undoing the controls recovers the plain multiplier", 1e-10, MAX0,
+        _precondition_identity, PLAIN, 100),
+    "weighted_scaling": Row(
+        "weighted", "a constant weight scales both frame bounds by that constant", 1e-12,
+        MAX0, _weighted_scaling, PLAIN, 100),
+    "certificates": Row(
+        "weighted", "all five lower-bound certificates hold on invertible instances",
+        1e-10, MAX_COUNT_SHOWN, _certificates, INVERTIBLE, 100),
+    "multiplier_dual": Row(
+        "weighted", "the frame built from the inverse multiplier is a dual of G", 1e-9,
+        MAX0, _multiplier_dual, INVERTIBLE, 50),
+    "positive_symbol_coercivity": Row(
+        "weighted", "a symbol bounded below by delta makes the multiplier positive with "
+        "lower bound delta A_F", 1e-10, MAX_COUNT, _positive_symbol_coercivity, PLAIN, 100),
+}
 
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _record(cfg: SuiteConfig, check_id: str, stacked: dict) -> Check:
+    """The verdict of a check on its run's ``stacked`` values or its measure."""
+    row = CHECKS[check_id]
+    values = row.measure(cfg) if row.kind is None else stacked[check_id]
+    if isinstance(values, Exception):
+        raise values
+    return verdict(cfg, check_id, values)
+
+
+def run_check(cfg: SuiteConfig, check_id: str) -> Check:
+    """Check ``check_id`` measured afresh on ``cfg``, as run_suite records
+    it; raises what its measure raises."""
+    return _record(cfg, check_id, _stacked_values(cfg, (check_id,)))
+
+
 def run_suite(config: SuiteConfig) -> Report:
     """Run every check of the configured suite and collect a report.
 
-    A check that raises is recorded as failed, with no measured value or
+    The stacked rows of the run are measured together, chunk by chunk.  A
+    check that raises is recorded as failed, with no measured value or
     budget and the exception in its error field; the run continues.  Every
     check that reads a shared quantity that raises records its error.
     """
-    if config.suite == "all":
-        fns = [fn for suite in SUITES[:-1] for fn in SUITE_CHECKS[suite]]
-    else:
-        fns = SUITE_CHECKS[config.suite]
+    check_ids = [c for c, row in CHECKS.items() if config.suite in ("all", row.suite)]
     report = Report(suite=config.suite, seed=config.seed, started=_timestamp())
-    _RUNS.append(_Run(config, tuple(fn.__name__.removeprefix("check_") for fn in fns), {}))
-    try:
-        for fn in fns:
-            try:
-                report.checks.append(fn(config))
-            except Exception as exc:  # keep going; the report carries the failure
-                check_id = fn.__name__.removeprefix("check_")
-                tol = config.tolerances.get(check_id, DEFAULT_TOLERANCES.get(check_id))
-                report.checks.append(Check(
-                    check_id, "check aborted with an exception", None, None,
-                    None if tol is None else float(tol), False,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
-    finally:
-        _RUNS.pop()
+    stacked = _stacked_values(config, check_ids)
+    for check_id in check_ids:
+        try:
+            report.checks.append(_record(config, check_id, stacked))
+        except Exception as exc:  # keep going; the report carries the failure
+            report.checks.append(Check(
+                check_id, "check aborted with an exception", None, None,
+                config.tol(check_id), False, error=f"{type(exc).__name__}: {exc}"))
     report.finished = _timestamp()
     return report
+
+
 
 
 def run_gabor(d: int, window="gaussian", seed: int = 0) -> Report:

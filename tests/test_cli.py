@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,26 +374,29 @@ def reject_constant(token):
 
 
 def test_aborted_checks_write_valid_json(monkeypatch, tmp_path, capsys):
-    def check_gabor_tightness(cfg):
+    def boom(cfg):
         raise RuntimeError("boom")
 
-    def check_unlisted(cfg):
+    def overflow(t):
         raise FloatingPointError("overflow")
 
-    monkeypatch.setitem(suites.SUITE_CHECKS, "gabor",
-                        [check_gabor_tightness, check_unlisted,
-                         suites.check_tf_shift_unitarity])
+    # a config row and a stacked row whose measures raise
+    errors = {"gabor_tightness": (boom, "RuntimeError: boom"),
+              "certificates": (overflow, "FloatingPointError: overflow")}
+    for check_id, (measure, _) in errors.items():
+        monkeypatch.setitem(suites.CHECKS, check_id,
+                            suites.CHECKS[check_id]._replace(measure=measure))
     out = tmp_path / "report.json"
-    assert main(["verify", "--suite", "gabor", "--out", str(out)]) == 1
+    assert main(["verify", "--suite", "all", "--d", "4", "--n", "12", "--trials", "5",
+                 "--out", str(out)]) == 1
     data = json.loads(out.read_text(), parse_constant=reject_constant)
     checks = {c["check_id"]: c for c in data["checks"]}
-    aborted = checks["gabor_tightness"]
-    assert not aborted["pass"]
-    assert aborted["measured"] is None and aborted["budget"] is None
-    assert aborted["tolerance"] == suites.DEFAULT_TOLERANCES["gabor_tightness"]
-    assert aborted["error"] == "RuntimeError: boom"
-    assert checks["unlisted"]["tolerance"] is None
-    assert checks["unlisted"]["error"] == "FloatingPointError: overflow"
+    assert sorted(c for c, check in checks.items() if not check["pass"]) == sorted(errors)
+    for check_id, (_, error) in errors.items():
+        aborted = checks[check_id]
+        assert aborted["measured"] is None and aborted["budget"] is None
+        assert aborted["tolerance"] == suites.CHECKS[check_id].tolerance
+        assert aborted["error"] == error
     assert checks["tf_shift_unitarity"]["pass"]
     assert "error" not in checks["tf_shift_unitarity"]
     assert "measured=n/a budget=n/a" in capsys.readouterr().out
@@ -399,8 +405,25 @@ def test_aborted_checks_write_valid_json(monkeypatch, tmp_path, capsys):
     csv_out = tmp_path / "report.csv"
     assert main(["report", "--in", str(out), "--out", str(csv_out)]) == 1
     row = next(line for line in csv_out.read_text().splitlines()
-               if line.startswith("unlisted,"))
-    assert row.endswith(",,,,false")
+               if line.startswith("gabor_tightness,"))
+    assert row.endswith(",,,1e-10,false")
+
+
+def test_each_suite_has_the_rows_the_benchmark_expects(monkeypatch):
+    # the benchmark counts an expected check id that a report lacks as a
+    # failure, so without this a renamed or dropped row fails only there
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert {row.suite for row in suites.CHECKS.values()} == set(suites.SUITES) - {"all"}
+    for suite in suites.SUITES[:-1]:
+        assert sorted(workloads.SUITE_CHECK_IDS[suite]) == sorted(
+            check_id for check_id, row in suites.CHECKS.items() if row.suite == suite)
+    assert {row.gate for row in suites.CHECKS.values()} == {
+        suites.MAX0, suites.MAX, suites.COUNT, suites.MAX_COUNT, suites.MAX_COUNT_SHOWN,
+        suites.FLOOR, suites.RANGE}
 
 
 def test_frame_iff_invertible_lets_unexpected_errors_abort(monkeypatch):
@@ -409,12 +432,12 @@ def test_frame_iff_invertible_lets_unexpected_errors_abort(monkeypatch):
 
     monkeypatch.setattr(suites.hb, "singular_values", broken_singular_values)
     with pytest.raises(FloatingPointError):
-        suites.check_frame_iff_invertible(SuiteConfig(trials=2, d=3, n_points=8))
+        suites.run_check(SuiteConfig(trials=2, d=3, n_points=8), "frame_iff_invertible")
 
 
 def test_controlled_spectral_mapping_catches_relative_map_error(monkeypatch):
     cfg = SuiteConfig(trials=10)
-    assert suites.check_controlled_spectral_mapping(cfg).passed
+    assert suites.run_check(cfg, "controlled_spectral_mapping").passed
     true_map = ctrl.ControlSpec.spectral_map
 
     def true_controls(specs, S, eigen=None):
@@ -425,7 +448,7 @@ def test_controlled_spectral_mapping_catches_relative_map_error(monkeypatch):
     monkeypatch.setattr(ctrl.ControlSpec, "spectral_map",
                         lambda spec, lam: true_map(spec, lam) * (1 + 1e-10))
     monkeypatch.setattr(ctrl, "spectral_controls", true_controls)
-    check = suites.check_controlled_spectral_mapping(cfg)
+    check = suites.run_check(cfg, "controlled_spectral_mapping")
     assert check.measured > 1e-11
     assert not check.passed
 
@@ -475,8 +498,8 @@ def test_verify_config_with_unknown_key_or_bad_value_exits_2(tmp_path, capsys, p
 
 def test_positive_symbol_coercivity_takes_one_eigvalsh_of_the_multiplier(monkeypatch):
     cfg = SuiteConfig(trials=6, d=4, n_points=12)
-    before = [suites.check_weighted_scaling(cfg),
-              suites.check_positive_symbol_coercivity(cfg)]
+    ids = ("weighted_scaling", "positive_symbol_coercivity")
+    before = [suites.run_check(cfg, check_id) for check_id in ids]
 
     def removed(*args, **kwargs):
         raise AssertionError("is_positive was called")
@@ -491,8 +514,7 @@ def test_positive_symbol_coercivity_takes_one_eigvalsh_of_the_multiplier(monkeyp
     monkeypatch.setattr(suites.hb, "is_positive", removed)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     # outside run_suite each check draws and measures afresh
-    assert [suites.check_weighted_scaling(cfg),
-            suites.check_positive_symbol_coercivity(cfg)] == before
+    assert [suites.run_check(cfg, check_id) for check_id in ids] == before
     assert all(check.passed for check in before)
     # over the stack of the six trials: the frame operator of F and that of
     # its reweighting by 4, then the frame operator of F and the multipliers
@@ -512,5 +534,5 @@ def test_positive_symbol_coercivity_counts_non_hermitian_multipliers(monkeypatch
         return out
 
     monkeypatch.setattr(fr, "weighted_gram", non_hermitian_multipliers)
-    check = suites.check_positive_symbol_coercivity(cfg)
+    check = suites.run_check(cfg, "positive_symbol_coercivity")
     assert check.measured < 0.0 and not check.passed

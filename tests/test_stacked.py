@@ -7,7 +7,7 @@ checks share, each computed once per chunk.  The oracle here is the
 per-trial loop, written with the 2-d API (``frame_bounds``,
 ``canonical_dual``, ``multiplier``, ``bound_budget``, ``make_control``,
 ``controlled_bounds``, ``convergence_experiment``, ...) on each trial's
-instance (``Stacked.replay`` of the check); the stacked values of every
+instance (``Row.replay`` of the check's row); the stacked values of every
 check must equal it exactly.
 """
 
@@ -53,6 +53,7 @@ from contframes.multiplier import (
     truncate_symbol,
 )
 from contframes.cli import main
+from contframes.reporting import Check
 from contframes.suites import (
     HALF_DEFICIENT,
     INVERTIBLE,
@@ -74,7 +75,7 @@ class draws:
     the single-frame API takes it."""
 
     def __init__(self, cfg, check_id, i):
-        self.context = suites.STACKED[check_id].replay(cfg, i)
+        self.context = suites.CHECKS[check_id].replay(cfg, i)
 
     def __getattr__(self, name):
         return getattr(self.context, name)[0]
@@ -365,9 +366,10 @@ def invertible_instance(cfg, check_id, idx):
     and synthesis vectors and the symbol, in turn, from the stream
     [seed, kind, idx, k]."""
     d, n = cfg.d, cfg.n_points
-    kind = suites.STACKED[check_id].kind
+    row = suites.CHECKS[check_id]
+    kind = row.kind
     unfiltered = dataclasses.replace(kind, draw=None, drawn=())
-    t = suites.Stacked(unfiltered, None).replay(cfg, idx)
+    t = row._replace(kind=unfiltered).replay(cfg, idx)
     w, V, W, values = t.w[0], t.F[0], t.G[0], t.m[0]
     for attempt in range(64):
         if attempt:
@@ -454,7 +456,10 @@ def stacked(cfg, check_id):
     """The values of a stacked check, trial by trial; a check that measures a
     value and a verdict per trial gives both, in that order."""
     rows = []
-    for chunk in suites.stacked_values(cfg, check_id):
+    values = suites._stacked_values(cfg, (check_id,))[check_id]
+    if isinstance(values, Exception):
+        raise values
+    for chunk in values:
         parts = chunk if isinstance(chunk, tuple) else (chunk,)
         rows += np.column_stack([np.reshape(p, (len(p), -1)) for p in parts]).tolist()
     return [v for row in rows for v in row]
@@ -464,17 +469,19 @@ ALGEBRA = ("identities", "bounds", "convergence", "controlled", "weighted")
 
 
 def check_ids(suite):
-    return [fn.__name__.removeprefix("check_") for fn in suites.SUITE_CHECKS[suite]]
+    return [c for c, row in suites.CHECKS.items() if row.suite == suite]
+
+
+STACKED = {c for c, row in suites.CHECKS.items() if row.kind is not None}
 
 
 def test_every_trial_loop_of_the_algebra_suites_is_stacked():
     loops = {check_id for name in ALGEBRA for check_id in check_ids(name)}
     # every algebra check reads trial contexts; the two unbounded-family
     # checks loop over three grids, not over trials
-    assert set(suites.STACKED) == loops - {"unbounded_norm_growth",
-                                           "unbounded_bessel_cap"}
-    assert set(ORACLES) == set(suites.STACKED)
-    kinds = {check_id: row.kind for check_id, row in suites.STACKED.items()}
+    assert STACKED == loops - {"unbounded_norm_growth", "unbounded_bessel_cap"}
+    assert set(ORACLES) == STACKED
+    kinds = {check_id: suites.CHECKS[check_id].kind for check_id in STACKED}
     assert {c for c, kind in kinds.items() if kind is not PLAIN} == {
         "frame_iff_invertible", "certificates", "multiplier_dual"}
     assert kinds["frame_iff_invertible"] is HALF_DEFICIENT
@@ -519,7 +526,7 @@ def test_stacked_dual_refuses_non_frames_like_canonical_dual():
 
 
 @pytest.mark.parametrize("check_id", sorted(
-    c for c in suites.STACKED
+    c for c in STACKED
     if c.startswith("controlled") or c == "precondition_identity"))
 def test_stacked_controls_refuse_non_frames_like_make_control(check_id):
     cfg = SuiteConfig(seed=13, d=8, n_points=4, trials=3)
@@ -528,6 +535,63 @@ def test_stacked_controls_refuse_non_frames_like_make_control(check_id):
     with pytest.raises(NotAFrameError) as single:
         ORACLES[check_id](cfg, 0)
     assert str(from_stack.value) == str(single.value)
+
+
+# ---------------------------------------------------------------------------
+# the gates of the check table
+# ---------------------------------------------------------------------------
+
+def above(x):
+    return float(np.nextafter(x, math.inf))
+
+
+def below(x):
+    return float(np.nextafter(x, -math.inf))
+
+
+@pytest.mark.parametrize("check_id,values,measured,passed,detail", [
+    # max from 0 <= tol: the tolerance passes, the next float up fails
+    ("frame_factorization", [np.array([0.0, 1e-12])], 1e-12, True, ""),
+    ("frame_factorization", [np.array([1e-13]), np.array([above(1e-12)])],
+     above(1e-12), False, ""),
+    # all-negative values fold to 0
+    ("bessel_inequality", [np.array([[[-1.0, -2.0]]]), np.array([[[-3.0, -0.5]]])],
+     0.0, True, ""),
+    ("schatten_monotonicity", [np.array([[-4.0, -1.0, -0.5, -2.0]])], 0.0, True, ""),
+    # max from -inf <= tol: negative values stay
+    ("op_norm_budget", [np.array([-3.0, -2.0])], -2.0, True, ""),
+    ("op_norm_budget", [np.array([-3.0]), np.array([1e-10])], 1e-10, True, ""),
+    ("op_norm_budget", [np.array([above(1e-10)])], above(1e-10), False, ""),
+    # count == 0: the number of failing trials
+    ("frame_iff_invertible", [np.array([False, False]), np.array([False])], 0.0, True, ""),
+    ("frame_iff_invertible", [np.array([False, False]), np.array([True])], 1.0, False, ""),
+    # both, on (value, failing) pairs; the certificates report the count
+    ("certificates", [(np.array([-1.0, 1e-10]), np.array([False, False]))], 1e-10, True,
+     "0 failing instance(s)"),
+    ("certificates", [(np.array([-1.0]), np.array([False])),
+                      (np.array([-2.0]), np.array([True]))], -1.0, False,
+     "1 failing instance(s)"),
+    ("certificates", [(np.array([above(1e-10)]), np.array([False]))], above(1e-10), False,
+     "0 failing instance(s)"),
+    ("positive_symbol_coercivity", [(np.array([-1.0]), np.array([True]))], -1.0, False, ""),
+    # config rows: the value, or the value and a detail
+    ("wavelet_diagonality", 1e-10, 1e-10, True, ""),
+    ("wavelet_diagonality", above(1e-10), above(1e-10), False, ""),
+    ("admissibility_oracle", (above(1e-4), "value 0.25"), above(1e-4), False, "value 0.25"),
+    ("unbounded_bessel_cap", -5.0, -5.0, True, ""),
+    # >= floor
+    ("unbounded_norm_growth", (1.5, "norms"), 1.5, True, "norms"),
+    ("unbounded_norm_growth", (below(1.5), "norms"), below(1.5), False, "norms"),
+    # in [1.5, tol]
+    ("calderon_refinement", 1.5, 1.5, True, ""),
+    ("calderon_refinement", 3.0, 3.0, True, ""),
+    ("calderon_refinement", below(1.5), below(1.5), False, ""),
+    ("calderon_refinement", above(3.0), above(3.0), False, ""),
+])
+def test_verdict_gates_at_their_boundaries(check_id, values, measured, passed, detail):
+    row = suites.CHECKS[check_id]
+    assert suites.verdict(SuiteConfig(), check_id, values) == Check(
+        check_id, row.claim, measured, row.tolerance, row.tolerance, passed, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +609,7 @@ def test_truncation_cuts_are_nested(n):
 def test_truncation_monotone_holds_on_few_points(n):
     # the cuts n // 4 and n // 2 used to be 0 here, an empty symbol between
     # nonempty ones, so the deviation rose and the check failed
-    check = suites.check_truncation_monotone(SuiteConfig(d=2, n_points=n, trials=5))
+    check = suites.run_check(SuiteConfig(d=2, n_points=n, trials=5), "truncation_monotone")
     assert check.passed and check.measured == 0.0
 
 
@@ -575,11 +639,10 @@ def test_each_family_draws_and_measures_once_per_configuration(monkeypatch):
     # every check of every suite reads the contexts of the same three chunks
     monkeypatch.setattr(suites, "STACK_ENTRIES", 7 * 4 * 12)
     cfg = SuiteConfig(suite="all", d=4, n_points=12, trials=20)
-    expected = {check_id: getattr(suites, f"check_{check_id}")(cfg)
-                for check_id in suites.STACKED}
+    # run_check measures each check afresh, as run_suite records it
+    expected = [suites.run_check(cfg, check_id) for check_id in suites.CHECKS]
     calls = recorded_evaluations(monkeypatch)
-    checks = {c.check_id: c for c in run_suite(cfg).checks}
-    assert all(checks[check_id] == check for check_id, check in expected.items())
+    assert run_suite(cfg).checks == expected
     # each role of a kind drawn and each quantity computed once a chunk
     assert len(set(calls)) == len(calls)
     assert {start for _, start, _ in calls} == {0, 7, 14}
@@ -649,7 +712,7 @@ def test_back_to_back_runs_measure_their_own_configurations():
                                                   trials=3, seed=1)]
     runs = [run_suite(cfg).checks for cfg in configs]
     for cfg, checks in zip(configs, runs):
-        assert checks == [fn(cfg) for fn in suites.SUITE_CHECKS["convergence"]]
+        assert checks == [suites.run_check(cfg, c) for c in check_ids("convergence")]
     for first, second in zip(runs, runs[1:]):
         assert [c.measured for c in first] != [c.measured for c in second]
 
@@ -663,8 +726,8 @@ def test_truncation_checks_fold_the_steps_like_the_per_trial_loops(d, n):
         budget = max(budget, max(a - b for a, b in zip(measured, budgets)))
         rise = max(b - a for a, b in zip(measured, measured[1:]))
         monotone = max(monotone, rise, measured[-1])
-    assert suites.check_truncation_budget(cfg).measured == budget
-    assert suites.check_truncation_monotone(cfg).measured == monotone
+    assert suites.run_check(cfg, "truncation_budget").measured == budget
+    assert suites.run_check(cfg, "truncation_monotone").measured == monotone
 
 
 @pytest.mark.parametrize("suite,per_trial", [
@@ -741,14 +804,19 @@ def test_suite_all_reports_the_checks_of_every_suite():
     assert run_suite(SuiteConfig(suite="all", **cfg)).checks == union
 
 
-def test_calderon_checks_read_one_study_per_run(monkeypatch):
+def test_calderon_checks_read_one_study_per_process(monkeypatch):
     cfg = SuiteConfig(suite="wavelet")
     expected = run_suite(cfg).checks
     study = suites._calderon_study
     calls = []
     monkeypatch.setattr(suites, "_calderon_study",
                         lambda *args, **kwargs: calls.append(args) or study(*args, **kwargs))
-    assert run_suite(cfg).checks == expected
+    suites._default_calderon_study.cache_clear()
+    try:
+        # two runs and both Calderon checks of each read one study
+        assert run_suite(cfg).checks == run_suite(cfg).checks == expected
+    finally:
+        suites._default_calderon_study.cache_clear()
     assert len(calls) == 1
 
 
@@ -783,6 +851,8 @@ def dense_convergence(kind, m, F, G, schedule, p=None):
 
 
 def dense_certificates(m, F, G):
+    # ||M^-1|| as the norm of the inverse; the API takes 1 / sigma_min(M), so
+    # floors 1 and 2 agree to rounding only
     inv_norm = float(hb.singular_values(hb.invert(multiplier(m, F, G)))[0])
     bf, bg = fr.frame_bounds(F), fr.frame_bounds(G)
     bmf = fr.frame_bounds(fr.SampledFrame(F.space, F.vectors * m.values.conj()))
@@ -809,7 +879,11 @@ def test_single_instance_api_equals_its_dense_form(d, n):
             assert [(s.epsilon, s.measured, s.budget) for s in report.steps] == (
                 dense_convergence(kind, m, F, G, schedule, p))
         parts = lower_bound_certificates(m, F, G).parts
-        assert [(c.measured, c.floor) for c in parts] == dense_certificates(m, F, G)
+        dense = dense_certificates(m, F, G)
+        assert [c.measured for c in parts] == [value for value, _ in dense]
+        assert [c.floor for c in parts[2:]] == [floor for _, floor in dense[2:]]
+        assert [c.floor for c in parts[:2]] == pytest.approx(
+            [floor for _, floor in dense[:2]], rel=1e-12, abs=0.0)
         values = m.values
         m_inv = hb.invert(multiplier(m, F, G))
         assert np.array_equal(bits(dual_from_multiplier(m, F, G).vectors),
@@ -983,7 +1057,7 @@ def test_stacked_invertible_draws_retry_like_the_per_trial_loop(monkeypatch):
 
 def test_stacked_instances_equal_random_instance():
     cfg = SuiteConfig(seed=2, d=3, n_points=5)
-    assert suites.STACKED["multiplier_adjoint"].kind is PLAIN
+    assert suites.CHECKS["multiplier_adjoint"].kind is PLAIN
     t = suites.Trials(PLAIN, cfg, range(4))
     for i in range(4):
         mi, Fi, Gi = random_instance(2, PLAIN.number, i, 3, 5)
