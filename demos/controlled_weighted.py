@@ -18,9 +18,9 @@ from contframes import (
     frame_operator,
     lower_bound_certificates,
     make_control,
-    multiplier,
     precondition_identity_residual,
 )
+from contframes.multiplier import multiplier
 
 rng = np.random.default_rng(11)
 n, d = 32, 5

@@ -15,9 +15,9 @@ from contframes import (
     convergence_experiment,
     diag_singular_values,
     frame_operator,
-    multiplier,
     truncate_symbol,
 )
+from contframes.multiplier import multiplier
 
 rng = np.random.default_rng(7)
 n, d = 40, 6

@@ -26,7 +26,6 @@ from .measure import (
     integrate,
     lp_norm,
     partition,
-    product_grid_2d,
     same_space,
     uniform_grid_1d,
     wavelet_grid,
@@ -39,10 +38,8 @@ from .hilbert import (
     invert,
     is_positive,
     operator_norm,
-    random_onb,
     schatten_norm,
     singular_values,
-    trace_abs_over_basis,
 )
 from .frame import (
     FrameBounds,
@@ -72,7 +69,6 @@ from .multiplier import (
     diag_singular_values,
     dual_from_multiplier,
     lower_bound_certificates,
-    multiplier,
     truncate_symbol,
 )
 from .tf_frames import (

@@ -225,33 +225,6 @@ def invert(T, sigma=None) -> np.ndarray:
     return np.linalg.inv(T)
 
 
-def trace_abs_over_basis(T, onb) -> float:
-    """sum_n |<T e_n, e_n>| over an orthonormal basis (checked to 1e-10)."""
-    T = _as_operator(T)
-    E = np.column_stack([np.asarray(e, dtype=complex).ravel() for e in onb])
-    if E.shape != T.shape:
-        raise ShapeMismatchError(
-            f"basis of {E.shape[1]} vectors of dim {E.shape[0]} for operator {T.shape}"
-        )
-    gram = E.conj().T @ E
-    if operator_norm(gram - np.eye(E.shape[1])) > 1e-10:
-        raise ContractViolationError("basis is not orthonormal to 1e-10")
-    return float(np.sum(np.abs(np.diagonal(E.conj().T @ T @ E))))
-
-
-def random_onb(d: int, seed) -> list[np.ndarray]:
-    """Deterministic random orthonormal basis of C^d (list of d vectors)."""
-    if d < 1:
-        raise InvalidParameterError(f"need d >= 1, got {d}")
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    Q, R = np.linalg.qr(A)
-    # fix the column phases so the basis is unique, not just QR-dependent
-    diag = np.diagonal(R)
-    Q = Q * (diag / np.abs(diag))
-    return [Q[:, j].copy() for j in range(d)]
-
-
 def operator_to_dict(T) -> dict:
     T = _as_operator(T)
     return {

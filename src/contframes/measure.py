@@ -171,22 +171,6 @@ def uniform_grid_1d(a: float, b: float, n: int) -> MeasureSpace:
     return MeasureSpace(mids[:, None], np.full(n, width))
 
 
-def product_grid_2d(ax: float, bx: float, nx: int,
-                    ay: float, by: float, ny: int) -> MeasureSpace:
-    """Tensor midpoint grid on the rectangle [ax, bx] x [ay, by].
-
-    Points are enumerated x-major; every cell carries the same area weight.
-    """
-    if not (ax < bx) or not (ay < by) or nx < 1 or ny < 1:
-        raise InvalidDomainError("degenerate rectangle or empty grid")
-    gx = uniform_grid_1d(ax, bx, nx)
-    gy = uniform_grid_1d(ay, by, ny)
-    xs = np.repeat(gx.points[:, 0], ny)
-    ys = np.tile(gy.points[:, 0], nx)
-    cell = (bx - ax) * (by - ay) / (nx * ny)
-    return MeasureSpace(np.column_stack([xs, ys]), np.full(nx * ny, cell))
-
-
 def wavelet_grid(a_min: float, a_max: float, n_a: int,
                  b_min: float, b_max: float, n_b: int) -> MeasureSpace:
     """Scale/shift grid carrying the weight ``da db / a^2``.

@@ -38,13 +38,14 @@ invertible trial t reads _rng(seed, kind.number, t, k).
 
 A context computes each quantity of SHARED once, on first use.  One that
 raises (the dual of a draw that is no frame) raises in every check that
-reads it and in no other.  run_suite evaluates chunk by chunk: for each
-kind in turn it builds the chunk's context, runs every stacked measure of
-the run that reads the kind on it, keeps the per-trial values and drops the
-context before it draws the next kind or chunk.  A check capped at 100, 50
-or 20 trials reads a head of the chunk that straddles its cap, which slices
-what the chunk's context already holds.  CHECKS[id].replay(cfg, K) is the
-context of trial K alone, the last row of trials 0..K drawn as one chunk.
+reads it and in no other.  run_suite evaluates chunk by chunk, and a chunk
+ends at every trial cap of the run's checks, so each check reads whole
+chunks: for each kind in turn it builds the chunk's context, runs on it, in
+table order, every stacked measure of the run that reads the kind and has
+not reached its cap, keeps the per-trial values and drops the context
+before it draws the next kind or chunk.  CHECKS[id].replay(cfg, K) is the
+context of trial K alone, drawn after every role stream has been read past
+trials 0..K-1.
 """
 
 from __future__ import annotations
@@ -173,11 +174,14 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 STACK_ENTRIES = 2**15
 
 
-def _chunks(cfg: SuiteConfig, cap: int | None = None) -> list[range]:
-    """Consecutive chunks of the first min(cfg.trials, cap) trials."""
-    trials = cfg.trials if cap is None else min(cfg.trials, cap)
-    size = max(1, STACK_ENTRIES // (cfg.d * cfg.n_points))
-    return [range(i, min(i + size, trials)) for i in range(0, trials, size)]
+def _chunks(cfg: SuiteConfig, limits) -> list[range]:
+    """Consecutive chunks of the first max(limits) trials, each ending after
+    max(1, STACK_ENTRIES // (d N)) trials or at the next limit."""
+    size, start, chunks = max(1, STACK_ENTRIES // (cfg.d * cfg.n_points)), 0, []
+    for limit in sorted(set(limits)):
+        chunks += [range(i, min(i + size, limit)) for i in range(start, limit, size)]
+        start = limit
+    return chunks
 
 
 # roles: role(rng, cfg, count) draws the array of each of ``count``
@@ -307,36 +311,17 @@ HALF_DEFICIENT = Kind(111, {"w": _WEIGHTS, "vectors": _VECTORS,
 INVERTIBLE = Kind(143, _INSTANCE, _invertible, (*_INSTANCE, "M", "sigma_M"))
 
 
-def _rows_of(value, rows: slice):
-    """Rows ``rows`` of a drawn array or a shared quantity of a context: of
-    an array or a list, of each field of frame bounds, of each part of a
-    tuple (the eigh result is a named one)."""
-    if isinstance(value, fr.FrameBounds):
-        return fr.FrameBounds(value.lower[rows], value.upper[rows], value.is_frame[rows])
-    if isinstance(value, tuple):
-        parts = [_rows_of(part, rows) for part in value]
-        return type(value)(*parts) if hasattr(value, "_fields") else tuple(parts)
-    return value[rows]
-
-
 class Trials:
     """The context of a chunk of trials of one draw kind: the arrays its
     roles draw and the quantities of SHARED, each evaluated on first use
     (as an attribute) and kept while the context lives; what raises is
-    raised again to every later reader.  A part of a context (``part``)
-    reads rows of its parent's draws and of the quantities its parent
-    holds, and computes the others it reads on its own rows."""
+    raised again to every later reader."""
 
     def __init__(self, kind: Kind, cfg: SuiteConfig, trials: range,
-                 streams: dict | None = None, parent: "Trials | None" = None,
-                 rows: slice | None = None):
+                 streams: dict | None = None):
         self.kind, self.cfg, self.trials = kind, cfg, trials
         # role name -> [stream, first trial it has not drawn], for the run
-        self._streams = {} if streams is None else streams
-        self._parent, self._rows, self._errors = parent, rows, {}
-
-    def part(self, rows: slice) -> "Trials":
-        return Trials(self.kind, self.cfg, self.trials[rows], parent=self, rows=rows)
+        self._streams, self._errors = {} if streams is None else streams, {}
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
@@ -353,20 +338,13 @@ class Trials:
         return values[name]
 
     def _evaluate(self, name: str) -> dict:
-        drawn = name in self.kind.drawn or name in self.kind.roles
-        if self._parent is not None and (drawn or self._parent._holds(name)):
-            return {name: _rows_of(getattr(self._parent, name), self._rows)}
         if name in self.kind.drawn:
             return self.kind.draw(self)
-        if drawn:
+        if name in self.kind.roles:
             return {name: self._read(name)}
         if name in SHARED:
             return {name: SHARED[name](self)}
         raise AttributeError(name)
-
-    def _holds(self, name: str) -> bool:
-        """Whether the context or a context it is part of holds ``name``."""
-        return name in vars(self) or (self._parent is not None and self._parent._holds(name))
 
     def _read(self, name: str, count: int | None = None) -> np.ndarray:
         """``count`` draws (one per trial by default) of role ``name``, read
@@ -381,6 +359,16 @@ class Trials:
         return self.kind.roles[name](stream[0], self.cfg,
                                      len(self.trials) if count is None else count)
 
+
+def _trial(kind: Kind, cfg: SuiteConfig, trial: int) -> Trials:
+    """The context of trial ``trial`` alone, drawn after every role stream
+    of the kind is read past trials 0..trial-1, chunk by chunk as in a run."""
+    streams = {}
+    for chunk in _chunks(cfg, {trial}):
+        past = Trials(kind, cfg, chunk, streams)
+        for name in kind.drawn[:1] or kind.roles:
+            getattr(past, name)
+    return Trials(kind, cfg, range(trial, trial + 1), streams)
 
 
 def random_instance(seed: int, kind: int, idx: int, d: int, n: int):
@@ -397,8 +385,7 @@ def random_invertible_instance(seed: int, kind: int, idx: int, d: int, n: int):
 
 
 def _instance_of(kind: Kind, seed: int, idx: int, d: int, n: int):
-    t = Trials(kind, SuiteConfig(seed=seed, d=d, n_points=n), range(idx + 1)).part(
-        slice(idx, idx + 1))
+    t = _trial(kind, SuiteConfig(seed=seed, d=d, n_points=n), idx)
     space = MeasureSpace(np.arange(n, dtype=float)[:, None], t.w[0])
     return Symbol(t.m[0], space), fr.SampledFrame(space, t.F[0]), fr.SampledFrame(space, t.G[0])
 
@@ -508,34 +495,26 @@ SHARED = {
 def _stacked_values(cfg: SuiteConfig, check_ids) -> dict:
     """The values of each stacked check of ``check_ids``, chunk by chunk in
     trial order, or the first exception its measure raised."""
-    checks = {c: CHECKS[c] for c in check_ids if CHECKS[c].kind is not None}
-    limits = {c: cfg.trials if row.cap is None else min(cfg.trials, row.cap)
-              for c, row in checks.items()}
-    values = {c: [] for c in checks}
+    limits = {c: min(cfg.trials, CHECKS[c].cap or cfg.trials)
+              for c in check_ids if CHECKS[c].kind is not None}
+    values = {c: [] for c in limits}
     streams = {}  # kind -> its role streams for the run
-    for chunk in _chunks(cfg, max(limits.values(), default=0)):
-        for kind in dict.fromkeys(row.kind for row in checks.values()):
+    for chunk in _chunks(cfg, limits.values()):
+        live = [c for c in limits if limits[c] > chunk.start]
+        for kind in dict.fromkeys(CHECKS[c].kind for c in live):
             _measure_chunk(Trials(kind, cfg, chunk, streams.setdefault(kind, {})),
-                           {c: row for c, row in checks.items() if row.kind is kind},
-                           limits, values)
+                           [c for c in live if CHECKS[c].kind is kind], values)
     return values
 
 
-def _measure_chunk(root: Trials, checks: dict, limits: dict, values: dict) -> None:
-    """Run the measure of every check of the context's kind that reads a
-    trial of its chunk on the context, or on its head up to the check's cap.
-    The checks run from the most trials to the fewest, each head a part of
-    the last context, so a head slices what a longer context already holds.
-    The context dies on return, before the next kind draws."""
-    chunk, context = root.trials, root
-    counts = {c: min(len(chunk), limits[c] - chunk.start) for c in checks}
-    for check_id in sorted(checks, key=lambda c: -counts[c]):
-        if counts[check_id] <= 0 or isinstance(values[check_id], Exception):
+def _measure_chunk(context: Trials, check_ids: list, values: dict) -> None:
+    """Run the measure of every check of ``check_ids`` on the context, in
+    table order.  The context dies on return, before the next kind draws."""
+    for check_id in check_ids:
+        if isinstance(values[check_id], Exception):
             continue
-        if counts[check_id] < len(context.trials):
-            context = context.part(slice(counts[check_id]))
         try:
-            values[check_id].append(checks[check_id].measure(context))
+            values[check_id].append(CHECKS[check_id].measure(context))
         except Exception as exc:  # the check aborts with it, the others go on
             values[check_id] = exc.with_traceback(None)
 
@@ -549,16 +528,17 @@ def _measure_chunk(root: Trials, checks: dict, limits: dict, values: dict) -> No
 MAX0 = "max from 0 <= tol"
 MAX = "max from -inf <= tol"
 COUNT = "count == 0"
-MAX_COUNT = "max from -inf <= tol, count == 0"
 MAX_COUNT_SHOWN = "max from -inf <= tol, count == 0, count in detail"
 FLOOR = ">= floor"
 RANGE = "in [1.5, tol]"
 
 
 def _max(start: float, chunks) -> float:
-    """max of ``start`` and every value of every chunk, in order."""
+    """max of ``start`` and every value of every chunk, in order; NaN from
+    the first NaN value on (max keeps a NaN it starts from)."""
     for values in chunks:
-        start = max([start, *np.ravel(values).tolist()])
+        values = np.ravel(values)
+        start = math.nan if np.isnan(values).any() else max([start, *values.tolist()])
     return start
 
 
@@ -571,23 +551,27 @@ def verdict(cfg: SuiteConfig, check_id: str, values) -> Check:
     """The record of check ``check_id`` from what its measure gave, under
     the tolerance ``cfg`` sets for it.  A stacked row gives the values of
     each chunk in trial order, (value, failing) pairs under the gates that
-    count; a config row gives the value, or the value and a detail."""
+    count; a config row gives the value, or the value and a detail.  NaN
+    fails every gate; a non-finite measured value moves into the detail."""
     row, tol = CHECKS[check_id], cfg.tol(check_id)
     detail, failing = "", 0
     if row.kind is None:
         measured, detail = values if isinstance(values, tuple) else (values, "")
     elif row.gate == COUNT:
         measured = failing = _count(values)
-    elif row.gate in (MAX_COUNT, MAX_COUNT_SHOWN):
+    elif row.gate == MAX_COUNT_SHOWN:
         measured = _max(-math.inf, (chunk for chunk, _ in values))
         failing = _count(flags for _, flags in values)
+        detail = f"{failing} failing instance(s)"
     else:
         measured = _max(0.0 if row.gate == MAX0 else -math.inf, values)
-    if row.gate == MAX_COUNT_SHOWN:
-        detail = f"{failing} failing instance(s)"
     passed = {FLOOR: measured >= tol, RANGE: 1.5 <= measured <= tol,
               COUNT: failing == 0}.get(row.gate, failing == 0 and measured <= tol)
-    return Check(check_id, row.claim, float(measured), tol, tol, bool(passed), detail)
+    measured = float(measured)
+    if not math.isfinite(measured):
+        detail = f"measured {measured!r}" + (f"; {detail}" if detail else "")
+        measured = None
+    return Check(check_id, row.claim, measured, tol, tol, bool(passed), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -965,9 +949,8 @@ class Row(NamedTuple):
     cap: int | None = None
 
     def replay(self, cfg: SuiteConfig, trial: int) -> Trials:
-        """The context of trial ``trial`` alone: the last row of trials
-        0..trial, drawn as one chunk."""
-        return Trials(self.kind, cfg, range(trial + 1)).part(slice(trial, trial + 1))
+        """The context of trial ``trial`` alone, as a run draws it."""
+        return _trial(self.kind, cfg, trial)
 
 
 # every check in report order: the suites in the order of SUITES
@@ -1157,7 +1140,8 @@ CHECKS: dict[str, Row] = {
         MAX0, _multiplier_dual, INVERTIBLE, 50),
     "positive_symbol_coercivity": Row(
         "weighted", "a symbol bounded below by delta makes the multiplier positive with "
-        "lower bound delta A_F", 1e-10, MAX_COUNT, _positive_symbol_coercivity, PLAIN, 100),
+        "lower bound delta A_F", 1e-10, MAX_COUNT_SHOWN, _positive_symbol_coercivity,
+        PLAIN, 100),
 }
 
 
@@ -1200,8 +1184,6 @@ def run_suite(config: SuiteConfig) -> Report:
                 config.tol(check_id), False, error=f"{type(exc).__name__}: {exc}"))
     report.finished = _timestamp()
     return report
-
-
 
 
 def run_gabor(d: int, window="gaussian", seed: int = 0) -> Report:

@@ -22,8 +22,13 @@ from contframes.suites import SuiteConfig, run_multiplier, run_suite, run_wavele
 TIMESTAMP = re.compile(r'^  "(started|finished)": .*\n', re.MULTILINE)
 
 
+def reject_constant(token):
+    raise ValueError(f"invalid JSON constant {token}")
+
+
 def read_json(path):
-    return json.loads(path.read_text())
+    """A report, parsed as strict JSON: NaN and Infinity are refused."""
+    return json.loads(path.read_text(), parse_constant=reject_constant)
 
 
 def strip_timestamps(data):
@@ -369,10 +374,6 @@ def test_verify_config_file(tmp_path):
     assert main(["verify", "--config", str(bad)]) == 2
 
 
-def reject_constant(token):
-    raise ValueError(f"invalid JSON constant {token}")
-
-
 def test_aborted_checks_write_valid_json(monkeypatch, tmp_path, capsys):
     def boom(cfg):
         raise RuntimeError("boom")
@@ -389,7 +390,7 @@ def test_aborted_checks_write_valid_json(monkeypatch, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "all", "--d", "4", "--n", "12", "--trials", "5",
                  "--out", str(out)]) == 1
-    data = json.loads(out.read_text(), parse_constant=reject_constant)
+    data = read_json(out)
     checks = {c["check_id"]: c for c in data["checks"]}
     assert sorted(c for c, check in checks.items() if not check["pass"]) == sorted(errors)
     for check_id, (_, error) in errors.items():
@@ -422,8 +423,8 @@ def test_each_suite_has_the_rows_the_benchmark_expects(monkeypatch):
         assert sorted(workloads.SUITE_CHECK_IDS[suite]) == sorted(
             check_id for check_id, row in suites.CHECKS.items() if row.suite == suite)
     assert {row.gate for row in suites.CHECKS.values()} == {
-        suites.MAX0, suites.MAX, suites.COUNT, suites.MAX_COUNT, suites.MAX_COUNT_SHOWN,
-        suites.FLOOR, suites.RANGE}
+        suites.MAX0, suites.MAX, suites.COUNT, suites.MAX_COUNT_SHOWN, suites.FLOOR,
+        suites.RANGE}
 
 
 def test_frame_iff_invertible_lets_unexpected_errors_abort(monkeypatch):

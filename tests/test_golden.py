@@ -93,5 +93,7 @@ def test_measured_values_equal_the_pinned_literals(suite, tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", suite, "--d", "4", "--n", "12", "--trials", "10",
                  "--seed", "0", "--out", str(out)]) == 0
-    checks = json.loads(out.read_text())["checks"]
+    # strict JSON: a NaN or an infinity in the report fails
+    checks = json.loads(out.read_text(), parse_constant=lambda token: pytest.fail(token))[
+        "checks"]
     assert {c["check_id"]: c["measured"] for c in checks} == GOLDEN[suite]

@@ -16,7 +16,6 @@ from contframes.measure import (
     integrate,
     lp_norm,
     partition,
-    product_grid_2d,
     uniform_grid_1d,
     wavelet_grid,
 )
@@ -44,22 +43,6 @@ def test_uniform_grid_exact_for_affine():
 def test_uniform_grid_rejects_bad_domain(a, b, n):
     with pytest.raises(InvalidDomainError):
         uniform_grid_1d(a, b, n)
-
-
-def test_product_grid_cells():
-    g = product_grid_2d(0, 1, 2, 0, 1, 2)
-    assert g.n_points == 4
-    np.testing.assert_allclose(g.weights, 0.25)
-
-    g1 = product_grid_2d(0, 2, 1, 0, 3, 1)
-    assert g1.n_points == 1
-    assert g1.weights.tolist() == [6.0]
-
-    square = product_grid_2d(-1, 1, 8, -1, 1, 8)
-    assert square.total_mass == pytest.approx(4.0)
-
-    with pytest.raises(InvalidDomainError):
-        product_grid_2d(0, 0, 2, 0, 1, 2)
 
 
 def test_wavelet_grid_single_cell_weight():

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -21,6 +22,15 @@ from contframes.multiplier import (
     schatten_budget,
     truncate_symbol,
 )
+
+
+def test_the_package_attribute_multiplier_is_the_module():
+    # the package does not export the function, which would shadow the
+    # submodule of the same name
+    import contframes
+
+    assert isinstance(contframes.multiplier, types.ModuleType)
+    assert contframes.multiplier.multiplier is multiplier
 
 
 def random_instance(seed, d=5, n=20):

@@ -573,7 +573,8 @@ def below(x):
      "1 failing instance(s)"),
     ("certificates", [(np.array([above(1e-10)]), np.array([False]))], above(1e-10), False,
      "0 failing instance(s)"),
-    ("positive_symbol_coercivity", [(np.array([-1.0]), np.array([True]))], -1.0, False, ""),
+    ("positive_symbol_coercivity", [(np.array([-1.0]), np.array([True]))], -1.0, False,
+     "1 failing instance(s)"),
     # config rows: the value, or the value and a detail
     ("wavelet_diagonality", 1e-10, 1e-10, True, ""),
     ("wavelet_diagonality", above(1e-10), above(1e-10), False, ""),
@@ -587,6 +588,20 @@ def below(x):
     ("calderon_refinement", 3.0, 3.0, True, ""),
     ("calderon_refinement", below(1.5), below(1.5), False, ""),
     ("calderon_refinement", above(3.0), above(3.0), False, ""),
+    # a NaN value fails every gate, and a non-finite measured value is
+    # recorded as null with the value in the detail
+    ("op_norm_budget", [np.array([np.nan])], None, False, "measured nan"),
+    ("op_norm_budget", [np.array([-1.0, np.nan]), np.array([-2.0])], None, False,
+     "measured nan"),
+    ("frame_factorization", [np.array([0.0]), np.array([np.nan, 1.0])], None, False,
+     "measured nan"),
+    ("op_norm_budget", [np.array([math.inf])], None, False, "measured inf"),
+    ("op_norm_budget", [np.array([-math.inf])], None, True, "measured -inf"),
+    ("certificates", [(np.array([np.nan]), np.array([False]))], None, False,
+     "measured nan; 0 failing instance(s)"),
+    ("wavelet_diagonality", math.nan, None, False, "measured nan"),
+    ("unbounded_norm_growth", (math.nan, "norms"), None, False, "measured nan; norms"),
+    ("calderon_refinement", math.nan, None, False, "measured nan"),
 ])
 def test_verdict_gates_at_their_boundaries(check_id, values, measured, passed, detail):
     row = suites.CHECKS[check_id]
@@ -625,8 +640,7 @@ def recorded_evaluations(monkeypatch) -> list:
     evaluate = suites.Trials._evaluate
 
     def recorded(self, name):
-        if self._parent is None or name in suites.SHARED:
-            calls.append((self.kind, self.trials.start, name))
+        calls.append((self.kind, self.trials.start, name))
         return evaluate(self, name)
 
     monkeypatch.setattr(suites.Trials, "_evaluate", recorded)
@@ -676,7 +690,7 @@ def test_a_family_whose_measure_raises_aborts_every_member(monkeypatch, tmp_path
 
 def test_a_family_measures_once_although_its_members_are_apart(monkeypatch):
     # the checks of the canonical dual are the 2nd, 3rd, 9th and 10th
-    # identities, the 1st reads S_F too
+    # identities, the 1st reads S_F too; 5 trials are one chunk
     cfg = SuiteConfig(suite="identities", d=4, n_points=12, trials=5)
     ids = check_ids("identities")
     assert [ids.index(c) for c in ("reconstruction", "reconstruction_swapped",
@@ -753,8 +767,8 @@ def test_each_algebra_suite_draws_its_frames_once_a_trial(monkeypatch, suite, pe
 
 
 def test_each_shared_quantity_is_formed_once_a_trial(monkeypatch):
-    # 70 trials: chunks of 64 and 6, and in chunk 0 the heads of the checks
-    # capped at 50 and 20 trials, which slice what the chunk's context holds
+    # 70 trials: the chunks [0, 20), [20, 50) and [50, 70) end at the caps of
+    # 20 and 50 trials, and every check reads whole chunks
     formed = {}
 
     def counted(name, compute):
@@ -780,11 +794,9 @@ def test_one_chunk_context_is_alive_at_a_time(monkeypatch):
 
     def tracked(self, kind, cfg, trials, *args, **kwargs):
         init(self, kind, cfg, trials, *args, **kwargs)
-        live = [ref() for ref in alive if ref() is not None and ref()._parent is None]
-        if self._parent is None:
-            chunks.add(trials.start)
-            # the contexts of other chunks and kinds are gone before this one draws
-            assert not live
+        chunks.add(trials.start)
+        # the contexts of other chunks and kinds are gone before this one draws
+        assert not [ref for ref in alive if ref() is not None]
         alive.append(weakref.ref(self))
 
     monkeypatch.setattr(suites.Trials, "__init__", tracked)
@@ -905,13 +917,24 @@ def test_single_instance_api_equals_its_dense_form(d, n):
 # ---------------------------------------------------------------------------
 
 def test_chunk_rule():
-    sizes = lambda d, n, trials, cap=None: [len(c) for c in suites._chunks(
-        SuiteConfig(d=d, n_points=n, trials=trials), cap)]
-    assert sizes(8, 64, 200) == [64, 64, 64, 8]
-    assert sizes(64, 4096, 4) == [1, 1, 1, 1]
-    assert sizes(1, 1, 3) == [3]
-    assert sizes(8, 64, 200, cap=100) == [64, 36]
-    assert sizes(8, 64, 10, cap=20) == [10]
+    def chunks(d, n, trials, limits):
+        return suites._chunks(SuiteConfig(d=d, n_points=n, trials=trials), limits)
+
+    sizes = lambda *args: [len(c) for c in chunks(*args)]
+    assert sizes(8, 64, 200, {200}) == [64, 64, 64, 8]
+    assert sizes(64, 4096, 4, {4}) == [1, 1, 1, 1]
+    assert sizes(1, 1, 3, {3}) == [3]
+    assert sizes(8, 64, 200, {100}) == [64, 36]
+    assert sizes(8, 64, 10, {10}) == [10]
+    # every chunk ends at each limit: the caps of verify --suite all
+    limits = {200, 100, 50, 20}
+    assert sizes(8, 64, 200, limits) == [20, 30, 50, 64, 36]
+    assert sizes(8, 64, 200, {100, 50}) == [50, 50]
+    for args in [(8, 64, 200, limits), (4, 12, 57, {57, 50, 20}), (1, 1, 3, {3, 2, 1})]:
+        found = chunks(*args)
+        assert [c.start for c in found[1:]] == [c.stop for c in found[:-1]]
+        assert found[0].start == 0 and found[-1].stop == max(args[-1])
+        assert not any(c.start < limit < c.stop for c in found for limit in args[-1])
 
 
 def run_fresh(cfg):
@@ -926,7 +949,8 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
                  for s in ALGEBRA}
     monkeypatch.setattr(suites, "STACK_ENTRIES", per_chunk * d * n)
     assert {len(c) for c in suites._chunks(
-        SuiteConfig(trials=trials, d=d, n_points=n))} <= {per_chunk, trials % per_chunk}
+        SuiteConfig(trials=trials, d=d, n_points=n), {trials})} <= {
+            per_chunk, trials % per_chunk}
     for suite, checks in reference.items():
         assert run_fresh(SuiteConfig(suite=suite, trials=trials, d=d, n_points=n,
                                      seed=3)) == checks

@@ -176,7 +176,9 @@ def test_gabor_command_never_builds_the_dense_frame(monkeypatch, tmp_path):
     monkeypatch.setattr(tf, "gabor_frame", no_dense_frame)
     out = tmp_path / "gabor.json"
     assert main(["gabor", "--d", "256", "--out", str(out)]) == 0
-    checks = json.loads(out.read_text())["checks"]
+    # strict JSON: a NaN or an infinity in the report fails
+    checks = json.loads(out.read_text(), parse_constant=lambda token: pytest.fail(token))[
+        "checks"]
     assert len(checks) == 3
     assert all(c["pass"] for c in checks)
 
