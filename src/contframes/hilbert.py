@@ -150,6 +150,27 @@ def extreme_eigenvalues(T):
     return value_or_stack(eigs[..., 0]), value_or_stack(eigs[..., -1])
 
 
+def identity_defect_bound(T, c, extremes=None):
+    """Upper bound on ||T - c I|| without an SVD: a float for one operator,
+    an array for a stack, c a scalar or one per operator.
+
+    With H = (T + T^*)/2 and K = (T - T^*)/2, ||T - c I|| <= ||H - c I|| +
+    ||K||, where ||H - c I|| is max |lambda - c| over the extreme eigenvalues
+    of H and ||K|| <= ||K||_F.  The bound exceeds ||T - c I|| by at most
+    ||K||_F, so for an operator Hermitian by construction it is the defect to
+    rounding, while a skew part is never ignored.  ||K||_F is summed as
+    ``norm`` sums a vector, so each operator of a stack gets the value a call
+    on it alone would.  ``extremes``, the (smallest, largest) of
+    ``extreme_eigenvalues(T)`` where the caller has them, spares the
+    eigen-solve.
+    """
+    T = _as_operators(T)
+    lower, upper = extreme_eigenvalues(T) if extremes is None else extremes
+    skew = 0.5 * (T - adjoint(T))
+    spread = np.maximum(np.abs(lower - c), np.abs(upper - c))
+    return value_or_stack(spread + norm(skew.reshape(*skew.shape[:-2], -1)))
+
+
 def _flag_or_stack(flags):
     """A bool for the verdict on one operator, the array for a stack."""
     return bool(flags) if np.ndim(flags) == 0 else flags

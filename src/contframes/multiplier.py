@@ -96,17 +96,6 @@ class BudgetReport:
     def all_passed(self) -> bool:
         return all(self.passed.values())
 
-    def to_dict(self) -> dict:
-        key = lambda p: "inf" if p == math.inf else repr(float(p))
-        return {
-            "op_budget": self.op_budget,
-            "trace_budget": self.trace_budget,
-            "schatten_budgets": {key(p): v for p, v in self.schatten_budgets.items()},
-            "actuals": {key(p): v for p, v in self.actuals.items()},
-            "passed": {key(p): v for p, v in self.passed.items()},
-            "tolerance": self.tolerance,
-        }
-
 
 def bound_budget(m, F: SampledFrame, G: SampledFrame,
                  ps=DEFAULT_PS, tolerance: float = 1e-10) -> BudgetReport:
@@ -207,16 +196,6 @@ class Certificate:
     passed: bool
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "part": self.part,
-            "description": self.description,
-            "measured": self.measured,
-            "floor": self.floor,
-            "passed": self.passed,
-            "degenerate": self.degenerate,
-        }
-
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -226,10 +205,6 @@ class CertificateReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.parts)
-
-    def to_dict(self) -> dict:
-        return {"tolerance": self.tolerance,
-                "parts": [c.to_dict() for c in self.parts]}
 
 
 def lower_bound_certificates(m, F: SampledFrame, G: SampledFrame,
@@ -310,10 +285,6 @@ class ConvergenceStep:
     budget: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "measured": self.measured,
-                "budget": self.budget, "passed": self.passed}
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -322,15 +293,6 @@ class ConvergenceReport:
     steps: tuple[ConvergenceStep, ...]
     monotone: bool
     all_dominated: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": None if self.p is None else ("inf" if self.p == math.inf else self.p),
-            "steps": [s.to_dict() for s in self.steps],
-            "monotone": self.monotone,
-            "all_dominated": self.all_dominated,
-        }
 
 
 CONVERGENCE_KINDS = ("symbol_p", "frame_uniform_L2", "frame_uniform_L1")

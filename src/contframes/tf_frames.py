@@ -341,6 +341,8 @@ def positive_axis_constant(wavelet: WaveletSpec,
 
 def dft_frequencies(d: int) -> np.ndarray:
     """Integer frequencies of the d-point period-1 signal space, DFT order."""
+    if d < 1:
+        raise InvalidParameterError(f"need d >= 1, got {d}")
     return np.fft.fftfreq(d, 1.0 / d)
 
 
@@ -366,16 +368,23 @@ def wavelet_frame(wavelet: WaveletSpec, grid: MeasureSpace, d: int) -> SampledFr
 
     Column (a, b) has frequency content sqrt(a) psi_hat(a gamma_k)
     exp(-2 pi i b gamma_k) on the d integer frequencies and is mapped to the
-    time domain by the unitary inverse DFT.
+    time domain by the unitary inverse DFT.  The family is separable: the
+    amplitude sqrt(a) psi_hat(a gamma) is evaluated once per distinct scale
+    and the phase once per distinct shift, and each column multiplies the
+    two rows it gathers, so every entry has the bits of the per-column
+    formula while a product grid of n_a x n_b points evaluates n_a + n_b
+    rows instead of n_a n_b of each.
     """
     _check_family(wavelet, grid)
-    a = grid.points[:, 0]
-    b = grid.points[:, 1]
+    scales, scale_of = np.unique(grid.points[:, 0], return_inverse=True)
+    shifts, shift_of = np.unique(grid.points[:, 1], return_inverse=True)
     gamma = dft_frequencies(d)
-    freq_cols = (np.sqrt(a)[:, None] * wavelet.evaluate(a[:, None] * gamma[None, :])
-                 * np.exp(-2j * np.pi * b[:, None] * gamma[None, :]))
-    time_cols = np.fft.ifft(freq_cols, axis=1) * np.sqrt(d)
-    return SampledFrame(grid, np.ascontiguousarray(time_cols.T))
+    amplitudes = np.sqrt(scales)[:, None] * wavelet.evaluate(scales[:, None] * gamma[None, :])
+    phases = np.exp(-2j * np.pi * shifts[:, None] * gamma[None, :])
+    cols = amplitudes[scale_of] * phases[shift_of]
+    np.fft.ifft(cols, axis=1, out=cols)
+    cols *= np.sqrt(d)
+    return SampledFrame(grid, np.ascontiguousarray(cols.T))
 
 
 def scale_profile(wavelet: WaveletSpec, grid: MeasureSpace, d: int) -> np.ndarray:
@@ -399,14 +408,18 @@ def _full_uniform_shifts(grid: MeasureSpace, d: int) -> bool:
     On such a grid the frame operator is exactly diagonal in the frequency
     basis of C^d, with diagonal ``scale_profile``.
     """
-    a, b = grid.points[:, 0], grid.points[:, 1]
-    order = np.lexsort((b, a))
-    _, counts = np.unique(a[order], return_counts=True)
+    a, b, w = grid.points[:, 0], grid.points[:, 1], grid.weights
+    # ``wavelet_grid`` lists its points by scale, then shift: an O(n) test
+    # spares the sort, which (being stable) would keep that order anyway
+    if not np.all((a[:-1] < a[1:]) | ((a[:-1] == a[1:]) & (b[:-1] <= b[1:]))):
+        order = np.lexsort((b, a))
+        a, b, w = a[order], b[order], w[order]
+    _, counts = np.unique(a, return_counts=True)
     n_b = int(counts[0])
     if n_b < d or np.any(counts != n_b):
         return False
-    b = b[order].reshape(-1, n_b)
-    w = grid.weights[order].reshape(-1, n_b)
+    b = b.reshape(-1, n_b)
+    w = w.reshape(-1, n_b)
     slack = 16 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(b))))
     evenly_spaced = np.all(np.abs(b - b[:, :1] - np.arange(n_b) / n_b) <= slack)
     return bool(evenly_spaced and np.all(w == w[:, :1]))

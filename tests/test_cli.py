@@ -312,6 +312,14 @@ def test_wavelet_command_light(tmp_path):
     assert residual["measured"] <= 0.02
 
 
+@pytest.mark.parametrize("d", ["0", "-4"])
+def test_wavelet_command_rejects_an_empty_signal_space(tmp_path, capsys, d):
+    out = tmp_path / "wavelet.json"
+    assert main(["wavelet", "--d", d, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: need d >= 1, got {d}\n"
+
+
 def admissibility_check(report):
     return next(c for c in report.checks if c.check_id == "admissibility_constant")
 
@@ -464,6 +472,29 @@ def test_run_gabor_takes_bounds_without_the_oracle(monkeypatch):
     assert [c.check_id for c in report.checks] == [
         "gabor_lower_bound", "gabor_upper_bound", "gabor_tightness_residual"]
     assert report.all_passed
+
+
+def skew_gabor_operator(monkeypatch):
+    """Add i 1e-8 ||g||^2 I, a skew-Hermitian term the Hermitian part (and so
+    every eigenvalue) does not see, to each Gabor frame operator."""
+    build = tf.gabor_operator
+
+    def skewed(g):
+        gsq = np.sum(np.abs(g) ** 2, axis=-1)[..., None, None]
+        return build(g) + 1e-8j * gsq * np.eye(g.shape[-1])
+
+    monkeypatch.setattr(tf, "gabor_operator", skewed)
+
+
+def test_gabor_tightness_checks_see_a_skew_part(monkeypatch):
+    skew_gabor_operator(monkeypatch)
+    check = suites.run_check(SuiteConfig(suite="gabor"), "gabor_tightness")
+    assert not check.passed
+    assert check.measured >= 1e-8
+    report = suites.run_gabor(64, "gaussian")
+    passed = {c.check_id: c.passed for c in report.checks}
+    assert passed == {"gabor_lower_bound": True, "gabor_upper_bound": True,
+                      "gabor_tightness_residual": False}
 
 
 def test_suite_config_from_dict_keeps_the_defaults():

@@ -1,0 +1,17 @@
+"""The demos that exercise the structured Gabor and wavelet paths run to the
+end in process, with their output captured."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name", ["gabor_tightness.py", "wavelet_reconstruction.py"])
+def test_demo_runs(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out.startswith("== ")
+    assert "nan" not in out

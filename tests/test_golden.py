@@ -61,7 +61,7 @@ GOLDEN = {
         "precondition_identity": 1.7871451817326477e-15,
     },
     "gabor": {
-        "gabor_tightness": 3.771787598746734e-15,
+        "gabor_tightness": 4.321437929490366e-15,
         "stft_energy": 5.066319838733573e-16,
         "stft_matches_analysis": 1.2515439318724856e-13,
         "stft_orthogonality": 1.2412670766236366e-16,

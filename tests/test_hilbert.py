@@ -128,6 +128,37 @@ def test_extreme_eigenvalues_reject_non_finite(bad):
         hb.extreme_eigenvalues(T)
 
 
+def test_identity_defect_bound_brackets_the_defect():
+    # ||T - cI|| <= bound <= ||T - cI|| + ||(T - T^*)/2||_F, also for
+    # operators far from Hermitian, where the skew term is large
+    rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
+    for d in (1, 2, 5, 16):
+        for T in (random_matrix(rng, d), np.diag(rng.standard_normal(d)) + 0j):
+            c = float(rng.uniform(0.5, 2.0))
+            defect = hb.operator_norm(T - c * np.eye(d))
+            skew = float(np.linalg.norm((T - T.conj().T) / 2))
+            bound = hb.identity_defect_bound(T, c)
+            slack = 16 * d * eps * max(1.0, hb.operator_norm(T))
+            assert isinstance(bound, float)
+            assert defect - slack <= bound <= defect + skew + slack
+
+
+def test_identity_defect_bound_of_a_stack_is_bitwise_the_single_value():
+    rng = np.random.default_rng(13)
+    for d in (1, 4, 33):
+        T = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+        T = T + T.conj().swapaxes(-1, -2) + 1e-9 * T
+        c = rng.uniform(0.5, 2.0, 6)
+        stacked = hb.identity_defect_bound(T, c)
+        assert stacked.shape == (6,)
+        assert stacked.tolist() == [hb.identity_defect_bound(T[i], float(c[i]))
+                                    for i in range(6)]
+        # extremes a caller already has give the same value without a solve
+        given = hb.identity_defect_bound(T, c, hb.extreme_eigenvalues(T))
+        assert given.tolist() == stacked.tolist()
+
+
 def test_is_positive():
     assert hb.is_positive(np.eye(4), 1e-12)
     assert not hb.is_positive(np.diag([1.0, -1.0]), 1e-12)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from contframes import hilbert as hb
 from contframes import tf_frames as tf
 from contframes.cli import main
 from contframes.errors import (
@@ -91,6 +92,22 @@ def test_gabor_frame_random_windows():
             S = frame_operator(tf.gabor_frame(g, d))
             gsq = float(np.linalg.norm(g) ** 2)
             assert np.linalg.norm(S - gsq * np.eye(d), 2) <= 1e-10 * gsq
+
+
+@pytest.mark.parametrize("d", [1, 2, 33, 64, 256])
+def test_gabor_tightness_bound_brackets_the_svd_residual(d):
+    # the eigenvalue-and-skew bound the tightness checks measure lies between
+    # the SVD residual ||S - ||g||^2 I|| and that residual plus ||skew(S)||_F
+    rng = np.random.default_rng(200 + d)
+    slack = 16 * d * np.finfo(float).eps
+    for g in (random_vec(rng, d), tf.gaussian_window(d)):
+        S = tf.gabor_frame_operator(g, d)
+        gsq = float(np.linalg.norm(g) ** 2)
+        residual = np.linalg.norm(S - gsq * np.eye(d), 2) / gsq
+        skew = float(np.linalg.norm((S - S.conj().T) / 2)) / gsq
+        bound = hb.identity_defect_bound(S, gsq) / gsq
+        assert residual - slack <= bound <= residual + skew + slack
+        assert bound <= 1e-10
 
 
 def test_gabor_rejects_zero_window():
@@ -311,6 +328,88 @@ def small_setup():
     return d, grid, wavelet
 
 
+def broadcast_wavelet_frame(wavelet, grid, d):
+    """The per-column formula of ``wavelet_frame``: a profile value and a
+    phase for every entry of every column, broadcast over the grid."""
+    a, b = grid.points[:, 0], grid.points[:, 1]
+    gamma = tf.dft_frequencies(d)
+    freq_cols = (np.sqrt(a)[:, None] * wavelet.evaluate(a[:, None] * gamma[None, :])
+                 * np.exp(-2j * np.pi * b[:, None] * gamma[None, :]))
+    return np.ascontiguousarray((np.fft.ifft(freq_cols, axis=1) * np.sqrt(d)).T)
+
+
+def scattered_grid(rng, n):
+    """Half the points on 10 repeated scales, half on scales of their own,
+    shifts uniform on [0, 1)."""
+    scales = np.r_[rng.choice(2.0 ** rng.uniform(-6.0, 2.0, 10), n // 2),
+                   2.0 ** rng.uniform(-6.0, 2.0, n - n // 2)]
+    return MeasureSpace(np.column_stack([scales, rng.uniform(0.0, 1.0, n)]),
+                        rng.uniform(0.1, 2.0, n))
+
+
+@pytest.mark.parametrize("d", [1, 16, 32, 33, 64])
+def test_wavelet_frame_equals_the_broadcast_formula(d):
+    rng = np.random.default_rng(300 + d)
+    seen = []
+
+    def profile(gamma):
+        seen.append(np.shape(gamma))
+        return (1 + 2j) * tf.mexican_hat_fourier(gamma) * np.exp(0.7j * np.sign(gamma))
+
+    custom = tf.WaveletSpec("given-fourier", profile)
+    grids = [small_setup()[1], wavelet_grid(0.25, 2.0, 8, 0.0, 1.0, 16),
+             scattered_grid(rng, 300)]
+    for wavelet in (tf.WaveletSpec(), custom):
+        for grid in grids:
+            frame = tf.wavelet_frame(wavelet, grid, d)
+            assert same_bits(frame.vectors, broadcast_wavelet_frame(wavelet, grid, d))
+    # the profile is evaluated once per distinct scale: 48 x 64 points on the
+    # 48 x 64 product grid instead of 3072 rows
+    seen.clear()
+    tf.wavelet_frame(custom, small_setup()[1], d)
+    assert seen[-1] == (48, d)
+
+
+def shuffled(grid, rng):
+    order = rng.permutation(grid.n_points)
+    return MeasureSpace(grid.points[order], grid.weights[order])
+
+
+def spy_lexsort(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+
+    def spy(keys):
+        calls.append(len(keys[0]))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n_b", [64, 128])
+def test_uniform_grid_test_sorts_only_unordered_grids(monkeypatch, n_b):
+    d, _, wavelet = small_setup()
+    grid = wavelet_grid(2.0**-6, 4.0, 48, 0.0, 1.0, n_b)
+    mixed = shuffled(grid, np.random.default_rng(n_b))
+    f = tf.bandlimited_bump(d, (2.0, 8.0), 1.0)
+    sorts = spy_lexsort(monkeypatch)
+    assert tf._full_uniform_shifts(grid, d)
+    assert sorts == []
+    assert tf._full_uniform_shifts(mixed, d)
+    assert sorts == [grid.n_points]
+    # both orders take the diagonal path and build no frame; the scale
+    # quadrature sums its weights in point order, hence the tolerance
+    builds = spy_wavelet_frame(monkeypatch)
+    ordered = tf.calderon_residual(wavelet, grid, f)
+    assert tf.calderon_residual(wavelet, mixed, f) == pytest.approx(ordered, rel=1e-12)
+    assert builds == []
+    # an aliased grid (n_b < d) is rejected in either order
+    aliased = wavelet_grid(2.0**-6, 4.0, 48, 0.0, 1.0, 32)
+    assert not tf._full_uniform_shifts(aliased, d)
+    assert not tf._full_uniform_shifts(shuffled(aliased, np.random.default_rng(0)), d)
+
+
 def test_wavelet_column_norms_shift_invariant():
     d = 32
     grid = wavelet_grid(0.25, 2.0, 6, 0.0, 1.0, 8)
@@ -358,6 +457,14 @@ def test_bandlimited_bump_properties():
     assert np.all(spectrum[(freqs < 2.0) | (freqs > 8.0)] <= 1e-12)
     with pytest.raises(InvalidParameterError):
         tf.bandlimited_bump(64, (8.0, 2.0))
+
+
+@pytest.mark.parametrize("d", [0, -4])
+def test_signal_spaces_need_a_point(d):
+    for build in (tf.dft_frequencies, tf.gaussian_window,
+                  lambda d: tf.bandlimited_bump(d, (2.0, 8.0))):
+        with pytest.raises(InvalidParameterError, match=f"need d >= 1, got {d}"):
+            build(d)
 
 
 def test_calderon_residual_zero_signal():
