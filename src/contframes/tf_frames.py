@@ -382,7 +382,7 @@ def wavelet_frame(wavelet: WaveletSpec, grid: MeasureSpace, d: int) -> SampledFr
     amplitudes = np.sqrt(scales)[:, None] * wavelet.evaluate(scales[:, None] * gamma[None, :])
     phases = np.exp(-2j * np.pi * shifts[:, None] * gamma[None, :])
     cols = amplitudes[scale_of] * phases[shift_of]
-    np.fft.ifft(cols, axis=1, out=cols)
+    cols = np.fft.ifft(cols, axis=1)
     cols *= np.sqrt(d)
     return SampledFrame(grid, np.ascontiguousarray(cols.T))
 
