@@ -60,10 +60,6 @@ from .frame import (
     weighted,
 )
 from .multiplier import (
-    BudgetReport,
-    Certificate,
-    CertificateReport,
-    ConvergenceReport,
     bound_budget,
     convergence_experiment,
     diag_singular_values,

@@ -215,11 +215,17 @@ def operator_bounds(S: np.ndarray) -> FrameBounds:
     return spectrum_bounds(*hilbert.extreme_eigenvalues(S))
 
 
+def frame_cutoff(upper):
+    """The lower frame bound a family must exceed to count as a frame, for
+    its upper bound or an array of them."""
+    return FRAME_RTOL * np.maximum(upper, 1.0)
+
+
 def spectrum_bounds(lower, upper) -> FrameBounds:
     """Optimal frame bounds from the extreme eigenvalues of a frame operator,
     or arrays of them for a stack, the lower one clamped at 0."""
     lower = np.where(0.0 > lower, 0.0, lower)  # max(lower, 0.0), NaN kept
-    is_frame = lower > FRAME_RTOL * np.maximum(upper, 1.0)
+    is_frame = lower > frame_cutoff(upper)
     if np.ndim(upper) == 0:
         return FrameBounds(float(lower), upper, bool(is_frame))
     return FrameBounds(lower, upper, is_frame)

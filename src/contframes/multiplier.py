@@ -6,7 +6,8 @@ resynthesises with G.  The module also provides the norm and Schatten-norm
 budgets this factorization implies, symbol truncation, the certificates an
 invertible multiplier yields for the lower frame bounds of the weighted
 families, the dual frame it induces, and convergence experiments for
-perturbed symbols or frames.
+perturbed symbols or frames.  Each function returns values and the bounds
+they are held against, never a verdict: ``suites.verdict`` compares them.
 
 The budgets, truncation, the certificates, the induced dual and the
 convergence steps are computed by array kernels (``budget_values``,
@@ -20,7 +21,6 @@ by instance, the values of single calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from . import hilbert
 from .errors import InvalidParameterError, NotAFrameError, ShapeMismatchError
 from .frame import (
     SampledFrame,
+    frame_cutoff,
     max_column_norm,
     operator_bounds,
     scaled_columns,
@@ -81,38 +82,18 @@ def schatten_budget(p: float, m_norm_p, lf, lg, bf, bg):
     return hilbert.value_or_stack(budget)
 
 
-@dataclass(frozen=True)
-class BudgetReport:
-    """Measured Schatten norms of a multiplier against their budgets."""
-
-    op_budget: float
-    trace_budget: float
-    schatten_budgets: dict[float, float]
-    actuals: dict[float, float]
-    passed: dict[float, bool]
-    tolerance: float
-
-    @property
-    def all_passed(self) -> bool:
-        return all(self.passed.values())
-
-
 def bound_budget(m, F: SampledFrame, G: SampledFrame,
-                 ps=DEFAULT_PS, tolerance: float = 1e-10) -> BudgetReport:
-    """Compare every Schatten norm of the multiplier to its budget.
+                 ps=DEFAULT_PS) -> tuple[dict, dict]:
+    """Every Schatten norm of the multiplier and its budget: two dicts of
+    floats keyed by the p of ps.
 
     Budgets use the optimal upper frame bounds and the exact largest column
     norms, so they are the sharpest constants the factorization provides;
     the operator-norm and trace budgets are those at p = inf and p = 1.
     """
     values = _aligned(m, F, G)
-    actuals, budgets = budget_values(F.space.weights, values, F.vectors, G.vectors,
-                                     (*ps, math.inf, 1.0))
-    *budgets, op_budget, trace_budget = budgets.tolist()
-    actuals = dict(zip(ps, actuals.tolist()))
-    budgets = dict(zip(ps, budgets))
-    passed = {p: bool(actuals[p] <= budgets[p] + tolerance) for p in ps}
-    return BudgetReport(op_budget, trace_budget, budgets, actuals, passed, tolerance)
+    actuals, budgets = budget_values(F.space.weights, values, F.vectors, G.vectors, ps)
+    return dict(zip(ps, actuals.tolist())), dict(zip(ps, budgets.tolist()))
 
 
 def budget_values(w, values, F: np.ndarray, G: np.ndarray, ps=DEFAULT_PS,
@@ -185,31 +166,10 @@ def multiplier_dual_vectors(w, values, F: np.ndarray, G: np.ndarray, m_inv=None,
     return hilbert.adjoint(m_inv) @ scaled_columns(F, values.conj())
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """One lower-bound certificate produced by an invertible multiplier."""
-
-    part: int
-    description: str
-    measured: float
-    floor: float | None
-    passed: bool
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    parts: tuple[Certificate, ...]
-    tolerance: float
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.parts)
-
-
-def lower_bound_certificates(m, F: SampledFrame, G: SampledFrame,
-                             tolerance: float = 1e-10) -> CertificateReport:
-    """Five certificates an invertible multiplier gives on frame lower bounds.
+def lower_bound_certificates(m, F: SampledFrame, G: SampledFrame):
+    """Five certificates an invertible multiplier gives on frame lower bounds:
+    the measured value and the floor of each, two arrays of five, as
+    ``certificate_values`` gives them.
 
     (1) the family conj(m) F has lower bound at least 1/(B_G ||M^-1||^2);
     (2) symmetrically, m G against B_F; (3) both weighted families are
@@ -218,37 +178,32 @@ def lower_bound_certificates(m, F: SampledFrame, G: SampledFrame,
     """
     values = _aligned(m, F, G)
     sigma = hilbert.singular_values(multiplier(values, F, G))
-    measured, floors, passed = certificate_values(F.space.weights, values, F.vectors,
-                                                  G.vectors, sigma, tolerance)
-    parts = tuple(
-        Certificate(part, description, value, None if math.isnan(floor) else floor,
-                    ok, degenerate=part == 4 and math.isnan(floor))
-        for part, description, value, floor, ok in zip(
-            range(1, 6), CERTIFICATES, measured.tolist(), floors.tolist(),
-            passed.tolist()))
-    return CertificateReport(parts, tolerance)
+    return certificate_values(F.space.weights, values, F.vectors, G.vectors, sigma)
 
 
-CERTIFICATES = (
-    "lower bound of conj(m) F against 1/(B_G ||inv||^2)",
-    "lower bound of m G against 1/(B_F ||inv||^2)",
-    "both weighted families are frames",
-    "lower bound of F against A(conj(m) F)/sup|m|^2",
-    "F and G are frames",
-)
+# the certificates that hold where the measured value exceeds the floor (3
+# and 5, the frame parts); the others hold where it is at least the floor
+FRAME_PARTS = (False, False, True, False, True)
 
 
-def certificate_values(w, values, F: np.ndarray, G: np.ndarray, sigma,
-                       tolerance: float = 1e-10, bounds=None):
-    """Measured value, floor and verdict of each certificate of
+def _frame_margin(a, b):
+    """The smaller margin of two families' lower bounds over their frame
+    cutoffs: positive exactly where both are frames."""
+    return np.minimum(a.lower - frame_cutoff(a.upper), b.lower - frame_cutoff(b.upper))
+
+
+def certificate_values(w, values, F: np.ndarray, G: np.ndarray, sigma, bounds=None):
+    """Measured value and floor of each certificate of
     ``lower_bound_certificates``, for symbol values m, analysis vectors F and
     synthesis vectors G under weights w, or for each instance of a stack.
     ``sigma`` is the singular values of the multiplier M, and ||M^-1|| is
     1 / sigma_min(M); ``bounds`` is the operator_bounds of the frame
     operators of F and G where the caller has them.
 
-    Three arrays with the five parts along a new last axis; a floor is NaN
-    where the part has none (parts 3 and 5, and part 4 when sup|m| = 0).
+    Two arrays with the five parts along a new last axis.  Parts 1, 2 and 4
+    measure a lower bound against its floor; parts 3 and 5 the smaller
+    margin of two families' lower bounds over ``frame.frame_cutoff``
+    against 0.  An invertible M has sup|m| > 0, so every floor is finite.
     """
     hilbert.require_invertible(sigma)
     inv_sq = hilbert.power(1.0 / sigma[..., -1], 2)
@@ -262,37 +217,12 @@ def certificate_values(w, values, F: np.ndarray, G: np.ndarray, sigma,
 
     floor1 = 1.0 / (bounds_g.upper * inv_sq)
     floor2 = 1.0 / (bounds_f.upper * inv_sq)
-    # NaN for sup|m| = 0, where part 4 holds trivially
-    m_sup = weighted_lp_norm(w, values, math.inf)
-    floor4 = bounds_mf.lower / hilbert.power(np.where(m_sup == 0.0, np.nan, m_sup), 2)
-    none = np.full(np.shape(floor1), np.nan)
+    floor4 = bounds_mf.lower / hilbert.power(weighted_lp_norm(w, values, math.inf), 2)
+    zero = np.zeros(np.shape(floor1))
     measured = np.stack([bounds_mf.lower, bounds_mg.lower,
-                         np.minimum(bounds_mf.lower, bounds_mg.lower), bounds_f.lower,
-                         np.minimum(bounds_f.lower, bounds_g.lower)], axis=-1)
-    floors = np.stack([floor1, floor2, none, floor4, none], axis=-1)
-    passed = np.stack([bounds_mf.lower >= floor1 - tolerance,
-                       bounds_mg.lower >= floor2 - tolerance,
-                       bounds_mf.is_frame & bounds_mg.is_frame,
-                       np.isnan(floor4) | (bounds_f.lower >= floor4 - tolerance),
-                       bounds_f.is_frame & bounds_g.is_frame], axis=-1)
-    return measured, floors, passed
-
-
-@dataclass(frozen=True)
-class ConvergenceStep:
-    epsilon: float
-    measured: float
-    budget: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    kind: str
-    p: float | None
-    steps: tuple[ConvergenceStep, ...]
-    monotone: bool
-    all_dominated: bool
+                         _frame_margin(bounds_mf, bounds_mg), bounds_f.lower,
+                         _frame_margin(bounds_f, bounds_g)], axis=-1)
+    return measured, np.stack([floor1, floor2, zero, floor4, zero], axis=-1)
 
 
 CONVERGENCE_KINDS = ("symbol_p", "frame_uniform_L2", "frame_uniform_L1")
@@ -301,9 +231,10 @@ FRAME_NORMS = {"frame_uniform_L2": 2.0, "frame_uniform_L1": 1.0}
 
 
 def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
-                           schedule, p: float | None = None,
-                           tolerance: float = 1e-10) -> ConvergenceReport:
-    """Measure multiplier deviations along a schedule of perturbed inputs.
+                           schedule, p: float | None = None):
+    """Multiplier deviations along a schedule of perturbed inputs: the
+    distance eps_n, the deviation and its budget of each step, three arrays
+    of one entry per step.
 
     kind "symbol_p": the schedule lists symbols m_n; the deviation is the
     Schatten-p distance and the budget is the p-budget of m_n - m.
@@ -334,12 +265,7 @@ def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
     synthesis = F.vectors if G is F else G.vectors
     (steps,) = convergence_steps(F.space.weights, values, F.vectors, synthesis,
                                  [(kind, items, ps)])
-    eps, measured, budget = (column[0] for column in steps)
-    steps = tuple(ConvergenceStep(e, d, b, d <= b + tolerance) for e, d, b in zip(
-        eps.tolist(), measured.tolist(), budget.tolist()))
-    measured_seq = [s.measured for s in steps]
-    monotone = all(b <= a + tolerance for a, b in zip(measured_seq, measured_seq[1:]))
-    return ConvergenceReport(kind, p, steps, monotone, all(s.passed for s in steps))
+    return tuple(column[0] for column in steps)
 
 
 def convergence_steps(w, values, F: np.ndarray, G: np.ndarray, experiments,

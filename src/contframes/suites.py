@@ -1,15 +1,22 @@
-"""Seeded verification suites over randomized frame/multiplier instances.
+"""Seeded verification suites over randomized frame/multiplier instances,
+and the reports of the gabor, wavelet and multiplier subcommands.
 
-CHECKS is the one table of the checks, in report order; a new check is one
-row.  A row holds the suite, the claim, the default tolerance, the gate and
-the measure of its check, and for a stacked check its draw kind and trial
-cap.  The gate says how verdict() folds the values and compares them: max
-from 0 or from -inf <= tol, count == 0 (of failing trials), both of those,
->= floor or in [1.5, tol].  run_suite measures the stacked rows of its
-suite together and builds every Check through verdict(); run_check(cfg, id)
-runs one check afresh.  All randomness flows through per-kind, per-role
-seed derivation, so a report for a given configuration is reproducible
-bit-for-bit (timestamps aside).
+CHECKS is the one table of the suite checks, in report order; a new check is
+one row.  A row holds the suite, the claim, the default tolerance, the gate
+and the measure of its check, and for a stacked check its draw kind and
+trial cap.  GABOR_RUN, WAVELET_RUN and MULTIPLIER_RUN, the tables of the
+subcommands, stay apart from CHECKS, out of reach of the suites and their
+tolerance overrides; their measures read the Inputs of one run.  The gate
+says how verdict() folds the values and compares them: max from 0 or from
+-inf <= tol, count == 0 (of failing trials), both of those, >= floor, in
+[1.5, tol], finite and > 0, or, against a bound b the measure gives,
+|x - b| <= tol b, |x - b| <= tol or x <= b + tol.  _report makes
+every Check of every report, a verdict() or the abort record of a check
+whose measure raised: run_suite measures the stacked rows of its suite
+together, and the subcommand runs build their inputs once; run_check(cfg,
+id) runs one suite check afresh.  All randomness flows through per-kind,
+per-role seed derivation, so a report for a given configuration is
+reproducible bit-for-bit (timestamps aside).
 
 The identities, bounds, convergence, controlled and weighted suites measure
 their trials in stacks: a chunk of max(1, STACK_ENTRIES // (d N)) trials is
@@ -64,6 +71,7 @@ from . import hilbert as hb
 from . import tf_frames as tf
 from .multiplier import (
     DEFAULT_PS,
+    FRAME_PARTS,
     budget_values,
     certificate_values,
     convergence_steps,
@@ -311,17 +319,15 @@ HALF_DEFICIENT = Kind(111, {"w": _WEIGHTS, "vectors": _VECTORS,
 INVERTIBLE = Kind(143, _INSTANCE, _invertible, (*_INSTANCE, "M", "sigma_M"))
 
 
-class Trials:
-    """The context of a chunk of trials of one draw kind: the arrays its
-    roles draw and the quantities of SHARED, each evaluated on first use
-    (as an attribute) and kept while the context lives; what raises is
-    raised again to every later reader."""
+class Inputs:
+    """The inputs of a subcommand run: the values given, and each of
+    ``quantities``, a function of the context, evaluated on first use (as an
+    attribute) and kept while the context lives; what raises is raised again
+    to every later reader of it and of the quantities of its _group."""
 
-    def __init__(self, kind: Kind, cfg: SuiteConfig, trials: range,
-                 streams: dict | None = None):
-        self.kind, self.cfg, self.trials = kind, cfg, trials
-        # role name -> [stream, first trial it has not drawn], for the run
-        self._streams, self._errors = {} if streams is None else streams, {}
+    def __init__(self, quantities: dict, **given):
+        self._quantities, self._errors = quantities, {}
+        vars(self).update(given)
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
@@ -331,20 +337,41 @@ class Trials:
         try:
             values = self._evaluate(name)
         except Exception as exc:
-            group = self.kind.drawn if name in self.kind.drawn else (name,)
-            self._errors.update(dict.fromkeys(group, exc))
+            self._errors.update(dict.fromkeys(self._group(name), exc))
             raise
         vars(self).update(values)
         return values[name]
+
+    def _group(self, name: str) -> tuple:
+        return (name,)
+
+    def _evaluate(self, name: str) -> dict:
+        if name not in self._quantities:
+            raise AttributeError(name)
+        return {name: self._quantities[name](self)}
+
+
+class Trials(Inputs):
+    """The inputs of a chunk of trials of one draw kind: the arrays its
+    roles draw and the quantities of SHARED; the arrays a kind draws
+    together fail together."""
+
+    def __init__(self, kind: Kind, cfg: SuiteConfig, trials: range,
+                 streams: dict | None = None):
+        super().__init__(SHARED)
+        self.kind, self.cfg, self.trials = kind, cfg, trials
+        # role name -> [stream, first trial it has not drawn], for the run
+        self._streams = {} if streams is None else streams
+
+    def _group(self, name: str) -> tuple:
+        return self.kind.drawn if name in self.kind.drawn else (name,)
 
     def _evaluate(self, name: str) -> dict:
         if name in self.kind.drawn:
             return self.kind.draw(self)
         if name in self.kind.roles:
             return {name: self._read(name)}
-        if name in SHARED:
-            return {name: SHARED[name](self)}
-        raise AttributeError(name)
+        return super()._evaluate(name)
 
     def _read(self, name: str, count: int | None = None) -> np.ndarray:
         """``count`` draws (one per trial by default) of role ``name``, read
@@ -524,13 +551,18 @@ def _measure_chunk(context: Trials, check_ids: list, values: dict) -> None:
 # ---------------------------------------------------------------------------
 
 # how verdict() folds a stacked row's values over every trial and holds the
-# result against the tolerance; a config row's measure gives it folded
+# result against the tolerance; any other row's measure gives it folded
 MAX0 = "max from 0 <= tol"
 MAX = "max from -inf <= tol"
 COUNT = "count == 0"
 MAX_COUNT_SHOWN = "max from -inf <= tol, count == 0, count in detail"
 FLOOR = ">= floor"
 RANGE = "in [1.5, tol]"
+# the gates of the subcommand tables, against the bound b the measure gives
+RELATIVE = "|x - b| <= tol b"
+ABSOLUTE = "|x - b| <= tol"
+BUDGET = "x <= b + tol"
+POSITIVE = "finite and > 0"
 
 
 def _max(start: float, chunks) -> float:
@@ -547,16 +579,18 @@ def _count(chunks) -> int:
     return sum(int(np.count_nonzero(failing)) for failing in chunks)
 
 
-def verdict(cfg: SuiteConfig, check_id: str, values) -> Check:
-    """The record of check ``check_id`` from what its measure gave, under
-    the tolerance ``cfg`` sets for it.  A stacked row gives the values of
-    each chunk in trial order, (value, failing) pairs under the gates that
-    count; a config row gives the value, or the value and a detail.  NaN
-    fails every gate; a non-finite measured value moves into the detail."""
-    row, tol = CHECKS[check_id], cfg.tol(check_id)
-    detail, failing = "", 0
+def verdict(check_id: str, row: "Row", tol: float, values) -> Check:
+    """The record of check ``check_id`` of table row ``row`` from what its
+    measure gave, under tolerance ``tol``.  A stacked row gives the values
+    of each chunk in trial order, (value, failing) pairs under the gates
+    that count.  Any other row gives the value, or the value and a detail,
+    or those and the bound b its gate holds the value against; the budget
+    of the record is b, or else the tolerance.  NaN fails every gate; a
+    non-finite measured value or budget moves into the detail."""
+    detail, failing, budget = "", 0, tol
     if row.kind is None:
-        measured, detail = values if isinstance(values, tuple) else (values, "")
+        measured, detail, *bound = values if isinstance(values, tuple) else (values, "")
+        budget = bound[0] if bound else tol
     elif row.gate == COUNT:
         measured = failing = _count(values)
     elif row.gate == MAX_COUNT_SHOWN:
@@ -565,13 +599,17 @@ def verdict(cfg: SuiteConfig, check_id: str, values) -> Check:
         detail = f"{failing} failing instance(s)"
     else:
         measured = _max(0.0 if row.gate == MAX0 else -math.inf, values)
-    passed = {FLOOR: measured >= tol, RANGE: 1.5 <= measured <= tol,
-              COUNT: failing == 0}.get(row.gate, failing == 0 and measured <= tol)
-    measured = float(measured)
-    if not math.isfinite(measured):
-        detail = f"measured {measured!r}" + (f"; {detail}" if detail else "")
-        measured = None
-    return Check(check_id, row.claim, measured, tol, tol, bool(passed), detail)
+    measured, budget = float(measured), float(budget)
+    passed = failing == 0 and {
+        FLOOR: measured >= tol, RANGE: 1.5 <= measured <= tol,
+        RELATIVE: abs(measured - budget) <= tol * budget,
+        ABSOLUTE: abs(measured - budget) <= tol, BUDGET: measured <= budget + tol,
+        POSITIVE: 0.0 < measured < math.inf}.get(row.gate, measured <= tol)
+    shown = {"measured": measured, "budget": budget}
+    off = [f"{name} {value!r}" for name, value in shown.items() if not math.isfinite(value)]
+    return Check(check_id, row.claim,
+                 *(value if math.isfinite(value) else None for value in shown.values()),
+                 tol, bool(passed), "; ".join([*off, detail] if detail else off))
 
 
 # ---------------------------------------------------------------------------
@@ -677,10 +715,10 @@ def _controlled_spectral_mapping(t: Trials):
 
 
 def _controlled_positivity(t: Trials):
-    # hb.is_positive(L, 1e-10) on the norm and the spectrum of L taken once
-    L, spectrum = t.L, t.L_spectrum
-    return ~((hb.operator_norm(L - hb.adjoint(L)) <= 1e-10 * t.L_scale)
-             & hb.nonnegative_spectrum(spectrum[..., 0], spectrum[..., -1], 1e-10))
+    # hb.is_positive(L, tol) on the norm and the spectrum of L taken once
+    L, spectrum, tol = t.L, t.L_spectrum, t.cfg.tol("controlled_positivity")
+    return ~((hb.operator_norm(L - hb.adjoint(L)) <= tol * t.L_scale)
+             & hb.nonnegative_spectrum(spectrum[..., 0], spectrum[..., -1], tol))
 
 
 def _controlled_implies_frame(t: Trials):
@@ -705,10 +743,14 @@ def _weighted_scaling(t: Trials):
 
 
 def _certificates(t: Trials):
-    # floor - measured of certificate 1, and True where a certificate fails
-    measured, floors, passed = certificate_values(
+    # floor - measured of certificate 1, and True where a certificate fails:
+    # a frame part at or below its floor, any other below it by more than
+    # the tolerance
+    measured, floors = certificate_values(
         t.w, t.m, t.F, t.G, t.sigma_M, bounds=(t.bounds_F, t.bounds_G))
-    return floors[..., 0] - measured[..., 0], ~np.all(passed, axis=-1)
+    holds = np.where(FRAME_PARTS, measured > floors,
+                     measured >= floors - t.cfg.tol("certificates"))
+    return floors[..., 0] - measured[..., 0], ~np.all(holds, axis=-1)
 
 
 def _multiplier_dual(t: Trials):
@@ -721,10 +763,10 @@ def _positive_symbol_coercivity(t: Trials):
     # multiplier M of the symbol delta + offsets in [delta, delta + 2)
     m = (t.delta[:, None] + t.offsets).astype(complex)
     M = fr.weighted_gram(t.F, t.w * m, t.F)
-    # hb.is_positive(M, 1e-10) on the one eigvalsh that also gives lam_min
+    # hb.is_positive(M, tol) on the one eigvalsh that also gives lam_min
     lam_min, lam_max = hb.extreme_eigenvalues(M)
-    not_positive = ~(hb.is_hermitian(M, 1e-10)
-                     & hb.nonnegative_spectrum(lam_min, lam_max, 1e-10))
+    tol = t.cfg.tol("positive_symbol_coercivity")
+    not_positive = ~(hb.is_hermitian(M, tol) & hb.nonnegative_spectrum(lam_min, lam_max, tol))
     return t.delta * t.bounds_F.lower - lam_min, not_positive
 
 
@@ -826,6 +868,11 @@ def _tf_shift_unitarity(cfg: SuiteConfig) -> float:
     return _worst(groups, lambda d: d, _shift_unitarity)
 
 
+# the closed form of the two-sided admissibility constant of the default
+# profile
+ADMISSIBILITY = 0.25
+
+
 def _admissibility(wavelet: tf.WaveletSpec) -> float:
     """The two-sided admissibility constant on the oracle's frequency grid."""
     return tf.admissibility_constant(
@@ -834,7 +881,7 @@ def _admissibility(wavelet: tf.WaveletSpec) -> float:
 
 def _admissibility_oracle(cfg: SuiteConfig) -> tuple:
     value = _admissibility(tf.WaveletSpec())
-    return abs(value - 0.25), f"value {value!r}"
+    return abs(value - ADMISSIBILITY), f"value {value!r}"
 
 
 def _admissibility_scaling(cfg: SuiteConfig) -> float:
@@ -904,30 +951,46 @@ def _wavelet_column_norms(cfg: SuiteConfig) -> float:
     return float(np.max(np.ptp(norms, axis=1) / np.max(norms, axis=1)))
 
 
+def _residuals(r: Inputs) -> tuple[float, float]:
+    """The reconstruction residuals of the bump on the grid of a Calderon
+    study, which the study lets go once measured, and on its refinement."""
+    residual = functools.partial(tf.calderon_residual, r.wavelet, f=r.f, c_plus=r.c_plus)
+    coarse = residual(r.grids.pop())
+    return coarse, residual(wavelet_grid(*r.refined))
+
+
+# the quantities of a Calderon study
+CALDERON = {
+    "c_full": lambda r: _admissibility(r.wavelet),
+    "c_plus": lambda r: tf.positive_axis_constant(r.wavelet),
+    "residuals": _residuals,
+}
+
+
 def _calderon_study(wavelet: tf.WaveletSpec, d: int, a_min: float, a_max: float,
                     n_a: int, n_b: int, band: tuple[float, float],
-                    taper: float) -> tuple[float, float, float]:
-    """Positive-axis constant c_plus, then the reconstruction residuals of a
-    band-limited bump on the n_a-cell scale grid and on its 2 n_a-cell
-    refinement, both with n_b shifts over one period."""
-    c_plus = tf.positive_axis_constant(wavelet)
-    f = tf.bandlimited_bump(d, band, taper)
-    coarse, fine = (
-        tf.calderon_residual(wavelet, wavelet_grid(a_min, a_max, cells, 0.0, 1.0, n_b),
-                             f, c_plus=c_plus)
-        for cells in (n_a, 2 * n_a))
-    return c_plus, coarse, fine
+                    taper: float) -> Inputs:
+    """The Calderon study of a wavelet: the Inputs of a band-limited bump f,
+    of the n_a-cell scale grid with n_b shifts over one period and of its
+    refinement to 2 n_a cells, with the quantities of CALDERON.  The bump
+    and the first grid are built here, so bad input raises here."""
+    setup = (f"d={d} a=[{a_min:g},{a_max:g}] n_a={n_a} n_b={n_b} "
+             f"band={tuple(band)} taper={taper:g}")
+    return Inputs(CALDERON, wavelet=wavelet, setup=setup,
+                  f=tf.bandlimited_bump(d, band, taper),
+                  grids=[wavelet_grid(a_min, a_max, n_a, 0.0, 1.0, n_b)],
+                  refined=(a_min, a_max, 2 * n_a, 0.0, 1.0, n_b))
 
 
 @functools.lru_cache(maxsize=1)
-def _default_calderon_study() -> tuple[float, float, float]:
-    """_calderon_study of the default wavelet on CALDERON_DEFAULTS: it reads
-    no input, so a process computes it once for both Calderon checks."""
+def _default_calderon_study() -> Inputs:
+    """The _calderon_study of the default wavelet on CALDERON_DEFAULTS: it
+    reads no input, so a process keeps one for both Calderon checks."""
     return _calderon_study(tf.WaveletSpec(), **CALDERON_DEFAULTS)
 
 
-def _calderon_refinement(cfg: SuiteConfig) -> tuple:
-    _, coarse, fine = _default_calderon_study()
+def _refinement(coarse: float, fine: float) -> tuple:
+    """The factor by which doubling the scale cells shrinks the residual."""
     return coarse / fine, f"residuals {coarse!r} -> {fine!r}"
 
 
@@ -936,10 +999,11 @@ def _calderon_refinement(cfg: SuiteConfig) -> tuple:
 # ---------------------------------------------------------------------------
 
 class Row(NamedTuple):
-    """A check: its suite, the claim it verifies, its default tolerance, its
-    gate and its measure.  A stacked row's measure reads trial contexts of
-    its draw ``kind``, min(cfg.trials, cap) trials; a config row (no kind)
-    has a measure of the configuration."""
+    """A check: its suite (or report), the claim it verifies, its default
+    tolerance, its gate and its measure.  A stacked row's measure reads
+    trial contexts of its draw ``kind``, min(cfg.trials, cap) trials; a
+    config row of CHECKS (no kind) has a measure of the configuration, and
+    a row of a subcommand table one of the Inputs of its run."""
 
     suite: str
     claim: str
@@ -1108,10 +1172,10 @@ CHECKS: dict[str, Row] = {
         _wavelet_column_norms),
     "calderon_default": Row(
         "wavelet", "reconstruction residual at the default grid stays under 2%", 0.02,
-        MAX0, lambda cfg: _default_calderon_study()[1]),
+        MAX0, lambda cfg: _default_calderon_study().residuals[0]),
     "calderon_refinement": Row(
         "wavelet", "doubling the scale count shrinks the residual by a factor in [1.5, 3]",
-        3.0, RANGE, _calderon_refinement),
+        3.0, RANGE, lambda cfg: _refinement(*_default_calderon_study().residuals)),
     "controlled_factorization": Row(
         "controlled", "mixed operator equals C S and S C* for self-adjoint commuting "
         "controls", 1e-12, MAX0, _controlled_factorization, PLAIN, 100),
@@ -1146,162 +1210,160 @@ CHECKS: dict[str, Row] = {
 }
 
 
+# the tables of the subcommands, apart from CHECKS; each measure reads the
+# Inputs of one run
+GABOR_RUN: dict[str, Row] = {
+    "gabor_lower_bound": Row(
+        "gabor-run", "optimal lower bound equals ||g||^2", 1e-10, RELATIVE,
+        lambda r: (max(r.extremes[0], 0.0), "", r.gsq)),
+    "gabor_upper_bound": Row(
+        "gabor-run", "optimal upper bound equals ||g||^2", 1e-10, RELATIVE,
+        lambda r: (r.extremes[1], "", r.gsq)),
+    "gabor_tightness_residual": Row(
+        "gabor-run", "frame operator equals ||g||^2 times the identity", 1e-10, MAX0,
+        lambda r: hb.identity_defect_bound(r.S, r.gsq, r.extremes) / r.gsq),
+}
+# the Calderon rows take the tolerance and the gate of the suite rows they
+# repeat on the configured grid
+WAVELET_RUN: dict[str, Row] = {
+    "admissibility_constant": CHECKS["admissibility_oracle"]._replace(
+        suite="wavelet-run", claim="two-sided admissibility quadrature (default profile: 1/4)",
+        gate=ABSOLUTE, measure=lambda r: (
+            r.c_full, f"positive-axis constant {r.c_plus!r}", ADMISSIBILITY)),
+    "calderon_residual": CHECKS["calderon_default"]._replace(
+        suite="wavelet-run",
+        claim="reconstruction residual within tolerance on the configured grid",
+        measure=lambda r: (r.residuals[0], f"{r.setup}, C_plus={r.c_plus!r}")),
+    "calderon_refinement": CHECKS["calderon_refinement"]._replace(
+        suite="wavelet-run", claim="residual drops by a factor in [1.5, 3] when scales double",
+        measure=lambda r: _refinement(*r.residuals)),
+}
+# the admissibility row of any other profile, which has no closed form
+ADMISSIBLE = Row("wavelet-run", "two-sided admissibility quadrature is finite and positive",
+                 0.0, POSITIVE, lambda r: (r.c_full, f"positive-axis constant {r.c_plus!r}"))
+MULTIPLIER_RUN: dict[str, Row] = {
+    **{f"budget_p{p:g}": Row(
+        "multiplier-run", f"Schatten {p:g}-norm within its budget", 1e-10, BUDGET,
+        lambda r, i=i: (r.budgets[0][i], "", r.budgets[1][i]))
+       for i, p in enumerate(DEFAULT_PS)},
+    "adjoint_identity": Row(
+        "multiplier-run",
+        "adjoint equals the conjugate-symbol multiplier with frames swapped", 1e-12, MAX0,
+        lambda r: hb.operator_norm(r.M.conj().T - multiplier(r.m.values.conj(), r.G, r.F))
+        / r.scale),
+    "equals_frame_operator": Row(
+        "multiplier-run", "unit symbol with equal frames reproduces the frame operator",
+        1e-12, MAX0, lambda r: hb.operator_norm(r.M - fr.frame_operator(r.F)) / r.scale),
+}
+
+
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _record(cfg: SuiteConfig, check_id: str, stacked: dict) -> Check:
-    """The verdict of a check on its run's ``stacked`` values or its measure."""
-    row = CHECKS[check_id]
-    values = row.measure(cfg) if row.kind is None else stacked[check_id]
-    if isinstance(values, Exception):
-        raise values
-    return verdict(cfg, check_id, values)
+def _record(check_id: str, row: Row, tol: float, values: Callable) -> Check:
+    """The verdict of a check on what values(check_id, row) gives; raises
+    what that raises or gives."""
+    given = values(check_id, row)
+    if isinstance(given, Exception):
+        raise given
+    return verdict(check_id, row, tol, given)
+
+
+def _report(report: Report, table: dict, tolerances: dict, values: Callable) -> Report:
+    """``report`` with the _record of every row of ``table`` in table order,
+    under its tolerance in ``tolerances`` or else its row's.  A check that
+    raises is recorded as failed, with no measured value or budget and the
+    exception in its error field; the run continues."""
+    for check_id, row in table.items():
+        tol = float(tolerances.get(check_id, row.tolerance))
+        try:
+            report.checks.append(_record(check_id, row, tol, values))
+        except Exception as exc:  # keep going; the report carries the failure
+            report.checks.append(Check(
+                check_id, "check aborted with an exception", None, None, tol, False,
+                error=f"{type(exc).__name__}: {exc}"))
+    report.finished = _timestamp()
+    return report
+
+
+def _measured(cfg: SuiteConfig, stacked: dict) -> Callable:
+    """The stacked values of a suite check, or its measure of ``cfg``."""
+    return lambda check_id, row: row.measure(cfg) if row.kind is None else stacked[check_id]
 
 
 def run_check(cfg: SuiteConfig, check_id: str) -> Check:
     """Check ``check_id`` measured afresh on ``cfg``, as run_suite records
     it; raises what its measure raises."""
-    return _record(cfg, check_id, _stacked_values(cfg, (check_id,)))
+    return _record(check_id, CHECKS[check_id], cfg.tol(check_id),
+                   _measured(cfg, _stacked_values(cfg, (check_id,))))
 
 
 def run_suite(config: SuiteConfig) -> Report:
-    """Run every check of the configured suite and collect a report.
-
-    The stacked rows of the run are measured together, chunk by chunk.  A
-    check that raises is recorded as failed, with no measured value or
-    budget and the exception in its error field; the run continues.  Every
-    check that reads a shared quantity that raises records its error.
-    """
-    check_ids = [c for c, row in CHECKS.items() if config.suite in ("all", row.suite)]
+    """Run every check of the configured suite and collect a report: the
+    stacked rows of the run are measured together, chunk by chunk, and a
+    check that reads a shared quantity that raises records its error."""
+    table = {c: row for c, row in CHECKS.items() if config.suite in ("all", row.suite)}
     report = Report(suite=config.suite, seed=config.seed, started=_timestamp())
-    stacked = _stacked_values(config, check_ids)
-    for check_id in check_ids:
-        try:
-            report.checks.append(_record(config, check_id, stacked))
-        except Exception as exc:  # keep going; the report carries the failure
-            report.checks.append(Check(
-                check_id, "check aborted with an exception", None, None,
-                config.tol(check_id), False, error=f"{type(exc).__name__}: {exc}"))
-    report.finished = _timestamp()
-    return report
+    return _report(report, table, config.tolerances,
+                   _measured(config, _stacked_values(config, table)))
 
 
 def run_gabor(d: int, window="gaussian", seed: int = 0) -> Report:
-    """Tightness report for one cyclic Gabor system.
+    """Tightness report for one cyclic Gabor system: the rows of GABOR_RUN
+    on its frame operator S, built (and the window checked) before them.
 
-    One eigen-solve of the frame operator S serves all three checks: its
-    extreme eigenvalues are the optimal bounds (the lower one clamped at 0),
-    and, unclamped, they give ``hb.identity_defect_bound``, an upper bound
-    on ||S - ||g||^2 I|| that adds the Frobenius norm of the skew part of S.
-    """
+    One eigen-solve of S serves all three checks: its extreme eigenvalues
+    are the optimal bounds (the lower one clamped at 0), and, unclamped,
+    they give ``hb.identity_defect_bound``, an upper bound on ||S - ||g||^2
+    I|| that adds the Frobenius norm of the skew part of S."""
     if isinstance(window, str):
         window = tf.WindowSpec(kind=window)
     g = window.build(d) if isinstance(window, tf.WindowSpec) else np.asarray(window)
     report = Report(suite="gabor-run", seed=seed, started=_timestamp())
-    S = tf.gabor_frame_operator(g, d)
-    extremes = hb.extreme_eigenvalues(S)
-    gsq = float(np.linalg.norm(g) ** 2)
-    residual = hb.identity_defect_bound(S, gsq, extremes) / gsq
-    lower, upper = max(extremes[0], 0.0), extremes[1]
-    tol = 1e-10
-    report.checks.extend([
-        Check("gabor_lower_bound", "optimal lower bound equals ||g||^2",
-              lower, gsq, tol, abs(lower - gsq) <= tol * gsq),
-        Check("gabor_upper_bound", "optimal upper bound equals ||g||^2",
-              upper, gsq, tol, abs(upper - gsq) <= tol * gsq),
-        Check("gabor_tightness_residual",
-              "frame operator equals ||g||^2 times the identity",
-              residual, tol, tol, residual <= tol),
-    ])
-    report.finished = _timestamp()
-    return report
+    run = Inputs({"extremes": lambda r: hb.extreme_eigenvalues(r.S)},
+                 S=tf.gabor_frame_operator(g, d), gsq=float(np.linalg.norm(g) ** 2))
+    return _report(report, GABOR_RUN, {}, lambda _, row: row.measure(run))
 
 
-def run_wavelet(d: int = CALDERON_DEFAULTS["d"],
-                wavelet: tf.WaveletSpec | None = None,
+def run_wavelet(d: int = CALDERON_DEFAULTS["d"], wavelet: tf.WaveletSpec | None = None,
                 a_min: float = CALDERON_DEFAULTS["a_min"],
-                a_max: float = CALDERON_DEFAULTS["a_max"],
-                n_a: int = CALDERON_DEFAULTS["n_a"],
-                n_b: int | None = None,
-                band: tuple[float, float] = CALDERON_DEFAULTS["band"],
-                taper: float = CALDERON_DEFAULTS["taper"],
-                seed: int = 0) -> Report:
-    """Admissibility, reconstruction and refinement report for one wavelet."""
+                a_max: float = CALDERON_DEFAULTS["a_max"], n_a: int = CALDERON_DEFAULTS["n_a"],
+                n_b: int | None = None, band: tuple[float, float] = CALDERON_DEFAULTS["band"],
+                taper: float = CALDERON_DEFAULTS["taper"], seed: int = 0) -> Report:
+    """Admissibility, reconstruction and refinement report for one wavelet:
+    the rows of WAVELET_RUN on its _calderon_study, with ADMISSIBLE for the
+    admissibility constant of a profile other than the default."""
     wavelet = wavelet or tf.WaveletSpec()
     n_b = d if n_b is None else n_b
     report = Report(suite="wavelet-run", seed=seed, started=_timestamp())
-
-    c_full = _admissibility(wavelet)
-    c_plus, coarse, fine = _calderon_study(wavelet, d, a_min, a_max, n_a, n_b,
-                                           band, taper)
-    ratio = coarse / fine
-
-    claim = "two-sided admissibility quadrature (default profile: 1/4)"
-    if wavelet.kind == "mexican-hat-fourier":
-        admissibility = Check("admissibility_constant", claim, c_full, 0.25, 1e-4,
-                              abs(c_full - 0.25) <= 1e-4,
-                              detail=f"positive-axis constant {c_plus!r}")
-    else:
-        admissibility = Check("admissibility_constant", claim, c_full, c_full, 0.0,
-                              True, detail="ungated measurement: the 1/4 closed "
-                              "form holds for the default profile only; "
-                              f"positive-axis constant {c_plus!r}")
-    grid_desc = (f"d={d} a=[{a_min:g},{a_max:g}] n_a={n_a} n_b={n_b} "
-                 f"band={tuple(band)} taper={taper:g}")
-    report.checks.extend([
-        admissibility,
-        Check("calderon_residual",
-              "reconstruction residual within tolerance on the configured grid",
-              coarse, 0.02, 0.02, coarse <= 0.02,
-              detail=f"{grid_desc}, C_plus={c_plus!r}"),
-        Check("calderon_refinement",
-              "residual drops by a factor in [1.5, 3] when scales double",
-              ratio, 3.0, 3.0, 1.5 <= ratio <= 3.0,
-              detail=f"residuals {coarse!r} -> {fine!r}"),
-    ])
-    report.finished = _timestamp()
-    return report
+    run = _calderon_study(wavelet, d, a_min, a_max, n_a, n_b, band, taper)
+    table = WAVELET_RUN if wavelet.kind == "mexican-hat-fourier" else {
+        **WAVELET_RUN, "admissibility_constant": ADMISSIBLE}
+    return _report(report, table, {}, lambda _, row: row.measure(run))
 
 
 def run_multiplier(config: dict, seed: int = 0) -> tuple[Report, str]:
-    """Budget report plus singular-value CSV for one configured multiplier.
-
-    The configuration carries an analysis frame, a synthesis frame and a
-    symbol in their JSON forms.
-    """
+    """Budget report plus singular-value CSV for one configured multiplier:
+    the rows of MULTIPLIER_RUN, equals_frame_operator only for a unit symbol
+    with equal frames.  The configuration carries an analysis frame, a
+    synthesis frame and a symbol in their JSON forms, and may set the
+    tolerance of the budget rows."""
     F = fr.SampledFrame.from_dict(config["analysis_frame"])
     G = fr.SampledFrame.from_dict(config["synthesis_frame"])
     m = Symbol.from_dict(config["symbol"], F.space)
-    tolerance = float(config.get("tolerance", 1e-10))
-
+    tolerances = {c: float(config.get("tolerance", row.tolerance))
+                  for c, row in MULTIPLIER_RUN.items() if row.gate == BUDGET}
+    table = dict(MULTIPLIER_RUN)
+    if not (np.allclose(m.values, 1.0) and np.array_equal(F.vectors, G.vectors)):
+        del table["equals_frame_operator"]
     report = Report(suite="multiplier-run", seed=seed, started=_timestamp())
     # one M and one SVD for the budgets, the scale and the CSV
-    M = multiplier(m, F, G)
-    sigma = hb.singular_values(M)
-    actuals, budgets = budget_values(F.space.weights, m.values, F.vectors, G.vectors,
-                                     DEFAULT_PS, sigma)
-    for p, actual, budget in zip(DEFAULT_PS, actuals.tolist(), budgets.tolist()):
-        tag = "inf" if p == math.inf else f"{p:g}"
-        report.checks.append(Check(
-            f"budget_p{tag}", f"Schatten {tag}-norm within its budget",
-            actual, budget, tolerance, actual <= budget + tolerance))
-
-    adjoint_defect = hb.operator_norm(
-        M.conj().T - multiplier(m.values.conj(), G, F))
-    scale = max(hb.schatten_of(sigma, math.inf), 1e-300)
-    report.checks.append(Check(
-        "adjoint_identity",
-        "adjoint equals the conjugate-symbol multiplier with frames swapped",
-        adjoint_defect / scale, 1e-12, 1e-12, adjoint_defect / scale <= 1e-12))
-
-    if np.allclose(m.values, 1.0) and np.array_equal(F.vectors, G.vectors):
-        s_defect = hb.operator_norm(M - fr.frame_operator(F)) / scale
-        report.checks.append(Check(
-            "equals_frame_operator",
-            "unit symbol with equal frames reproduces the frame operator",
-            s_defect, 1e-12, 1e-12, s_defect <= 1e-12))
-
-    csv_text = hb.spectrum_to_csv(sigma)
-    report.finished = _timestamp()
-    return report, csv_text
+    run = Inputs({"sigma": lambda r: hb.singular_values(r.M),
+                  "budgets": lambda r: budget_values(F.space.weights, m.values, F.vectors,
+                                                     G.vectors, DEFAULT_PS, r.sigma),
+                  "scale": lambda r: max(hb.schatten_of(r.sigma, math.inf), 1e-300)},
+                 F=F, G=G, m=m, M=multiplier(m, F, G))
+    report = _report(report, table, tolerances, lambda _, row: row.measure(run))
+    # every check reads sigma: it is kept, or the report carries its error
+    return report, hb.spectrum_to_csv(vars(run).get("sigma", []))

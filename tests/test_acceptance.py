@@ -21,6 +21,7 @@ from contframes.controlled import (
 )
 from contframes.measure import MeasureSpace, Symbol, lp_norm, uniform_grid_1d, wavelet_grid
 from contframes.multiplier import (
+    FRAME_PARTS,
     convergence_experiment,
     dual_from_multiplier,
     lower_bound_certificates,
@@ -179,10 +180,10 @@ def test_criterion_07_truncation_convergence():
         order = np.argsort(np.abs(m.values))[::-1]
         cuts = [max(1, n // 8), n // 4, n // 2, n]
         schedule = [truncate_symbol(m, order[:c]) for c in cuts]
-        report = convergence_experiment("symbol_p", m, F, F, schedule, p=math.inf)
-        worst_gap = max(worst_gap,
-                        max(s.measured - s.budget for s in report.steps))
-        measured = [s.measured for s in report.steps]
+        _, measured, budgets = convergence_experiment("symbol_p", m, F, F, schedule,
+                                                      p=math.inf)
+        worst_gap = max(worst_gap, float(np.max(measured - budgets)))
+        measured = measured.tolist()
         worst_rise = max(worst_rise,
                          max(b - a for a, b in zip(measured, measured[1:])),
                          measured[-1])
@@ -202,14 +203,15 @@ def test_criterion_08_convergence_in_ingredients():
         sym_schedule = [Symbol(m.values + bump_sym.values / k, F.space)
                         for k in (1, 2, 4, 8)]
         for p in (1.0, 2.0, math.inf):
-            report = convergence_experiment("symbol_p", m, F, G, sym_schedule, p=p)
-            worst = max(worst, max(s.measured - s.budget for s in report.steps))
+            _, measured, budgets = convergence_experiment("symbol_p", m, F, G,
+                                                          sym_schedule, p=p)
+            worst = max(worst, float(np.max(measured - budgets)))
         bump = rng.standard_normal((F.dim, n)) + 1j * rng.standard_normal((F.dim, n))
         frame_schedule = [fr.SampledFrame(F.space, F.vectors + bump / k)
                           for k in (1, 2, 4, 8)]
         for kind in ("frame_uniform_L2", "frame_uniform_L1"):
-            report = convergence_experiment(kind, m, F, G, frame_schedule)
-            worst = max(worst, max(s.measured - s.budget for s in report.steps))
+            _, measured, budgets = convergence_experiment(kind, m, F, G, frame_schedule)
+            worst = max(worst, float(np.max(measured - budgets)))
     assert record(8, "symbol and frame perturbation schedules stay under the "
                   "stated budgets", worst <= 1e-10, f"worst gap {worst:.2e}")
 
@@ -294,11 +296,12 @@ def test_criterion_13_weighted_certificates():
     worst_floor_gap = -math.inf
     for i in range(100):
         m, F, G = random_instance(i, 13, invertible=True)
-        report = lower_bound_certificates(m, F, G)
-        if not report.all_passed:
+        measured, floors = lower_bound_certificates(m, F, G)
+        # a frame part holds above its floor, any other at least at it
+        holds = np.where(FRAME_PARTS, measured > floors, measured >= floors - 1e-10)
+        if not np.all(holds):
             failures += 1
-        part1 = report.parts[0]
-        worst_floor_gap = max(worst_floor_gap, part1.floor - part1.measured)
+        worst_floor_gap = max(worst_floor_gap, floors[0] - measured[0])
     ok = failures == 0 and worst_floor_gap <= 1e-10
     assert record(13, "all five lower-bound certificates hold",
                   ok, f"floor gap {worst_floor_gap:.2e}")

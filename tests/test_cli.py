@@ -336,13 +336,24 @@ def test_run_wavelet_admissibility_gate_can_fail(monkeypatch):
     assert not report.all_passed
 
 
-def test_run_wavelet_custom_profile_admissibility_ungated():
+def test_run_wavelet_custom_profile_admissibility_gate():
+    # a profile other than the default has no closed form: its constant is
+    # held to the admissibility condition, finite and > 0
+    light = dict(d=64, n_a=24, band=(2.0, 6.0))
     doubled = tf.WaveletSpec("given-fourier", lambda g: 2.0 * tf.mexican_hat_fourier(g))
-    check = admissibility_check(run_wavelet(d=64, wavelet=doubled, n_a=24,
-                                            band=(2.0, 6.0)))
+    check = admissibility_check(run_wavelet(wavelet=doubled, **light))
     assert check.measured == pytest.approx(1.0, abs=1e-4)
-    assert check.passed
-    assert check.detail.startswith("ungated")
+    assert check.passed and check.budget == check.tolerance == 0.0
+    assert check.detail.startswith("positive-axis constant")
+    # a profile that vanishes on the quadrature grid fails the gate; the
+    # Calderon checks, which refuse to build its family, abort
+    dead = tf.WaveletSpec("given-fourier", lambda g: np.zeros_like(np.asarray(g)))
+    report = run_wavelet(wavelet=dead, **light)
+    check = admissibility_check(report)
+    assert check.measured == 0.0 and not check.passed and not check.error
+    assert {c.check_id: c.error.split(":")[0] for c in report.checks if c.error} == {
+        "calderon_residual": "InvalidParameterError",
+        "calderon_refinement": "InvalidParameterError"}
 
 
 def test_run_suite_determinism_inprocess():
@@ -433,6 +444,17 @@ def test_each_suite_has_the_rows_the_benchmark_expects(monkeypatch):
     assert {row.gate for row in suites.CHECKS.values()} == {
         suites.MAX0, suites.MAX, suites.COUNT, suites.MAX_COUNT_SHOWN, suites.FLOOR,
         suites.RANGE}
+    # the subcommand tables add only the gates against a bound and the
+    # admissibility condition
+    tables = (suites.GABOR_RUN, suites.WAVELET_RUN, suites.MULTIPLIER_RUN)
+    gates = {row.gate for table in tables for row in table.values()}
+    assert gates | {suites.ADMISSIBLE.gate} == {
+        suites.MAX0, suites.RANGE, suites.RELATIVE, suites.ABSOLUTE, suites.BUDGET,
+        suites.POSITIVE}
+    # the gabor subcommand writes the report the transforms workload reads
+    assert sorted(workloads.SUITE_CHECK_IDS["gabor-run"]) == sorted(suites.GABOR_RUN)
+    assert {row.suite for table in tables for row in table.values()} == {
+        "gabor-run", "wavelet-run", "multiplier-run"}
 
 
 def test_frame_iff_invertible_lets_unexpected_errors_abort(monkeypatch):

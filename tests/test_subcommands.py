@@ -1,0 +1,325 @@
+"""The reports of the gabor, wavelet and multiplier subcommands: every check
+can fail, every gate holds at its boundary, an input that overflows is
+recorded rather than raised, and the tolerance a report names is the one
+its measure applied."""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+from contframes import controlled as ctrl
+from contframes import frame as fr
+from contframes import hilbert as hb
+from contframes import suites
+from contframes import tf_frames as tf
+from contframes.cli import main
+from contframes.errors import NumericFailureError
+from contframes.frame import SampledFrame
+from contframes.measure import Symbol, counting_space
+from contframes.reporting import Check
+from contframes.suites import SuiteConfig
+
+
+def strict_json(path):
+    return json.loads(path.read_text(), parse_constant=lambda token: pytest.fail(token))
+
+
+def above(x):
+    return float(np.nextafter(x, math.inf))
+
+
+def below(x):
+    return float(np.nextafter(x, -math.inf))
+
+
+# ---------------------------------------------------------------------------
+# a failing case for every subcommand check
+# ---------------------------------------------------------------------------
+
+def frames(seed=0, d=4, n=12, scale=1.0):
+    rng = np.random.default_rng(seed)
+    space = counting_space(n)
+    return [SampledFrame(space, scale * (rng.standard_normal((d, n))
+                                         + 1j * rng.standard_normal((d, n))))
+            for _ in range(2)]
+
+
+def multiplier_config(unit=False, scale=1.0):
+    F, G = frames(scale=scale)
+    values = np.ones(12) if unit else np.random.default_rng(1).standard_normal(12)
+    return {"analysis_frame": F.to_dict(),
+            "synthesis_frame": (F if unit else G).to_dict(),
+            "symbol": Symbol(values.astype(complex), F.space).to_dict()}
+
+
+def gabor():
+    return suites.run_gabor(64, "gaussian")
+
+
+def wavelet():
+    # a grid on which all three checks pass
+    return suites.run_wavelet(d=64, n_a=64, band=(2.0, 8.0))
+
+
+def multiplier(unit=False):
+    return lambda: suites.run_multiplier(multiplier_config(unit))[0]
+
+
+def shift_eigenvalue(monkeypatch, index, size):
+    """Move eigenvalue ``index`` of each Gabor frame operator by ``size``
+    ||g||^2, along the eigenvector that eigenvalue has."""
+    build = tf.gabor_frame_operator
+
+    def shifted(window, d):
+        S = build(window, d)
+        gsq = np.linalg.norm(window) ** 2
+        _, vectors = np.linalg.eigh(S)
+        v = vectors[:, index]
+        return S + size * gsq * np.outer(v, v.conj())
+
+    monkeypatch.setattr(tf, "gabor_frame_operator", shifted)
+
+
+def skew_gabor_operator(monkeypatch):
+    build = tf.gabor_frame_operator
+    monkeypatch.setattr(tf, "gabor_frame_operator", lambda window, d: build(window, d)
+                        + 1e-8j * np.linalg.norm(window) ** 2 * np.eye(d))
+
+
+def doubled_profile(monkeypatch):
+    profile = tf.mexican_hat_fourier
+    monkeypatch.setattr(tf, "mexican_hat_fourier", lambda g: 2.0 * profile(g))
+
+
+def scaled_residuals(monkeypatch):
+    residual = tf.calderon_residual
+    monkeypatch.setattr(tf, "calderon_residual", lambda *a, **k: 100.0 * residual(*a, **k))
+
+
+def unrefined_residuals(monkeypatch):
+    # the refined grid gives the residual of the first: no refinement gain
+    residual, first = tf.calderon_residual, []
+
+    def repeated(*args, **kwargs):
+        first.append(first[0] if first else residual(*args, **kwargs))
+        return first[-1]
+
+    monkeypatch.setattr(tf, "calderon_residual", repeated)
+
+
+def lowered_budget(column):
+    def fault(monkeypatch):
+        values = suites.budget_values
+
+        def lowered(*args, **kwargs):
+            actuals, budgets = values(*args, **kwargs)
+            budgets = budgets.copy()
+            budgets[..., column] = 0.5 * actuals[..., column]
+            return actuals, budgets
+
+        monkeypatch.setattr(suites, "budget_values", lowered)
+    return fault
+
+
+def perturbed_adjoint(monkeypatch):
+    # every multiplier after the first, M, is off by 1e-8 ||M|| I
+    build, calls = suites.multiplier, []
+
+    def perturbed(m, F, G):
+        M = build(m, F, G)
+        calls.append(M)
+        return M if len(calls) == 1 else M + 1e-8 * hb.operator_norm(M) * np.eye(len(M))
+
+    monkeypatch.setattr(suites, "multiplier", perturbed)
+
+
+def perturbed_frame_operator(monkeypatch):
+    build = fr.frame_operator
+    monkeypatch.setattr(fr, "frame_operator", lambda F: build(F) * (1.0 + 1e-8))
+
+
+# check id -> (the run, the fault, the ids that may fail with it)
+FAULTS = {
+    "gabor_lower_bound": (gabor, lambda mp: shift_eigenvalue(mp, 0, -1e-8),
+                          {"gabor_lower_bound", "gabor_tightness_residual"}),
+    "gabor_upper_bound": (gabor, lambda mp: shift_eigenvalue(mp, -1, 1e-8),
+                          {"gabor_upper_bound", "gabor_tightness_residual"}),
+    "gabor_tightness_residual": (gabor, skew_gabor_operator, {"gabor_tightness_residual"}),
+    "admissibility_constant": (wavelet, doubled_profile, {"admissibility_constant"}),
+    "calderon_residual": (wavelet, scaled_residuals, {"calderon_residual"}),
+    "calderon_refinement": (wavelet, unrefined_residuals, {"calderon_refinement"}),
+    **{f"budget_p{tag}": (multiplier(), lowered_budget(column), {f"budget_p{tag}"})
+       for column, tag in enumerate(("1", "1.5", "2", "3", "inf"))},
+    "adjoint_identity": (multiplier(), perturbed_adjoint, {"adjoint_identity"}),
+    "equals_frame_operator": (multiplier(unit=True), perturbed_frame_operator,
+                              {"equals_frame_operator"}),
+}
+SUBCOMMAND_IDS = sorted({*suites.GABOR_RUN, *suites.WAVELET_RUN, *suites.MULTIPLIER_RUN})
+
+
+def verdicts(report):
+    assert not [c.error for c in report.checks if c.error]
+    return {c.check_id: c.passed for c in report.checks}
+
+
+@pytest.mark.parametrize("check_id", SUBCOMMAND_IDS)
+def test_every_subcommand_check_can_fail(monkeypatch, check_id):
+    assert check_id in FAULTS, "a subcommand check without a failing case"
+    run, fault, may_fail = FAULTS[check_id]
+    before = verdicts(run())
+    assert check_id in before and all(before.values())
+    fault(monkeypatch)
+    after = verdicts(run())
+    failed = {c for c, passed in after.items() if not passed}
+    assert check_id in failed and failed <= may_fail
+
+
+# ---------------------------------------------------------------------------
+# the gates of the subcommand tables at their boundaries
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gate,tol,measured,bound,passed", [
+    # |x - b| <= tol b
+    (suites.RELATIVE, 0.25, 5.0, 4.0, True),
+    (suites.RELATIVE, 0.25, 3.0, 4.0, True),
+    (suites.RELATIVE, 0.25, above(5.0), 4.0, False),
+    (suites.RELATIVE, 0.25, below(3.0), 4.0, False),
+    # |x - b| <= tol
+    (suites.ABSOLUTE, 1.0, 5.0, 4.0, True),
+    (suites.ABSOLUTE, 1.0, 3.0, 4.0, True),
+    (suites.ABSOLUTE, 1.0, above(5.0), 4.0, False),
+    (suites.ABSOLUTE, 1.0, below(3.0), 4.0, False),
+    # x <= b + tol
+    (suites.BUDGET, 0.5, 2.5, 2.0, True),
+    (suites.BUDGET, 0.5, -100.0, 2.0, True),
+    (suites.BUDGET, 0.5, above(2.5), 2.0, False),
+    # finite and > 0
+    (suites.POSITIVE, 0.0, 5e-324, 0.0, True),
+    (suites.POSITIVE, 0.0, 0.0, 0.0, False),
+    (suites.POSITIVE, 0.0, -1.0, 0.0, False),
+])
+def test_subcommand_gates_at_their_boundaries(gate, tol, measured, bound, passed):
+    row = suites.Row("test-run", "a claim", tol, gate, None)
+    assert suites.verdict("c", row, tol, (measured, "detail", bound)) == Check(
+        "c", "a claim", measured, bound, tol, passed, "detail")
+
+
+@pytest.mark.parametrize("gate,measured,bound,passed,shown,detail", [
+    (suites.POSITIVE, math.inf, 0.0, False, (None, 0.0), "measured inf"),
+    (suites.RELATIVE, math.nan, 1.0, False, (None, 1.0), "measured nan"),
+    (suites.BUDGET, 1.0, math.inf, True, (1.0, None), "budget inf"),
+    (suites.ABSOLUTE, 1.0, math.nan, False, (1.0, None), "budget nan"),
+])
+def test_non_finite_values_and_bounds_move_into_the_detail(gate, measured, bound, passed,
+                                                           shown, detail):
+    row = suites.Row("test-run", "a claim", 0.5, gate, None)
+    assert suites.verdict("c", row, 0.5, (measured, "", bound)) == Check(
+        "c", "a claim", *shown, 0.5, passed, detail)
+
+
+# ---------------------------------------------------------------------------
+# an input that overflows is recorded in a strict-JSON report
+# ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gabor_command_records_an_overflowing_window(tmp_path, capsys):
+    window = tmp_path / "window.json"
+    window.write_text(json.dumps([1e200, 0.0, 0.0, 0.0]))
+    out = tmp_path / "gabor.json"
+    assert main(["gabor", "--d", "4", "--window", str(window), "--out", str(out)]) == 1
+    checks = strict_json(out)["checks"]
+    assert sorted(c["check_id"] for c in checks) == sorted(suites.GABOR_RUN)
+    for check in checks:
+        assert not check["pass"] and check["measured"] is check["budget"] is None
+        assert check["error"] == "NumericFailureError: operator has non-finite entries"
+    assert "gabor-run: 0/3 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_multiplier_command_records_an_overflowing_frame(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(multiplier_config()
+                                 | {"analysis_frame": frames(scale=1e200)[0].to_dict()}))
+    out, sigma = tmp_path / "report.json", tmp_path / "sigma.csv"
+    assert main(["multiplier", "--config", str(config), "--out", str(out),
+                 "--sigma-csv", str(sigma)]) == 1
+    checks = {c["check_id"]: c for c in strict_json(out)["checks"]}
+    assert set(checks) == set(suites.MULTIPLIER_RUN) - {"equals_frame_operator"}
+    aborted = {c for c, check in checks.items() if "error" in check}
+    assert aborted == {c for c in checks if c.startswith("budget_p")}
+    for check_id in aborted:
+        assert checks[check_id]["measured"] is None and not checks[check_id]["pass"]
+        assert checks[check_id]["error"].startswith("NumericFailureError")
+    assert checks["adjoint_identity"]["pass"]
+    assert len(sigma.read_text().splitlines()) == 5
+
+
+def test_multiplier_csv_has_no_rows_without_singular_values(monkeypatch):
+    def failed(T):
+        raise NumericFailureError("singular value decomposition failed")
+
+    monkeypatch.setattr(suites.hb, "singular_values", failed)
+    report, csv_text = suites.run_multiplier(multiplier_config())
+    assert csv_text == "index,sigma\n"
+    assert all(c.error.startswith("NumericFailureError") for c in report.checks)
+
+
+# ---------------------------------------------------------------------------
+# a tolerance override reaches the measures that apply a tolerance
+# ---------------------------------------------------------------------------
+
+def antisymmetric_part(T, size):
+    """T plus a real antisymmetric part of about ``size`` ||T||: the
+    Hermitian part, and so every eigenvalue, stays that of T."""
+    d = T.shape[-1]
+    skew = np.triu(np.ones((d, d)), 1) - np.tril(np.ones((d, d)), -1)
+    return T + size * hb.operator_norm(T)[..., None, None] * skew
+
+
+def skewed_mixed_operators(monkeypatch):
+    mixed = ctrl.mixed_operator
+    monkeypatch.setattr(ctrl, "mixed_operator",
+                        lambda C, w, F: antisymmetric_part(mixed(C, w, F), 1e-8))
+
+
+def skewed_multipliers(monkeypatch):
+    gram = fr.weighted_gram
+
+    def skewed(X, c, Y):  # the multipliers' coefficients are complex
+        out = gram(X, c, Y)
+        return antisymmetric_part(out, 1e-8) if np.iscomplexobj(c) else out
+
+    monkeypatch.setattr(fr, "weighted_gram", skewed)
+
+
+def lowered_certificate(monkeypatch):
+    # certificate 2 measured 1e-8 under its floor
+    values = suites.certificate_values
+
+    def lowered(*args, **kwargs):
+        measured, floors = values(*args, **kwargs)
+        measured = measured.copy()
+        measured[..., 1] = floors[..., 1] - 1e-8
+        return measured, floors
+
+    monkeypatch.setattr(suites, "certificate_values", lowered)
+
+
+@pytest.mark.parametrize("check_id,fault", [
+    ("controlled_positivity", skewed_mixed_operators),
+    ("positive_symbol_coercivity", skewed_multipliers),
+    ("certificates", lowered_certificate),
+])
+def test_tolerance_override_reaches_the_measure(monkeypatch, check_id, fault):
+    # a fault between the default 1e-10 and the override 1e-6 fails the
+    # check at the default tolerance only
+    cfg = SuiteConfig(trials=6, d=4, n_points=12)
+    assert suites.run_check(cfg, check_id).passed
+    fault(monkeypatch)
+    assert not suites.run_check(cfg, check_id).passed
+    relaxed = suites.run_check(dataclasses.replace(cfg, tolerances={check_id: 1e-6}),
+                               check_id)
+    assert relaxed.passed and relaxed.tolerance == 1e-6
