@@ -17,6 +17,7 @@ from pathlib import Path
 from .errors import InvalidParameterError, ShapeMismatchError
 from .reporting import Report
 from .suites import (
+    CALDERON_DEFAULTS,
     SUITES,
     SuiteConfig,
     run_gabor,
@@ -35,6 +36,29 @@ def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
             raise InvalidParameterError(f"expected KEY=VALUE, got {pair!r}")
         tolerances[key] = float(value)
     return tolerances
+
+
+# the dest of each verify flag that a --config file replaces, and the
+# SuiteConfig field it sets; a flag not given keeps the field's default
+SUITE_FLAGS = {"suite": "suite", "seed": "seed", "trials": "trials", "d": "d",
+               "n": "n_points", "tol": "tolerances", "format": "format"}
+
+
+def _suite_config(args: argparse.Namespace) -> SuiteConfig:
+    """The configuration of a verify run: its --config file, which no flag
+    of SUITE_FLAGS may accompany, or else its flags."""
+    given = {dest: getattr(args, dest) for dest in SUITE_FLAGS
+             if getattr(args, dest) is not None}
+    if args.config:
+        if given:
+            raise InvalidParameterError(
+                "--config sets the whole suite configuration; drop "
+                + ", ".join(f"--{dest}" for dest in given))
+        return SuiteConfig.from_dict(json.loads(Path(args.config).read_text()))
+    if "tol" in given:
+        given["tol"] = _parse_tolerances(given["tol"])
+    return SuiteConfig(**{SUITE_FLAGS[dest]: value for dest, value in given.items()},
+                       output=args.out)
 
 
 def _number(value: float | None, spec: str) -> str:
@@ -69,18 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a seeded verification suite")
-    verify.add_argument("--suite", default="all", help=f"one of {', '.join(SUITES)}")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--trials", type=int, default=200)
-    verify.add_argument("--d", type=int, default=8)
-    verify.add_argument("--n", type=int, default=64, dest="n")
+    verify.add_argument("--suite", help=f"one of {', '.join(SUITES)}")
+    verify.add_argument("--seed", type=int)
+    verify.add_argument("--trials", type=int)
+    verify.add_argument("--d", type=int)
+    verify.add_argument("--n", type=int)
     verify.add_argument("--tol", action="append", metavar="KEY=VAL",
                         help="override one check tolerance (repeatable)")
     verify.add_argument("--config", default=None, metavar="PATH",
                         help="load the whole suite configuration from a JSON "
                              "file instead of the flags above")
     verify.add_argument("--out", default=None, metavar="PATH")
-    verify.add_argument("--format", choices=("json", "csv"), default="json")
+    verify.add_argument("--format", choices=("json", "csv"))
 
     gabor = sub.add_parser("gabor", help="tightness report for a cyclic Gabor system")
     gabor.add_argument("--d", type=int, default=8)
@@ -90,15 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
     gabor.add_argument("--format", choices=("json", "csv"), default="json")
 
     wavelet = sub.add_parser("wavelet", help="admissibility and reconstruction report")
-    wavelet.add_argument("--d", type=int, default=512)
+    wavelet.add_argument("--d", type=int, default=CALDERON_DEFAULTS["d"])
     wavelet.add_argument("--wavelet", default="mexican-hat-fourier")
-    wavelet.add_argument("--a-min", type=float, default=2.0**-6)
-    wavelet.add_argument("--a-max", type=float, default=4.0)
-    wavelet.add_argument("--n-a", type=int, default=64)
+    wavelet.add_argument("--a-min", type=float, default=CALDERON_DEFAULTS["a_min"])
+    wavelet.add_argument("--a-max", type=float, default=CALDERON_DEFAULTS["a_max"])
+    wavelet.add_argument("--n-a", type=int, default=CALDERON_DEFAULTS["n_a"])
     wavelet.add_argument("--n-b", type=int, default=None)
-    wavelet.add_argument("--band", type=float, nargs=2, default=(2.0, 8.0),
+    wavelet.add_argument("--band", type=float, nargs=2, default=CALDERON_DEFAULTS["band"],
                          metavar=("LO", "HI"))
-    wavelet.add_argument("--taper", type=float, default=1.0)
+    wavelet.add_argument("--taper", type=float, default=CALDERON_DEFAULTS["taper"])
     wavelet.add_argument("--out", default=None, metavar="PATH")
     wavelet.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -127,18 +151,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "verify":
-            if args.config:
-                config = SuiteConfig.from_dict(
-                    json.loads(Path(args.config).read_text()))
-                args.out = args.out or config.output
-                args.format = config.format
-            else:
-                config = SuiteConfig(
-                    suite=args.suite, seed=args.seed, trials=args.trials,
-                    d=args.d, n_points=args.n,
-                    tolerances=_parse_tolerances(args.tol),
-                    output=args.out, format=args.format,
-                )
+            config = _suite_config(args)
+            args.out, args.format = args.out or config.output, config.format
             report = run_suite(config)
         elif args.command == "gabor":
             if args.window == "gaussian":

@@ -3,8 +3,8 @@ and the reports of the gabor, wavelet and multiplier subcommands.
 
 CHECKS is the one table of the suite checks, in report order; a new check is
 one row.  A row holds the suite, the claim, the default tolerance, the gate
-and the measure of its check, and for a stacked check its draw kind and
-trial cap.  GABOR_RUN, WAVELET_RUN and MULTIPLIER_RUN, the tables of the
+and the measure of its check, and for a stacked check its trial cap.
+GABOR_RUN, WAVELET_RUN and MULTIPLIER_RUN, the tables of the
 subcommands, stay apart from CHECKS, out of reach of the suites and their
 tolerance overrides; their measures read the Inputs of one run.  The gate
 says how verdict() folds the values and compares them: max from 0 or from
@@ -14,9 +14,9 @@ says how verdict() folds the values and compares them: max from 0 or from
 every Check of every report, a verdict() or the abort record of a check
 whose measure raised: run_suite measures the stacked rows of its suite
 together, and the subcommand runs build their inputs once; run_check(cfg,
-id) runs one suite check afresh.  All randomness flows through per-kind,
-per-role seed derivation, so a report for a given configuration is
-reproducible bit-for-bit (timestamps aside).
+id) runs one suite check afresh.  All randomness flows through per-role
+seed derivation, so a report for a given configuration is reproducible
+bit-for-bit (timestamps aside).
 
 The identities, bounds, convergence, controlled and weighted suites measure
 their trials in stacks: a chunk of max(1, STACK_ENTRIES // (d N)) trials is
@@ -26,40 +26,40 @@ per-trial loop on the same draws.  The gabor checks draw their sizes from
 one stream and the vectors of each size as one stack, and measure each size
 group in stacks of at most max(1, STACK_ENTRIES // entries an instance)
 instances through the stacked kernels of tf_frames.  The gabor, wavelet and
-unbounded-family rows have no draw kind: their measure is a function of the
+unbounded-family rows are not stacked: their measure is a function of the
 configuration that gives the value, or the value and a detail.  The
 Calderon study reads no input and is computed once a process.
 
 Trial contexts: the paper states each result for one frame pair (F, G) and
 one symbol, so the checks of a suite read one instance per trial.  A
-stacked row's measure is a function of a Trials context of its draw kind.
-The kinds: PLAIN, the instance (w, F, G, m) and, drawn on first use, a
-second symbol, second vectors (the difference identities and the
-convergence bumps), test vectors, eps, a nonnegative symbol, the controls
-of F and of G, delta and offsets above it; HALF_DEFICIENT, a frame on even
-trials and columns in a hyperplane on odd ones; INVERTIBLE, the instance
-redrawn where its multiplier fails the sigma_min > 1e-6 sigma_max test.
-Role r of a kind reads the stream _rng(seed, kind.number, r) in trial
-order, so reports do not depend on the chunk size; attempt k >= 1 of
-invertible trial t reads _rng(seed, kind.number, t, k).
+stacked row's measure is a function of the Trials context of a chunk: the
+roles of PLAIN, the instance (w, F, G, m) and, drawn on first use, a second
+symbol, second vectors (the difference identities and the convergence
+bumps), test vectors, eps, a nonnegative symbol, the controls of F and of
+G, delta and offsets above it.  Role r reads the stream _rng(seed,
+TRIAL_STREAMS, r) in trial order, so reports do not depend on the chunk
+size.  The frame test reads F on even trials and F with its last
+coordinate zeroed, no frame, on odd ones.  The invertible instance is the
+instance with each trial whose multiplier fails the sigma_min > 1e-6
+sigma_max test redrawn: attempt k >= 1 of trial t reads _rng(seed,
+TRIAL_STREAMS, t, k).
 
 A context computes each quantity of SHARED once, on first use.  One that
 raises (the dual of a draw that is no frame) raises in every check that
 reads it and in no other.  run_suite evaluates chunk by chunk, and a chunk
 ends at every trial cap of the run's checks, so each check reads whole
-chunks: for each kind in turn it builds the chunk's context, runs on it, in
-table order, every stacked measure of the run that reads the kind and has
-not reached its cap, keeps the per-trial values and drops the context
-before it draws the next kind or chunk.  CHECKS[id].replay(cfg, K) is the
-context of trial K alone, drawn after every role stream has been read past
-trials 0..K-1.
+chunks: it builds the chunk's one context, runs on it, in table order,
+every stacked measure of the run that has not reached its cap, keeps the
+per-trial values and drops the context before it draws the next chunk.
+CHECKS[id].replay(cfg, K) is the context of trial K alone, drawn after
+every role stream has been read past trials 0..K-1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
@@ -194,10 +194,10 @@ def _chunks(cfg: SuiteConfig, limits) -> list[range]:
 
 # roles: role(rng, cfg, count) draws the array of each of ``count``
 # consecutive trials, (count, ...), with one generator call on its stream;
-# "d", "d-1" and "n" in a shape are sizes from the configuration
+# "d" and "n" in a shape are sizes from the configuration
 
 def _shape(cfg: SuiteConfig, dims) -> tuple:
-    sizes = {"d": cfg.d, "d-1": cfg.d - 1, "n": cfg.n_points}
+    sizes = {"d": cfg.d, "n": cfg.n_points}
     return tuple(sizes.get(dim, dim) for dim in dims)
 
 
@@ -213,10 +213,6 @@ def _complex(*dims):
     return lambda rng, cfg, count: _normals(rng, (count, *_shape(cfg, dims)))
 
 
-def _real(*dims):
-    return lambda rng, cfg, count: rng.standard_normal((count, *_shape(cfg, dims)))
-
-
 def _uniform(low, high, *dims, dtype=float):
     """Uniform in [low, high); arrays of bounds give one per trailing entry."""
     return lambda rng, cfg, count: rng.uniform(
@@ -228,13 +224,22 @@ def _kinds(rng, cfg, count):
     return rng.integers(0, len(ctrl.SPECTRAL_KINDS), size=count)
 
 
-_WEIGHTS = _uniform(0.2, 2.0, "n")
 _VECTORS = _complex("d", "n")
 _SYMBOL = _complex("n")
 # the (t, alpha, beta) of a power or an affine control
 _PARAMS = _uniform((-1.0, 0.5, 0.1), (1.5, 2.0, 1.0), 3)
-# weights, analysis vectors, synthesis vectors, symbol
-_INSTANCE = {"w": _WEIGHTS, "F": _VECTORS, "G": _VECTORS, "m": _SYMBOL}
+# the roles of a trial, role r reading the stream _rng(seed, TRIAL_STREAMS, r):
+# the instance (w, F, G, m), weights, analysis and synthesis vectors and
+# symbol, then the roles the checks read beside it
+PLAIN = {"w": _uniform(0.2, 2.0, "n"), "F": _VECTORS, "G": _VECTORS, "m": _SYMBOL,
+         "symbol": _SYMBOL, "vectors": _VECTORS,
+         "tests": _complex(20, "d"), "eps": _uniform(0.05, 1.0),
+         "nonnegative": _uniform(0.0, 3.0, "n", dtype=complex),
+         "kinds": _kinds, "params": _PARAMS,
+         "dual_kinds": _kinds, "dual_params": _PARAMS,
+         "delta": _uniform(0.1, 1.0), "offsets": _uniform(0.0, 2.0, "n")}
+_INSTANCE = ("w", "F", "G", "m")
+TRIAL_STREAMS = 105
 
 
 def _spec(kind: int, t: float, alpha: float, beta: float) -> ctrl.ControlSpec:
@@ -251,79 +256,47 @@ def _specs(kinds, params) -> list[ctrl.ControlSpec]:
     return [_spec(kind, *row) for kind, row in zip(kinds.tolist(), params.tolist())]
 
 
-def _invertible(t: "Trials") -> dict:
-    """The instance of each trial of context t whose multiplier M passes the
-    sigma_min > 1e-6 sigma_max test, with M and its singular values.
+def _failing(sigma: np.ndarray) -> np.ndarray:
+    """True where singular values fail the sigma_min > 1e-6 sigma_max test."""
+    return ~(sigma[..., -1] > 1e-6 * sigma[..., 0])
 
-    Attempt 0 comes from the role streams; only the trials that fail are
-    redrawn, attempt k = 1, 2, ... of trial s reading every role in turn
-    from _rng(seed, kind, s, k), up to 64 attempts.
+
+def _invertible(t: "Trials") -> "Inputs | None":
+    """The instance of context t with each trial whose multiplier M fails
+    the sigma_min > 1e-6 sigma_max test redrawn: None where no trial fails,
+    else the Inputs of the redrawn instance, its M and singular values.
+
+    Attempt 0 is the instance of t; attempt k = 1, 2, ... of a failing trial
+    s reads every role of _INSTANCE in turn from _rng(seed, number, s, k), up
+    to 64 attempts in all.  The Inputs holds arrays, not t: a context that
+    held itself would outlive its chunk until a garbage collection.
     """
-    names = tuple(_INSTANCE)
-    stacks = drawn = [t._read(name) for name in names]
-    pending = np.arange(len(t.trials))
-    multipliers = np.empty((len(t.trials), t.cfg.d, t.cfg.d), dtype=complex)
-    sigmas = np.empty((len(t.trials), t.cfg.d))
-    for attempt in range(64):
-        if attempt:
-            retries = [[t.kind.roles[name](rng, t.cfg, 1) for name in names] for rng in (
-                _rng(t.cfg.seed, t.kind.number, t.trials[k], attempt) for k in pending)]
-            drawn = [np.concatenate(arrays) for arrays in zip(*retries)]
-            for stack, redrawn in zip(stacks, drawn):
-                stack[pending] = redrawn
+    pending = np.flatnonzero(_failing(t.sigma_M))
+    if not pending.size:
+        return None
+    stacks = [getattr(t, name).copy() for name in _INSTANCE]
+    M, sigma = t.M.copy(), t.sigma_M.copy()
+    for attempt in range(1, 64):
+        retries = [[PLAIN[name](rng, t.cfg, 1) for name in _INSTANCE] for rng in (
+            _rng(t.cfg.seed, t.number, t.trials[k], attempt) for k in pending)]
+        drawn = [np.concatenate(arrays) for arrays in zip(*retries)]
+        for stack, redrawn in zip(stacks, drawn):
+            stack[pending] = redrawn
         w, F, G, m = drawn
-        M = fr.weighted_gram(G, w * m, F)
-        sigma = hb.singular_values(M)
-        multipliers[pending], sigmas[pending] = M, sigma
-        pending = pending[~(sigma[..., -1] > 1e-6 * sigma[..., 0])]
+        M[pending] = redrawn_M = fr.weighted_gram(G, w * m, F)
+        sigma[pending] = redrawn_sigma = hb.singular_values(redrawn_M)
+        pending = pending[_failing(redrawn_sigma)]
         if not pending.size:
-            return {**dict(zip(names, stacks)), "M": multipliers, "sigma_M": sigmas}
-    raise InvalidParameterError("could not draw an invertible instance")  # pragma: no cover
-
-
-def _half_deficient(t: "Trials") -> dict:
-    """Weights and vectors of context t: a random frame on even trials; on
-    odd ones, columns confined to a random (d - 1)-dimensional subspace, so
-    no frame.  The vectors role is read by the even trials, the subspace
-    basis and coefficient roles by the odd ones."""
-    odd = np.arange(t.trials.start, t.trials.stop) % 2 == 1
-    F = np.empty((len(t.trials), t.cfg.d, t.cfg.n_points), dtype=complex)
-    F[~odd] = t._read("vectors", np.count_nonzero(~odd))
-    F[odd] = (t._read("basis", np.count_nonzero(odd))
-              @ t._read("coefficients", np.count_nonzero(odd)))
-    return {"w": t._read("w"), "F": F}
-
-
-@dataclass(frozen=True, eq=False)
-class Kind:
-    """A draw kind: ``roles`` maps each role's name to its draw, role r
-    reading the stream _rng(seed, number, r); draw(context), where given,
-    draws the arrays named ``drawn`` together."""
-
-    number: int
-    roles: dict
-    draw: Callable | None = None
-    drawn: tuple = ()
-
-
-PLAIN = Kind(105, {**_INSTANCE, "symbol": _SYMBOL, "vectors": _VECTORS,
-                   "tests": _complex(20, "d"), "eps": _uniform(0.05, 1.0),
-                   "nonnegative": _uniform(0.0, 3.0, "n", dtype=complex),
-                   "kinds": _kinds, "params": _PARAMS,
-                   "dual_kinds": _kinds, "dual_params": _PARAMS,
-                   "delta": _uniform(0.1, 1.0), "offsets": _uniform(0.0, 2.0, "n")})
-HALF_DEFICIENT = Kind(111, {"w": _WEIGHTS, "vectors": _VECTORS,
-                            "basis": _complex("d", "d-1"),
-                            "coefficients": _real("d-1", "n")},
-                      _half_deficient, ("w", "F"))
-INVERTIBLE = Kind(143, _INSTANCE, _invertible, (*_INSTANCE, "M", "sigma_M"))
+            return Inputs(SHARED, cfg=t.cfg, **dict(zip(_INSTANCE, stacks)),
+                          M=M, sigma_M=sigma)
+    raise InvalidParameterError("could not draw an invertible instance")
 
 
 class Inputs:
-    """The inputs of a subcommand run: the values given, and each of
-    ``quantities``, a function of the context, evaluated on first use (as an
-    attribute) and kept while the context lives; what raises is raised again
-    to every later reader of it and of the quantities of its _group."""
+    """The inputs of a run: the values given, and each of ``quantities``, a
+    function of the context, evaluated on first use (as an attribute) and
+    kept while the context lives; what raises is raised again to every
+    later reader of it."""
 
     def __init__(self, quantities: dict, **given):
         self._quantities, self._errors = quantities, {}
@@ -335,85 +308,74 @@ class Inputs:
         if name in self._errors:
             raise self._errors[name]
         try:
-            values = self._evaluate(name)
+            value = self._evaluate(name)
         except Exception as exc:
-            self._errors.update(dict.fromkeys(self._group(name), exc))
+            self._errors[name] = exc
             raise
-        vars(self).update(values)
-        return values[name]
+        setattr(self, name, value)
+        return value
 
-    def _group(self, name: str) -> tuple:
-        return (name,)
-
-    def _evaluate(self, name: str) -> dict:
+    def _evaluate(self, name: str):
         if name not in self._quantities:
             raise AttributeError(name)
-        return {name: self._quantities[name](self)}
+        return self._quantities[name](self)
 
 
 class Trials(Inputs):
-    """The inputs of a chunk of trials of one draw kind: the arrays its
-    roles draw and the quantities of SHARED; the arrays a kind draws
-    together fail together."""
+    """The inputs of a chunk of trials: the arrays of the roles of PLAIN,
+    read from the streams numbered ``number``, and the quantities of
+    SHARED."""
 
-    def __init__(self, kind: Kind, cfg: SuiteConfig, trials: range,
-                 streams: dict | None = None):
+    def __init__(self, cfg: SuiteConfig, trials: range, streams: dict | None = None,
+                 number: int = TRIAL_STREAMS):
         super().__init__(SHARED)
-        self.kind, self.cfg, self.trials = kind, cfg, trials
+        self.cfg, self.trials, self.number = cfg, trials, number
         # role name -> [stream, first trial it has not drawn], for the run
         self._streams = {} if streams is None else streams
 
-    def _group(self, name: str) -> tuple:
-        return self.kind.drawn if name in self.kind.drawn else (name,)
+    def _evaluate(self, name: str):
+        return self._read(name) if name in PLAIN else super()._evaluate(name)
 
-    def _evaluate(self, name: str) -> dict:
-        if name in self.kind.drawn:
-            return self.kind.draw(self)
-        if name in self.kind.roles:
-            return {name: self._read(name)}
-        return super()._evaluate(name)
-
-    def _read(self, name: str, count: int | None = None) -> np.ndarray:
-        """``count`` draws (one per trial by default) of role ``name``, read
-        from its stream where the context's trials begin."""
+    def _read(self, name: str) -> np.ndarray:
+        """The draws of role ``name`` for the context's trials, read from its
+        stream where they begin."""
         stream = self._streams.get(name)
         if stream is None:
-            index = list(self.kind.roles).index(name)
-            stream = self._streams[name] = [_rng(self.cfg.seed, self.kind.number, index), 0]
+            index = list(PLAIN).index(name)
+            stream = self._streams[name] = [_rng(self.cfg.seed, self.number, index), 0]
         if stream[1] != self.trials.start:
             raise RuntimeError(f"role {name!r} read out of trial order")
         stream[1] = self.trials.stop
-        return self.kind.roles[name](stream[0], self.cfg,
-                                     len(self.trials) if count is None else count)
+        return PLAIN[name](stream[0], self.cfg, len(self.trials))
 
 
-def _trial(kind: Kind, cfg: SuiteConfig, trial: int) -> Trials:
+def _trial(cfg: SuiteConfig, trial: int, number: int = TRIAL_STREAMS) -> Trials:
     """The context of trial ``trial`` alone, drawn after every role stream
-    of the kind is read past trials 0..trial-1, chunk by chunk as in a run."""
+    is read past trials 0..trial-1, chunk by chunk as in a run."""
     streams = {}
     for chunk in _chunks(cfg, {trial}):
-        past = Trials(kind, cfg, chunk, streams)
-        for name in kind.drawn[:1] or kind.roles:
+        past = Trials(cfg, chunk, streams, number)
+        for name in PLAIN:
             getattr(past, name)
-    return Trials(kind, cfg, range(trial, trial + 1), streams)
+    return Trials(cfg, range(trial, trial + 1), streams, number)
 
 
 def random_instance(seed: int, kind: int, idx: int, d: int, n: int):
     """(symbol, analysis frame, synthesis frame) on one random space: trial
-    idx of the plain instance on the streams numbered ``kind``."""
-    return _instance_of(replace(PLAIN, number=kind), seed, idx, d, n)
+    idx of the instance on the streams numbered ``kind``."""
+    return _instance_of(_trial(SuiteConfig(seed=seed, d=d, n_points=n), idx, kind))
 
 
 def random_invertible_instance(seed: int, kind: int, idx: int, d: int, n: int):
     """Random instance whose multiplier is comfortably invertible: trial idx
-    of the invertible draws on the streams numbered ``kind``, whose
+    of the invertible instance on the streams numbered ``kind``, whose
     multiplier has sigma_min > 1e-6 sigma_max."""
-    return _instance_of(replace(INVERTIBLE, number=kind), seed, idx, d, n)
+    t = _trial(SuiteConfig(seed=seed, d=d, n_points=n), idx, kind)
+    return _instance_of(t.invertible or t)
 
 
-def _instance_of(kind: Kind, seed: int, idx: int, d: int, n: int):
-    t = _trial(kind, SuiteConfig(seed=seed, d=d, n_points=n), idx)
-    space = MeasureSpace(np.arange(n, dtype=float)[:, None], t.w[0])
+def _instance_of(t: Inputs):
+    space = MeasureSpace(np.arange(t.cfg.n_points, dtype=float)[:, None], t.w[0])
     return Symbol(t.m[0], space), fr.SampledFrame(space, t.F[0]), fr.SampledFrame(space, t.G[0])
 
 
@@ -496,6 +458,7 @@ SHARED = {
     "M": lambda t: fr.weighted_gram(t.G, t.w * t.m, t.F),
     "sigma_M": lambda t: hb.singular_values(t.M),
     "M_inv": lambda t: hb.invert(t.M, t.sigma_M),
+    "invertible": _invertible,
     "dual": _dual,
     # Schatten norms and budgets at p = 1, 1.5, 2, 3, inf
     "budgets": lambda t: budget_values(t.w, t.m, t.F, t.G, DEFAULT_PS, t.sigma_M,
@@ -525,18 +488,16 @@ def _stacked_values(cfg: SuiteConfig, check_ids) -> dict:
     limits = {c: min(cfg.trials, CHECKS[c].cap or cfg.trials)
               for c in check_ids if CHECKS[c].kind is not None}
     values = {c: [] for c in limits}
-    streams = {}  # kind -> its role streams for the run
+    streams = {}  # the role streams of the run
     for chunk in _chunks(cfg, limits.values()):
-        live = [c for c in limits if limits[c] > chunk.start]
-        for kind in dict.fromkeys(CHECKS[c].kind for c in live):
-            _measure_chunk(Trials(kind, cfg, chunk, streams.setdefault(kind, {})),
-                           [c for c in live if CHECKS[c].kind is kind], values)
+        _measure_chunk(Trials(cfg, chunk, streams),
+                       [c for c in limits if limits[c] > chunk.start], values)
     return values
 
 
 def _measure_chunk(context: Trials, check_ids: list, values: dict) -> None:
     """Run the measure of every check of ``check_ids`` on the context, in
-    table order.  The context dies on return, before the next kind draws."""
+    table order.  The context dies on return, before the next chunk draws."""
     for check_id in check_ids:
         if isinstance(values[check_id], Exception):
             continue
@@ -651,8 +612,14 @@ def _weighted_identity(t: Trials):
 
 
 def _frame_iff_invertible(t: Trials):
+    # the frame operator of F on even trials and, on odd ones, of F with its
+    # last coordinate zeroed, columns in a hyperplane and so no frame: S_F
+    # with its last row and column zeroed
+    S = t.S_F.copy()
+    odd = np.arange(t.trials.start, t.trials.stop) % 2 == 1
+    S[odd, -1], S[odd, :, -1] = 0.0, 0.0
     # True where they disagree; invertibility is hilbert.invert's cutoff
-    return t.bounds_F.is_frame == hb.is_singular(hb.singular_values(t.S_F))
+    return fr.operator_bounds(S).is_frame == hb.is_singular(hb.singular_values(S))
 
 
 def _bessel_inequality(t: Trials):
@@ -745,7 +712,8 @@ def _weighted_scaling(t: Trials):
 def _certificates(t: Trials):
     # floor - measured of certificate 1, and True where a certificate fails:
     # a frame part at or below its floor, any other below it by more than
-    # the tolerance
+    # the tolerance; on the invertible instance
+    t = t.invertible or t
     measured, floors = certificate_values(
         t.w, t.m, t.F, t.G, t.sigma_M, bounds=(t.bounds_F, t.bounds_G))
     holds = np.where(FRAME_PARTS, measured > floors,
@@ -754,6 +722,7 @@ def _certificates(t: Trials):
 
 
 def _multiplier_dual(t: Trials):
+    t = t.invertible or t
     H = multiplier_dual_vectors(t.w, t.m, t.F, t.G, t.M_inv, t.bounds_G)
     return hb.operator_norm(fr.weighted_gram(t.G, t.w, H) - np.eye(t.cfg.d))
 
@@ -1000,102 +969,106 @@ def _refinement(coarse: float, fine: float) -> tuple:
 
 class Row(NamedTuple):
     """A check: its suite (or report), the claim it verifies, its default
-    tolerance, its gate and its measure.  A stacked row's measure reads
-    trial contexts of its draw ``kind``, min(cfg.trials, cap) trials; a
-    config row of CHECKS (no kind) has a measure of the configuration, and
-    a row of a subcommand table one of the Inputs of its run."""
+    tolerance, its gate and its measure.  A stacked row (``kind`` STACKED)
+    has a measure of trial contexts, min(cfg.trials, cap) trials; a config
+    row of CHECKS (no kind) has a measure of the configuration, and a row
+    of a subcommand table one of the Inputs of its run."""
 
     suite: str
     claim: str
     tolerance: float
     gate: str
     measure: Callable
-    kind: Kind | None = None
+    kind: str | None = None
     cap: int | None = None
 
     def replay(self, cfg: SuiteConfig, trial: int) -> Trials:
         """The context of trial ``trial`` alone, as a run draws it."""
-        return _trial(self.kind, cfg, trial)
+        return _trial(cfg, trial)
+
+
+# the kind of a stacked row
+STACKED = "stacked"
 
 
 # every check in report order: the suites in the order of SUITES
 CHECKS: dict[str, Row] = {
     "frame_factorization": Row(
         "identities", "frame operator equals synthesis composed with analysis", 1e-12,
-        MAX0, _frame_factorization, PLAIN),
+        MAX0, _frame_factorization, STACKED),
     "reconstruction": Row(
         "identities", "canonical dual reconstructs every vector from analysis by F",
-        1e-10, MAX0, _item("dual", 0), PLAIN),
+        1e-10, MAX0, _item("dual", 0), STACKED),
     "reconstruction_swapped": Row(
         "identities", "F reconstructs every vector from analysis by the canonical dual",
-        1e-10, MAX0, _item("dual", 1), PLAIN),
+        1e-10, MAX0, _item("dual", 1), STACKED),
     "multiplier_adjoint": Row(
         "identities",
         "adjoint of the multiplier is the conjugate-symbol multiplier with frames swapped",
-        1e-12, MAX0, _multiplier_adjoint, PLAIN),
+        1e-12, MAX0, _multiplier_adjoint, STACKED),
     "difference_symbol": Row(
         "identities",
         "difference of multipliers equals the multiplier of the symbol difference",
         1e-12, MAX0, _difference(lambda t: (
             fr.weighted_gram(t.G, t.w * t.symbol, t.F),
-            fr.weighted_gram(t.G, t.w * (t.m - t.symbol), t.F))), PLAIN),
+            fr.weighted_gram(t.G, t.w * (t.m - t.symbol), t.F))), STACKED),
     "difference_analysis": Row(
         "identities",
         "difference over analysis frames equals the multiplier of the frame difference",
         1e-12, MAX0, _difference(lambda t: (
             fr.weighted_gram(t.G, t.w * t.m, t.vectors),
-            fr.weighted_gram(t.G, t.w * t.m, t.F - t.vectors))), PLAIN),
+            fr.weighted_gram(t.G, t.w * t.m, t.F - t.vectors))), STACKED),
     "difference_synthesis": Row(
         "identities",
         "difference over synthesis frames equals the multiplier of the frame difference",
         1e-12, MAX0, _difference(lambda t: (
             fr.weighted_gram(t.vectors, t.w * t.m, t.F),
-            fr.weighted_gram(t.G - t.vectors, t.w * t.m, t.F))), PLAIN),
+            fr.weighted_gram(t.G - t.vectors, t.w * t.m, t.F))), STACKED),
     "weighted_identity": Row(
         "identities",
         "multiplier with a nonnegative symbol is the frame operator of the reweighted frame",
-        1e-12, MAX0, _weighted_identity, PLAIN),
+        1e-12, MAX0, _weighted_identity, STACKED),
     "canonical_dual_pair": Row(
         "identities", "frame and its canonical dual synthesize the identity", 1e-10,
-        MAX0, _item("dual", 2), PLAIN),
+        MAX0, _item("dual", 2), STACKED),
     "dual_bounds_inverse": Row(
         "identities", "canonical dual bounds are the reciprocals (1/B, 1/A)", 1e-10,
-        MAX0, _item("dual", 3), PLAIN),
+        MAX0, _item("dual", 3), STACKED),
     "frame_iff_invertible": Row(
         "identities", "frame property coincides with invertibility of the frame operator",
-        0.0, COUNT, _frame_iff_invertible, HALF_DEFICIENT),
+        0.0, COUNT, _frame_iff_invertible, STACKED),
     "bessel_inequality": Row(
         "bounds", "weighted coefficient energy lies between the optimal bounds times ||f||^2",
-        1e-10, MAX0, _bessel_inequality, PLAIN),
+        1e-10, MAX0, _bessel_inequality, STACKED),
     "bessel_sharpness": Row(
         "bounds", "the top eigenvector attains the upper bound with equality", 1e-10,
-        MAX0, _bessel_sharpness, PLAIN),
+        MAX0, _bessel_sharpness, STACKED),
     "op_norm_budget": Row(
         "bounds", "operator norm is at most sup|m| sqrt(B_F B_G)", 1e-10, MAX,
-        _budget(math.inf), PLAIN),
+        _budget(math.inf), STACKED),
     "trace_budget": Row(
-        "bounds", "trace norm is at most ||m||_1 L_F L_G", 1e-10, MAX, _budget(1.0), PLAIN),
+        "bounds", "trace norm is at most ||m||_1 L_F L_G", 1e-10, MAX, _budget(1.0), STACKED),
     "schatten_budget_p15": Row(
         "bounds", "Schatten 1.5-norm stays under its interpolation budget", 1e-10, MAX,
-        _budget(1.5), PLAIN),
+        _budget(1.5), STACKED),
     "schatten_budget_p2": Row(
         "bounds", "Hilbert-Schmidt norm stays under its interpolation budget", 1e-10, MAX,
-        _budget(2.0), PLAIN),
+        _budget(2.0), STACKED),
     "schatten_budget_p3": Row(
         "bounds", "Schatten 3-norm stays under its interpolation budget", 1e-10, MAX,
-        _budget(3.0), PLAIN),
+        _budget(3.0), STACKED),
     "schatten_monotonicity": Row(
         "bounds", "Schatten norms are nonincreasing in p", 1e-10, MAX0,
-        lambda t: np.diff(t.budgets[0], axis=-1), PLAIN),
+        lambda t: np.diff(t.budgets[0], axis=-1), STACKED),
     "perturb_upper": Row(
         "bounds", "upper bound of G + eps F is at most 2 (B_G + eps^2 B_F)", 1e-10, MAX,
-        _perturb_upper, PLAIN),
+        _perturb_upper, STACKED),
     "perturb_lower": Row(
         "bounds", "lower bound of G + eps F is at least (sqrt(A_G) - eps sqrt(B_F))^2 "
-        "for small eps", 1e-10, MAX, _perturb_lower, PLAIN),
+        "for small eps", 1e-10, MAX, _perturb_lower, STACKED),
     "discrete_bessel_norm_bound": Row(
         "bounds", "with unit weights every frame vector norm is at most sqrt(B)", 1e-10,
-        MAX, _discrete_bessel_norm_bound, PLAIN),
+        MAX, _discrete_bessel_norm_bound, STACKED),
     "unbounded_norm_growth": Row(
         "bounds", "largest vector norm grows by at least 1.5x per grid decade", 1.5,
         FLOOR, _unbounded_norm_growth),
@@ -1104,25 +1077,25 @@ CHECKS: dict[str, Row] = {
         "every refinement", 1e-10, MAX, _unbounded_bessel_cap),
     "truncation_budget": Row(
         "convergence", "truncated-symbol deviation stays under sup|m - m_n| sqrt(B_F B_G)",
-        1e-10, MAX, _item("truncation", 0), PLAIN, 50),
+        1e-10, MAX, _item("truncation", 0), STACKED, 50),
     "truncation_monotone": Row(
         "convergence", "nested truncations decrease the deviation monotonically to zero",
-        1e-10, MAX, _item("truncation", 1), PLAIN, 50),
+        1e-10, MAX, _item("truncation", 1), STACKED, 50),
     "symbol_convergence_p1": Row(
         "convergence", "trace-norm deviation tracks the L1 distance of the symbols",
-        1e-10, MAX, _item("convergence", 0), PLAIN, 20),
+        1e-10, MAX, _item("convergence", 0), STACKED, 20),
     "symbol_convergence_p2": Row(
         "convergence", "Hilbert-Schmidt deviation tracks the L2 distance of the symbols",
-        1e-10, MAX, _item("convergence", 1), PLAIN, 20),
+        1e-10, MAX, _item("convergence", 1), STACKED, 20),
     "symbol_convergence_pinf": Row(
         "convergence", "operator-norm deviation tracks the sup distance of the symbols",
-        1e-10, MAX, _item("convergence", 2), PLAIN, 20),
+        1e-10, MAX, _item("convergence", 2), STACKED, 20),
     "frame_uniform_l2": Row(
         "convergence", "uniform frame perturbation is dominated by eps ||m||_2 sqrt(B_G)",
-        1e-10, MAX, _item("convergence", 3), PLAIN, 20),
+        1e-10, MAX, _item("convergence", 3), STACKED, 20),
     "frame_uniform_l1": Row(
         "convergence", "uniform frame perturbation is dominated by eps ||m||_1 L_G",
-        1e-10, MAX, _item("convergence", 4), PLAIN, 20),
+        1e-10, MAX, _item("convergence", 4), STACKED, 20),
     "gabor_tightness": Row(
         "gabor", "cyclic Gabor frame operator is exactly ||g||^2 times the identity",
         1e-10, MAX0, lambda cfg: _worst(
@@ -1178,35 +1151,35 @@ CHECKS: dict[str, Row] = {
         3.0, RANGE, lambda cfg: _refinement(*_default_calderon_study().residuals)),
     "controlled_factorization": Row(
         "controlled", "mixed operator equals C S and S C* for self-adjoint commuting "
-        "controls", 1e-12, MAX0, _controlled_factorization, PLAIN, 100),
+        "controls", 1e-12, MAX0, _controlled_factorization, STACKED, 100),
     "controlled_bounds_map": Row(
         "controlled", "controlled bounds are the extremes of phi(lambda) lambda over the "
-        "frame spectrum", 1e-10, MAX0, _controlled_bounds_map, PLAIN, 100),
+        "frame spectrum", 1e-10, MAX0, _controlled_bounds_map, STACKED, 100),
     "controlled_spectral_mapping": Row(
         "controlled", "spectrum of the mixed operator is the mapped frame spectrum, "
-        "relative to max(||L||, 1)", 1e-12, MAX0, _controlled_spectral_mapping, PLAIN, 100),
+        "relative to max(||L||, 1)", 1e-12, MAX0, _controlled_spectral_mapping, STACKED, 100),
     "controlled_positivity": Row(
         "controlled", "mixed operator of a positive commuting control is positive", 1e-10,
-        COUNT, _controlled_positivity, PLAIN, 100),
+        COUNT, _controlled_positivity, STACKED, 100),
     "controlled_implies_frame": Row(
         "controlled", "a positive controlled lower bound certifies the frame property",
-        0.0, COUNT, _controlled_implies_frame, PLAIN, 100),
+        0.0, COUNT, _controlled_implies_frame, STACKED, 100),
     "precondition_identity": Row(
         "controlled", "undoing the controls recovers the plain multiplier", 1e-10, MAX0,
-        _precondition_identity, PLAIN, 100),
+        _precondition_identity, STACKED, 100),
     "weighted_scaling": Row(
         "weighted", "a constant weight scales both frame bounds by that constant", 1e-12,
-        MAX0, _weighted_scaling, PLAIN, 100),
+        MAX0, _weighted_scaling, STACKED, 100),
     "certificates": Row(
         "weighted", "all five lower-bound certificates hold on invertible instances",
-        1e-10, MAX_COUNT_SHOWN, _certificates, INVERTIBLE, 100),
+        1e-10, MAX_COUNT_SHOWN, _certificates, STACKED, 100),
     "multiplier_dual": Row(
         "weighted", "the frame built from the inverse multiplier is a dual of G", 1e-9,
-        MAX0, _multiplier_dual, INVERTIBLE, 50),
+        MAX0, _multiplier_dual, STACKED, 50),
     "positive_symbol_coercivity": Row(
         "weighted", "a symbol bounded below by delta makes the multiplier positive with "
         "lower bound delta A_F", 1e-10, MAX_COUNT_SHOWN, _positive_symbol_coercivity,
-        PLAIN, 100),
+        STACKED, 100),
 }
 
 
@@ -1345,17 +1318,22 @@ def run_wavelet(d: int = CALDERON_DEFAULTS["d"], wavelet: tf.WaveletSpec | None 
 
 def run_multiplier(config: dict, seed: int = 0) -> tuple[Report, str]:
     """Budget report plus singular-value CSV for one configured multiplier:
-    the rows of MULTIPLIER_RUN, equals_frame_operator only for a unit symbol
-    with equal frames.  The configuration carries an analysis frame, a
-    synthesis frame and a symbol in their JSON forms, and may set the
-    tolerance of the budget rows."""
+    the rows of MULTIPLIER_RUN, equals_frame_operator only for a symbol
+    equal to 1 everywhere with equal frames.  The configuration carries an
+    analysis frame, a synthesis frame and a symbol in their JSON forms, and
+    may set the tolerance of the budget rows, finite and >= 0."""
+    if not isinstance(config, dict):
+        raise InvalidParameterError("a multiplier configuration must be a JSON object")
+    if not _is_tolerance(config.get("tolerance", 0.0)):
+        raise InvalidParameterError(
+            f"tolerance must be finite and >= 0, got {config['tolerance']!r}")
     F = fr.SampledFrame.from_dict(config["analysis_frame"])
     G = fr.SampledFrame.from_dict(config["synthesis_frame"])
     m = Symbol.from_dict(config["symbol"], F.space)
     tolerances = {c: float(config.get("tolerance", row.tolerance))
                   for c, row in MULTIPLIER_RUN.items() if row.gate == BUDGET}
     table = dict(MULTIPLIER_RUN)
-    if not (np.allclose(m.values, 1.0) and np.array_equal(F.vectors, G.vectors)):
+    if not (np.all(m.values == 1.0) and np.array_equal(F.vectors, G.vectors)):
         del table["equals_frame_operator"]
     report = Report(suite="multiplier-run", seed=seed, started=_timestamp())
     # one M and one SVD for the budgets, the scale and the CSV

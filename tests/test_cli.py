@@ -285,6 +285,36 @@ def test_multiplier_malformed_config(tmp_path):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"symbol": {"re": [], "im": []}}))
     assert main(["multiplier", "--config", str(missing)]) == 2
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["multiplier", "--config", str(listed)]) == 2
+
+
+def unit_symbol_config(symbol_value):
+    """A multiplier configuration with equal frames and a constant symbol."""
+    rng = np.random.default_rng(3)
+    space = counting_space(8)
+    F = SampledFrame(space, rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)))
+    return {"analysis_frame": F.to_dict(), "synthesis_frame": F.to_dict(),
+            "symbol": Symbol(np.full(8, symbol_value, dtype=complex), space).to_dict()}
+
+
+@pytest.mark.parametrize("tolerance", ["nan", float("nan"), -1.0, "inf", "tight"])
+def test_multiplier_refuses_a_bad_tolerance(tmp_path, capsys, tolerance):
+    cfg_path, out = tmp_path / "config.json", tmp_path / "report.json"
+    cfg_path.write_text(json.dumps({**unit_symbol_config(1.0), "tolerance": tolerance}))
+    assert main(["multiplier", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_multiplier_frame_operator_row_needs_the_unit_symbol_exactly(tmp_path):
+    # 1 + 1e-6 is within np.allclose of 1, but its multiplier is not S
+    for value, expected in [(1.0, True), (1.0 + 1e-6, False)]:
+        report, _ = run_multiplier(unit_symbol_config(value))
+        ids = {check.check_id for check in report.checks}
+        assert ("equals_frame_operator" in ids) is expected
+        assert report.all_passed
 
 
 def test_report_rerender(tmp_path):
@@ -391,6 +421,22 @@ def test_verify_config_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert main(["verify", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("flag", [
+    ["--suite", "identities"], ["--seed", "5"], ["--trials", "50"], ["--d", "4"],
+    ["--n", "12"], ["--tol", "trace_budget=1e-9"], ["--format", "csv"],
+    ["--seed", "0", "--format", "json"]])
+def test_verify_config_refuses_the_flags_it_replaces(tmp_path, capsys, flag):
+    cfg_path, out = tmp_path / "suite.json", tmp_path / "report.json"
+    cfg_path.write_text(json.dumps({"suite": "identities", "trials": 2, "d": 3, "n": 6}))
+    assert main(["verify", "--config", str(cfg_path), *flag, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert all(name in err for name in flag[::2])
+    # --out still overrides the output the file names
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert read_json(out)["suite"] == "identities"
 
 
 def test_aborted_checks_write_valid_json(monkeypatch, tmp_path, capsys):

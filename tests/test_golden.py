@@ -80,8 +80,8 @@ GOLDEN = {
         "wavelet_shift_commutation": 1.6987957064560696e-14,
     },
     "weighted": {
-        "certificates": -2.2372336813793114,
-        "multiplier_dual": 3.362477566625024e-15,
+        "certificates": -2.51705336661544,
+        "multiplier_dual": 9.51092520445203e-15,
         "positive_symbol_coercivity": -1.808466761974103,
         "weighted_scaling": 0.0,
     },

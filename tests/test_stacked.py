@@ -1,9 +1,9 @@
 """The stacked trials of the identities, bounds, convergence, controlled and
 weighted suites against the single-frame API.
 
-Every stacked check reads a trial context: the draws of one draw kind for a
-chunk of trials, with one generator call per role, and the quantities the
-checks share, each computed once per chunk.  The oracle here is the
+Every stacked check reads a trial context: the draws of a chunk of trials,
+with one generator call per role, and the quantities the checks share, each
+computed once per chunk.  The oracle here is the
 per-trial loop, written with the 2-d API (``frame_bounds``,
 ``canonical_dual``, ``multiplier``, ``bound_budget``, ``make_control``,
 ``controlled_bounds``, ``convergence_experiment``, ...) on each trial's
@@ -11,7 +11,6 @@ instance (``Row.replay`` of the check's row); the stacked values of every
 check must equal it exactly.
 """
 
-import dataclasses
 import gc
 import json
 import math
@@ -56,9 +55,8 @@ from contframes.multiplier import (
 from contframes.cli import main
 from contframes.reporting import Check
 from contframes.suites import (
-    HALF_DEFICIENT,
-    INVERTIBLE,
     PLAIN,
+    TRIAL_STREAMS,
     SuiteConfig,
     random_instance,
     random_invertible_instance,
@@ -177,8 +175,19 @@ def dual_bounds_inverse(cfg, i):
             abs(dual.upper - 1.0 / bounds.lower) * bounds.lower]
 
 
-def frame_iff_invertible(cfg, i):  # True for a failing trial
+def deficient_frame(cfg, i):
+    """F of trial i, with its last coordinate zeroed on odd trials: columns in
+    a hyperplane, so no frame."""
     F = frame(cfg, "frame_iff_invertible", i)
+    if i % 2:
+        vectors = F.vectors.copy()
+        vectors[-1] = 0.0
+        F = fr.SampledFrame(F.space, vectors)
+    return F
+
+
+def frame_iff_invertible(cfg, i):  # True for a failing trial
+    F = deficient_frame(cfg, i)
     try:
         hb.invert(fr.frame_operator(F))
         invertible = True
@@ -363,18 +372,15 @@ def complex_normal(rng, shape):
 def invertible_instance(cfg, check_id, idx):
     """The per-trial retry loop: (m, F, G) of the first attempt whose
     multiplier passes the sigma test, and that attempt.  Attempt 0 is trial
-    idx of the instance roles; attempt k >= 1 draws the weights, the analysis
-    and synthesis vectors and the symbol, in turn, from the stream
-    [seed, kind, idx, k]."""
+    idx of the instance; attempt k >= 1 draws the weights, the analysis and
+    synthesis vectors and the symbol, in turn, from the stream
+    [seed, TRIAL_STREAMS, idx, k]."""
     d, n = cfg.d, cfg.n_points
-    row = suites.CHECKS[check_id]
-    kind = row.kind
-    unfiltered = dataclasses.replace(kind, draw=None, drawn=())
-    t = row._replace(kind=unfiltered).replay(cfg, idx)
-    w, V, W, values = t.w[0], t.F[0], t.G[0], t.m[0]
+    t = draws(cfg, check_id, idx)
+    w, V, W, values = t.w, t.F, t.G, t.m
     for attempt in range(64):
         if attempt:
-            rng = np.random.default_rng([cfg.seed, kind.number, idx, attempt])
+            rng = np.random.default_rng([cfg.seed, TRIAL_STREAMS, idx, attempt])
             w = rng.uniform(0.2, 2.0, n)
             V, W, values = (complex_normal(rng, (d, n)), complex_normal(rng, (d, n)),
                             complex_normal(rng, (n,)))
@@ -488,11 +494,8 @@ def test_every_trial_loop_of_the_algebra_suites_is_stacked():
     # checks loop over three grids, not over trials
     assert STACKED == loops - {"unbounded_norm_growth", "unbounded_bessel_cap"}
     assert set(ORACLES) == STACKED
-    kinds = {check_id: suites.CHECKS[check_id].kind for check_id in STACKED}
-    assert {c for c, kind in kinds.items() if kind is not PLAIN} == {
-        "frame_iff_invertible", "certificates", "multiplier_dual"}
-    assert kinds["frame_iff_invertible"] is HALF_DEFICIENT
-    assert kinds["certificates"] is kinds["multiplier_dual"] is INVERTIBLE
+    # one kind of context: every stacked check reads the plain one
+    assert {suites.CHECKS[check_id].kind for check_id in STACKED} == {suites.STACKED}
 
 
 # at N < d the random draws are no frames, which these checks need
@@ -513,14 +516,19 @@ def test_stacked_rows_equal_the_single_frame_api(check_id, d, n):
 
 
 @pytest.mark.parametrize("d,n", [(4, 12), (8, 64), (8, 4)])
-def test_stacked_frame_iff_invertible_equals_the_single_frame_api(d, n):
+def test_stacked_frame_iff_invertible_equals_the_single_frame_api(monkeypatch, d, n):
     cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=4)
-    assert stacked(cfg, "frame_iff_invertible") == [
-        v for i in range(4) for v in frame_iff_invertible(cfg, i)]
-    # odd trials confine the columns to a proper subspace
-    is_frame = [fr.frame_bounds(frame(cfg, "frame_iff_invertible", i)).is_frame
-                for i in range(4)]
+    oracle = [v for i in range(4) for v in frame_iff_invertible(cfg, i)]
+    singular = []
+    is_singular = hb.is_singular
+    monkeypatch.setattr(hb, "is_singular",
+                        lambda sigma: singular.extend(is_singular(sigma).tolist())
+                        or is_singular(sigma))
+    assert stacked(cfg, "frame_iff_invertible") == oracle
+    # odd trials confine the columns to a proper subspace, in the check too
+    is_frame = [fr.frame_bounds(deficient_frame(cfg, i)).is_frame for i in range(4)]
     assert is_frame == [n >= d and i % 2 == 0 for i in range(4)]
+    assert singular == [not frame for frame in is_frame]
 
 
 def test_stacked_dual_refuses_non_frames_like_canonical_dual():
@@ -640,14 +648,13 @@ def test_truncation_monotone_holds_on_few_points(n):
 # ---------------------------------------------------------------------------
 
 def recorded_evaluations(monkeypatch) -> list:
-    """(kind, first trial, name) of every role draw and shared quantity the
-    contexts evaluate from now on, in order; a draw kind's group of roles
-    counts once, under the name read first."""
+    """(first trial, name) of every role draw and shared quantity the
+    contexts evaluate from now on, in order."""
     calls = []
     evaluate = suites.Trials._evaluate
 
     def recorded(self, name):
-        calls.append((self.kind, self.trials.start, name))
+        calls.append((self.trials.start, name))
         return evaluate(self, name)
 
     monkeypatch.setattr(suites.Trials, "_evaluate", recorded)
@@ -664,14 +671,14 @@ def test_each_family_draws_and_measures_once_per_configuration(monkeypatch):
     expected = [suites.run_check(cfg, check_id) for check_id in suites.CHECKS]
     calls = recorded_evaluations(monkeypatch)
     assert run_suite(cfg).checks == expected
-    # each role of a kind drawn and each quantity computed once a chunk
+    # each role drawn and each quantity computed once a chunk, on the one
+    # context of the chunk
     assert len(set(calls)) == len(calls)
-    assert {start for _, start, _ in calls} == {0, 7, 14}
-    names = {(kind, name) for kind, _, name in calls}
-    assert sorted(calls, key=lambda call: call[1]) == calls
+    assert {start for start, _ in calls} == {0, 7, 14}
+    names = {name for _, name in calls}
+    assert sorted(calls, key=lambda call: call[0]) == calls
     assert len(calls) == 3 * len(names)
-    assert {name for kind, name in names if kind is PLAIN} >= set(suites.SHARED) - {
-        "M_inv"}
+    assert names == set(PLAIN) | set(suites.SHARED)
 
 
 def test_a_family_whose_measure_raises_aborts_every_member(monkeypatch, tmp_path):
@@ -705,8 +712,9 @@ def test_a_family_measures_once_although_its_members_are_apart(monkeypatch):
     expected = run_suite(cfg).checks
     calls = recorded_evaluations(monkeypatch)
     assert run_suite(cfg).checks == expected
-    assert [name for _, _, name in calls].count("dual") == 1
-    assert [name for _, _, name in calls].count("S_F") == 2  # the plain and half-deficient F
+    assert [name for _, name in calls].count("dual") == 1
+    # the frame test reads the S_F of the other checks
+    assert [name for _, name in calls].count("S_F") == 1
 
 
 def test_a_member_that_needs_a_frame_fails_alone():
@@ -752,19 +760,18 @@ def test_truncation_checks_fold_the_steps_like_the_per_trial_loops(d, n):
 
 
 @pytest.mark.parametrize("suite,per_trial", [
-    ("identities", 4), ("bounds", 2), ("convergence", 3), ("controlled", 2),
-    ("weighted", 3)])
+    ("identities", 3), ("bounds", 2), ("convergence", 3), ("controlled", 2),
+    ("weighted", 2)])
 def test_each_algebra_suite_draws_its_frames_once_a_trial(monkeypatch, suite, per_trial):
-    # d x N draws: F, G and the second vectors of the plain instance, F of the
-    # half-deficient draw (the vectors of even trials, the coefficients in a
-    # hyperplane of odd ones) and F, G of the invertible instance
+    # d x N draws: F, G and the second vectors; the frame test reads F and
+    # the invertible instance is F, G where no trial is redrawn
     d, n, trials = 8, 64, 5
     read = suites.Trials._read
     rows = []
 
-    def counted(self, name, count=None):
-        values = read(self, name, count)
-        if values.shape[-2:] in {(d, n), (d - 1, n)}:
+    def counted(self, name):
+        values = read(self, name)
+        if values.shape[-2:] == (d, n):
             rows.append(len(values))
         return values
 
@@ -780,7 +787,7 @@ def test_each_shared_quantity_is_formed_once_a_trial(monkeypatch):
 
     def counted(name, compute):
         def wrapper(t):
-            formed.setdefault((name, t.kind.number), []).extend(t.trials)
+            formed.setdefault(name, []).extend(t.trials)
             return compute(t)
         return wrapper
 
@@ -788,9 +795,9 @@ def test_each_shared_quantity_is_formed_once_a_trial(monkeypatch):
     for name in names:
         monkeypatch.setitem(suites.SHARED, name, counted(name, suites.SHARED[name]))
     assert run_suite(SuiteConfig(suite="all", d=8, n_points=64, trials=70)).all_passed
-    assert {name for name, _ in formed} == set(names)
-    for key, trials in formed.items():
-        assert len(trials) == len(set(trials)), key
+    assert set(formed) == set(names)
+    for name, trials in formed.items():
+        assert len(trials) == len(set(trials)), name
 
 
 def test_one_chunk_context_is_alive_at_a_time(monkeypatch):
@@ -799,10 +806,10 @@ def test_one_chunk_context_is_alive_at_a_time(monkeypatch):
     init = suites.Trials.__init__
     chunks = set()
 
-    def tracked(self, kind, cfg, trials, *args, **kwargs):
-        init(self, kind, cfg, trials, *args, **kwargs)
+    def tracked(self, cfg, trials, *args, **kwargs):
+        init(self, cfg, trials, *args, **kwargs)
         chunks.add(trials.start)
-        # the contexts of other chunks and kinds are gone before this one draws
+        # the context of the last chunk is gone before this one draws
         assert not [ref for ref in alive if ref() is not None]
         alive.append(weakref.ref(self))
 
@@ -971,28 +978,25 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
 # draws
 # ---------------------------------------------------------------------------
 
-# every distinct role draw of the draw kinds, under a check that reads it
+# every distinct role draw, under a check that reads it
 ROLES = {
-    "frame_factorization:0": PLAIN.roles["w"],
-    "frame_factorization:1": PLAIN.roles["F"],
-    "frame_factorization:2": PLAIN.roles["tests"],
-    "difference_symbol:3": PLAIN.roles["m"],
-    "weighted_identity:2": PLAIN.roles["nonnegative"],
-    "frame_iff_invertible:2": HALF_DEFICIENT.roles["basis"],
-    "frame_iff_invertible:3": HALF_DEFICIENT.roles["coefficients"],
-    "perturb_upper:3": PLAIN.roles["eps"],
-    "controlled_factorization:2": PLAIN.roles["kinds"],
-    "controlled_factorization:3": PLAIN.roles["params"],
-    "weighted_scaling:2": PLAIN.roles["delta"],
-    "weighted_scaling:3": PLAIN.roles["offsets"],
+    "frame_factorization:0": PLAIN["w"],
+    "frame_factorization:1": PLAIN["F"],
+    "frame_factorization:2": PLAIN["tests"],
+    "difference_symbol:3": PLAIN["m"],
+    "weighted_identity:2": PLAIN["nonnegative"],
+    "perturb_upper:3": PLAIN["eps"],
+    "controlled_factorization:2": PLAIN["kinds"],
+    "controlled_factorization:3": PLAIN["params"],
+    "weighted_scaling:2": PLAIN["delta"],
+    "weighted_scaling:3": PLAIN["offsets"],
 }
 
 
 def test_the_role_table_holds_every_role_draw():
-    draws_of_kinds = {id(draw) for kind in (PLAIN, HALF_DEFICIENT, INVERTIBLE)
-                      for draw in kind.roles.values()}
-    assert {id(draw) for draw in ROLES.values()} == draws_of_kinds
-    assert len(ROLES) == len(draws_of_kinds)
+    distinct = {id(draw) for draw in PLAIN.values()}
+    assert {id(draw) for draw in ROLES.values()} == distinct
+    assert len(ROLES) == len(distinct)
 
 
 @pytest.mark.parametrize("d,n,trials", [(8, 64, 7), (64, 4096, 2)])
@@ -1069,7 +1073,7 @@ def test_stacked_invertible_draws_retry_like_the_per_trial_loop(monkeypatch):
     forced_retries(monkeypatch)
     keys = recorded_streams(monkeypatch)
     cfg = SuiteConfig(seed=5, d=3, n_points=7)
-    t = suites.Trials(INVERTIBLE, cfg, range(12))
+    t = suites.Trials(cfg, range(12)).invertible
     w, F, G, m = t.w, t.F, t.G, t.m
     retries = {key for key in keys if len(key) == 4}
     attempts = []
@@ -1081,21 +1085,60 @@ def test_stacked_invertible_draws_retry_like_the_per_trial_loop(monkeypatch):
         assert np.array_equal(bits(G[i]), bits(Gi.vectors))
         assert np.array_equal(bits(m[i]), bits(mi.values))
         assert np.array_equal(bits(t.M[i]), bits(multiplier(mi, Fi, Gi)))
-        single = random_invertible_instance(5, 143, i, 3, 7)
+        single = random_invertible_instance(5, TRIAL_STREAMS, i, 3, 7)
         assert single[0] == mi and single[1] == Fi and single[2] == Gi
     # some trials took the first attempt, others one or more retries
     assert min(attempts) == 0 and max(attempts) >= 2
-    # attempt k >= 1 of trial t, and only those, from the stream [seed, kind, t, k]
-    assert retries == {(5, 143, i, k) for i, last in enumerate(attempts)
+    # attempt k >= 1 of trial t, and only those, from the stream
+    # [seed, TRIAL_STREAMS, t, k]
+    assert retries == {(5, TRIAL_STREAMS, i, k) for i, last in enumerate(attempts)
                        for k in range(1, last + 1)}
+
+
+def test_a_chunk_redraws_only_its_failing_trials(monkeypatch):
+    # the first symbol of trials 1 and 4 is zero, and so is their multiplier;
+    # the six trials are one chunk
+    read = suites.Trials._read
+
+    def zeroed(self, name):
+        values = read(self, name)
+        if name == "m":
+            values[np.isin(self.trials, (1, 4))] = 0.0
+        return values
+
+    monkeypatch.setattr(suites.Trials, "_read", zeroed)
+    cfg = SuiteConfig(seed=13, d=4, n_points=12, trials=6)
+    assert len(suites._chunks(cfg, {6})) == 1
+    attempts = [invertible_instance(cfg, "certificates", i)[3] for i in range(6)]
+    assert [i for i, attempt in enumerate(attempts) if attempt] == [1, 4]
+    for check_id in ("certificates", "multiplier_dual"):
+        assert stacked(cfg, check_id) == [v for i in range(6) for v in ORACLES[check_id](cfg, i)]
+    # the redrawn instance leaves the plain one to the checks read after it
+    together = suites._stacked_values(cfg, check_ids("weighted"))
+    assert stacked(cfg, "positive_symbol_coercivity") == [
+        v for chunk in together["positive_symbol_coercivity"]
+        for v in np.column_stack(chunk).ravel().tolist()]
+
+
+def test_the_weighted_suite_forms_s_f_once_a_trial_without_redraws(monkeypatch):
+    # certificates and multiplier_dual read the plain context itself, and
+    # with it the S_F and bounds of the other two checks
+    formed, redrawn = [], []
+    S_F, invertible = suites.SHARED["S_F"], suites.SHARED["invertible"]
+    monkeypatch.setitem(suites.SHARED, "S_F",
+                        lambda t: formed.extend(t.trials) or S_F(t))
+    monkeypatch.setitem(suites.SHARED, "invertible",
+                        lambda t: redrawn.append(invertible(t)) or redrawn[-1])
+    assert run_suite(SuiteConfig(suite="weighted", d=4, n_points=12, trials=100)).all_passed
+    assert formed == list(range(100))
+    assert redrawn and not any(redrawn)
 
 
 def test_stacked_instances_equal_random_instance():
     cfg = SuiteConfig(seed=2, d=3, n_points=5)
-    assert suites.CHECKS["multiplier_adjoint"].kind is PLAIN
-    t = suites.Trials(PLAIN, cfg, range(4))
+    t = suites.Trials(cfg, range(4))
     for i in range(4):
-        mi, Fi, Gi = random_instance(2, PLAIN.number, i, 3, 5)
+        mi, Fi, Gi = random_instance(2, TRIAL_STREAMS, i, 3, 5)
         assert np.array_equal(t.w[i], Fi.space.weights)
         assert np.array_equal(bits(t.F[i]), bits(Fi.vectors))
         assert np.array_equal(bits(t.G[i]), bits(Gi.vectors))
@@ -1103,9 +1146,9 @@ def test_stacked_instances_equal_random_instance():
 
 
 def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
-    # the checks of a suite read the streams of their draw kind, [seed, kind,
-    # role], so a run opens each of them once, and no two roles, kinds,
-    # gabor checks or invertible attempts share one
+    # the stacked checks read the streams [seed, TRIAL_STREAMS, role], so a
+    # run opens each of them once, and no two roles, gabor checks or
+    # invertible attempts share one
     keys = recorded_streams(monkeypatch)
     assert main(["verify", "--suite", "all", "--d", "4", "--n", "12", "--trials", "9",
                  "--out", str(tmp_path / "report.json")]) == 0
@@ -1118,9 +1161,9 @@ def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
             key.pop()
         return tuple(key)
 
-    assert (0, PLAIN.number, len(PLAIN.roles) - 1) in keys  # the offsets above delta
-    assert {key[1] for key in keys} >= {PLAIN.number, HALF_DEFICIENT.number,
-                                        INVERTIBLE.number}
+    assert (0, TRIAL_STREAMS, len(PLAIN) - 1) in keys  # the offsets above delta
+    # the trial streams, the two unbounded families and the five gabor checks
+    assert {key[1] for key in keys} == {TRIAL_STREAMS, 123, 124, 131, 132, 133, 134, 135}
     assert len({stripped(key) for key in keys}) == len(keys)
 
 
