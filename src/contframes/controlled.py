@@ -145,7 +145,7 @@ def spectral_controls(specs, S: np.ndarray, eigen=None) -> np.ndarray:
     magnitude = np.abs(phi)
     finite = np.all(np.isfinite(phi), axis=-1)
     smallest = np.min(magnitude, axis=-1)
-    singular = ~finite | (smallest <= hilbert.INVERT_RTOL * np.max(magnitude, axis=-1))
+    singular = ~finite | (smallest <= hilbert.cutoff(np.max(magnitude, axis=-1)))
     if np.any(singular):
         first = int(np.argmax(np.ravel(singular)))
         raise NotInvertibleError(
@@ -190,15 +190,22 @@ def mixed_spectrum(C: np.ndarray, S: np.ndarray, L: np.ndarray) -> np.ndarray:
     """The ascending spectrum of the mixed operator L (``mixed_operator``) of
     a control C and the frame operator S, whose extremes are the bounds of
     ``controlled_bounds``, or of each instance of a stack along the last
-    axis; raises on the first hypothesis that some instance violates."""
-    scale = hilbert.operator_norm(C)
-    if np.any(hilbert.operator_norm(C - hilbert.adjoint(C))
+    axis; raises on the first hypothesis that some instance violates.
+
+    The self-adjointness and commutator defects, zero in exact arithmetic,
+    are Frobenius norms, upper bounds on their operator norms that need no
+    SVD; the scale ||C|| is the largest |eigenvalue| of (C + C^*)/2 from the
+    extremes the positivity test takes, which is ||C|| for a self-adjoint C
+    and at most ||C|| for any."""
+    lower, upper = hilbert.extreme_eigenvalues(C)
+    scale = np.maximum(np.abs(lower), np.abs(upper))
+    if np.any(hilbert.frobenius_norm(C - hilbert.adjoint(C))
               > 1e-10 * np.maximum(1.0, scale)):
         raise ContractViolationError("control operator is not self-adjoint")
     # hilbert.is_positive(C, 1e-10) without repeating its Hermiticity test
-    if not np.all(hilbert.nonnegative_spectrum(*hilbert.extreme_eigenvalues(C), 1e-10)):
+    if not np.all(hilbert.nonnegative_spectrum(lower, upper, 1e-10)):
         raise ContractViolationError("control operator is not positive")
-    commutator = hilbert.operator_norm(C @ S - S @ C)
+    commutator = hilbert.frobenius_norm(C @ S - S @ C)
     apart = commutator > 1e-10 * np.maximum(1.0, scale * hilbert.operator_norm(S))
     if np.any(apart):
         defect = np.ravel(commutator)[np.argmax(np.ravel(apart))]
@@ -216,7 +223,9 @@ def precondition_identity_residual(control_spec: ControlSpec,
 
     Builds the multiplier of the controlled families (analysis against C F,
     synthesis with D G) and measures how far D^-1 (that operator) C^-1 is
-    from the plain multiplier of F and G.
+    from the plain multiplier M of F and G: the Frobenius norm of that
+    defect, zero in exact arithmetic and an upper bound on its operator norm
+    that needs no SVD, over the operator norm of M.
     """
     C = make_control(control_spec, F)
     D = make_control(dual_spec, G)
@@ -226,12 +235,12 @@ def precondition_identity_residual(control_spec: ControlSpec,
 
 def precondition_residual(C: np.ndarray, D: np.ndarray, c, F: np.ndarray,
                           G: np.ndarray):
-    """||D^-1 M_C C^-1 - M|| / ||M|| (the unscaled norm when M = 0), where M
-    is the multiplier sum_j c_j G_j F_j^* and M_C that of the controlled
+    """||D^-1 M_C C^-1 - M||_F / ||M|| (the unscaled norm when M = 0), where
+    M is the multiplier sum_j c_j G_j F_j^* and M_C that of the controlled
     vectors C F_j, D G_j; for one instance or each of a stack."""
     mixed = weighted_gram(D @ G, c, C @ F)
     plain = weighted_gram(G, c, F)
     defect = hilbert.invert(D) @ mixed @ hilbert.invert(C) - plain
     scale = hilbert.operator_norm(plain)
-    residual = hilbert.operator_norm(defect)
+    residual = hilbert.frobenius_norm(defect)
     return hilbert.value_or_stack(residual / np.where(scale > 0.0, scale, 1.0))

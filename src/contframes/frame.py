@@ -32,8 +32,6 @@ from .errors import (
 )
 from .measure import MeasureSpace, partition, read_only, same_space, symbol_values
 
-# a lower bound below this multiple of max(upper, 1) counts as zero
-FRAME_RTOL = 1e-12
 # relative rank cutoff for the surjectivity test
 RANK_RTOL = 1e-10
 
@@ -217,8 +215,11 @@ def operator_bounds(S: np.ndarray) -> FrameBounds:
 
 def frame_cutoff(upper):
     """The lower frame bound a family must exceed to count as a frame, for
-    its upper bound or an array of them."""
-    return FRAME_RTOL * np.maximum(upper, 1.0)
+    its upper bound or an array of them: ``hilbert.cutoff``, the relative
+    rule by which ``hilbert.invert`` refuses the frame operator, so a family
+    is a frame where its frame operator counts as invertible, up to the
+    rounding between the eigenvalues and the singular values."""
+    return hilbert.cutoff(upper)
 
 
 def spectrum_bounds(lower, upper) -> FrameBounds:
@@ -259,16 +260,18 @@ def canonical_dual(F: SampledFrame) -> SampledFrame:
 
 
 def is_dual_pair(F: SampledFrame, G: SampledFrame, tol: float = 1e-10) -> bool:
-    """True when sum_j w_j G_j F_j^* is the identity to tol (operator norm)."""
+    """True when sum_j w_j G_j F_j^* is the identity to tol (``duality_defect``)."""
     _check_compatible(F, G)
     return duality_defect(F, G) <= tol
 
 
 def duality_defect(F: SampledFrame, G: SampledFrame) -> float:
-    """|| sum_j w_j G_j F_j^* - I ||."""
+    """|| sum_j w_j G_j F_j^* - I ||_F: zero for a dual pair in exact
+    arithmetic, and an upper bound on the operator-norm defect that needs no
+    SVD (``hilbert.frobenius_norm``)."""
     _check_compatible(F, G)
     op = weighted_gram(G.vectors, F.space.weights, F.vectors)
-    return hilbert.operator_norm(op - np.eye(F.dim))
+    return hilbert.frobenius_norm(op - np.eye(F.dim))
 
 
 def is_riesz_type(F: SampledFrame, tol: float = RANK_RTOL) -> bool:

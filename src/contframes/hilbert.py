@@ -6,6 +6,14 @@ the second.  All spectral routines are thin wrappers over LAPACK with the
 package's error contract on top.  The norms, spectra and the inverse also
 take a stack of operators along leading axes: LAPACK then runs once per
 operator, as for a single call, and the values come back as arrays.
+
+Norm policy: a defect that vanishes in exact arithmetic (an identity checked
+to rounding) is measured in the Frobenius norm, ``frobenius_norm``, one pass
+over its entries with no SVD.  ||A|| <= ||A||_F <= sqrt(rank A) ||A||, so it
+bounds the operator norm from above and exceeds it by at most sqrt(d).  A
+scale whose spectrum the caller already holds is read from that spectrum.
+An SVD is taken where singular values are the measured quantity: the
+Schatten norms, the invertibility cutoff and ``invert``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ from .errors import (
     ShapeMismatchError,
 )
 
-# relative condition cutoff below which a matrix counts as singular
+# relative cutoff at or below which the smallest singular value of a matrix,
+# or the lower bound of a frame, counts as zero
 INVERT_RTOL = 1e-12
 
 
@@ -54,6 +63,20 @@ def norm(x):
     re, im = x.real, x.imag
     squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
     return value_or_stack(np.sqrt(squares[..., 0, 0]))
+
+
+def frobenius_norm(T):
+    """||T||_F, the Euclidean norm of the entries over the last two axes: a
+    float for one matrix, an array for a stack.
+
+    The entries are summed in row-major order as ``norm`` sums a vector, so
+    each matrix of a stack gets the value a call on it alone would, and a
+    C-contiguous matrix the value of np.linalg.norm(T, "fro").
+    """
+    T = np.asarray(T, dtype=complex)
+    if T.ndim < 2:
+        raise ShapeMismatchError(f"need a matrix or a stack of them, got shape {T.shape}")
+    return norm(T.reshape(*T.shape[:-2], -1))
 
 
 def power(x, y):
@@ -158,9 +181,9 @@ def identity_defect_bound(T, c, extremes=None):
     ||K||, where ||H - c I|| is max |lambda - c| over the extreme eigenvalues
     of H and ||K|| <= ||K||_F.  The bound exceeds ||T - c I|| by at most
     ||K||_F, so for an operator Hermitian by construction it is the defect to
-    rounding, while a skew part is never ignored.  ||K||_F is summed as
-    ``norm`` sums a vector, so each operator of a stack gets the value a call
-    on it alone would.  ``extremes``, the (smallest, largest) of
+    rounding, while a skew part is never ignored.  ||K||_F is
+    ``frobenius_norm``, so each operator of a stack gets the value a call on
+    it alone would.  ``extremes``, the (smallest, largest) of
     ``extreme_eigenvalues(T)`` where the caller has them, spares the
     eigen-solve.
     """
@@ -168,7 +191,7 @@ def identity_defect_bound(T, c, extremes=None):
     lower, upper = extreme_eigenvalues(T) if extremes is None else extremes
     skew = 0.5 * (T - adjoint(T))
     spread = np.maximum(np.abs(lower - c), np.abs(upper - c))
-    return value_or_stack(spread + norm(skew.reshape(*skew.shape[:-2], -1)))
+    return value_or_stack(spread + frobenius_norm(skew))
 
 
 def _flag_or_stack(flags):
@@ -177,27 +200,32 @@ def _flag_or_stack(flags):
 
 
 def is_hermitian(T, tol: float = 1e-10):
-    """True when ||T - T^*|| <= tol max(1, ||T||); an array for a stack."""
+    """True when ||T - T^*||_F <= tol max(1, ||T||); an array for a stack.
+
+    The skew defect is a Frobenius norm, an upper bound on its operator norm
+    that needs no SVD; the scale ||T|| stays the operator norm."""
     T = _as_operators(T)
-    return _flag_or_stack(operator_norm(T - adjoint(T))
+    return _flag_or_stack(frobenius_norm(T - adjoint(T))
                           <= tol * np.maximum(1.0, operator_norm(T)))
 
 
 def hermitian_bounds(T) -> tuple[float, float]:
     """Extreme eigenvalues (smallest, largest) of a Hermitian operator.
 
-    For operators from outside the program: the input must be Hermitian to
-    1e-10 relative to its operator norm, and the bounds are then those of
-    ``extreme_eigenvalues``, the extreme eigenvalues of (T + T^*)/2.
+    For operators from outside the program: ||T - T^*||_F must be at most
+    1e-10 times the norm of (T + T^*)/2, the larger magnitude of the two
+    extremes, and the bounds are then those of ``extreme_eigenvalues``, the
+    extreme eigenvalues of (T + T^*)/2.  No SVD.
     """
     T = _as_operator(T)
-    scale = operator_norm(T)
-    defect = operator_norm(T - T.conj().T)
+    lower, upper = extreme_eigenvalues(T)
+    scale = max(abs(lower), abs(upper))
+    defect = frobenius_norm(T - T.conj().T)
     if defect > 1e-10 * scale:
         raise ContractViolationError(
             f"operator is not Hermitian: defect {defect:.3e} vs norm {scale:.3e}"
         )
-    return extreme_eigenvalues(T)
+    return lower, upper
 
 
 def nonnegative_spectrum(lower, upper, tol: float = 1e-10):
@@ -212,11 +240,20 @@ def is_positive(T, tol: float = 1e-10):
     return is_hermitian(T, tol) & nonnegative_spectrum(*extreme_eigenvalues(T), tol)
 
 
+def cutoff(largest):
+    """The value a smallest singular value or a lower frame bound must exceed
+    not to count as zero: INVERT_RTOL times the largest singular value or
+    the upper bound, or an array of them.  Relative at every scale, so the
+    frame test and the invertibility test of a frame operator agree."""
+    return INVERT_RTOL * largest
+
+
 def is_singular(sigma):
     """The invertibility cutoff: True where singular values sigma
-    (nonincreasing along the last axis) have relative condition below
-    double-precision trust.  An array for a stack."""
-    return (sigma[..., 0] == 0.0) | (sigma[..., -1] <= INVERT_RTOL * sigma[..., 0])
+    (nonincreasing along the last axis) have the smallest at or below
+    ``cutoff`` of the largest, so a zero matrix too.  An array for a
+    stack."""
+    return sigma[..., -1] <= cutoff(sigma[..., 0])
 
 
 def require_invertible(sigma) -> None:

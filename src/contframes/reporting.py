@@ -6,7 +6,9 @@ expected value it is held against, the tolerance and the verdict.  A check
 that aborted has no measured value or budget (``None``, JSON ``null``, an
 empty CSV cell) and carries the exception in its ``error`` field.  Reports
 serialize to JSON (checks sorted by identifier, so reruns with one seed are
-byte-identical apart from timestamps) and to CSV.
+byte-identical apart from timestamps) and to CSV, one row per check with
+the columns check_id, claim, measured, budget, tolerance, pass, detail and
+error (the last two empty where the check has none).
 """
 
 from __future__ import annotations
@@ -96,12 +98,12 @@ class Report:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["check_id", "claim", "measured", "budget",
-                         "tolerance", "pass"])
+                         "tolerance", "pass", "detail", "error"])
         for c in self.sorted_checks():
             writer.writerow([c.check_id, c.claim,
                              *("" if v is None else repr(v)
                                for v in (c.measured, c.budget, c.tolerance)),
-                             "true" if c.passed else "false"])
+                             "true" if c.passed else "false", c.detail, c.error])
         return out.getvalue()
 
     @classmethod

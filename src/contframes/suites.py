@@ -30,6 +30,17 @@ unbounded-family rows are not stacked: their measure is a function of the
 configuration that gives the value, or the value and a detail.  The
 Calderon study reads no input and is computed once a process.
 
+Norm policy: a defect that vanishes in exact arithmetic (the adjoint,
+factorization, weighted and preconditioning identities, the dual pairs,
+L = C S = S C*, the skew part of L and Gabor tightness) is measured in the
+Frobenius norm, hb.frobenius_norm, an upper bound on its operator norm by
+at most sqrt(d) that needs no SVD.  A scale whose spectrum a context holds
+is read from it: ||S_F|| is bounds_F.upper and L_scale the largest
+|eigenvalue| of the Hermitian part of L from L_spectrum, each at most the
+operator norm.  An SVD stays where singular values are what is measured:
+sigma_M, the convergence deviations against their operator-norm budgets,
+the invertibility test of frame_iff_invertible and hb.invert.
+
 Trial contexts: the paper states each result for one frame pair (F, G) and
 one symbol, so the checks of a suite read one instance per trial.  A
 stacked row's measure is a function of the Trials context of a chunk: the
@@ -401,7 +412,7 @@ def _dual(t: Trials) -> tuple:
                          _reconstruction(w, dual, F, t.tests))
     dual_bounds = fr.operator_bounds(fr.weighted_gram(dual, w, dual))
     return (forward, backward,
-            hb.operator_norm(fr.weighted_gram(dual, w, F) - np.eye(t.cfg.d)),
+            hb.frobenius_norm(fr.weighted_gram(dual, w, F) - np.eye(t.cfg.d)),
             np.stack([np.abs(dual_bounds.lower - 1.0 / bounds.upper) * bounds.upper,
                       np.abs(dual_bounds.upper - 1.0 / bounds.lower) * bounds.lower],
                      axis=-1))
@@ -472,7 +483,8 @@ SHARED = {
     "C": lambda t: ctrl.spectral_controls(t.specs, t.S_F, t.eigen_F),
     "L": lambda t: ctrl.mixed_operator(t.C, t.w, t.F),
     "L_spectrum": lambda t: ctrl.mixed_spectrum(t.C, t.S_F, t.L),
-    "L_scale": lambda t: np.maximum(hb.operator_norm(t.L), 1.0),
+    # max(||(L + L^*)/2||, 1), from the spectrum of the Hermitian part
+    "L_scale": lambda t: np.maximum(np.max(np.abs(t.L_spectrum), axis=-1), 1.0),
     # phi(lambda) lambda
     "mapped": lambda t: ctrl.spectral_maps(t.specs, t.eigen_F.eigenvalues) * t.eigen_F.eigenvalues,
 }
@@ -586,12 +598,12 @@ def _frame_factorization(t: Trials):
     # column k of the composition synthesizes the analysis of basis vector k
     coeffs = fr.coefficients(t.F[:, None], np.eye(t.cfg.d, dtype=complex))
     composed = fr.synthesize(t.F[:, None], t.w[:, None], coeffs).swapaxes(-1, -2)
-    return hb.operator_norm(t.S_F - composed) / hb.operator_norm(t.S_F)
+    return hb.frobenius_norm(t.S_F - composed) / t.bounds_F.upper
 
 
 def _multiplier_adjoint(t: Trials):
     swapped = fr.weighted_gram(t.F, t.w * t.m.conj(), t.G)
-    return (hb.operator_norm(hb.adjoint(t.M) - swapped)
+    return (hb.frobenius_norm(hb.adjoint(t.M) - swapped)
             / np.maximum(t.sigma_M[..., 0], 1e-300))
 
 
@@ -608,7 +620,7 @@ def _weighted_identity(t: Trials):
     M = fr.weighted_gram(t.F, t.w * t.nonnegative, t.F)
     reweighted = t.F * np.sqrt(t.nonnegative.real)[:, None, :]
     S = fr.weighted_gram(reweighted, t.w, reweighted)
-    return hb.operator_norm(M - S) / np.maximum(hb.operator_norm(S), 1.0)
+    return hb.frobenius_norm(M - S) / np.maximum(hb.operator_norm(S), 1.0)
 
 
 def _frame_iff_invertible(t: Trials):
@@ -665,8 +677,8 @@ def _discrete_bessel_norm_bound(t: Trials):
 
 def _controlled_factorization(t: Trials):
     L, C, S = t.L, t.C, t.S_F
-    return np.stack([hb.operator_norm(L - C @ S) / t.L_scale,
-                     hb.operator_norm(L - S @ hb.adjoint(C)) / t.L_scale], axis=-1)
+    return np.stack([hb.frobenius_norm(L - C @ S) / t.L_scale,
+                     hb.frobenius_norm(L - S @ hb.adjoint(C)) / t.L_scale], axis=-1)
 
 
 def _controlled_bounds_map(t: Trials):
@@ -682,9 +694,10 @@ def _controlled_spectral_mapping(t: Trials):
 
 
 def _controlled_positivity(t: Trials):
-    # hb.is_positive(L, tol) on the norm and the spectrum of L taken once
+    # hb.is_positive(L, tol) on the spectrum of L taken once, with the
+    # scale read from it
     L, spectrum, tol = t.L, t.L_spectrum, t.cfg.tol("controlled_positivity")
-    return ~((hb.operator_norm(L - hb.adjoint(L)) <= tol * t.L_scale)
+    return ~((hb.frobenius_norm(L - hb.adjoint(L)) <= tol * t.L_scale)
              & hb.nonnegative_spectrum(spectrum[..., 0], spectrum[..., -1], tol))
 
 
@@ -702,8 +715,9 @@ def _precondition_identity(t: Trials):
 
 def _weighted_scaling(t: Trials):
     bounds = t.bounds_F
-    # the vectors of fr.weighted(F, 4): each column times sqrt(4), exactly
-    scaled = _bounds(t.w, 2.0 * t.F)
+    # the frame operator of fr.weighted(F, 4), whose columns are those of F
+    # times sqrt(4): scaling by a power of two is exact, so it is 4 S_F
+    scaled = fr.operator_bounds(4.0 * t.S_F)
     return np.stack([np.abs(scaled.lower - 4.0 * bounds.lower) / (4.0 * bounds.upper),
                      np.abs(scaled.upper - 4.0 * bounds.upper) / (4.0 * bounds.upper)],
                     axis=-1)
@@ -724,7 +738,7 @@ def _certificates(t: Trials):
 def _multiplier_dual(t: Trials):
     t = t.invertible or t
     H = multiplier_dual_vectors(t.w, t.m, t.F, t.G, t.M_inv, t.bounds_G)
-    return hb.operator_norm(fr.weighted_gram(t.G, t.w, H) - np.eye(t.cfg.d))
+    return hb.frobenius_norm(fr.weighted_gram(t.G, t.w, H) - np.eye(t.cfg.d))
 
 
 def _positive_symbol_coercivity(t: Trials):
@@ -797,11 +811,12 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _tightness(d: int, windows: np.ndarray) -> np.ndarray:
-    """An upper bound on ||S - ||g||^2 I|| / ||g||^2 for the Gabor frame
-    operator S of each window: one eigen-solve per operator, no SVD."""
+    """||S - ||g||^2 I||_F / ||g||^2 for the Gabor frame operator S of each
+    window: an upper bound on the operator-norm defect, one pass over the
+    entries, no eigen-solve and no SVD."""
     g = windows[:, 0]
     gsq = _sq_norms(g)
-    return hb.identity_defect_bound(tf.gabor_operator(g), gsq) / gsq
+    return hb.frobenius_norm(tf.gabor_operator(g) - gsq[:, None, None] * np.eye(d)) / gsq
 
 
 def _stft_matches(d: int, pairs: np.ndarray) -> np.ndarray:
@@ -1157,7 +1172,8 @@ CHECKS: dict[str, Row] = {
         "frame spectrum", 1e-10, MAX0, _controlled_bounds_map, STACKED, 100),
     "controlled_spectral_mapping": Row(
         "controlled", "spectrum of the mixed operator is the mapped frame spectrum, "
-        "relative to max(||L||, 1)", 1e-12, MAX0, _controlled_spectral_mapping, STACKED, 100),
+        "relative to max(||(L + L*)/2||, 1)", 1e-12, MAX0, _controlled_spectral_mapping,
+        STACKED, 100),
     "controlled_positivity": Row(
         "controlled", "mixed operator of a positive commuting control is positive", 1e-10,
         COUNT, _controlled_positivity, STACKED, 100),

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import re
@@ -130,8 +131,33 @@ def test_verify_csv_output(tmp_path):
                  "--format", "csv", "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "check_id,claim,measured,budget,tolerance,pass"
+    assert lines[0] == "check_id,claim,measured,budget,tolerance,pass,detail,error"
     assert len(lines) > 5
+
+
+def test_csv_reports_carry_the_detail_and_the_error_of_each_check(tmp_path):
+    # at N = 4 < d = 8 the draws are no frames: the checks that need the
+    # canonical dual abort, and the CSV names the exception as the JSON does
+    argv = ["verify", "--suite", "identities", "--d", "8", "--n", "4", "--trials", "5",
+            "--seed", "2"]
+    direct, src, again = (tmp_path / name for name in ("r.csv", "r.json", "again.csv"))
+    assert main([*argv, "--format", "csv", "--out", str(direct)]) == 1
+    row = next(r for r in csv.DictReader(direct.open())
+               if r["check_id"] == "canonical_dual_pair")
+    assert row == {"check_id": "canonical_dual_pair",
+                   "claim": "check aborted with an exception", "measured": "",
+                   "budget": "", "tolerance": "1e-10", "pass": "false", "detail": "",
+                   "error": "NotAFrameError: lower frame bound is numerically zero "
+                            "(0.000e+00)"}
+    # JSON -> CSV: every field of every check, the CSV of the run itself
+    assert main([*argv, "--out", str(src)]) == 1
+    assert main(["report", "--in", str(src), "--format", "csv", "--out", str(again)]) == 1
+    assert again.read_text() == direct.read_text()
+    cells = lambda v: "" if v is None else repr(v)
+    assert [tuple(r.values()) for r in csv.DictReader(again.open())] == [
+        (c["check_id"], c["claim"], cells(c["measured"]), cells(c["budget"]),
+         cells(c["tolerance"]), "true" if c["pass"] else "false", c.get("detail", ""),
+         c.get("error", "")) for c in read_json(src)["checks"]]
 
 
 def test_gabor_command(tmp_path):
@@ -472,7 +498,7 @@ def test_aborted_checks_write_valid_json(monkeypatch, tmp_path, capsys):
     assert main(["report", "--in", str(out), "--out", str(csv_out)]) == 1
     row = next(line for line in csv_out.read_text().splitlines()
                if line.startswith("gabor_tightness,"))
-    assert row.endswith(",,,1e-10,false")
+    assert row.endswith(",,,1e-10,false,,RuntimeError: boom")
 
 
 def test_each_suite_has_the_rows_the_benchmark_expects(monkeypatch):
@@ -619,6 +645,46 @@ def test_positive_symbol_coercivity_takes_one_eigvalsh_of_the_multiplier(monkeyp
     # over the stack of the six trials: the frame operator of F and that of
     # its reweighting by 4, then the frame operator of F and the multipliers
     assert calls == [(cfg.trials, 4, 4)] * 2 * 2
+
+
+def counted_calls(monkeypatch, name):
+    """The shapes of the arrays given to np.linalg.<name>, call by call."""
+    calls, solver = [], getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+# the SVDs of one 64-trial chunk at d = 8, N = 64, each of a stack of 8 x 8
+# matrices: identities takes sigma_M, the invertibility test of
+# frame_iff_invertible, the inverse of S_F for the dual and ||S|| of the
+# reweighted frame; controlled ||S_F|| in mixed_spectrum, the inverses of
+# both controls and ||M||; weighted, in chunks of 50 and 14 trials (the cap
+# of multiplier_dual), sigma_M and the ||M|| of is_hermitian.  Defects that
+# vanish in exact arithmetic take none: they are Frobenius norms.
+SVDS = {"identities": [(64, 8, 8)] * 4, "controlled": [(64, 8, 8)] * 4,
+        "weighted": [(50, 8, 8)] * 2 + [(14, 8, 8)] * 2}
+
+
+@pytest.mark.parametrize("suite", sorted(SVDS))
+def test_the_algebra_suites_take_the_pinned_svds(monkeypatch, tmp_path, suite):
+    calls = counted_calls(monkeypatch, "svd")
+    assert main(["verify", "--suite", suite, "--d", "8", "--n", "64", "--trials", "64",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    # the shapes pin the number of calls and of the matrices given to them
+    assert calls == SVDS[suite]
+
+
+def test_the_gabor_suite_takes_no_eigen_solve_and_no_svd(monkeypatch, tmp_path):
+    # gabor_tightness measures ||S - ||g||^2 I||_F in one pass
+    eigvalsh, svd = (counted_calls(monkeypatch, name) for name in ("eigvalsh", "svd"))
+    assert main(["verify", "--suite", "gabor", "--d", "8", "--n", "64", "--trials", "64",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert eigvalsh == svd == []
 
 
 def test_positive_symbol_coercivity_counts_non_hermitian_multipliers(monkeypatch):

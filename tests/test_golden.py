@@ -16,17 +16,17 @@ from contframes.cli import main
 
 GOLDEN = {
     "identities": {
-        "canonical_dual_pair": 1.2569902702610734e-15,
+        "canonical_dual_pair": 1.3973208366980813e-15,
         "difference_analysis": 1.0695084443661336e-14,
         "difference_symbol": 1.5888218580782548e-14,
         "difference_synthesis": 1.5888218580782548e-14,
         "dual_bounds_inverse": 1.4461162734675848e-15,
-        "frame_factorization": 1.3826846630759348e-16,
+        "frame_factorization": 1.635860383659927e-16,
         "frame_iff_invertible": 0.0,
-        "multiplier_adjoint": 2.5078722452141928e-16,
+        "multiplier_adjoint": 3.238332827692933e-16,
         "reconstruction": 1.1512429381535383e-15,
         "reconstruction_swapped": 1.0279834381240728e-15,
-        "weighted_identity": 3.1105545004796053e-16,
+        "weighted_identity": 3.4166143116356185e-16,
     },
     "bounds": {
         "bessel_inequality": 0.0,
@@ -54,14 +54,14 @@ GOLDEN = {
     },
     "controlled": {
         "controlled_bounds_map": 1.7763568394002505e-15,
-        "controlled_factorization": 1.1399210068873836e-15,
+        "controlled_factorization": 1.5503707458937451e-15,
         "controlled_implies_frame": 0.0,
         "controlled_positivity": 0.0,
-        "controlled_spectral_mapping": 1.7763568394002493e-15,
-        "precondition_identity": 1.7871451817326477e-15,
+        "controlled_spectral_mapping": 1.7763568394002473e-15,
+        "precondition_identity": 1.851683579234618e-15,
     },
     "gabor": {
-        "gabor_tightness": 4.321437929490366e-15,
+        "gabor_tightness": 1.2952156266783971e-14,
         "stft_energy": 5.066319838733573e-16,
         "stft_matches_analysis": 1.2515439318724856e-13,
         "stft_orthogonality": 1.2412670766236366e-16,
@@ -81,7 +81,7 @@ GOLDEN = {
     },
     "weighted": {
         "certificates": -2.51705336661544,
-        "multiplier_dual": 9.51092520445203e-15,
+        "multiplier_dual": 9.757772521975298e-15,
         "positive_symbol_coercivity": -1.808466761974103,
         "weighted_scaling": 0.0,
     },

@@ -72,5 +72,6 @@ def test_report_round_trip_and_summary():
 
     csv_text = report.to_csv()
     lines = csv_text.strip().splitlines()
-    assert lines[0] == "check_id,claim,measured,budget,tolerance,pass"
+    assert lines[0] == "check_id,claim,measured,budget,tolerance,pass,detail,error"
+    assert lines[1] == "a_check,claim a,3.0,2.0,1e-10,false,boom,"
     assert len(lines) == 3

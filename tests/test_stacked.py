@@ -22,6 +22,7 @@ import pytest
 from contframes import frame as fr
 from contframes import hilbert as hb
 from contframes import suites
+from contframes import tf_frames as tf
 from contframes.controlled import (
     ControlSpec,
     controlled_bounds,
@@ -111,7 +112,7 @@ def frame_factorization(cfg, i):
     S = fr.frame_operator(F)
     composed = np.column_stack([fr.synthesis(F, fr.analysis(F, e))
                                 for e in np.eye(cfg.d)])
-    return [hb.operator_norm(S - composed) / hb.operator_norm(S)]
+    return [hb.frobenius_norm(S - composed) / fr.frame_bounds(F).upper]
 
 
 def reconstruction(check_id, swapped):
@@ -132,7 +133,7 @@ def multiplier_adjoint(cfg, i):
     m, F, G, _ = instance(cfg, "multiplier_adjoint", i)
     M = multiplier(m, F, G)
     other = multiplier(m.values.conj(), G, F)
-    return [hb.operator_norm(M.conj().T - other) / max(hb.operator_norm(M), 1e-300)]
+    return [hb.frobenius_norm(M.conj().T - other) / max(hb.operator_norm(M), 1e-300)]
 
 
 def difference(check_id, which):
@@ -159,7 +160,7 @@ def weighted_identity(cfg, i):
     m = Symbol(t.nonnegative, F.space)
     M = multiplier(m, F, F)
     S = fr.frame_operator(fr.weighted(F, m))
-    return [hb.operator_norm(M - S) / max(hb.operator_norm(S), 1.0)]
+    return [hb.frobenius_norm(M - S) / max(hb.operator_norm(S), 1.0)]
 
 
 def canonical_dual_pair(cfg, i):
@@ -311,13 +312,18 @@ def mapped_spectrum(F, spec):
     return spec.spectral_map(lam) * lam
 
 
+def hermitian_scale(L):
+    """max(||(L + L^*)/2||, 1), from the extreme eigenvalues of (L + L^*)/2."""
+    return max(*map(abs, hb.extreme_eigenvalues(L)), 1.0)
+
+
 def controlled_factorization(cfg, i):
     F, _, C = controlled("controlled_factorization")(cfg, i)
     S = fr.frame_operator(F)
     L = controlled_frame_operator(C, F)
-    scale = max(hb.operator_norm(L), 1.0)
-    return [hb.operator_norm(L - C @ S) / scale,
-            hb.operator_norm(L - S @ C.conj().T) / scale]
+    scale = hermitian_scale(L)
+    return [hb.frobenius_norm(L - C @ S) / scale,
+            hb.frobenius_norm(L - S @ C.conj().T) / scale]
 
 
 def controlled_bounds_map(cfg, i):
@@ -334,7 +340,7 @@ def controlled_spectral_mapping(cfg, i):
     L = controlled_frame_operator(C, F)
     mapped = np.sort(mapped_spectrum(F, spec))
     spectrum = np.sort(np.linalg.eigvalsh(0.5 * (L + L.conj().T)))
-    return [float(np.max(np.abs(spectrum - mapped))) / max(hb.operator_norm(L), 1.0)]
+    return [float(np.max(np.abs(spectrum - mapped))) / hermitian_scale(L)]
 
 
 def controlled_positivity(cfg, i):  # True for a failing trial
@@ -529,6 +535,32 @@ def test_stacked_frame_iff_invertible_equals_the_single_frame_api(monkeypatch, d
     is_frame = [fr.frame_bounds(deficient_frame(cfg, i)).is_frame for i in range(4)]
     assert is_frame == [n >= d and i % 2 == 0 for i in range(4)]
     assert singular == [not frame for frame in is_frame]
+
+
+def test_a_frame_of_tiny_vectors_is_a_frame_with_an_invertible_frame_operator():
+    # F = 1e-7 I on C^3 with counting weights: S = 1e-14 I is perfectly
+    # conditioned, and the frame test is relative like the invertibility test
+    F = fr.SampledFrame(counting_space(3), 1e-7 * np.eye(3, dtype=complex))
+    S = fr.frame_operator(F)
+    assert fr.frame_bounds(F).is_frame
+    assert np.allclose(hb.invert(S), np.eye(3) / S[0, 0].real, rtol=1e-14, atol=0.0)
+    assert np.allclose(fr.canonical_dual(F).vectors, 1e7 * np.eye(3), rtol=1e-14, atol=0.0)
+    # frame_iff_invertible's measure on that frame operator, as trial 0 and,
+    # confined to a hyperplane, as trial 1: no disagreement
+    t = suites.Trials(SuiteConfig(suite="identities", d=3, n_points=3), range(2))
+    t.S_F = np.stack([S, S])
+    assert suites.CHECKS["frame_iff_invertible"].measure(t).tolist() == [False, False]
+
+
+@pytest.mark.parametrize("d,n", [(4, 12), (8, 64), (64, 4096)])
+def test_the_frame_operator_of_the_reweighting_by_4_is_4_s_f(d, n):
+    # the columns of fr.weighted(F, 4) are those of F times 2: exact, so
+    # weighted_scaling reads 4 S_F instead of forming the product
+    cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=2)
+    for i in range(2):
+        t = suites.CHECKS["weighted_scaling"].replay(cfg, i)
+        assert np.array_equal(bits(fr.weighted_gram(2.0 * t.F, t.w, 2.0 * t.F)),
+                              bits(4.0 * t.S_F))
 
 
 def test_stacked_dual_refuses_non_frames_like_canonical_dual():
@@ -888,7 +920,7 @@ def dense_certificates(m, F, G):
     floor4 = bmf.lower / lp_norm(F.space, m, math.inf) ** 2
 
     def margin(a, b):  # the smaller lower bound less its frame cutoff
-        return min(x.lower - fr.FRAME_RTOL * max(x.upper, 1.0) for x in (a, b))
+        return min(x.lower - hb.INVERT_RTOL * x.upper for x in (a, b))
 
     return [(bmf.lower, floor1), (bmg.lower, floor2), (margin(bmf, bmg), 0.0),
             (bf.lower, floor4), (margin(bf, bg), 0.0)]
@@ -925,9 +957,121 @@ def test_single_instance_api_equals_its_dense_form(d, n):
             mixed = multiplier(m, fr.SampledFrame(F.space, C @ F.vectors),
                                fr.SampledFrame(G.space, D @ G.vectors))
             plain = multiplier(m, F, G)
-            residual = hb.operator_norm(hb.invert(D) @ mixed @ hb.invert(C) - plain)
+            residual = hb.frobenius_norm(hb.invert(D) @ mixed @ hb.invert(C) - plain)
             assert precondition_identity_residual(spec, ControlSpec("sqrt"), m, F, G) == (
                 residual / hb.operator_norm(plain))
+
+
+# ---------------------------------------------------------------------------
+# Frobenius defects against the operator-norm defects they bound
+# ---------------------------------------------------------------------------
+
+def opnorm(T):
+    """The operator norm, from an SVD taken here."""
+    return float(np.linalg.svd(T, compute_uv=False)[0])
+
+
+def spectral_dual_defect(F, G):
+    return opnorm(fr.weighted_gram(G.vectors, F.space.weights, F.vectors) - np.eye(F.dim))
+
+
+def spectral_canonical_dual_pair(cfg, i):
+    F = frame(cfg, "canonical_dual_pair", i)
+    return [spectral_dual_defect(F, fr.canonical_dual(F))]
+
+
+def spectral_multiplier_dual(cfg, i):
+    m, F, G, _ = invertible_instance(cfg, "multiplier_dual", i)
+    return [spectral_dual_defect(dual_from_multiplier(m, F, G), G)]
+
+
+def spectral_frame_factorization(cfg, i):
+    F = frame(cfg, "frame_factorization", i)
+    S = fr.frame_operator(F)
+    composed = np.column_stack([fr.synthesis(F, fr.analysis(F, e))
+                                for e in np.eye(cfg.d)])
+    return [opnorm(S - composed) / opnorm(S)]
+
+
+def spectral_multiplier_adjoint(cfg, i):
+    m, F, G, _ = instance(cfg, "multiplier_adjoint", i)
+    M = multiplier(m, F, G)
+    return [opnorm(M.conj().T - multiplier(m.values.conj(), G, F)) / opnorm(M)]
+
+
+def spectral_weighted_identity(cfg, i):
+    t = draws(cfg, "weighted_identity", i)
+    F, = frames(t.w, t.F)
+    m = Symbol(t.nonnegative, F.space)
+    S = fr.frame_operator(fr.weighted(F, m))
+    return [opnorm(multiplier(m, F, F) - S) / max(opnorm(S), 1.0)]
+
+
+def spectral_controlled(check_id):
+    def oracle(cfg, i):
+        F, spec, C = controlled(check_id)(cfg, i)
+        S = fr.frame_operator(F)
+        L = controlled_frame_operator(C, F)
+        scale = max(opnorm(L), 1.0)
+        if check_id == "controlled_factorization":
+            return [opnorm(L - C @ S) / scale, opnorm(L - S @ C.conj().T) / scale]
+        spectrum = np.sort(np.linalg.eigvalsh(0.5 * (L + L.conj().T)))
+        return [float(np.max(np.abs(spectrum - np.sort(mapped_spectrum(F, spec))))) / scale]
+    return oracle
+
+
+def spectral_precondition_identity(cfg, i):
+    m, F, G, t = instance(cfg, "precondition_identity", i)
+    C = make_control(spec_of(t.kinds, t.params), F)
+    D = make_control(spec_of(t.dual_kinds, t.dual_params), G)
+    mixed = multiplier(m, fr.SampledFrame(F.space, C @ F.vectors),
+                       fr.SampledFrame(G.space, D @ G.vectors))
+    plain = multiplier(m, F, G)
+    return [opnorm(np.linalg.inv(D) @ mixed @ np.linalg.inv(C) - plain) / opnorm(plain)]
+
+
+# the checks whose defects are Frobenius norms and whose scales come from a
+# spectrum, each with every defect and scale in the operator norm
+SPECTRAL = {
+    "frame_factorization": spectral_frame_factorization,
+    "multiplier_adjoint": spectral_multiplier_adjoint,
+    "weighted_identity": spectral_weighted_identity,
+    "canonical_dual_pair": spectral_canonical_dual_pair,
+    "multiplier_dual": spectral_multiplier_dual,
+    "controlled_factorization": spectral_controlled("controlled_factorization"),
+    "controlled_spectral_mapping": spectral_controlled("controlled_spectral_mapping"),
+    "precondition_identity": spectral_precondition_identity,
+}
+ULPS = 16 * np.finfo(float).eps
+
+
+def between_spectral_and_sqrt_d_times_it(value, spectral, d):
+    """||A|| <= ||A||_F <= sqrt(d) ||A|| for a d x d defect A, up to 16 ulp."""
+    return spectral * (1.0 - ULPS) <= value <= math.sqrt(d) * spectral * (1.0 + ULPS)
+
+
+@pytest.mark.parametrize("check_id,d,n", [
+    (check_id, d, n) for check_id in sorted(SPECTRAL)
+    for d, n in [(4, 12), (8, 64), (8, 4)] if n >= d or check_id not in NEEDS_FRAMES])
+def test_frobenius_defects_lie_between_the_spectral_defect_and_sqrt_d_times_it(
+        check_id, d, n):
+    cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=3)
+    spectral = [v for i in range(3) for v in SPECTRAL[check_id](cfg, i)]
+    values = stacked(cfg, check_id)
+    assert len(values) == len(spectral)
+    assert all(between_spectral_and_sqrt_d_times_it(value, bound, d)
+               for value, bound in zip(values, spectral))
+
+
+def test_gabor_tightness_lies_between_the_spectral_defect_and_sqrt_d_times_it():
+    for d, windows in suites._by_size(SuiteConfig(), 131, np.repeat([4, 8, 16, 64], 20)):
+        g = windows[:, 0]
+        # ||g||^2 as the check takes it: a rounding of it moves the defect
+        gsq = [float(np.linalg.norm(v) ** 2) for v in g]
+        spectral = [opnorm(S - c * np.eye(d)) / c
+                    for S, c in zip(tf.gabor_operator(g), gsq)]
+        assert all(between_spectral_and_sqrt_d_times_it(value, bound, d)
+                   for value, bound in zip(suites._tightness(d, windows), spectral))
 
 
 # ---------------------------------------------------------------------------
@@ -1188,6 +1332,11 @@ def test_hilbert_kernels_take_stacks():
                                                              upper.tolist()))
     assert all(np.array_equal(bits(np.linalg.inv(t)), bits(inv))
                for t, inv in zip(T, hb.invert(T)))
+    assert [hb.frobenius_norm(t) for t in T] == hb.frobenius_norm(T).tolist() == [
+        float(np.linalg.norm(t, "fro")) for t in T]
+    R = stack_of(rng, (3, 5), count=(2, 4))
+    assert hb.frobenius_norm(R).tolist() == [[float(np.linalg.norm(r, "fro")) for r in row]
+                                             for row in R]
     x = stack_of(rng, (7,), count=(3, 4))
     assert hb.norm(x).tolist() == [[float(np.linalg.norm(v)) for v in row] for row in x]
     assert hb.norm(x[0, 0]) == float(np.linalg.norm(x[0, 0]))
