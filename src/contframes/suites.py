@@ -50,10 +50,9 @@ bumps), test vectors, eps, a nonnegative symbol, the controls of F and of
 G, delta and offsets above it.  Role r reads the stream _rng(seed,
 TRIAL_STREAMS, r) in trial order, so reports do not depend on the chunk
 size.  The frame test reads F on even trials and F with its last
-coordinate zeroed, no frame, on odd ones.  The invertible instance is the
-instance with each trial whose multiplier fails the sigma_min > 1e-6
-sigma_max test redrawn: attempt k >= 1 of trial t reads _rng(seed,
-TRIAL_STREAMS, t, k).
+coordinate zeroed, no frame, on odd ones.  The certificates and the induced
+dual read the instance itself: a trial whose multiplier is singular under
+hb.cutoff aborts both with NotInvertibleError, as at N < d.
 
 A context computes each quantity of SHARED once, on first use.  One that
 raises (the dual of a draw that is no frame) raises in every check that
@@ -62,8 +61,8 @@ ends at every trial cap of the run's checks, so each check reads whole
 chunks: it builds the chunk's one context, runs on it, in table order,
 every stacked measure of the run that has not reached its cap, keeps the
 per-trial values and drops the context before it draws the next chunk.
-CHECKS[id].replay(cfg, K) is the context of trial K alone, drawn after
-every role stream has been read past trials 0..K-1.
+replay(cfg, K) is the context of trial K alone, drawn after every role
+stream has been read past trials 0..K-1.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ from .multiplier import (
 )
 from .errors import InvalidParameterError
 from .measure import (
-    MeasureSpace,
     Symbol,
     uniform_grid_1d,
     wavelet_grid,
@@ -249,7 +247,6 @@ PLAIN = {"w": _uniform(0.2, 2.0, "n"), "F": _VECTORS, "G": _VECTORS, "m": _SYMBO
          "kinds": _kinds, "params": _PARAMS,
          "dual_kinds": _kinds, "dual_params": _PARAMS,
          "delta": _uniform(0.1, 1.0), "offsets": _uniform(0.0, 2.0, "n")}
-_INSTANCE = ("w", "F", "G", "m")
 TRIAL_STREAMS = 105
 
 
@@ -265,42 +262,6 @@ def _spec(kind: int, t: float, alpha: float, beta: float) -> ctrl.ControlSpec:
 def _specs(kinds, params) -> list[ctrl.ControlSpec]:
     """The control spec of each trial, from its kind and its parameter row."""
     return [_spec(kind, *row) for kind, row in zip(kinds.tolist(), params.tolist())]
-
-
-def _failing(sigma: np.ndarray) -> np.ndarray:
-    """True where singular values fail the sigma_min > 1e-6 sigma_max test."""
-    return ~(sigma[..., -1] > 1e-6 * sigma[..., 0])
-
-
-def _invertible(t: "Trials") -> "Inputs | None":
-    """The instance of context t with each trial whose multiplier M fails
-    the sigma_min > 1e-6 sigma_max test redrawn: None where no trial fails,
-    else the Inputs of the redrawn instance, its M and singular values.
-
-    Attempt 0 is the instance of t; attempt k = 1, 2, ... of a failing trial
-    s reads every role of _INSTANCE in turn from _rng(seed, number, s, k), up
-    to 64 attempts in all.  The Inputs holds arrays, not t: a context that
-    held itself would outlive its chunk until a garbage collection.
-    """
-    pending = np.flatnonzero(_failing(t.sigma_M))
-    if not pending.size:
-        return None
-    stacks = [getattr(t, name).copy() for name in _INSTANCE]
-    M, sigma = t.M.copy(), t.sigma_M.copy()
-    for attempt in range(1, 64):
-        retries = [[PLAIN[name](rng, t.cfg, 1) for name in _INSTANCE] for rng in (
-            _rng(t.cfg.seed, t.number, t.trials[k], attempt) for k in pending)]
-        drawn = [np.concatenate(arrays) for arrays in zip(*retries)]
-        for stack, redrawn in zip(stacks, drawn):
-            stack[pending] = redrawn
-        w, F, G, m = drawn
-        M[pending] = redrawn_M = fr.weighted_gram(G, w * m, F)
-        sigma[pending] = redrawn_sigma = hb.singular_values(redrawn_M)
-        pending = pending[_failing(redrawn_sigma)]
-        if not pending.size:
-            return Inputs(SHARED, cfg=t.cfg, **dict(zip(_INSTANCE, stacks)),
-                          M=M, sigma_M=sigma)
-    raise InvalidParameterError("could not draw an invertible instance")
 
 
 class Inputs:
@@ -333,14 +294,12 @@ class Inputs:
 
 
 class Trials(Inputs):
-    """The inputs of a chunk of trials: the arrays of the roles of PLAIN,
-    read from the streams numbered ``number``, and the quantities of
-    SHARED."""
+    """The inputs of a chunk of trials: the arrays of the roles of PLAIN
+    and the quantities of SHARED."""
 
-    def __init__(self, cfg: SuiteConfig, trials: range, streams: dict | None = None,
-                 number: int = TRIAL_STREAMS):
+    def __init__(self, cfg: SuiteConfig, trials: range, streams: dict | None = None):
         super().__init__(SHARED)
-        self.cfg, self.trials, self.number = cfg, trials, number
+        self.cfg, self.trials = cfg, trials
         # role name -> [stream, first trial it has not drawn], for the run
         self._streams = {} if streams is None else streams
 
@@ -353,41 +312,22 @@ class Trials(Inputs):
         stream = self._streams.get(name)
         if stream is None:
             index = list(PLAIN).index(name)
-            stream = self._streams[name] = [_rng(self.cfg.seed, self.number, index), 0]
+            stream = self._streams[name] = [_rng(self.cfg.seed, TRIAL_STREAMS, index), 0]
         if stream[1] != self.trials.start:
             raise RuntimeError(f"role {name!r} read out of trial order")
         stream[1] = self.trials.stop
         return PLAIN[name](stream[0], self.cfg, len(self.trials))
 
 
-def _trial(cfg: SuiteConfig, trial: int, number: int = TRIAL_STREAMS) -> Trials:
-    """The context of trial ``trial`` alone, drawn after every role stream
-    is read past trials 0..trial-1, chunk by chunk as in a run."""
+def replay(cfg: SuiteConfig, trial: int) -> Trials:
+    """The context of trial ``trial`` alone, as a run draws it: after every
+    role stream is read past trials 0..trial-1, chunk by chunk."""
     streams = {}
     for chunk in _chunks(cfg, {trial}):
-        past = Trials(cfg, chunk, streams, number)
+        past = Trials(cfg, chunk, streams)
         for name in PLAIN:
             getattr(past, name)
-    return Trials(cfg, range(trial, trial + 1), streams, number)
-
-
-def random_instance(seed: int, kind: int, idx: int, d: int, n: int):
-    """(symbol, analysis frame, synthesis frame) on one random space: trial
-    idx of the instance on the streams numbered ``kind``."""
-    return _instance_of(_trial(SuiteConfig(seed=seed, d=d, n_points=n), idx, kind))
-
-
-def random_invertible_instance(seed: int, kind: int, idx: int, d: int, n: int):
-    """Random instance whose multiplier is comfortably invertible: trial idx
-    of the invertible instance on the streams numbered ``kind``, whose
-    multiplier has sigma_min > 1e-6 sigma_max."""
-    t = _trial(SuiteConfig(seed=seed, d=d, n_points=n), idx, kind)
-    return _instance_of(t.invertible or t)
-
-
-def _instance_of(t: Inputs):
-    space = MeasureSpace(np.arange(t.cfg.n_points, dtype=float)[:, None], t.w[0])
-    return Symbol(t.m[0], space), fr.SampledFrame(space, t.F[0]), fr.SampledFrame(space, t.G[0])
+    return Trials(cfg, range(trial, trial + 1), streams)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +409,6 @@ SHARED = {
     "M": lambda t: fr.weighted_gram(t.G, t.w * t.m, t.F),
     "sigma_M": lambda t: hb.singular_values(t.M),
     "M_inv": lambda t: hb.invert(t.M, t.sigma_M),
-    "invertible": _invertible,
     "dual": _dual,
     # Schatten norms and budgets at p = 1, 1.5, 2, 3, inf
     "budgets": lambda t: budget_values(t.w, t.m, t.F, t.G, DEFAULT_PS, t.sigma_M,
@@ -726,8 +665,7 @@ def _weighted_scaling(t: Trials):
 def _certificates(t: Trials):
     # floor - measured of certificate 1, and True where a certificate fails:
     # a frame part at or below its floor, any other below it by more than
-    # the tolerance; on the invertible instance
-    t = t.invertible or t
+    # the tolerance; a singular multiplier aborts the check
     measured, floors = certificate_values(
         t.w, t.m, t.F, t.G, t.sigma_M, bounds=(t.bounds_F, t.bounds_G))
     holds = np.where(FRAME_PARTS, measured > floors,
@@ -736,7 +674,6 @@ def _certificates(t: Trials):
 
 
 def _multiplier_dual(t: Trials):
-    t = t.invertible or t
     H = multiplier_dual_vectors(t.w, t.m, t.F, t.G, t.M_inv, t.bounds_G)
     return hb.frobenius_norm(fr.weighted_gram(t.G, t.w, H) - np.eye(t.cfg.d))
 
@@ -746,10 +683,13 @@ def _positive_symbol_coercivity(t: Trials):
     # multiplier M of the symbol delta + offsets in [delta, delta + 2)
     m = (t.delta[:, None] + t.offsets).astype(complex)
     M = fr.weighted_gram(t.F, t.w * m, t.F)
-    # hb.is_positive(M, tol) on the one eigvalsh that also gives lam_min
+    # hb.is_positive(M, tol) on the one eigvalsh that also gives lam_min,
+    # with the scale read from it
     lam_min, lam_max = hb.extreme_eigenvalues(M)
     tol = t.cfg.tol("positive_symbol_coercivity")
-    not_positive = ~(hb.is_hermitian(M, tol) & hb.nonnegative_spectrum(lam_min, lam_max, tol))
+    scale = np.maximum(np.maximum(np.abs(lam_min), np.abs(lam_max)), 1.0)
+    not_positive = ~((hb.frobenius_norm(M - hb.adjoint(M)) <= tol * scale)
+                     & hb.nonnegative_spectrum(lam_min, lam_max, tol))
     return t.delta * t.bounds_F.lower - lam_min, not_positive
 
 
@@ -996,10 +936,6 @@ class Row(NamedTuple):
     measure: Callable
     kind: str | None = None
     cap: int | None = None
-
-    def replay(self, cfg: SuiteConfig, trial: int) -> Trials:
-        """The context of trial ``trial`` alone, as a run draws it."""
-        return _trial(cfg, trial)
 
 
 # the kind of a stacked row
@@ -1298,7 +1234,7 @@ def run_suite(config: SuiteConfig) -> Report:
                    _measured(config, _stacked_values(config, table)))
 
 
-def run_gabor(d: int, window="gaussian", seed: int = 0) -> Report:
+def run_gabor(d: int, window="gaussian") -> Report:
     """Tightness report for one cyclic Gabor system: the rows of GABOR_RUN
     on its frame operator S, built (and the window checked) before them.
 
@@ -1309,7 +1245,7 @@ def run_gabor(d: int, window="gaussian", seed: int = 0) -> Report:
     if isinstance(window, str):
         window = tf.WindowSpec(kind=window)
     g = window.build(d) if isinstance(window, tf.WindowSpec) else np.asarray(window)
-    report = Report(suite="gabor-run", seed=seed, started=_timestamp())
+    report = Report(suite="gabor-run", seed=0, started=_timestamp())
     run = Inputs({"extremes": lambda r: hb.extreme_eigenvalues(r.S)},
                  S=tf.gabor_frame_operator(g, d), gsq=float(np.linalg.norm(g) ** 2))
     return _report(report, GABOR_RUN, {}, lambda _, row: row.measure(run))
@@ -1319,20 +1255,20 @@ def run_wavelet(d: int = CALDERON_DEFAULTS["d"], wavelet: tf.WaveletSpec | None 
                 a_min: float = CALDERON_DEFAULTS["a_min"],
                 a_max: float = CALDERON_DEFAULTS["a_max"], n_a: int = CALDERON_DEFAULTS["n_a"],
                 n_b: int | None = None, band: tuple[float, float] = CALDERON_DEFAULTS["band"],
-                taper: float = CALDERON_DEFAULTS["taper"], seed: int = 0) -> Report:
+                taper: float = CALDERON_DEFAULTS["taper"]) -> Report:
     """Admissibility, reconstruction and refinement report for one wavelet:
     the rows of WAVELET_RUN on its _calderon_study, with ADMISSIBLE for the
     admissibility constant of a profile other than the default."""
     wavelet = wavelet or tf.WaveletSpec()
     n_b = d if n_b is None else n_b
-    report = Report(suite="wavelet-run", seed=seed, started=_timestamp())
+    report = Report(suite="wavelet-run", seed=0, started=_timestamp())
     run = _calderon_study(wavelet, d, a_min, a_max, n_a, n_b, band, taper)
     table = WAVELET_RUN if wavelet.kind == "mexican-hat-fourier" else {
         **WAVELET_RUN, "admissibility_constant": ADMISSIBLE}
     return _report(report, table, {}, lambda _, row: row.measure(run))
 
 
-def run_multiplier(config: dict, seed: int = 0) -> tuple[Report, str]:
+def run_multiplier(config: dict) -> tuple[Report, str]:
     """Budget report plus singular-value CSV for one configured multiplier:
     the rows of MULTIPLIER_RUN, equals_frame_operator only for a symbol
     equal to 1 everywhere with equal frames.  The configuration carries an
@@ -1351,7 +1287,7 @@ def run_multiplier(config: dict, seed: int = 0) -> tuple[Report, str]:
     table = dict(MULTIPLIER_RUN)
     if not (np.all(m.values == 1.0) and np.array_equal(F.vectors, G.vectors)):
         del table["equals_frame_operator"]
-    report = Report(suite="multiplier-run", seed=seed, started=_timestamp())
+    report = Report(suite="multiplier-run", seed=0, started=_timestamp())
     # one M and one SVD for the budgets, the scale and the CSV
     run = Inputs({"sigma": lambda r: hb.singular_values(r.M),
                   "budgets": lambda r: budget_values(F.space.weights, m.values, F.vectors,

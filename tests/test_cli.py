@@ -664,10 +664,11 @@ def counted_calls(monkeypatch, name):
 # frame_iff_invertible, the inverse of S_F for the dual and ||S|| of the
 # reweighted frame; controlled ||S_F|| in mixed_spectrum, the inverses of
 # both controls and ||M||; weighted, in chunks of 50 and 14 trials (the cap
-# of multiplier_dual), sigma_M and the ||M|| of is_hermitian.  Defects that
-# vanish in exact arithmetic take none: they are Frobenius norms.
+# of multiplier_dual), sigma_M alone: positive_symbol_coercivity reads its
+# scale from the eigenvalues it takes.  Defects that vanish in exact
+# arithmetic take none: they are Frobenius norms.
 SVDS = {"identities": [(64, 8, 8)] * 4, "controlled": [(64, 8, 8)] * 4,
-        "weighted": [(50, 8, 8)] * 2 + [(14, 8, 8)] * 2}
+        "weighted": [(50, 8, 8), (14, 8, 8)]}
 
 
 @pytest.mark.parametrize("suite", sorted(SVDS))
@@ -677,6 +678,15 @@ def test_the_algebra_suites_take_the_pinned_svds(monkeypatch, tmp_path, suite):
                  "--out", str(tmp_path / "r.json")]) == 0
     # the shapes pin the number of calls and of the matrices given to them
     assert calls == SVDS[suite]
+
+
+def test_a_singular_weighted_run_takes_one_svd(monkeypatch, tmp_path):
+    # at N < d every multiplier is singular: sigma_M of the one chunk aborts
+    # certificates and multiplier_dual, and nothing is drawn again
+    calls = counted_calls(monkeypatch, "svd")
+    assert main(["verify", "--suite", "weighted", "--d", "8", "--n", "4", "--trials", "5",
+                 "--seed", "2", "--out", str(tmp_path / "r.json")]) == 1
+    assert calls == [(5, 8, 8)]
 
 
 def test_the_gabor_suite_takes_no_eigen_solve_and_no_svd(monkeypatch, tmp_path):

@@ -64,7 +64,8 @@ def test_convergence_report_independent_of_blas_threads(tmp_path):
 
 
 def test_weighted_report_independent_of_blas_threads(tmp_path):
-    # the weighted family beside the invertible draws of the other two rows
+    # the weighted family: the certificates, the induced dual, the scaling
+    # and the coercivity of one instance a trial
     assert_same_across_threads(tmp_path, 8, 64, 5, suite="weighted")
 
 
@@ -74,6 +75,6 @@ def test_gabor_report_independent_of_blas_threads(tmp_path):
 
 
 def test_all_suites_report_independent_of_blas_threads(tmp_path):
-    # every suite in one run: the checks of each draw kind read one context
-    # per chunk, shared across the algebra suites
+    # every suite in one run: the stacked checks read one context per
+    # chunk, shared across the algebra suites
     assert_same_across_threads(tmp_path, 8, 64, 5, suite="all")

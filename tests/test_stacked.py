@@ -7,7 +7,7 @@ computed once per chunk.  The oracle here is the
 per-trial loop, written with the 2-d API (``frame_bounds``,
 ``canonical_dual``, ``multiplier``, ``bound_budget``, ``make_control``,
 ``controlled_bounds``, ``convergence_experiment``, ...) on each trial's
-instance (``Row.replay`` of the check's row); the stacked values of every
+instance (``suites.replay``); the stacked values of every
 check must equal it exactly.
 """
 
@@ -59,8 +59,7 @@ from contframes.suites import (
     PLAIN,
     TRIAL_STREAMS,
     SuiteConfig,
-    random_instance,
-    random_invertible_instance,
+    replay,
     run_suite,
 )
 
@@ -75,7 +74,7 @@ class draws:
     the single-frame API takes it."""
 
     def __init__(self, cfg, check_id, i):
-        self.context = suites.CHECKS[check_id].replay(cfg, i)
+        self.context = replay(cfg, i)
 
     def __getattr__(self, name):
         return getattr(self.context, name)[0]
@@ -375,32 +374,9 @@ def complex_normal(rng, shape):
     return parts[..., 0] + 1j * parts[..., 1]
 
 
-def invertible_instance(cfg, check_id, idx):
-    """The per-trial retry loop: (m, F, G) of the first attempt whose
-    multiplier passes the sigma test, and that attempt.  Attempt 0 is trial
-    idx of the instance; attempt k >= 1 draws the weights, the analysis and
-    synthesis vectors and the symbol, in turn, from the stream
-    [seed, TRIAL_STREAMS, idx, k]."""
-    d, n = cfg.d, cfg.n_points
-    t = draws(cfg, check_id, idx)
-    w, V, W, values = t.w, t.F, t.G, t.m
-    for attempt in range(64):
-        if attempt:
-            rng = np.random.default_rng([cfg.seed, TRIAL_STREAMS, idx, attempt])
-            w = rng.uniform(0.2, 2.0, n)
-            V, W, values = (complex_normal(rng, (d, n)), complex_normal(rng, (d, n)),
-                            complex_normal(rng, (n,)))
-        F, G = frames(w, V, W)
-        m = Symbol(values, F.space)
-        sigma = hb.singular_values(multiplier(m, F, G))
-        if sigma[-1] > 1e-6 * sigma[0]:
-            return m, F, G, attempt
-    raise InvalidParameterError("could not draw an invertible instance")
-
-
 def certificates(cfg, i):  # floor - measured of part 1, then True for a failing trial
     # the check takes ||M^-1|| as 1 / sigma_min(M) from the SVD of M it keeps
-    m, F, G, _ = invertible_instance(cfg, "certificates", i)
+    m, F, G, _ = instance(cfg, "certificates", i)
     measured, floors = certificate_values(
         F.space.weights, m.values, F.vectors, G.vectors,
         sigma=hb.singular_values(multiplier(m, F, G)))
@@ -414,7 +390,7 @@ def certificates_hold(measured, floors, tol=1e-10):
 
 
 def multiplier_dual(cfg, i):
-    m, F, G, _ = invertible_instance(cfg, "multiplier_dual", i)
+    m, F, G, _ = instance(cfg, "multiplier_dual", i)
     return [fr.duality_defect(dual_from_multiplier(m, F, G), G)]
 
 
@@ -558,7 +534,7 @@ def test_the_frame_operator_of_the_reweighting_by_4_is_4_s_f(d, n):
     # weighted_scaling reads 4 S_F instead of forming the product
     cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=2)
     for i in range(2):
-        t = suites.CHECKS["weighted_scaling"].replay(cfg, i)
+        t = replay(cfg, i)
         assert np.array_equal(bits(fr.weighted_gram(2.0 * t.F, t.w, 2.0 * t.F)),
                               bits(4.0 * t.S_F))
 
@@ -750,11 +726,12 @@ def test_a_family_measures_once_although_its_members_are_apart(monkeypatch):
 
 
 def test_a_member_that_needs_a_frame_fails_alone():
-    # at N < d no draw is a frame: the checks built on the canonical dual or
-    # on a step from A_G abort with the error of the quantity they read, the
-    # checks that read only S_F, its bounds or other steps keep their values
-    checks = {c.check_id: c for suite in ("identities", "bounds") for c in run_suite(
-        SuiteConfig(suite=suite, d=8, n_points=4, trials=5)).checks}
+    # at N < d no draw is a frame and no multiplier invertible: the checks
+    # built on the canonical dual, on a step from A_G or on the inverse
+    # multiplier abort with the error of the quantity they read, the checks
+    # that read only S_F, its bounds or other steps keep their values
+    checks = {c.check_id: c for suite in ("identities", "bounds", "weighted")
+              for c in run_suite(SuiteConfig(suite=suite, d=8, n_points=4, trials=5)).checks}
     dual = ("reconstruction", "reconstruction_swapped", "canonical_dual_pair",
             "dual_bounds_inverse")
     for check_id in dual + ("perturb_lower",):
@@ -762,7 +739,12 @@ def test_a_member_that_needs_a_frame_fails_alone():
     assert {checks[c].error for c in dual} == {
         "NotAFrameError: lower frame bound is numerically zero (0.000e+00)"}
     assert checks["perturb_lower"].error == "InvalidParameterError: need eps > 0, got 0.0"
-    for check_id in ("frame_factorization", "perturb_upper"):
+    for check_id in ("certificates", "multiplier_dual"):
+        assert checks[check_id].measured is None and not checks[check_id].passed
+        assert checks[check_id].error.startswith(
+            "NotInvertibleError: smallest singular value ")
+    for check_id in ("frame_factorization", "perturb_upper", "weighted_scaling",
+                     "positive_symbol_coercivity"):
         assert checks[check_id].passed and not checks[check_id].error
 
 
@@ -796,7 +778,7 @@ def test_truncation_checks_fold_the_steps_like_the_per_trial_loops(d, n):
     ("weighted", 2)])
 def test_each_algebra_suite_draws_its_frames_once_a_trial(monkeypatch, suite, per_trial):
     # d x N draws: F, G and the second vectors; the frame test reads F and
-    # the invertible instance is F, G where no trial is redrawn
+    # the certificates F and G
     d, n, trials = 8, 64, 5
     read = suites.Trials._read
     rows = []
@@ -928,14 +910,17 @@ def dense_certificates(m, F, G):
 
 @pytest.mark.parametrize("d,n", [(4, 12), (8, 64)])
 def test_single_instance_api_equals_its_dense_form(d, n):
+    cfg = SuiteConfig(seed=17, d=d, n_points=n, trials=3)
     for i in range(3):
-        m, F, G = random_instance(17, 300, i, d, n)
+        t = replay(cfg, i)
+        F, G = frames(t.w[0], t.F[0], t.G[0])
+        m = Symbol(t.m[0], F.space)
         rng = np.random.default_rng([17, 301, i])
         bump = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-        frames = [fr.SampledFrame(F.space, F.vectors + bump / k) for k in (1, 2, 4)]
+        bumped = [fr.SampledFrame(F.space, F.vectors + bump / k) for k in (1, 2, 4)]
         symbols = [Symbol(m.values + bump[0] / k, F.space) for k in (1, 2, 4)]
-        for kind, schedule, p in [("frame_uniform_L2", frames, None),
-                                  ("frame_uniform_L1", frames, None),
+        for kind, schedule, p in [("frame_uniform_L2", bumped, None),
+                                  ("frame_uniform_L1", bumped, None),
                                   ("symbol_p", symbols, 1.5), ("symbol_p", symbols, math.inf)]:
             steps = convergence_experiment(kind, m, F, G, schedule, p=p)
             assert list(zip(*(column.tolist() for column in steps))) == (
@@ -981,7 +966,7 @@ def spectral_canonical_dual_pair(cfg, i):
 
 
 def spectral_multiplier_dual(cfg, i):
-    m, F, G, _ = invertible_instance(cfg, "multiplier_dual", i)
+    m, F, G, _ = instance(cfg, "multiplier_dual", i)
     return [spectral_dual_defect(dual_from_multiplier(m, F, G), G)]
 
 
@@ -1199,49 +1184,12 @@ def recorded_streams(monkeypatch) -> list:
     return keys
 
 
-def forced_retries(monkeypatch):
-    """Make every multiplier whose (0, 0) entry has a positive real part fail
-    the invertibility test, for single operators and stacks alike."""
-    singular_values = hb.singular_values
-
-    def failing(T):
-        sigma = singular_values(T)
-        sigma[..., -1] = np.where(np.real(np.asarray(T)[..., 0, 0]) > 0.0, 0.0,
-                                  sigma[..., -1])
-        return sigma
-
-    monkeypatch.setattr(hb, "singular_values", failing)
-
-
-def test_stacked_invertible_draws_retry_like_the_per_trial_loop(monkeypatch):
-    forced_retries(monkeypatch)
-    keys = recorded_streams(monkeypatch)
-    cfg = SuiteConfig(seed=5, d=3, n_points=7)
-    t = suites.Trials(cfg, range(12)).invertible
-    w, F, G, m = t.w, t.F, t.G, t.m
-    retries = {key for key in keys if len(key) == 4}
-    attempts = []
-    for i in range(12):
-        mi, Fi, Gi, attempt = invertible_instance(cfg, "certificates", i)
-        attempts.append(attempt)
-        assert np.array_equal(w[i], Fi.space.weights)
-        assert np.array_equal(bits(F[i]), bits(Fi.vectors))
-        assert np.array_equal(bits(G[i]), bits(Gi.vectors))
-        assert np.array_equal(bits(m[i]), bits(mi.values))
-        assert np.array_equal(bits(t.M[i]), bits(multiplier(mi, Fi, Gi)))
-        single = random_invertible_instance(5, TRIAL_STREAMS, i, 3, 7)
-        assert single[0] == mi and single[1] == Fi and single[2] == Gi
-    # some trials took the first attempt, others one or more retries
-    assert min(attempts) == 0 and max(attempts) >= 2
-    # attempt k >= 1 of trial t, and only those, from the stream
-    # [seed, TRIAL_STREAMS, t, k]
-    assert retries == {(5, TRIAL_STREAMS, i, k) for i, last in enumerate(attempts)
-                       for k in range(1, last + 1)}
-
-
-def test_a_chunk_redraws_only_its_failing_trials(monkeypatch):
+def test_a_singular_trial_aborts_certificates_and_multiplier_dual_alone(monkeypatch):
     # the first symbol of trials 1 and 4 is zero, and so is their multiplier;
     # the six trials are one chunk
+    cfg = SuiteConfig(suite="weighted", seed=13, d=4, n_points=12, trials=6)
+    assert len(suites._chunks(cfg, {6})) == 1
+    plain = {c.check_id: c for c in run_suite(cfg).checks}
     read = suites.Trials._read
 
     def zeroed(self, name):
@@ -1251,48 +1199,43 @@ def test_a_chunk_redraws_only_its_failing_trials(monkeypatch):
         return values
 
     monkeypatch.setattr(suites.Trials, "_read", zeroed)
-    cfg = SuiteConfig(seed=13, d=4, n_points=12, trials=6)
-    assert len(suites._chunks(cfg, {6})) == 1
-    attempts = [invertible_instance(cfg, "certificates", i)[3] for i in range(6)]
-    assert [i for i, attempt in enumerate(attempts) if attempt] == [1, 4]
+    checks = {c.check_id: c for c in run_suite(cfg).checks}
+    # both read sigma_M through the invertibility cutoff, and abort with it
     for check_id in ("certificates", "multiplier_dual"):
-        assert stacked(cfg, check_id) == [v for i in range(6) for v in ORACLES[check_id](cfg, i)]
-    # the redrawn instance leaves the plain one to the checks read after it
-    together = suites._stacked_values(cfg, check_ids("weighted"))
-    assert stacked(cfg, "positive_symbol_coercivity") == [
-        v for chunk in together["positive_symbol_coercivity"]
-        for v in np.column_stack(chunk).ravel().tolist()]
+        assert plain[check_id].passed
+        assert checks[check_id].measured is None and not checks[check_id].passed
+        assert checks[check_id].error == (
+            "NotInvertibleError: smallest singular value 0.000e+00 below cutoff "
+            "1e-12 * 0.000e+00")
+    # the checks that do not read the symbol keep their records
+    for check_id in ("weighted_scaling", "positive_symbol_coercivity"):
+        assert checks[check_id] == plain[check_id]
 
 
-def test_the_weighted_suite_forms_s_f_once_a_trial_without_redraws(monkeypatch):
-    # certificates and multiplier_dual read the plain context itself, and
-    # with it the S_F and bounds of the other two checks
-    formed, redrawn = [], []
-    S_F, invertible = suites.SHARED["S_F"], suites.SHARED["invertible"]
+def test_the_weighted_suite_forms_s_f_once_a_trial(monkeypatch):
+    # certificates and multiplier_dual read the plain context, and with it
+    # the S_F and bounds of the other two checks
+    formed = []
+    S_F = suites.SHARED["S_F"]
     monkeypatch.setitem(suites.SHARED, "S_F",
                         lambda t: formed.extend(t.trials) or S_F(t))
-    monkeypatch.setitem(suites.SHARED, "invertible",
-                        lambda t: redrawn.append(invertible(t)) or redrawn[-1])
     assert run_suite(SuiteConfig(suite="weighted", d=4, n_points=12, trials=100)).all_passed
     assert formed == list(range(100))
-    assert redrawn and not any(redrawn)
 
 
-def test_stacked_instances_equal_random_instance():
+def test_stacked_instances_equal_replay():
     cfg = SuiteConfig(seed=2, d=3, n_points=5)
     t = suites.Trials(cfg, range(4))
     for i in range(4):
-        mi, Fi, Gi = random_instance(2, TRIAL_STREAMS, i, 3, 5)
-        assert np.array_equal(t.w[i], Fi.space.weights)
-        assert np.array_equal(bits(t.F[i]), bits(Fi.vectors))
-        assert np.array_equal(bits(t.G[i]), bits(Gi.vectors))
-        assert np.array_equal(bits(t.m[i]), bits(mi.values))
+        single = replay(cfg, i)
+        for name in ("w", "F", "G", "m"):
+            assert np.array_equal(bits(getattr(t, name)[i]), bits(getattr(single, name)[0]))
 
 
 def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
     # the stacked checks read the streams [seed, TRIAL_STREAMS, role], so a
-    # run opens each of them once, and no two roles, gabor checks or
-    # invertible attempts share one
+    # run opens each of them once, and no two roles or gabor checks share
+    # one; no trial opens a stream of its own
     keys = recorded_streams(monkeypatch)
     assert main(["verify", "--suite", "all", "--d", "4", "--n", "12", "--trials", "9",
                  "--out", str(tmp_path / "report.json")]) == 0
@@ -1309,6 +1252,7 @@ def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
     # the trial streams, the two unbounded families and the five gabor checks
     assert {key[1] for key in keys} == {TRIAL_STREAMS, 123, 124, 131, 132, 133, 134, 135}
     assert len({stripped(key) for key in keys}) == len(keys)
+    assert not [key for key in keys if len(key) == 4]
 
 
 # ---------------------------------------------------------------------------
