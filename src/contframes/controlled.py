@@ -19,6 +19,7 @@ eigenvalues on its own (``spectral_maps``), as for a single frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +197,9 @@ def mixed_spectrum(C: np.ndarray, S: np.ndarray, L: np.ndarray) -> np.ndarray:
     are Frobenius norms, upper bounds on their operator norms that need no
     SVD; the scale ||C|| is the largest |eigenvalue| of (C + C^*)/2 from the
     extremes the positivity test takes, which is ||C|| for a self-adjoint C
-    and at most ||C|| for any."""
+    and at most ||C|| for any, and the scale of S is ||S||_F / sqrt(d), at
+    most ||S||: lower bounds, which keep the commutator test at least as
+    strict as the operator norms would."""
     lower, upper = hilbert.extreme_eigenvalues(C)
     scale = np.maximum(np.abs(lower), np.abs(upper))
     if np.any(hilbert.frobenius_norm(C - hilbert.adjoint(C))
@@ -206,7 +209,8 @@ def mixed_spectrum(C: np.ndarray, S: np.ndarray, L: np.ndarray) -> np.ndarray:
     if not np.all(hilbert.nonnegative_spectrum(lower, upper, 1e-10)):
         raise ContractViolationError("control operator is not positive")
     commutator = hilbert.frobenius_norm(C @ S - S @ C)
-    apart = commutator > 1e-10 * np.maximum(1.0, scale * hilbert.operator_norm(S))
+    s_scale = hilbert.frobenius_norm(S) / math.sqrt(S.shape[-1])
+    apart = commutator > 1e-10 * np.maximum(1.0, scale * s_scale)
     if np.any(apart):
         defect = np.ravel(commutator)[np.argmax(np.ravel(apart))]
         raise ContractViolationError(

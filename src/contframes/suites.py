@@ -18,14 +18,11 @@ id) runs one suite check afresh.  All randomness flows through per-role
 seed derivation, so a report for a given configuration is reproducible
 bit-for-bit (timestamps aside).
 
-The identities, bounds, convergence, controlled and weighted suites measure
-their trials in stacks: a chunk of max(1, STACK_ENTRIES // (d N)) trials is
-drawn at once and every step is one numpy call over the stack, through the
-array kernels of the single-frame API, so the values equal those of a
-per-trial loop on the same draws.  The gabor checks draw their sizes from
-one stream and the vectors of each size as one stack, and measure each size
-group in stacks of at most max(1, STACK_ENTRIES // entries an instance)
-instances through the stacked kernels of tf_frames.  The gabor, wavelet and
+The identities, bounds, convergence, gabor, controlled and weighted suites
+measure their trials in stacks: a chunk of max(1, STACK_ENTRIES // (d N))
+trials is drawn at once and every step is one numpy call over the stack,
+through the array kernels of the single-frame and single-window API, so the
+values equal those of a per-trial loop on the same draws.  The wavelet and
 unbounded-family rows are not stacked: their measure is a function of the
 configuration that gives the value, or the value and a detail.  The
 Calderon study reads no input and is computed once a process.
@@ -47,7 +44,9 @@ stacked row's measure is a function of the Trials context of a chunk: the
 roles of PLAIN, the instance (w, F, G, m) and, drawn on first use, a second
 symbol, second vectors (the difference identities and the convergence
 bumps), test vectors, eps, a nonnegative symbol, the controls of F and of
-G, delta and offsets above it.  Role r reads the stream _rng(seed,
+G, delta and offsets above it, and a time and a frequency shift.  The gabor
+rows read the first four test vectors as windows and signals in C^d, d =
+cfg.d, and the shifts.  Role r reads the stream _rng(seed,
 TRIAL_STREAMS, r) in trial order, so reports do not depend on the chunk
 size.  The frame test reads F on even trials and F with its last
 coordinate zeroed, no frame, on odd ones.  The certificates and the induced
@@ -186,8 +185,7 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 # complex entries one stack of trial frames holds: a chunk of a check's
 # trials has max(1, STACK_ENTRIES // (d N)) of them, 64 at d = 8, N = 64, and
-# one, as in a per-trial loop, from d N = 2^15 on; a stack of gabor
-# instances has max(1, STACK_ENTRIES // entries an instance)
+# one, as in a per-trial loop, from d N = 2^15 on
 STACK_ENTRIES = 2**15
 
 
@@ -239,14 +237,16 @@ _SYMBOL = _complex("n")
 _PARAMS = _uniform((-1.0, 0.5, 0.1), (1.5, 2.0, 1.0), 3)
 # the roles of a trial, role r reading the stream _rng(seed, TRIAL_STREAMS, r):
 # the instance (w, F, G, m), weights, analysis and synthesis vectors and
-# symbol, then the roles the checks read beside it
+# symbol, then the roles the checks read beside it, last a time and a
+# frequency shift in [0, d)
 PLAIN = {"w": _uniform(0.2, 2.0, "n"), "F": _VECTORS, "G": _VECTORS, "m": _SYMBOL,
          "symbol": _SYMBOL, "vectors": _VECTORS,
          "tests": _complex(20, "d"), "eps": _uniform(0.05, 1.0),
          "nonnegative": _uniform(0.0, 3.0, "n", dtype=complex),
          "kinds": _kinds, "params": _PARAMS,
          "dual_kinds": _kinds, "dual_params": _PARAMS,
-         "delta": _uniform(0.1, 1.0), "offsets": _uniform(0.0, 2.0, "n")}
+         "delta": _uniform(0.1, 1.0), "offsets": _uniform(0.0, 2.0, "n"),
+         "shifts": lambda rng, cfg, count: rng.integers(0, cfg.d, size=(count, 2))}
 TRIAL_STREAMS = 105
 
 
@@ -693,6 +693,58 @@ def _positive_symbol_coercivity(t: Trials):
     return t.delta * t.bounds_F.lower - lam_min, not_positive
 
 
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """||x||^2 of each vector of a stack, as float(np.linalg.norm(x) ** 2)
+    takes it for one."""
+    return hb.power(hb.norm(x), 2)
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """Each vector of a stack divided by its norm."""
+    return x / hb.norm(x)[..., None]
+
+
+def _tightness(t: Trials):
+    """||S - ||g||^2 I||_F / ||g||^2 for the Gabor frame operator S of each
+    window: an upper bound on the operator-norm defect, one pass over the
+    entries, no eigen-solve and no SVD."""
+    g = t.tests[:, 0]
+    gsq = _sq_norms(g)
+    return hb.frobenius_norm(tf.gabor_operator(g) - gsq[:, None, None] * np.eye(t.cfg.d)) / gsq
+
+
+def _stft_matches(t: Trials):
+    # on unit f and g, so every coefficient is at most 1, against the analysis
+    # by the d modulations M_b T_a g of one shift a at a time, d^2 entries
+    d = t.cfg.d
+    g, f = _unit(t.tests[:, 0]), _unit(t.tests[:, 1])
+    coeffs = tf.stft_coefficients(f, g).reshape(-1, d, d)
+    # column b is M_b 1, in C order as np.column_stack lays columns out: BLAS
+    # rounds a product with a transposed operand differently
+    ramps = np.ascontiguousarray(tf.modulate(np.ones((d, d)), np.arange(d)).T)
+    return np.max([np.abs(coeffs[:, a] - fr.coefficients(tf.translate(g, a)[..., None] * ramps, f))
+                   for a in range(d)], axis=(0, 2))
+
+
+def _stft_energy(t: Trials):
+    g, f = t.tests[:, 0], t.tests[:, 1]
+    coeffs = tf.stft_coefficients(f, g)
+    # each coefficient carries the point mass 1/d of the Gabor space
+    energy = np.sum((1.0 / t.cfg.d) * np.abs(coeffs) ** 2, axis=-1)
+    expected = _sq_norms(g) * _sq_norms(f)
+    return np.abs(energy - expected) / expected
+
+
+def _stft_orthogonality(t: Trials):
+    return tf.stft_orthogonality_residual(*np.moveaxis(_unit(t.tests[:, :4]), 1, 0))
+
+
+def _shift_unitarity(t: Trials):
+    x = t.tests[:, 0]
+    shifted = tf.modulate(tf.translate(x, t.shifts[:, 0]), t.shifts[:, 1])
+    return np.abs(hb.norm(shifted) - hb.norm(x))
+
+
 # ---------------------------------------------------------------------------
 # the measures of the config rows: functions of the configuration
 # ---------------------------------------------------------------------------
@@ -715,81 +767,6 @@ def _unbounded_bessel_cap(cfg: SuiteConfig) -> float:
                             * fr.unbounded_amplitude(grid.points[:, 0]) ** 2))
         caps.append(fr.frame_bounds(fr.scaled_singleton(grid, h)).upper - hsq * quad)
     return _max(-math.inf, caps)
-
-
-def _by_size(cfg: SuiteConfig, key: int, sizes, per_trial: int = 1) -> list:
-    """(d, vectors) for each distinct size d of ``sizes``, one size per trial,
-    in ascending order: the (count, per_trial, d) complex normals of the
-    trials of size d, drawn as one stack from the stream _rng(seed, key, 1)
-    in that order."""
-    rng = _rng(cfg.seed, key, 1)
-    return [(d, _normals(rng, (int(np.count_nonzero(sizes == d)), per_trial, d)))
-            for d in sorted(set(sizes.tolist()))]
-
-
-def _sizes(cfg: SuiteConfig, key: int, choices, trials: int) -> np.ndarray:
-    """The size of each trial, drawn from the stream _rng(seed, key, 0)."""
-    return _rng(cfg.seed, key, 0).choice(choices, size=trials)
-
-
-def _worst(groups, entries: Callable, measure: Callable) -> float:
-    """The max from 0 of measure(d, *stacks) over each size group (d, *arrays)
-    in trial order, every array of a group cut into stacks of at most
-    max(1, STACK_ENTRIES // entries(d)) trials."""
-    def stacks():
-        for d, *arrays in groups:
-            size = max(1, STACK_ENTRIES // entries(d))
-            for i in range(0, len(arrays[0]), size):
-                yield measure(d, *(a[i:i + size] for a in arrays))
-    return _max(0.0, stacks())
-
-
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """||x||^2 of each vector of a stack, as float(np.linalg.norm(x) ** 2)
-    takes it for one."""
-    return hb.power(hb.norm(x), 2)
-
-
-def _tightness(d: int, windows: np.ndarray) -> np.ndarray:
-    """||S - ||g||^2 I||_F / ||g||^2 for the Gabor frame operator S of each
-    window: an upper bound on the operator-norm defect, one pass over the
-    entries, no eigen-solve and no SVD."""
-    g = windows[:, 0]
-    gsq = _sq_norms(g)
-    return hb.frobenius_norm(tf.gabor_operator(g) - gsq[:, None, None] * np.eye(d)) / gsq
-
-
-def _stft_matches(d: int, pairs: np.ndarray) -> np.ndarray:
-    g, f = pairs[:, 0], pairs[:, 1]
-    direct = fr.coefficients(tf.gabor_vectors(g), f)
-    return np.max(np.abs(tf.stft_coefficients(f, g) - direct), axis=-1)
-
-
-def _stft_energy(d: int, pairs: np.ndarray) -> np.ndarray:
-    g, f = pairs[:, 0], pairs[:, 1]
-    coeffs = tf.stft_coefficients(f, g)
-    # each coefficient carries the point mass 1/d of the Gabor space
-    energy = np.sum((1.0 / d) * np.abs(coeffs) ** 2, axis=-1)
-    expected = _sq_norms(g) * _sq_norms(f)
-    return np.abs(energy - expected) / expected
-
-
-def _stft_orthogonality(d: int, quadruples: np.ndarray) -> np.ndarray:
-    quadruples = quadruples / np.linalg.norm(quadruples, axis=-1, keepdims=True)
-    return tf.stft_orthogonality_residual(*np.moveaxis(quadruples, 1, 0))
-
-
-def _shift_unitarity(d: int, vectors: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    x = vectors[:, 0]
-    shifted = tf.modulate(tf.translate(x, shifts[:, 0]), shifts[:, 1])
-    return np.abs(hb.norm(shifted) - hb.norm(x))
-
-
-def _tf_shift_unitarity(cfg: SuiteConfig) -> float:
-    shifts = _rng(cfg.seed, 135, 2)
-    groups = [(d, vectors, shifts.integers(0, d, size=(len(vectors), 2)))
-              for d, vectors in _by_size(cfg, 135, _sizes(cfg, 135, [4, 8, 16, 32], 100))]
-    return _worst(groups, lambda d: d, _shift_unitarity)
 
 
 # the closed form of the two-sided admissibility constant of the default
@@ -1049,27 +1026,19 @@ CHECKS: dict[str, Row] = {
         1e-10, MAX, _item("convergence", 4), STACKED, 20),
     "gabor_tightness": Row(
         "gabor", "cyclic Gabor frame operator is exactly ||g||^2 times the identity",
-        1e-10, MAX0, lambda cfg: _worst(
-            _by_size(cfg, 131, np.repeat([4, 8, 16, 64], 20)), lambda d: d * d,
-            _tightness)),
-    # the dense oracle holds d^3 entries an instance
+        1e-10, MAX0, _tightness, STACKED, 100),
     "stft_matches_analysis": Row(
         "gabor", "transform coefficients equal frame analysis entrywise", 1e-12, MAX0,
-        lambda cfg: _worst(_by_size(cfg, 132, _sizes(cfg, 132, [4, 8, 16], 20), 2),
-                           lambda d: d**3, _stft_matches)),
+        _stft_matches, STACKED, 20),
     "stft_energy": Row(
         "gabor", "weighted coefficient energy equals ||g||^2 ||f||^2", 1e-10, MAX0,
-        lambda cfg: _worst(_by_size(cfg, 133, _sizes(cfg, 133, [4, 8, 16], 50), 2),
-                           lambda d: d * d, _stft_energy)),
-    # two transforms of d^2 coefficients an instance
+        _stft_energy, STACKED, 50),
     "stft_orthogonality": Row(
         "gabor", "coefficient pairing of two windows factors into the two inner products",
-        1e-10, MAX0, lambda cfg: _worst(
-            _by_size(cfg, 134, _sizes(cfg, 134, [4, 8, 16], 100), 4),
-            lambda d: 2 * d * d, _stft_orthogonality)),
+        1e-10, MAX0, _stft_orthogonality, STACKED, 100),
     "tf_shift_unitarity": Row(
         "gabor", "time and frequency shifts preserve norms", 1e-12, MAX0,
-        _tf_shift_unitarity),
+        _shift_unitarity, STACKED, 100),
     "admissibility_oracle": Row(
         "wavelet", "quadrature admissibility constant matches the closed form 1/4", 1e-4,
         MAX0, _admissibility_oracle),

@@ -472,8 +472,9 @@ def test_aborted_checks_write_valid_json(monkeypatch, tmp_path, capsys):
     def overflow(t):
         raise FloatingPointError("overflow")
 
-    # a config row and a stacked row whose measures raise
-    errors = {"gabor_tightness": (boom, "RuntimeError: boom"),
+    # a config row and two stacked rows whose measures raise
+    errors = {"unbounded_norm_growth": (boom, "RuntimeError: boom"),
+              "gabor_tightness": (boom, "RuntimeError: boom"),
               "certificates": (overflow, "FloatingPointError: overflow")}
     for check_id, (measure, _) in errors.items():
         monkeypatch.setitem(suites.CHECKS, check_id,
@@ -662,12 +663,13 @@ def counted_calls(monkeypatch, name):
 # the SVDs of one 64-trial chunk at d = 8, N = 64, each of a stack of 8 x 8
 # matrices: identities takes sigma_M, the invertibility test of
 # frame_iff_invertible, the inverse of S_F for the dual and ||S|| of the
-# reweighted frame; controlled ||S_F|| in mixed_spectrum, the inverses of
-# both controls and ||M||; weighted, in chunks of 50 and 14 trials (the cap
-# of multiplier_dual), sigma_M alone: positive_symbol_coercivity reads its
-# scale from the eigenvalues it takes.  Defects that vanish in exact
-# arithmetic take none: they are Frobenius norms.
-SVDS = {"identities": [(64, 8, 8)] * 4, "controlled": [(64, 8, 8)] * 4,
+# reweighted frame; controlled the inverses of both controls and ||M||
+# (mixed_spectrum scales its commutator test by ||S_F||_F / sqrt(d));
+# weighted, in chunks of 50 and 14 trials (the cap of multiplier_dual),
+# sigma_M alone: positive_symbol_coercivity reads its scale from the
+# eigenvalues it takes.  Defects that vanish in exact arithmetic take none:
+# they are Frobenius norms.
+SVDS = {"identities": [(64, 8, 8)] * 4, "controlled": [(64, 8, 8)] * 3,
         "weighted": [(50, 8, 8), (14, 8, 8)]}
 
 
@@ -695,6 +697,59 @@ def test_the_gabor_suite_takes_no_eigen_solve_and_no_svd(monkeypatch, tmp_path):
     assert main(["verify", "--suite", "gabor", "--d", "8", "--n", "64", "--trials", "64",
                  "--out", str(tmp_path / "r.json")]) == 0
     assert eigvalsh == svd == []
+
+
+def test_the_gabor_suite_never_builds_the_gabor_family(monkeypatch, tmp_path):
+    # stft_matches_analysis takes the d modulations of one shift at a time,
+    # d^2 entries a trial, never the d x d^2 family of all of them
+    def family(*args, **kwargs):
+        raise AssertionError("gabor_vectors was called")
+
+    monkeypatch.setattr(tf, "gabor_vectors", family)
+    assert main(["verify", "--suite", "gabor", "--d", "16", "--out",
+                 str(tmp_path / "r.json")]) == 0
+
+
+# the trial cap of each gabor row
+GABOR_CAPS = {"gabor_tightness": 100, "stft_matches_analysis": 20, "stft_energy": 50,
+              "stft_orthogonality": 100, "tf_shift_unitarity": 100}
+
+
+def gabor_measures(monkeypatch) -> dict:
+    """The trials and the sizes d that each gabor row measures from now on,
+    row by row."""
+    seen = {}
+    for check_id, row in suites.CHECKS.items():
+        if row.suite == "gabor":
+            def counted(t, check_id=check_id, measure=row.measure):
+                seen.setdefault(check_id, []).extend((i, t.tests.shape[-1]) for i in t.trials)
+                return measure(t)
+
+            monkeypatch.setitem(suites.CHECKS, check_id, row._replace(measure=counted))
+    return seen
+
+
+@pytest.mark.parametrize("flags,trials", [
+    (["--trials", "3"], {c: 3 for c in GABOR_CAPS}), ([], GABOR_CAPS)])
+def test_the_gabor_rows_measure_the_configured_trials(monkeypatch, tmp_path, flags, trials):
+    # --trials reaches every row, each up to its cap
+    seen = gabor_measures(monkeypatch)
+    assert main(["verify", "--suite", "gabor", *flags, "--out", str(tmp_path / "r.json")]) == 0
+    assert {c: [i for i, _ in values] for c, values in seen.items()} == {
+        c: list(range(count)) for c, count in trials.items()}
+
+
+def test_the_gabor_rows_measure_the_configured_d(monkeypatch, tmp_path):
+    seen = gabor_measures(monkeypatch)
+    reports = {}
+    for d in (4, 8):
+        out = tmp_path / f"d{d}.json"
+        assert main(["verify", "--suite", "gabor", "--d", str(d), "--trials", "5",
+                     "--out", str(out)]) == 0
+        reports[d] = [c["measured"] for c in read_json(out)["checks"]]
+        assert {size for values in seen.values() for _, size in values} == {d}
+        seen.clear()
+    assert reports[4] != reports[8]
 
 
 def test_positive_symbol_coercivity_counts_non_hermitian_multipliers(monkeypatch):

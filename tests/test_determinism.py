@@ -70,7 +70,7 @@ def test_weighted_report_independent_of_blas_threads(tmp_path):
 
 
 def test_gabor_report_independent_of_blas_threads(tmp_path):
-    # the gabor checks measure each size group in stacks of windows and vectors
+    # the gabor checks measure stacks of windows and vectors, a chunk of trials each
     assert_same_across_threads(tmp_path, 8, 64, 5, suite="gabor")
 
 

@@ -61,11 +61,11 @@ GOLDEN = {
         "precondition_identity": 1.851683579234618e-15,
     },
     "gabor": {
-        "gabor_tightness": 1.2952156266783971e-14,
-        "stft_energy": 5.066319838733573e-16,
-        "stft_matches_analysis": 1.2515439318724856e-13,
-        "stft_orthogonality": 1.2412670766236366e-16,
-        "tf_shift_unitarity": 1.7763568394002505e-15,
+        "gabor_tightness": 4.3381387318871135e-16,
+        "stft_energy": 5.154306141883227e-16,
+        "stft_matches_analysis": 4.0029660424867215e-16,
+        "stft_orthogonality": 8.777083671441753e-17,
+        "tf_shift_unitarity": 4.440892098500626e-16,
     },
     "wavelet": {
         "admissibility_oracle": 2.2091197987572642e-07,

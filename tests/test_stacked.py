@@ -1,13 +1,14 @@
-"""The stacked trials of the identities, bounds, convergence, controlled and
-weighted suites against the single-frame API.
+"""The stacked trials of the identities, bounds, convergence, controlled,
+weighted and gabor suites against the single-frame and single-window API.
 
 Every stacked check reads a trial context: the draws of a chunk of trials,
 with one generator call per role, and the quantities the checks share, each
 computed once per chunk.  The oracle here is the
 per-trial loop, written with the 2-d API (``frame_bounds``,
 ``canonical_dual``, ``multiplier``, ``bound_budget``, ``make_control``,
-``controlled_bounds``, ``convergence_experiment``, ...) on each trial's
-instance (``suites.replay``); the stacked values of every
+``controlled_bounds``, ``convergence_experiment``, ``gabor_frame_operator``,
+``stft``, ...) on each trial's instance and test vectors
+(``suites.replay``); the stacked values of every
 check must equal it exactly.
 """
 
@@ -73,7 +74,7 @@ class draws:
     """Trial i of a stacked check: each array of its replayed context, as
     the single-frame API takes it."""
 
-    def __init__(self, cfg, check_id, i):
+    def __init__(self, cfg, i):
         self.context = replay(cfg, i)
 
     def __getattr__(self, name):
@@ -86,14 +87,14 @@ def frames(w, *vectors):
     return [fr.SampledFrame(space, V) for V in vectors]
 
 
-def frame(cfg, check_id, i):
-    t = draws(cfg, check_id, i)
+def frame(cfg, i):
+    t = draws(cfg, i)
     return frames(t.w, t.F)[0]
 
 
-def instance(cfg, check_id, i):
+def instance(cfg, i):
     """(m, F, G) of trial i, then the trial's draws."""
-    t = draws(cfg, check_id, i)
+    t = draws(cfg, i)
     F, G = frames(t.w, t.F, t.G)
     return Symbol(t.m, F.space), F, G, t
 
@@ -107,16 +108,16 @@ def spec_of(kind, params):
 # ---------------------------------------------------------------------------
 
 def frame_factorization(cfg, i):
-    F = frame(cfg, "frame_factorization", i)
+    F = frame(cfg, i)
     S = fr.frame_operator(F)
     composed = np.column_stack([fr.synthesis(F, fr.analysis(F, e))
                                 for e in np.eye(cfg.d)])
     return [hb.frobenius_norm(S - composed) / fr.frame_bounds(F).upper]
 
 
-def reconstruction(check_id, swapped):
+def reconstruction(swapped):
     def oracle(cfg, i):
-        t = draws(cfg, check_id, i)
+        t = draws(cfg, i)
         F, = frames(t.w, t.F)
         dual = fr.canonical_dual(F)
         analysis, synthesis = (dual, F) if swapped else (F, dual)
@@ -129,15 +130,15 @@ def reconstruction(check_id, swapped):
 
 
 def multiplier_adjoint(cfg, i):
-    m, F, G, _ = instance(cfg, "multiplier_adjoint", i)
+    m, F, G, _ = instance(cfg, i)
     M = multiplier(m, F, G)
     other = multiplier(m.values.conj(), G, F)
     return [hb.frobenius_norm(M.conj().T - other) / max(hb.operator_norm(M), 1e-300)]
 
 
-def difference(check_id, which):
+def difference(which):
     def oracle(cfg, i):
-        m, F, G, t = instance(cfg, check_id, i)
+        m, F, G, t = instance(cfg, i)
         if which == "symbol":
             lhs = multiplier(m, F, G) - multiplier(t.symbol, F, G)
             rhs = multiplier(m.values - t.symbol, F, G)
@@ -154,7 +155,7 @@ def difference(check_id, which):
 
 
 def weighted_identity(cfg, i):
-    t = draws(cfg, "weighted_identity", i)
+    t = draws(cfg, i)
     F, = frames(t.w, t.F)
     m = Symbol(t.nonnegative, F.space)
     M = multiplier(m, F, F)
@@ -163,12 +164,12 @@ def weighted_identity(cfg, i):
 
 
 def canonical_dual_pair(cfg, i):
-    F = frame(cfg, "canonical_dual_pair", i)
+    F = frame(cfg, i)
     return [fr.duality_defect(F, fr.canonical_dual(F))]
 
 
 def dual_bounds_inverse(cfg, i):
-    F = frame(cfg, "dual_bounds_inverse", i)
+    F = frame(cfg, i)
     bounds = fr.frame_bounds(F)
     dual = fr.frame_bounds(fr.canonical_dual(F))
     return [abs(dual.lower - 1.0 / bounds.upper) * bounds.upper,
@@ -178,7 +179,7 @@ def dual_bounds_inverse(cfg, i):
 def deficient_frame(cfg, i):
     """F of trial i, with its last coordinate zeroed on odd trials: columns in
     a hyperplane, so no frame."""
-    F = frame(cfg, "frame_iff_invertible", i)
+    F = frame(cfg, i)
     if i % 2:
         vectors = F.vectors.copy()
         vectors[-1] = 0.0
@@ -197,7 +198,7 @@ def frame_iff_invertible(cfg, i):  # True for a failing trial
 
 
 def bessel_inequality(cfg, i):
-    t = draws(cfg, "bessel_inequality", i)
+    t = draws(cfg, i)
     F, = frames(t.w, t.F)
     bounds = fr.frame_bounds(F)
     out = []
@@ -209,7 +210,7 @@ def bessel_inequality(cfg, i):
 
 
 def bessel_sharpness(cfg, i):
-    F = frame(cfg, "bessel_sharpness", i)
+    F = frame(cfg, i)
     S = fr.frame_operator(F)
     upper = fr.frame_bounds(F).upper
     top = np.linalg.eigh(0.5 * (S + S.conj().T))[1][:, -1]
@@ -217,30 +218,30 @@ def bessel_sharpness(cfg, i):
     return [abs(energy - upper) / upper]
 
 
-def budget(check_id, p):
+def budget(p):
     def oracle(cfg, i):
-        m, F, G, _ = instance(cfg, check_id, i)
+        m, F, G, _ = instance(cfg, i)
         actuals, budgets = bound_budget(m, F, G, ps=(p,))
         return [actuals[p] - budgets[p]]
     return oracle
 
 
 def schatten_monotonicity(cfg, i):
-    m, F, G, _ = instance(cfg, "schatten_monotonicity", i)
+    m, F, G, _ = instance(cfg, i)
     actuals, _ = bound_budget(m, F, G)
     norms = [actuals[p] for p in (1.0, 1.5, 2.0, 3.0, math.inf)]
     return [b - a for a, b in zip(norms, norms[1:])]
 
 
 def perturb_upper(cfg, i):
-    _, F, G, t = instance(cfg, "perturb_upper", i)
+    _, F, G, t = instance(cfg, i)
     eps = float(t.eps)
     upper = fr.frame_bounds(fr.perturb(G, F, eps)).upper
     return [upper - 2.0 * (fr.frame_bounds(G).upper + eps**2 * fr.frame_bounds(F).upper)]
 
 
 def perturb_lower(cfg, i):
-    _, F, G, _ = instance(cfg, "perturb_lower", i)
+    _, F, G, _ = instance(cfg, i)
     ag, bf = fr.frame_bounds(G).lower, fr.frame_bounds(F).upper
     eps = 0.5 * math.sqrt(ag / bf)
     lower = fr.frame_bounds(fr.perturb(G, F, eps)).lower
@@ -249,13 +250,13 @@ def perturb_lower(cfg, i):
 
 def discrete_bessel_norm_bound(cfg, i):
     F = fr.SampledFrame(counting_space(cfg.n_points),
-                        draws(cfg, "discrete_bessel_norm_bound", i).F)
+                        draws(cfg, i).F)
     return [fr.norm_bound(F) - math.sqrt(fr.frame_bounds(F).upper)]
 
 
 def truncation(cfg, i):
     """Deviations and budgets of the steps of trial i's truncation experiment."""
-    t = draws(cfg, "truncation_budget", i)
+    t = draws(cfg, i)
     F, = frames(t.w, t.F)
     m = Symbol(t.nonnegative, F.space)
     order = np.argsort(np.abs(m.values))[::-1]
@@ -276,18 +277,18 @@ def truncation_monotone(cfg, i):  # the rise of every step, then the last deviat
     return [b - a for a, b in zip(measured, measured[1:])] + measured[-1:]
 
 
-def symbol_convergence(check_id, p):
+def symbol_convergence(p):
     def oracle(cfg, i):
-        m, F, G, t = instance(cfg, check_id, i)
+        m, F, G, t = instance(cfg, i)
         schedule = [Symbol(m.values + t.symbol / n, F.space) for n in (1, 2, 4, 8, 16)]
         _, measured, budgets = convergence_experiment("symbol_p", m, F, G, schedule, p=p)
         return (measured - budgets).tolist()
     return oracle
 
 
-def frame_convergence(check_id, kind):
+def frame_convergence(kind):
     def oracle(cfg, i):
-        m, F, G, t = instance(cfg, check_id, i)
+        m, F, G, t = instance(cfg, i)
         schedule = [fr.SampledFrame(F.space, F.vectors + t.vectors / n)
                     for n in (1, 2, 4, 8, 16)]
         _, measured, budgets = convergence_experiment(kind, m, F, G, schedule)
@@ -295,14 +296,12 @@ def frame_convergence(check_id, kind):
     return oracle
 
 
-def controlled(check_id):
-    """A frame, its control spec and the control, as a trial draws them."""
-    def trial(cfg, i):
-        t = draws(cfg, check_id, i)
-        F, = frames(t.w, t.F)
-        spec = spec_of(t.kinds, t.params)
-        return F, spec, make_control(spec, F)
-    return trial
+def controlled(cfg, i):
+    """A frame, its control spec and the control, as trial i draws them."""
+    t = draws(cfg, i)
+    F, = frames(t.w, t.F)
+    spec = spec_of(t.kinds, t.params)
+    return F, spec, make_control(spec, F)
 
 
 def mapped_spectrum(F, spec):
@@ -317,7 +316,7 @@ def hermitian_scale(L):
 
 
 def controlled_factorization(cfg, i):
-    F, _, C = controlled("controlled_factorization")(cfg, i)
+    F, _, C = controlled(cfg, i)
     S = fr.frame_operator(F)
     L = controlled_frame_operator(C, F)
     scale = hermitian_scale(L)
@@ -326,7 +325,7 @@ def controlled_factorization(cfg, i):
 
 
 def controlled_bounds_map(cfg, i):
-    F, spec, C = controlled("controlled_bounds_map")(cfg, i)
+    F, spec, C = controlled(cfg, i)
     low, high = controlled_bounds(C, F)
     mapped = mapped_spectrum(F, spec)
     scale = max(float(np.max(np.abs(mapped))), 1.0)
@@ -335,7 +334,7 @@ def controlled_bounds_map(cfg, i):
 
 
 def controlled_spectral_mapping(cfg, i):
-    F, spec, C = controlled("controlled_spectral_mapping")(cfg, i)
+    F, spec, C = controlled(cfg, i)
     L = controlled_frame_operator(C, F)
     mapped = np.sort(mapped_spectrum(F, spec))
     spectrum = np.sort(np.linalg.eigvalsh(0.5 * (L + L.conj().T)))
@@ -343,24 +342,24 @@ def controlled_spectral_mapping(cfg, i):
 
 
 def controlled_positivity(cfg, i):  # True for a failing trial
-    F, _, C = controlled("controlled_positivity")(cfg, i)
+    F, _, C = controlled(cfg, i)
     return [not hb.is_positive(controlled_frame_operator(C, F), 1e-10)]
 
 
 def controlled_implies_frame(cfg, i):
-    F, _, C = controlled("controlled_implies_frame")(cfg, i)
+    F, _, C = controlled(cfg, i)
     low, _ = controlled_bounds(C, F)
     return [low > 0.0 and not fr.frame_bounds(F).is_frame]
 
 
 def precondition_identity(cfg, i):
-    m, F, G, t = instance(cfg, "precondition_identity", i)
+    m, F, G, t = instance(cfg, i)
     return [precondition_identity_residual(spec_of(t.kinds, t.params),
                                            spec_of(t.dual_kinds, t.dual_params), m, F, G)]
 
 
 def weighted_scaling(cfg, i):
-    F = frame(cfg, "weighted_scaling", i)
+    F = frame(cfg, i)
     bounds = fr.frame_bounds(F)
     scaled = fr.frame_bounds(fr.weighted(F, np.full(cfg.n_points, 4.0)))
     return [abs(scaled.lower - 4.0 * bounds.lower) / (4.0 * bounds.upper),
@@ -376,7 +375,7 @@ def complex_normal(rng, shape):
 
 def certificates(cfg, i):  # floor - measured of part 1, then True for a failing trial
     # the check takes ||M^-1|| as 1 / sigma_min(M) from the SVD of M it keeps
-    m, F, G, _ = instance(cfg, "certificates", i)
+    m, F, G, _ = instance(cfg, i)
     measured, floors = certificate_values(
         F.space.weights, m.values, F.vectors, G.vectors,
         sigma=hb.singular_values(multiplier(m, F, G)))
@@ -390,12 +389,12 @@ def certificates_hold(measured, floors, tol=1e-10):
 
 
 def multiplier_dual(cfg, i):
-    m, F, G, _ = instance(cfg, "multiplier_dual", i)
+    m, F, G, _ = instance(cfg, i)
     return [fr.duality_defect(dual_from_multiplier(m, F, G), G)]
 
 
 def positive_symbol_coercivity(cfg, i):  # floor - lam_min, then True for a failing trial
-    t = draws(cfg, "positive_symbol_coercivity", i)
+    t = draws(cfg, i)
     F, = frames(t.w, t.F)
     delta = float(t.delta)
     m = Symbol((delta + t.offsets).astype(complex), F.space)
@@ -404,36 +403,81 @@ def positive_symbol_coercivity(cfg, i):  # floor - lam_min, then True for a fail
             not hb.is_positive(M, 1e-10)]
 
 
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def gabor_tightness(cfg, i):
+    # the window is the trial's first test vector
+    g = draws(cfg, i).tests[0]
+    gsq = float(np.linalg.norm(g) ** 2)
+    S = tf.gabor_frame_operator(g, cfg.d)
+    return [hb.frobenius_norm(S - gsq * np.eye(cfg.d)) / gsq]
+
+
+def stft_matches_analysis(cfg, i):
+    # unit window and signal; the analysis against the modulations of one
+    # shift a at a time, never the d x d^2 family
+    d = cfg.d
+    g, f = (unit(v) for v in draws(cfg, i).tests[:2])
+    coeffs = tf.stft(f, g).values
+    worst = 0.0
+    for a in range(d):
+        shifted = np.column_stack([tf.modulate(tf.translate(g, a), b) for b in range(d)])
+        direct = fr.analysis(fr.SampledFrame(counting_space(d), shifted), f)
+        worst = max(worst, float(np.max(np.abs(coeffs[a * d:(a + 1) * d] - direct))))
+    return [worst]
+
+
+def stft_energy(cfg, i):
+    g, f = draws(cfg, i).tests[:2]
+    c = tf.stft(f, g)
+    energy = float(np.sum(c.space.weights * np.abs(c.values) ** 2))
+    expected = float(np.linalg.norm(g) ** 2) * float(np.linalg.norm(f) ** 2)
+    return [abs(energy - expected) / expected]
+
+
+def stft_orthogonality(cfg, i):
+    return [tf.stft_orthogonality_residual(*(unit(v) for v in draws(cfg, i).tests[:4]))]
+
+
+def tf_shift_unitarity(cfg, i):
+    t = draws(cfg, i)
+    x = t.tests[0]
+    a, b = t.shifts.tolist()
+    return [abs(np.linalg.norm(tf.modulate(tf.translate(x, a), b)) - np.linalg.norm(x))]
+
+
 ORACLES = {
     "frame_factorization": frame_factorization,
-    "reconstruction": reconstruction("reconstruction", swapped=False),
-    "reconstruction_swapped": reconstruction("reconstruction_swapped", swapped=True),
+    "reconstruction": reconstruction(swapped=False),
+    "reconstruction_swapped": reconstruction(swapped=True),
     "multiplier_adjoint": multiplier_adjoint,
-    "difference_symbol": difference("difference_symbol", "symbol"),
-    "difference_analysis": difference("difference_analysis", "analysis"),
-    "difference_synthesis": difference("difference_synthesis", "synthesis"),
+    "difference_symbol": difference("symbol"),
+    "difference_analysis": difference("analysis"),
+    "difference_synthesis": difference("synthesis"),
     "weighted_identity": weighted_identity,
     "canonical_dual_pair": canonical_dual_pair,
     "dual_bounds_inverse": dual_bounds_inverse,
     "frame_iff_invertible": frame_iff_invertible,
     "bessel_inequality": bessel_inequality,
     "bessel_sharpness": bessel_sharpness,
-    "op_norm_budget": budget("op_norm_budget", math.inf),
-    "trace_budget": budget("trace_budget", 1.0),
-    "schatten_budget_p15": budget("schatten_budget_p15", 1.5),
-    "schatten_budget_p2": budget("schatten_budget_p2", 2.0),
-    "schatten_budget_p3": budget("schatten_budget_p3", 3.0),
+    "op_norm_budget": budget(math.inf),
+    "trace_budget": budget(1.0),
+    "schatten_budget_p15": budget(1.5),
+    "schatten_budget_p2": budget(2.0),
+    "schatten_budget_p3": budget(3.0),
     "schatten_monotonicity": schatten_monotonicity,
     "perturb_upper": perturb_upper,
     "perturb_lower": perturb_lower,
     "discrete_bessel_norm_bound": discrete_bessel_norm_bound,
     "truncation_budget": truncation_budget,
     "truncation_monotone": truncation_monotone,
-    "symbol_convergence_p1": symbol_convergence("symbol_convergence_p1", 1.0),
-    "symbol_convergence_p2": symbol_convergence("symbol_convergence_p2", 2.0),
-    "symbol_convergence_pinf": symbol_convergence("symbol_convergence_pinf", math.inf),
-    "frame_uniform_l2": frame_convergence("frame_uniform_l2", "frame_uniform_L2"),
-    "frame_uniform_l1": frame_convergence("frame_uniform_l1", "frame_uniform_L1"),
+    "symbol_convergence_p1": symbol_convergence(1.0),
+    "symbol_convergence_p2": symbol_convergence(2.0),
+    "symbol_convergence_pinf": symbol_convergence(math.inf),
+    "frame_uniform_l2": frame_convergence("frame_uniform_L2"),
+    "frame_uniform_l1": frame_convergence("frame_uniform_L1"),
     "controlled_factorization": controlled_factorization,
     "controlled_bounds_map": controlled_bounds_map,
     "controlled_spectral_mapping": controlled_spectral_mapping,
@@ -444,6 +488,11 @@ ORACLES = {
     "certificates": certificates,
     "multiplier_dual": multiplier_dual,
     "positive_symbol_coercivity": positive_symbol_coercivity,
+    "gabor_tightness": gabor_tightness,
+    "stft_matches_analysis": stft_matches_analysis,
+    "stft_energy": stft_energy,
+    "stft_orthogonality": stft_orthogonality,
+    "tf_shift_unitarity": tf_shift_unitarity,
 }
 
 
@@ -460,7 +509,8 @@ def stacked(cfg, check_id):
     return [v for row in rows for v in row]
 
 
-ALGEBRA = ("identities", "bounds", "convergence", "controlled", "weighted")
+# the suites whose checks read trial contexts
+SEEDED = ("identities", "bounds", "convergence", "controlled", "weighted", "gabor")
 
 
 def check_ids(suite):
@@ -470,10 +520,10 @@ def check_ids(suite):
 STACKED = {c for c, row in suites.CHECKS.items() if row.kind is not None}
 
 
-def test_every_trial_loop_of_the_algebra_suites_is_stacked():
-    loops = {check_id for name in ALGEBRA for check_id in check_ids(name)}
-    # every algebra check reads trial contexts; the two unbounded-family
-    # checks loop over three grids, not over trials
+def test_every_trial_loop_of_the_algebra_and_gabor_suites_is_stacked():
+    loops = {check_id for name in SEEDED for check_id in check_ids(name)}
+    # every algebra and gabor check reads trial contexts; the two
+    # unbounded-family checks loop over three grids, not over trials
     assert STACKED == loops - {"unbounded_norm_growth", "unbounded_bessel_cap"}
     assert set(ORACLES) == STACKED
     # one kind of context: every stacked check reads the plain one
@@ -961,17 +1011,17 @@ def spectral_dual_defect(F, G):
 
 
 def spectral_canonical_dual_pair(cfg, i):
-    F = frame(cfg, "canonical_dual_pair", i)
+    F = frame(cfg, i)
     return [spectral_dual_defect(F, fr.canonical_dual(F))]
 
 
 def spectral_multiplier_dual(cfg, i):
-    m, F, G, _ = instance(cfg, "multiplier_dual", i)
+    m, F, G, _ = instance(cfg, i)
     return [spectral_dual_defect(dual_from_multiplier(m, F, G), G)]
 
 
 def spectral_frame_factorization(cfg, i):
-    F = frame(cfg, "frame_factorization", i)
+    F = frame(cfg, i)
     S = fr.frame_operator(F)
     composed = np.column_stack([fr.synthesis(F, fr.analysis(F, e))
                                 for e in np.eye(cfg.d)])
@@ -979,13 +1029,13 @@ def spectral_frame_factorization(cfg, i):
 
 
 def spectral_multiplier_adjoint(cfg, i):
-    m, F, G, _ = instance(cfg, "multiplier_adjoint", i)
+    m, F, G, _ = instance(cfg, i)
     M = multiplier(m, F, G)
     return [opnorm(M.conj().T - multiplier(m.values.conj(), G, F)) / opnorm(M)]
 
 
 def spectral_weighted_identity(cfg, i):
-    t = draws(cfg, "weighted_identity", i)
+    t = draws(cfg, i)
     F, = frames(t.w, t.F)
     m = Symbol(t.nonnegative, F.space)
     S = fr.frame_operator(fr.weighted(F, m))
@@ -994,7 +1044,7 @@ def spectral_weighted_identity(cfg, i):
 
 def spectral_controlled(check_id):
     def oracle(cfg, i):
-        F, spec, C = controlled(check_id)(cfg, i)
+        F, spec, C = controlled(cfg, i)
         S = fr.frame_operator(F)
         L = controlled_frame_operator(C, F)
         scale = max(opnorm(L), 1.0)
@@ -1006,7 +1056,7 @@ def spectral_controlled(check_id):
 
 
 def spectral_precondition_identity(cfg, i):
-    m, F, G, t = instance(cfg, "precondition_identity", i)
+    m, F, G, t = instance(cfg, i)
     C = make_control(spec_of(t.kinds, t.params), F)
     D = make_control(spec_of(t.dual_kinds, t.dual_params), G)
     mixed = multiplier(m, fr.SampledFrame(F.space, C @ F.vectors),
@@ -1048,15 +1098,17 @@ def test_frobenius_defects_lie_between_the_spectral_defect_and_sqrt_d_times_it(
                for value, bound in zip(values, spectral))
 
 
-def test_gabor_tightness_lies_between_the_spectral_defect_and_sqrt_d_times_it():
-    for d, windows in suites._by_size(SuiteConfig(), 131, np.repeat([4, 8, 16, 64], 20)):
-        g = windows[:, 0]
-        # ||g||^2 as the check takes it: a rounding of it moves the defect
-        gsq = [float(np.linalg.norm(v) ** 2) for v in g]
-        spectral = [opnorm(S - c * np.eye(d)) / c
-                    for S, c in zip(tf.gabor_operator(g), gsq)]
-        assert all(between_spectral_and_sqrt_d_times_it(value, bound, d)
-                   for value, bound in zip(suites._tightness(d, windows), spectral))
+@pytest.mark.parametrize("d", [4, 8, 16, 64])
+def test_gabor_tightness_lies_between_the_spectral_defect_and_sqrt_d_times_it(d):
+    t = suites.Trials(SuiteConfig(d=d), range(20))
+    g = t.tests[:, 0]
+    # ||g||^2 as the check takes it: a rounding of it moves the defect
+    gsq = [float(np.linalg.norm(v) ** 2) for v in g]
+    spectral = [opnorm(S - c * np.eye(d)) / c for S, c in zip(tf.gabor_operator(g), gsq)]
+    values = suites.CHECKS["gabor_tightness"].measure(t)
+    assert len(values) == len(spectral)
+    assert all(between_spectral_and_sqrt_d_times_it(value, bound, d)
+               for value, bound in zip(values, spectral))
 
 
 # ---------------------------------------------------------------------------
@@ -1093,7 +1145,7 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
     d, n, trials = 4, 12, 20
     reference = {s: run_fresh(SuiteConfig(suite=s, trials=trials, d=d, n_points=n,
                                           seed=3))
-                 for s in ALGEBRA}
+                 for s in SEEDED}
     monkeypatch.setattr(suites, "STACK_ENTRIES", per_chunk * d * n)
     assert {len(c) for c in suites._chunks(
         SuiteConfig(trials=trials, d=d, n_points=n), {trials})} <= {
@@ -1119,6 +1171,7 @@ ROLES = {
     "controlled_factorization:3": PLAIN["params"],
     "weighted_scaling:2": PLAIN["delta"],
     "weighted_scaling:3": PLAIN["offsets"],
+    "tf_shift_unitarity:1": PLAIN["shifts"],
 }
 
 
@@ -1149,18 +1202,6 @@ def test_vectors_in_one_draw_equal_one_draw_per_vector():
     each = [vectors(rng, cfg, 1)[0] for _ in range(20)]
     assert np.array_equal(bits(one), bits(np.array(each)))
     assert np.array_equal(bits(one), bits(complex_normal(np.random.default_rng(4), (20, 5))))
-
-
-def test_gabor_checks_draw_each_size_group_as_one_stack():
-    cfg = SuiteConfig(seed=9)
-    sizes = suites._sizes(cfg, 132, [4, 8, 16], 20)
-    assert np.array_equal(sizes, np.random.default_rng([9, 132, 0]).choice([4, 8, 16], 20))
-    groups = suites._by_size(cfg, 132, sizes, 2)
-    assert [d for d, _ in groups] == sorted(set(sizes.tolist()))
-    rng = np.random.default_rng([9, 132, 1])
-    for d, stack in groups:
-        assert stack.shape == (np.count_nonzero(sizes == d), 2, d)
-        assert np.array_equal(bits(stack), bits(complex_normal(rng, stack.shape)))
 
 
 def test_control_specs_take_their_kind_and_parameter_row():
@@ -1234,8 +1275,8 @@ def test_stacked_instances_equal_replay():
 
 def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
     # the stacked checks read the streams [seed, TRIAL_STREAMS, role], so a
-    # run opens each of them once, and no two roles or gabor checks share
-    # one; no trial opens a stream of its own
+    # run opens each of them once, and no two roles share one; no trial or
+    # check opens a stream of its own
     keys = recorded_streams(monkeypatch)
     assert main(["verify", "--suite", "all", "--d", "4", "--n", "12", "--trials", "9",
                  "--out", str(tmp_path / "report.json")]) == 0
@@ -1248,9 +1289,9 @@ def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
             key.pop()
         return tuple(key)
 
-    assert (0, TRIAL_STREAMS, len(PLAIN) - 1) in keys  # the offsets above delta
-    # the trial streams, the two unbounded families and the five gabor checks
-    assert {key[1] for key in keys} == {TRIAL_STREAMS, 123, 124, 131, 132, 133, 134, 135}
+    assert (0, TRIAL_STREAMS, len(PLAIN) - 1) in keys  # the shifts, the last role
+    # the trial streams and the two unbounded families
+    assert {key[1] for key in keys} == {TRIAL_STREAMS, 123, 124}
     assert len({stripped(key) for key in keys}) == len(keys)
     assert not [key for key in keys if len(key) == 4]
 
