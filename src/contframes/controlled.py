@@ -19,7 +19,6 @@ eigenvalues on its own (``spectral_maps``), as for a single frame.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,24 +192,17 @@ def mixed_spectrum(C: np.ndarray, S: np.ndarray, L: np.ndarray) -> np.ndarray:
     ``controlled_bounds``, or of each instance of a stack along the last
     axis; raises on the first hypothesis that some instance violates.
 
-    The self-adjointness and commutator defects, zero in exact arithmetic,
-    are Frobenius norms, upper bounds on their operator norms that need no
-    SVD; the scale ||C|| is the largest |eigenvalue| of (C + C^*)/2 from the
-    extremes the positivity test takes, which is ||C|| for a self-adjoint C
-    and at most ||C|| for any, and the scale of S is ||S||_F / sqrt(d), at
-    most ||S||: lower bounds, which keep the commutator test at least as
-    strict as the operator norms would."""
-    lower, upper = hilbert.extreme_eigenvalues(C)
-    scale = np.maximum(np.abs(lower), np.abs(upper))
-    if np.any(hilbert.frobenius_norm(C - hilbert.adjoint(C))
-              > 1e-10 * np.maximum(1.0, scale)):
+    The tests follow the norm policy of ``hilbert`` on one eigen-solve of C:
+    its extremes give the self-adjointness and positivity tests and the
+    scale of C in the commutator test, ``hilbert.frobenius_scale`` that of S."""
+    extremes = hilbert.extreme_eigenvalues(C)
+    if not np.all(hilbert.is_hermitian(C, 1e-10, extremes)):
         raise ContractViolationError("control operator is not self-adjoint")
-    # hilbert.is_positive(C, 1e-10) without repeating its Hermiticity test
-    if not np.all(hilbert.nonnegative_spectrum(lower, upper, 1e-10)):
+    if not np.all(hilbert.nonnegative_spectrum(*extremes, 1e-10)):
         raise ContractViolationError("control operator is not positive")
+    scale = np.maximum(np.abs(extremes[0]), np.abs(extremes[1]))
     commutator = hilbert.frobenius_norm(C @ S - S @ C)
-    s_scale = hilbert.frobenius_norm(S) / math.sqrt(S.shape[-1])
-    apart = commutator > 1e-10 * np.maximum(1.0, scale * s_scale)
+    apart = commutator > 1e-10 * np.maximum(1.0, scale * hilbert.frobenius_scale(S))
     if np.any(apart):
         defect = np.ravel(commutator)[np.argmax(np.ravel(apart))]
         raise ContractViolationError(
@@ -227,9 +219,7 @@ def precondition_identity_residual(control_spec: ControlSpec,
 
     Builds the multiplier of the controlled families (analysis against C F,
     synthesis with D G) and measures how far D^-1 (that operator) C^-1 is
-    from the plain multiplier M of F and G: the Frobenius norm of that
-    defect, zero in exact arithmetic and an upper bound on its operator norm
-    that needs no SVD, over the operator norm of M.
+    from the plain multiplier M of F and G, by the norm policy of ``hilbert``.
     """
     C = make_control(control_spec, F)
     D = make_control(dual_spec, G)
@@ -239,12 +229,12 @@ def precondition_identity_residual(control_spec: ControlSpec,
 
 def precondition_residual(C: np.ndarray, D: np.ndarray, c, F: np.ndarray,
                           G: np.ndarray):
-    """||D^-1 M_C C^-1 - M||_F / ||M|| (the unscaled norm when M = 0), where
-    M is the multiplier sum_j c_j G_j F_j^* and M_C that of the controlled
-    vectors C F_j, D G_j; for one instance or each of a stack."""
+    """||D^-1 M_C C^-1 - M||_F / (||M||_F / sqrt(d)) (the unscaled norm when
+    M = 0), where M is the multiplier sum_j c_j G_j F_j^* and M_C that of the
+    controlled vectors C F_j, D G_j; for one instance or each of a stack."""
     mixed = weighted_gram(D @ G, c, C @ F)
     plain = weighted_gram(G, c, F)
     defect = hilbert.invert(D) @ mixed @ hilbert.invert(C) - plain
-    scale = hilbert.operator_norm(plain)
+    scale = hilbert.frobenius_scale(plain)
     residual = hilbert.frobenius_norm(defect)
     return hilbert.value_or_stack(residual / np.where(scale > 0.0, scale, 1.0))

@@ -7,12 +7,14 @@ package's error contract on top.  The norms, spectra and the inverse also
 take a stack of operators along leading axes: LAPACK then runs once per
 operator, as for a single call, and the values come back as arrays.
 
-Norm policy: a defect that vanishes in exact arithmetic (an identity checked
-to rounding) is measured in the Frobenius norm, ``frobenius_norm``, one pass
-over its entries with no SVD.  ||A|| <= ||A||_F <= sqrt(rank A) ||A||, so it
-bounds the operator norm from above and exceeds it by at most sqrt(d).  A
-scale whose spectrum the caller already holds is read from that spectrum.
-An SVD is taken where singular values are the measured quantity: the
+Norm policy, the one rule for identities checked to rounding: a defect D
+that vanishes in exact arithmetic is ``frobenius_norm(D) / scale``, with no
+SVD.  The scale of X is read from a spectrum the caller holds, or else is
+``frobenius_scale(X)``, ||X||_F / sqrt(d).  As ||A|| <= ||A||_F <= sqrt(d)
+||A|| (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 6.2),
+the defect is at least its operator norm and the scale at most ||X||, so no
+check is looser than in the operator norm.  No SVD or eigen-solve is taken
+only for a scale; an SVD is taken where singular values are measured: the
 Schatten norms, the invertibility cutoff and ``invert``.
 """
 
@@ -51,18 +53,28 @@ def inner(x, y):
     return complex(products) if products.ndim == 0 else products
 
 
+def _root_sum_squares(re, im):
+    squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(squares[..., 0, 0])
+
+
 def norm(x):
     """Euclidean norm over the last axis: a float for one vector, an array
     for a stack of them.
 
     Summed as ``np.linalg.norm`` sums one complex vector, by two BLAS dot
     products of the real and the imaginary parts, so each vector of a stack
-    gets the value a call on that vector alone would.
+    gets the value a call on that vector alone would.  A sum of squares past
+    the float range is summed again over the vector scaled by the power of
+    two of its largest entry, exactly.
     """
     x = np.asarray(x, dtype=complex)
-    re, im = x.real, x.imag
-    squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
-    return value_or_stack(np.sqrt(squares[..., 0, 0]))
+    values = _root_sum_squares(x.real, x.imag)
+    if not np.all(np.isfinite(values)):
+        scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(x), axis=-1))[1])[..., None]
+        values = np.where(np.isfinite(values), values,
+                          _root_sum_squares(x.real * scale, x.imag * scale) / scale[..., 0])
+    return value_or_stack(values)
 
 
 def frobenius_norm(T):
@@ -77,6 +89,12 @@ def frobenius_norm(T):
     if T.ndim < 2:
         raise ShapeMismatchError(f"need a matrix or a stack of them, got shape {T.shape}")
     return norm(T.reshape(*T.shape[:-2], -1))
+
+
+def frobenius_scale(T):
+    """||T||_F / sqrt(d) of a d x d operator, at most ||T||, the scale of the
+    norm policy where no spectrum is held: a float, an array for a stack."""
+    return frobenius_norm(T) / math.sqrt(np.shape(T)[-1])
 
 
 def power(x, y):
@@ -199,14 +217,14 @@ def _flag_or_stack(flags):
     return bool(flags) if np.ndim(flags) == 0 else flags
 
 
-def is_hermitian(T, tol: float = 1e-10):
-    """True when ||T - T^*||_F <= tol max(1, ||T||); an array for a stack.
-
-    The skew defect is a Frobenius norm, an upper bound on its operator norm
-    that needs no SVD; the scale ||T|| stays the operator norm."""
+def is_hermitian(T, tol: float = 1e-10, extremes=None):
+    """True when ||T - T^*||_F <= tol max(1, ||(T + T^*)/2||), an array for a
+    stack; ``extremes``, the ``extreme_eigenvalues(T)`` the caller holds,
+    spare the eigen-solve that gives the scale."""
     T = _as_operators(T)
-    return _flag_or_stack(frobenius_norm(T - adjoint(T))
-                          <= tol * np.maximum(1.0, operator_norm(T)))
+    lower, upper = extreme_eigenvalues(T) if extremes is None else extremes
+    scale = np.maximum(1.0, np.maximum(np.abs(lower), np.abs(upper)))
+    return _flag_or_stack(frobenius_norm(T - adjoint(T)) <= tol * scale)
 
 
 def hermitian_bounds(T) -> tuple[float, float]:
@@ -234,10 +252,12 @@ def nonnegative_spectrum(lower, upper, tol: float = 1e-10):
     return _flag_or_stack(lower >= -tol * np.maximum(1.0, upper))
 
 
-def is_positive(T, tol: float = 1e-10):
-    """True when T is Hermitian to tol and its spectrum is >= -tol (scaled);
-    an array for a stack."""
-    return is_hermitian(T, tol) & nonnegative_spectrum(*extreme_eigenvalues(T), tol)
+def is_positive(T, tol: float = 1e-10, extremes=None):
+    """True when T is Hermitian to tol and its spectrum is >= -tol (scaled),
+    both read from one eigen-solve, or from ``extremes`` as ``is_hermitian``
+    takes them; an array for a stack."""
+    extremes = extreme_eigenvalues(T) if extremes is None else extremes
+    return is_hermitian(T, tol, extremes) & nonnegative_spectrum(*extremes, tol)
 
 
 def cutoff(largest):

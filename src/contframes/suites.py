@@ -19,24 +19,17 @@ seed derivation, so a report for a given configuration is reproducible
 bit-for-bit (timestamps aside).
 
 The identities, bounds, convergence, gabor, controlled and weighted suites
-measure their trials in stacks: a chunk of max(1, STACK_ENTRIES // (d N))
-trials is drawn at once and every step is one numpy call over the stack,
-through the array kernels of the single-frame and single-window API, so the
-values equal those of a per-trial loop on the same draws.  The wavelet and
+measure their trials in stacks: a chunk of max(1, STACK_ENTRIES // (d max(d,
+N))) trials is drawn at once and every step is one numpy call over the
+stack, through the array kernels of the single-frame and single-window API,
+so the values equal those of a per-trial loop on the same draws.  The wavelet and
 unbounded-family rows are not stacked: their measure is a function of the
 configuration that gives the value, or the value and a detail.  The
 Calderon study reads no input and is computed once a process.
 
-Norm policy: a defect that vanishes in exact arithmetic (the adjoint,
-factorization, weighted and preconditioning identities, the dual pairs,
-L = C S = S C*, the skew part of L and Gabor tightness) is measured in the
-Frobenius norm, hb.frobenius_norm, an upper bound on its operator norm by
-at most sqrt(d) that needs no SVD.  A scale whose spectrum a context holds
-is read from it: ||S_F|| is bounds_F.upper and L_scale the largest
-|eigenvalue| of the Hermitian part of L from L_spectrum, each at most the
-operator norm.  An SVD stays where singular values are what is measured:
-sigma_M, the convergence deviations against their operator-norm budgets,
-the invertibility test of frame_iff_invertible and hb.invert.
+Norm policy: the one rule of the hilbert docstring.  The scales a context
+holds are bounds_F.upper for S_F, L_scale for L and M_scale, ||M||_F /
+sqrt(d), for M.
 
 Trial contexts: the paper states each result for one frame pair (F, G) and
 one symbol, so the checks of a suite read one instance per trial.  A
@@ -183,16 +176,16 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed)] + [int(k) for k in key])
 
 
-# complex entries one stack of trial frames holds: a chunk of a check's
-# trials has max(1, STACK_ENTRIES // (d N)) of them, 64 at d = 8, N = 64, and
-# one, as in a per-trial loop, from d N = 2^15 on
+# complex entries a stack of d x N frames or d x d operators holds: a chunk
+# has max(1, STACK_ENTRIES // (d max(d, N))) trials, 64 at d = 8, N = 64, and
+# one, as in a per-trial loop, from d max(d, N) = 2^15 on
 STACK_ENTRIES = 2**15
 
 
 def _chunks(cfg: SuiteConfig, limits) -> list[range]:
     """Consecutive chunks of the first max(limits) trials, each ending after
-    max(1, STACK_ENTRIES // (d N)) trials or at the next limit."""
-    size, start, chunks = max(1, STACK_ENTRIES // (cfg.d * cfg.n_points)), 0, []
+    max(1, STACK_ENTRIES // (d max(d, N))) trials or at the next limit."""
+    size, start, chunks = max(1, STACK_ENTRIES // (cfg.d * max(cfg.d, cfg.n_points))), 0, []
     for limit in sorted(set(limits)):
         chunks += [range(i, min(i + size, limit)) for i in range(start, limit, size)]
         start = limit
@@ -407,6 +400,8 @@ SHARED = {
     "bounds_F": lambda t: fr.operator_bounds(t.S_F),
     "bounds_G": lambda t: fr.operator_bounds(t.S_G),
     "M": lambda t: fr.weighted_gram(t.G, t.w * t.m, t.F),
+    # ||M||_F / sqrt(d), the scale of the identities of M
+    "M_scale": lambda t: np.maximum(hb.frobenius_scale(t.M), 1e-300),
     "sigma_M": lambda t: hb.singular_values(t.M),
     "M_inv": lambda t: hb.invert(t.M, t.sigma_M),
     "dual": _dual,
@@ -542,16 +537,15 @@ def _frame_factorization(t: Trials):
 
 def _multiplier_adjoint(t: Trials):
     swapped = fr.weighted_gram(t.F, t.w * t.m.conj(), t.G)
-    return (hb.frobenius_norm(hb.adjoint(t.M) - swapped)
-            / np.maximum(t.sigma_M[..., 0], 1e-300))
+    return hb.frobenius_norm(hb.adjoint(t.M) - swapped) / t.M_scale
 
 
 def _difference(pair: Callable) -> Callable:
-    """The entrywise defect of M minus the multiplier that pair(t) gives
-    first, against the multiplier of the difference it gives second."""
+    """The defect of M minus the multiplier that pair(t) gives first,
+    against the multiplier of the difference it gives second."""
     def measure(t: Trials):
         other, rhs = pair(t)
-        return np.max(np.abs(t.M - other - rhs), axis=(-2, -1))
+        return hb.frobenius_norm(t.M - other - rhs) / t.M_scale
     return measure
 
 
@@ -559,7 +553,7 @@ def _weighted_identity(t: Trials):
     M = fr.weighted_gram(t.F, t.w * t.nonnegative, t.F)
     reweighted = t.F * np.sqrt(t.nonnegative.real)[:, None, :]
     S = fr.weighted_gram(reweighted, t.w, reweighted)
-    return hb.frobenius_norm(M - S) / np.maximum(hb.operator_norm(S), 1.0)
+    return hb.frobenius_norm(M - S) / np.maximum(hb.frobenius_scale(S), 1.0)
 
 
 def _frame_iff_invertible(t: Trials):
@@ -633,11 +627,9 @@ def _controlled_spectral_mapping(t: Trials):
 
 
 def _controlled_positivity(t: Trials):
-    # hb.is_positive(L, tol) on the spectrum of L taken once, with the
-    # scale read from it
-    L, spectrum, tol = t.L, t.L_spectrum, t.cfg.tol("controlled_positivity")
-    return ~((hb.frobenius_norm(L - hb.adjoint(L)) <= tol * t.L_scale)
-             & hb.nonnegative_spectrum(spectrum[..., 0], spectrum[..., -1], tol))
+    spectrum = t.L_spectrum
+    return ~hb.is_positive(t.L, t.cfg.tol("controlled_positivity"),
+                           (spectrum[..., 0], spectrum[..., -1]))
 
 
 def _controlled_implies_frame(t: Trials):
@@ -653,12 +645,11 @@ def _precondition_identity(t: Trials):
 
 
 def _weighted_scaling(t: Trials):
-    bounds = t.bounds_F
-    # the frame operator of fr.weighted(F, 4), whose columns are those of F
-    # times sqrt(4): scaling by a power of two is exact, so it is 4 S_F
-    scaled = fr.operator_bounds(4.0 * t.S_F)
-    return np.stack([np.abs(scaled.lower - 4.0 * bounds.lower) / (4.0 * bounds.upper),
-                     np.abs(scaled.upper - 4.0 * bounds.upper) / (4.0 * bounds.upper)],
+    # the bounds of fr.weighted(F, 3), columns times sqrt(3), against 3 times
+    # those of F: 3 is no power of two, so the product rounds apart from 3 S_F
+    bounds, scaled = t.bounds_F, _bounds(t.w, t.F * math.sqrt(3.0))
+    return np.stack([np.abs(scaled.lower - 3.0 * bounds.lower) / (3.0 * bounds.upper),
+                     np.abs(scaled.upper - 3.0 * bounds.upper) / (3.0 * bounds.upper)],
                     axis=-1)
 
 
@@ -683,14 +674,10 @@ def _positive_symbol_coercivity(t: Trials):
     # multiplier M of the symbol delta + offsets in [delta, delta + 2)
     m = (t.delta[:, None] + t.offsets).astype(complex)
     M = fr.weighted_gram(t.F, t.w * m, t.F)
-    # hb.is_positive(M, tol) on the one eigvalsh that also gives lam_min,
-    # with the scale read from it
-    lam_min, lam_max = hb.extreme_eigenvalues(M)
-    tol = t.cfg.tol("positive_symbol_coercivity")
-    scale = np.maximum(np.maximum(np.abs(lam_min), np.abs(lam_max)), 1.0)
-    not_positive = ~((hb.frobenius_norm(M - hb.adjoint(M)) <= tol * scale)
-                     & hb.nonnegative_spectrum(lam_min, lam_max, tol))
-    return t.delta * t.bounds_F.lower - lam_min, not_positive
+    # one eigvalsh gives lam_min and the positivity test
+    extremes = hb.extreme_eigenvalues(M)
+    not_positive = ~hb.is_positive(M, t.cfg.tol("positive_symbol_coercivity"), extremes)
+    return t.delta * t.bounds_F.lower - extremes[0], not_positive
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -811,25 +798,27 @@ def _small_wavelet_setup():
     S = fr.frame_operator(tf.wavelet_frame(wavelet, grid, d))
     dft = np.fft.fft(np.eye(d)) / math.sqrt(d)
     S_freq = dft @ S @ dft.conj().T
-    return d, grid, wavelet, S, S_freq
+    # the largest |diagonal entry| of S_freq: ||S|| for an operator diagonal
+    # in the frequency basis
+    scale = float(np.max(np.abs(np.diagonal(S_freq))))
+    return d, grid, wavelet, S, S_freq, scale
 
 
 def _wavelet_diagonality(cfg: SuiteConfig) -> float:
-    _, _, _, _, S_freq = _small_wavelet_setup()
-    diag_scale = float(np.max(np.abs(np.diagonal(S_freq))))
+    *_, S_freq, scale = _small_wavelet_setup()
     off = S_freq - np.diag(np.diagonal(S_freq))
-    return float(np.max(np.abs(off))) / diag_scale
+    return float(np.max(np.abs(off))) / scale
 
 
 def _wavelet_diagonal_oracle(cfg: SuiteConfig) -> float:
-    d, grid, wavelet, _, S_freq = _small_wavelet_setup()
+    d, grid, wavelet, _, S_freq, _ = _small_wavelet_setup()
     oracle = tf.scale_profile(wavelet, grid, d)
     diag = np.real(np.diagonal(S_freq))
     return float(np.max(np.abs(diag - oracle)) / np.max(oracle))
 
 
 def _wavelet_band_constant(cfg: SuiteConfig) -> float:
-    d, grid, wavelet, _, S_freq = _small_wavelet_setup()
+    d, grid, wavelet, _, S_freq, _ = _small_wavelet_setup()
     c_plus = tf.positive_axis_constant(wavelet)
     freqs = tf.dft_frequencies(d)
     band = (np.abs(freqs) >= 1.0) & (np.abs(freqs) <= 9.0)
@@ -838,9 +827,9 @@ def _wavelet_band_constant(cfg: SuiteConfig) -> float:
 
 
 def _wavelet_shift_commutation(cfg: SuiteConfig) -> float:
-    d, _, _, S, _ = _small_wavelet_setup()
+    d, _, _, S, _, scale = _small_wavelet_setup()
     shift = np.roll(np.eye(d), 1, axis=0)
-    return hb.operator_norm(S @ shift - shift @ S) / hb.operator_norm(S)
+    return hb.frobenius_norm(S @ shift - shift @ S) / scale
 
 
 def _wavelet_column_norms(cfg: SuiteConfig) -> float:
@@ -1143,11 +1132,11 @@ MULTIPLIER_RUN: dict[str, Row] = {
     "adjoint_identity": Row(
         "multiplier-run",
         "adjoint equals the conjugate-symbol multiplier with frames swapped", 1e-12, MAX0,
-        lambda r: hb.operator_norm(r.M.conj().T - multiplier(r.m.values.conj(), r.G, r.F))
+        lambda r: hb.frobenius_norm(r.M.conj().T - multiplier(r.m.values.conj(), r.G, r.F))
         / r.scale),
     "equals_frame_operator": Row(
         "multiplier-run", "unit symbol with equal frames reproduces the frame operator",
-        1e-12, MAX0, lambda r: hb.operator_norm(r.M - fr.frame_operator(r.F)) / r.scale),
+        1e-12, MAX0, lambda r: hb.frobenius_norm(r.M - fr.frame_operator(r.F)) / r.scale),
 }
 
 

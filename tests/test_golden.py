@@ -17,16 +17,16 @@ from contframes.cli import main
 GOLDEN = {
     "identities": {
         "canonical_dual_pair": 1.3973208366980813e-15,
-        "difference_analysis": 1.0695084443661336e-14,
-        "difference_symbol": 1.5888218580782548e-14,
-        "difference_synthesis": 1.5888218580782548e-14,
+        "difference_analysis": 9.448519677111503e-16,
+        "difference_symbol": 1.3074727374588365e-15,
+        "difference_synthesis": 8.367217016989159e-16,
         "dual_bounds_inverse": 1.4461162734675848e-15,
         "frame_factorization": 1.635860383659927e-16,
         "frame_iff_invertible": 0.0,
-        "multiplier_adjoint": 3.238332827692933e-16,
+        "multiplier_adjoint": 5.297303784068213e-16,
         "reconstruction": 1.1512429381535383e-15,
         "reconstruction_swapped": 1.0279834381240728e-15,
-        "weighted_identity": 3.4166143116356185e-16,
+        "weighted_identity": 5.355222782034628e-16,
     },
     "bounds": {
         "bessel_inequality": 0.0,
@@ -58,7 +58,7 @@ GOLDEN = {
         "controlled_implies_frame": 0.0,
         "controlled_positivity": 0.0,
         "controlled_spectral_mapping": 1.7763568394002473e-15,
-        "precondition_identity": 1.851683579234618e-15,
+        "precondition_identity": 2.7454320657742395e-15,
     },
     "gabor": {
         "gabor_tightness": 4.3381387318871135e-16,
@@ -77,13 +77,13 @@ GOLDEN = {
         "wavelet_column_norms": 6.217774350604046e-16,
         "wavelet_diagonal_oracle": 2.2192120464740292e-15,
         "wavelet_diagonality": 3.169212279980924e-15,
-        "wavelet_shift_commutation": 1.6987957064560696e-14,
+        "wavelet_shift_commutation": 5.33474140638474e-14,
     },
     "weighted": {
         "certificates": -2.51705336661544,
         "multiplier_dual": 9.757772521975298e-15,
         "positive_symbol_coercivity": -1.808466761974103,
-        "weighted_scaling": 0.0,
+        "weighted_scaling": 8.253221948728664e-16,
     },
 }
 

@@ -170,6 +170,58 @@ def test_is_positive():
     assert not hb.is_positive(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_norms_past_the_float_range_of_their_squares_stay_finite():
+    # squares of entries above 1e154 overflow; the vector scaled by a power
+    # of two gives the norm exactly, and each vector of a stack its own
+    big = 2.0**600
+    x = np.array([[3.0 * big, 4j * big], [3.0, 4.0], [np.inf, 1.0]])
+    assert hb.norm(x).tolist() == [5.0 * big, 5.0, math.inf]
+    assert hb.norm(x).tolist() == [hb.norm(v) for v in x]
+    assert hb.frobenius_norm(np.full((2, 2), 1e300)) == 2e300
+
+
+def positivity_cases(rng, d):
+    """A stack of positive, negative, indefinite and skewed operators."""
+    V = rng.standard_normal((6, d, 3 * d)) + 1j * rng.standard_normal((6, d, 3 * d))
+    T = V @ V.conj().swapaxes(-1, -2)
+    skew = random_matrix(rng, d)
+    skew = skew - skew.conj().T
+    T[1] = -T[1]
+    T[2] = T[2] - np.linalg.eigvalsh(T[2])[-1] / 2 * np.eye(d)
+    T[3] = T[3] + 1e-6 * skew
+    T[4] = T[4] + 1e-13 * skew
+    return T
+
+
+@pytest.mark.parametrize("d", [1, 4, 8])
+def test_is_hermitian_and_is_positive_take_given_extremes_and_no_svd(monkeypatch, d):
+    T = positivity_cases(np.random.default_rng(12), d)
+    extremes = hb.extreme_eigenvalues(T)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svd was called")
+
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
+    for test in (hb.is_hermitian, hb.is_positive):
+        computed = test(T, 1e-10)
+        # the extremes the caller holds give the same verdicts with no solve
+        assert solves == [T.shape]
+        assert test(T, 1e-10, extremes).tolist() == computed.tolist()
+        assert solves == [T.shape]
+        solves.clear()
+        # each operator of a stack gets the verdict a call on it alone would
+        assert computed.tolist() == [test(t, 1e-10) for t in T] == [
+            test(t, 1e-10, (lower, upper)) for t, lower, upper in zip(T, *extremes)]
+        solves.clear()
+    assert hb.is_hermitian(T, 1e-10).tolist() == [True, True, True, False, True, True]
+    # at d = 1 the shifted operator is half of a positive one
+    assert hb.is_positive(T, 1e-10).tolist() == [True, False, d == 1, False, True, True]
+
+
 def test_invert():
     np.testing.assert_allclose(hb.invert(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
     np.testing.assert_allclose(hb.invert(np.eye(3)), np.eye(3))

@@ -133,24 +133,31 @@ def multiplier_adjoint(cfg, i):
     m, F, G, _ = instance(cfg, i)
     M = multiplier(m, F, G)
     other = multiplier(m.values.conj(), G, F)
-    return [hb.frobenius_norm(M.conj().T - other) / max(hb.operator_norm(M), 1e-300)]
+    return [hb.frobenius_norm(M.conj().T - other) / max(hb.frobenius_scale(M), 1e-300)]
+
+
+def difference_sides(which, cfg, i):
+    """The two sides of a difference identity of trial i, and its M."""
+    m, F, G, t = instance(cfg, i)
+    M = multiplier(m, F, G)
+    if which == "symbol":
+        lhs = M - multiplier(t.symbol, F, G)
+        rhs = multiplier(m.values - t.symbol, F, G)
+    elif which == "analysis":
+        F2 = fr.SampledFrame(F.space, t.vectors)
+        lhs = M - multiplier(m, F2, G)
+        rhs = multiplier(m, fr.SampledFrame(F.space, F.vectors - F2.vectors), G)
+    else:
+        G2 = fr.SampledFrame(F.space, t.vectors)
+        lhs = M - multiplier(m, F, G2)
+        rhs = multiplier(m, F, fr.SampledFrame(F.space, G.vectors - G2.vectors))
+    return lhs, rhs, M
 
 
 def difference(which):
     def oracle(cfg, i):
-        m, F, G, t = instance(cfg, i)
-        if which == "symbol":
-            lhs = multiplier(m, F, G) - multiplier(t.symbol, F, G)
-            rhs = multiplier(m.values - t.symbol, F, G)
-        elif which == "analysis":
-            F2 = fr.SampledFrame(F.space, t.vectors)
-            lhs = multiplier(m, F, G) - multiplier(m, F2, G)
-            rhs = multiplier(m, fr.SampledFrame(F.space, F.vectors - F2.vectors), G)
-        else:
-            G2 = fr.SampledFrame(F.space, t.vectors)
-            lhs = multiplier(m, F, G) - multiplier(m, F, G2)
-            rhs = multiplier(m, F, fr.SampledFrame(F.space, G.vectors - G2.vectors))
-        return [float(np.max(np.abs(lhs - rhs)))]
+        lhs, rhs, M = difference_sides(which, cfg, i)
+        return [hb.frobenius_norm(lhs - rhs) / max(hb.frobenius_scale(M), 1e-300)]
     return oracle
 
 
@@ -160,7 +167,7 @@ def weighted_identity(cfg, i):
     m = Symbol(t.nonnegative, F.space)
     M = multiplier(m, F, F)
     S = fr.frame_operator(fr.weighted(F, m))
-    return [hb.frobenius_norm(M - S) / max(hb.operator_norm(S), 1.0)]
+    return [hb.frobenius_norm(M - S) / max(hb.frobenius_scale(S), 1.0)]
 
 
 def canonical_dual_pair(cfg, i):
@@ -361,9 +368,9 @@ def precondition_identity(cfg, i):
 def weighted_scaling(cfg, i):
     F = frame(cfg, i)
     bounds = fr.frame_bounds(F)
-    scaled = fr.frame_bounds(fr.weighted(F, np.full(cfg.n_points, 4.0)))
-    return [abs(scaled.lower - 4.0 * bounds.lower) / (4.0 * bounds.upper),
-            abs(scaled.upper - 4.0 * bounds.upper) / (4.0 * bounds.upper)]
+    scaled = fr.frame_bounds(fr.weighted(F, np.full(cfg.n_points, 3.0)))
+    return [abs(scaled.lower - 3.0 * bounds.lower) / (3.0 * bounds.upper),
+            abs(scaled.upper - 3.0 * bounds.upper) / (3.0 * bounds.upper)]
 
 
 def complex_normal(rng, shape):
@@ -579,14 +586,15 @@ def test_a_frame_of_tiny_vectors_is_a_frame_with_an_invertible_frame_operator():
 
 
 @pytest.mark.parametrize("d,n", [(4, 12), (8, 64), (64, 4096)])
-def test_the_frame_operator_of_the_reweighting_by_4_is_4_s_f(d, n):
-    # the columns of fr.weighted(F, 4) are those of F times 2: exact, so
-    # weighted_scaling reads 4 S_F instead of forming the product
-    cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=2)
-    for i in range(2):
-        t = replay(cfg, i)
-        assert np.array_equal(bits(fr.weighted_gram(2.0 * t.F, t.w, 2.0 * t.F)),
-                              bits(4.0 * t.S_F))
+def test_weighted_scaling_measures_the_rounding_of_the_reweighted_product(d, n):
+    # the columns of fr.weighted(F, 3) are those of F times sqrt(3), which
+    # rounds: the product is not 3 S_F bit for bit, so the check measures a
+    # defect, where a reweighting by a power of two would measure 0.0
+    cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=4)
+    t = suites.Trials(cfg, range(4))
+    reweighted = fr.weighted_gram(math.sqrt(3.0) * t.F, t.w, math.sqrt(3.0) * t.F)
+    assert not np.array_equal(bits(reweighted), bits(3.0 * t.S_F))
+    assert 0.0 < max(stacked(cfg, "weighted_scaling")) < 1e-14
 
 
 def test_stacked_dual_refuses_non_frames_like_canonical_dual():
@@ -855,7 +863,7 @@ def test_each_shared_quantity_is_formed_once_a_trial(monkeypatch):
             return compute(t)
         return wrapper
 
-    names = ("S_F", "S_G", "bounds_F", "bounds_G", "M", "sigma_M")
+    names = ("S_F", "S_G", "bounds_F", "bounds_G", "M", "M_scale", "sigma_M")
     for name in names:
         monkeypatch.setitem(suites.SHARED, name, counted(name, suites.SHARED[name]))
     assert run_suite(SuiteConfig(suite="all", d=8, n_points=64, trials=70)).all_passed
@@ -994,7 +1002,7 @@ def test_single_instance_api_equals_its_dense_form(d, n):
             plain = multiplier(m, F, G)
             residual = hb.frobenius_norm(hb.invert(D) @ mixed @ hb.invert(C) - plain)
             assert precondition_identity_residual(spec, ControlSpec("sqrt"), m, F, G) == (
-                residual / hb.operator_norm(plain))
+                residual / hb.frobenius_scale(plain))
 
 
 # ---------------------------------------------------------------------------
@@ -1034,6 +1042,13 @@ def spectral_multiplier_adjoint(cfg, i):
     return [opnorm(M.conj().T - multiplier(m.values.conj(), G, F)) / opnorm(M)]
 
 
+def spectral_difference(which):
+    def oracle(cfg, i):
+        lhs, rhs, M = difference_sides(which, cfg, i)
+        return [opnorm(lhs - rhs) / opnorm(M)]
+    return oracle
+
+
 def spectral_weighted_identity(cfg, i):
     t = draws(cfg, i)
     F, = frames(t.w, t.F)
@@ -1069,12 +1084,19 @@ def spectral_precondition_identity(cfg, i):
 # spectrum, each with every defect and scale in the operator norm
 SPECTRAL = {
     "frame_factorization": spectral_frame_factorization,
-    "multiplier_adjoint": spectral_multiplier_adjoint,
-    "weighted_identity": spectral_weighted_identity,
     "canonical_dual_pair": spectral_canonical_dual_pair,
     "multiplier_dual": spectral_multiplier_dual,
     "controlled_factorization": spectral_controlled("controlled_factorization"),
     "controlled_spectral_mapping": spectral_controlled("controlled_spectral_mapping"),
+}
+# the checks whose scales are ||X||_F / sqrt(d) as well, at most ||X|| and at
+# least ||X|| / sqrt(d), likewise
+FROBENIUS_SCALED = {
+    "multiplier_adjoint": spectral_multiplier_adjoint,
+    "difference_symbol": spectral_difference("symbol"),
+    "difference_analysis": spectral_difference("analysis"),
+    "difference_synthesis": spectral_difference("synthesis"),
+    "weighted_identity": spectral_weighted_identity,
     "precondition_identity": spectral_precondition_identity,
 }
 ULPS = 16 * np.finfo(float).eps
@@ -1085,17 +1107,32 @@ def between_spectral_and_sqrt_d_times_it(value, spectral, d):
     return spectral * (1.0 - ULPS) <= value <= math.sqrt(d) * spectral * (1.0 + ULPS)
 
 
+def spectral_and_values(table, check_id, d, n):
+    cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=3)
+    spectral = [v for i in range(3) for v in table[check_id](cfg, i)]
+    values = stacked(cfg, check_id)
+    assert len(values) == len(spectral)
+    return zip(values, spectral)
+
+
 @pytest.mark.parametrize("check_id,d,n", [
     (check_id, d, n) for check_id in sorted(SPECTRAL)
     for d, n in [(4, 12), (8, 64), (8, 4)] if n >= d or check_id not in NEEDS_FRAMES])
 def test_frobenius_defects_lie_between_the_spectral_defect_and_sqrt_d_times_it(
         check_id, d, n):
-    cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=3)
-    spectral = [v for i in range(3) for v in SPECTRAL[check_id](cfg, i)]
-    values = stacked(cfg, check_id)
-    assert len(values) == len(spectral)
     assert all(between_spectral_and_sqrt_d_times_it(value, bound, d)
-               for value, bound in zip(values, spectral))
+               for value, bound in spectral_and_values(SPECTRAL, check_id, d, n))
+
+
+@pytest.mark.parametrize("check_id,d,n", [
+    (check_id, d, n) for check_id in sorted(FROBENIUS_SCALED)
+    for d, n in [(4, 12), (8, 64), (8, 4)] if n >= d or check_id not in NEEDS_FRAMES])
+def test_frobenius_scaled_defects_lie_between_the_spectral_defect_and_d_times_it(
+        check_id, d, n):
+    # a Frobenius defect over a Frobenius scale: at least the operator-norm
+    # value, never looser, and at most sqrt(d) sqrt(d) = d times it
+    assert all(between_spectral_and_sqrt_d_times_it(value, bound, d * d)
+               for value, bound in spectral_and_values(FROBENIUS_SCALED, check_id, d, n))
 
 
 @pytest.mark.parametrize("d", [4, 8, 16, 64])
@@ -1134,6 +1171,16 @@ def test_chunk_rule():
         assert [c.start for c in found[1:]] == [c.stop for c in found[:-1]]
         assert found[0].start == 0 and found[-1].stop == max(args[-1])
         assert not any(c.start < limit < c.stop for c in found for limit in args[-1])
+
+
+def test_chunks_are_sized_by_the_d_by_d_operators_when_n_is_below_d():
+    # the gabor rows and S_F, M hold d^2 entries a trial: at d = 256 one
+    # trial fills a chunk whatever N is
+    def sizes(d, n, trials):
+        return [len(c) for c in suites._chunks(SuiteConfig(d=d, n_points=n), {trials})]
+
+    assert sizes(256, 1, 3) == sizes(256, 64, 3) == [1, 1, 1]
+    assert sizes(8, 4, 600) == [512, 88]
 
 
 def run_fresh(cfg):
