@@ -18,6 +18,7 @@ from .errors import InvalidParameterError, ShapeMismatchError
 from .reporting import Report
 from .suites import (
     CALDERON_DEFAULTS,
+    CONFIG_KEYS,
     SUITES,
     SuiteConfig,
     run_gabor,
@@ -38,27 +39,20 @@ def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
     return tolerances
 
 
-# the dest of each verify flag that a --config file replaces, and the
-# SuiteConfig field it sets; a flag not given keeps the field's default
-SUITE_FLAGS = {"suite": "suite", "seed": "seed", "trials": "trials", "d": "d",
-               "n": "n_points", "tol": "tolerances", "format": "format"}
-
-
 def _suite_config(args: argparse.Namespace) -> SuiteConfig:
     """The configuration of a verify run: its --config file, which no flag
-    of SUITE_FLAGS may accompany, or else its flags."""
-    given = {dest: getattr(args, dest) for dest in SUITE_FLAGS
-             if getattr(args, dest) is not None}
+    setting a key of CONFIG_KEYS may accompany, or else its flags."""
+    given = {key: getattr(args, key) for key in CONFIG_KEYS
+             if getattr(args, key, None) is not None}
     if args.config:
         if given:
             raise InvalidParameterError(
                 "--config sets the whole suite configuration; drop "
-                + ", ".join(f"--{dest}" for dest in given))
+                + ", ".join(args.flags[key] for key in given))
         return SuiteConfig.from_dict(json.loads(Path(args.config).read_text()))
-    if "tol" in given:
-        given["tol"] = _parse_tolerances(given["tol"])
-    return SuiteConfig(**{SUITE_FLAGS[dest]: value for dest, value in given.items()},
-                       output=args.out)
+    if "tolerances" in given:
+        given["tolerances"] = _parse_tolerances(given["tolerances"])
+    return SuiteConfig.from_dict(given)
 
 
 def _number(value: float | None, spec: str) -> str:
@@ -93,18 +87,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a seeded verification suite")
-    verify.add_argument("--suite", help=f"one of {', '.join(SUITES)}")
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--trials", type=int)
-    verify.add_argument("--d", type=int)
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--tol", action="append", metavar="KEY=VAL",
-                        help="override one check tolerance (repeatable)")
+    # each flag sets the key of CONFIG_KEYS its dest names, as a --config file does
+    flags = [verify.add_argument("--suite", help=f"one of {', '.join(SUITES)}"),
+             verify.add_argument("--seed", type=int),
+             verify.add_argument("--trials", type=int),
+             verify.add_argument("--d", type=int),
+             verify.add_argument("--n", type=int),
+             verify.add_argument("--tol", dest="tolerances", action="append",
+                                 metavar="KEY=VAL",
+                                 help="override one check tolerance (repeatable)")]
     verify.add_argument("--config", default=None, metavar="PATH",
                         help="load the whole suite configuration from a JSON "
                              "file instead of the flags above")
     verify.add_argument("--out", default=None, metavar="PATH")
-    verify.add_argument("--format", choices=("json", "csv"))
+    flags.append(verify.add_argument("--format", choices=("json", "csv")))
+    verify.set_defaults(flags={flag.dest: flag.option_strings[0] for flag in flags})
 
     gabor = sub.add_parser("gabor", help="tightness report for a cyclic Gabor system")
     gabor.add_argument("--d", type=int, default=8)
@@ -115,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     wavelet = sub.add_parser("wavelet", help="admissibility and reconstruction report")
     wavelet.add_argument("--d", type=int, default=CALDERON_DEFAULTS["d"])
-    wavelet.add_argument("--wavelet", default="mexican-hat-fourier")
     wavelet.add_argument("--a-min", type=float, default=CALDERON_DEFAULTS["a_min"])
     wavelet.add_argument("--a-max", type=float, default=CALDERON_DEFAULTS["a_max"])
     wavelet.add_argument("--n-a", type=int, default=CALDERON_DEFAULTS["n_a"])
@@ -162,10 +158,6 @@ def main(argv: list[str] | None = None) -> int:
                 window = WindowSpec("given-samples", samples=samples)
             report = run_gabor(args.d, window)
         elif args.command == "wavelet":
-            if args.wavelet != "mexican-hat-fourier":
-                raise InvalidParameterError(
-                    f"unknown wavelet kind {args.wavelet!r} (custom profiles "
-                    "are available through the library API)")
             report = run_wavelet(d=args.d, a_min=args.a_min, a_max=args.a_max,
                                  n_a=args.n_a, n_b=args.n_b,
                                  band=tuple(args.band), taper=args.taper)

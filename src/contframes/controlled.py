@@ -27,11 +27,10 @@ from . import hilbert
 from .errors import (
     ContractViolationError,
     InvalidParameterError,
-    NotAFrameError,
     NotInvertibleError,
     ShapeMismatchError,
 )
-from .frame import SampledFrame, frame_operator, spectrum_bounds, weighted_gram
+from .frame import SampledFrame, frame_operator, require_frame, spectrum_bounds, weighted_gram
 from .multiplier import _aligned
 
 SPECTRAL_KINDS = ("identity", "inverse", "sqrt", "power", "affine")
@@ -103,19 +102,18 @@ def make_control(spec: ControlSpec, F: SampledFrame) -> np.ndarray:
     commutes with the frame operator and inherits its eigenbasis.
     """
     if spec.kind == "explicit":
-        C = np.asarray(spec.operator, dtype=complex)
-        if C.shape != (F.dim, F.dim):
-            raise ShapeMismatchError(
-                f"control of shape {C.shape} for frame of dimension {F.dim}"
-            )
-        sigma = hilbert.singular_values(C)
-        if hilbert.is_singular(sigma):
-            raise NotInvertibleError(
-                "explicit control operator is numerically singular",
-                smallest_singular_value=float(sigma[-1]),
-            )
+        C = _control(spec.operator, F)
+        hilbert.require_invertible(hilbert.singular_values(C))
         return C
     return spectral_controls([spec], frame_operator(F))
+
+
+def _control(C, F: SampledFrame) -> np.ndarray:
+    """C as a complex operator, refused unless it is d x d for the frame F."""
+    C = np.asarray(C, dtype=complex)
+    if C.shape != (F.dim, F.dim):
+        raise ShapeMismatchError(f"control of shape {C.shape} for frame of dimension {F.dim}")
+    return C
 
 
 def spectral_maps(specs, lam: np.ndarray) -> np.ndarray:
@@ -139,8 +137,7 @@ def spectral_controls(specs, S: np.ndarray, eigen=None) -> np.ndarray:
     gives the frame test and the controls: ``eigen`` is np.linalg.eigh(S)
     where the caller has it."""
     lam, U = np.linalg.eigh(S) if eigen is None else eigen
-    if not np.all(spectrum_bounds(lam[..., 0], lam[..., -1]).is_frame):
-        raise NotAFrameError("spectral controls need a frame with positive lower bound")
+    require_frame(spectrum_bounds(lam[..., 0], lam[..., -1]))
     phi = spectral_maps(specs, lam)
     magnitude = np.abs(phi)
     finite = np.all(np.isfinite(phi), axis=-1)
@@ -158,12 +155,7 @@ def spectral_controls(specs, S: np.ndarray, eigen=None) -> np.ndarray:
 
 def controlled_frame_operator(C, F: SampledFrame) -> np.ndarray:
     """Assemble sum_j w_j (C F_j) F_j^*; equals C times the frame operator."""
-    C = np.asarray(C, dtype=complex)
-    if C.shape != (F.dim, F.dim):
-        raise ShapeMismatchError(
-            f"control of shape {C.shape} for frame of dimension {F.dim}"
-        )
-    return mixed_operator(C, F.space.weights, F.vectors)
+    return mixed_operator(_control(C, F), F.space.weights, F.vectors)
 
 
 def mixed_operator(C: np.ndarray, w, vectors: np.ndarray) -> np.ndarray:
@@ -181,8 +173,8 @@ def controlled_bounds(C, F: SampledFrame) -> tuple[float, float]:
     bound certifies the controlled frame property, and implies the plain
     frame property of F.
     """
-    C = np.asarray(C, dtype=complex)
-    spectrum = mixed_spectrum(C, frame_operator(F), controlled_frame_operator(C, F))
+    C = _control(C, F)
+    spectrum = mixed_spectrum(C, frame_operator(F), mixed_operator(C, F.space.weights, F.vectors))
     return float(spectrum[0]), float(spectrum[-1])
 
 

@@ -213,23 +213,24 @@ def operator_bounds(S: np.ndarray) -> FrameBounds:
     return spectrum_bounds(*hilbert.extreme_eigenvalues(S))
 
 
-def frame_cutoff(upper):
-    """The lower frame bound a family must exceed to count as a frame, for
-    its upper bound or an array of them: ``hilbert.cutoff``, the relative
-    rule by which ``hilbert.invert`` refuses the frame operator, so a family
-    is a frame where its frame operator counts as invertible, up to the
-    rounding between the eigenvalues and the singular values."""
-    return hilbert.cutoff(upper)
-
-
 def spectrum_bounds(lower, upper) -> FrameBounds:
     """Optimal frame bounds from the extreme eigenvalues of a frame operator,
-    or arrays of them for a stack, the lower one clamped at 0."""
+    or arrays of them for a stack, the lower one clamped at 0; a frame where
+    the lower exceeds ``hilbert.cutoff`` of the upper."""
     lower = np.where(0.0 > lower, 0.0, lower)  # max(lower, 0.0), NaN kept
-    is_frame = lower > frame_cutoff(upper)
+    is_frame = lower > hilbert.cutoff(upper)
     if np.ndim(upper) == 0:
         return FrameBounds(float(lower), upper, bool(is_frame))
     return FrameBounds(lower, upper, is_frame)
+
+
+def require_frame(bounds: FrameBounds) -> None:
+    """Raise NotAFrameError, naming the lower bound of the first family that
+    fails, where frame bounds (of one family or of each of a stack) have the
+    lower bound at or below ``hilbert.cutoff`` of the upper one."""
+    if not np.all(bounds.is_frame):
+        lower = np.ravel(bounds.lower)[np.argmin(np.ravel(bounds.is_frame))]
+        raise NotAFrameError(f"lower frame bound is numerically zero ({lower:.3e})")
 
 
 def frame_bounds(F: SampledFrame) -> FrameBounds:
@@ -247,10 +248,7 @@ def dual_vectors(S: np.ndarray, vectors: np.ndarray, bounds=None) -> np.ndarray:
     """Columns S^-1 F_j of the canonical dual, from the frame operator S and
     the vectors of a frame, or of each frame of a stack; ``bounds`` are
     operator_bounds(S) where the caller has them."""
-    bounds = operator_bounds(S) if bounds is None else bounds
-    if not np.all(bounds.is_frame):
-        lower = np.ravel(bounds.lower)[np.argmin(np.ravel(bounds.is_frame))]
-        raise NotAFrameError(f"lower frame bound is numerically zero ({lower:.3e})")
+    require_frame(operator_bounds(S) if bounds is None else bounds)
     return hilbert.invert(S) @ vectors
 
 
@@ -261,7 +259,6 @@ def canonical_dual(F: SampledFrame) -> SampledFrame:
 
 def is_dual_pair(F: SampledFrame, G: SampledFrame, tol: float = 1e-10) -> bool:
     """True when sum_j w_j G_j F_j^* is the identity to tol (``duality_defect``)."""
-    _check_compatible(F, G)
     return duality_defect(F, G) <= tol
 
 
@@ -280,9 +277,7 @@ def is_riesz_type(F: SampledFrame, tol: float = RANK_RTOL) -> bool:
     On a finite space that means the d x N column matrix has numerical rank N
     (possible only when N <= d), which is the unique-dual condition.
     """
-    bounds = frame_bounds(F)
-    if not bounds.is_frame:
-        raise NotAFrameError(f"lower frame bound is numerically zero ({bounds.lower:.3e})")
+    require_frame(frame_bounds(F))
     sigma = np.linalg.svd(F.vectors, compute_uv=False)
     rank = int(np.sum(sigma >= tol * sigma[0]))
     return rank == F.space.n_points

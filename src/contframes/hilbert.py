@@ -15,7 +15,9 @@ SVD.  The scale of X is read from a spectrum the caller holds, or else is
 the defect is at least its operator norm and the scale at most ||X||, so no
 check is looser than in the operator norm.  No SVD or eigen-solve is taken
 only for a scale; an SVD is taken where singular values are measured: the
-Schatten norms, the invertibility cutoff and ``invert``.
+Schatten norms, the invertibility cutoff and ``invert``.  Gabor tightness,
+in the suite and in the ``gabor`` subcommand alike, is
+||S - ||g||^2 I||_F / ||g||^2.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .errors import (
 # relative cutoff at or below which the smallest singular value of a matrix,
 # or the lower bound of a frame, counts as zero
 INVERT_RTOL = 1e-12
+# a root of a sum of squares below it has lost digits to underflow
+TINY_ROOT = math.sqrt(np.finfo(float).tiny)
 
 
 def inner(x, y):
@@ -65,15 +69,18 @@ def norm(x):
     Summed as ``np.linalg.norm`` sums one complex vector, by two BLAS dot
     products of the real and the imaginary parts, so each vector of a stack
     gets the value a call on that vector alone would.  A sum of squares past
-    the float range is summed again over the vector scaled by the power of
-    two of its largest entry, exactly.
+    the float range, or with a root below sqrt(tiny), where the squares lose
+    digits to underflow, is summed again over the vector scaled by the power
+    of two of its largest entry, exactly.
     """
     x = np.asarray(x, dtype=complex)
-    values = _root_sum_squares(x.real, x.imag)
-    if not np.all(np.isfinite(values)):
-        scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(x), axis=-1))[1])[..., None]
-        values = np.where(np.isfinite(values), values,
-                          _root_sum_squares(x.real * scale, x.imag * scale) / scale[..., 0])
+    with np.errstate(over="ignore", under="ignore"):
+        values = _root_sum_squares(x.real, x.imag)
+        rescale = ~(np.isfinite(values) & (values >= TINY_ROOT))
+        if np.any(rescale):
+            scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(x), axis=-1))[1])[..., None]
+            values = np.where(rescale, _root_sum_squares(x.real * scale, x.imag * scale)
+                              / scale[..., 0], values)
     return value_or_stack(values)
 
 
@@ -189,27 +196,6 @@ def extreme_eigenvalues(T):
     floats for one operator, arrays for a stack."""
     eigs = hermitian_spectrum(T)
     return value_or_stack(eigs[..., 0]), value_or_stack(eigs[..., -1])
-
-
-def identity_defect_bound(T, c, extremes=None):
-    """Upper bound on ||T - c I|| without an SVD: a float for one operator,
-    an array for a stack, c a scalar or one per operator.
-
-    With H = (T + T^*)/2 and K = (T - T^*)/2, ||T - c I|| <= ||H - c I|| +
-    ||K||, where ||H - c I|| is max |lambda - c| over the extreme eigenvalues
-    of H and ||K|| <= ||K||_F.  The bound exceeds ||T - c I|| by at most
-    ||K||_F, so for an operator Hermitian by construction it is the defect to
-    rounding, while a skew part is never ignored.  ||K||_F is
-    ``frobenius_norm``, so each operator of a stack gets the value a call on
-    it alone would.  ``extremes``, the (smallest, largest) of
-    ``extreme_eigenvalues(T)`` where the caller has them, spares the
-    eigen-solve.
-    """
-    T = _as_operators(T)
-    lower, upper = extreme_eigenvalues(T) if extremes is None else extremes
-    skew = 0.5 * (T - adjoint(T))
-    spread = np.maximum(np.abs(lower - c), np.abs(upper - c))
-    return value_or_stack(spread + frobenius_norm(skew))
 
 
 def _flag_or_stack(flags):

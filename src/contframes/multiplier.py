@@ -25,25 +25,23 @@ import math
 import numpy as np
 
 from . import hilbert
-from .errors import InvalidParameterError, NotAFrameError, ShapeMismatchError
+from .errors import InvalidParameterError, ShapeMismatchError
 from .frame import (
     SampledFrame,
-    frame_cutoff,
+    _check_compatible,
     max_column_norm,
     operator_bounds,
+    require_frame,
     scaled_columns,
     weighted_gram,
 )
-from .measure import Symbol, same_space, symbol_values, weighted_lp_norm
+from .measure import Symbol, symbol_values, weighted_lp_norm
 
 DEFAULT_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
 
 
 def _aligned(m, F: SampledFrame, G: SampledFrame) -> np.ndarray:
-    if not same_space(F.space, G.space):
-        raise ShapeMismatchError("frames live on different measure spaces")
-    if F.dim != G.dim:
-        raise ShapeMismatchError(f"dimension mismatch {F.dim} vs {G.dim}")
+    _check_compatible(F, G)
     return symbol_values(F.space, m)
 
 
@@ -158,9 +156,7 @@ def multiplier_dual_vectors(w, values, F: np.ndarray, G: np.ndarray, m_inv=None,
     under weights w; for one instance or each of a stack.  ``m_inv`` is M^-1
     and ``bounds`` the operator_bounds of G's frame operator where the
     caller has them."""
-    bounds = operator_bounds(weighted_gram(G, w, G)) if bounds is None else bounds
-    if not np.all(bounds.is_frame):
-        raise NotAFrameError("G must be a frame to admit a dual")
+    require_frame(operator_bounds(weighted_gram(G, w, G)) if bounds is None else bounds)
     if m_inv is None:
         m_inv = hilbert.invert(weighted_gram(G, w * values, F))
     return hilbert.adjoint(m_inv) @ scaled_columns(F, values.conj())
@@ -188,8 +184,8 @@ FRAME_PARTS = (False, False, True, False, True)
 
 def _frame_margin(a, b):
     """The smaller margin of two families' lower bounds over their frame
-    cutoffs: positive exactly where both are frames."""
-    return np.minimum(a.lower - frame_cutoff(a.upper), b.lower - frame_cutoff(b.upper))
+    cutoffs (``hilbert.cutoff``): positive exactly where both are frames."""
+    return np.minimum(a.lower - hilbert.cutoff(a.upper), b.lower - hilbert.cutoff(b.upper))
 
 
 def certificate_values(w, values, F: np.ndarray, G: np.ndarray, sigma, bounds=None):
@@ -202,8 +198,9 @@ def certificate_values(w, values, F: np.ndarray, G: np.ndarray, sigma, bounds=No
 
     Two arrays with the five parts along a new last axis.  Parts 1, 2 and 4
     measure a lower bound against its floor; parts 3 and 5 the smaller
-    margin of two families' lower bounds over ``frame.frame_cutoff``
-    against 0.  An invertible M has sup|m| > 0, so every floor is finite.
+    margin of two families' lower bounds over ``hilbert.cutoff`` of their
+    upper bounds against 0.  An invertible M has sup|m| > 0, so every floor
+    is finite.
     """
     hilbert.require_invertible(sigma)
     inv_sq = hilbert.power(1.0 / sigma[..., -1], 2)
@@ -258,7 +255,7 @@ def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
         if not all(isinstance(item, SampledFrame) for item in schedule):
             raise InvalidParameterError("frame schedules must list frames")
         for item in schedule:
-            _aligned(values, item, G)
+            _check_compatible(item, G)
         items, ps = [item.vectors for item in schedule], (FRAME_NORMS[kind],)
     # the same frame twice (as in a truncation experiment) is passed as one
     # array, so its frame operator is formed once

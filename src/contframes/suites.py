@@ -691,13 +691,16 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return x / hb.norm(x)[..., None]
 
 
+def _tight_defect(S, gsq):
+    """||S - ||g||^2 I||_F / ||g||^2 for the Gabor frame operator S of a
+    window g, or of each of a stack: an upper bound on the operator-norm
+    defect, one pass over the entries, no eigen-solve and no SVD."""
+    return hb.frobenius_norm(S - np.asarray(gsq)[..., None, None] * np.eye(S.shape[-1])) / gsq
+
+
 def _tightness(t: Trials):
-    """||S - ||g||^2 I||_F / ||g||^2 for the Gabor frame operator S of each
-    window: an upper bound on the operator-norm defect, one pass over the
-    entries, no eigen-solve and no SVD."""
     g = t.tests[:, 0]
-    gsq = _sq_norms(g)
-    return hb.frobenius_norm(tf.gabor_operator(g) - gsq[:, None, None] * np.eye(t.cfg.d)) / gsq
+    return _tight_defect(tf.gabor_operator(g), _sq_norms(g))
 
 
 def _stft_matches(t: Trials):
@@ -1104,7 +1107,7 @@ GABOR_RUN: dict[str, Row] = {
         lambda r: (r.extremes[1], "", r.gsq)),
     "gabor_tightness_residual": Row(
         "gabor-run", "frame operator equals ||g||^2 times the identity", 1e-10, MAX0,
-        lambda r: hb.identity_defect_bound(r.S, r.gsq, r.extremes) / r.gsq),
+        lambda r: _tight_defect(r.S, r.gsq)),
 }
 # the Calderon rows take the tolerance and the gate of the suite rows they
 # repeat on the configured grid
@@ -1196,10 +1199,9 @@ def run_gabor(d: int, window="gaussian") -> Report:
     """Tightness report for one cyclic Gabor system: the rows of GABOR_RUN
     on its frame operator S, built (and the window checked) before them.
 
-    One eigen-solve of S serves all three checks: its extreme eigenvalues
-    are the optimal bounds (the lower one clamped at 0), and, unclamped,
-    they give ``hb.identity_defect_bound``, an upper bound on ||S - ||g||^2
-    I|| that adds the Frobenius norm of the skew part of S."""
+    One eigen-solve of S gives the optimal bounds, its extreme eigenvalues
+    (the lower one clamped at 0); the tightness residual is the suite's
+    ``_tight_defect``, with no eigen-solve."""
     if isinstance(window, str):
         window = tf.WindowSpec(kind=window)
     g = window.build(d) if isinstance(window, tf.WindowSpec) else np.asarray(window)

@@ -147,11 +147,7 @@ class WindowSpec:
     def build(self, d: int) -> np.ndarray:
         if self.kind == "gaussian":
             return gaussian_window(d)
-        if self.samples.shape[0] != d:
-            raise ShapeMismatchError(
-                f"window has {self.samples.shape[0]} samples, signal space has {d}"
-            )
-        return self.samples
+        return _as_window(self.samples, d)
 
 
 def _checked_samples(g: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from contframes.errors import (
 )
 from contframes.frame import SampledFrame, frame_bounds, frame_operator, weighted
 from contframes.measure import MeasureSpace, Symbol, counting_space
-from contframes.multiplier import multiplier
+from contframes.multiplier import dual_from_multiplier, multiplier
 
 
 def random_frame(seed, d=4, n=16):
@@ -90,6 +90,34 @@ def test_make_control_requires_frame_for_spectral_kinds():
     flat = SampledFrame(counting_space(5), np.ones((3, 5), dtype=complex))
     with pytest.raises(NotAFrameError):
         make_control(ControlSpec("inverse"), flat)
+
+
+def diagonal_non_frame():
+    """A family of 5 points in C^2 whose frame operator is diag(5, 0) exactly."""
+    return SampledFrame(counting_space(5), np.array([np.ones(5), np.zeros(5)], dtype=complex))
+
+
+@pytest.mark.parametrize("route", [
+    pytest.param(fr.canonical_dual, id="canonical_dual"),
+    pytest.param(fr.is_riesz_type, id="is_riesz_type"),
+    pytest.param(lambda F: dual_from_multiplier(np.ones(5), F, F), id="dual_from_multiplier"),
+    pytest.param(lambda F: make_control(ControlSpec("sqrt"), F), id="make_control"),
+    pytest.param(lambda F: precondition_identity_residual(
+        ControlSpec("identity"), ControlSpec("identity"), np.ones(5), F, F),
+        id="precondition_identity_residual"),
+])
+def test_every_route_to_a_non_frame_refuses_it_with_one_message(route):
+    with pytest.raises(NotAFrameError) as refused:
+        route(diagonal_non_frame())
+    assert str(refused.value) == "lower frame bound is numerically zero (0.000e+00)"
+
+
+def test_a_singular_explicit_control_is_refused_by_the_invertibility_cutoff():
+    # 1e-13 is below the cutoff 1e-12 times the largest singular value 2
+    C = np.diag([2.0, 1.0, 1.0, 1e-13])
+    with pytest.raises(NotInvertibleError, match="below cutoff") as refused:
+        make_control(ControlSpec("explicit", operator=C), random_frame(1))
+    assert refused.value.smallest_singular_value == pytest.approx(1e-13, rel=1e-12)
 
 
 def test_make_control_explicit_validation():

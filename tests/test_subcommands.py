@@ -230,11 +230,17 @@ def test_gabor_command_records_an_overflowing_window(tmp_path, capsys):
     window.write_text(json.dumps([1e200, 0.0, 0.0, 0.0]))
     out = tmp_path / "gabor.json"
     assert main(["gabor", "--d", "4", "--window", str(window), "--out", str(out)]) == 1
-    checks = strict_json(out)["checks"]
-    assert sorted(c["check_id"] for c in checks) == sorted(suites.GABOR_RUN)
-    for check in checks:
+    checks = {c["check_id"]: c for c in strict_json(out)["checks"]}
+    assert sorted(checks) == sorted(suites.GABOR_RUN)
+    # the bounds abort in the eigen-solve; the tightness residual, which
+    # takes none, is NaN and fails
+    for check_id in ("gabor_lower_bound", "gabor_upper_bound"):
+        check = checks[check_id]
         assert not check["pass"] and check["measured"] is check["budget"] is None
         assert check["error"] == "NumericFailureError: operator has non-finite entries"
+    tightness = checks["gabor_tightness_residual"]
+    assert not tightness["pass"] and tightness["measured"] is None
+    assert tightness["detail"] == "measured nan" and "error" not in tightness
     assert "gabor-run: 0/3 checks passed" in capsys.readouterr().out
 
 

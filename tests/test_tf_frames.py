@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from contframes import hilbert as hb
 from contframes import tf_frames as tf
 from contframes.cli import main
 from contframes.errors import (
@@ -16,6 +15,7 @@ from contframes.errors import (
 )
 from contframes.frame import analysis, frame_bounds, frame_operator, synthesis
 from contframes.measure import MeasureSpace, wavelet_grid
+from contframes.suites import run_gabor
 
 
 def random_vec(rng, d):
@@ -95,19 +95,19 @@ def test_gabor_frame_random_windows():
 
 
 @pytest.mark.parametrize("d", [1, 2, 33, 64, 256])
-def test_gabor_tightness_bound_brackets_the_svd_residual(d):
-    # the eigenvalue-and-skew bound the tightness checks measure lies between
-    # the SVD residual ||S - ||g||^2 I|| and that residual plus ||skew(S)||_F
+def test_gabor_tightness_residual_brackets_the_svd_residual(d):
+    # the gabor command's tightness row, ||S - ||g||^2 I||_F / ||g||^2, lies
+    # between the SVD residual ||S - ||g||^2 I|| / ||g||^2 and sqrt(d) times it
     rng = np.random.default_rng(200 + d)
     slack = 16 * d * np.finfo(float).eps
     for g in (random_vec(rng, d), tf.gaussian_window(d)):
         S = tf.gabor_frame_operator(g, d)
         gsq = float(np.linalg.norm(g) ** 2)
         residual = np.linalg.norm(S - gsq * np.eye(d), 2) / gsq
-        skew = float(np.linalg.norm((S - S.conj().T) / 2)) / gsq
-        bound = hb.identity_defect_bound(S, gsq) / gsq
-        assert residual - slack <= bound <= residual + skew + slack
-        assert bound <= 1e-10
+        (row,) = [c for c in run_gabor(d, g).checks
+                  if c.check_id == "gabor_tightness_residual"]
+        assert residual * (1 - slack) <= row.measured <= math.sqrt(d) * residual * (1 + slack)
+        assert row.measured <= 1e-10
 
 
 def test_gabor_rejects_zero_window():
@@ -117,6 +117,9 @@ def test_gabor_rejects_zero_window():
         tf.WindowSpec("given-samples", samples=np.zeros(4))
     with pytest.raises(ShapeMismatchError):
         tf.gabor_frame(np.ones(3), 4)
+    # a given window is refused by the one length check of every window path
+    with pytest.raises(ShapeMismatchError, match=r"^window of length 3 for d=4$"):
+        tf.WindowSpec("given-samples", samples=np.ones(3)).build(4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
