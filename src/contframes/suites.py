@@ -10,21 +10,22 @@ tolerance overrides; their measures read the Inputs of one run.  The gate
 says how verdict() folds the values and compares them: max from 0 or from
 -inf <= tol, count == 0 (of failing trials), both of those, >= floor, in
 [1.5, tol], finite and > 0, or, against a bound b the measure gives,
-|x - b| <= tol b, |x - b| <= tol or x <= b + tol.  _report makes
+|x - b| <= tol b, |x - b| <= tol or x <= b + tol b.  _report makes
 every Check of every report, a verdict() or the abort record of a check
 whose measure raised: run_suite measures the stacked rows of its suite
-together, and the subcommand runs build their inputs once; run_check(cfg,
-id) runs one suite check afresh.  All randomness flows through per-role
-seed derivation, so a report for a given configuration is reproducible
+together, and the subcommand runs build their inputs once, under
+np.errstate(over="ignore", invalid="ignore"); run_check(cfg, id) runs one
+suite check afresh.  All randomness flows through per-role seed
+derivation, so a report for a given configuration is reproducible
 bit-for-bit (timestamps aside).
 
 The identities, bounds, convergence, gabor, controlled and weighted suites
-measure their trials in stacks: a chunk of max(1, STACK_ENTRIES // (d max(d,
-N))) trials is drawn at once and every step is one numpy call over the
-stack, through the array kernels of the single-frame and single-window API,
-so the values equal those of a per-trial loop on the same draws.  The wavelet and
-unbounded-family rows are not stacked: their measure is a function of the
-configuration that gives the value, or the value and a detail.  The
+measure their trials in stacks: a chunk of at most _per(cfg, STACK_ENTRIES)
+trials is drawn at once and every step is one numpy call over the stack,
+through the array kernels of the single-frame and single-window API, so
+the values equal those of a per-trial loop on the same draws.  The wavelet
+and unbounded-family rows are not stacked: their measure is a function of
+the configuration that gives the value, or the value and a detail.  The
 Calderon study reads no input and is computed once a process.
 
 Norm policy: the one rule of the hilbert docstring.  The scales a context
@@ -39,9 +40,10 @@ symbol, second vectors (the difference identities and the convergence
 bumps), test vectors, eps, a nonnegative symbol, the controls of F and of
 G, delta and offsets above it, and a time and a frequency shift.  The gabor
 rows read the first four test vectors as windows and signals in C^d, d =
-cfg.d, and the shifts.  Role r reads the stream _rng(seed,
-TRIAL_STREAMS, r) in trial order, so reports do not depend on the chunk
-size.  The frame test reads F on even trials and F with its last
+cfg.d, and the shifts.  Role r of the trials of block k, the k-th run of
+_per(cfg, BLOCK_ENTRIES) trials, reads the stream _rng(seed,
+TRIAL_STREAMS, r, k) in trial order, so a context depends on cfg and its
+trials alone.  The frame test reads F on even trials and F with its last
 coordinate zeroed, no frame, on odd ones.  The certificates and the induced
 dual read the instance itself: a trial whose multiplier is singular under
 hb.cutoff aborts both with NotInvertibleError, as at N < d.
@@ -49,12 +51,12 @@ hb.cutoff aborts both with NotInvertibleError, as at N < d.
 A context computes each quantity of SHARED once, on first use.  One that
 raises (the dual of a draw that is no frame) raises in every check that
 reads it and in no other.  run_suite evaluates chunk by chunk, and a chunk
-ends at every trial cap of the run's checks, so each check reads whole
-chunks: it builds the chunk's one context, runs on it, in table order,
-every stacked measure of the run that has not reached its cap, keeps the
-per-trial values and drops the context before it draws the next chunk.
-replay(cfg, K) is the context of trial K alone, drawn after every role
-stream has been read past trials 0..K-1.
+ends at every block end and every trial cap of the run's checks, so each
+check reads whole chunks: it builds the chunk's one context, runs on it, in
+table order, every stacked measure of the run that has not reached its cap,
+keeps the per-trial values and drops the context before it draws the next
+chunk.  Trials(cfg, range(K, K + 1)) is the context of trial K alone: it
+opens the streams of K's block and draws at most that block's trials.
 """
 
 from __future__ import annotations
@@ -177,19 +179,26 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 # complex entries a stack of d x N frames or d x d operators holds: a chunk
-# has max(1, STACK_ENTRIES // (d max(d, N))) trials, 64 at d = 8, N = 64, and
-# one, as in a per-trial loop, from d max(d, N) = 2^15 on
+# has at most _per(cfg, STACK_ENTRIES) trials, 64 at d = 8, N = 64, and one,
+# as in a per-trial loop, from d max(d, N) = 2^15 on
 STACK_ENTRIES = 2**15
+# complex entries of a block, whose trials draw each role from one stream
+BLOCK_ENTRIES = 2**15
+
+
+def _per(cfg: SuiteConfig, entries: int) -> int:
+    """max(1, entries // (d max(d, N))), the trials of a chunk or block."""
+    return max(1, entries // (cfg.d * max(cfg.d, cfg.n_points)))
 
 
 def _chunks(cfg: SuiteConfig, limits) -> list[range]:
-    """Consecutive chunks of the first max(limits) trials, each ending after
-    max(1, STACK_ENTRIES // (d max(d, N))) trials or at the next limit."""
-    size, start, chunks = max(1, STACK_ENTRIES // (cfg.d * max(cfg.d, cfg.n_points))), 0, []
-    for limit in sorted(set(limits)):
-        chunks += [range(i, min(i + size, limit)) for i in range(start, limit, size)]
-        start = limit
-    return chunks
+    """Consecutive chunks of the first max(limits) trials: from each limit
+    and block end on, chunks of _per(cfg, STACK_ENTRIES) trials, the last
+    cut short at the next limit or block end."""
+    size, block = _per(cfg, STACK_ENTRIES), _per(cfg, BLOCK_ENTRIES)
+    cuts = sorted({*limits, *range(block, max(limits, default=0), block)})
+    return [range(i, min(i + size, stop))
+            for start, stop in zip([0, *cuts], cuts) for i in range(start, stop, size)]
 
 
 # roles: role(rng, cfg, count) draws the array of each of ``count``
@@ -201,16 +210,14 @@ def _shape(cfg: SuiteConfig, dims) -> tuple:
     return tuple(sizes.get(dim, dim) for dim in dims)
 
 
-def _normals(rng, shape) -> np.ndarray:
+def _complex(*dims):
     """Complex standard normals, the real and then the imaginary part of each
     entry, filled in place."""
-    out = np.empty(shape, dtype=complex)
-    rng.standard_normal(out=out.view(float))
-    return out
-
-
-def _complex(*dims):
-    return lambda rng, cfg, count: _normals(rng, (count, *_shape(cfg, dims)))
+    def draw(rng, cfg, count):
+        out = np.empty((count, *_shape(cfg, dims)), dtype=complex)
+        rng.standard_normal(out=out.view(float))
+        return out
+    return draw
 
 
 def _uniform(low, high, *dims, dtype=float):
@@ -228,10 +235,10 @@ _VECTORS = _complex("d", "n")
 _SYMBOL = _complex("n")
 # the (t, alpha, beta) of a power or an affine control
 _PARAMS = _uniform((-1.0, 0.5, 0.1), (1.5, 2.0, 1.0), 3)
-# the roles of a trial, role r reading the stream _rng(seed, TRIAL_STREAMS, r):
-# the instance (w, F, G, m), weights, analysis and synthesis vectors and
-# symbol, then the roles the checks read beside it, last a time and a
-# frequency shift in [0, d)
+# the roles of a trial, role r of the trials of block k reading the stream
+# _rng(seed, TRIAL_STREAMS, r, k): the instance (w, F, G, m), weights,
+# analysis and synthesis vectors and symbol, then the roles the checks read
+# beside it, last a time and a frequency shift in [0, d)
 PLAIN = {"w": _uniform(0.2, 2.0, "n"), "F": _VECTORS, "G": _VECTORS, "m": _SYMBOL,
          "symbol": _SYMBOL, "vectors": _VECTORS,
          "tests": _complex(20, "d"), "eps": _uniform(0.05, 1.0),
@@ -287,40 +294,23 @@ class Inputs:
 
 
 class Trials(Inputs):
-    """The inputs of a chunk of trials: the arrays of the roles of PLAIN
-    and the quantities of SHARED."""
+    """The inputs of a chunk of trials, all of one block: the arrays of the
+    roles of PLAIN and the quantities of SHARED."""
 
-    def __init__(self, cfg: SuiteConfig, trials: range, streams: dict | None = None):
+    def __init__(self, cfg: SuiteConfig, trials: range):
         super().__init__(SHARED)
         self.cfg, self.trials = cfg, trials
-        # role name -> [stream, first trial it has not drawn], for the run
-        self._streams = {} if streams is None else streams
 
     def _evaluate(self, name: str):
         return self._read(name) if name in PLAIN else super()._evaluate(name)
 
     def _read(self, name: str) -> np.ndarray:
-        """The draws of role ``name`` for the context's trials, read from its
-        stream where they begin."""
-        stream = self._streams.get(name)
-        if stream is None:
-            index = list(PLAIN).index(name)
-            stream = self._streams[name] = [_rng(self.cfg.seed, TRIAL_STREAMS, index), 0]
-        if stream[1] != self.trials.start:
-            raise RuntimeError(f"role {name!r} read out of trial order")
-        stream[1] = self.trials.stop
-        return PLAIN[name](stream[0], self.cfg, len(self.trials))
-
-
-def replay(cfg: SuiteConfig, trial: int) -> Trials:
-    """The context of trial ``trial`` alone, as a run draws it: after every
-    role stream is read past trials 0..trial-1, chunk by chunk."""
-    streams = {}
-    for chunk in _chunks(cfg, {trial}):
-        past = Trials(cfg, chunk, streams)
-        for name in PLAIN:
-            getattr(past, name)
-    return Trials(cfg, range(trial, trial + 1), streams)
+        """The draws of role ``name`` for the context's trials: its stream of
+        their block, read past the block's trials before them."""
+        block, draw, start = _per(self.cfg, BLOCK_ENTRIES), PLAIN[name], self.trials.start
+        rng = _rng(self.cfg.seed, TRIAL_STREAMS, list(PLAIN).index(name), start // block)
+        draw(rng, self.cfg, start % block)
+        return draw(rng, self.cfg, len(self.trials))
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +424,8 @@ def _stacked_values(cfg: SuiteConfig, check_ids) -> dict:
     limits = {c: min(cfg.trials, CHECKS[c].cap or cfg.trials)
               for c in check_ids if CHECKS[c].kind is not None}
     values = {c: [] for c in limits}
-    streams = {}  # the role streams of the run
     for chunk in _chunks(cfg, limits.values()):
-        _measure_chunk(Trials(cfg, chunk, streams),
+        _measure_chunk(Trials(cfg, chunk),
                        [c for c in limits if limits[c] > chunk.start], values)
     return values
 
@@ -468,7 +457,7 @@ RANGE = "in [1.5, tol]"
 # the gates of the subcommand tables, against the bound b the measure gives
 RELATIVE = "|x - b| <= tol b"
 ABSOLUTE = "|x - b| <= tol"
-BUDGET = "x <= b + tol"
+BUDGET = "x <= b + tol b"
 POSITIVE = "finite and > 0"
 
 
@@ -510,7 +499,7 @@ def verdict(check_id: str, row: "Row", tol: float, values) -> Check:
     passed = failing == 0 and {
         FLOOR: measured >= tol, RANGE: 1.5 <= measured <= tol,
         RELATIVE: abs(measured - budget) <= tol * budget,
-        ABSOLUTE: abs(measured - budget) <= tol, BUDGET: measured <= budget + tol,
+        ABSOLUTE: abs(measured - budget) <= tol, BUDGET: measured <= (1.0 + tol) * budget,
         POSITIVE: 0.0 < measured < math.inf}.get(row.gate, measured <= tol)
     shown = {"measured": measured, "budget": budget}
     off = [f"{name} {value!r}" for name, value in shown.items() if not math.isfinite(value)]
@@ -1195,6 +1184,7 @@ def run_suite(config: SuiteConfig) -> Report:
                    _measured(config, _stacked_values(config, table)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_gabor(d: int, window="gaussian") -> Report:
     """Tightness report for one cyclic Gabor system: the rows of GABOR_RUN
     on its frame operator S, built (and the window checked) before them.
@@ -1211,6 +1201,7 @@ def run_gabor(d: int, window="gaussian") -> Report:
     return _report(report, GABOR_RUN, {}, lambda _, row: row.measure(run))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_wavelet(d: int = CALDERON_DEFAULTS["d"], wavelet: tf.WaveletSpec | None = None,
                 a_min: float = CALDERON_DEFAULTS["a_min"],
                 a_max: float = CALDERON_DEFAULTS["a_max"], n_a: int = CALDERON_DEFAULTS["n_a"],
@@ -1228,6 +1219,7 @@ def run_wavelet(d: int = CALDERON_DEFAULTS["d"], wavelet: tf.WaveletSpec | None 
     return _report(report, table, {}, lambda _, row: row.measure(run))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_multiplier(config: dict) -> tuple[Report, str]:
     """Budget report plus singular-value CSV for one configured multiplier:
     the rows of MULTIPLIER_RUN, equals_frame_operator only for a symbol

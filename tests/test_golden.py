@@ -1,4 +1,5 @@
-"""Measured values of the seven verify suites, pinned to literals.
+"""Measured values of the seven verify suites, pinned to literals at a size
+inside the first block of trials and at one that crosses a block end.
 
 The suites draw every instance from seeded streams, so a change to the
 streams, to the order in which roles read them or to a measure changes
@@ -87,13 +88,81 @@ GOLDEN = {
     },
 }
 
+# the six seeded suites at d = 8, N = 64: a block holds 64 trials, so these
+# 70 cross a block end, and the caps of 20 and 50 cut block 0 into chunks
+GOLDEN_ACROSS_A_BLOCK = {
+    "identities": {
+        "canonical_dual_pair": 1.578438077751755e-15,
+        "difference_analysis": 1.975046147828359e-15,
+        "difference_symbol": 2.507277657281621e-15,
+        "difference_synthesis": 2.142591510680771e-15,
+        "dual_bounds_inverse": 2.4075298668538294e-15,
+        "frame_factorization": 6.073768117887212e-16,
+        "frame_iff_invertible": 0.0,
+        "multiplier_adjoint": 1.380092680302785e-15,
+        "reconstruction": 7.298465351142197e-16,
+        "reconstruction_swapped": 7.1547061648335645e-16,
+        "weighted_identity": 5.337984652171803e-16,
+    },
+    "bounds": {
+        "bessel_inequality": 0.0,
+        "bessel_sharpness": 2.1712121765505633e-15,
+        "discrete_bessel_norm_bound": -7.50290053631327,
+        "op_norm_budget": -396.05650211785587,
+        "perturb_lower": -34.271038439689704,
+        "perturb_upper": -213.73590204955207,
+        "schatten_budget_p15": -755.6531409827683,
+        "schatten_budget_p2": -575.5289086238923,
+        "schatten_budget_p3": -466.1273063645567,
+        "schatten_monotonicity": 0.0,
+        "trace_budget": -1417.2849080104388,
+        "unbounded_bessel_cap": 7.105427357601002e-15,
+        "unbounded_norm_growth": 1.7782794100389225,
+    },
+    "convergence": {
+        "frame_uniform_l1": -134.4645660073422,
+        "frame_uniform_l2": -39.388460079256134,
+        "symbol_convergence_p1": -110.7275900396146,
+        "symbol_convergence_p2": -38.87789155497104,
+        "symbol_convergence_pinf": -23.811779990196854,
+        "truncation_budget": 0.0,
+        "truncation_monotone": 0.0,
+    },
+    "controlled": {
+        "controlled_bounds_map": 2.4424906541753444e-15,
+        "controlled_factorization": 2.4355318697345034e-15,
+        "controlled_implies_frame": 0.0,
+        "controlled_positivity": 0.0,
+        "controlled_spectral_mapping": 2.4424906541753416e-15,
+        "precondition_identity": 3.113981094526827e-15,
+    },
+    "gabor": {
+        "gabor_tightness": 1.50935385938606e-15,
+        "stft_energy": 5.063900072510161e-16,
+        "stft_matches_analysis": 1.4475537224895361e-15,
+        "stft_orthogonality": 1.2412670766236366e-16,
+        "tf_shift_unitarity": 8.881784197001252e-16,
+    },
+    "weighted": {
+        "certificates": -53.810247047304124,
+        "multiplier_dual": 3.742293041936766e-14,
+        "positive_symbol_coercivity": -39.49348105900167,
+        "weighted_scaling": 1.8115705302111977e-15,
+    },
+}
+# (d, n, trials) -> the pinned values of each suite at that size
+SIZES = {(4, 12, 10): GOLDEN, (8, 64, 70): GOLDEN_ACROSS_A_BLOCK}
+
 
 @pytest.mark.parametrize("suite", sorted(GOLDEN))
 def test_measured_values_equal_the_pinned_literals(suite, tmp_path):
     out = tmp_path / "report.json"
-    assert main(["verify", "--suite", suite, "--d", "4", "--n", "12", "--trials", "10",
-                 "--seed", "0", "--out", str(out)]) == 0
-    # strict JSON: a NaN or an infinity in the report fails
-    checks = json.loads(out.read_text(), parse_constant=lambda token: pytest.fail(token))[
-        "checks"]
-    assert {c["check_id"]: c["measured"] for c in checks} == GOLDEN[suite]
+    for (d, n, trials), golden in SIZES.items():
+        if suite not in golden:
+            continue
+        assert main(["verify", "--suite", suite, "--d", str(d), "--n", str(n),
+                     "--trials", str(trials), "--seed", "0", "--out", str(out)]) == 0
+        # strict JSON: a NaN or an infinity in the report fails
+        checks = json.loads(out.read_text(),
+                            parse_constant=lambda token: pytest.fail(token))["checks"]
+        assert {c["check_id"]: c["measured"] for c in checks} == golden[suite]

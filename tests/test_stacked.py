@@ -7,8 +7,8 @@ computed once per chunk.  The oracle here is the
 per-trial loop, written with the 2-d API (``frame_bounds``,
 ``canonical_dual``, ``multiplier``, ``bound_budget``, ``make_control``,
 ``controlled_bounds``, ``convergence_experiment``, ``gabor_frame_operator``,
-``stft``, ...) on each trial's instance and test vectors
-(``suites.replay``); the stacked values of every
+``stft``, ...) on each trial's instance and test vectors (the context
+``Trials(cfg, range(i, i + 1))``); the stacked values of every
 check must equal it exactly.
 """
 
@@ -60,7 +60,7 @@ from contframes.suites import (
     PLAIN,
     TRIAL_STREAMS,
     SuiteConfig,
-    replay,
+    Trials,
     run_suite,
 )
 
@@ -71,11 +71,11 @@ def bits(a):
 
 
 class draws:
-    """Trial i of a stacked check: each array of its replayed context, as
-    the single-frame API takes it."""
+    """Trial i of a stacked check: each array of its context alone, as the
+    single-frame API takes it."""
 
     def __init__(self, cfg, i):
-        self.context = replay(cfg, i)
+        self.context = Trials(cfg, range(i, i + 1))
 
     def __getattr__(self, name):
         return getattr(self.context, name)[0]
@@ -970,7 +970,7 @@ def dense_certificates(m, F, G):
 def test_single_instance_api_equals_its_dense_form(d, n):
     cfg = SuiteConfig(seed=17, d=d, n_points=n, trials=3)
     for i in range(3):
-        t = replay(cfg, i)
+        t = Trials(cfg, range(i, i + 1))
         F, G = frames(t.w[0], t.F[0], t.G[0])
         m = Symbol(t.m[0], F.space)
         rng = np.random.default_rng([17, 301, i])
@@ -1162,15 +1162,18 @@ def test_chunk_rule():
     assert sizes(1, 1, 3, {3}) == [3]
     assert sizes(8, 64, 200, {100}) == [64, 36]
     assert sizes(8, 64, 10, {10}) == [10]
-    # every chunk ends at each limit: the caps of verify --suite all
+    # every chunk ends at each limit, the caps of verify --suite all, and at
+    # each block end, every 64 trials here
     limits = {200, 100, 50, 20}
-    assert sizes(8, 64, 200, limits) == [20, 30, 50, 64, 36]
-    assert sizes(8, 64, 200, {100, 50}) == [50, 50]
+    assert sizes(8, 64, 200, limits) == [20, 30, 14, 36, 28, 64, 8]
+    assert sizes(8, 64, 200, {100, 50}) == [50, 14, 36]
     for args in [(8, 64, 200, limits), (4, 12, 57, {57, 50, 20}), (1, 1, 3, {3, 2, 1})]:
         found = chunks(*args)
         assert [c.start for c in found[1:]] == [c.stop for c in found[:-1]]
         assert found[0].start == 0 and found[-1].stop == max(args[-1])
         assert not any(c.start < limit < c.stop for c in found for limit in args[-1])
+        block = suites._per(SuiteConfig(d=args[0], n_points=args[1]), suites.BLOCK_ENTRIES)
+        assert all(c.start // block == (c.stop - 1) // block for c in found)
 
 
 def test_chunks_are_sized_by_the_d_by_d_operators_when_n_is_below_d():
@@ -1187,16 +1190,19 @@ def run_fresh(cfg):
     return run_suite(cfg).checks
 
 
-@pytest.mark.parametrize("per_chunk", [1, 7, 20])
+@pytest.mark.parametrize("per_chunk", [1, 3, 7, 20])
 def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
+    # blocks of 5 trials: chunks of 1 and 3 start inside a block and read
+    # its stream past the trials before them
     d, n, trials = 4, 12, 20
+    monkeypatch.setattr(suites, "BLOCK_ENTRIES", 5 * d * n)
     reference = {s: run_fresh(SuiteConfig(suite=s, trials=trials, d=d, n_points=n,
                                           seed=3))
                  for s in SEEDED}
     monkeypatch.setattr(suites, "STACK_ENTRIES", per_chunk * d * n)
-    assert {len(c) for c in suites._chunks(
-        SuiteConfig(trials=trials, d=d, n_points=n), {trials})} <= {
-            per_chunk, trials % per_chunk}
+    chunks = suites._chunks(SuiteConfig(trials=trials, d=d, n_points=n), {trials})
+    assert {len(c) for c in chunks} <= {per_chunk, 5 % per_chunk, 5}
+    assert any(c.start % 5 for c in chunks) == (per_chunk < 5)
     for suite, checks in reference.items():
         assert run_fresh(SuiteConfig(suite=suite, trials=trials, d=d, n_points=n,
                                      seed=3)) == checks
@@ -1311,19 +1317,51 @@ def test_the_weighted_suite_forms_s_f_once_a_trial(monkeypatch):
     assert formed == list(range(100))
 
 
-def test_stacked_instances_equal_replay():
+def test_stacked_instances_equal_replay(monkeypatch):
+    # blocks of 3 trials: the chunks of 8 trials are [0, 3), [3, 6), [6, 8)
+    monkeypatch.setattr(suites, "BLOCK_ENTRIES", 3 * 3 * 5)
     cfg = SuiteConfig(seed=2, d=3, n_points=5)
-    t = suites.Trials(cfg, range(4))
-    for i in range(4):
-        single = replay(cfg, i)
-        for name in ("w", "F", "G", "m"):
-            assert np.array_equal(bits(getattr(t, name)[i]), bits(getattr(single, name)[0]))
+    for chunk in suites._chunks(cfg, {8}):
+        t = Trials(cfg, chunk)
+        for k, i in enumerate(chunk):
+            single = Trials(cfg, range(i, i + 1))
+            for name in PLAIN:
+                assert np.array_equal(bits(getattr(t, name)[k]), bits(getattr(single, name)[0]))
+
+
+def recorded_draws(monkeypatch) -> list:
+    """(role, count) of every role draw from now on, in order."""
+    draws = []
+    for name, draw in PLAIN.items():
+        monkeypatch.setitem(PLAIN, name, lambda rng, cfg, count, name=name, draw=draw:
+                            draws.append((name, count)) or draw(rng, cfg, count))
+    return draws
+
+
+@pytest.mark.parametrize("d,n,trial,block,first", [(64, 512, 20, 20, 20), (8, 64, 70, 1, 64)])
+def test_a_single_trial_context_reads_its_block_alone(monkeypatch, d, n, trial, block, first):
+    # a block of one trial at (64, 512) and of 64 trials at (8, 64): the
+    # context opens the streams of its block and reads them from its first
+    # trial on, the block's trials before it drawn and dropped
+    cfg = SuiteConfig(seed=9, d=d, n_points=n)
+    keys, counts = recorded_streams(monkeypatch), recorded_draws(monkeypatch)
+    single = Trials(cfg, range(trial, trial + 1))
+    for name in PLAIN:
+        getattr(single, name)
+    assert keys == [(9, TRIAL_STREAMS, r, block) for r in range(len(PLAIN))]
+    assert counts == [(name, count) for name in PLAIN for count in (trial - first, 1)]
+    # the values of the trial in the chunk of a run that holds it
+    chunk = next(c for c in suites._chunks(cfg, {trial + 1}) if trial in c)
+    assert chunk.start == first
+    run = Trials(cfg, chunk)
+    for name in PLAIN:
+        assert np.array_equal(bits(getattr(run, name)[-1]), bits(getattr(single, name)[0]))
 
 
 def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
-    # the stacked checks read the streams [seed, TRIAL_STREAMS, role], so a
-    # run opens each of them once, and no two roles share one; no trial or
-    # check opens a stream of its own
+    # the stacked checks read the streams [seed, TRIAL_STREAMS, role, block],
+    # so a run of one chunk opens each of them once, and no two roles share
+    # one; no trial or check opens a stream of its own
     keys = recorded_streams(monkeypatch)
     assert main(["verify", "--suite", "all", "--d", "4", "--n", "12", "--trials", "9",
                  "--out", str(tmp_path / "report.json")]) == 0
@@ -1336,11 +1374,11 @@ def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
             key.pop()
         return tuple(key)
 
-    assert (0, TRIAL_STREAMS, len(PLAIN) - 1) in keys  # the shifts, the last role
-    # the trial streams and the two unbounded families
-    assert {key[1] for key in keys} == {TRIAL_STREAMS, 123, 124}
+    # the trial streams of block 0, the only block, and the two unbounded
+    # families
+    assert sorted(keys) == sorted([(0, TRIAL_STREAMS, r, 0) for r in range(len(PLAIN))]
+                                  + [(0, 123), (0, 124)])
     assert len({stripped(key) for key in keys}) == len(keys)
-    assert not [key for key in keys if len(key) == 4]
 
 
 # ---------------------------------------------------------------------------

@@ -193,9 +193,9 @@ def test_every_subcommand_check_can_fail(monkeypatch, check_id):
     (suites.ABSOLUTE, 1.0, above(5.0), 4.0, False),
     (suites.ABSOLUTE, 1.0, below(3.0), 4.0, False),
     # x <= b + tol
-    (suites.BUDGET, 0.5, 2.5, 2.0, True),
+    (suites.BUDGET, 0.5, 3.0, 2.0, True),
     (suites.BUDGET, 0.5, -100.0, 2.0, True),
-    (suites.BUDGET, 0.5, above(2.5), 2.0, False),
+    (suites.BUDGET, 0.5, above(3.0), 2.0, False),
     # finite and > 0
     (suites.POSITIVE, 0.0, 5e-324, 0.0, True),
     (suites.POSITIVE, 0.0, 0.0, 0.0, False),
@@ -224,7 +224,7 @@ def test_non_finite_values_and_bounds_move_into_the_detail(gate, measured, bound
 # an input that overflows is recorded in a strict-JSON report
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gabor_command_records_an_overflowing_window(tmp_path, capsys):
     window = tmp_path / "window.json"
     window.write_text(json.dumps([1e200, 0.0, 0.0, 0.0]))
@@ -244,7 +244,7 @@ def test_gabor_command_records_an_overflowing_window(tmp_path, capsys):
     assert "gabor-run: 0/3 checks passed" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_multiplier_command_records_an_overflowing_frame(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(multiplier_config()
@@ -261,6 +261,19 @@ def test_multiplier_command_records_an_overflowing_frame(tmp_path, capsys):
         assert checks[check_id]["error"].startswith("NumericFailureError")
     assert checks["adjoint_identity"]["pass"]
     assert len(sigma.read_text().splitlines()) == 5
+
+
+def test_the_budget_gate_is_relative_to_the_budget():
+    # both frames scaled by 1e-160: the operator norm underflows to a
+    # subnormal against an operator-norm budget of 0, which an absolute
+    # tolerance of 1e-10 passed
+    F, G = frames(scale=1e-160)
+    config = multiplier_config() | {"analysis_frame": F.to_dict(),
+                                    "synthesis_frame": G.to_dict()}
+    checks = {c.check_id: c for c in suites.run_multiplier(config)[0].checks}
+    pinf = checks["budget_pinf"]
+    assert pinf.budget == 0.0 < pinf.measured and not pinf.passed
+    assert [c for c, check in checks.items() if not check.passed] == ["budget_pinf"]
 
 
 def test_multiplier_csv_has_no_rows_without_singular_values(monkeypatch):
