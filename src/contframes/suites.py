@@ -12,51 +12,43 @@ says how verdict() folds the values and compares them: max from 0 or from
 [1.5, tol], finite and > 0, or, against a bound b the measure gives,
 |x - b| <= tol b, |x - b| <= tol or x <= b + tol b.  _report makes
 every Check of every report, a verdict() or the abort record of a check
-whose measure raised: run_suite measures the stacked rows of its suite
-together, and the subcommand runs build their inputs once, under
+whose measure raised; the subcommand runs build their inputs once, under
 np.errstate(over="ignore", invalid="ignore"); run_check(cfg, id) runs one
 suite check afresh.  All randomness flows through per-role seed
 derivation, so a report for a given configuration is reproducible
 bit-for-bit (timestamps aside).
 
 The identities, bounds, convergence, gabor, controlled and weighted suites
-measure their trials in stacks: a chunk of at most _per(cfg, STACK_ENTRIES)
-trials is drawn at once and every step is one numpy call over the stack,
-through the array kernels of the single-frame and single-window API, so
-the values equal those of a per-trial loop on the same draws.  The wavelet
-and unbounded-family rows are not stacked: their measure is a function of
-the configuration that gives the value, or the value and a detail.  The
-Calderon study reads no input and is computed once a process.
+measure their trials in stacks, a block at a time: every step is one numpy
+call over the stack, through the array kernels of the single-frame and
+single-window API, so the values equal those of a per-trial loop on the same
+draws.  The wavelet and unbounded-family rows are not stacked: their measure
+is a function of the configuration that gives the value, or the value and a
+detail.  The Calderon study reads no input and is computed once a process.
 
 Norm policy: the one rule of the hilbert docstring.  The scales a context
 holds are bounds_F.upper for S_F, L_scale for L and M_scale, ||M||_F /
 sqrt(d), for M.
 
 Trial contexts: the paper states each result for one frame pair (F, G) and
-one symbol, so the checks of a suite read one instance per trial.  A
-stacked row's measure is a function of the Trials context of a chunk: the
-roles of PLAIN, the instance (w, F, G, m) and, drawn on first use, a second
-symbol, second vectors (the difference identities and the convergence
-bumps), test vectors, eps, a nonnegative symbol, the controls of F and of
-G, delta and offsets above it, and a time and a frequency shift.  The gabor
-rows read the first four test vectors as windows and signals in C^d, d =
-cfg.d, and the shifts.  Role r of the trials of block k, the k-th run of
-_per(cfg, BLOCK_ENTRIES) trials, reads the stream _rng(seed,
-TRIAL_STREAMS, r, k) in trial order, so a context depends on cfg and its
-trials alone.  The frame test reads F on even trials and F with its last
-coordinate zeroed, no frame, on odd ones.  The certificates and the induced
-dual read the instance itself: a trial whose multiplier is singular under
-hb.cutoff aborts both with NotInvertibleError, as at N < d.
+one symbol, so the checks of a suite read one instance per trial.  A stacked
+row's measure is a function of a Trials context, whose roles of PLAIN are
+each drawn on first use; the gabor rows read the first four test vectors as
+windows and signals in C^d, d = cfg.d, and the shifts.  Role r of the trials
+of block k, the k-th run of _block_trials(cfg) trials, reads the stream
+_rng(seed, TRIAL_STREAMS, r, k) in trial order, so a context depends on cfg
+and its trials alone.  A trial whose multiplier is singular under hb.cutoff
+aborts the certificates and the induced dual, which read the instance
+itself, with NotInvertibleError, as at N < d.
 
-A context computes each quantity of SHARED once, on first use.  One that
-raises (the dual of a draw that is no frame) raises in every check that
-reads it and in no other.  run_suite evaluates chunk by chunk, and a chunk
-ends at every block end and every trial cap of the run's checks, so each
-check reads whole chunks: it builds the chunk's one context, runs on it, in
-table order, every stacked measure of the run that has not reached its cap,
-keeps the per-trial values and drops the context before it draws the next
-chunk.  Trials(cfg, range(K, K + 1)) is the context of trial K alone: it
-opens the streams of K's block and draws at most that block's trials.
+A context computes each quantity of SHARED once; one that raises (the dual
+of a draw that is no frame) raises in every check that reads it and in no
+other.  run_suite runs every stacked measure, in table order, on one context
+a block, and a check whose cap ends inside the block on the Head of the
+block's trials before the cap, which never takes the block's errors.
+Trials(cfg, range(K, K + 1)) is the context of trial K alone: it opens the
+streams of K's block and draws at most that block's trials; a range across a
+block end is refused.
 """
 
 from __future__ import annotations
@@ -178,27 +170,14 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed)] + [int(k) for k in key])
 
 
-# complex entries a stack of d x N frames or d x d operators holds: a chunk
-# has at most _per(cfg, STACK_ENTRIES) trials, 64 at d = 8, N = 64, and one,
-# as in a per-trial loop, from d max(d, N) = 2^15 on
-STACK_ENTRIES = 2**15
-# complex entries of a block, whose trials draw each role from one stream
+# complex entries a block of d x N frames or d x d operators holds, whose
+# trials draw each role from one stream: 64 trials at d = 8, N = 64, and
+# one, as in a per-trial loop, from d max(d, N) = 2^15 on
 BLOCK_ENTRIES = 2**15
 
 
-def _per(cfg: SuiteConfig, entries: int) -> int:
-    """max(1, entries // (d max(d, N))), the trials of a chunk or block."""
-    return max(1, entries // (cfg.d * max(cfg.d, cfg.n_points)))
-
-
-def _chunks(cfg: SuiteConfig, limits) -> list[range]:
-    """Consecutive chunks of the first max(limits) trials: from each limit
-    and block end on, chunks of _per(cfg, STACK_ENTRIES) trials, the last
-    cut short at the next limit or block end."""
-    size, block = _per(cfg, STACK_ENTRIES), _per(cfg, BLOCK_ENTRIES)
-    cuts = sorted({*limits, *range(block, max(limits, default=0), block)})
-    return [range(i, min(i + size, stop))
-            for start, stop in zip([0, *cuts], cuts) for i in range(start, stop, size)]
+def _block_trials(cfg: SuiteConfig) -> int:
+    return max(1, BLOCK_ENTRIES // (cfg.d * max(cfg.d, cfg.n_points)))
 
 
 # roles: role(rng, cfg, count) draws the array of each of ``count``
@@ -294,10 +273,12 @@ class Inputs:
 
 
 class Trials(Inputs):
-    """The inputs of a chunk of trials, all of one block: the arrays of the
-    roles of PLAIN and the quantities of SHARED."""
+    """The inputs of trials of one block: the roles of PLAIN and the quantities of SHARED."""
 
     def __init__(self, cfg: SuiteConfig, trials: range):
+        block = _block_trials(cfg)
+        if trials and trials.start // block != trials[-1] // block:
+            raise InvalidParameterError(f"trials {trials} cross the end of a {block}-trial block")
         super().__init__(SHARED)
         self.cfg, self.trials = cfg, trials
 
@@ -307,7 +288,7 @@ class Trials(Inputs):
     def _read(self, name: str) -> np.ndarray:
         """The draws of role ``name`` for the context's trials: its stream of
         their block, read past the block's trials before them."""
-        block, draw, start = _per(self.cfg, BLOCK_ENTRIES), PLAIN[name], self.trials.start
+        block, draw, start = _block_trials(self.cfg), PLAIN[name], self.trials.start
         rng = _rng(self.cfg.seed, TRIAL_STREAMS, list(PLAIN).index(name), start // block)
         draw(rng, self.cfg, start % block)
         return draw(rng, self.cfg, len(self.trials))
@@ -415,31 +396,50 @@ SHARED = {
 
 
 # ---------------------------------------------------------------------------
-# evaluation chunk by chunk
+# evaluation block by block
 # ---------------------------------------------------------------------------
 
+class Head(Trials):
+    """The first trials of a block's context, up to ``stop``: what the block
+    holds, cut to them, and the rest drawn or computed on them alone."""
+
+    def __init__(self, block: Trials, stop: int):
+        super().__init__(block.cfg, range(block.trials.start, stop))
+        self._block = block
+
+    def _evaluate(self, name: str):
+        held = vars(self._block)
+        return _first(held[name], len(self.trials)) if name in held else super()._evaluate(name)
+
+
+def _first(value, count: int):
+    """The first ``count`` trials of an array, a list or a tuple or frame bounds of them."""
+    if isinstance(value, fr.FrameBounds):
+        return fr.FrameBounds(*_first((value.lower, value.upper, value.is_frame), count))
+    if isinstance(value, tuple):
+        return getattr(value, "_make", tuple)(_first(part, count) for part in value)
+    return value[:count]
+
+
 def _stacked_values(cfg: SuiteConfig, check_ids) -> dict:
-    """The values of each stacked check of ``check_ids``, chunk by chunk in
-    trial order, or the first exception its measure raised."""
+    """Each stacked check of ``check_ids``: its values block by block, or what it raised."""
     limits = {c: min(cfg.trials, CHECKS[c].cap or cfg.trials)
               for c in check_ids if CHECKS[c].kind is not None}
     values = {c: [] for c in limits}
-    for chunk in _chunks(cfg, limits.values()):
-        _measure_chunk(Trials(cfg, chunk),
-                       [c for c in limits if limits[c] > chunk.start], values)
+    size, stop = _block_trials(cfg), max(limits.values(), default=0)
+    for start in range(0, stop, size):
+        # rebinding both drops the last block's contexts before this one draws
+        block, heads = Trials(cfg, range(start, min(start + size, stop))), {}
+        for check_id, limit in limits.items():
+            if limit <= start or isinstance(values[check_id], Exception):
+                continue
+            if limit < block.trials.stop and limit not in heads:
+                heads[limit] = Head(block, limit)
+            try:
+                values[check_id].append(CHECKS[check_id].measure(heads.get(limit, block)))
+            except Exception as exc:  # the check aborts with it, the others go on
+                values[check_id] = exc.with_traceback(None)
     return values
-
-
-def _measure_chunk(context: Trials, check_ids: list, values: dict) -> None:
-    """Run the measure of every check of ``check_ids`` on the context, in
-    table order.  The context dies on return, before the next chunk draws."""
-    for check_id in check_ids:
-        if isinstance(values[check_id], Exception):
-            continue
-        try:
-            values[check_id].append(CHECKS[check_id].measure(context))
-        except Exception as exc:  # the check aborts with it, the others go on
-            values[check_id] = exc.with_traceback(None)
 
 
 # ---------------------------------------------------------------------------
@@ -461,24 +461,24 @@ BUDGET = "x <= b + tol b"
 POSITIVE = "finite and > 0"
 
 
-def _max(start: float, chunks) -> float:
-    """max of ``start`` and every value of every chunk, in order; NaN from
+def _max(start: float, contexts) -> float:
+    """max of ``start`` and every value of every context, in order; NaN from
     the first NaN value on (max keeps a NaN it starts from)."""
-    for values in chunks:
+    for values in contexts:
         values = np.ravel(values)
         start = math.nan if np.isnan(values).any() else max([start, *values.tolist()])
     return start
 
 
-def _count(chunks) -> int:
-    """The number of failing (true or nonzero) values of every chunk."""
-    return sum(int(np.count_nonzero(failing)) for failing in chunks)
+def _count(contexts) -> int:
+    """The number of failing (true or nonzero) values of every context."""
+    return sum(int(np.count_nonzero(failing)) for failing in contexts)
 
 
 def verdict(check_id: str, row: "Row", tol: float, values) -> Check:
     """The record of check ``check_id`` of table row ``row`` from what its
     measure gave, under tolerance ``tol``.  A stacked row gives the values
-    of each chunk in trial order, (value, failing) pairs under the gates
+    of each context in trial order, (value, failing) pairs under the gates
     that count.  Any other row gives the value, or the value and a detail,
     or those and the bound b its gate holds the value against; the budget
     of the record is b, or else the tolerance.  NaN fails every gate; a
@@ -490,7 +490,7 @@ def verdict(check_id: str, row: "Row", tol: float, values) -> Check:
     elif row.gate == COUNT:
         measured = failing = _count(values)
     elif row.gate == MAX_COUNT_SHOWN:
-        measured = _max(-math.inf, (chunk for chunk, _ in values))
+        measured = _max(-math.inf, (value for value, _ in values))
         failing = _count(flags for _, flags in values)
         detail = f"{failing} failing instance(s)"
     else:
@@ -1176,7 +1176,7 @@ def run_check(cfg: SuiteConfig, check_id: str) -> Check:
 
 def run_suite(config: SuiteConfig) -> Report:
     """Run every check of the configured suite and collect a report: the
-    stacked rows of the run are measured together, chunk by chunk, and a
+    stacked rows of the run are measured together, block by block, and a
     check that reads a shared quantity that raises records its error."""
     table = {c: row for c, row in CHECKS.items() if config.suite in ("all", row.suite)}
     report = Report(suite=config.suite, seed=config.seed, started=_timestamp())

@@ -656,15 +656,15 @@ def counted_calls(monkeypatch, name):
     return calls
 
 
-# the SVDs of one 64-trial chunk at d = 8, N = 64, each of a stack of 8 x 8
+# the SVDs of one 64-trial block at d = 8, N = 64, each of a stack of 8 x 8
 # matrices: identities takes the invertibility test of frame_iff_invertible
 # and the inverse of S_F for the dual; controlled the inverses of both
-# controls; weighted, in chunks of 50 and 14 trials (the cap of
-# multiplier_dual), sigma_M alone.  No SVD is taken only for a scale: the
+# controls; weighted sigma_M alone, which the head of multiplier_dual's
+# first 50 trials cuts from the block.  No SVD is taken only for a scale: the
 # defects are Frobenius norms over ||X||_F / sqrt(d) or a spectrum held
 # (hilbert's norm policy).
 SVDS = {"identities": [(64, 8, 8)] * 2, "controlled": [(64, 8, 8)] * 2,
-        "weighted": [(50, 8, 8), (14, 8, 8)]}
+        "weighted": [(64, 8, 8)]}
 
 
 @pytest.mark.parametrize("suite", sorted(SVDS))
@@ -677,7 +677,7 @@ def test_the_algebra_suites_take_the_pinned_svds(monkeypatch, tmp_path, suite):
 
 
 def test_a_singular_weighted_run_takes_one_svd(monkeypatch, tmp_path):
-    # at N < d every multiplier is singular: sigma_M of the one chunk aborts
+    # at N < d every multiplier is singular: sigma_M of the one block aborts
     # certificates and multiplier_dual, and nothing is drawn again
     calls = counted_calls(monkeypatch, "svd")
     assert main(["verify", "--suite", "weighted", "--d", "8", "--n", "4", "--trials", "5",

@@ -90,12 +90,12 @@ def test_small_bounds_report_independent_of_blas_threads(reports):
 
 
 def test_bounds_report_independent_of_blas_threads(reports):
-    # 70 trials at d = 8, N = 64 stack as chunks of 64 and 6
+    # 70 trials at d = 8, N = 64 stack as blocks of 64 and 6
     assert_same_across_threads(reports, "bounds")
 
 
 def test_controlled_report_independent_of_blas_threads(reports):
-    # 70 trials under the cap of 100 stack as chunks of 64 and 6
+    # 70 trials under the cap of 100 stack as blocks of 64 and 6
     assert_same_across_threads(reports, "controlled")
 
 
@@ -111,11 +111,11 @@ def test_weighted_report_independent_of_blas_threads(reports):
 
 
 def test_gabor_report_independent_of_blas_threads(reports):
-    # the gabor checks measure stacks of windows and vectors, a chunk of trials each
+    # the gabor checks measure stacks of windows and vectors, a block of trials each
     assert_same_across_threads(reports, "gabor")
 
 
 def test_all_suites_report_independent_of_blas_threads(reports):
     # every suite in one run: the stacked checks read one context per
-    # chunk, shared across the algebra suites
+    # block, shared across the algebra suites, or a head of it
     assert_same_across_threads(reports, "all")

@@ -89,7 +89,8 @@ GOLDEN = {
 }
 
 # the six seeded suites at d = 8, N = 64: a block holds 64 trials, so these
-# 70 cross a block end, and the caps of 20 and 50 cut block 0 into chunks
+# 70 cross a block end, and the caps of 20 and 50 end inside block 0, whose
+# capped checks read heads of it
 GOLDEN_ACROSS_A_BLOCK = {
     "identities": {
         "canonical_dual_pair": 1.578438077751755e-15,

@@ -1,10 +1,11 @@
 """The stacked trials of the identities, bounds, convergence, controlled,
 weighted and gabor suites against the single-frame and single-window API.
 
-Every stacked check reads a trial context: the draws of a chunk of trials,
+Every stacked check reads a trial context: the draws of a block of trials,
 with one generator call per role, and the quantities the checks share, each
-computed once per chunk.  The oracle here is the
-per-trial loop, written with the 2-d API (``frame_bounds``,
+computed once per block, or the head of a block that a trial cap ends
+inside, which cuts what the block holds to its trials.  The oracle here is
+the per-trial loop, written with the 2-d API (``frame_bounds``,
 ``canonical_dual``, ``multiplier``, ``bound_budget``, ``make_control``,
 ``controlled_bounds``, ``convergence_experiment``, ``gabor_frame_operator``,
 ``stft``, ...) on each trial's instance and test vectors (the context
@@ -510,10 +511,22 @@ def stacked(cfg, check_id):
     values = suites._stacked_values(cfg, (check_id,))[check_id]
     if isinstance(values, Exception):
         raise values
-    for chunk in values:
-        parts = chunk if isinstance(chunk, tuple) else (chunk,)
-        rows += np.column_stack([np.reshape(p, (len(p), -1)) for p in parts]).tolist()
+    for context in values:
+        rows += per_trial(context)
     return [v for row in rows for v in row]
+
+
+def per_trial(values):
+    """The values of each trial of what a stacked measure gives on one
+    context: an array, or a tuple of arrays, one row per trial."""
+    parts = values if isinstance(values, tuple) else (values,)
+    return np.column_stack([np.reshape(p, (len(p), -1)) for p in parts]).tolist()
+
+
+def blocks(cfg, trials):
+    """The trials of each block of the first ``trials`` trials."""
+    size = suites._block_trials(cfg)
+    return [range(i, min(i + size, trials)) for i in range(0, trials, size)]
 
 
 # the suites whose checks read trial contexts
@@ -591,9 +604,11 @@ def test_weighted_scaling_measures_the_rounding_of_the_reweighted_product(d, n):
     # rounds: the product is not 3 S_F bit for bit, so the check measures a
     # defect, where a reweighting by a power of two would measure 0.0
     cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=4)
-    t = suites.Trials(cfg, range(4))
-    reweighted = fr.weighted_gram(math.sqrt(3.0) * t.F, t.w, math.sqrt(3.0) * t.F)
-    assert not np.array_equal(bits(reweighted), bits(3.0 * t.S_F))
+    contexts = [Trials(cfg, block) for block in blocks(cfg, 4)]
+    reweighted = np.concatenate([fr.weighted_gram(math.sqrt(3.0) * t.F, t.w, math.sqrt(3.0) * t.F)
+                                 for t in contexts])
+    assert not np.array_equal(bits(reweighted),
+                              bits(np.concatenate([3.0 * t.S_F for t in contexts])))
     assert 0.0 < max(stacked(cfg, "weighted_scaling")) < 1e-14
 
 
@@ -729,16 +744,16 @@ def recorded_evaluations(monkeypatch) -> list:
 
 def test_each_family_draws_and_measures_once_per_configuration(monkeypatch):
     # the family of a role or quantity: the checks that read it
-    # chunks of 7 trials: 20 trials, or 20 under the cap of 20, take three;
-    # every check of every suite reads the contexts of the same three chunks
-    monkeypatch.setattr(suites, "STACK_ENTRIES", 7 * 4 * 12)
+    # blocks of 7 trials: 20 trials, or 20 under the cap of 20, take three;
+    # every check of every suite reads the contexts of the same three blocks
+    monkeypatch.setattr(suites, "BLOCK_ENTRIES", 7 * 4 * 12)
     cfg = SuiteConfig(suite="all", d=4, n_points=12, trials=20)
     # run_check measures each check afresh, as run_suite records it
     expected = [suites.run_check(cfg, check_id) for check_id in suites.CHECKS]
     calls = recorded_evaluations(monkeypatch)
     assert run_suite(cfg).checks == expected
-    # each role drawn and each quantity computed once a chunk, on the one
-    # context of the chunk
+    # each role drawn and each quantity computed once a block, on the one
+    # context of the block
     assert len(set(calls)) == len(calls)
     assert {start for start, _ in calls} == {0, 7, 14}
     names = {name for _, name in calls}
@@ -770,7 +785,7 @@ def test_a_family_whose_measure_raises_aborts_every_member(monkeypatch, tmp_path
 
 def test_a_family_measures_once_although_its_members_are_apart(monkeypatch):
     # the checks of the canonical dual are the 2nd, 3rd, 9th and 10th
-    # identities, the 1st reads S_F too; 5 trials are one chunk
+    # identities, the 1st reads S_F too; 5 trials are one block
     cfg = SuiteConfig(suite="identities", d=4, n_points=12, trials=5)
     ids = check_ids("identities")
     assert [ids.index(c) for c in ("reconstruction", "reconstruction_swapped",
@@ -853,8 +868,8 @@ def test_each_algebra_suite_draws_its_frames_once_a_trial(monkeypatch, suite, pe
 
 
 def test_each_shared_quantity_is_formed_once_a_trial(monkeypatch):
-    # 70 trials: the chunks [0, 20), [20, 50) and [50, 70) end at the caps of
-    # 20 and 50 trials, and every check reads whole chunks
+    # 70 trials: the blocks [0, 64) and [64, 70), and the heads of block 0
+    # under the caps of 20 and 50 trials cut the quantities it holds
     formed = {}
 
     def counted(name, compute):
@@ -872,26 +887,33 @@ def test_each_shared_quantity_is_formed_once_a_trial(monkeypatch):
         assert len(trials) == len(set(trials)), name
 
 
-def test_one_chunk_context_is_alive_at_a_time(monkeypatch):
-    monkeypatch.setattr(suites, "STACK_ENTRIES", 3 * 4 * 12)
+def test_the_contexts_of_one_block_are_gone_before_the_next_block_draws(monkeypatch):
+    # blocks of 3 trials; the cap of 20 ends inside the block [18, 21)
+    monkeypatch.setattr(suites, "BLOCK_ENTRIES", 3 * 4 * 12)
     alive = []
-    init = suites.Trials.__init__
-    chunks = set()
+    init, read = suites.Trials.__init__, suites.Trials._read
+    contexts = set()
 
-    def tracked(self, cfg, trials, *args, **kwargs):
-        init(self, cfg, trials, *args, **kwargs)
-        chunks.add(trials.start)
-        # the context of the last chunk is gone before this one draws
-        assert not [ref for ref in alive if ref() is not None]
+    def tracked(self, cfg, trials):
+        init(self, cfg, trials)
+        contexts.add((type(self), trials))
         alive.append(weakref.ref(self))
 
+    def checked(self, name):
+        # every context alive is of this one's block
+        blocks = {ref().trials.start // 3 for ref in alive if ref() is not None}
+        assert blocks == {self.trials.start // 3}
+        return read(self, name)
+
     monkeypatch.setattr(suites.Trials, "__init__", tracked)
+    monkeypatch.setattr(suites.Trials, "_read", checked)
     gc.disable()  # freed by reference counting alone, without waiting for a collection
     try:
-        assert run_suite(SuiteConfig(suite="all", d=4, n_points=12, trials=10)).all_passed
+        assert run_suite(SuiteConfig(suite="all", d=4, n_points=12, trials=22)).all_passed
     finally:
         gc.enable()
-    assert chunks == {0, 3, 6, 9}
+    assert contexts == {(suites.Trials, range(i, min(i + 3, 22))) for i in range(0, 22, 3)} | {
+        (suites.Head, range(18, 20))}
     assert all(ref() is None for ref in alive)
 
 
@@ -1137,75 +1159,120 @@ def test_frobenius_scaled_defects_lie_between_the_spectral_defect_and_d_times_it
 
 @pytest.mark.parametrize("d", [4, 8, 16, 64])
 def test_gabor_tightness_lies_between_the_spectral_defect_and_sqrt_d_times_it(d):
-    t = suites.Trials(SuiteConfig(d=d), range(20))
-    g = t.tests[:, 0]
+    # the first 20 trials, block by block: 8 trials a block at d = 64
+    cfg = SuiteConfig(d=d)
+    contexts = [Trials(cfg, block) for block in blocks(cfg, 20)]
+    g = np.concatenate([t.tests[:, 0] for t in contexts])
     # ||g||^2 as the check takes it: a rounding of it moves the defect
     gsq = [float(np.linalg.norm(v) ** 2) for v in g]
     spectral = [opnorm(S - c * np.eye(d)) / c for S, c in zip(tf.gabor_operator(g), gsq)]
-    values = suites.CHECKS["gabor_tightness"].measure(t)
+    values = np.concatenate([suites.CHECKS["gabor_tightness"].measure(t) for t in contexts])
     assert len(values) == len(spectral)
     assert all(between_spectral_and_sqrt_d_times_it(value, bound, d)
                for value, bound in zip(values, spectral))
 
 
 # ---------------------------------------------------------------------------
-# chunks
+# blocks and heads
 # ---------------------------------------------------------------------------
 
-def test_chunk_rule():
-    def chunks(d, n, trials, limits):
-        return suites._chunks(SuiteConfig(d=d, n_points=n, trials=trials), limits)
+def built_contexts(monkeypatch) -> list:
+    """(kind, trials) of every context built from now on, in order."""
+    built = []
+    init = suites.Trials.__init__
 
-    sizes = lambda *args: [len(c) for c in chunks(*args)]
-    assert sizes(8, 64, 200, {200}) == [64, 64, 64, 8]
-    assert sizes(64, 4096, 4, {4}) == [1, 1, 1, 1]
-    assert sizes(1, 1, 3, {3}) == [3]
-    assert sizes(8, 64, 200, {100}) == [64, 36]
-    assert sizes(8, 64, 10, {10}) == [10]
-    # every chunk ends at each limit, the caps of verify --suite all, and at
-    # each block end, every 64 trials here
-    limits = {200, 100, 50, 20}
-    assert sizes(8, 64, 200, limits) == [20, 30, 14, 36, 28, 64, 8]
-    assert sizes(8, 64, 200, {100, 50}) == [50, 14, 36]
-    for args in [(8, 64, 200, limits), (4, 12, 57, {57, 50, 20}), (1, 1, 3, {3, 2, 1})]:
-        found = chunks(*args)
-        assert [c.start for c in found[1:]] == [c.stop for c in found[:-1]]
-        assert found[0].start == 0 and found[-1].stop == max(args[-1])
-        assert not any(c.start < limit < c.stop for c in found for limit in args[-1])
-        block = suites._per(SuiteConfig(d=args[0], n_points=args[1]), suites.BLOCK_ENTRIES)
-        assert all(c.start // block == (c.stop - 1) // block for c in found)
+    def recorded(self, cfg, trials):
+        built.append((type(self).__name__, trials))
+        init(self, cfg, trials)
+
+    monkeypatch.setattr(suites.Trials, "__init__", recorded)
+    return built
 
 
-def test_chunks_are_sized_by_the_d_by_d_operators_when_n_is_below_d():
+@pytest.mark.parametrize("d,n,trials,size,contexts", [
+    # 64 trials a block; the caps of 50 and 20 end inside block 0, the cap
+    # of 100 inside block 1, one head a cap, built in table order
+    (8, 64, 200, 64, [("Trials", range(0, 64)), ("Head", range(0, 50)),
+                      ("Head", range(0, 20)), ("Trials", range(64, 128)),
+                      ("Head", range(64, 100)), ("Trials", range(128, 192)),
+                      ("Trials", range(192, 200))]),
+    # a block of one trial from d max(d, N) = 2^15 on: no head
+    (64, 4096, 4, 1, [("Trials", range(i, i + 1)) for i in range(4)]),
     # the gabor rows and S_F, M hold d^2 entries a trial: at d = 256 one
-    # trial fills a chunk whatever N is
-    def sizes(d, n, trials):
-        return [len(c) for c in suites._chunks(SuiteConfig(d=d, n_points=n), {trials})]
+    # trial fills a block whatever N is
+    (256, 1, 3, 1, [("Trials", range(i, i + 1)) for i in range(3)]),
+    (256, 64, 3, 1, [("Trials", range(i, i + 1)) for i in range(3)]),
+    (8, 4, 600, 512, [("Trials", range(0, 512)), ("Head", range(0, 50)),
+                      ("Head", range(0, 20)), ("Head", range(0, 100)),
+                      ("Trials", range(512, 600))]),
+    # caps above the trial count end at it, with the last block
+    (1, 1, 3, 2**15, [("Trials", range(0, 3))]),
+    (8, 64, 10, 64, [("Trials", range(0, 10))]),
+])
+def test_block_rule(monkeypatch, d, n, trials, size, contexts):
+    cfg = SuiteConfig(d=d, n_points=n, trials=trials)
+    assert suites._block_trials(cfg) == size
+    # the contexts of a run follow from the caps and the block size alone:
+    # measures that read nothing build the same ones
+    for check_id, row in suites.CHECKS.items():
+        monkeypatch.setitem(suites.CHECKS, check_id, row._replace(measure=lambda t: t.trials))
+    built = built_contexts(monkeypatch)
+    suites._stacked_values(cfg, suites.CHECKS)
+    assert built == contexts
 
-    assert sizes(256, 1, 3) == sizes(256, 64, 3) == [1, 1, 1]
-    assert sizes(8, 4, 600) == [512, 88]
+
+def test_a_range_across_a_block_end_is_refused():
+    cfg = SuiteConfig(d=8, n_points=64)
+    with pytest.raises(InvalidParameterError,
+                       match=r"^trials range\(60, 70\) cross the end of a 64-trial block$"):
+        Trials(cfg, range(60, 70))
+    # a whole block, a range inside one and a single trial are contexts
+    for trials in (range(0, 64), range(64, 128), range(70, 90), range(127, 128)):
+        assert Trials(cfg, trials).trials == trials
 
 
-def run_fresh(cfg):
-    return run_suite(cfg).checks
+@pytest.mark.parametrize("trials", [23, 55])
+def test_every_trial_of_every_stacked_check_equals_its_replay(monkeypatch, trials):
+    # blocks of 7 trials: the cap of 20 ends inside the block [14, 21) and
+    # the cap of 50 inside [49, 56), so those checks read heads that cut
+    # what the run's other checks left in the block
+    monkeypatch.setattr(suites, "BLOCK_ENTRIES", 7 * 4 * 12)
+    cfg = SuiteConfig(seed=3, d=4, n_points=12, trials=trials)
+    built = built_contexts(monkeypatch)
+    values = suites._stacked_values(cfg, suites.CHECKS)
+    assert [head for kind, head in built if kind == "Head"] == (
+        [range(14, 20)] + [range(49, 50)] * (trials > 50))
+    replays = [Trials(cfg, range(i, i + 1)) for i in range(trials)]
+    for check_id, found in values.items():
+        measure = suites.CHECKS[check_id].measure
+        limit = min(trials, suites.CHECKS[check_id].cap or trials)
+        assert [row for context in found for row in per_trial(context)] == [
+            row for t in replays[:limit] for row in per_trial(measure(t))], check_id
 
 
-@pytest.mark.parametrize("per_chunk", [1, 3, 7, 20])
-def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
-    # blocks of 5 trials: chunks of 1 and 3 start inside a block and read
-    # its stream past the trials before them
-    d, n, trials = 4, 12, 20
-    monkeypatch.setattr(suites, "BLOCK_ENTRIES", 5 * d * n)
-    reference = {s: run_fresh(SuiteConfig(suite=s, trials=trials, d=d, n_points=n,
-                                          seed=3))
-                 for s in SEEDED}
-    monkeypatch.setattr(suites, "STACK_ENTRIES", per_chunk * d * n)
-    chunks = suites._chunks(SuiteConfig(trials=trials, d=d, n_points=n), {trials})
-    assert {len(c) for c in chunks} <= {per_chunk, 5 % per_chunk, 5}
-    assert any(c.start % 5 for c in chunks) == (per_chunk < 5)
-    for suite, checks in reference.items():
-        assert run_fresh(SuiteConfig(suite=suite, trials=trials, d=d, n_points=n,
-                                     seed=3)) == checks
+def test_a_head_does_not_take_the_error_of_its_block(monkeypatch):
+    # 60 trials at d = 4, N = 12 are one block; bounds_G of every context
+    # that holds trial 55 raises
+    cfg = SuiteConfig(suite="all", d=4, n_points=12, trials=60)
+    plain = {c.check_id: c for c in run_suite(cfg).checks}
+    bounds_G = suites.SHARED["bounds_G"]
+
+    def broken(t):
+        if 55 in t.trials:
+            raise FloatingPointError("bounds_G of trial 55")
+        return bounds_G(t)
+
+    monkeypatch.setitem(suites.SHARED, "bounds_G", broken)
+    checks = {c.check_id: c for c in run_suite(cfg).checks}
+    # the block's readers abort, uncapped or capped past trial 55
+    for check_id in ("perturb_lower", "certificates"):
+        assert checks[check_id].measured is None and not checks[check_id].passed
+        assert checks[check_id].error == "FloatingPointError: bounds_G of trial 55"
+    # the heads under the caps of 20 and 50 form bounds_G on their own trials
+    for check_id in ("symbol_convergence_p1", "symbol_convergence_p2",
+                     "symbol_convergence_pinf", "frame_uniform_l2", "frame_uniform_l1",
+                     "multiplier_dual"):
+        assert checks[check_id] == plain[check_id]
 
 
 # ---------------------------------------------------------------------------
@@ -1236,15 +1303,15 @@ def test_the_role_table_holds_every_role_draw():
 
 @pytest.mark.parametrize("d,n,trials", [(8, 64, 7), (64, 4096, 2)])
 @pytest.mark.parametrize("role", sorted(ROLES))
-def test_a_role_draws_a_chunk_as_its_trials_one_at_a_time(role, d, n, trials):
-    # at (64, 4096) the suites draw chunks of one trial
+def test_a_role_draws_a_block_as_its_trials_one_at_a_time(role, d, n, trials):
+    # at (64, 4096) the suites draw blocks of one trial
     cfg = SuiteConfig(d=d, n_points=n)
     draw = ROLES[role]
-    chunk = draw(np.random.default_rng(6), cfg, trials)
+    block = draw(np.random.default_rng(6), cfg, trials)
     rng = np.random.default_rng(6)
     each = np.concatenate([draw(rng, cfg, 1) for _ in range(trials)])
-    assert len(chunk) == trials
-    assert chunk.dtype == each.dtype and np.array_equal(bits(chunk), bits(each))
+    assert len(block) == trials
+    assert block.dtype == each.dtype and np.array_equal(bits(block), bits(each))
 
 
 def test_vectors_in_one_draw_equal_one_draw_per_vector():
@@ -1280,9 +1347,9 @@ def recorded_streams(monkeypatch) -> list:
 
 def test_a_singular_trial_aborts_certificates_and_multiplier_dual_alone(monkeypatch):
     # the first symbol of trials 1 and 4 is zero, and so is their multiplier;
-    # the six trials are one chunk
+    # the six trials are one block
     cfg = SuiteConfig(suite="weighted", seed=13, d=4, n_points=12, trials=6)
-    assert len(suites._chunks(cfg, {6})) == 1
+    assert blocks(cfg, 6) == [range(6)]
     plain = {c.check_id: c for c in run_suite(cfg).checks}
     read = suites.Trials._read
 
@@ -1318,12 +1385,13 @@ def test_the_weighted_suite_forms_s_f_once_a_trial(monkeypatch):
 
 
 def test_stacked_instances_equal_replay(monkeypatch):
-    # blocks of 3 trials: the chunks of 8 trials are [0, 3), [3, 6), [6, 8)
+    # blocks of 3 trials: the blocks of 8 trials are [0, 3), [3, 6), [6, 8)
     monkeypatch.setattr(suites, "BLOCK_ENTRIES", 3 * 3 * 5)
     cfg = SuiteConfig(seed=2, d=3, n_points=5)
-    for chunk in suites._chunks(cfg, {8}):
-        t = Trials(cfg, chunk)
-        for k, i in enumerate(chunk):
+    assert blocks(cfg, 8) == [range(0, 3), range(3, 6), range(6, 8)]
+    for block in blocks(cfg, 8):
+        t = Trials(cfg, block)
+        for k, i in enumerate(block):
             single = Trials(cfg, range(i, i + 1))
             for name in PLAIN:
                 assert np.array_equal(bits(getattr(t, name)[k]), bits(getattr(single, name)[0]))
@@ -1350,17 +1418,17 @@ def test_a_single_trial_context_reads_its_block_alone(monkeypatch, d, n, trial, 
         getattr(single, name)
     assert keys == [(9, TRIAL_STREAMS, r, block) for r in range(len(PLAIN))]
     assert counts == [(name, count) for name in PLAIN for count in (trial - first, 1)]
-    # the values of the trial in the chunk of a run that holds it
-    chunk = next(c for c in suites._chunks(cfg, {trial + 1}) if trial in c)
-    assert chunk.start == first
-    run = Trials(cfg, chunk)
+    # the values of the trial in the block of a run that holds it
+    held = next(trials for trials in blocks(cfg, trial + 1) if trial in trials)
+    assert held.start == first
+    run = Trials(cfg, held)
     for name in PLAIN:
         assert np.array_equal(bits(getattr(run, name)[-1]), bits(getattr(single, name)[0]))
 
 
 def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
     # the stacked checks read the streams [seed, TRIAL_STREAMS, role, block],
-    # so a run of one chunk opens each of them once, and no two roles share
+    # so a run of one block opens each of them once, and no two roles share
     # one; no trial or check opens a stream of its own
     keys = recorded_streams(monkeypatch)
     assert main(["verify", "--suite", "all", "--d", "4", "--n", "12", "--trials", "9",
@@ -1379,6 +1447,44 @@ def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
     assert sorted(keys) == sorted([(0, TRIAL_STREAMS, r, 0) for r in range(len(PLAIN))]
                                   + [(0, 123), (0, 124)])
     assert len({stripped(key) for key in keys}) == len(keys)
+
+
+def drawn_normals(monkeypatch) -> list:
+    """The number of standard normals of every draw from the streams the
+    suites open from now on, in order."""
+    counts = []
+    rng = suites._rng
+
+    class Counted(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            drawn = super().standard_normal(*args, **kwargs)
+            counts.append(np.size(drawn))
+            return drawn
+
+    monkeypatch.setattr(suites, "_rng", lambda *key: Counted(rng(*key).bit_generator))
+    return counts
+
+
+# generators built and standard normals drawn by verify --suite all at its
+# defaults (d = 8, N = 64, 200 trials) and by each verify of the suites_small
+# benchmark workload, which runs at those sizes.  One generator a role a
+# block, and one for each unbounded family; a head draws only the roles its
+# block does not hold.  A count that rises fails here until CHANGES.md
+# re-pins it.
+DRAWS = {"all": (52, 729_632), "identities": (32, 729_600), "bounds": (26, 499_232),
+         "convergence": (7, 97_280), "gabor": (4, 32_000), "controlled": (16, 217_600),
+         "weighted": (12, 217_600)}
+
+
+@pytest.mark.parametrize("suite", sorted(DRAWS))
+def test_the_suites_draw_the_pinned_generators_and_normals(monkeypatch, suite):
+    keys, normals = recorded_streams(monkeypatch), drawn_normals(monkeypatch)
+    draws = recorded_draws(monkeypatch)
+    assert run_suite(SuiteConfig(suite=suite)).all_passed
+    assert (len(keys), sum(normals)) == DRAWS[suite]
+    # a role's stream is read past the trials before the context's first,
+    # then for its trials: every context of a run starts a block
+    assert [count for _, count in draws[::2]] == [0] * (len(draws) // 2)
 
 
 # ---------------------------------------------------------------------------
