@@ -9,13 +9,14 @@ families, the dual frame it induces, and convergence experiments for
 perturbed symbols or frames.  Each function returns values and the bounds
 they are held against, never a verdict: ``suites.verdict`` compares them.
 
-The budgets, truncation, the certificates, the induced dual and the
-convergence steps are computed by array kernels (``budget_values``,
-``truncated``, ``certificate_values``, ``multiplier_dual_vectors``,
-``convergence_steps``) that also take stacks of weights, symbols and frames
-along leading axes; the functions on ``Symbol`` and ``SampledFrame`` objects
-validate one instance and call them, so a stack of instances gives, instance
-by instance, the values of single calls.
+The budgets, the certificates, the induced dual and the convergence steps
+are computed by array kernels (``budget_values``, ``certificate_values``,
+``multiplier_dual_vectors``, ``convergence_steps``) that also take stacks of
+weights, symbols and frames along leading axes; the functions on ``Symbol``
+and ``SampledFrame`` objects validate one instance and call them, so a stack
+of instances gives, instance by instance, the values of single calls.
+``convergence_steps`` forms every step's multiplier: the dense oracle of the
+suites' convergence rows.
 """
 
 from __future__ import annotations
@@ -126,16 +127,9 @@ def truncate_symbol(m: Symbol, keep) -> Symbol:
     n = m.space.n_points
     if keep.size and (keep.min() < 0 or keep.max() >= n):
         raise ShapeMismatchError(f"kept index out of range for {n} points")
-    return Symbol(truncated(m.values, keep), m.space)
-
-
-def truncated(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Complex values equal to ``values`` at the indices ``keep`` and zero
-    elsewhere, along the last axis; a stack of value rows takes one row of
-    kept indices each."""
-    out = np.zeros(np.shape(values), dtype=complex)
-    np.put_along_axis(out, keep, np.take_along_axis(values, keep, axis=-1), axis=-1)
-    return out
+    values = np.zeros(n, dtype=complex)
+    values[keep] = m.values[keep]
+    return Symbol(values, m.space)
 
 
 def dual_from_multiplier(m, F: SampledFrame, G: SampledFrame) -> SampledFrame:
@@ -250,62 +244,48 @@ def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
 
     values = _aligned(m, F, G)
     if kind == "symbol_p":
-        items, ps = [symbol_values(F.space, item) for item in schedule], (p,)
+        items = [symbol_values(F.space, item) for item in schedule]
     else:
         if not all(isinstance(item, SampledFrame) for item in schedule):
             raise InvalidParameterError("frame schedules must list frames")
         for item in schedule:
             _check_compatible(item, G)
-        items, ps = [item.vectors for item in schedule], (FRAME_NORMS[kind],)
+        items = [item.vectors for item in schedule]
     # the same frame twice (as in a truncation experiment) is passed as one
     # array, so its frame operator is formed once
     synthesis = F.vectors if G is F else G.vectors
-    (steps,) = convergence_steps(F.space.weights, values, F.vectors, synthesis,
-                                 [(kind, items, ps)])
-    return tuple(column[0] for column in steps)
+    return convergence_steps(F.space.weights, values, F.vectors, synthesis, kind, items, p)
 
 
-def convergence_steps(w, values, F: np.ndarray, G: np.ndarray, experiments,
-                      upper=None) -> list:
-    """Distance, deviation and budget of each step of convergence experiments
-    (see ``convergence_experiment``) against one base multiplier, for symbol
-    values m, analysis vectors F and synthesis vectors G under weights w, or
-    for each instance of a stack; one triple per (kind, schedule, ps) of
-    ``experiments``.
-
-    kind "symbol_p": the schedule lists symbol values shaped as m, and ps are
-    Schatten exponents.  Any other kind: the schedule lists analysis vectors
-    shaped as F, and ps are values of FRAME_NORMS, 2 for the budget of
-    "frame_uniform_L2" and 1 for that of "frame_uniform_L1".  A step takes
-    one Gram product and one SVD for all of ps.  The schedule is read one
-    step at a time, so a generator holds one step in memory.  Three arrays
-    shaped (..., len(ps), steps) per experiment.  ``upper`` are the upper
-    frame bounds (B_F, B_G) where the caller has them.
+def convergence_steps(w, values, F: np.ndarray, G: np.ndarray, kind: str, schedule,
+                      p: float | None = None) -> tuple:
+    """Distance, deviation and budget of each step of a convergence experiment
+    of kind ``kind`` (see ``convergence_experiment``; p is the Schatten
+    exponent of "symbol_p") against the base multiplier, for symbol values
+    m, analysis vectors F and synthesis vectors G under weights w, or for
+    each instance of a stack.  The schedule lists symbol values shaped as m,
+    or analysis vectors shaped as F, and is read one step at a time, so a
+    generator holds one step in memory.  A step forms its multiplier and
+    subtracts the base one: one Gram product and one SVD.  Three arrays
+    shaped (..., steps).
     """
     wm = w * values
     base = weighted_gram(G, wm, F)
-    bf, bg = _upper_bounds(w, F, G) if upper is None else upper
+    bf, bg = _upper_bounds(w, F, G)
     lf = max_column_norm(F)
     lg = lf if G is F else max_column_norm(G)
-
-    triples = []
-    for kind, schedule, ps in experiments:
-        if kind != "symbol_p":
-            norms = [(weighted_lp_norm(w, values, p), np.sqrt(bg) if p == 2.0 else lg)
-                     for p in ps]
-        steps = []
-        for item in schedule:
-            if kind == "symbol_p":
-                sigma = hilbert.singular_values(weighted_gram(G, w * item, F) - base)
-                delta = item - values
-                eps = [weighted_lp_norm(w, delta, p) for p in ps]
-                measured = [hilbert.schatten_of(sigma, p) for p in ps]
-                budget = [schatten_budget(p, e, lf, lg, bf, bg) for p, e in zip(ps, eps)]
-            else:
-                distance = max_column_norm(item - F)
-                deviation = hilbert.operator_norm(weighted_gram(G, wm, item) - base)
-                eps, measured = [distance] * len(ps), [deviation] * len(ps)
-                budget = [distance * m_norm * factor for m_norm, factor in norms]
-            steps.append([np.stack(column, axis=-1) for column in (eps, measured, budget)])
-        triples.append(tuple(np.stack(column, axis=-1) for column in zip(*steps)))
-    return triples
+    if kind != "symbol_p":
+        p = FRAME_NORMS[kind]
+        m_norm, factor = weighted_lp_norm(w, values, p), np.sqrt(bg) if p == 2.0 else lg
+    steps = []
+    for item in schedule:
+        if kind == "symbol_p":
+            eps = weighted_lp_norm(w, item - values, p)
+            measured = hilbert.schatten_norm(weighted_gram(G, w * item, F) - base, p)
+            budget = schatten_budget(p, eps, lf, lg, bf, bg)
+        else:
+            eps = max_column_norm(item - F)
+            measured = hilbert.operator_norm(weighted_gram(G, wm, item) - base)
+            budget = eps * m_norm * factor
+        steps.append((eps, measured, budget))
+    return tuple(np.stack(column, axis=-1) for column in zip(*steps))

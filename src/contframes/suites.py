@@ -22,9 +22,11 @@ The identities, bounds, convergence, gabor, controlled and weighted suites
 measure their trials in stacks, a block at a time: every step is one numpy
 call over the stack, through the array kernels of the single-frame and
 single-window API, so the values equal those of a per-trial loop on the same
-draws.  The wavelet and unbounded-family rows are not stacked: their measure
-is a function of the configuration that gives the value, or the value and a
-detail.  The Calderon study reads no input and is computed once a process.
+draws; the convergence rows take every step from the multiplier of its bump
+or of its dropped points.  The wavelet and unbounded-family rows are not
+stacked: their measure is a function of the configuration that gives the
+value, or the value and a detail.  The Calderon study reads no input and is
+computed once a process.
 
 Norm policy: the one rule of the hilbert docstring.  The scales a context
 holds are bounds_F.upper for S_F, L_scale for L and M_scale, ||M||_F /
@@ -70,16 +72,15 @@ from .multiplier import (
     FRAME_PARTS,
     budget_values,
     certificate_values,
-    convergence_steps,
     multiplier,
     multiplier_dual_vectors,
-    truncated,
 )
 from .errors import InvalidParameterError
 from .measure import (
     Symbol,
     uniform_grid_1d,
     wavelet_grid,
+    weighted_lp_norm,
 )
 from .reporting import Check, Report
 
@@ -331,37 +332,49 @@ def _truncation_cuts(n: int) -> list[int]:
 def _truncation(t: Trials) -> tuple:
     """Deviation minus budget of each nested truncation of the nonnegative
     symbol against F, then the rise of the deviation from each step to the
-    next and its last value: the largest values are kept first, so the cut
-    remainder is a sum of positive rank-one terms and its norm shrinks
-    monotonically as the kept set grows."""
-    m = t.nonnegative
+    next and its last value.  The largest values are kept first, so a step's
+    deviation is the norm of the multiplier of m on the points it drops, a
+    sum of positive rank-one terms that shrinks as the kept set grows: one
+    product for each segment between two cuts, summed from the last segment
+    on, and an exact 0 at the last step, which drops nothing."""
+    m, cuts = t.nonnegative, _truncation_cuts(t.cfg.n_points)
+    zero = np.zeros((len(m), 1))
     order = np.argsort(np.abs(m), axis=-1)[..., ::-1]
-    schedule = (truncated(m, order[..., :c]) for c in _truncation_cuts(t.cfg.n_points))
-    bf = t.bounds_F.upper
-    (steps,) = convergence_steps(t.w, m, t.F, t.F, [("symbol_p", schedule, (math.inf,))],
-                                 (bf, bf))
-    _, measured, budget = (a[:, 0] for a in steps)
+    wm, tail, tails = t.w * m, np.zeros((len(m), t.cfg.d, t.cfg.d), dtype=complex), []
+    for start, stop in reversed(list(zip(cuts, cuts[1:]))):
+        if stop > start:  # repeated cuts leave a segment empty
+            X = np.take_along_axis(t.F, order[:, None, start:stop], axis=-1)
+            tail = tail + fr.weighted_gram(X, np.take_along_axis(wm, order[:, start:stop], -1), X)
+        tails.insert(0, tail)
+    measured = np.concatenate([hb.operator_norm(np.stack(tails, axis=1)), zero], axis=-1)
+    # the p = inf budget sup|m - m_n| B_F: the largest value dropped, 0 at the last step
+    dropped = np.concatenate([np.take_along_axis(np.abs(m), order, -1), zero], axis=-1)[:, cuts]
     rises = np.concatenate([np.diff(measured), measured[:, -1:]], axis=-1)
-    return measured - budget, rises
+    return measured - dropped * t.bounds_F.upper[:, None], rises
 
 
-# the schedules of the convergence checks: the base plus bump / n
+# the schedules of the convergence checks: the base plus bump / n, each n a
+# power of two, so that step n is step 1 divided by n exactly
 CONVERGENCE_STEPS = (1, 2, 4, 8, 16)
 
 
 def _convergence(t: Trials) -> tuple:
     """Deviation minus budget of each step: the symbol plus the second symbol
     as a bump at p = 1, 2 and inf, then F plus the second vectors as a bump
-    against the L2 and L1 budgets, one row per p."""
-    def bumped(base, bump):
-        return (base + bump / n for n in CONVERGENCE_STEPS)
-
-    experiments = [("symbol_p", bumped(t.m, t.symbol), (1.0, 2.0, math.inf)),
-                   ("frame_uniform", bumped(t.F, t.vectors), (2.0, 1.0))]
-    steps = convergence_steps(t.w, t.m, t.F, t.G, experiments,
-                              (t.bounds_F.upper, t.bounds_G.upper))
-    return tuple(row for _, measured, budget in steps
-                 for row in np.moveaxis(measured - budget, -2, 0))
+    against the L2 and L1 budgets, one row per p.  The multiplier is linear
+    in its symbol and in its analysis frame, so a step's deviation is the
+    norm of the multiplier of its bump, M_{s,F,G} / n or M_{m,V,G} / n, and
+    distance, deviation and budget are positively homogeneous: every step is
+    the first over n, from one product and one SVD per experiment."""
+    bf, bg = t.bounds_F.upper, t.bounds_G.upper
+    actuals, budgets = budget_values(t.w, t.symbol, t.F, t.G, (1.0, 2.0, math.inf),
+                                     upper=(bf, bg))
+    distance = fr.max_column_norm(t.vectors)
+    deviation = hb.operator_norm(fr.weighted_gram(t.G, t.w * t.m, t.vectors))
+    frame_budgets = [distance * weighted_lp_norm(t.w, t.m, 2.0) * np.sqrt(bg),
+                     distance * weighted_lp_norm(t.w, t.m, 1.0) * fr.max_column_norm(t.G)]
+    firsts = [*np.moveaxis(actuals - budgets, -1, 0), *(deviation - b for b in frame_budgets)]
+    return tuple(first[:, None] / np.array(CONVERGENCE_STEPS) for first in firsts)
 
 
 # the quantities a context computes once, on first use

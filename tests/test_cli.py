@@ -660,11 +660,14 @@ def counted_calls(monkeypatch, name):
 # matrices: identities takes the invertibility test of frame_iff_invertible
 # and the inverse of S_F for the dual; controlled the inverses of both
 # controls; weighted sigma_M alone, which the head of multiplier_dual's
-# first 50 trials cuts from the block.  No SVD is taken only for a scale: the
-# defects are Frobenius norms over ||X||_F / sqrt(d) or a spectrum held
-# (hilbert's norm policy).
+# first 50 trials cuts from the block.  The convergence suite runs on the
+# block's first 50 trials: the truncation rows take the three truncated
+# deviations of each, the convergence rows on the head of 20 one SVD of the
+# multiplier of each bump.  No SVD is taken only for a scale: the defects are
+# Frobenius norms over ||X||_F / sqrt(d) or a spectrum held (hilbert's norm
+# policy).
 SVDS = {"identities": [(64, 8, 8)] * 2, "controlled": [(64, 8, 8)] * 2,
-        "weighted": [(64, 8, 8)]}
+        "weighted": [(64, 8, 8)], "convergence": [(50, 3, 8, 8), (20, 8, 8), (20, 8, 8)]}
 
 
 @pytest.mark.parametrize("suite", sorted(SVDS))
@@ -674,6 +677,58 @@ def test_the_algebra_suites_take_the_pinned_svds(monkeypatch, tmp_path, suite):
                  "--out", str(tmp_path / "r.json")]) == 0
     # the shapes pin the number of calls and of the matrices given to them
     assert calls == SVDS[suite]
+
+
+def counted_grams(monkeypatch):
+    """The shape of X of each weighted_gram(X, c, Y), call by call, in every
+    module that holds the function (multiplier and controlled import it by
+    name)."""
+    calls, gram = [], fr.weighted_gram
+    holders = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == "contframes"
+               and getattr(module, "weighted_gram", None) is gram]
+
+    def counted(X, c, Y):
+        calls.append(np.shape(X))
+        return gram(X, c, Y)
+
+    for module in holders:
+        monkeypatch.setattr(module, "weighted_gram", counted)
+    return calls
+
+
+# the Gram products sum_j c_j X_j Y_j^* of one 64-trial block at d = 8,
+# N = 64: the shape of X, (trials, d, columns), call by call.  The convergence
+# suite runs on the block's first 50 trials: the truncation rows form one
+# product for each segment of dropped points, N/2, N/4 and N/8 columns, and
+# S_F; the convergence rows on the head of 20 S_G and the multipliers of the
+# two bumps.  The bounds suite adds the three unbounded-family grids.
+GRAMS = {
+    "identities": [(64, 8, 64)] * 13,
+    "bounds": [(64, 8, 64)] * 6 + [(8, 100), (8, 1000), (8, 10000)],
+    "convergence": [(50, 8, 32), (50, 8, 16), (50, 8, 8), (50, 8, 64)] + [(20, 8, 64)] * 3,
+    "controlled": [(64, 8, 64)] * 5,
+    "weighted": [(64, 8, 64)] * 6 + [(50, 8, 64), (64, 8, 64)],
+}
+# the calls a trial and their columns in d x N products, where a block holds
+# one trial and no cap cuts it, as at d = 64, N = 4096 with 4 trials; the
+# convergence suite formed 18 full products a trial before it took each step
+# from the multiplier of its bump or of its dropped points
+GRAMS_A_TRIAL = {"identities": (13, 13), "bounds": (6, 6), "convergence": (7, 4.875),
+                 "controlled": (5, 5), "weighted": (8, 8)}
+
+
+@pytest.mark.parametrize("suite", sorted(GRAMS))
+def test_the_algebra_suites_form_the_pinned_gram_products(monkeypatch, tmp_path, suite):
+    calls = counted_grams(monkeypatch)
+    args = ["verify", "--suite", suite, "--d", "8", "--n", "64", "--out", str(tmp_path / "r.json")]
+    assert main(args + ["--trials", "64"]) == 0
+    assert calls == GRAMS[suite]
+    monkeypatch.setattr(suites, "BLOCK_ENTRIES", 8 * 64)
+    calls.clear()
+    assert main(args + ["--trials", "4"]) == 0
+    trials = [shape for shape in calls if len(shape) == 3]  # (1, d, columns)
+    assert (len(trials) / 4, sum(shape[-1] for shape in trials) / (4 * 64)) == GRAMS_A_TRIAL[suite]
 
 
 def test_a_singular_weighted_run_takes_one_svd(monkeypatch, tmp_path):

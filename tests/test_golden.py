@@ -45,11 +45,11 @@ GOLDEN = {
         "unbounded_norm_growth": 1.7782794100389225,
     },
     "convergence": {
-        "frame_uniform_l1": -5.940591257441418,
-        "frame_uniform_l2": -2.7974945515779828,
-        "symbol_convergence_p1": -7.72008321396879,
-        "symbol_convergence_p2": -3.756374954448974,
-        "symbol_convergence_pinf": -2.737848160735737,
+        "frame_uniform_l1": -5.940591257441417,
+        "frame_uniform_l2": -2.7974945515779823,
+        "symbol_convergence_p1": -7.720083213968793,
+        "symbol_convergence_p2": -3.756374954448976,
+        "symbol_convergence_pinf": -2.73784816073574,
         "truncation_budget": 0.0,
         "truncation_monotone": 0.0,
     },
@@ -121,11 +121,11 @@ GOLDEN_ACROSS_A_BLOCK = {
         "unbounded_norm_growth": 1.7782794100389225,
     },
     "convergence": {
-        "frame_uniform_l1": -134.4645660073422,
-        "frame_uniform_l2": -39.388460079256134,
-        "symbol_convergence_p1": -110.7275900396146,
-        "symbol_convergence_p2": -38.87789155497104,
-        "symbol_convergence_pinf": -23.811779990196854,
+        "frame_uniform_l1": -134.46456600734217,
+        "frame_uniform_l2": -39.38846007925612,
+        "symbol_convergence_p1": -110.72759003961457,
+        "symbol_convergence_p2": -38.87789155497103,
+        "symbol_convergence_pinf": -23.811779990196897,
         "truncation_budget": 0.0,
         "truncation_monotone": 0.0,
     },

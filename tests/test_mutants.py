@@ -1,11 +1,14 @@
-"""Every identity the norm policy of ``hilbert`` measures can fail.
+"""Every identity the norm policy of ``hilbert`` measures, and every
+convergence row, can fail.
 
-Each mutant adds to one operator a perturbation E of Frobenius norm 10^3
-times the row's tolerance times the row's scale, so the row must measure
-about 10^3 times its tolerance and fail; no check outside the family of
-rows that read the perturbed operator may flip.  The difference identities
-are also held at (d, N) = (64, 16384), where their entries, and so their
-rounding, are largest.
+Each mutant of an identity adds to one operator a perturbation E of
+Frobenius norm 10^3 times the row's tolerance times the row's scale, so the
+row must measure about 10^3 times its tolerance and fail.  Each mutant of a
+convergence row puts a fault into the product of a bump or of a segment of
+dropped points, so a deviation passes its budget or stops shrinking.  No
+check outside the family of rows that read the faulty product may flip.
+The difference identities are also held at (d, N) = (64, 16384), where
+their entries, and so their rounding, are largest.
 """
 
 import math
@@ -16,6 +19,7 @@ import pytest
 from contframes import controlled as ctrl
 from contframes import frame as fr
 from contframes import hilbert as hb
+from contframes import multiplier as mult
 from contframes import suites
 from contframes.frame import SampledFrame
 from contframes.measure import Symbol, counting_space
@@ -61,6 +65,31 @@ def perturbed_product(check_id, module, call, scale):
 
         monkeypatch.setitem(suites.CHECKS, check_id, row._replace(measure=measure))
     return fault
+
+
+def faulty_product(quantity, module, call, fault):
+    """While a context computes shared ``quantity``, product ``call`` (0 the
+    first) that module.weighted_gram forms is replaced by fault(product).
+    The frame bounds it reads are formed before, without the fault."""
+    def mutant(monkeypatch):
+        compute = suites.SHARED[quantity]
+
+        def faulty(t):
+            t.bounds_F, t.bounds_G
+            gram, formed = module.weighted_gram, []
+
+            def product(X, c, Y):
+                formed.append(gram(X, c, Y))
+                return fault(formed[-1]) if len(formed) == call + 1 else formed[-1]
+
+            module.weighted_gram = product
+            try:
+                return compute(t)
+            finally:
+                module.weighted_gram = gram
+
+        monkeypatch.setitem(suites.SHARED, quantity, faulty)
+    return mutant
 
 
 def m_scale(t):
@@ -113,6 +142,15 @@ def multiplier_run(unit):
 
 WAVELET_S = {"wavelet_shift_commutation", "wavelet_diagonality", "wavelet_diagonal_oracle"}
 
+SYMBOL_ROWS = {"symbol_convergence_p1", "symbol_convergence_p2", "symbol_convergence_pinf"}
+FRAME_ROWS = {"frame_uniform_l2", "frame_uniform_l1"}
+TRUNCATION_ROWS = {"truncation_budget", "truncation_monotone"}
+
+
+def magnified(product):
+    return 1e3 * product
+
+
 # check id -> (the run, the mutant, the family of ids that may fail with it)
 MUTANTS = {
     **{check_id: (suite_run("identities"), perturbed_product(check_id, fr, 0, m_scale),
@@ -130,6 +168,17 @@ MUTANTS = {
                               {"precondition_identity"}),
     "weighted_scaling": (suite_run("weighted"), perturbed_product(
         "weighted_scaling", fr, 0, lambda t: 3.0 * t.bounds_F.upper), {"weighted_scaling"}),
+    # a bump's multiplier, or the last segment of dropped points, formed 10^3
+    # times too large passes every budget; the first segment negated makes
+    # the first deviation smaller than the second
+    **{check_id: (suite_run("convergence"), faulty_product("convergence", mult, 0, magnified),
+                  SYMBOL_ROWS) for check_id in SYMBOL_ROWS},
+    **{check_id: (suite_run("convergence"), faulty_product("convergence", fr, 0, magnified),
+                  FRAME_ROWS) for check_id in FRAME_ROWS},
+    "truncation_budget": (suite_run("convergence"), faulty_product("truncation", fr, 0, magnified),
+                          TRUNCATION_ROWS),
+    "truncation_monotone": (suite_run("convergence"),
+                            faulty_product("truncation", fr, 2, np.negative), TRUNCATION_ROWS),
     "wavelet_shift_commutation": (suite_run("wavelet"), perturbed_wavelet_operator, WAVELET_S),
     # the second multiplier is that of the conjugate symbol with frames swapped
     "adjoint_identity": (multiplier_run(unit=False), perturbed_run_multiplier("multiplier", 1),

@@ -7,10 +7,12 @@ computed once per block, or the head of a block that a trial cap ends
 inside, which cuts what the block holds to its trials.  The oracle here is
 the per-trial loop, written with the 2-d API (``frame_bounds``,
 ``canonical_dual``, ``multiplier``, ``bound_budget``, ``make_control``,
-``controlled_bounds``, ``convergence_experiment``, ``gabor_frame_operator``,
-``stft``, ...) on each trial's instance and test vectors (the context
-``Trials(cfg, range(i, i + 1))``); the stacked values of every
-check must equal it exactly.
+``controlled_bounds``, ``gabor_frame_operator``, ``stft``, ...) on each
+trial's instance and test vectors (the context ``Trials(cfg, range(i, i +
+1))``); the stacked values of every check must equal it exactly.  The
+convergence rows, which take every step from the multiplier of a bump or of
+dropped points, are also held against ``convergence_experiment`` on the
+perturbed inputs themselves, to rounding.
 """
 
 import gc
@@ -263,16 +265,28 @@ def discrete_bessel_norm_bound(cfg, i):
 
 
 def truncation(cfg, i):
-    """Deviations and budgets of the steps of trial i's truncation experiment."""
+    """Deviations and budgets of the steps of trial i's truncation experiment:
+    a step's deviation is the norm of the multiplier of m on the points it
+    drops, one multiplier per segment between two cuts, summed from the last
+    segment on; the last step drops nothing."""
     t = draws(cfg, i)
     F, = frames(t.w, t.F)
     m = Symbol(t.nonnegative, F.space)
     order = np.argsort(np.abs(m.values))[::-1]
-    n = cfg.n_points
-    schedule = [truncate_symbol(m, order[:c])
-                for c in (max(1, n // 8), max(1, n // 4), max(1, n // 2), n)]
-    _, measured, budgets = convergence_experiment("symbol_p", m, F, F, schedule, p=math.inf)
-    return measured.tolist(), budgets.tolist()
+    cuts = suites._truncation_cuts(cfg.n_points)
+    tail, tails = np.zeros((cfg.d, cfg.d), dtype=complex), []
+    for start, stop in reversed(list(zip(cuts, cuts[1:]))):
+        points = order[start:stop]
+        if points.size:
+            segment, = frames(t.w[points], t.F[:, points])
+            tail = tail + multiplier(m.values[points], segment, segment)
+        tails.insert(0, tail)
+    measured = [hb.operator_norm(T) for T in tails] + [0.0]
+    bf = fr.frame_bounds(F).upper
+    budgets = [schatten_budget(math.inf, lp_norm(F.space, truncate_symbol(m, order[:c]).values
+                                                 - m.values, math.inf), None, None, bf, bf)
+               for c in cuts]
+    return measured, budgets
 
 
 def truncation_budget(cfg, i):
@@ -286,21 +300,27 @@ def truncation_monotone(cfg, i):  # the rise of every step, then the last deviat
 
 
 def symbol_convergence(p):
+    # step n is the first, the multiplier of the bump s, over n
     def oracle(cfg, i):
-        m, F, G, t = instance(cfg, i)
-        schedule = [Symbol(m.values + t.symbol / n, F.space) for n in (1, 2, 4, 8, 16)]
-        _, measured, budgets = convergence_experiment("symbol_p", m, F, G, schedule, p=p)
-        return (measured - budgets).tolist()
+        _, F, G, t = instance(cfg, i)
+        s = Symbol(t.symbol, F.space)
+        budget = schatten_budget(p, lp_norm(F.space, s, p), fr.norm_bound(F), fr.norm_bound(G),
+                                 fr.frame_bounds(F).upper, fr.frame_bounds(G).upper)
+        first = hb.schatten_norm(multiplier(s, F, G), p) - budget
+        return [first / n for n in suites.CONVERGENCE_STEPS]
     return oracle
 
 
 def frame_convergence(kind):
+    # step n is the first, the multiplier with analysis vectors the bump V, over n
     def oracle(cfg, i):
         m, F, G, t = instance(cfg, i)
-        schedule = [fr.SampledFrame(F.space, F.vectors + t.vectors / n)
-                    for n in (1, 2, 4, 8, 16)]
-        _, measured, budgets = convergence_experiment(kind, m, F, G, schedule)
-        return (measured - budgets).tolist()
+        V = fr.SampledFrame(F.space, t.vectors)
+        p, factor = ((2.0, math.sqrt(fr.frame_bounds(G).upper)) if kind == "frame_uniform_L2"
+                     else (1.0, fr.norm_bound(G)))
+        budget = fr.norm_bound(V) * lp_norm(F.space, m, p) * factor
+        first = hb.operator_norm(multiplier(m, V, G)) - budget
+        return [first / n for n in suites.CONVERGENCE_STEPS]
     return oracle
 
 
@@ -567,6 +587,48 @@ def test_stacked_rows_equal_the_single_frame_api(check_id, d, n):
     assert stacked(cfg, check_id) == oracle
 
 
+def perturbed_inputs(check_id, cfg, i):
+    """The arguments of convergence_experiment for the experiment of trial i
+    that row ``check_id`` measures: its kind, the base (m, F, G), the
+    perturbed inputs of its steps, m + s / n, F + V / n or the truncated
+    symbols, and p."""
+    m, F, G, t = instance(cfg, i)
+    if check_id.startswith("truncation"):
+        m = Symbol(t.nonnegative, F.space)
+        order = np.argsort(np.abs(m.values))[::-1]
+        return ("symbol_p", m, F, F, [truncate_symbol(m, order[:c])
+                                      for c in suites._truncation_cuts(cfg.n_points)], math.inf)
+    steps = suites.CONVERGENCE_STEPS
+    if check_id.startswith("symbol"):
+        p = {"p1": 1.0, "p2": 2.0, "pinf": math.inf}[check_id.rsplit("_", 1)[1]]
+        return "symbol_p", m, F, G, [Symbol(m.values + t.symbol / n, F.space) for n in steps], p
+    return ("frame_uniform_" + check_id[-2:].upper(), m, F, G,
+            [fr.SampledFrame(F.space, F.vectors + t.vectors / n) for n in steps], None)
+
+
+@pytest.mark.parametrize("check_id", check_ids("convergence"))
+@pytest.mark.parametrize("d,n", [(4, 12), (8, 64), (8, 4)])
+def test_convergence_rows_match_the_dense_experiment_step_by_step(check_id, d, n):
+    # the rows take every step from the multiplier of the bump or of the
+    # dropped points; the dense experiment forms each perturbed multiplier
+    # and subtracts the base one, so it rounds like a step as large as the
+    # base: the two agree within 16 d ulps of the deviation and budget of
+    # the step that doubles the base input
+    cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=3)
+    rows = np.reshape(stacked(cfg, check_id), (3, -1))
+    for i, row in enumerate(rows):
+        kind, m, F, G, schedule, p = perturbed_inputs(check_id, cfg, i)
+        _, measured, budgets = convergence_experiment(kind, m, F, G, schedule, p=p)
+        dense = (np.append(np.diff(measured), measured[-1]) if check_id == "truncation_monotone"
+                 else measured - budgets)
+        double = (Symbol(2.0 * m.values, F.space) if kind == "symbol_p"
+                  else fr.SampledFrame(F.space, 2.0 * F.vectors))
+        _, size, budget = convergence_experiment(kind, m, F, G, [double], p=p)
+        assert np.max(np.abs(row - dense)) <= ULPS * d * (size[0] + budget[0])
+        if check_id.startswith("truncation"):  # the last step drops nothing
+            assert row[-1] == dense[-1] == 0.0
+
+
 @pytest.mark.parametrize("d,n", [(4, 12), (8, 64), (8, 4)])
 def test_stacked_frame_iff_invertible_equals_the_single_frame_api(monkeypatch, d, n):
     cfg = SuiteConfig(seed=13, d=d, n_points=n, trials=4)
@@ -717,11 +779,16 @@ def test_truncation_cuts_are_nested(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_truncation_monotone_holds_on_few_points(n):
+def test_truncation_monotone_holds_on_few_points(monkeypatch, n):
     # the cuts n // 4 and n // 2 used to be 0 here, an empty symbol between
-    # nonempty ones, so the deviation rose and the check failed
+    # nonempty ones, so the deviation rose and the check failed; the cuts
+    # repeat here, and the segment between two equal cuts forms no product
+    gram, columns = fr.weighted_gram, []
+    monkeypatch.setattr(fr, "weighted_gram",
+                        lambda X, c, Y: columns.append(X.shape[-1]) or gram(X, c, Y))
     check = suites.run_check(SuiteConfig(d=2, n_points=n, trials=5), "truncation_monotone")
     assert check.passed and check.measured == 0.0
+    assert columns and 0 not in columns
 
 
 # ---------------------------------------------------------------------------
