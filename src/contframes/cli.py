@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     wavelet.add_argument("--format", choices=("json", "csv"), default="json")
 
     multiplier = sub.add_parser("multiplier",
-                                help="budget report for a configured multiplier")
+                                help="the algebra suite checks of one configured multiplier")
     multiplier.add_argument("--config", required=True, metavar="PATH",
                             help="JSON file with analysis_frame, synthesis_frame, symbol")
     multiplier.add_argument("--out", default=None, metavar="PATH")

@@ -233,6 +233,7 @@ def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
     deviation is in operator norm with budget eps_n ||m||_2 sqrt(B_G), where
     eps_n is the largest column distance to F.
     kind "frame_uniform_L1": as above with budget eps_n ||m||_1 L_G.
+    The frame kinds fix their norms and refuse a p.
     """
     if kind not in CONVERGENCE_KINDS:
         raise InvalidParameterError(f"unknown convergence kind {kind!r}")
@@ -241,6 +242,8 @@ def convergence_experiment(kind: str, m, F: SampledFrame, G: SampledFrame,
         raise InvalidParameterError("empty perturbation schedule")
     if kind == "symbol_p" and p is None:
         raise InvalidParameterError("symbol_p experiments need an explicit p")
+    if kind != "symbol_p" and p is not None:
+        raise InvalidParameterError(f"{kind} experiments take no p, got {p}")
 
     values = _aligned(m, F, G)
     if kind == "symbol_p":

@@ -4,19 +4,20 @@ and the reports of the gabor, wavelet and multiplier subcommands.
 CHECKS is the one table of the suite checks, in report order; a new check is
 one row.  A row holds the suite, the claim, the default tolerance, the gate
 and the measure of its check, and for a stacked check its trial cap.
-GABOR_RUN, WAVELET_RUN and MULTIPLIER_RUN, the tables of the
-subcommands, stay apart from CHECKS, out of reach of the suites and their
-tolerance overrides; their measures read the Inputs of one run.  The gate
-says how verdict() folds the values and compares them: max from 0 or from
--inf <= tol, count == 0 (of failing trials), both of those, >= floor, in
-[1.5, tol], finite and > 0, or, against a bound b the measure gives,
-|x - b| <= tol b, |x - b| <= tol or x <= b + tol b.  _report makes
-every Check of every report, a verdict() or the abort record of a check
-whose measure raised; the subcommand runs build their inputs once, under
-np.errstate(over="ignore", invalid="ignore"); run_check(cfg, id) runs one
-suite check afresh.  All randomness flows through per-role seed
-derivation, so a report for a given configuration is reproducible
-bit-for-bit (timestamps aside).
+GABOR_RUN and WAVELET_RUN, the tables of the gabor and wavelet subcommands,
+stay apart from CHECKS, out of reach of the suites and their tolerance
+overrides; their measures read the Inputs of one run.  The multiplier
+subcommand runs the algebra suites' stacked rows on one trial of a given
+instance.  The gate says how verdict() folds the values and compares them:
+max from 0 or from -inf <= tol (of (x - b) / b for a norm x and its budget
+b), count == 0 (of failing trials), both of those, >= floor, in [1.5, tol],
+finite and > 0, or, against a bound b the measure gives, |x - b| <= tol b
+or |x - b| <= tol.  _report makes every Check of every report, a verdict()
+or the abort record of a check whose measure raised; the subcommand runs
+build their inputs once, under np.errstate(over="ignore",
+invalid="ignore"); run_check(cfg, id) runs one suite check afresh.  All
+randomness flows through per-role seed derivation, so a report for a given
+configuration is reproducible bit-for-bit (timestamps aside).
 
 The identities, bounds, convergence, gabor, controlled and weighted suites
 measure their trials in stacks, a block at a time: every step is one numpy
@@ -72,7 +73,6 @@ from .multiplier import (
     FRAME_PARTS,
     budget_values,
     certificate_values,
-    multiplier,
     multiplier_dual_vectors,
 )
 from .errors import InvalidParameterError
@@ -331,12 +331,12 @@ def _truncation_cuts(n: int) -> list[int]:
 
 def _truncation(t: Trials) -> tuple:
     """Deviation minus budget of each nested truncation of the nonnegative
-    symbol against F, then the rise of the deviation from each step to the
-    next and its last value.  The largest values are kept first, so a step's
-    deviation is the norm of the multiplier of m on the points it drops, a
-    sum of positive rank-one terms that shrinks as the kept set grows: one
-    product for each segment between two cuts, summed from the last segment
-    on, and an exact 0 at the last step, which drops nothing."""
+    symbol against F but the last, which keeps every point, then the rise
+    of the deviation from each of these steps to the next and its fall to 0
+    at the last.  The largest values are kept first, so a step's deviation
+    is the norm of the multiplier of m on the points it drops, a sum of
+    positive rank-one terms that shrinks as the kept set grows: one product
+    for each segment between two cuts, summed from the last segment on."""
     m, cuts = t.nonnegative, _truncation_cuts(t.cfg.n_points)
     zero = np.zeros((len(m), 1))
     order = np.argsort(np.abs(m), axis=-1)[..., ::-1]
@@ -346,11 +346,10 @@ def _truncation(t: Trials) -> tuple:
             X = np.take_along_axis(t.F, order[:, None, start:stop], axis=-1)
             tail = tail + fr.weighted_gram(X, np.take_along_axis(wm, order[:, start:stop], -1), X)
         tails.insert(0, tail)
-    measured = np.concatenate([hb.operator_norm(np.stack(tails, axis=1)), zero], axis=-1)
-    # the p = inf budget sup|m - m_n| B_F: the largest value dropped, 0 at the last step
-    dropped = np.concatenate([np.take_along_axis(np.abs(m), order, -1), zero], axis=-1)[:, cuts]
-    rises = np.concatenate([np.diff(measured), measured[:, -1:]], axis=-1)
-    return measured - dropped * t.bounds_F.upper[:, None], rises
+    measured = hb.operator_norm(np.stack(tails, axis=1))
+    # the p = inf budget sup|m - m_n| B_F: the largest value dropped (none at n = 1)
+    dropped = np.concatenate([np.take_along_axis(np.abs(m), order, -1), zero], -1)[:, cuts[:-1]]
+    return measured - dropped * t.bounds_F.upper[:, None], np.diff(measured, append=0.0)
 
 
 # the schedules of the convergence checks: the base plus bump / n, each n a
@@ -470,7 +469,6 @@ RANGE = "in [1.5, tol]"
 # the gates of the subcommand tables, against the bound b the measure gives
 RELATIVE = "|x - b| <= tol b"
 ABSOLUTE = "|x - b| <= tol"
-BUDGET = "x <= b + tol b"
 POSITIVE = "finite and > 0"
 
 
@@ -511,8 +509,7 @@ def verdict(check_id: str, row: "Row", tol: float, values) -> Check:
     measured, budget = float(measured), float(budget)
     passed = failing == 0 and {
         FLOOR: measured >= tol, RANGE: 1.5 <= measured <= tol,
-        RELATIVE: abs(measured - budget) <= tol * budget,
-        ABSOLUTE: abs(measured - budget) <= tol, BUDGET: measured <= (1.0 + tol) * budget,
+        RELATIVE: abs(measured - budget) <= tol * budget, ABSOLUTE: abs(measured - budget) <= tol,
         POSITIVE: 0.0 < measured < math.inf}.get(row.gate, measured <= tol)
     shown = {"measured": measured, "budget": budget}
     off = [f"{name} {value!r}" for name, value in shown.items() if not math.isfinite(value)]
@@ -584,9 +581,14 @@ def _bessel_sharpness(t: Trials):
 
 
 def _budget(p: float) -> Callable:
-    """The Schatten p-norm minus its budget."""
+    """(x - b) / b of the Schatten p-norm x and its budget b; over b = 0, 0
+    for x = 0 and inf for any other x."""
     column = DEFAULT_PS.index(p)
-    return lambda t: t.budgets[0][:, column] - t.budgets[1][:, column]
+
+    def measure(t: Trials):
+        x, b = t.budgets[0][:, column], t.budgets[1][:, column]
+        return np.divide(x - b, b, out=np.where(x > 0.0, math.inf, x), where=b != 0.0)
+    return measure
 
 
 def _bounds(w, vectors) -> fr.FrameBounds:
@@ -1098,8 +1100,8 @@ CHECKS: dict[str, Row] = {
 }
 
 
-# the tables of the subcommands, apart from CHECKS; each measure reads the
-# Inputs of one run
+# the tables of the gabor and wavelet subcommands, apart from CHECKS; each
+# measure reads the Inputs of one run
 GABOR_RUN: dict[str, Row] = {
     "gabor_lower_bound": Row(
         "gabor-run", "optimal lower bound equals ||g||^2", 1e-10, RELATIVE,
@@ -1129,20 +1131,14 @@ WAVELET_RUN: dict[str, Row] = {
 # the admissibility row of any other profile, which has no closed form
 ADMISSIBLE = Row("wavelet-run", "two-sided admissibility quadrature is finite and positive",
                  0.0, POSITIVE, lambda r: (r.c_full, f"positive-axis constant {r.c_plus!r}"))
-MULTIPLIER_RUN: dict[str, Row] = {
-    **{f"budget_p{p:g}": Row(
-        "multiplier-run", f"Schatten {p:g}-norm within its budget", 1e-10, BUDGET,
-        lambda r, i=i: (r.budgets[0][i], "", r.budgets[1][i]))
-       for i, p in enumerate(DEFAULT_PS)},
-    "adjoint_identity": Row(
-        "multiplier-run",
-        "adjoint equals the conjugate-symbol multiplier with frames swapped", 1e-12, MAX0,
-        lambda r: hb.frobenius_norm(r.M.conj().T - multiplier(r.m.values.conj(), r.G, r.F))
-        / r.scale),
-    "equals_frame_operator": Row(
-        "multiplier-run", "unit symbol with equal frames reproduces the frame operator",
-        1e-12, MAX0, lambda r: hb.frobenius_norm(r.M - fr.frame_operator(r.F)) / r.scale),
-}
+# the one row of a multiplier report apart from CHECKS, for a symbol equal to
+# 1 everywhere with equal frames, whose multiplier is the frame operator
+EQUALS_FRAME_OPERATOR = Row(
+    "multiplier-run", "unit symbol with equal frames reproduces the frame operator", 1e-12,
+    MAX0, lambda t: hb.frobenius_norm(t.M - t.S_F) / t.M_scale, STACKED)
+# the rows the tolerance of a multiplier configuration sets
+BUDGET_IDS = ("op_norm_budget", "trace_budget", "schatten_budget_p15", "schatten_budget_p2",
+              "schatten_budget_p3")
 
 
 def _timestamp() -> str:
@@ -1234,31 +1230,29 @@ def run_wavelet(d: int = CALDERON_DEFAULTS["d"], wavelet: tf.WaveletSpec | None 
 
 @np.errstate(over="ignore", invalid="ignore")
 def run_multiplier(config: dict) -> tuple[Report, str]:
-    """Budget report plus singular-value CSV for one configured multiplier:
-    the rows of MULTIPLIER_RUN, equals_frame_operator only for a symbol
-    equal to 1 everywhere with equal frames.  The configuration carries an
-    analysis frame, a synthesis frame and a symbol in their JSON forms, and
-    may set the tolerance of the budget rows, finite and >= 0."""
+    """Report plus singular-value CSV for one configured multiplier: every
+    stacked row of the algebra suites on the one trial of its instance, and
+    EQUALS_FRAME_OPERATOR for a symbol equal to 1 everywhere with equal
+    frames.  The configuration carries an analysis frame, a synthesis frame
+    on the same space and a symbol in their JSON forms, and may set the
+    tolerance of the rows of BUDGET_IDS.  The instance sets the roles w, F,
+    G and m; the others are drawn from seed 0 at its d and N."""
     if not isinstance(config, dict):
         raise InvalidParameterError("a multiplier configuration must be a JSON object")
-    if not _is_tolerance(config.get("tolerance", 0.0)):
-        raise InvalidParameterError(
-            f"tolerance must be finite and >= 0, got {config['tolerance']!r}")
     F = fr.SampledFrame.from_dict(config["analysis_frame"])
     G = fr.SampledFrame.from_dict(config["synthesis_frame"])
+    fr._check_compatible(F, G)
     m = Symbol.from_dict(config["symbol"], F.space)
-    tolerances = {c: float(config.get("tolerance", row.tolerance))
-                  for c, row in MULTIPLIER_RUN.items() if row.gate == BUDGET}
-    table = dict(MULTIPLIER_RUN)
-    if not (np.all(m.values == 1.0) and np.array_equal(F.vectors, G.vectors)):
-        del table["equals_frame_operator"]
-    report = Report(suite="multiplier-run", seed=0, started=_timestamp())
-    # one M and one SVD for the budgets, the scale and the CSV
-    run = Inputs({"sigma": lambda r: hb.singular_values(r.M),
-                  "budgets": lambda r: budget_values(F.space.weights, m.values, F.vectors,
-                                                     G.vectors, DEFAULT_PS, r.sigma),
-                  "scale": lambda r: max(hb.schatten_of(r.sigma, math.inf), 1e-300)},
-                 F=F, G=G, m=m, M=multiplier(m, F, G))
-    report = _report(report, table, tolerances, lambda _, row: row.measure(run))
-    # every check reads sigma: it is kept, or the report carries its error
-    return report, hb.spectrum_to_csv(vars(run).get("sigma", []))
+    cfg = SuiteConfig(d=F.dim, n_points=F.space.n_points, trials=1, tolerances=dict.fromkeys(
+        BUDGET_IDS, config["tolerance"]) if "tolerance" in config else {})
+    run = Trials(cfg, range(1))
+    vars(run).update(w=F.space.weights[None], F=F.vectors[None], G=G.vectors[None],
+                     m=m.values[None])
+    # the gabor rows read no instance
+    table = {c: row for c, row in CHECKS.items() if row.kind == STACKED and row.suite != "gabor"}
+    if np.all(m.values == 1.0) and np.array_equal(F.vectors, G.vectors):
+        table["equals_frame_operator"] = EQUALS_FRAME_OPERATOR
+    report = Report(suite="multiplier-run", seed=cfg.seed, started=_timestamp())
+    report = _report(report, table, cfg.tolerances, lambda _, row: [row.measure(run)])
+    # the budget rows read sigma_M: it is kept, or the report carries its error
+    return report, hb.spectrum_to_csv(vars(run).get("sigma_M", []))

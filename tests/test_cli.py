@@ -211,74 +211,71 @@ def test_multiplier_command(tmp_path):
     data = read_json(out)
     ids = {c["check_id"] for c in data["checks"]}
     assert "equals_frame_operator" in ids
-    assert "adjoint_identity" in ids
+    assert "multiplier_adjoint" in ids
     lines = sigma.read_text().strip().splitlines()
     assert lines[0] == "index,sigma"
     assert len(lines) == 5  # d singular values
 
 
-# the report of the configuration below without its timestamps, and its CSV;
-# the last digits come from numpy's bundled OpenBLAS, as in tests/test_golden.py
-MULTIPLIER_REPORT = """\
+# the report of the configuration below without its timestamps: its text
+# up to the second check, the measured value of every check, each passing,
+# and its CSV; the last digits come from numpy's bundled OpenBLAS, as in
+# tests/test_golden.py
+MULTIPLIER_HEAD = """\
 {
   "suite": "multiplier-run",
   "seed": 0,
   "checks": [
     {
-      "check_id": "adjoint_identity",
-      "claim": "adjoint equals the conjugate-symbol multiplier with frames swapped",
-      "measured": 1.6004299057320254e-16,
-      "budget": 1e-12,
-      "tolerance": 1e-12,
-      "pass": true
-    },
-    {
-      "check_id": "budget_p1",
-      "claim": "Schatten 1-norm within its budget",
-      "measured": 26.381392812877404,
-      "budget": 60.680109485883,
+      "check_id": "bessel_inequality",
+      "claim": "weighted coefficient energy lies between the optimal bounds times ||f||^2",
+      "measured": 0.0,
+      "budget": 1e-10,
       "tolerance": 1e-10,
       "pass": true
     },
-    {
-      "check_id": "budget_p1.5",
-      "claim": "Schatten 1.5-norm within its budget",
-      "measured": 21.90698340132846,
-      "budget": 48.23285245856012,
-      "tolerance": 1e-10,
-      "pass": true
-    },
-    {
-      "check_id": "budget_p2",
-      "claim": "Schatten 2-norm within its budget",
-      "measured": 20.650805810043867,
-      "budget": 44.66236203056543,
-      "tolerance": 1e-10,
-      "pass": true
-    },
-    {
-      "check_id": "budget_p3",
-      "claim": "Schatten 3-norm within its budget",
-      "measured": 20.020442060519382,
-      "budget": 43.33049983349158,
-      "tolerance": 1e-10,
-      "pass": true
-    },
-    {
-      "check_id": "budget_pinf",
-      "claim": "Schatten inf-norm within its budget",
-      "measured": 19.88052221398031,
-      "budget": 48.09082907687736,
-      "tolerance": 1e-10,
-      "pass": true
-    }
-  ],
-  "summary": {
-    "total": 6,
-    "passed": 6
-  }
-}
 """
+MULTIPLIER_MEASURED = {
+    "bessel_inequality": 0.0,
+    "bessel_sharpness": 1.422311655676207e-16,
+    "canonical_dual_pair": 5.751743179104396e-16,
+    "certificates": -3.2871119768689243,
+    "controlled_bounds_map": 4.440892098500626e-16,
+    "controlled_factorization": 8.415555609185619e-16,
+    "controlled_implies_frame": 0.0,
+    "controlled_positivity": 0.0,
+    "controlled_spectral_mapping": 4.440892098500624e-16,
+    "difference_analysis": 5.46865406246441e-16,
+    "difference_symbol": 3.894294211369648e-16,
+    "difference_synthesis": 5.375097553197955e-16,
+    "discrete_bessel_norm_bound": -0.7776821639608271,
+    "dual_bounds_inverse": 5.199683878658031e-16,
+    "frame_factorization": 1.6077318401578892e-16,
+    "frame_iff_invertible": 0.0,
+    "frame_uniform_l1": -2.5313324324383273,
+    "frame_uniform_l2": -1.8771901876377601,
+    "multiplier_adjoint": 2.668628197947126e-16,
+    "multiplier_dual": 2.8150832545488057e-15,
+    "op_norm_budget": -0.5866047103866816,
+    "perturb_lower": -1.7494831158666506,
+    "perturb_upper": -41.330084784616,
+    "positive_symbol_coercivity": -2.6170994876976663,
+    "precondition_identity": 5.835194730308098e-15,
+    "reconstruction": 5.653384987894289e-16,
+    "reconstruction_swapped": 4.572609098864266e-16,
+    "schatten_budget_p15": -0.5458078408248791,
+    "schatten_budget_p2": -0.5376239663296101,
+    "schatten_budget_p3": -0.5379595864932784,
+    "schatten_monotonicity": 0.0,
+    "symbol_convergence_p1": -3.4441973368975507,
+    "symbol_convergence_p2": -2.2073487385966866,
+    "symbol_convergence_pinf": -2.230816254208654,
+    "trace_budget": -0.565238213371798,
+    "truncation_budget": -10.008463857183393,
+    "truncation_monotone": 0.0,
+    "weighted_identity": 3.0111154942687716e-16,
+    "weighted_scaling": 2.1334674835143103e-16,
+}
 MULTIPLIER_CSV = """\
 index,sigma
 0,19.88052221398031
@@ -287,20 +284,27 @@ index,sigma
 """
 
 
-def test_multiplier_command_output_is_pinned(tmp_path):
+def pinned_multiplier_config():
+    """A configuration at d = 3, N = 6 with weights in [0.2, 2)."""
     rng = np.random.default_rng(7)
     space = MeasureSpace(np.arange(6, dtype=float)[:, None], rng.uniform(0.2, 2.0, 6))
     F, G = (SampledFrame(space, rng.standard_normal((3, 6))
                          + 1j * rng.standard_normal((3, 6))) for _ in range(2))
     m = Symbol(rng.standard_normal(6) + 1j * rng.standard_normal(6), space)
+    return {"analysis_frame": F.to_dict(), "synthesis_frame": G.to_dict(),
+            "symbol": m.to_dict()}
+
+
+def test_multiplier_command_output_is_pinned(tmp_path):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"analysis_frame": F.to_dict(),
-                                    "synthesis_frame": G.to_dict(),
-                                    "symbol": m.to_dict()}))
+    cfg_path.write_text(json.dumps(pinned_multiplier_config()))
     out, sigma = tmp_path / "report.json", tmp_path / "sigma.csv"
     assert main(["multiplier", "--config", str(cfg_path), "--out", str(out),
                  "--sigma-csv", str(sigma)]) == 0
-    assert TIMESTAMP.sub("", out.read_text()) == MULTIPLIER_REPORT
+    assert TIMESTAMP.sub("", out.read_text()).startswith(MULTIPLIER_HEAD)
+    data = read_json(out)
+    assert data["summary"] == {"total": 39, "passed": 39}
+    assert {c["check_id"]: c["measured"] for c in data["checks"]} == MULTIPLIER_MEASURED
     assert sigma.read_text() == MULTIPLIER_CSV
 
 
@@ -331,7 +335,51 @@ def test_multiplier_refuses_a_bad_tolerance(tmp_path, capsys, tolerance):
     cfg_path.write_text(json.dumps({**unit_symbol_config(1.0), "tolerance": tolerance}))
     assert main(["multiplier", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert not out.exists()
-    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+    assert "tolerances must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mismatch,message", [
+    ("space", "frames live on different measure spaces"),
+    ("d", "dimension mismatch 3 vs 4")])
+def test_multiplier_refuses_a_mismatched_pair(tmp_path, capsys, mismatch, message):
+    # the synthesis frame on the points of the analysis frame's space under
+    # other weights, or in another dimension
+    rng = np.random.default_rng(5)
+    space = counting_space(8)
+    if mismatch == "space":
+        space, d = MeasureSpace(space.points, np.full(8, 2.0)), 3
+    else:
+        d = 4
+    G = SampledFrame(space, rng.standard_normal((d, 8)) + 1j * rng.standard_normal((d, 8)))
+    cfg_path, out, sigma = (tmp_path / name for name in ("config.json", "r.json", "s.csv"))
+    cfg_path.write_text(json.dumps({**unit_symbol_config(2.0), "synthesis_frame": G.to_dict()}))
+    assert main(["multiplier", "--config", str(cfg_path), "--out", str(out),
+                 "--sigma-csv", str(sigma)]) == 2
+    assert not out.exists() and not sigma.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_a_multiplier_report_checks_with_the_rows_of_checks(monkeypatch):
+    # every check but equals_frame_operator is the row of CHECKS of its id:
+    # its claim, its gate and its tolerance, or the configuration's for the
+    # budget rows
+    rows, verdict = [], suites.verdict
+    monkeypatch.setattr(suites, "verdict", lambda check_id, row, tol, values: rows.append(
+        (check_id, row)) or verdict(check_id, row, tol, values))
+    stacked = [c for c, row in suites.CHECKS.items()
+               if row.kind == suites.STACKED and row.suite != "gabor"]
+    for config, tolerance, ids in [
+            (unit_symbol_config(1.0), None, [*stacked, "equals_frame_operator"]),
+            ({**pinned_multiplier_config(), "tolerance": 1e-3}, 1e-3, stacked)]:
+        rows.clear()
+        report, _ = run_multiplier(config)
+        assert [check.check_id for check in report.checks] == [c for c, _ in rows] == ids
+        for (check_id, row), check in zip(rows, report.checks):
+            assert row is (suites.EQUALS_FRAME_OPERATOR if check_id == "equals_frame_operator"
+                           else suites.CHECKS[check_id])
+            assert check.claim == row.claim and check.passed
+            assert check.tolerance == (tolerance if tolerance and check_id in suites.BUDGET_IDS
+                                       else row.tolerance)
 
 
 def test_multiplier_frame_operator_row_needs_the_unit_symbol_exactly(tmp_path):
@@ -517,13 +565,14 @@ def test_each_suite_has_the_rows_the_benchmark_expects(monkeypatch):
     assert {row.gate for row in suites.CHECKS.values()} == {
         suites.MAX0, suites.MAX, suites.COUNT, suites.MAX_COUNT_SHOWN, suites.FLOOR,
         suites.RANGE}
-    # the subcommand tables add only the gates against a bound and the
-    # admissibility condition
-    tables = (suites.GABOR_RUN, suites.WAVELET_RUN, suites.MULTIPLIER_RUN)
+    # the subcommand rows add only the gates against a bound and the
+    # admissibility condition; the multiplier report's frame operator row
+    # folds from 0, as the identities do
+    tables = (suites.GABOR_RUN, suites.WAVELET_RUN,
+              {"equals_frame_operator": suites.EQUALS_FRAME_OPERATOR})
     gates = {row.gate for table in tables for row in table.values()}
     assert gates | {suites.ADMISSIBLE.gate} == {
-        suites.MAX0, suites.RANGE, suites.RELATIVE, suites.ABSOLUTE, suites.BUDGET,
-        suites.POSITIVE}
+        suites.MAX0, suites.RANGE, suites.RELATIVE, suites.ABSOLUTE, suites.POSITIVE}
     # the gabor subcommand writes the report the transforms workload reads
     assert sorted(workloads.SUITE_CHECK_IDS["gabor-run"]) == sorted(suites.GABOR_RUN)
     assert {row.suite for table in tables for row in table.values()} == {
@@ -729,6 +778,27 @@ def test_the_algebra_suites_form_the_pinned_gram_products(monkeypatch, tmp_path,
     assert main(args + ["--trials", "4"]) == 0
     trials = [shape for shape in calls if len(shape) == 3]  # (1, d, columns)
     assert (len(trials) / 4, sum(shape[-1] for shape in trials) / (4 * 64)) == GRAMS_A_TRIAL[suite]
+
+
+# the work of one multiplier run at the pinned configuration, d = 3, N = 6:
+# its 39 rows read one context of one trial, so a product or an SVD two
+# suites share, S_F first, is formed once.  Gram products: the shape of X,
+# (1, d, columns), call by call, d x N but for the truncation segments of 3
+# and 2 points; the five suites on one-trial blocks form 39 (GRAMS_A_TRIAL).
+# SVDs: the inverse of S_F for the dual and the invertibility test, sigma_M,
+# the three truncated deviations at once, the multiplier of each bump and
+# the inverses of both controls.
+MULTIPLIER_GRAMS = [(1, 3, 6)] * 17 + [(1, 3, 3), (1, 3, 2)] + [(1, 3, 6)] * 10
+MULTIPLIER_SVDS = [(1, 3, 3)] * 3 + [(1, 3, 3, 3)] + [(1, 3, 3)] * 4
+
+
+def test_a_multiplier_run_forms_the_pinned_gram_products_and_svds(monkeypatch, tmp_path):
+    grams, svds = counted_grams(monkeypatch), counted_calls(monkeypatch, "svd")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(pinned_multiplier_config()))
+    assert main(["multiplier", "--config", str(cfg_path), "--out", str(tmp_path / "r.json"),
+                 "--sigma-csv", str(tmp_path / "s.csv")]) == 0
+    assert (grams, svds) == (MULTIPLIER_GRAMS, MULTIPLIER_SVDS)
 
 
 def test_a_singular_weighted_run_takes_one_svd(monkeypatch, tmp_path):

@@ -33,14 +33,14 @@ GOLDEN = {
         "bessel_inequality": 0.0,
         "bessel_sharpness": 1.009641813399767e-15,
         "discrete_bessel_norm_bound": -2.037248279694829,
-        "op_norm_budget": -51.664492111894376,
+        "op_norm_budget": -0.559320667070077,
         "perturb_lower": -2.539172223664094,
         "perturb_upper": -46.276112416845955,
-        "schatten_budget_p15": -65.09032771531463,
-        "schatten_budget_p2": -52.50239155251346,
-        "schatten_budget_p3": -44.002966728821264,
+        "schatten_budget_p15": -0.6442480750229257,
+        "schatten_budget_p2": -0.6144132836490215,
+        "schatten_budget_p3": -0.5815534440098572,
         "schatten_monotonicity": 0.0,
-        "trace_budget": -105.15762236795852,
+        "trace_budget": -0.6793231209532535,
         "unbounded_bessel_cap": 0.0,
         "unbounded_norm_growth": 1.7782794100389225,
     },
@@ -50,8 +50,8 @@ GOLDEN = {
         "symbol_convergence_p1": -7.720083213968793,
         "symbol_convergence_p2": -3.756374954448976,
         "symbol_convergence_pinf": -2.73784816073574,
-        "truncation_budget": 0.0,
-        "truncation_monotone": 0.0,
+        "truncation_budget": -11.575741500995804,
+        "truncation_monotone": -3.0763079733749485,
     },
     "controlled": {
         "controlled_bounds_map": 1.7763568394002505e-15,
@@ -109,14 +109,14 @@ GOLDEN_ACROSS_A_BLOCK = {
         "bessel_inequality": 0.0,
         "bessel_sharpness": 2.1712121765505633e-15,
         "discrete_bessel_norm_bound": -7.50290053631327,
-        "op_norm_budget": -396.05650211785587,
+        "op_norm_budget": -0.723848485374994,
         "perturb_lower": -34.271038439689704,
         "perturb_upper": -213.73590204955207,
-        "schatten_budget_p15": -755.6531409827683,
-        "schatten_budget_p2": -575.5289086238923,
-        "schatten_budget_p3": -466.1273063645567,
+        "schatten_budget_p15": -0.7481690760769133,
+        "schatten_budget_p2": -0.7344588712486285,
+        "schatten_budget_p3": -0.7153908177519582,
         "schatten_monotonicity": 0.0,
-        "trace_budget": -1417.2849080104388,
+        "trace_budget": -0.766639018005776,
         "unbounded_bessel_cap": 7.105427357601002e-15,
         "unbounded_norm_growth": 1.7782794100389225,
     },
@@ -126,8 +126,8 @@ GOLDEN_ACROSS_A_BLOCK = {
         "symbol_convergence_p1": -110.72759003961457,
         "symbol_convergence_p2": -38.87789155497103,
         "symbol_convergence_pinf": -23.811779990196897,
-        "truncation_budget": 0.0,
-        "truncation_monotone": 0.0,
+        "truncation_budget": -153.499912102194,
+        "truncation_monotone": -16.85237289116361,
     },
     "controlled": {
         "controlled_bounds_map": 2.4424906541753444e-15,

@@ -365,3 +365,7 @@ def test_convergence_rejects_bad_input():
         convergence_experiment("nonsense", m, F, G, [m], p=2.0)
     with pytest.raises(InvalidParameterError):
         convergence_experiment("symbol_p", m, F, G, [m])
+    # the frame kinds fix their norms: a p would reach nothing
+    for kind in ("frame_uniform_L2", "frame_uniform_L1"):
+        with pytest.raises(InvalidParameterError, match="take no p"):
+            convergence_experiment(kind, m, F, G, [F], p=1.5)

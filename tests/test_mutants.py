@@ -7,7 +7,9 @@ row must measure about 10^3 times its tolerance and fail.  Each mutant of a
 convergence row puts a fault into the product of a bump or of a segment of
 dropped points, so a deviation passes its budget or stops shrinking.  No
 check outside the family of rows that read the faulty product may flip.
-The difference identities are also held at (d, N) = (64, 16384), where
+The adjoint identity and the frame operator row are also mutated on the one
+trial of a given instance, as the multiplier subcommand runs them.  The
+difference identities are also held at (d, N) = (64, 16384), where
 their entries, and so their rounding, are largest.
 """
 
@@ -108,21 +110,20 @@ def perturbed_wavelet_operator(monkeypatch):
     monkeypatch.setattr(suites, "_small_wavelet_setup", lambda: setup)
 
 
-def perturbed_run_multiplier(name, call):
-    """Call ``call`` of ``name`` in suites' run of a multiplier gains
-    perturbation(10^3 tol ||M||)."""
-    def fault(monkeypatch):
-        module = fr if name == "frame_operator" else suites
-        build, formed = getattr(module, name), []
+def offset_frame_operator(monkeypatch):
+    """S_F, as the frame operator row of a multiplier run reads it, gains
+    perturbation(10^3 tol ||M||_F / sqrt(d))."""
+    row = suites.EQUALS_FRAME_OPERATOR
 
-        def perturbed(*args):
-            out = build(*args)
-            formed.append(out)
-            size = 1e3 * 1e-12 * hb.operator_norm(formed[0])
-            return out + perturbation(size, len(out)) if len(formed) == call + 1 else out
+    def measure(t):
+        held = t.S_F
+        t.S_F = held + perturbation(1e3 * row.tolerance * m_scale(t), t.cfg.d)
+        try:
+            return row.measure(t)
+        finally:
+            t.S_F = held
 
-        monkeypatch.setattr(module, name, perturbed)
-    return fault
+    monkeypatch.setattr(suites, "EQUALS_FRAME_OPERATOR", row._replace(measure=measure))
 
 
 def suite_run(suite):
@@ -180,13 +181,16 @@ MUTANTS = {
     "truncation_monotone": (suite_run("convergence"),
                             faulty_product("truncation", fr, 2, np.negative), TRUNCATION_ROWS),
     "wavelet_shift_commutation": (suite_run("wavelet"), perturbed_wavelet_operator, WAVELET_S),
-    # the second multiplier is that of the conjugate symbol with frames swapped
-    "adjoint_identity": (multiplier_run(unit=False), perturbed_run_multiplier("multiplier", 1),
-                         {"adjoint_identity"}),
-    "equals_frame_operator": (multiplier_run(unit=True),
-                              perturbed_run_multiplier("frame_operator", 0),
+}
+# the same on the one trial of a given instance, in a multiplier run
+MULTIPLIER_MUTANTS = {
+    "multiplier_adjoint": (multiplier_run(unit=False),
+                           perturbed_product("multiplier_adjoint", fr, 0, m_scale),
+                           {"multiplier_adjoint"}),
+    "equals_frame_operator": (multiplier_run(unit=True), offset_frame_operator,
                               {"equals_frame_operator"}),
 }
+RUNS = {**MUTANTS, **{f"multiplier-run:{c}": case for c, case in MULTIPLIER_MUTANTS.items()}}
 
 
 def verdicts(report):
@@ -194,9 +198,10 @@ def verdicts(report):
     return {c.check_id: c.passed for c in report.checks}
 
 
-@pytest.mark.parametrize("check_id", sorted(MUTANTS))
-def test_every_remeasured_row_fails_under_its_mutant(monkeypatch, check_id):
-    run, mutant, family = MUTANTS[check_id]
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_every_remeasured_row_fails_under_its_mutant(monkeypatch, name):
+    run, mutant, family = RUNS[name]
+    check_id = name.split(":")[-1]
     before = verdicts(run())
     assert check_id in before and all(before.values())
     mutant(monkeypatch)

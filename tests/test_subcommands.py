@@ -1,11 +1,13 @@
 """The reports of the gabor, wavelet and multiplier subcommands: every check
-can fail, every gate holds at its boundary, an input that overflows is
-recorded rather than raised, and the tolerance a report names is the one
-its measure applied."""
+of their own, and every suite row the multiplier report once repeated in a
+table of its own, can fail, every gate holds at its boundary, an input that
+overflows is recorded rather than raised, and the tolerance a report names
+is the one its measure applied."""
 
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -112,33 +114,40 @@ def unrefined_residuals(monkeypatch):
 
 def lowered_budget(column):
     def fault(monkeypatch):
-        values = suites.budget_values
+        compute = suites.SHARED["budgets"]
 
-        def lowered(*args, **kwargs):
-            actuals, budgets = values(*args, **kwargs)
+        def lowered(t):
+            actuals, budgets = compute(t)
             budgets = budgets.copy()
             budgets[..., column] = 0.5 * actuals[..., column]
             return actuals, budgets
 
-        monkeypatch.setattr(suites, "budget_values", lowered)
+        monkeypatch.setitem(suites.SHARED, "budgets", lowered)
     return fault
 
 
+def offset_within(row, name):
+    """``row`` with a measure that reads quantity ``name`` of its context off
+    by 1e-8 ||M||_F I."""
+    def measure(t):
+        held = getattr(t, name)
+        setattr(t, name, held + 1e-8 * hb.frobenius_norm(t.M)[:, None, None] * np.eye(t.cfg.d))
+        try:
+            return row.measure(t)
+        finally:
+            setattr(t, name, held)
+    return row._replace(measure=measure)
+
+
 def perturbed_adjoint(monkeypatch):
-    # every multiplier after the first, M, is off by 1e-8 ||M|| I
-    build, calls = suites.multiplier, []
-
-    def perturbed(m, F, G):
-        M = build(m, F, G)
-        calls.append(M)
-        return M if len(calls) == 1 else M + 1e-8 * hb.operator_norm(M) * np.eye(len(M))
-
-    monkeypatch.setattr(suites, "multiplier", perturbed)
+    # M, as the adjoint identity reads it
+    monkeypatch.setitem(suites.CHECKS, "multiplier_adjoint",
+                        offset_within(suites.CHECKS["multiplier_adjoint"], "M"))
 
 
 def perturbed_frame_operator(monkeypatch):
-    build = fr.frame_operator
-    monkeypatch.setattr(fr, "frame_operator", lambda F: build(F) * (1.0 + 1e-8))
+    monkeypatch.setattr(suites, "EQUALS_FRAME_OPERATOR",
+                        offset_within(suites.EQUALS_FRAME_OPERATOR, "S_F"))
 
 
 # check id -> (the run, the fault, the ids that may fail with it)
@@ -151,13 +160,19 @@ FAULTS = {
     "admissibility_constant": (wavelet, doubled_profile, {"admissibility_constant"}),
     "calderon_residual": (wavelet, scaled_residuals, {"calderon_residual"}),
     "calderon_refinement": (wavelet, unrefined_residuals, {"calderon_refinement"}),
-    **{f"budget_p{tag}": (multiplier(), lowered_budget(column), {f"budget_p{tag}"})
-       for column, tag in enumerate(("1", "1.5", "2", "3", "inf"))},
-    "adjoint_identity": (multiplier(), perturbed_adjoint, {"adjoint_identity"}),
+    # the budget rows in the order of DEFAULT_PS, the columns of the budgets
+    **{check_id: (multiplier(), lowered_budget(column), {check_id}) for column, check_id in
+       enumerate(("trace_budget", "schatten_budget_p15", "schatten_budget_p2",
+                  "schatten_budget_p3", "op_norm_budget"))},
+    "multiplier_adjoint": (multiplier(), perturbed_adjoint, {"multiplier_adjoint"}),
     "equals_frame_operator": (multiplier(unit=True), perturbed_frame_operator,
                               {"equals_frame_operator"}),
 }
-SUBCOMMAND_IDS = sorted({*suites.GABOR_RUN, *suites.WAVELET_RUN, *suites.MULTIPLIER_RUN})
+# the checks of the gabor and wavelet tables, the one row a multiplier report
+# has apart from CHECKS, and the suite rows the multiplier subcommand once
+# repeated in a table of its own
+SUBCOMMAND_IDS = sorted({*suites.GABOR_RUN, *suites.WAVELET_RUN, "equals_frame_operator",
+                         *suites.BUDGET_IDS, "multiplier_adjoint"})
 
 
 def verdicts(report):
@@ -192,10 +207,6 @@ def test_every_subcommand_check_can_fail(monkeypatch, check_id):
     (suites.ABSOLUTE, 1.0, 3.0, 4.0, True),
     (suites.ABSOLUTE, 1.0, above(5.0), 4.0, False),
     (suites.ABSOLUTE, 1.0, below(3.0), 4.0, False),
-    # x <= b + tol
-    (suites.BUDGET, 0.5, 3.0, 2.0, True),
-    (suites.BUDGET, 0.5, -100.0, 2.0, True),
-    (suites.BUDGET, 0.5, above(3.0), 2.0, False),
     # finite and > 0
     (suites.POSITIVE, 0.0, 5e-324, 0.0, True),
     (suites.POSITIVE, 0.0, 0.0, 0.0, False),
@@ -207,10 +218,31 @@ def test_subcommand_gates_at_their_boundaries(gate, tol, measured, bound, passed
         "c", "a claim", measured, bound, tol, passed, "detail")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("actual,budget,tol,measured,passed", [
+    # (x - b) / b <= tol
+    (3.0, 2.0, 0.5, 0.5, True),
+    (above(3.0), 2.0, 0.5, (above(3.0) - 2.0) / 2.0, False),
+    (0.0, 2.0, 0.0, -1.0, True),
+    # a zero budget holds a zero norm only
+    (0.0, 0.0, 0.0, 0.0, True),
+    (5e-324, 0.0, 0.5, math.inf, False),
+])
+def test_the_budget_rows_gate_the_excess_relative_to_the_budget(actual, budget, tol, measured,
+                                                                passed):
+    t = types.SimpleNamespace(budgets=(np.full((1, 5), actual), np.full((1, 5), budget)))
+    for check_id in suites.BUDGET_IDS:
+        row = suites.CHECKS[check_id]
+        assert row.gate == suites.MAX
+        check = suites.verdict(check_id, row, tol, [row.measure(t)])
+        assert (check.measured, check.passed) == (
+            (measured, passed) if math.isfinite(measured) else (None, passed))
+
+
 @pytest.mark.parametrize("gate,measured,bound,passed,shown,detail", [
     (suites.POSITIVE, math.inf, 0.0, False, (None, 0.0), "measured inf"),
     (suites.RELATIVE, math.nan, 1.0, False, (None, 1.0), "measured nan"),
-    (suites.BUDGET, 1.0, math.inf, True, (1.0, None), "budget inf"),
+    (suites.RELATIVE, 1.0, math.inf, True, (1.0, None), "budget inf"),
     (suites.ABSOLUTE, 1.0, math.nan, False, (1.0, None), "budget nan"),
 ])
 def test_non_finite_values_and_bounds_move_into_the_detail(gate, measured, bound, passed,
@@ -244,6 +276,11 @@ def test_gabor_command_records_an_overflowing_window(tmp_path, capsys):
     assert "gabor-run: 0/3 checks passed" in capsys.readouterr().out
 
 
+# the ids of a multiplier report: the stacked rows of the algebra suites
+STACKED_ALGEBRA_IDS = [c for c, row in suites.CHECKS.items()
+                       if row.kind == suites.STACKED and row.suite != "gabor"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_multiplier_command_records_an_overflowing_frame(tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -253,27 +290,45 @@ def test_multiplier_command_records_an_overflowing_frame(tmp_path, capsys):
     assert main(["multiplier", "--config", str(config), "--out", str(out),
                  "--sigma-csv", str(sigma)]) == 1
     checks = {c["check_id"]: c for c in strict_json(out)["checks"]}
-    assert set(checks) == set(suites.MULTIPLIER_RUN) - {"equals_frame_operator"}
-    aborted = {c for c, check in checks.items() if "error" in check}
-    assert aborted == {c for c in checks if c.startswith("budget_p")}
-    for check_id in aborted:
+    assert sorted(checks) == sorted(STACKED_ALGEBRA_IDS)
+    # S_F overflows: the budgets abort, the multiplier and its adjoint do not
+    for check_id in suites.BUDGET_IDS:
         assert checks[check_id]["measured"] is None and not checks[check_id]["pass"]
         assert checks[check_id]["error"].startswith("NumericFailureError")
-    assert checks["adjoint_identity"]["pass"]
+    assert checks["multiplier_adjoint"]["pass"]
     assert len(sigma.read_text().splitlines()) == 5
 
 
-def test_the_budget_gate_is_relative_to_the_budget():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_budget_gate_is_relative_to_the_budget(tmp_path):
     # both frames scaled by 1e-160: the operator norm underflows to a
     # subnormal against an operator-norm budget of 0, which an absolute
     # tolerance of 1e-10 passed
     F, G = frames(scale=1e-160)
-    config = multiplier_config() | {"analysis_frame": F.to_dict(),
-                                    "synthesis_frame": G.to_dict()}
-    checks = {c.check_id: c for c in suites.run_multiplier(config)[0].checks}
-    pinf = checks["budget_pinf"]
-    assert pinf.budget == 0.0 < pinf.measured and not pinf.passed
-    assert [c for c, check in checks.items() if not check.passed] == ["budget_pinf"]
+    config, out = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps(multiplier_config() | {"analysis_frame": F.to_dict(),
+                                                        "synthesis_frame": G.to_dict()}))
+    assert main(["multiplier", "--config", str(config), "--out", str(out)]) == 1
+    checks = {c["check_id"]: c for c in strict_json(out)["checks"]}
+    assert [c for c in suites.BUDGET_IDS if not checks[c]["pass"]] == ["op_norm_budget"]
+    assert checks["op_norm_budget"]["detail"] == "measured inf"
+
+
+def test_a_zero_symbol_passes_every_budget_row():
+    zero = {"re": [0.0] * 12, "im": [0.0] * 12}
+    report, _ = suites.run_multiplier(multiplier_config() | {"symbol": zero})
+    assert all(c.passed for c in report.checks if c.check_id in suites.BUDGET_IDS)
+
+
+def test_the_rows_that_read_the_canonical_dual_abort_on_no_frame():
+    # N = 3 < d = 4: no frame, as at N < d in the suites
+    F, G = frames(n=3)
+    config = {"analysis_frame": F.to_dict(), "synthesis_frame": G.to_dict(),
+              "symbol": Symbol(np.ones(3, dtype=complex), F.space).to_dict()}
+    errors = {c.check_id: c.error for c in suites.run_multiplier(config)[0].checks}
+    for check_id in ("reconstruction", "reconstruction_swapped", "canonical_dual_pair",
+                     "dual_bounds_inverse"):
+        assert errors[check_id].startswith("NotAFrameError")
 
 
 def test_multiplier_csv_has_no_rows_without_singular_values(monkeypatch):
@@ -283,7 +338,8 @@ def test_multiplier_csv_has_no_rows_without_singular_values(monkeypatch):
     monkeypatch.setattr(suites.hb, "singular_values", failed)
     report, csv_text = suites.run_multiplier(multiplier_config())
     assert csv_text == "index,sigma\n"
-    assert all(c.error.startswith("NumericFailureError") for c in report.checks)
+    errors = {c.check_id: c.error for c in report.checks}
+    assert all(errors[c].startswith("NumericFailureError") for c in suites.BUDGET_IDS)
 
 
 # ---------------------------------------------------------------------------
