@@ -136,7 +136,7 @@ def spectral_controls(specs, S: np.ndarray, eigen=None) -> np.ndarray:
     ControlSpec per operator in the order of the stack.  One eigensolver
     gives the frame test and the controls: ``eigen`` is np.linalg.eigh(S)
     where the caller has it."""
-    lam, U = np.linalg.eigh(S) if eigen is None else eigen
+    lam, U = np.linalg.eigh(hilbert._require_finite(S)) if eigen is None else eigen
     require_frame(spectrum_bounds(lam[..., 0], lam[..., -1]))
     phi = spectral_maps(specs, lam)
     magnitude = np.abs(phi)

@@ -143,10 +143,20 @@ def adjoint(T) -> np.ndarray:
     return _as_operators(T).conj().swapaxes(-1, -2)
 
 
+def _require_finite(T) -> np.ndarray:
+    """T, refused with NumericFailureError where an entry is not finite: the
+    one test before an SVD or an eigen-solve, on which LAPACK would fail
+    with an error of its own."""
+    if not np.all(np.isfinite(T)):
+        raise NumericFailureError("operator has non-finite entries")
+    return T
+
+
 def singular_values(T) -> np.ndarray:
-    """Singular values in nonincreasing order, along the last axis for a stack."""
+    """Singular values in nonincreasing order, along the last axis for a
+    stack.  Raises NumericFailureError on non-finite entries."""
     try:
-        return np.linalg.svd(_as_operators(T), compute_uv=False)
+        return np.linalg.svd(_require_finite(_as_operators(T)), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"singular value decomposition failed: {exc}")
 
@@ -185,10 +195,7 @@ def hermitian_spectrum(T) -> np.ndarray:
     such as frame operators, this is the spectrum of the symmetrized
     operator.  Raises NumericFailureError on non-finite entries.
     """
-    T = _as_operators(T)
-    if not np.all(np.isfinite(T)):
-        raise NumericFailureError("operator has non-finite entries")
-    return np.linalg.eigvalsh(hermitian_part(T))
+    return np.linalg.eigvalsh(hermitian_part(_require_finite(_as_operators(T))))
 
 
 def extreme_eigenvalues(T):

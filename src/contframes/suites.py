@@ -191,11 +191,17 @@ def _shape(cfg: SuiteConfig, dims) -> tuple:
 
 
 def _complex(*dims):
-    """Complex standard normals, the real and then the imaginary part of each
-    entry, filled in place."""
+    """Complex entries whose real and then imaginary part are i.i.d. uniform
+    on [-sqrt(3), sqrt(3)), mean 0 and variance 1, filled in place, one
+    64-bit output a part.  Uniform parts are sub-Gaussian, so the extreme
+    singular values of a drawn frame concentrate as for Gaussian entries
+    (Vershynin, arXiv:1011.3027), and they cost less to draw than normals."""
     def draw(rng, cfg, count):
         out = np.empty((count, *_shape(cfg, dims)), dtype=complex)
-        rng.standard_normal(out=out.view(float))
+        parts = out.view(float)
+        rng.random(out=parts)
+        parts -= 0.5
+        parts *= 2.0 * math.sqrt(3.0)
         return out
     return draw
 
@@ -395,7 +401,7 @@ SHARED = {
     "convergence": _convergence,
     # one eigendecomposition of S_F for the controls, their frame test and
     # the mapped spectrum
-    "eigen_F": lambda t: np.linalg.eigh(t.S_F),
+    "eigen_F": lambda t: np.linalg.eigh(hb._require_finite(t.S_F)),
     "specs": lambda t: _specs(t.kinds, t.params),
     "C": lambda t: ctrl.spectral_controls(t.specs, t.S_F, t.eigen_F),
     "L": lambda t: ctrl.mixed_operator(t.C, t.w, t.F),
@@ -575,7 +581,7 @@ def _bessel_inequality(t: Trials):
 
 
 def _bessel_sharpness(t: Trials):
-    _, vecs = np.linalg.eigh(hb.hermitian_part(t.S_F))
+    _, vecs = np.linalg.eigh(hb.hermitian_part(hb._require_finite(t.S_F)))
     top = np.sum(t.w * np.abs(fr.coefficients(t.F, vecs[..., -1])) ** 2, axis=-1)
     return np.abs(top - t.bounds_F.upper) / t.bounds_F.upper
 
@@ -714,9 +720,11 @@ def _stft_matches(t: Trials):
     g, f = _unit(t.tests[:, 0]), _unit(t.tests[:, 1])
     coeffs = tf.stft_coefficients(f, g).reshape(-1, d, d)
     # column b is M_b 1, in C order as np.column_stack lays columns out: BLAS
-    # rounds a product with a transposed operand differently
+    # rounds a product with a transposed operand differently.  Phase times
+    # window, the operand order of tf.modulate: numpy rounds a complex
+    # product differently when its operands are swapped
     ramps = np.ascontiguousarray(tf.modulate(np.ones((d, d)), np.arange(d)).T)
-    return np.max([np.abs(coeffs[:, a] - fr.coefficients(tf.translate(g, a)[..., None] * ramps, f))
+    return np.max([np.abs(coeffs[:, a] - fr.coefficients(ramps * tf.translate(g, a)[..., None], f))
                    for a in range(d)], axis=(0, 2))
 
 

@@ -245,15 +245,15 @@ MULTIPLIER_MEASURED = {
     "controlled_implies_frame": 0.0,
     "controlled_positivity": 0.0,
     "controlled_spectral_mapping": 4.440892098500624e-16,
-    "difference_analysis": 5.46865406246441e-16,
-    "difference_symbol": 3.894294211369648e-16,
-    "difference_synthesis": 5.375097553197955e-16,
+    "difference_analysis": 5.830855454473589e-16,
+    "difference_symbol": 9.961672645123683e-16,
+    "difference_synthesis": 4.1851356501598905e-16,
     "discrete_bessel_norm_bound": -0.7776821639608271,
     "dual_bounds_inverse": 5.199683878658031e-16,
     "frame_factorization": 1.6077318401578892e-16,
     "frame_iff_invertible": 0.0,
-    "frame_uniform_l1": -2.5313324324383273,
-    "frame_uniform_l2": -1.8771901876377601,
+    "frame_uniform_l1": -1.614873657107999,
+    "frame_uniform_l2": -1.1054062767718627,
     "multiplier_adjoint": 2.668628197947126e-16,
     "multiplier_dual": 2.8150832545488057e-15,
     "op_norm_budget": -0.5866047103866816,
@@ -261,15 +261,15 @@ MULTIPLIER_MEASURED = {
     "perturb_upper": -41.330084784616,
     "positive_symbol_coercivity": -2.6170994876976663,
     "precondition_identity": 5.835194730308098e-15,
-    "reconstruction": 5.653384987894289e-16,
-    "reconstruction_swapped": 4.572609098864266e-16,
+    "reconstruction": 6.185020982279975e-16,
+    "reconstruction_swapped": 4.564593940924998e-16,
     "schatten_budget_p15": -0.5458078408248791,
     "schatten_budget_p2": -0.5376239663296101,
     "schatten_budget_p3": -0.5379595864932784,
     "schatten_monotonicity": 0.0,
-    "symbol_convergence_p1": -3.4441973368975507,
-    "symbol_convergence_p2": -2.2073487385966866,
-    "symbol_convergence_pinf": -2.230816254208654,
+    "symbol_convergence_p1": -3.98155350810399,
+    "symbol_convergence_p2": -2.3619293675001694,
+    "symbol_convergence_pinf": -1.7518563293821492,
     "trace_budget": -0.565238213371798,
     "truncation_budget": -10.008463857183393,
     "truncation_monotone": 0.0,
@@ -726,6 +726,34 @@ def test_the_algebra_suites_take_the_pinned_svds(monkeypatch, tmp_path, suite):
                  "--out", str(tmp_path / "r.json")]) == 0
     # the shapes pin the number of calls and of the matrices given to them
     assert calls == SVDS[suite]
+
+
+# the eigen-solves of the same block, (eigh, eigvalsh) call by call, each of
+# a stack of 8 x 8 matrices or of one: identities takes the bounds of S_F,
+# of the canonical dual and of frame_iff_invertible's operator; bounds the
+# eigh of bessel_sharpness beside the bounds of S_F, S_G, both perturbed
+# frames and F with unit weights, then one 8 x 8 frame operator for each
+# unbounded-family grid; convergence the bounds of S_F on the head of 50 and
+# of S_G on the head of 20; controlled the eigh of S_F and of S_G for the
+# two controls, the extremes of C and the spectrum of L; weighted the bounds
+# of S_F, of its reweighting by 3, of S_G, of m F and m G, and the extremes
+# of the coercive multiplier.  The non-finite test of hb._require_finite
+# adds none.
+EIGEN_SOLVES = {
+    "identities": ([], [(64, 8, 8)] * 3),
+    "bounds": ([(64, 8, 8)], [(64, 8, 8)] * 5 + [(8, 8)] * 3),
+    "convergence": ([], [(50, 8, 8), (20, 8, 8)]),
+    "controlled": ([(64, 8, 8)] * 2, [(64, 8, 8)] * 2),
+    "weighted": ([], [(64, 8, 8)] * 6),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(EIGEN_SOLVES))
+def test_the_algebra_suites_take_the_pinned_eigen_solves(monkeypatch, tmp_path, suite):
+    calls = tuple(counted_calls(monkeypatch, name) for name in ("eigh", "eigvalsh"))
+    assert main(["verify", "--suite", suite, "--d", "8", "--n", "64", "--trials", "64",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == EIGEN_SOLVES[suite]
 
 
 def counted_grams(monkeypatch):

@@ -16,6 +16,7 @@ from contframes.errors import (
     InvalidParameterError,
     NotAFrameError,
     NotInvertibleError,
+    NumericFailureError,
     ShapeMismatchError,
 )
 from contframes.frame import SampledFrame, frame_bounds, frame_operator, weighted
@@ -90,6 +91,13 @@ def test_make_control_requires_frame_for_spectral_kinds():
     flat = SampledFrame(counting_space(5), np.ones((3, 5), dtype=complex))
     with pytest.raises(NotAFrameError):
         make_control(ControlSpec("inverse"), flat)
+
+
+def test_spectral_controls_refuse_a_non_finite_frame_operator():
+    S = np.eye(3, dtype=complex)
+    S[0, 1] = np.inf
+    with pytest.raises(NumericFailureError, match="^operator has non-finite entries$"):
+        ctrl.spectral_controls([ControlSpec("identity")], S)
 
 
 def diagonal_non_frame():

@@ -17,55 +17,55 @@ from contframes.cli import main
 
 GOLDEN = {
     "identities": {
-        "canonical_dual_pair": 1.3973208366980813e-15,
-        "difference_analysis": 9.448519677111503e-16,
-        "difference_symbol": 1.3074727374588365e-15,
-        "difference_synthesis": 8.367217016989159e-16,
-        "dual_bounds_inverse": 1.4461162734675848e-15,
-        "frame_factorization": 1.635860383659927e-16,
+        "canonical_dual_pair": 1.012351982521803e-15,
+        "difference_analysis": 7.519315143250052e-16,
+        "difference_symbol": 1.0276696589231162e-15,
+        "difference_synthesis": 9.11146036186395e-16,
+        "dual_bounds_inverse": 2.0247849788702143e-15,
+        "frame_factorization": 2.16091139687709e-16,
         "frame_iff_invertible": 0.0,
-        "multiplier_adjoint": 5.297303784068213e-16,
-        "reconstruction": 1.1512429381535383e-15,
-        "reconstruction_swapped": 1.0279834381240728e-15,
-        "weighted_identity": 5.355222782034628e-16,
+        "multiplier_adjoint": 5.202040430227155e-16,
+        "reconstruction": 8.765015427817578e-16,
+        "reconstruction_swapped": 8.144179043500975e-16,
+        "weighted_identity": 3.158633137520259e-16,
     },
     "bounds": {
         "bessel_inequality": 0.0,
-        "bessel_sharpness": 1.009641813399767e-15,
-        "discrete_bessel_norm_bound": -2.037248279694829,
-        "op_norm_budget": -0.559320667070077,
-        "perturb_lower": -2.539172223664094,
-        "perturb_upper": -46.276112416845955,
-        "schatten_budget_p15": -0.6442480750229257,
-        "schatten_budget_p2": -0.6144132836490215,
-        "schatten_budget_p3": -0.5815534440098572,
+        "bessel_sharpness": 7.330201950975737e-16,
+        "discrete_bessel_norm_bound": -2.1981531638866763,
+        "op_norm_budget": -0.461096817971059,
+        "perturb_lower": -3.6640321546928507,
+        "perturb_upper": -34.30797309814527,
+        "schatten_budget_p15": -0.5572820201746601,
+        "schatten_budget_p2": -0.5325124998816348,
+        "schatten_budget_p3": -0.4909669889253406,
         "schatten_monotonicity": 0.0,
-        "trace_budget": -0.6793231209532535,
-        "unbounded_bessel_cap": 0.0,
+        "trace_budget": -0.5859325156803205,
+        "unbounded_bessel_cap": 3.552713678800501e-15,
         "unbounded_norm_growth": 1.7782794100389225,
     },
     "convergence": {
-        "frame_uniform_l1": -5.940591257441417,
-        "frame_uniform_l2": -2.7974945515779823,
-        "symbol_convergence_p1": -7.720083213968793,
-        "symbol_convergence_p2": -3.756374954448976,
-        "symbol_convergence_pinf": -2.73784816073574,
-        "truncation_budget": -11.575741500995804,
-        "truncation_monotone": -3.0763079733749485,
+        "frame_uniform_l1": -5.094457504212665,
+        "frame_uniform_l2": -2.6259430140651947,
+        "symbol_convergence_p1": -5.07568674776642,
+        "symbol_convergence_p2": -2.7502393667805674,
+        "symbol_convergence_pinf": -1.7841672712320047,
+        "truncation_budget": -17.353711969961303,
+        "truncation_monotone": -1.361421847669348,
     },
     "controlled": {
         "controlled_bounds_map": 1.7763568394002505e-15,
-        "controlled_factorization": 1.5503707458937451e-15,
+        "controlled_factorization": 2.6781057472313503e-15,
         "controlled_implies_frame": 0.0,
         "controlled_positivity": 0.0,
         "controlled_spectral_mapping": 1.7763568394002473e-15,
-        "precondition_identity": 2.7454320657742395e-15,
+        "precondition_identity": 2.8210321573972568e-15,
     },
     "gabor": {
-        "gabor_tightness": 4.3381387318871135e-16,
-        "stft_energy": 5.154306141883227e-16,
-        "stft_matches_analysis": 4.0029660424867215e-16,
-        "stft_orthogonality": 8.777083671441753e-17,
+        "gabor_tightness": 8.547743353864389e-16,
+        "stft_energy": 4.2827008097302634e-16,
+        "stft_matches_analysis": 2.8305244335018383e-16,
+        "stft_orthogonality": 1.2412670766236366e-16,
         "tf_shift_unitarity": 4.440892098500626e-16,
     },
     "wavelet": {
@@ -81,10 +81,10 @@ GOLDEN = {
         "wavelet_shift_commutation": 5.33474140638474e-14,
     },
     "weighted": {
-        "certificates": -2.51705336661544,
-        "multiplier_dual": 9.757772521975298e-15,
-        "positive_symbol_coercivity": -1.808466761974103,
-        "weighted_scaling": 8.253221948728664e-16,
+        "certificates": -7.895554371967213,
+        "multiplier_dual": 5.233794768199253e-15,
+        "positive_symbol_coercivity": -1.999346630034442,
+        "weighted_scaling": 7.620235492460161e-16,
     },
 }
 
@@ -93,62 +93,62 @@ GOLDEN = {
 # capped checks read heads of it
 GOLDEN_ACROSS_A_BLOCK = {
     "identities": {
-        "canonical_dual_pair": 1.578438077751755e-15,
-        "difference_analysis": 1.975046147828359e-15,
-        "difference_symbol": 2.507277657281621e-15,
-        "difference_synthesis": 2.142591510680771e-15,
-        "dual_bounds_inverse": 2.4075298668538294e-15,
-        "frame_factorization": 6.073768117887212e-16,
+        "canonical_dual_pair": 1.4638066460196097e-15,
+        "difference_analysis": 2.0180420980031784e-15,
+        "difference_symbol": 2.113052239066689e-15,
+        "difference_synthesis": 2.1285914346887666e-15,
+        "dual_bounds_inverse": 2.4295142996527063e-15,
+        "frame_factorization": 6.223909305054915e-16,
         "frame_iff_invertible": 0.0,
-        "multiplier_adjoint": 1.380092680302785e-15,
-        "reconstruction": 7.298465351142197e-16,
-        "reconstruction_swapped": 7.1547061648335645e-16,
-        "weighted_identity": 5.337984652171803e-16,
+        "multiplier_adjoint": 1.4282440560789925e-15,
+        "reconstruction": 5.629971675175357e-16,
+        "reconstruction_swapped": 6.035900420953314e-16,
+        "weighted_identity": 5.350097648248099e-16,
     },
     "bounds": {
         "bessel_inequality": 0.0,
-        "bessel_sharpness": 2.1712121765505633e-15,
-        "discrete_bessel_norm_bound": -7.50290053631327,
-        "op_norm_budget": -0.723848485374994,
-        "perturb_lower": -34.271038439689704,
-        "perturb_upper": -213.73590204955207,
-        "schatten_budget_p15": -0.7481690760769133,
-        "schatten_budget_p2": -0.7344588712486285,
-        "schatten_budget_p3": -0.7153908177519582,
+        "bessel_sharpness": 1.4775393608625926e-15,
+        "discrete_bessel_norm_bound": -8.526538673902627,
+        "op_norm_budget": -0.638480820083936,
+        "perturb_lower": -40.07050017680069,
+        "perturb_upper": -187.19054987357427,
+        "schatten_budget_p15": -0.7223775426079788,
+        "schatten_budget_p2": -0.7159438009658965,
+        "schatten_budget_p3": -0.6994658640651273,
         "schatten_monotonicity": 0.0,
-        "trace_budget": -0.766639018005776,
+        "trace_budget": -0.7251448005745678,
         "unbounded_bessel_cap": 7.105427357601002e-15,
         "unbounded_norm_growth": 1.7782794100389225,
     },
     "convergence": {
-        "frame_uniform_l1": -134.46456600734217,
-        "frame_uniform_l2": -39.38846007925612,
-        "symbol_convergence_p1": -110.72759003961457,
-        "symbol_convergence_p2": -38.87789155497103,
-        "symbol_convergence_pinf": -23.811779990196897,
-        "truncation_budget": -153.499912102194,
-        "truncation_monotone": -16.85237289116361,
+        "frame_uniform_l1": -101.42547057706663,
+        "frame_uniform_l2": -36.74513042478958,
+        "symbol_convergence_p1": -82.92792867523282,
+        "symbol_convergence_p2": -33.10119786308911,
+        "symbol_convergence_pinf": -15.50092409816796,
+        "truncation_budget": -147.09797088527557,
+        "truncation_monotone": -27.958662089224475,
     },
     "controlled": {
-        "controlled_bounds_map": 2.4424906541753444e-15,
-        "controlled_factorization": 2.4355318697345034e-15,
+        "controlled_bounds_map": 2.6645352591003757e-15,
+        "controlled_factorization": 2.127948810522559e-15,
         "controlled_implies_frame": 0.0,
         "controlled_positivity": 0.0,
-        "controlled_spectral_mapping": 2.4424906541753416e-15,
-        "precondition_identity": 3.113981094526827e-15,
+        "controlled_spectral_mapping": 2.664535259100372e-15,
+        "precondition_identity": 4.4086632888526865e-15,
     },
     "gabor": {
-        "gabor_tightness": 1.50935385938606e-15,
-        "stft_energy": 5.063900072510161e-16,
-        "stft_matches_analysis": 1.4475537224895361e-15,
-        "stft_orthogonality": 1.2412670766236366e-16,
+        "gabor_tightness": 1.912319861943749e-15,
+        "stft_energy": 6.551741215588936e-16,
+        "stft_matches_analysis": 1.0980128164946026e-15,
+        "stft_orthogonality": 1.0103182026100663e-16,
         "tf_shift_unitarity": 8.881784197001252e-16,
     },
     "weighted": {
-        "certificates": -53.810247047304124,
-        "multiplier_dual": 3.742293041936766e-14,
-        "positive_symbol_coercivity": -39.49348105900167,
-        "weighted_scaling": 1.8115705302111977e-15,
+        "certificates": -91.03378453721432,
+        "multiplier_dual": 2.37703465526394e-14,
+        "positive_symbol_coercivity": -43.479557136284356,
+        "weighted_scaling": 9.821842680249163e-16,
     },
 }
 # (d, n, trials) -> the pinned values of each suite at that size

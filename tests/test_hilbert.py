@@ -128,6 +128,18 @@ def test_extreme_eigenvalues_reject_non_finite(bad):
         hb.extreme_eigenvalues(T)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_singular_values_reject_non_finite_as_the_eigen_solves_do(bad):
+    # one test refuses the operator before LAPACK sees it, in a stack too
+    T = np.stack([np.eye(3, dtype=complex)] * 2)
+    T[1, 1, 2] = bad
+    for spectrum in (hb.extreme_eigenvalues, hb.singular_values, hb._require_finite):
+        with pytest.raises(NumericFailureError, match="^operator has non-finite entries$"):
+            spectrum(T)
+    finite = T[0]
+    assert hb._require_finite(finite) is finite
+
+
 def test_is_positive():
     assert hb.is_positive(np.eye(4), 1e-12)
     assert not hb.is_positive(np.diag([1.0, -1.0]), 1e-12)

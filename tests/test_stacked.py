@@ -394,10 +394,10 @@ def weighted_scaling(cfg, i):
             abs(scaled.upper - 3.0 * bounds.upper) / (3.0 * bounds.upper)]
 
 
-def complex_normal(rng, shape):
-    """Complex standard normals, each entry's real and imaginary part drawn
-    one after the other."""
-    parts = rng.standard_normal((*shape, 2))
+def complex_uniform(rng, shape):
+    """Complex entries whose real and imaginary part, drawn one after the
+    other, are uniform on [-sqrt(3), sqrt(3))."""
+    parts = (rng.random((*shape, 2)) - 0.5) * (2.0 * math.sqrt(3.0))
     return parts[..., 0] + 1j * parts[..., 1]
 
 
@@ -1389,7 +1389,18 @@ def test_vectors_in_one_draw_equal_one_draw_per_vector():
     rng = np.random.default_rng(4)
     each = [vectors(rng, cfg, 1)[0] for _ in range(20)]
     assert np.array_equal(bits(one), bits(np.array(each)))
-    assert np.array_equal(bits(one), bits(complex_normal(np.random.default_rng(4), (20, 5))))
+    assert np.array_equal(bits(one), bits(complex_uniform(np.random.default_rng(4), (20, 5))))
+
+
+def test_a_role_draw_has_parts_of_mean_0_and_variance_1():
+    # one 64 x 4096 role of a suites_large trial: 2^19 parts, each uniform on
+    # [-sqrt(3), sqrt(3)), whose square has variance 9/5 - 1 = 4/5
+    parts = suites.PLAIN["F"](np.random.default_rng(8), SuiteConfig(d=64, n_points=4096), 1
+                              ).view(float).ravel()
+    root3, n = math.sqrt(3.0), parts.size
+    assert n == 2 * 64 * 4096 and np.all((-root3 <= parts) & (parts < root3))
+    assert abs(np.mean(parts)) <= 5.0 * math.sqrt(1.0 / n)
+    assert abs(np.var(parts) - 1.0) <= 5.0 * math.sqrt(0.8 / n)
 
 
 def test_control_specs_take_their_kind_and_parameter_row():
@@ -1517,15 +1528,15 @@ def test_no_two_roles_checks_or_attempts_share_a_stream(monkeypatch, tmp_path):
     assert len({stripped(key) for key in keys}) == len(keys)
 
 
-def drawn_normals(monkeypatch) -> list:
-    """The number of standard normals of every draw from the streams the
-    suites open from now on, in order."""
+def drawn_doubles(monkeypatch) -> list:
+    """The number of uniform doubles of every draw of a complex role, two an
+    entry, from the streams the suites open from now on, in order."""
     counts = []
     rng = suites._rng
 
     class Counted(np.random.Generator):
-        def standard_normal(self, *args, **kwargs):
-            drawn = super().standard_normal(*args, **kwargs)
+        def random(self, *args, **kwargs):
+            drawn = super().random(*args, **kwargs)
             counts.append(np.size(drawn))
             return drawn
 
@@ -1533,12 +1544,12 @@ def drawn_normals(monkeypatch) -> list:
     return counts
 
 
-# generators built and standard normals drawn by verify --suite all at its
-# defaults (d = 8, N = 64, 200 trials) and by each verify of the suites_small
-# benchmark workload, which runs at those sizes.  One generator a role a
-# block, and one for each unbounded family; a head draws only the roles its
-# block does not hold.  A count that rises fails here until CHANGES.md
-# re-pins it.
+# generators built and doubles the complex roles draw by verify --suite all
+# at its defaults (d = 8, N = 64, 200 trials) and by each verify of the
+# suites_small benchmark workload, which runs at those sizes: two doubles a
+# complex entry.  One generator a role a block, and one for each unbounded
+# family; a head draws only the roles its block does not hold.  A count that
+# rises fails here until CHANGES.md re-pins it.
 DRAWS = {"all": (52, 729_632), "identities": (32, 729_600), "bounds": (26, 499_232),
          "convergence": (7, 97_280), "gabor": (4, 32_000), "controlled": (16, 217_600),
          "weighted": (12, 217_600)}
@@ -1546,10 +1557,10 @@ DRAWS = {"all": (52, 729_632), "identities": (32, 729_600), "bounds": (26, 499_2
 
 @pytest.mark.parametrize("suite", sorted(DRAWS))
 def test_the_suites_draw_the_pinned_generators_and_normals(monkeypatch, suite):
-    keys, normals = recorded_streams(monkeypatch), drawn_normals(monkeypatch)
+    keys, doubles = recorded_streams(monkeypatch), drawn_doubles(monkeypatch)
     draws = recorded_draws(monkeypatch)
     assert run_suite(SuiteConfig(suite=suite)).all_passed
-    assert (len(keys), sum(normals)) == DRAWS[suite]
+    assert (len(keys), sum(doubles)) == DRAWS[suite]
     # a role's stream is read past the trials before the context's first,
     # then for its trials: every context of a run starts a block
     assert [count for _, count in draws[::2]] == [0] * (len(draws) // 2)
