@@ -10,6 +10,7 @@ usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -27,6 +28,27 @@ from .suites import (
     run_wavelet,
 )
 from .tf_frames import WindowSpec
+
+
+# glibc's mallopt parameters and the values its dynamic thresholds climb to
+# on 64-bit hosts: DEFAULT_MMAP_THRESHOLD_MAX, and trim at twice that
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+HEAP_THRESHOLDS = {M_MMAP_THRESHOLD: 32 << 20, M_TRIM_THRESHOLD: 64 << 20}
+
+
+def _keep_freed_pages() -> None:
+    """Start glibc's allocator at its largest thresholds, so the d x N
+    temporaries of a command reuse heap pages instead of handing them back
+    to the kernel and faulting them in again; a silent no-op where the C
+    library has no mallopt.  Only main calls it: the library leaves the
+    allocator of the process that imports it alone."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in HEAP_THRESHOLDS.items():
+        mallopt(param, value)
 
 
 def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
@@ -139,6 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_pages()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -215,18 +215,19 @@ def precondition_identity_residual(control_spec: ControlSpec,
     """
     C = make_control(control_spec, F)
     D = make_control(dual_spec, G)
-    values = _aligned(m, F, G)
-    return precondition_residual(C, D, F.space.weights * values, F.vectors, G.vectors)
+    c = F.space.weights * _aligned(m, F, G)
+    M = weighted_gram(G.vectors, c, F.vectors)
+    return precondition_residual(C, D, c, F.vectors, G.vectors, M)
 
 
 def precondition_residual(C: np.ndarray, D: np.ndarray, c, F: np.ndarray,
-                          G: np.ndarray):
+                          G: np.ndarray, M: np.ndarray):
     """||D^-1 M_C C^-1 - M||_F / (||M||_F / sqrt(d)) (the unscaled norm when
-    M = 0), where M is the multiplier sum_j c_j G_j F_j^* and M_C that of the
-    controlled vectors C F_j, D G_j; for one instance or each of a stack."""
+    M = 0), where M is the multiplier sum_j c_j G_j F_j^*, given as formed,
+    and M_C that of the controlled vectors C F_j, D G_j; for one instance or
+    each of a stack."""
     mixed = weighted_gram(D @ G, c, C @ F)
-    plain = weighted_gram(G, c, F)
-    defect = hilbert.invert(D) @ mixed @ hilbert.invert(C) - plain
-    scale = hilbert.frobenius_scale(plain)
+    defect = hilbert.invert(D) @ mixed @ hilbert.invert(C) - M
+    scale = hilbert.frobenius_scale(M)
     residual = hilbert.frobenius_norm(defect)
     return hilbert.value_or_stack(residual / np.where(scale > 0.0, scale, 1.0))

@@ -104,6 +104,22 @@ CALDERON_DEFAULTS = {
 }
 
 
+INTEGER_KEYS = ("seed", "trials", "d", "n")
+
+
+def _integer(key: str, value) -> int:
+    """A configuration integer: an int, an integral float or a string that
+    int() reads; a boolean, a fraction or a non-finite number is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InvalidParameterError(f"{key} must be an integer, got {value!r}")
+
+
 def _is_tolerance(value) -> bool:
     try:
         return 0.0 <= float(value) < math.inf
@@ -150,16 +166,10 @@ class SuiteConfig:
         if unknown:
             raise InvalidParameterError(
                 f"unknown configuration keys {unknown}; known: {sorted(CONFIG_KEYS)}")
-        fields = {CONFIG_KEYS[key]: value for key, value in data.items()}
+        fields = {CONFIG_KEYS[key]: (_integer(key, value) if key in INTEGER_KEYS else value)
+                  for key, value in data.items()}
         if not isinstance(fields.get("tolerances", {}), dict):
             raise InvalidParameterError("tolerances must be a JSON object")
-        for name in ("seed", "trials", "d", "n_points"):
-            if name in fields:
-                try:
-                    fields[name] = int(fields[name])
-                except (TypeError, ValueError):
-                    raise InvalidParameterError(
-                        f"{name} must be an integer, got {fields[name]!r}")
         return cls(**fields)
 
 
@@ -330,9 +340,10 @@ def _dual(t: Trials) -> tuple:
 
 
 def _truncation_cuts(n: int) -> list[int]:
-    """Sizes of the kept sets of the truncation schedule: nested (each at
-    least one point) and ending at all n points."""
-    return [max(1, n // 8), max(1, n // 4), max(1, n // 2), n]
+    """Sizes of the kept sets of the truncation schedule: distinct and nested
+    (each at least one point), then all n points.  Below 8 points n // 8,
+    n // 4 and n // 2 repeat; a repeated cut would add a step of rise 0."""
+    return sorted({max(1, n // 8), max(1, n // 4), max(1, n // 2)}) + [n]
 
 
 def _truncation(t: Trials) -> tuple:
@@ -348,7 +359,7 @@ def _truncation(t: Trials) -> tuple:
     order = np.argsort(np.abs(m), axis=-1)[..., ::-1]
     wm, tail, tails = t.w * m, np.zeros((len(m), t.cfg.d, t.cfg.d), dtype=complex), []
     for start, stop in reversed(list(zip(cuts, cuts[1:]))):
-        if stop > start:  # repeated cuts leave a segment empty
+        if stop > start:  # at n = 1 the one segment is empty
             X = np.take_along_axis(t.F, order[:, None, start:stop], axis=-1)
             tail = tail + fr.weighted_gram(X, np.take_along_axis(wm, order[:, start:stop], -1), X)
         tails.insert(0, tail)
@@ -651,7 +662,7 @@ def _controlled_implies_frame(t: Trials):
 
 def _precondition_identity(t: Trials):
     D = ctrl.spectral_controls(_specs(t.dual_kinds, t.dual_params), t.S_G)
-    return ctrl.precondition_residual(t.C, D, t.w * t.m, t.F, t.G)
+    return ctrl.precondition_residual(t.C, D, t.w * t.m, t.F, t.G, t.M)
 
 
 def _weighted_scaling(t: Trials):

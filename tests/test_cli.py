@@ -272,7 +272,7 @@ MULTIPLIER_MEASURED = {
     "symbol_convergence_pinf": -1.7518563293821492,
     "trace_budget": -0.565238213371798,
     "truncation_budget": -10.008463857183393,
-    "truncation_monotone": 0.0,
+    "truncation_monotone": -5.197057893859568,
     "weighted_identity": 3.0111154942687716e-16,
     "weighted_scaling": 2.1334674835143103e-16,
 }
@@ -495,6 +495,36 @@ def test_verify_config_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert main(["verify", "--config", str(bad)]) == 2
+
+
+def config_text(**values) -> str:
+    """A suite configuration of identities at d = 3, N = 6, 2 trials, with
+    ``values`` as JSON text by key: Infinity and NaN have no json.dumps form
+    that the strict reader of a report accepts, so the text is joined here."""
+    fields = {"suite": '"identities"', "trials": "2", "d": "3", "n": "6", **values}
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}"
+
+
+# int() would run d = 4.9 as 4 and trials = true as 1, and raise an
+# uncaught OverflowError on Infinity
+@pytest.mark.parametrize("key,text", [
+    ("d", "4.9"), ("trials", "true"), ("seed", "false"), ("n", "Infinity"),
+    ("d", "-Infinity"), ("seed", "NaN"), ("n", '"1e3"'), ("trials", "[2]")])
+def test_verify_config_refuses_sizes_that_are_no_integers(tmp_path, capsys, key, text):
+    cfg_path, out = tmp_path / "suite.json", tmp_path / "report.json"
+    cfg_path.write_text(config_text(**{key: text}))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"error: {key} must be an integer" in capsys.readouterr().err
+
+
+def test_verify_config_reads_integral_numbers_and_strings(tmp_path):
+    cfg_path, out, flags = tmp_path / "suite.json", tmp_path / "r.json", tmp_path / "f.json"
+    cfg_path.write_text(config_text(d="3.0", trials='"2"', seed='" 4"'))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["verify", "--suite", "identities", "--trials", "2", "--d", "3", "--n", "6",
+                 "--seed", "4", "--out", str(flags)]) == 0
+    assert strip_timestamps(read_json(out)) == strip_timestamps(read_json(flags))
 
 
 @pytest.mark.parametrize("flag", [
@@ -812,12 +842,13 @@ def test_the_algebra_suites_form_the_pinned_gram_products(monkeypatch, tmp_path,
 # its 39 rows read one context of one trial, so a product or an SVD two
 # suites share, S_F first, is formed once.  Gram products: the shape of X,
 # (1, d, columns), call by call, d x N but for the truncation segments of 3
-# and 2 points; the five suites on one-trial blocks form 39 (GRAMS_A_TRIAL).
+# and 2 points; the five suites on one-trial blocks form 39 (GRAMS_A_TRIAL),
+# and the controlled suite's M is the identities suite's.
 # SVDs: the inverse of S_F for the dual and the invertibility test, sigma_M,
-# the three truncated deviations at once, the multiplier of each bump and
-# the inverses of both controls.
-MULTIPLIER_GRAMS = [(1, 3, 6)] * 17 + [(1, 3, 3), (1, 3, 2)] + [(1, 3, 6)] * 10
-MULTIPLIER_SVDS = [(1, 3, 3)] * 3 + [(1, 3, 3, 3)] + [(1, 3, 3)] * 4
+# the truncated deviations at the two distinct cuts below N = 6 at once, the
+# multiplier of each bump and the inverses of both controls.
+MULTIPLIER_GRAMS = [(1, 3, 6)] * 17 + [(1, 3, 3), (1, 3, 2)] + [(1, 3, 6)] * 9
+MULTIPLIER_SVDS = [(1, 3, 3)] * 3 + [(1, 2, 3, 3)] + [(1, 3, 3)] * 4
 
 
 def test_a_multiplier_run_forms_the_pinned_gram_products_and_svds(monkeypatch, tmp_path):

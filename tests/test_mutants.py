@@ -163,9 +163,10 @@ MUTANTS = {
         "weighted_identity", fr, 0, lambda t: np.maximum(
             hb.frobenius_scale(fr.weighted_gram(t.F, t.w * t.nonnegative, t.F)), 1.0)),
         {"weighted_identity"}),
-    # the second product is the plain multiplier M
+    # its one product is the multiplier of the controlled vectors; the plain
+    # multiplier M is the context's
     "precondition_identity": (suite_run("controlled"),
-                              perturbed_product("precondition_identity", ctrl, 1, m_scale),
+                              perturbed_product("precondition_identity", ctrl, 0, m_scale),
                               {"precondition_identity"}),
     "weighted_scaling": (suite_run("weighted"), perturbed_product(
         "weighted_scaling", fr, 0, lambda t: 3.0 * t.bounds_F.upper), {"weighted_scaling"}),
