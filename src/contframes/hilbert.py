@@ -16,7 +16,7 @@ the defect is at least its operator norm and the scale at most ||X||, so no
 check is looser than in the operator norm.  No SVD or eigen-solve is taken
 only for a scale; an SVD is taken where singular values are measured: the
 Schatten norms, the invertibility cutoff and ``invert``.  Gabor tightness,
-in the suite and in the ``gabor`` subcommand alike, is
+one row of the suite that the ``gabor`` subcommand runs as well, is
 ||S - ||g||^2 I||_F / ||g||^2.
 """
 
@@ -111,12 +111,17 @@ def power(x, y):
     The norms and budgets of one operator end in a scalar power, of a float
     or a numpy scalar.  numpy's vectorized power (SVML on AVX-512 hosts) can
     round differently, so stacked values take their roots and squares here
-    and equal the single-operator values bit for bit.
+    and equal the single-operator values bit for bit.  A power past the
+    float range is the infinity C pow gives, where Python's raises; numpy's
+    scalar power calls C pow.
     """
-    if np.ndim(x) == 0:
-        return float(x) ** y
-    x = np.asarray(x)
-    return np.array([v ** y for v in x.ravel().tolist()]).reshape(x.shape)
+    values = [float(x)] if np.ndim(x) == 0 else np.asarray(x).ravel().tolist()
+    try:
+        powers = [v ** y for v in values]
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            powers = [float(np.float64(v) ** y) for v in values]
+    return powers[0] if np.ndim(x) == 0 else np.array(powers).reshape(np.shape(x))
 
 
 def value_or_stack(values):

@@ -6,18 +6,19 @@ one row.  A row holds the suite, the claim, the default tolerance, the gate
 and the measure of its check, and for a stacked check its trial cap.
 GABOR_RUN and WAVELET_RUN, the tables of the gabor and wavelet subcommands,
 stay apart from CHECKS, out of reach of the suites and their tolerance
-overrides; their measures read the Inputs of one run.  The multiplier
-subcommand runs the algebra suites' stacked rows on one trial of a given
-instance.  The gate says how verdict() folds the values and compares them:
-max from 0 or from -inf <= tol (of (x - b) / b for a norm x and its budget
-b), count == 0 (of failing trials), both of those, >= floor, in [1.5, tol],
-finite and > 0, or, against a bound b the measure gives, |x - b| <= tol b
-or |x - b| <= tol.  _report makes every Check of every report, a verdict()
-or the abort record of a check whose measure raised; the subcommand runs
-build their inputs once, under np.errstate(over="ignore",
-invalid="ignore"); run_check(cfg, id) runs one suite check afresh.  All
-randomness flows through per-role seed derivation, so a report for a given
-configuration is reproducible bit-for-bit (timestamps aside).
+overrides.  The gabor and multiplier subcommands run stacked rows on one
+trial whose roles they give, a window as the first test vector or an
+instance (w, F, G, m); the wavelet rows read a Calderon study.  The gate
+says how verdict() folds the values and holds them against the tolerance,
+the budget of every record: max from 0 or from -inf <= tol (of the distance
+of a value from its bound, relative to the bound), count == 0 (of failing
+trials), both of those, >= floor, or in [1.5, tol].  _report makes every
+Check of every report, a verdict() or the abort record of a check whose
+measure raised; the subcommand runs build their inputs once, under
+np.errstate(over="ignore", invalid="ignore"); run_check(cfg, id) runs one
+suite check afresh.  All randomness flows through per-role seed derivation,
+so a report for a given configuration is reproducible bit-for-bit
+(timestamps aside).
 
 The identities, bounds, convergence, gabor, controlled and weighted suites
 measure their trials in stacks, a block at a time: every step is one numpy
@@ -107,17 +108,17 @@ CALDERON_DEFAULTS = {
 INTEGER_KEYS = ("seed", "trials", "d", "n")
 
 
-def _integer(key: str, value) -> int:
-    """A configuration integer: an int, an integral float or a string that
-    int() reads; a boolean, a fraction or a non-finite number is refused."""
+def _integer(name: str, value) -> int:
+    """A size or a seed: an int, a numpy integer, an integral float or a string
+    that int() reads; a boolean, a fraction or a non-finite number is refused."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    if isinstance(value, (int, np.integer, str)) and not isinstance(value, bool):
         try:
             return int(value)
         except ValueError:
             pass
-    raise InvalidParameterError(f"{key} must be an integer, got {value!r}")
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def _is_tolerance(value) -> bool:
@@ -141,6 +142,9 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise InvalidParameterError(f"unknown suite {self.suite!r}")
+        # named by their configuration keys, "n" for n_points
+        for key in INTEGER_KEYS:
+            setattr(self, CONFIG_KEYS[key], _integer(key, getattr(self, CONFIG_KEYS[key])))
         if self.trials < 1 or self.d < 1 or self.n_points < 1:
             raise InvalidParameterError("trials, d and n must all be >= 1")
         if self.format not in ("json", "csv"):
@@ -166,8 +170,7 @@ class SuiteConfig:
         if unknown:
             raise InvalidParameterError(
                 f"unknown configuration keys {unknown}; known: {sorted(CONFIG_KEYS)}")
-        fields = {CONFIG_KEYS[key]: (_integer(key, value) if key in INTEGER_KEYS else value)
-                  for key, value in data.items()}
+        fields = {CONFIG_KEYS[key]: value for key, value in data.items()}
         if not isinstance(fields.get("tolerances", {}), dict):
             raise InvalidParameterError("tolerances must be a JSON object")
         return cls(**fields)
@@ -421,6 +424,11 @@ SHARED = {
     "L_scale": lambda t: np.maximum(np.max(np.abs(t.L_spectrum), axis=-1), 1.0),
     # phi(lambda) lambda
     "mapped": lambda t: ctrl.spectral_maps(t.specs, t.eigen_F.eigenvalues) * t.eigen_F.eigenvalues,
+    # the Gabor frame operator of the first test vector as a window, ||g||^2
+    # and one eigen-solve for the optimal bounds
+    "gabor_S": lambda t: tf.gabor_operator(t.tests[:, 0]),
+    "gabor_gsq": lambda t: _sq_norms(t.tests[:, 0]),
+    "gabor_extremes": lambda t: hb.extreme_eigenvalues(t.gabor_S),
 }
 
 
@@ -483,10 +491,6 @@ COUNT = "count == 0"
 MAX_COUNT_SHOWN = "max from -inf <= tol, count == 0, count in detail"
 FLOOR = ">= floor"
 RANGE = "in [1.5, tol]"
-# the gates of the subcommand tables, against the bound b the measure gives
-RELATIVE = "|x - b| <= tol b"
-ABSOLUTE = "|x - b| <= tol"
-POSITIVE = "finite and > 0"
 
 
 def _max(start: float, contexts) -> float:
@@ -507,14 +511,12 @@ def verdict(check_id: str, row: "Row", tol: float, values) -> Check:
     """The record of check ``check_id`` of table row ``row`` from what its
     measure gave, under tolerance ``tol``.  A stacked row gives the values
     of each context in trial order, (value, failing) pairs under the gates
-    that count.  Any other row gives the value, or the value and a detail,
-    or those and the bound b its gate holds the value against; the budget
-    of the record is b, or else the tolerance.  NaN fails every gate; a
-    non-finite measured value or budget moves into the detail."""
-    detail, failing, budget = "", 0, tol
+    that count.  Any other row gives the value, or the value and a detail.
+    The budget of the record is the tolerance.  NaN fails every gate; a
+    non-finite measured value moves into the detail."""
+    detail, failing = "", 0
     if row.kind is None:
-        measured, detail, *bound = values if isinstance(values, tuple) else (values, "")
-        budget = bound[0] if bound else tol
+        measured, detail = values if isinstance(values, tuple) else (values, "")
     elif row.gate == COUNT:
         measured = failing = _count(values)
     elif row.gate == MAX_COUNT_SHOWN:
@@ -523,16 +525,12 @@ def verdict(check_id: str, row: "Row", tol: float, values) -> Check:
         detail = f"{failing} failing instance(s)"
     else:
         measured = _max(0.0 if row.gate == MAX0 else -math.inf, values)
-    measured, budget = float(measured), float(budget)
-    passed = failing == 0 and {
-        FLOOR: measured >= tol, RANGE: 1.5 <= measured <= tol,
-        RELATIVE: abs(measured - budget) <= tol * budget, ABSOLUTE: abs(measured - budget) <= tol,
-        POSITIVE: 0.0 < measured < math.inf}.get(row.gate, measured <= tol)
-    shown = {"measured": measured, "budget": budget}
-    off = [f"{name} {value!r}" for name, value in shown.items() if not math.isfinite(value)]
-    return Check(check_id, row.claim,
-                 *(value if math.isfinite(value) else None for value in shown.values()),
-                 tol, bool(passed), "; ".join([*off, detail] if detail else off))
+    measured = float(measured)
+    passed = failing == 0 and {FLOOR: measured >= tol, RANGE: 1.5 <= measured <= tol}.get(
+        row.gate, measured <= tol)
+    if not math.isfinite(measured):
+        detail, measured = "; ".join(filter(None, (f"measured {measured!r}", detail))), None
+    return Check(check_id, row.claim, measured, tol, tol, bool(passed), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -712,16 +710,11 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return x / hb.norm(x)[..., None]
 
 
-def _tight_defect(S, gsq):
-    """||S - ||g||^2 I||_F / ||g||^2 for the Gabor frame operator S of a
-    window g, or of each of a stack: an upper bound on the operator-norm
-    defect, one pass over the entries, no eigen-solve and no SVD."""
-    return hb.frobenius_norm(S - np.asarray(gsq)[..., None, None] * np.eye(S.shape[-1])) / gsq
-
-
 def _tightness(t: Trials):
-    g = t.tests[:, 0]
-    return _tight_defect(tf.gabor_operator(g), _sq_norms(g))
+    """||S - ||g||^2 I||_F / ||g||^2 for the Gabor frame operator S of each window
+    g: at least the operator-norm defect, one pass, no eigen-solve and no SVD."""
+    gsq = t.gabor_gsq
+    return hb.frobenius_norm(t.gabor_S - gsq[:, None, None] * np.eye(t.cfg.d)) / gsq
 
 
 def _stft_matches(t: Trials):
@@ -879,6 +872,7 @@ def _residuals(r: Inputs) -> tuple[float, float]:
 CALDERON = {
     "c_full": lambda r: _admissibility(r.wavelet),
     "c_plus": lambda r: tf.positive_axis_constant(r.wavelet),
+    "constants": lambda r: f"value {r.c_full!r}, positive-axis constant {r.c_plus!r}",
     "residuals": _residuals,
 }
 
@@ -918,8 +912,8 @@ class Row(NamedTuple):
     """A check: its suite (or report), the claim it verifies, its default
     tolerance, its gate and its measure.  A stacked row (``kind`` STACKED)
     has a measure of trial contexts, min(cfg.trials, cap) trials; a config
-    row of CHECKS (no kind) has a measure of the configuration, and a row
-    of a subcommand table one of the Inputs of its run."""
+    row of CHECKS (no kind) has a measure of the configuration, and one of
+    WAVELET_RUN a measure of the Inputs of its run."""
 
     suite: str
     claim: str
@@ -1119,26 +1113,25 @@ CHECKS: dict[str, Row] = {
 }
 
 
-# the tables of the gabor and wavelet subcommands, apart from CHECKS; each
-# measure reads the Inputs of one run
+# the tables of the gabor and wavelet subcommands, apart from CHECKS: the
+# stacked rows of a gabor run, |bound - ||g||^2| / ||g||^2 with the lower
+# bound clamped at 0, and the rows of the Calderon study of a wavelet run
 GABOR_RUN: dict[str, Row] = {
     "gabor_lower_bound": Row(
-        "gabor-run", "optimal lower bound equals ||g||^2", 1e-10, RELATIVE,
-        lambda r: (max(r.extremes[0], 0.0), "", r.gsq)),
+        "gabor-run", "optimal lower bound equals ||g||^2", 1e-10, MAX0, lambda t: np.abs(
+            np.maximum(t.gabor_extremes[0], 0.0) - t.gabor_gsq) / t.gabor_gsq, STACKED),
     "gabor_upper_bound": Row(
-        "gabor-run", "optimal upper bound equals ||g||^2", 1e-10, RELATIVE,
-        lambda r: (r.extremes[1], "", r.gsq)),
-    "gabor_tightness_residual": Row(
-        "gabor-run", "frame operator equals ||g||^2 times the identity", 1e-10, MAX0,
-        lambda r: _tight_defect(r.S, r.gsq)),
+        "gabor-run", "optimal upper bound equals ||g||^2", 1e-10, MAX0,
+        lambda t: np.abs(t.gabor_extremes[1] - t.gabor_gsq) / t.gabor_gsq, STACKED),
+    "gabor_tightness_residual": CHECKS["gabor_tightness"]._replace(
+        suite="gabor-run", claim="frame operator equals ||g||^2 times the identity"),
 }
-# the Calderon rows take the tolerance and the gate of the suite rows they
+# the wavelet rows take the tolerance and the gate of the suite rows they
 # repeat on the configured grid
 WAVELET_RUN: dict[str, Row] = {
     "admissibility_constant": CHECKS["admissibility_oracle"]._replace(
         suite="wavelet-run", claim="two-sided admissibility quadrature (default profile: 1/4)",
-        gate=ABSOLUTE, measure=lambda r: (
-            r.c_full, f"positive-axis constant {r.c_plus!r}", ADMISSIBILITY)),
+        measure=lambda r: (abs(r.c_full - ADMISSIBILITY), r.constants)),
     "calderon_residual": CHECKS["calderon_default"]._replace(
         suite="wavelet-run",
         claim="reconstruction residual within tolerance on the configured grid",
@@ -1149,7 +1142,7 @@ WAVELET_RUN: dict[str, Row] = {
 }
 # the admissibility row of any other profile, which has no closed form
 ADMISSIBLE = Row("wavelet-run", "two-sided admissibility quadrature is finite and positive",
-                 0.0, POSITIVE, lambda r: (r.c_full, f"positive-axis constant {r.c_plus!r}"))
+                 0.0, MAX0, lambda r: (float(not 0.0 < r.c_full < math.inf), r.constants))
 # the one row of a multiplier report apart from CHECKS, for a symbol equal to
 # 1 everywhere with equal frames, whose multiplier is the frame operator
 EQUALS_FRAME_OPERATOR = Row(
@@ -1215,18 +1208,15 @@ def run_suite(config: SuiteConfig) -> Report:
 @np.errstate(over="ignore", invalid="ignore")
 def run_gabor(d: int, window="gaussian") -> Report:
     """Tightness report for one cyclic Gabor system: the rows of GABOR_RUN
-    on its frame operator S, built (and the window checked) before them.
-
-    One eigen-solve of S gives the optimal bounds, its extreme eigenvalues
-    (the lower one clamped at 0); the tightness residual is the suite's
-    ``_tight_defect``, with no eigen-solve."""
-    if isinstance(window, str):
-        window = tf.WindowSpec(kind=window)
-    g = window.build(d) if isinstance(window, tf.WindowSpec) else np.asarray(window)
-    report = Report(suite="gabor-run", seed=0, started=_timestamp())
-    run = Inputs({"extremes": lambda r: hb.extreme_eigenvalues(r.S)},
-                 S=tf.gabor_frame_operator(g, d), gsq=float(np.linalg.norm(g) ** 2))
-    return _report(report, GABOR_RUN, {}, lambda _, row: row.measure(run))
+    on one trial of the gabor suite whose first test vector is the window,
+    built (and checked) before them.  One eigen-solve of its frame operator
+    gives the optimal bounds; the tightness residual takes none."""
+    cfg = SuiteConfig(suite="gabor", d=d, trials=1)
+    g = tf._as_window(tf.WindowSpec(kind=window) if isinstance(window, str) else window, d)
+    run = Trials(cfg, range(1))
+    vars(run).update(tests=g[None, None])
+    report = Report(suite="gabor-run", seed=cfg.seed, started=_timestamp())
+    return _report(report, GABOR_RUN, {}, lambda _, row: [row.measure(run)])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1239,7 +1229,8 @@ def run_wavelet(d: int = CALDERON_DEFAULTS["d"], wavelet: tf.WaveletSpec | None 
     the rows of WAVELET_RUN on its _calderon_study, with ADMISSIBLE for the
     admissibility constant of a profile other than the default."""
     wavelet = wavelet or tf.WaveletSpec()
-    n_b = d if n_b is None else n_b
+    d, n_a = _integer("d", d), _integer("n_a", n_a)
+    n_b = d if n_b is None else _integer("n_b", n_b)
     report = Report(suite="wavelet-run", seed=0, started=_timestamp())
     run = _calderon_study(wavelet, d, a_min, a_max, n_a, n_b, band, taper)
     table = WAVELET_RUN if wavelet.kind == "mexican-hat-fourier" else {

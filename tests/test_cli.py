@@ -435,26 +435,31 @@ def test_run_wavelet_admissibility_gate_can_fail(monkeypatch):
     monkeypatch.setattr(tf, "mexican_hat_fourier", lambda g: 2.0 * profile(g))
     report = run_wavelet(**light)
     check = admissibility_check(report)
-    assert check.measured == pytest.approx(1.0, abs=1e-4)
+    # |c - 1/4| of the constant c = 1 of the doubled profile
+    assert check.measured == pytest.approx(0.75, abs=4e-4)
     assert not check.passed
     assert not report.all_passed
 
 
 def test_run_wavelet_custom_profile_admissibility_gate():
     # a profile other than the default has no closed form: its constant is
-    # held to the admissibility condition, finite and > 0
+    # held to the admissibility condition, finite and > 0, measured 0 where
+    # it holds and 1 where it fails
     light = dict(d=64, n_a=24, band=(2.0, 6.0))
     doubled = tf.WaveletSpec("given-fourier", lambda g: 2.0 * tf.mexican_hat_fourier(g))
     check = admissibility_check(run_wavelet(wavelet=doubled, **light))
-    assert check.measured == pytest.approx(1.0, abs=1e-4)
+    assert check.measured == 0.0
     assert check.passed and check.budget == check.tolerance == 0.0
-    assert check.detail.startswith("positive-axis constant")
+    value = float(check.detail.split(",")[0].removeprefix("value "))
+    assert value == pytest.approx(1.0, abs=4e-4)
+    assert ", positive-axis constant " in check.detail
     # a profile that vanishes on the quadrature grid fails the gate; the
     # Calderon checks, which refuse to build its family, abort
     dead = tf.WaveletSpec("given-fourier", lambda g: np.zeros_like(np.asarray(g)))
     report = run_wavelet(wavelet=dead, **light)
     check = admissibility_check(report)
-    assert check.measured == 0.0 and not check.passed and not check.error
+    assert check.measured == 1.0 and not check.passed and not check.error
+    assert check.detail.startswith("value 0.0, ")
     assert {c.check_id: c.error.split(":")[0] for c in report.checks if c.error} == {
         "calderon_residual": "InvalidParameterError",
         "calderon_refinement": "InvalidParameterError"}
@@ -516,6 +521,35 @@ def test_verify_config_refuses_sizes_that_are_no_integers(tmp_path, capsys, key,
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert not out.exists()
     assert f"error: {key} must be an integer" in capsys.readouterr().err
+
+
+# each library entry point refuses a size that is no integer, where numpy
+# would take d = 4.9 and trials = True for sizes or raise a TypeError of its own
+@pytest.mark.parametrize("call,name", [
+    (lambda: SuiteConfig(suite="identities", trials=True), "trials"),
+    (lambda: SuiteConfig(suite="identities", n_points=6.5), "n"),
+    (lambda: SuiteConfig(d=4.9), "d"),
+    (lambda: SuiteConfig(seed=float("nan")), "seed"),
+    (lambda: suites.run_gabor(True), "d"),
+    (lambda: suites.run_gabor(4.9), "d"),
+    (lambda: run_wavelet(d=True), "d"),
+    (lambda: run_wavelet(d=64.5), "d"),
+    (lambda: run_wavelet(d=64, n_a=np.float64(2.5)), "n_a"),
+    (lambda: run_wavelet(d=64, n_b=False), "n_b"),
+], ids=["suite-trials", "suite-n", "suite-d", "suite-seed", "gabor-bool", "gabor-float",
+        "wavelet-d-bool", "wavelet-d-float", "wavelet-n_a", "wavelet-n_b"])
+def test_the_library_refuses_sizes_that_are_no_integers(call, name):
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_the_library_takes_numpy_integers_as_ints():
+    config = SuiteConfig(suite="identities", seed=np.int64(5), trials=np.int32(2),
+                         d=np.int16(3), n_points=np.uint8(6))
+    assert config == SuiteConfig(suite="identities", seed=5, trials=2, d=3, n_points=6)
+    assert {type(value) for value in (config.seed, config.trials, config.d,
+                                      config.n_points)} == {int}
+    json.dumps(run_suite(config).to_dict())
 
 
 def test_verify_config_reads_integral_numbers_and_strings(tmp_path):
@@ -595,14 +629,16 @@ def test_each_suite_has_the_rows_the_benchmark_expects(monkeypatch):
     assert {row.gate for row in suites.CHECKS.values()} == {
         suites.MAX0, suites.MAX, suites.COUNT, suites.MAX_COUNT_SHOWN, suites.FLOOR,
         suites.RANGE}
-    # the subcommand rows add only the gates against a bound and the
-    # admissibility condition; the multiplier report's frame operator row
-    # folds from 0, as the identities do
+    # the subcommand rows add no gate: each holds one value against its
+    # tolerance, as a suite row does
     tables = (suites.GABOR_RUN, suites.WAVELET_RUN,
               {"equals_frame_operator": suites.EQUALS_FRAME_OPERATOR})
-    gates = {row.gate for table in tables for row in table.values()}
-    assert gates | {suites.ADMISSIBLE.gate} == {
-        suites.MAX0, suites.RANGE, suites.RELATIVE, suites.ABSOLUTE, suites.POSITIVE}
+    rows = [row for table in tables for row in table.values()] + [suites.ADMISSIBLE]
+    assert {row.gate for row in rows} <= {row.gate for row in suites.CHECKS.values()}
+    # the gabor subcommand's tightness row is the suite's, in its own report
+    assert suites.GABOR_RUN["gabor_tightness_residual"]._replace(
+        suite="gabor", claim=suites.CHECKS["gabor_tightness"].claim) == suites.CHECKS[
+        "gabor_tightness"]
     # the gabor subcommand writes the report the transforms workload reads
     assert sorted(workloads.SUITE_CHECK_IDS["gabor-run"]) == sorted(suites.GABOR_RUN)
     assert {row.suite for table in tables for row in table.values()} == {
@@ -875,6 +911,36 @@ def test_the_gabor_suite_takes_no_eigen_solve_and_no_svd(monkeypatch, tmp_path):
     assert main(["verify", "--suite", "gabor", "--d", "8", "--n", "64", "--trials", "64",
                  "--out", str(tmp_path / "r.json")]) == 0
     assert eigvalsh == svd == []
+
+
+def test_the_gabor_command_takes_one_product_and_one_eigen_solve(monkeypatch):
+    # the three rows read one Gabor operator, the bounds one eigvalsh of it
+    products, operator = [], tf.gabor_operator
+
+    def counted(g):
+        products.append(g.shape)
+        return operator(g)
+
+    monkeypatch.setattr(tf, "gabor_operator", counted)
+    eigvalsh, svd = (counted_calls(monkeypatch, name) for name in ("eigvalsh", "svd"))
+    window = np.random.default_rng(24).standard_normal(256)
+    assert suites.run_gabor(256, window).all_passed
+    assert (products, eigvalsh, svd) == ([(1, 256)], [(1, 256, 256)], [])
+
+
+def test_every_report_budget_is_its_tolerance(tmp_path):
+    # the one budget a record has, in every report of every subcommand
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(pinned_multiplier_config()))
+    runs = {"gabor": ["gabor", "--d", "8"],
+            "wavelet": ["wavelet", "--d", "64", "--n-a", "64", "--band", "2", "8"],
+            "multiplier": ["multiplier", "--config", str(cfg_path)],
+            "verify": ["verify", "--suite", "all"]}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        checks = read_json(out)["checks"]
+        assert checks and all(c["budget"] == c["tolerance"] for c in checks), name
 
 
 def test_the_gabor_suite_never_builds_the_gabor_family(monkeypatch, tmp_path):
