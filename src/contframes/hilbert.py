@@ -110,18 +110,15 @@ def power(x, y):
 
     The norms and budgets of one operator end in a scalar power, of a float
     or a numpy scalar.  numpy's vectorized power (SVML on AVX-512 hosts) can
-    round differently, so stacked values take their roots and squares here
-    and equal the single-operator values bit for bit.  A power past the
-    float range is the infinity C pow gives, where Python's raises; numpy's
-    scalar power calls C pow.
+    round differently, so stacked values take their roots and squares here,
+    with numpy's scalar power, and equal the single-operator values bit for
+    bit.  Past the float range, at a pole or off the real line the value is
+    C pow's: +-inf or NaN, with no warning.
     """
-    values = [float(x)] if np.ndim(x) == 0 else np.asarray(x).ravel().tolist()
-    try:
-        powers = [v ** y for v in values]
-    except OverflowError:
-        with np.errstate(over="ignore"):
-            powers = [float(np.float64(v) ** y) for v in values]
-    return powers[0] if np.ndim(x) == 0 else np.array(powers).reshape(np.shape(x))
+    values = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        powers = [float(v ** y) for v in values.ravel()]
+    return powers[0] if values.ndim == 0 else np.array(powers).reshape(values.shape)
 
 
 def value_or_stack(values):

@@ -10,9 +10,9 @@ overrides.  The gabor and multiplier subcommands run stacked rows on one
 trial whose roles they give, a window as the first test vector or an
 instance (w, F, G, m); the wavelet rows read a Calderon study.  The gate
 says how verdict() folds the values and holds them against the tolerance,
-the budget of every record: max from 0 or from -inf <= tol (of the distance
-of a value from its bound, relative to the bound), count == 0 (of failing
-trials), both of those, >= floor, or in [1.5, tol].  _report makes every
+the budget of every verdict() record: max from 0 or from -inf <= tol (of
+the distance of a value from its bound, relative to the bound), count == 0
+(of failing trials), both of those, >= floor, or in [1.5, tol].  _report makes every
 Check of every report, a verdict() or the abort record of a check whose
 measure raised; the subcommand runs build their inputs once, under
 np.errstate(over="ignore", invalid="ignore"); run_check(cfg, id) runs one
@@ -1212,7 +1212,7 @@ def run_gabor(d: int, window="gaussian") -> Report:
     built (and checked) before them.  One eigen-solve of its frame operator
     gives the optimal bounds; the tightness residual takes none."""
     cfg = SuiteConfig(suite="gabor", d=d, trials=1)
-    g = tf._as_window(tf.WindowSpec(kind=window) if isinstance(window, str) else window, d)
+    g = tf._as_window(tf.WindowSpec(kind=window) if isinstance(window, str) else window, cfg.d)
     run = Trials(cfg, range(1))
     vars(run).update(tests=g[None, None])
     report = Report(suite="gabor-run", seed=cfg.seed, started=_timestamp())

@@ -552,6 +552,15 @@ def test_the_library_takes_numpy_integers_as_ints():
     json.dumps(run_suite(config).to_dict())
 
 
+def test_the_gabor_run_reads_its_size_as_its_configuration_does():
+    # an integral float or an integer string is the int, for the window too
+    window = np.random.default_rng(4).standard_normal(8)
+    expected = [strip_timestamps(suites.run_gabor(8, w).to_dict()) for w in ("gaussian", window)]
+    for d in (8.0, "8", np.int16(8)):
+        assert [strip_timestamps(suites.run_gabor(d, w).to_dict())
+                for w in ("gaussian", window)] == expected, d
+
+
 def test_verify_config_reads_integral_numbers_and_strings(tmp_path):
     cfg_path, out, flags = tmp_path / "suite.json", tmp_path / "r.json", tmp_path / "f.json"
     cfg_path.write_text(config_text(d="3.0", trials='"2"', seed='" 4"'))
@@ -929,18 +938,23 @@ def test_the_gabor_command_takes_one_product_and_one_eigen_solve(monkeypatch):
 
 
 def test_every_report_budget_is_its_tolerance(tmp_path):
-    # the one budget a record has, in every report of every subcommand
-    cfg_path = tmp_path / "config.json"
+    # the one budget a record has, in every report of every subcommand; a
+    # check that aborted has none
+    cfg_path, window = tmp_path / "config.json", tmp_path / "window.json"
     cfg_path.write_text(json.dumps(pinned_multiplier_config()))
-    runs = {"gabor": ["gabor", "--d", "8"],
-            "wavelet": ["wavelet", "--d", "64", "--n-a", "64", "--band", "2", "8"],
-            "multiplier": ["multiplier", "--config", str(cfg_path)],
-            "verify": ["verify", "--suite", "all"]}
-    for name, argv in runs.items():
+    window.write_text(json.dumps([1e200, 0.0, 0.0, 0.0]))
+    runs = {"gabor": (["gabor", "--d", "8"], 0),
+            "overflow": (["gabor", "--d", "4", "--window", str(window)], 1),
+            "wavelet": (["wavelet", "--d", "64", "--n-a", "64", "--band", "2", "8"], 0),
+            "multiplier": (["multiplier", "--config", str(cfg_path)], 0),
+            "verify": (["verify", "--suite", "all"], 0)}
+    for name, (argv, code) in runs.items():
         out = tmp_path / f"{name}.json"
-        assert main([*argv, "--out", str(out)]) == 0
+        assert main([*argv, "--out", str(out)]) == code
         checks = read_json(out)["checks"]
-        assert checks and all(c["budget"] == c["tolerance"] for c in checks), name
+        assert checks and all(c["budget"] is None if "error" in c else
+                              c["budget"] == c["tolerance"] for c in checks), name
+    assert sum("error" in c for c in read_json(tmp_path / "overflow.json")["checks"]) == 2
 
 
 def test_the_gabor_suite_never_builds_the_gabor_family(monkeypatch, tmp_path):

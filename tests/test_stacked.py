@@ -1631,6 +1631,16 @@ def test_power_overflows_to_infinity_as_the_c_pow_does():
         math.inf, 1.1 ** 2.5, 0.3 ** 2.5]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_power_is_nan_off_the_real_line_and_inf_at_a_pole():
+    # Python's float power gives a complex root or raises ZeroDivisionError here
+    assert math.isnan(hb.power(-8.0, 1.0 / 3.0))
+    assert isinstance(hb.power(-8.0, 1.0 / 3.0), float)
+    roots = hb.power(np.array([-8.0, 8.0]), 1.0 / 3.0)
+    assert roots.dtype == np.float64 and math.isnan(roots[0]) and roots[1] == 8.0 ** (1 / 3)
+    assert hb.power(0.0, -2) == hb.power(np.array([0.0]), -2.0)[0] == math.inf
+
+
 def test_frame_kernels_take_stacks():
     rng = np.random.default_rng(32)
     d, n = 4, 9
