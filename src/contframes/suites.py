@@ -12,9 +12,9 @@ instance (w, F, G, m); the wavelet rows read a Calderon study.  The gate
 says how verdict() folds the values and holds them against the tolerance,
 the budget of every verdict() record: max from 0 or from -inf <= tol (of
 the distance of a value from its bound, relative to the bound), count == 0
-(of failing trials), both of those, >= floor, or in [1.5, tol].  _report makes every
-Check of every report, a verdict() or the abort record of a check whose
-measure raised; the subcommand runs build their inputs once, under
+(of failing trials), both of those, >= floor, or in [1.5, tol].  _report
+makes every Check of every report, a verdict() or the abort record of a
+check whose measure raised; the subcommand runs build their inputs once, under
 np.errstate(over="ignore", invalid="ignore"); run_check(cfg, id) runs one
 suite check afresh.  All randomness flows through per-role seed derivation,
 so a report for a given configuration is reproducible bit-for-bit
