@@ -13,7 +13,8 @@ on array kernels (``weighted_gram``, ``scaled_columns``, ``coefficients``,
 ``perturbed``)
 that also take stacks of frames along leading axes, so a batch of trials is
 measured with one numpy call per step and the values of each frame equal
-those of the single-frame functions.
+those of the single-frame functions.  Analysis and synthesis take a block of
+k vectors a frame, one BLAS product, equal to k single-vector calls to rounding.
 """
 
 from __future__ import annotations
@@ -70,21 +71,19 @@ def scaled_columns(X: np.ndarray, c) -> np.ndarray:
 
 
 def coefficients(vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Analysis coefficients <f, F_j> of the vectors f (last axis d) against
-    the columns of ``vectors`` (d x N); leading axes broadcast.
-
-    One BLAS matrix-vector product per vector, whether f is one vector or a
-    stack of them.
-    """
-    c = f.conj()[..., None, :] @ vectors
+    """Analysis coefficients <f_i, F_j> of a block of vectors f (..., k, d)
+    against the columns of ``vectors`` (..., d, N): (..., k, N), leading axes
+    broadcast.  One BLAS product per frame, conj(conj(f) F)."""
+    c = f.conj() @ vectors
     np.conj(c, out=c)
-    return c[..., 0, :]
+    return c
 
 
 def synthesize(vectors: np.ndarray, weights: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Weighted synthesis sum_j w_j c_j F_j of coefficients c (last axis N);
-    leading axes broadcast, one BLAS matrix-vector product per vector."""
-    return (vectors @ (weights * c)[..., None])[..., 0]
+    """Weighted syntheses sum_j w_j c_ij F_j of a block of coefficient rows c
+    (..., k, N) under weights (..., N): (..., k, d), leading axes broadcast.
+    One BLAS product per frame, F (w c)^T transposed: F (w c) for k = 1."""
+    return (vectors @ scaled_columns(c, weights).swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def max_column_norm(vectors: np.ndarray):
@@ -181,7 +180,7 @@ def analysis(F: SampledFrame, f) -> np.ndarray:
     f = np.asarray(f, dtype=complex).ravel()
     if f.shape[0] != F.dim:
         raise ShapeMismatchError(f"vector of dim {f.shape[0]} for frame of dim {F.dim}")
-    return coefficients(F.vectors, f)
+    return coefficients(F.vectors, f[None])[0]
 
 
 def synthesis(F: SampledFrame, c) -> np.ndarray:
@@ -191,7 +190,7 @@ def synthesis(F: SampledFrame, c) -> np.ndarray:
         raise ShapeMismatchError(
             f"{c.shape[0]} coefficients for {F.space.n_points} points"
         )
-    return synthesize(F.vectors, F.space.weights, c)
+    return synthesize(F.vectors, F.space.weights, c[None])[0]
 
 
 def frame_operator(F: SampledFrame) -> np.ndarray:

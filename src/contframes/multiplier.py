@@ -201,10 +201,10 @@ def certificate_values(w, values, F: np.ndarray, G: np.ndarray, sigma, bounds=No
     bounds_f, bounds_g = (
         (operator_bounds(weighted_gram(F, w, F)), operator_bounds(weighted_gram(G, w, G)))
         if bounds is None else bounds)
-    mf = scaled_columns(F, values.conj())
-    mg = scaled_columns(G, values)
-    bounds_mf = operator_bounds(weighted_gram(mf, w, mf))
-    bounds_mg = operator_bounds(weighted_gram(mg, w, mg))
+    # the frame operators of conj(m) F and m G, reweighted by |m|^2
+    sq = w * np.abs(values) ** 2
+    bounds_mf = operator_bounds(weighted_gram(F, sq, F))
+    bounds_mg = operator_bounds(weighted_gram(G, sq, G))
 
     floor1 = 1.0 / (bounds_g.upper * inv_sq)
     floor2 = 1.0 / (bounds_f.upper * inv_sq)

@@ -239,7 +239,7 @@ MULTIPLIER_MEASURED = {
     "bessel_inequality": 0.0,
     "bessel_sharpness": 1.422311655676207e-16,
     "canonical_dual_pair": 5.751743179104396e-16,
-    "certificates": -3.2871119768689243,
+    "certificates": -3.2871119768689194,
     "controlled_bounds_map": 4.440892098500626e-16,
     "controlled_factorization": 8.415555609185619e-16,
     "controlled_implies_frame": 0.0,
@@ -250,19 +250,19 @@ MULTIPLIER_MEASURED = {
     "difference_synthesis": 4.1851356501598905e-16,
     "discrete_bessel_norm_bound": -0.7776821639608271,
     "dual_bounds_inverse": 5.199683878658031e-16,
-    "frame_factorization": 1.6077318401578892e-16,
+    "frame_factorization": 6.920973007862285e-17,
     "frame_iff_invertible": 0.0,
     "frame_uniform_l1": -1.614873657107999,
     "frame_uniform_l2": -1.1054062767718627,
     "multiplier_adjoint": 2.668628197947126e-16,
     "multiplier_dual": 2.8150832545488057e-15,
     "op_norm_budget": -0.5866047103866816,
-    "perturb_lower": -1.7494831158666506,
-    "perturb_upper": -41.330084784616,
+    "perturb_lower": -1.7494831158666493,
+    "perturb_upper": -41.330084784615984,
     "positive_symbol_coercivity": -2.6170994876976663,
     "precondition_identity": 5.835194730308098e-15,
-    "reconstruction": 6.185020982279975e-16,
-    "reconstruction_swapped": 4.564593940924998e-16,
+    "reconstruction": 5.610738851756005e-16,
+    "reconstruction_swapped": 4.9612145408148645e-16,
     "schatten_budget_p15": -0.5458078408248791,
     "schatten_budget_p2": -0.5376239663296101,
     "schatten_budget_p3": -0.5379595864932784,
@@ -854,10 +854,12 @@ def counted_grams(monkeypatch):
 # suite runs on the block's first 50 trials: the truncation rows form one
 # product for each segment of dropped points, N/2, N/4 and N/8 columns, and
 # S_F; the convergence rows on the head of 20 S_G and the multipliers of the
-# two bumps.  The bounds suite adds the three unbounded-family grids.
+# two bumps.  The bounds suite forms S_F, S_G, M, sum_j w_j G_j F_j^* (of
+# which both perturbed frame operators are formed) and F with unit weights,
+# then the three unbounded-family grids.
 GRAMS = {
     "identities": [(64, 8, 64)] * 13,
-    "bounds": [(64, 8, 64)] * 6 + [(8, 100), (8, 1000), (8, 10000)],
+    "bounds": [(64, 8, 64)] * 5 + [(8, 100), (8, 1000), (8, 10000)],
     "convergence": [(50, 8, 32), (50, 8, 16), (50, 8, 8), (50, 8, 64)] + [(20, 8, 64)] * 3,
     "controlled": [(64, 8, 64)] * 5,
     "weighted": [(64, 8, 64)] * 6 + [(50, 8, 64), (64, 8, 64)],
@@ -865,8 +867,10 @@ GRAMS = {
 # the calls a trial and their columns in d x N products, where a block holds
 # one trial and no cap cuts it, as at d = 64, N = 4096 with 4 trials; the
 # convergence suite formed 18 full products a trial before it took each step
-# from the multiplier of its bump or of its dropped points
-GRAMS_A_TRIAL = {"identities": (13, 13), "bounds": (6, 6), "convergence": (7, 4.875),
+# from the multiplier of its bump or of its dropped points, and the bounds
+# suite 6 before it took the perturbed frame operators from S_G, S_F and
+# sum_j w_j G_j F_j^*
+GRAMS_A_TRIAL = {"identities": (13, 13), "bounds": (5, 5), "convergence": (7, 4.875),
                  "controlled": (5, 5), "weighted": (8, 8)}
 
 
@@ -887,12 +891,12 @@ def test_the_algebra_suites_form_the_pinned_gram_products(monkeypatch, tmp_path,
 # its 39 rows read one context of one trial, so a product or an SVD two
 # suites share, S_F first, is formed once.  Gram products: the shape of X,
 # (1, d, columns), call by call, d x N but for the truncation segments of 3
-# and 2 points; the five suites on one-trial blocks form 39 (GRAMS_A_TRIAL),
+# and 2 points; the five suites on one-trial blocks form 38 (GRAMS_A_TRIAL),
 # and the controlled suite's M is the identities suite's.
 # SVDs: the inverse of S_F for the dual and the invertibility test, sigma_M,
 # the truncated deviations at the two distinct cuts below N = 6 at once, the
 # multiplier of each bump and the inverses of both controls.
-MULTIPLIER_GRAMS = [(1, 3, 6)] * 17 + [(1, 3, 3), (1, 3, 2)] + [(1, 3, 6)] * 9
+MULTIPLIER_GRAMS = [(1, 3, 6)] * 16 + [(1, 3, 3), (1, 3, 2)] + [(1, 3, 6)] * 9
 MULTIPLIER_SVDS = [(1, 3, 3)] * 3 + [(1, 2, 3, 3)] + [(1, 3, 3)] * 4
 
 

@@ -22,11 +22,11 @@ GOLDEN = {
         "difference_symbol": 1.0276696589231162e-15,
         "difference_synthesis": 9.11146036186395e-16,
         "dual_bounds_inverse": 2.0247849788702143e-15,
-        "frame_factorization": 2.16091139687709e-16,
+        "frame_factorization": 1.1437450138973406e-16,
         "frame_iff_invertible": 0.0,
         "multiplier_adjoint": 5.202040430227155e-16,
-        "reconstruction": 8.765015427817578e-16,
-        "reconstruction_swapped": 8.144179043500975e-16,
+        "reconstruction": 8.839008216970497e-16,
+        "reconstruction_swapped": 8.338479109191575e-16,
         "weighted_identity": 3.158633137520259e-16,
     },
     "bounds": {
@@ -34,8 +34,8 @@ GOLDEN = {
         "bessel_sharpness": 7.330201950975737e-16,
         "discrete_bessel_norm_bound": -2.1981531638866763,
         "op_norm_budget": -0.461096817971059,
-        "perturb_lower": -3.6640321546928507,
-        "perturb_upper": -34.30797309814527,
+        "perturb_lower": -3.664032154692856,
+        "perturb_upper": -34.30797309814528,
         "schatten_budget_p15": -0.5572820201746601,
         "schatten_budget_p2": -0.5325124998816348,
         "schatten_budget_p3": -0.4909669889253406,
@@ -81,7 +81,7 @@ GOLDEN = {
         "wavelet_shift_commutation": 5.33474140638474e-14,
     },
     "weighted": {
-        "certificates": -7.895554371967213,
+        "certificates": -7.8955543719672185,
         "multiplier_dual": 5.233794768199253e-15,
         "positive_symbol_coercivity": -1.999346630034442,
         "weighted_scaling": 7.620235492460161e-16,
@@ -98,11 +98,11 @@ GOLDEN_ACROSS_A_BLOCK = {
         "difference_symbol": 2.113052239066689e-15,
         "difference_synthesis": 2.1285914346887666e-15,
         "dual_bounds_inverse": 2.4295142996527063e-15,
-        "frame_factorization": 6.223909305054915e-16,
+        "frame_factorization": 1.6446444536642202e-16,
         "frame_iff_invertible": 0.0,
         "multiplier_adjoint": 1.4282440560789925e-15,
-        "reconstruction": 5.629971675175357e-16,
-        "reconstruction_swapped": 6.035900420953314e-16,
+        "reconstruction": 6.54523781544752e-16,
+        "reconstruction_swapped": 6.02520949134584e-16,
         "weighted_identity": 5.350097648248099e-16,
     },
     "bounds": {
@@ -110,8 +110,8 @@ GOLDEN_ACROSS_A_BLOCK = {
         "bessel_sharpness": 1.4775393608625926e-15,
         "discrete_bessel_norm_bound": -8.526538673902627,
         "op_norm_budget": -0.638480820083936,
-        "perturb_lower": -40.07050017680069,
-        "perturb_upper": -187.19054987357427,
+        "perturb_lower": -40.070500176800664,
+        "perturb_upper": -187.19054987357416,
         "schatten_budget_p15": -0.7223775426079788,
         "schatten_budget_p2": -0.7159438009658965,
         "schatten_budget_p3": -0.6994658640651273,
@@ -145,7 +145,7 @@ GOLDEN_ACROSS_A_BLOCK = {
         "tf_shift_unitarity": 8.881784197001252e-16,
     },
     "weighted": {
-        "certificates": -91.03378453721432,
+        "certificates": -91.03378453721433,
         "multiplier_dual": 2.37703465526394e-14,
         "positive_symbol_coercivity": -43.479557136284356,
         "weighted_scaling": 9.821842680249163e-16,

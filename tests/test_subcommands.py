@@ -293,6 +293,41 @@ def test_a_zero_symbol_passes_every_budget_row():
     assert all(c.passed for c in report.checks if c.check_id in suites.BUDGET_IDS)
 
 
+def one_point_config(c):
+    """F = G = [[c]] on one point with the symbol 0.5: the frame is tight and
+    the multiplier rank one, so the Bessel inequality and the monotonicity of
+    the Schatten norms hold with equality."""
+    space = counting_space(1)
+    F = SampledFrame(space, np.array([[c]], dtype=complex))
+    return {"analysis_frame": F.to_dict(), "synthesis_frame": F.to_dict(),
+            "symbol": Symbol(np.array([0.5 + 0j]), space).to_dict()}
+
+
+def scaled_config(c):
+    F, G = frames(scale=c)
+    return multiplier_config() | {"analysis_frame": F.to_dict(), "synthesis_frame": G.to_dict()}
+
+
+@pytest.mark.parametrize("config,d", [(one_point_config, 1), (scaled_config, 4)])
+def test_the_bessel_and_monotonicity_rows_do_not_depend_on_the_scale(config, d):
+    # c F and c G scale B_F and every Schatten norm of the multiplier by c^2:
+    # the rows measure their gaps relative to B_F ||f||^2 and to the larger
+    # norm, so they read rounding at every c.  Over ||f||^2 alone and as raw
+    # differences, the one-point instance read 5.79e-10 and 3.49e-10 at
+    # c = 1e3 and failed both against 1e-10
+    for c in (1e-3, 1.0, 1e3):
+        checks = {check.check_id: check for check in suites.run_multiplier(config(c))[0].checks}
+        assert all(check.passed for check in checks.values()), c
+        for check_id in ("bessel_inequality", "schatten_monotonicity"):
+            assert checks[check_id].measured <= 16 * d * np.finfo(float).eps
+
+
+def test_the_bounds_suite_passes_on_a_tight_frame_of_many_points(tmp_path):
+    # at d = 1 every frame is tight: bessel_inequality read 5.1e-10 here
+    assert main(["verify", "--suite", "bounds", "--d", "1", "--n", "262144", "--trials", "2",
+                 "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_the_rows_that_read_the_canonical_dual_abort_on_no_frame():
     # N = 3 < d = 4: no frame, as at N < d in the suites
     F, G = frames(n=3)
