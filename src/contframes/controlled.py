@@ -160,8 +160,9 @@ def controlled_frame_operator(C, F: SampledFrame) -> np.ndarray:
 
 def mixed_operator(C: np.ndarray, w, vectors: np.ndarray) -> np.ndarray:
     """sum_j w_j (C F_j) F_j^* for a control C and frame vectors F under
-    weights w, or for each instance of a stack."""
-    return weighted_gram(C @ vectors, w, vectors)
+    weights w, or for each instance of a stack; C F is formed a chunk of
+    points at a time, inside the product."""
+    return weighted_gram(lambda s: C @ vectors[..., s], w, vectors)
 
 
 def controlled_bounds(C, F: SampledFrame) -> tuple[float, float]:
@@ -224,9 +225,10 @@ def precondition_residual(C: np.ndarray, D: np.ndarray, c, F: np.ndarray,
                           G: np.ndarray, M: np.ndarray):
     """||D^-1 M_C C^-1 - M||_F / (||M||_F / sqrt(d)) (the unscaled norm when
     M = 0), where M is the multiplier sum_j c_j G_j F_j^*, given as formed,
-    and M_C that of the controlled vectors C F_j, D G_j; for one instance or
-    each of a stack."""
-    mixed = weighted_gram(D @ G, c, C @ F)
+    and M_C that of the controlled vectors C F_j, D G_j, formed a chunk of
+    points at a time inside its product; for one instance or each of a
+    stack."""
+    mixed = weighted_gram(lambda s: D @ G[..., s], c, lambda s: C @ F[..., s])
     defect = hilbert.invert(D) @ mixed @ hilbert.invert(C) - M
     scale = hilbert.frobenius_scale(M)
     residual = hilbert.frobenius_norm(defect)

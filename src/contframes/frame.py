@@ -14,13 +14,24 @@ on array kernels (``weighted_gram``, ``scaled_columns``, ``coefficients``,
 that also take stacks of frames along leading axes, so a batch of trials is
 measured with one numpy call per step and the values of each frame equal
 those of the single-frame functions.  Analysis and synthesis take a block of
-k vectors a frame, one BLAS product, equal to k single-vector calls to rounding.
+k vectors a frame, equal to k single-vector calls to rounding.
+
+The sums over the points, the Gram products of ``weighted_gram`` and the
+syntheses of ``synthesize``, take one BLAS product per chunk of points,
+whose frame operand holds at most BLOCK_ENTRIES complex entries across the
+stack, and sum the partials in point order.  An operand built only to feed such a
+product may be a function of a point slice, so it too exists a chunk at a
+time, and no temporary of a product grows with the number of points.  A
+product of one chunk, as every product over a suite's block of more than
+one trial, is the one-shot formula bit for bit; over more chunks the sum
+is re-associated, to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -37,23 +48,73 @@ from .measure import MeasureSpace, partition, read_only, same_space, symbol_valu
 RANK_RTOL = 1e-10
 
 
-def weighted_gram(X: np.ndarray, c, Y: np.ndarray) -> np.ndarray:
+# complex entries one chunk of points of a product's operands holds across
+# the stack: the size of one block's role in the suites, 512 points at d = 64
+BLOCK_ENTRIES = 2**15
+
+
+def _chunks(n: int, per_point: int) -> list[slice]:
+    """Slices of consecutive points, each of at most BLOCK_ENTRIES //
+    per_point (at least one), covering range(n); one empty slice for n = 0."""
+    step = max(1, BLOCK_ENTRIES // max(per_point, 1))
+    return [slice(start, start + step) for start in range(0, max(n, 1), step)]
+
+
+def _columns(operand, points: slice) -> np.ndarray:
+    """The columns at ``points`` of an operand: an array (..., d, N), or a
+    function of a point slice that gives them."""
+    return operand(points) if callable(operand) else operand[..., points]
+
+
+def weighted_gram(X, c, Y) -> np.ndarray:
     """sum_j c_j X_j Y_j^* for d x N column arrays X, Y and N coefficients c.
 
-    The frame operator, the duality defect, the multiplier and the controlled
-    mixed operator are all this product.  It is formed as conj(conj(X c) Y^T)
-    with one d x N temporary, conjugated in place; rounding is symmetric in
-    sign, so the result equals (X * c) @ Y.conj().T, which needs a second
-    d x N temporary for the conjugate of Y, value for value.  Only the sign
-    of an exact zero can differ, such as a vanishing imaginary part on the
-    diagonal of a frame operator.
+    The frame operator, the duality defect, the multiplier and the
+    controlled mixed operator are all this product.  It is summed over
+    chunks of consecutive points, X c of each holding at most BLOCK_ENTRIES
+    complex entries across the stack, one BLAS product a chunk:
+    conj(conj(X c) Y^T) of the chunk, X c written into one buffer that every
+    chunk reuses and conjugated in place, the d x d partials added into one
+    output.  So no temporary exceeds a chunk, and a product of one chunk is
+    the one-shot formula bit for bit.  Rounding is symmetric in sign, so the
+    formula equals (X * c) @ Y.conj().T, value for value; only the sign of
+    an exact zero can differ, such as a vanishing imaginary part on the
+    diagonal of a frame operator.  Over more chunks the partials
+    re-associate the sum of N terms, which moves it by rounding of the order
+    of gamma_N |X| diag|c| |Y|^* entrywise (Higham, "Accuracy and Stability
+    of Numerical Algorithms", 2002, 3.1).
+
+    X or Y may be a function of a point slice that gives the operand's
+    columns there, so an operand built from others (a difference, a scaled
+    or a mapped frame) exists one chunk at a time.  A function X is called
+    once more, on an empty slice, for its shape.
 
     Stacks: X and Y of shape (..., d, N) with c of shape (..., N) give the
-    (..., d, d) products, one BLAS product each.
+    (..., d, d) products.
     """
-    A = scaled_columns(X, c)
-    np.conj(A, out=A)
-    out = A @ Y.swapaxes(-1, -2)
+    c = np.asarray(c)
+    if c.ndim > 1:
+        c = c[..., None, :]  # as scaled_columns expands it
+    head = X(slice(0, 0)) if callable(X) else X
+    rows, n = np.broadcast_shapes(head.shape[:-1], c.shape[:-1]), c.shape[-1]
+    size = math.prod(rows)
+    chunks = _chunks(n, size)
+    buffer = np.empty(size * min(n, chunks[0].stop), dtype=np.result_type(head, c))
+
+    def product(points: slice, out=None) -> np.ndarray:
+        # conj(X c) of the chunk, contiguous in the buffer's first entries,
+        # times Y^T of the chunk; the columns a function gives are freed
+        # when the chunk's product returns
+        cs = c[..., points]
+        A = buffer[:size * cs.shape[-1]].reshape(*rows, cs.shape[-1])
+        np.multiply(_columns(X, points), cs, out=A)
+        np.conj(A, out=A)
+        return np.matmul(A, _columns(Y, points).swapaxes(-1, -2), out=out)
+
+    out, partial = product(chunks[0]), None
+    for points in chunks[1:]:
+        partial = product(points, partial)
+        out += partial
     np.conj(out, out=out)
     return out
 
@@ -79,17 +140,27 @@ def coefficients(vectors: np.ndarray, f: np.ndarray) -> np.ndarray:
     return c
 
 
-def synthesize(vectors: np.ndarray, weights: np.ndarray, c: np.ndarray) -> np.ndarray:
+def synthesize(vectors: np.ndarray, weights: np.ndarray, c) -> np.ndarray:
     """Weighted syntheses sum_j w_j c_ij F_j of a block of coefficient rows c
-    (..., k, N) under weights (..., N): (..., k, d), leading axes broadcast.
-    One BLAS product per frame, F (w c)^T transposed: F (w c) for k = 1."""
-    return (vectors @ scaled_columns(c, weights).swapaxes(-1, -2)).swapaxes(-1, -2)
+    (..., k, N) under weights (..., N): (..., k, d), leading axes broadcast;
+    c may be a function of a point slice, as an operand of ``weighted_gram``.
+    F (w c)^T transposed, one BLAS product per chunk of points of
+    ``weighted_gram``, the partials summed in point order: F (w c) for
+    k = 1."""
+    parts = (vectors[..., points] @ scaled_columns(
+        _columns(c, points), weights[..., points]).swapaxes(-1, -2)
+        for points in _chunks(np.shape(weights)[-1], math.prod(vectors.shape[:-1])))
+    return reduce(np.add, parts).swapaxes(-1, -2)
 
 
 def max_column_norm(vectors: np.ndarray):
     """Largest column norm sup_j ||F_j||: a float for one frame, an array for
-    a stack."""
-    return hilbert.value_or_stack(np.max(np.linalg.norm(vectors, axis=-2), axis=-1))
+    a stack.  Reduced a chunk of points at a time (``weighted_gram``): each
+    column's norm is summed alone, so the value is the one-shot one, bit for
+    bit."""
+    parts = (np.max(np.linalg.norm(vectors[..., points], axis=-2), axis=-1)
+             for points in _chunks(vectors.shape[-1], math.prod(vectors.shape[:-1])))
+    return hilbert.value_or_stack(reduce(np.maximum, parts))
 
 
 @dataclass(frozen=True, eq=False)

@@ -185,14 +185,13 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed)] + [int(k) for k in key])
 
 
-# complex entries a block of d x N frames or d x d operators holds, whose
-# trials draw each role from one stream: 64 trials at d = 8, N = 64, and
-# one, as in a per-trial loop, from d max(d, N) = 2^15 on
-BLOCK_ENTRIES = 2**15
-
-
 def _block_trials(cfg: SuiteConfig) -> int:
-    return max(1, BLOCK_ENTRIES // (cfg.d * max(cfg.d, cfg.n_points)))
+    """The trials of a block, whose trials draw each role from one stream: as
+    many d x N frames or d x d operators as fr.BLOCK_ENTRIES complex entries
+    hold, 64 trials at d = 8, N = 64, and one, as in a per-trial loop, from
+    d max(d, N) = 2^15 on.  So a product over a block of more than one trial
+    is one chunk of fr.weighted_gram."""
+    return max(1, fr.BLOCK_ENTRIES // (cfg.d * max(cfg.d, cfg.n_points)))
 
 
 # roles: role(rng, cfg, count) draws the array of each of ``count``
@@ -544,10 +543,11 @@ def _item(name: str, index: int) -> Callable:
 
 
 def _frame_factorization(t: Trials):
-    # column k of the composition synthesizes the analysis of basis vector k
-    coeffs = fr.coefficients(t.F, np.eye(t.cfg.d, dtype=complex))
-    composed = fr.synthesize(t.F, t.w, coeffs).swapaxes(-1, -2)
-    return hb.frobenius_norm(t.S_F - composed) / t.bounds_F.upper
+    # column k of the composition synthesizes the analysis of basis vector k,
+    # the basis analysed a chunk of points at a time inside the synthesis
+    basis = np.eye(t.cfg.d, dtype=complex)
+    composed = fr.synthesize(t.F, t.w, lambda s: fr.coefficients(t.F[..., s], basis))
+    return hb.frobenius_norm(t.S_F - composed.swapaxes(-1, -2)) / t.bounds_F.upper
 
 
 def _multiplier_adjoint(t: Trials):
@@ -566,7 +566,11 @@ def _difference(pair: Callable) -> Callable:
 
 def _weighted_identity(t: Trials):
     M = fr.weighted_gram(t.F, t.w * t.nonnegative, t.F)
-    reweighted = t.F * np.sqrt(t.nonnegative.real)[:, None, :]
+    root = np.sqrt(t.nonnegative.real)[:, None, :]
+
+    def reweighted(s):
+        return t.F[..., s] * root[..., s]
+
     S = fr.weighted_gram(reweighted, t.w, reweighted)
     return hb.frobenius_norm(M - S) / np.maximum(hb.frobenius_scale(S), 1.0)
 
@@ -627,7 +631,8 @@ def _perturb_upper(t: Trials):
 
 
 def _perturb_lower(t: Trials):
-    # at eps = sqrt(A_G / B_F) / 2
+    # at eps = sqrt(A_G / B_F) / 2, which needs G to be a frame
+    fr.require_frame(t.bounds_G)
     ag, bf = t.bounds_G.lower, t.bounds_F.upper
     eps = 0.5 * np.sqrt(ag / bf)
     lower = fr.operator_bounds(_perturbed_operator(t, eps)).lower
@@ -677,7 +682,7 @@ def _precondition_identity(t: Trials):
 def _weighted_scaling(t: Trials):
     # the bounds of fr.weighted(F, 3), columns times sqrt(3), against 3 times
     # those of F: 3 is no power of two, so the product rounds apart from 3 S_F
-    bounds, scaled = t.bounds_F, _bounds(t.w, t.F * math.sqrt(3.0))
+    bounds, scaled = t.bounds_F, _bounds(t.w, lambda s: t.F[..., s] * math.sqrt(3.0))
     return np.stack([np.abs(scaled.lower - 3.0 * bounds.lower) / (3.0 * bounds.upper),
                      np.abs(scaled.upper - 3.0 * bounds.upper) / (3.0 * bounds.upper)],
                     axis=-1)
@@ -695,8 +700,9 @@ def _certificates(t: Trials):
 
 
 def _multiplier_dual(t: Trials):
-    H = multiplier_dual_vectors(t.w, t.m, t.F, t.G, t.M_inv, t.bounds_G)
-    return hb.frobenius_norm(fr.weighted_gram(t.G, t.w, H) - np.eye(t.cfg.d))
+    return hb.frobenius_norm(fr.weighted_gram(t.G, t.w, lambda s: multiplier_dual_vectors(
+        t.w[..., s], t.m[..., s], t.F[..., s], t.G[..., s], t.M_inv, t.bounds_G))
+        - np.eye(t.cfg.d))
 
 
 def _positive_symbol_coercivity(t: Trials):
@@ -965,13 +971,15 @@ CHECKS: dict[str, Row] = {
         "difference over analysis frames equals the multiplier of the frame difference",
         1e-12, MAX0, _difference(lambda t: (
             fr.weighted_gram(t.G, t.w * t.m, t.vectors),
-            fr.weighted_gram(t.G, t.w * t.m, t.F - t.vectors))), STACKED),
+            fr.weighted_gram(t.G, t.w * t.m, lambda s: t.F[..., s] - t.vectors[..., s]))),
+        STACKED),
     "difference_synthesis": Row(
         "identities",
         "difference over synthesis frames equals the multiplier of the frame difference",
         1e-12, MAX0, _difference(lambda t: (
             fr.weighted_gram(t.vectors, t.w * t.m, t.F),
-            fr.weighted_gram(t.G - t.vectors, t.w * t.m, t.F))), STACKED),
+            fr.weighted_gram(lambda s: t.G[..., s] - t.vectors[..., s], t.w * t.m, t.F))),
+        STACKED),
     "weighted_identity": Row(
         "identities",
         "multiplier with a nonnegative symbol is the frame operator of the reweighted frame",

@@ -831,6 +831,12 @@ def test_the_algebra_suites_take_the_pinned_eigen_solves(monkeypatch, tmp_path, 
     assert calls == EIGEN_SOLVES[suite]
 
 
+def gram_shape(X, c) -> tuple:
+    """The shape (..., d, N) of the operand X of weighted_gram(X, c, Y), an
+    array or a function of a point slice, from its columns on no point."""
+    return fr._columns(X, slice(0, 0)).shape[:-1] + np.shape(c)[-1:]
+
+
 def counted_grams(monkeypatch):
     """The shape of X of each weighted_gram(X, c, Y), call by call, in every
     module that holds the function (multiplier and controlled import it by
@@ -841,7 +847,7 @@ def counted_grams(monkeypatch):
                and getattr(module, "weighted_gram", None) is gram]
 
     def counted(X, c, Y):
-        calls.append(np.shape(X))
+        calls.append(gram_shape(X, c))
         return gram(X, c, Y)
 
     for module in holders:
@@ -880,7 +886,7 @@ def test_the_algebra_suites_form_the_pinned_gram_products(monkeypatch, tmp_path,
     args = ["verify", "--suite", suite, "--d", "8", "--n", "64", "--out", str(tmp_path / "r.json")]
     assert main(args + ["--trials", "64"]) == 0
     assert calls == GRAMS[suite]
-    monkeypatch.setattr(suites, "BLOCK_ENTRIES", 8 * 64)
+    monkeypatch.setattr(fr, "BLOCK_ENTRIES", 8 * 64)
     calls.clear()
     assert main(args + ["--trials", "4"]) == 0
     trials = [shape for shape in calls if len(shape) == 3]  # (1, d, columns)

@@ -1,7 +1,7 @@
 """Reports are byte-identical, timestamps aside, across BLAS thread counts.
 
 One child interpreter per BLAS setting runs every configuration in process,
-so the nine comparisons start two interpreters, not eighteen.
+so the ten comparisons start two interpreters, not twenty.
 """
 
 import json
@@ -29,6 +29,7 @@ CONFIGS = {
     "weighted": ("weighted", 8, 64, 5),
     "gabor": ("gabor", 8, 64, 5),
     "all": ("all", 8, 64, 5),
+    "chunked": ("all", 64, 1100, 2),
 }
 
 # runs every configuration of argv[2] (JSON) with its report in the folder
@@ -119,3 +120,9 @@ def test_all_suites_report_independent_of_blas_threads(reports):
     # every suite in one run: the stacked checks read one context per
     # block, shared across the algebra suites, or a head of it
     assert_same_across_threads(reports, "all")
+
+
+def test_a_run_whose_products_cross_chunk_ends_is_independent_of_blas_threads(reports):
+    # at d = 64 a product sums chunks of 512 points, so N = 1100 ends in a
+    # chunk of 76; each trial is its own block
+    assert_same_across_threads(reports, "chunked")

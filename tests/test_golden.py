@@ -77,8 +77,8 @@ GOLDEN = {
         "wavelet_band_constant": 0.0005556057916942247,
         "wavelet_column_norms": 6.217774350604046e-16,
         "wavelet_diagonal_oracle": 2.2192120464740292e-15,
-        "wavelet_diagonality": 3.169212279980924e-15,
-        "wavelet_shift_commutation": 5.33474140638474e-14,
+        "wavelet_diagonality": 3.158690079754988e-15,
+        "wavelet_shift_commutation": 5.364942233498823e-14,
     },
     "weighted": {
         "certificates": -7.8955543719672185,
@@ -117,7 +117,7 @@ GOLDEN_ACROSS_A_BLOCK = {
         "schatten_budget_p3": -0.6994658640651273,
         "schatten_monotonicity": 0.0,
         "trace_budget": -0.7251448005745678,
-        "unbounded_bessel_cap": 7.105427357601002e-15,
+        "unbounded_bessel_cap": 0.0,
         "unbounded_norm_growth": 1.7782794100389225,
     },
     "convergence": {

@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 
+from contframes import frame as fr
 from contframes import hilbert as hb
 from contframes.errors import (
     InvalidParameterError,
@@ -65,9 +66,19 @@ def test_multiplier_matches_brute_force():
 
 @pytest.mark.parametrize("d,n", [(1, 1), (8, 64), (64, 4096)])
 def test_multiplier_equals_the_dense_product(d, n):
+    # bit for bit where the product is one chunk of points, as at d = 8, N = 64;
+    # over several it sums the N terms in another order, within
+    # 2 gamma_N |G| diag|w m| |F|^* entry by entry (Higham, 2002, 3.1)
     m, F, G = random_instance(d + n, d=d, n=n)
-    dense = (G.vectors * (F.space.weights * m.values)) @ F.vectors.conj().T
-    assert np.array_equal(multiplier(m, F, G).view(float), dense.view(float))
+    c = F.space.weights * m.values
+    dense = (G.vectors * c) @ F.vectors.conj().T
+    if d * n <= fr.BLOCK_ENTRIES:
+        assert np.array_equal(multiplier(m, F, G).view(float), dense.view(float))
+        return
+    u = np.finfo(float).eps / 2
+    bound = 2.0 * (n * u / (1.0 - n * u)) * ((np.abs(G.vectors) * np.abs(c))
+                                            @ np.abs(F.vectors).T)
+    assert np.all(np.abs(multiplier(m, F, G) - dense) <= bound)
 
 
 def test_multiplier_weak_form():

@@ -191,7 +191,8 @@ MUTANTS = {
     "truncation_monotone": (suite_run("convergence"),
                             faulty_product("truncation", fr, 2, np.negative), TRUNCATION_ROWS),
     "wavelet_shift_commutation": (suite_run("wavelet"), perturbed_wavelet_operator, WAVELET_S),
-    # the composition of the block analysis and synthesis off by 10^3 tol B_F
+    # the composition of synthesis with the analysis of the basis, a chunk of
+    # points at a time, off by 10^3 tol B_F
     "frame_factorization": (suite_run("identities"), perturbed_product(
         "frame_factorization", fr, 0, lambda t: t.bounds_F.upper, name="synthesize"),
         {"frame_factorization"}),
