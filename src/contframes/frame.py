@@ -153,13 +153,15 @@ def synthesize(vectors: np.ndarray, weights: np.ndarray, c) -> np.ndarray:
     return reduce(np.add, parts).swapaxes(-1, -2)
 
 
-def max_column_norm(vectors: np.ndarray):
+def max_column_norm(vectors, n: int | None = None):
     """Largest column norm sup_j ||F_j||: a float for one frame, an array for
-    a stack.  Reduced a chunk of points at a time (``weighted_gram``): each
-    column's norm is summed alone, so the value is the one-shot one, bit for
-    bit."""
-    parts = (np.max(np.linalg.norm(vectors[..., points], axis=-2), axis=-1)
-             for points in _chunks(vectors.shape[-1], math.prod(vectors.shape[:-1])))
+    a stack, of arrays or of a function of a point slice over n points (an
+    operand of ``weighted_gram``).  Reduced a chunk of points at a time: each
+    column's norm is summed alone, so the value is the one-shot one."""
+    head = vectors(slice(0, 0)) if callable(vectors) else vectors
+    parts = (np.max(np.linalg.norm(_columns(vectors, points), axis=-2), axis=-1)
+             for points in _chunks(head.shape[-1] if n is None else n,
+                                   math.prod(head.shape[:-1])))
     return hilbert.value_or_stack(reduce(np.maximum, parts))
 
 

@@ -2,54 +2,55 @@
 and the reports of the gabor, wavelet and multiplier subcommands.
 
 CHECKS is the one table of the suite checks, in report order; a new check is
-one row.  A row holds the suite, the claim, the default tolerance, the gate
-and the measure of its check, and for a stacked check its trial cap.
-GABOR_RUN and WAVELET_RUN, the tables of the gabor and wavelet subcommands,
-stay apart from CHECKS, out of reach of the suites and their tolerance
-overrides.  The gabor and multiplier subcommands run stacked rows on one
-trial whose roles they give, a window as the first test vector or an
-instance (w, F, G, m); the wavelet rows read a Calderon study.  The gate
-says how verdict() folds the values and holds them against the tolerance,
-the budget of every verdict() record: max from 0 or from -inf <= tol (of
-the distance of a value from its bound, relative to the bound), count == 0
-(of failing trials), both of those, >= floor, or in [1.5, tol].  _report
-makes every Check of every report, a verdict() or the abort record of a
-check whose measure raised; the subcommand runs build their inputs once, under
-np.errstate(over="ignore", invalid="ignore"); run_check(cfg, id) runs one
-suite check afresh.  All randomness flows through per-role seed derivation,
-so a report for a given configuration is reproducible bit-for-bit
-(timestamps aside).
+one row.  A row holds the suite, the claim, the default tolerance, the gate,
+the measure and the trial cap of its check.  GABOR_RUN and WAVELET_RUN, the
+tables of the gabor and wavelet subcommands, stay apart from CHECKS, out of
+reach of the suites and their tolerance overrides.  Every measure of every
+table is a function of a Trials context.  A subcommand runs its table on one
+trial whose roles it gives: a window as the first test vector, an instance
+(w, F, G, m), or the wavelet, bump and grids of a Calderon study.  The gate
+says how verdict() folds what a measure gives on each context and holds it
+against the tolerance, the budget of every verdict() record: max from 0 or
+from -inf <= tol (of the distance of a value from its bound, relative to the
+bound), count == 0 (of failing trials), both of those, >= floor, or in
+[1.5, tol].  _report makes every Check of every report, a verdict() or the
+abort record of a check whose measure raised; the subcommands share _run,
+which reports under np.errstate with overflow, invalid operations and
+division by zero ignored; run_check(cfg, id) runs one suite check afresh.
+All randomness flows through per-role seed derivation, so a report for a
+given configuration is reproducible bit-for-bit (timestamps aside).
 
-The identities, bounds, convergence, gabor, controlled and weighted suites
-measure their trials in stacks, a block at a time: every step is one numpy
-call over the stack, through the array kernels of the single-frame and
-single-window API, so the values equal those of a per-trial loop on the same
-draws; the convergence rows take every step from the multiplier of its bump
-or of its dropped points, the perturbation rows the frame operator of G + eps F
-from S_G, S_F and S_GF, and a trial's test vectors are analysed as one block.
-The wavelet and unbounded-family rows are not stacked: their measure is a
-function of the configuration that gives the value, or the value and a
-detail.  The Calderon study reads no input and is computed once a process.
+The suites measure their trials in stacks, a block at a time: every step is
+one numpy call over the stack, through the array kernels of the single-frame
+and single-window API, so the values equal those of a per-trial loop on the
+same draws; the convergence rows take every step from the multiplier of its
+bump or of its dropped points, the perturbation rows the frame operator of
+G + eps F from S_G, S_F and S_GF, and a trial's test vectors are analysed as
+one block.  The wavelet rows and the two unbounded-family rows of
+NO_INSTANCE read no trial, only the configuration of their context, and
+carry cap 1: a run measures each once, on the context of its first trial.
+The suite's Calderon rows read the one default study a process keeps.
 
 Norm policy: the one rule of the hilbert docstring.  The scales a context
 holds are bounds_F.upper for S_F, L_scale for L and M_scale, ||M||_F /
 sqrt(d), for M.
 
 Trial contexts: the paper states each result for one frame pair (F, G) and
-one symbol, so the checks of a suite read one instance per trial.  A stacked
-row's measure is a function of a Trials context, whose roles of PLAIN are
-each drawn on first use; the gabor rows read the first four test vectors as
-windows and signals in C^d, d = cfg.d, and the shifts.  Role r of the trials
-of block k, the k-th run of _block_trials(cfg) trials, reads the stream
-_rng(seed, TRIAL_STREAMS, r, k) in trial order, so a context depends on cfg
-and its trials alone.  A trial whose multiplier is singular under hb.cutoff
-aborts the certificates and the induced dual, which read the instance
-itself, with NotInvertibleError, as at N < d.
+one symbol, so the checks of a suite read one instance per trial.  The roles
+of PLAIN a context is not given are each drawn on first use; the gabor rows
+read the first four test vectors as windows and signals in C^d, d = cfg.d,
+and the shifts.  Role r of the trials of block k, the k-th run of
+_block_trials(cfg) trials, reads the stream _rng(seed, TRIAL_STREAMS, r, k)
+in trial order, so a context depends on cfg and its trials alone.  A trial
+whose multiplier is singular under hb.cutoff aborts the certificates and the
+induced dual, which read the instance itself, with NotInvertibleError, as at
+N < d.
 
 A context computes each quantity of SHARED once; one that raises (the dual
 of a draw that is no frame) raises in every check that reads it and in no
-other.  run_suite runs every stacked measure, in table order, on one context
-a block, and a check whose cap ends inside the block on the Head of the
+other.  run_suite runs every measure on one context a block, the rows of
+cap 1 first, before the block draws a role, then the others in table
+order, and a check whose cap ends inside the block on the Head of the
 block's trials before the cap, which never takes the block's errors.
 Trials(cfg, range(K, K + 1)) is the context of trial K alone: it opens the
 streams of K's block and draws at most that block's trials; a range across a
@@ -263,14 +264,18 @@ def _specs(kinds, params) -> list[ctrl.ControlSpec]:
     return [_spec(kind, *row) for kind, row in zip(kinds.tolist(), params.tolist())]
 
 
-class Inputs:
-    """The inputs of a run: the values given, and each of ``quantities``, a
-    function of the context, evaluated on first use (as an attribute) and
-    kept while the context lives; what raises is raised again to every
-    later reader of it."""
+class Trials:
+    """The inputs of trials of one block: the roles given, the other roles
+    of PLAIN, each drawn on first use, and the quantities of SHARED, each
+    computed on first use.  A value is evaluated as an attribute and kept
+    while the context lives; what raises is raised again to every later
+    reader of it."""
 
-    def __init__(self, quantities: dict, **given):
-        self._quantities, self._errors = quantities, {}
+    def __init__(self, cfg: SuiteConfig, trials: range, **given):
+        block = _block_trials(cfg)
+        if trials and trials.start // block != trials[-1] // block:
+            raise InvalidParameterError(f"trials {trials} cross the end of a {block}-trial block")
+        self.cfg, self.trials, self._errors = cfg, trials, {}
         vars(self).update(given)
 
     def __getattr__(self, name: str):
@@ -287,23 +292,11 @@ class Inputs:
         return value
 
     def _evaluate(self, name: str):
-        if name not in self._quantities:
+        if name in PLAIN:
+            return self._read(name)
+        if name not in SHARED:
             raise AttributeError(name)
-        return self._quantities[name](self)
-
-
-class Trials(Inputs):
-    """The inputs of trials of one block: the roles of PLAIN and the quantities of SHARED."""
-
-    def __init__(self, cfg: SuiteConfig, trials: range):
-        block = _block_trials(cfg)
-        if trials and trials.start // block != trials[-1] // block:
-            raise InvalidParameterError(f"trials {trials} cross the end of a {block}-trial block")
-        super().__init__(SHARED)
-        self.cfg, self.trials = cfg, trials
-
-    def _evaluate(self, name: str):
-        return self._read(name) if name in PLAIN else super()._evaluate(name)
+        return SHARED[name](self)
 
     def _read(self, name: str) -> np.ndarray:
         """The draws of role ``name`` for the context's trials: its stream of
@@ -429,6 +422,15 @@ SHARED = {
     "gabor_S": lambda t: tf.gabor_operator(t.tests[:, 0]),
     "gabor_gsq": lambda t: _sq_norms(t.tests[:, 0]),
     "gabor_extremes": lambda t: hb.extreme_eigenvalues(t.gabor_S),
+    # the Calderon study of a wavelet context (_calderon_context): the
+    # two-sided and the positive-axis admissibility constants, and the
+    # reconstruction residuals of the bump on the scale grid and on its
+    # refinement, each grid built for its residual alone
+    "c_full": lambda t: _admissibility(t.wavelet),
+    "c_plus": lambda t: tf.positive_axis_constant(t.wavelet),
+    "constants": lambda t: f"value {t.c_full!r}, positive-axis constant {t.c_plus!r}",
+    "residuals": lambda t: tuple(tf.calderon_residual(
+        t.wavelet, wavelet_grid(*grid), f=t.bump, c_plus=t.c_plus) for grid in t.grids),
 }
 
 
@@ -459,9 +461,11 @@ def _first(value, count: int):
 
 
 def _stacked_values(cfg: SuiteConfig, check_ids) -> dict:
-    """Each stacked check of ``check_ids``: its values block by block, or what it raised."""
+    """Each check of ``check_ids``: its values block by block, or what it raised."""
+    # the rows of cap 1 first: they read no trial, so what they build is
+    # freed before the block draws a role
     limits = {c: min(cfg.trials, CHECKS[c].cap or cfg.trials)
-              for c in check_ids if CHECKS[c].kind is not None}
+              for c in sorted(check_ids, key=lambda c: CHECKS[c].cap != 1)}
     values = {c: [] for c in limits}
     size, stop = _block_trials(cfg), max(limits.values(), default=0)
     for start in range(0, stop, size):
@@ -483,8 +487,8 @@ def _stacked_values(cfg: SuiteConfig, check_ids) -> dict:
 # the gates and the verdict
 # ---------------------------------------------------------------------------
 
-# how verdict() folds a stacked row's values over every trial and holds the
-# result against the tolerance; any other row's measure gives it folded
+# how verdict() folds a row's values over every trial and holds the result
+# against the tolerance
 MAX0 = "max from 0 <= tol"
 MAX = "max from -inf <= tol"
 COUNT = "count == 0"
@@ -507,22 +511,22 @@ def _count(contexts) -> int:
     return sum(int(np.count_nonzero(failing)) for failing in contexts)
 
 
-def verdict(check_id: str, row: "Row", tol: float, values) -> Check:
+def verdict(check_id: str, row: "Row", tol: float, results) -> Check:
     """The record of check ``check_id`` of table row ``row`` from what its
-    measure gave, under tolerance ``tol``.  A stacked row gives the values
-    of each context in trial order, (value, failing) pairs under the gates
-    that count.  Any other row gives the value, or the value and a detail.
-    The budget of the record is the tolerance.  NaN fails every gate; a
+    measure gave on each context, in trial order, under tolerance ``tol``:
+    (values, failing) pairs under MAX_COUNT_SHOWN, and under any other gate
+    the values or (values, detail) pairs.  One value folds to itself.  The
+    budget of the record is the tolerance.  NaN fails every gate; a
     non-finite measured value moves into the detail."""
-    detail, failing = "", 0
-    if row.kind is None:
-        measured, detail = values if isinstance(values, tuple) else (values, "")
-    elif row.gate == COUNT:
-        measured = failing = _count(values)
-    elif row.gate == MAX_COUNT_SHOWN:
-        measured = _max(-math.inf, (value for value, _ in values))
-        failing = _count(flags for _, flags in values)
+    values = [result[0] if isinstance(result, tuple) else result for result in results]
+    failing = 0
+    if row.gate == MAX_COUNT_SHOWN:
+        failing = _count(flags for _, flags in results)
         detail = f"{failing} failing instance(s)"
+    else:
+        detail = "; ".join(result[1] for result in results if isinstance(result, tuple))
+    if row.gate == COUNT:
+        measured = failing = _count(values)
     else:
         measured = _max(0.0 if row.gate == MAX0 else -math.inf, values)
     measured = float(measured)
@@ -534,7 +538,7 @@ def verdict(check_id: str, row: "Row", tol: float, values) -> Check:
 
 
 # ---------------------------------------------------------------------------
-# the measures of the stacked rows: functions of a trial context
+# the measures of the rows that read trials: functions of a trial context
 # ---------------------------------------------------------------------------
 
 def _item(name: str, index: int) -> Callable:
@@ -769,26 +773,34 @@ def _shift_unitarity(t: Trials):
 
 
 # ---------------------------------------------------------------------------
-# the measures of the config rows: functions of the configuration
+# the measures of the rows that read no trial: functions of the
+# configuration, or of a Calderon study
 # ---------------------------------------------------------------------------
 
-def _unbounded_norm_growth(cfg: SuiteConfig) -> tuple:
-    h = _complex("d")(_rng(cfg.seed, 123), cfg, 1)[0]
-    norms = [fr.norm_bound(fr.scaled_singleton(uniform_grid_1d(0.0, 1.0, n), h))
-             for n in (100, 1000, 10000)]
+def _rank_one(h: np.ndarray, n: int) -> tuple:
+    """The weights of the n-point grid on [0, 1], the unbounded amplitude a
+    on its points and the columns a(x) h of fr.scaled_singleton there, as a
+    function of a point slice: the d x n family exists a chunk at a time."""
+    grid = uniform_grid_1d(0.0, 1.0, n)
+    amplitude = fr.unbounded_amplitude(grid.points[:, 0])
+    return grid.weights, amplitude, lambda s: h[:, None] * amplitude[s]
+
+
+def _unbounded_norm_growth(t: Trials) -> tuple:
+    h = _complex("d")(_rng(t.cfg.seed, 123), t.cfg, 1)[0]
+    norms = [fr.max_column_norm(_rank_one(h, n)[2], n) for n in (100, 1000, 10000)]
     return (min(b / a for a, b in zip(norms, norms[1:])),
             f"norms {['%.4g' % v for v in norms]}")
 
 
-def _unbounded_bessel_cap(cfg: SuiteConfig) -> float:
-    h = _complex("d")(_rng(cfg.seed, 124), cfg, 1)[0]
+def _unbounded_bessel_cap(t: Trials) -> float:
+    h = _complex("d")(_rng(t.cfg.seed, 124), t.cfg, 1)[0]
     hsq = float(np.linalg.norm(h) ** 2)
     caps = []
     for n in (100, 1000, 10000):
-        grid = uniform_grid_1d(0.0, 1.0, n)
-        quad = float(np.sum(grid.weights
-                            * fr.unbounded_amplitude(grid.points[:, 0]) ** 2))
-        caps.append(fr.frame_bounds(fr.scaled_singleton(grid, h)).upper - hsq * quad)
+        w, amplitude, columns = _rank_one(h, n)
+        quad = float(np.sum(w * amplitude ** 2))
+        caps.append(fr.operator_bounds(fr.weighted_gram(columns, w, columns)).upper - hsq * quad)
     return _max(-math.inf, caps)
 
 
@@ -803,12 +815,12 @@ def _admissibility(wavelet: tf.WaveletSpec) -> float:
         wavelet, tf.log_freq_grid(1e-3, 10.0, 2000, two_sided=True))
 
 
-def _admissibility_oracle(cfg: SuiteConfig) -> tuple:
+def _admissibility_oracle(t: Trials) -> tuple:
     value = _admissibility(tf.WaveletSpec())
     return abs(value - ADMISSIBILITY), f"value {value!r}"
 
 
-def _admissibility_scaling(cfg: SuiteConfig) -> float:
+def _admissibility_scaling(t: Trials) -> float:
     base = _admissibility(tf.WaveletSpec())
     worst = 0.0
     for c in (0.5, 2.0, 3.0 + 4.0j):
@@ -818,7 +830,7 @@ def _admissibility_scaling(cfg: SuiteConfig) -> float:
     return worst
 
 
-def _admissibility_phase_invariance(cfg: SuiteConfig) -> float:
+def _admissibility_phase_invariance(t: Trials) -> float:
     base = _admissibility(tf.WaveletSpec())
     value = _admissibility(tf.WaveletSpec(
         "given-fourier",
@@ -840,20 +852,20 @@ def _small_wavelet_setup():
     return d, grid, wavelet, S, S_freq, scale
 
 
-def _wavelet_diagonality(cfg: SuiteConfig) -> float:
+def _wavelet_diagonality(t: Trials) -> float:
     *_, S_freq, scale = _small_wavelet_setup()
     off = S_freq - np.diag(np.diagonal(S_freq))
     return float(np.max(np.abs(off))) / scale
 
 
-def _wavelet_diagonal_oracle(cfg: SuiteConfig) -> float:
+def _wavelet_diagonal_oracle(t: Trials) -> float:
     d, grid, wavelet, _, S_freq, _ = _small_wavelet_setup()
     oracle = tf.scale_profile(wavelet, grid, d)
     diag = np.real(np.diagonal(S_freq))
     return float(np.max(np.abs(diag - oracle)) / np.max(oracle))
 
 
-def _wavelet_band_constant(cfg: SuiteConfig) -> float:
+def _wavelet_band_constant(t: Trials) -> float:
     d, grid, wavelet, _, S_freq, _ = _small_wavelet_setup()
     c_plus = tf.positive_axis_constant(wavelet)
     freqs = tf.dft_frequencies(d)
@@ -862,13 +874,13 @@ def _wavelet_band_constant(cfg: SuiteConfig) -> float:
     return float(np.max(np.abs(diag[band] / c_plus - 1.0)))
 
 
-def _wavelet_shift_commutation(cfg: SuiteConfig) -> float:
+def _wavelet_shift_commutation(t: Trials) -> float:
     d, _, _, S, _, scale = _small_wavelet_setup()
     shift = np.roll(np.eye(d), 1, axis=0)
     return hb.frobenius_norm(S @ shift - shift @ S) / scale
 
 
-def _wavelet_column_norms(cfg: SuiteConfig) -> float:
+def _wavelet_column_norms(t: Trials) -> float:
     d = 32
     n_a, n_b = 8, 16
     grid = wavelet_grid(0.25, 2.0, n_a, 0.0, 1.0, n_b)
@@ -877,43 +889,29 @@ def _wavelet_column_norms(cfg: SuiteConfig) -> float:
     return float(np.max(np.ptp(norms, axis=1) / np.max(norms, axis=1)))
 
 
-def _residuals(r: Inputs) -> tuple[float, float]:
-    """The reconstruction residuals of the bump on the grid of a Calderon
-    study, which the study lets go once measured, and on its refinement."""
-    residual = functools.partial(tf.calderon_residual, r.wavelet, f=r.f, c_plus=r.c_plus)
-    coarse = residual(r.grids.pop())
-    return coarse, residual(wavelet_grid(*r.refined))
-
-
-# the quantities of a Calderon study
-CALDERON = {
-    "c_full": lambda r: _admissibility(r.wavelet),
-    "c_plus": lambda r: tf.positive_axis_constant(r.wavelet),
-    "constants": lambda r: f"value {r.c_full!r}, positive-axis constant {r.c_plus!r}",
-    "residuals": _residuals,
-}
-
-
-def _calderon_study(wavelet: tf.WaveletSpec, d: int, a_min: float, a_max: float,
-                    n_a: int, n_b: int, band: tuple[float, float],
-                    taper: float) -> Inputs:
-    """The Calderon study of a wavelet: the Inputs of a band-limited bump f,
-    of the n_a-cell scale grid with n_b shifts over one period and of its
-    refinement to 2 n_a cells, with the quantities of CALDERON.  The bump
-    and the first grid are built here, so bad input raises here."""
+def _calderon_context(wavelet: tf.WaveletSpec, d: int, a_min: float, a_max: float,
+                      n_a: int, n_b: int, band: tuple[float, float], taper: float) -> Trials:
+    """The Calderon study of a wavelet: the one-trial context whose given
+    roles are the wavelet, a band-limited bump, the n_a-cell scale grid with
+    n_b shifts over one period and its refinement to 2 n_a cells, each as
+    the arguments of its wavelet_grid, and the setup they describe, which
+    c_full, c_plus and residuals of SHARED read.  The bump and the grid are
+    built first, so bad input raises here; a residual builds its grid
+    again, so the study a process keeps holds neither grid."""
     setup = (f"d={d} a=[{a_min:g},{a_max:g}] n_a={n_a} n_b={n_b} "
              f"band={tuple(band)} taper={taper:g}")
-    return Inputs(CALDERON, wavelet=wavelet, setup=setup,
-                  f=tf.bandlimited_bump(d, band, taper),
-                  grids=[wavelet_grid(a_min, a_max, n_a, 0.0, 1.0, n_b)],
-                  refined=(a_min, a_max, 2 * n_a, 0.0, 1.0, n_b))
+    bump = tf.bandlimited_bump(d, band, taper)
+    grids = [(a_min, a_max, cells, 0.0, 1.0, n_b) for cells in (n_a, 2 * n_a)]
+    wavelet_grid(*grids[0])  # refuses bad input before any row runs
+    return Trials(SuiteConfig(suite="wavelet", d=d, trials=1), range(1), wavelet=wavelet,
+                  setup=setup, bump=bump, grids=grids)
 
 
 @functools.lru_cache(maxsize=1)
-def _default_calderon_study() -> Inputs:
-    """The _calderon_study of the default wavelet on CALDERON_DEFAULTS: it
+def _default_calderon_study() -> Trials:
+    """The _calderon_context of the default wavelet on CALDERON_DEFAULTS: it
     reads no input, so a process keeps one for both Calderon checks."""
-    return _calderon_study(tf.WaveletSpec(), **CALDERON_DEFAULTS)
+    return _calderon_context(tf.WaveletSpec(), **CALDERON_DEFAULTS)
 
 
 def _refinement(coarse: float, fine: float) -> tuple:
@@ -927,221 +925,216 @@ def _refinement(coarse: float, fine: float) -> tuple:
 
 class Row(NamedTuple):
     """A check: its suite (or report), the claim it verifies, its default
-    tolerance, its gate and its measure.  A stacked row (``kind`` STACKED)
-    has a measure of trial contexts, min(cfg.trials, cap) trials; a config
-    row of CHECKS (no kind) has a measure of the configuration, and one of
-    WAVELET_RUN a measure of the Inputs of its run."""
+    tolerance, its gate and its measure, a function of a trial context.  A
+    suite runs it on min(cfg.trials, cap) trials: a row that reads no
+    trial, such as the wavelet rows, has cap 1 and is measured once."""
 
     suite: str
     claim: str
     tolerance: float
     gate: str
     measure: Callable
-    kind: str | None = None
     cap: int | None = None
 
 
-# the kind of a stacked row
-STACKED = "stacked"
+# the rows of the algebra suites that read no instance: each draws its own h
+NO_INSTANCE = ("unbounded_norm_growth", "unbounded_bessel_cap")
 
 
 # every check in report order: the suites in the order of SUITES
 CHECKS: dict[str, Row] = {
     "frame_factorization": Row(
         "identities", "frame operator equals synthesis composed with analysis", 1e-12,
-        MAX0, _frame_factorization, STACKED),
+        MAX0, _frame_factorization),
     "reconstruction": Row(
         "identities", "canonical dual reconstructs every vector from analysis by F",
-        1e-10, MAX0, _item("dual", 0), STACKED),
+        1e-10, MAX0, _item("dual", 0)),
     "reconstruction_swapped": Row(
         "identities", "F reconstructs every vector from analysis by the canonical dual",
-        1e-10, MAX0, _item("dual", 1), STACKED),
+        1e-10, MAX0, _item("dual", 1)),
     "multiplier_adjoint": Row(
         "identities",
         "adjoint of the multiplier is the conjugate-symbol multiplier with frames swapped",
-        1e-12, MAX0, _multiplier_adjoint, STACKED),
+        1e-12, MAX0, _multiplier_adjoint),
     "difference_symbol": Row(
         "identities",
         "difference of multipliers equals the multiplier of the symbol difference",
         1e-12, MAX0, _difference(lambda t: (
             fr.weighted_gram(t.G, t.w * t.symbol, t.F),
-            fr.weighted_gram(t.G, t.w * (t.m - t.symbol), t.F))), STACKED),
+            fr.weighted_gram(t.G, t.w * (t.m - t.symbol), t.F)))),
     "difference_analysis": Row(
         "identities",
         "difference over analysis frames equals the multiplier of the frame difference",
         1e-12, MAX0, _difference(lambda t: (
             fr.weighted_gram(t.G, t.w * t.m, t.vectors),
-            fr.weighted_gram(t.G, t.w * t.m, lambda s: t.F[..., s] - t.vectors[..., s]))),
-        STACKED),
+            fr.weighted_gram(t.G, t.w * t.m, lambda s: t.F[..., s] - t.vectors[..., s])))),
     "difference_synthesis": Row(
         "identities",
         "difference over synthesis frames equals the multiplier of the frame difference",
         1e-12, MAX0, _difference(lambda t: (
             fr.weighted_gram(t.vectors, t.w * t.m, t.F),
-            fr.weighted_gram(lambda s: t.G[..., s] - t.vectors[..., s], t.w * t.m, t.F))),
-        STACKED),
+            fr.weighted_gram(lambda s: t.G[..., s] - t.vectors[..., s], t.w * t.m, t.F)))),
     "weighted_identity": Row(
         "identities",
         "multiplier with a nonnegative symbol is the frame operator of the reweighted frame",
-        1e-12, MAX0, _weighted_identity, STACKED),
+        1e-12, MAX0, _weighted_identity),
     "canonical_dual_pair": Row(
         "identities", "frame and its canonical dual synthesize the identity", 1e-10,
-        MAX0, _item("dual", 2), STACKED),
+        MAX0, _item("dual", 2)),
     "dual_bounds_inverse": Row(
         "identities", "canonical dual bounds are the reciprocals (1/B, 1/A)", 1e-10,
-        MAX0, _item("dual", 3), STACKED),
+        MAX0, _item("dual", 3)),
     "frame_iff_invertible": Row(
         "identities", "frame property coincides with invertibility of the frame operator",
-        0.0, COUNT, _frame_iff_invertible, STACKED),
+        0.0, COUNT, _frame_iff_invertible),
     "bessel_inequality": Row(
         "bounds", "weighted coefficient energy lies between the optimal bounds times ||f||^2",
-        1e-10, MAX0, _bessel_inequality, STACKED),
+        1e-10, MAX0, _bessel_inequality),
     "bessel_sharpness": Row(
         "bounds", "the top eigenvector attains the upper bound with equality", 1e-10,
-        MAX0, _bessel_sharpness, STACKED),
+        MAX0, _bessel_sharpness),
     "op_norm_budget": Row(
         "bounds", "operator norm is at most sup|m| sqrt(B_F B_G)", 1e-10, MAX,
-        _budget(math.inf), STACKED),
+        _budget(math.inf)),
     "trace_budget": Row(
-        "bounds", "trace norm is at most ||m||_1 L_F L_G", 1e-10, MAX, _budget(1.0), STACKED),
+        "bounds", "trace norm is at most ||m||_1 L_F L_G", 1e-10, MAX, _budget(1.0)),
     "schatten_budget_p15": Row(
         "bounds", "Schatten 1.5-norm stays under its interpolation budget", 1e-10, MAX,
-        _budget(1.5), STACKED),
+        _budget(1.5)),
     "schatten_budget_p2": Row(
         "bounds", "Hilbert-Schmidt norm stays under its interpolation budget", 1e-10, MAX,
-        _budget(2.0), STACKED),
+        _budget(2.0)),
     "schatten_budget_p3": Row(
         "bounds", "Schatten 3-norm stays under its interpolation budget", 1e-10, MAX,
-        _budget(3.0), STACKED),
+        _budget(3.0)),
     "schatten_monotonicity": Row(
         "bounds", "Schatten norms are nonincreasing in p", 1e-10, MAX0, lambda t: _relative(
-            np.diff(t.budgets[0]), np.maximum(t.budgets[0][:, :-1], t.budgets[0][:, 1:])), STACKED),
+            np.diff(t.budgets[0]), np.maximum(t.budgets[0][:, :-1], t.budgets[0][:, 1:]))),
     "perturb_upper": Row(
         "bounds", "upper bound of G + eps F is at most 2 (B_G + eps^2 B_F)", 1e-10, MAX,
-        _perturb_upper, STACKED),
+        _perturb_upper),
     "perturb_lower": Row(
         "bounds", "lower bound of G + eps F is at least (sqrt(A_G) - eps sqrt(B_F))^2 "
-        "for small eps", 1e-10, MAX, _perturb_lower, STACKED),
+        "for small eps", 1e-10, MAX, _perturb_lower),
     "discrete_bessel_norm_bound": Row(
         "bounds", "with unit weights every frame vector norm is at most sqrt(B)", 1e-10,
-        MAX, _discrete_bessel_norm_bound, STACKED),
+        MAX, _discrete_bessel_norm_bound),
     "unbounded_norm_growth": Row(
         "bounds", "largest vector norm grows by at least 1.5x per grid decade", 1.5,
-        FLOOR, _unbounded_norm_growth),
+        FLOOR, _unbounded_norm_growth, 1),
     "unbounded_bessel_cap": Row(
         "bounds", "Bessel bound stays below ||h||^2 times the amplitude quadrature on "
-        "every refinement", 1e-10, MAX, _unbounded_bessel_cap),
+        "every refinement", 1e-10, MAX, _unbounded_bessel_cap, 1),
     "truncation_budget": Row(
         "convergence", "truncated-symbol deviation stays under sup|m - m_n| sqrt(B_F B_G)",
-        1e-10, MAX, _item("truncation", 0), STACKED, 50),
+        1e-10, MAX, _item("truncation", 0), 50),
     "truncation_monotone": Row(
         "convergence", "nested truncations decrease the deviation monotonically to zero",
-        1e-10, MAX, _item("truncation", 1), STACKED, 50),
+        1e-10, MAX, _item("truncation", 1), 50),
     "symbol_convergence_p1": Row(
         "convergence", "trace-norm deviation tracks the L1 distance of the symbols",
-        1e-10, MAX, _item("convergence", 0), STACKED, 20),
+        1e-10, MAX, _item("convergence", 0), 20),
     "symbol_convergence_p2": Row(
         "convergence", "Hilbert-Schmidt deviation tracks the L2 distance of the symbols",
-        1e-10, MAX, _item("convergence", 1), STACKED, 20),
+        1e-10, MAX, _item("convergence", 1), 20),
     "symbol_convergence_pinf": Row(
         "convergence", "operator-norm deviation tracks the sup distance of the symbols",
-        1e-10, MAX, _item("convergence", 2), STACKED, 20),
+        1e-10, MAX, _item("convergence", 2), 20),
     "frame_uniform_l2": Row(
         "convergence", "uniform frame perturbation is dominated by eps ||m||_2 sqrt(B_G)",
-        1e-10, MAX, _item("convergence", 3), STACKED, 20),
+        1e-10, MAX, _item("convergence", 3), 20),
     "frame_uniform_l1": Row(
         "convergence", "uniform frame perturbation is dominated by eps ||m||_1 L_G",
-        1e-10, MAX, _item("convergence", 4), STACKED, 20),
+        1e-10, MAX, _item("convergence", 4), 20),
     "gabor_tightness": Row(
         "gabor", "cyclic Gabor frame operator is exactly ||g||^2 times the identity",
-        1e-10, MAX0, _tightness, STACKED, 100),
+        1e-10, MAX0, _tightness, 100),
     "stft_matches_analysis": Row(
         "gabor", "transform coefficients equal frame analysis entrywise", 1e-12, MAX0,
-        _stft_matches, STACKED, 20),
+        _stft_matches, 20),
     "stft_energy": Row(
         "gabor", "weighted coefficient energy equals ||g||^2 ||f||^2", 1e-10, MAX0,
-        _stft_energy, STACKED, 50),
+        _stft_energy, 50),
     "stft_orthogonality": Row(
         "gabor", "coefficient pairing of two windows factors into the two inner products",
-        1e-10, MAX0, _stft_orthogonality, STACKED, 100),
+        1e-10, MAX0, _stft_orthogonality, 100),
     "tf_shift_unitarity": Row(
         "gabor", "time and frequency shifts preserve norms", 1e-12, MAX0,
-        _shift_unitarity, STACKED, 100),
+        _shift_unitarity, 100),
     "admissibility_oracle": Row(
         "wavelet", "quadrature admissibility constant matches the closed form 1/4", 1e-4,
-        MAX0, _admissibility_oracle),
+        MAX0, _admissibility_oracle, 1),
     "admissibility_scaling": Row(
         "wavelet", "scaling the profile by c scales the constant by |c|^2", 1e-12, MAX0,
-        _admissibility_scaling),
+        _admissibility_scaling, 1),
     "admissibility_phase_invariance": Row(
         "wavelet", "the constant depends on the profile modulus only", 1e-12, MAX0,
-        _admissibility_phase_invariance),
+        _admissibility_phase_invariance, 1),
     "wavelet_diagonality": Row(
         "wavelet", "frame operator is diagonal in the frequency basis under a full "
-        "uniform shift grid", 1e-10, MAX0, _wavelet_diagonality),
+        "uniform shift grid", 1e-10, MAX0, _wavelet_diagonality, 1),
     "wavelet_diagonal_oracle": Row(
         "wavelet", "frequency-basis diagonal matches the per-frequency scale quadrature",
-        1e-10, MAX0, _wavelet_diagonal_oracle),
+        1e-10, MAX0, _wavelet_diagonal_oracle, 1),
     "wavelet_band_constant": Row(
         "wavelet", "well-covered diagonal entries match the positive-axis admissibility "
-        "constant", 0.02, MAX0, _wavelet_band_constant),
+        "constant", 0.02, MAX0, _wavelet_band_constant, 1),
     "wavelet_shift_commutation": Row(
         "wavelet", "frame operator commutes with the one-step cyclic shift", 1e-10, MAX0,
-        _wavelet_shift_commutation),
+        _wavelet_shift_commutation, 1),
     "wavelet_column_norms": Row(
         "wavelet", "column norms do not depend on the shift coordinate", 1e-10, MAX0,
-        _wavelet_column_norms),
+        _wavelet_column_norms, 1),
     "calderon_default": Row(
         "wavelet", "reconstruction residual at the default grid stays under 2%", 0.02,
-        MAX0, lambda cfg: _default_calderon_study().residuals[0]),
+        MAX0, lambda t: _default_calderon_study().residuals[0], 1),
     "calderon_refinement": Row(
         "wavelet", "doubling the scale count shrinks the residual by a factor in [1.5, 3]",
-        3.0, RANGE, lambda cfg: _refinement(*_default_calderon_study().residuals)),
+        3.0, RANGE, lambda t: _refinement(*_default_calderon_study().residuals), 1),
     "controlled_factorization": Row(
         "controlled", "mixed operator equals C S and S C* for self-adjoint commuting "
-        "controls", 1e-12, MAX0, _controlled_factorization, STACKED, 100),
+        "controls", 1e-12, MAX0, _controlled_factorization, 100),
     "controlled_bounds_map": Row(
         "controlled", "controlled bounds are the extremes of phi(lambda) lambda over the "
-        "frame spectrum", 1e-10, MAX0, _controlled_bounds_map, STACKED, 100),
+        "frame spectrum", 1e-10, MAX0, _controlled_bounds_map, 100),
     "controlled_spectral_mapping": Row(
         "controlled", "spectrum of the mixed operator is the mapped frame spectrum, "
         "relative to max(||(L + L*)/2||, 1)", 1e-12, MAX0, _controlled_spectral_mapping,
-        STACKED, 100),
+        100),
     "controlled_positivity": Row(
         "controlled", "mixed operator of a positive commuting control is positive", 1e-10,
-        COUNT, _controlled_positivity, STACKED, 100),
+        COUNT, _controlled_positivity, 100),
     "controlled_implies_frame": Row(
         "controlled", "a positive controlled lower bound certifies the frame property",
-        0.0, COUNT, _controlled_implies_frame, STACKED, 100),
+        0.0, COUNT, _controlled_implies_frame, 100),
     "precondition_identity": Row(
         "controlled", "undoing the controls recovers the plain multiplier", 1e-10, MAX0,
-        _precondition_identity, STACKED, 100),
+        _precondition_identity, 100),
     "weighted_scaling": Row(
         "weighted", "a constant weight scales both frame bounds by that constant", 1e-12,
-        MAX0, _weighted_scaling, STACKED, 100),
+        MAX0, _weighted_scaling, 100),
     "certificates": Row(
         "weighted", "all five lower-bound certificates hold on invertible instances",
-        1e-10, MAX_COUNT_SHOWN, _certificates, STACKED, 100),
+        1e-10, MAX_COUNT_SHOWN, _certificates, 100),
     "multiplier_dual": Row(
         "weighted", "the frame built from the inverse multiplier is a dual of G", 1e-9,
-        MAX0, _multiplier_dual, STACKED, 50),
+        MAX0, _multiplier_dual, 50),
     "positive_symbol_coercivity": Row(
         "weighted", "a symbol bounded below by delta makes the multiplier positive with "
-        "lower bound delta A_F", 1e-10, MAX_COUNT_SHOWN, _positive_symbol_coercivity,
-        STACKED, 100),
+        "lower bound delta A_F", 1e-10, MAX_COUNT_SHOWN, _positive_symbol_coercivity, 100),
 }
 
 
 # the tables of the gabor and wavelet subcommands, apart from CHECKS: the
-# stacked rows of a gabor run, |bound - ||g||^2| / ||g||^2 with the lower
+# rows of a gabor run, |bound - ||g||^2| / ||g||^2 with the lower
 # bound clamped at 0, and the rows of the Calderon study of a wavelet run
 GABOR_RUN: dict[str, Row] = {
     "gabor_lower_bound": Row(
         "gabor-run", "optimal lower bound equals ||g||^2", 1e-10, MAX0, lambda t: np.abs(
-            np.maximum(t.gabor_extremes[0], 0.0) - t.gabor_gsq) / t.gabor_gsq, STACKED),
+            np.maximum(t.gabor_extremes[0], 0.0) - t.gabor_gsq) / t.gabor_gsq),
     "gabor_upper_bound": Row(
         "gabor-run", "optimal upper bound equals ||g||^2", 1e-10, MAX0,
-        lambda t: np.abs(t.gabor_extremes[1] - t.gabor_gsq) / t.gabor_gsq, STACKED),
+        lambda t: np.abs(t.gabor_extremes[1] - t.gabor_gsq) / t.gabor_gsq),
     "gabor_tightness_residual": CHECKS["gabor_tightness"]._replace(
         suite="gabor-run", claim="frame operator equals ||g||^2 times the identity"),
 }
@@ -1150,23 +1143,23 @@ GABOR_RUN: dict[str, Row] = {
 WAVELET_RUN: dict[str, Row] = {
     "admissibility_constant": CHECKS["admissibility_oracle"]._replace(
         suite="wavelet-run", claim="two-sided admissibility quadrature (default profile: 1/4)",
-        measure=lambda r: (abs(r.c_full - ADMISSIBILITY), r.constants)),
+        measure=lambda t: (abs(t.c_full - ADMISSIBILITY), t.constants)),
     "calderon_residual": CHECKS["calderon_default"]._replace(
         suite="wavelet-run",
         claim="reconstruction residual within tolerance on the configured grid",
-        measure=lambda r: (r.residuals[0], f"{r.setup}, C_plus={r.c_plus!r}")),
+        measure=lambda t: (t.residuals[0], f"{t.setup}, C_plus={t.c_plus!r}")),
     "calderon_refinement": CHECKS["calderon_refinement"]._replace(
         suite="wavelet-run", claim="residual drops by a factor in [1.5, 3] when scales double",
-        measure=lambda r: _refinement(*r.residuals)),
+        measure=lambda t: _refinement(*t.residuals)),
 }
 # the admissibility row of any other profile, which has no closed form
 ADMISSIBLE = Row("wavelet-run", "two-sided admissibility quadrature is finite and positive",
-                 0.0, MAX0, lambda r: (float(not 0.0 < r.c_full < math.inf), r.constants))
+                 0.0, MAX0, lambda t: (float(not 0.0 < t.c_full < math.inf), t.constants))
 # the one row of a multiplier report apart from CHECKS, for a symbol equal to
 # 1 everywhere with equal frames, whose multiplier is the frame operator
 EQUALS_FRAME_OPERATOR = Row(
     "multiplier-run", "unit symbol with equal frames reproduces the frame operator", 1e-12,
-    MAX0, lambda t: hb.frobenius_norm(t.M - t.S_F) / t.M_scale, STACKED)
+    MAX0, lambda t: hb.frobenius_norm(t.M - t.S_F) / t.M_scale)
 # the rows the tolerance of a multiplier configuration sets
 BUDGET_IDS = ("op_norm_budget", "trace_budget", "schatten_budget_p15", "schatten_budget_p2",
               "schatten_budget_p3")
@@ -1176,24 +1169,24 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _record(check_id: str, row: Row, tol: float, values: Callable) -> Check:
-    """The verdict of a check on what values(check_id, row) gives; raises
-    what that raises or gives."""
-    given = values(check_id, row)
-    if isinstance(given, Exception):
-        raise given
-    return verdict(check_id, row, tol, given)
+def _record(check_id: str, row: Row, tol: float, results) -> Check:
+    """The verdict of a check on the results of its contexts; raises what
+    its measure raised."""
+    if isinstance(results, Exception):
+        raise results
+    return verdict(check_id, row, tol, results)
 
 
-def _report(report: Report, table: dict, tolerances: dict, values: Callable) -> Report:
-    """``report`` with the _record of every row of ``table`` in table order,
-    under its tolerance in ``tolerances`` or else its row's.  A check that
-    raises is recorded as failed, with no measured value or budget and the
-    exception in its error field; the run continues."""
+def _report(report: Report, table: dict, tolerances: dict, results: Callable) -> Report:
+    """``report`` with the _record of every row of ``table`` on what
+    results(check_id, row) gives, in table order, under its tolerance in
+    ``tolerances`` or else its row's.  A check that raises is recorded as
+    failed, with no measured value or budget and the exception in its error
+    field; the run continues."""
     for check_id, row in table.items():
         tol = float(tolerances.get(check_id, row.tolerance))
         try:
-            report.checks.append(_record(check_id, row, tol, values))
+            report.checks.append(_record(check_id, row, tol, results(check_id, row)))
         except Exception as exc:  # keep going; the report carries the failure
             report.checks.append(Check(
                 check_id, "check aborted with an exception", None, None, tol, False,
@@ -1202,29 +1195,34 @@ def _report(report: Report, table: dict, tolerances: dict, values: Callable) -> 
     return report
 
 
-def _measured(cfg: SuiteConfig, stacked: dict) -> Callable:
-    """The stacked values of a suite check, or its measure of ``cfg``."""
-    return lambda check_id, row: row.measure(cfg) if row.kind is None else stacked[check_id]
-
-
 def run_check(cfg: SuiteConfig, check_id: str) -> Check:
     """Check ``check_id`` measured afresh on ``cfg``, as run_suite records
     it; raises what its measure raises."""
     return _record(check_id, CHECKS[check_id], cfg.tol(check_id),
-                   _measured(cfg, _stacked_values(cfg, (check_id,))))
+                   _stacked_values(cfg, (check_id,))[check_id])
 
 
 def run_suite(config: SuiteConfig) -> Report:
     """Run every check of the configured suite and collect a report: the
-    stacked rows of the run are measured together, block by block, and a
-    check that reads a shared quantity that raises records its error."""
+    rows of the run are measured together, block by block, and a check that
+    reads a shared quantity that raises records its error."""
     table = {c: row for c, row in CHECKS.items() if config.suite in ("all", row.suite)}
     report = Report(suite=config.suite, seed=config.seed, started=_timestamp())
-    return _report(report, table, config.tolerances,
-                   _measured(config, _stacked_values(config, table)))
+    values = _stacked_values(config, table)
+    return _report(report, table, config.tolerances, lambda check_id, _: values[check_id])
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _run(suite: str, table: dict, t: Trials) -> Report:
+    """The report ``suite`` of every row of ``table`` on the one-trial
+    context t of a subcommand, whose roles it gives, under the tolerances of
+    its configuration.  An input near the ends of the float range may
+    overflow or divide by a value that underflows to 0: the report records
+    what comes of it, and no warning is printed."""
+    report = Report(suite=suite, seed=t.cfg.seed, started=_timestamp())
+    return _report(report, table, t.cfg.tolerances, lambda _, row: [row.measure(t)])
+
+
 def run_gabor(d: int, window="gaussian") -> Report:
     """Tightness report for one cyclic Gabor system: the rows of GABOR_RUN
     on one trial of the gabor suite whose first test vector is the window,
@@ -1232,40 +1230,35 @@ def run_gabor(d: int, window="gaussian") -> Report:
     gives the optimal bounds; the tightness residual takes none."""
     cfg = SuiteConfig(suite="gabor", d=d, trials=1)
     g = tf._as_window(tf.WindowSpec(kind=window) if isinstance(window, str) else window, cfg.d)
-    run = Trials(cfg, range(1))
-    vars(run).update(tests=g[None, None])
-    report = Report(suite="gabor-run", seed=cfg.seed, started=_timestamp())
-    return _report(report, GABOR_RUN, {}, lambda _, row: [row.measure(run)])
+    return _run("gabor-run", GABOR_RUN, Trials(cfg, range(1), tests=g[None, None]))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def run_wavelet(d: int = CALDERON_DEFAULTS["d"], wavelet: tf.WaveletSpec | None = None,
                 a_min: float = CALDERON_DEFAULTS["a_min"],
                 a_max: float = CALDERON_DEFAULTS["a_max"], n_a: int = CALDERON_DEFAULTS["n_a"],
                 n_b: int | None = None, band: tuple[float, float] = CALDERON_DEFAULTS["band"],
                 taper: float = CALDERON_DEFAULTS["taper"]) -> Report:
     """Admissibility, reconstruction and refinement report for one wavelet:
-    the rows of WAVELET_RUN on its _calderon_study, with ADMISSIBLE for the
-    admissibility constant of a profile other than the default."""
+    the rows of WAVELET_RUN on its _calderon_context, with ADMISSIBLE for
+    the admissibility constant of a profile other than the default."""
     wavelet = wavelet or tf.WaveletSpec()
     d, n_a = _integer("d", d), _integer("n_a", n_a)
     n_b = d if n_b is None else _integer("n_b", n_b)
-    report = Report(suite="wavelet-run", seed=0, started=_timestamp())
-    run = _calderon_study(wavelet, d, a_min, a_max, n_a, n_b, band, taper)
+    study = _calderon_context(wavelet, d, a_min, a_max, n_a, n_b, band, taper)
     table = WAVELET_RUN if wavelet.kind == "mexican-hat-fourier" else {
         **WAVELET_RUN, "admissibility_constant": ADMISSIBLE}
-    return _report(report, table, {}, lambda _, row: row.measure(run))
+    return _run("wavelet-run", table, study)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def run_multiplier(config: dict) -> tuple[Report, str]:
     """Report plus singular-value CSV for one configured multiplier: every
-    stacked row of the algebra suites on the one trial of its instance, and
-    EQUALS_FRAME_OPERATOR for a symbol equal to 1 everywhere with equal
-    frames.  The configuration carries an analysis frame, a synthesis frame
-    on the same space and a symbol in their JSON forms, and may set the
-    tolerance of the rows of BUDGET_IDS.  The instance sets the roles w, F,
-    G and m; the others are drawn from seed 0 at its d and N."""
+    row of the algebra suites that reads an instance on the one trial of
+    its instance, and EQUALS_FRAME_OPERATOR for a symbol equal to 1
+    everywhere with equal frames.  The configuration carries an analysis
+    frame, a synthesis frame on the same space and a symbol in their JSON
+    forms, and may set the tolerance of the rows of BUDGET_IDS.  The
+    instance sets the roles w, F, G and m; the others are drawn from seed 0
+    at its d and N."""
     if not isinstance(config, dict):
         raise InvalidParameterError("a multiplier configuration must be a JSON object")
     F = fr.SampledFrame.from_dict(config["analysis_frame"])
@@ -1274,14 +1267,13 @@ def run_multiplier(config: dict) -> tuple[Report, str]:
     m = Symbol.from_dict(config["symbol"], F.space)
     cfg = SuiteConfig(d=F.dim, n_points=F.space.n_points, trials=1, tolerances=dict.fromkeys(
         BUDGET_IDS, config["tolerance"]) if "tolerance" in config else {})
-    run = Trials(cfg, range(1))
-    vars(run).update(w=F.space.weights[None], F=F.vectors[None], G=G.vectors[None],
-                     m=m.values[None])
-    # the gabor rows read no instance
-    table = {c: row for c, row in CHECKS.items() if row.kind == STACKED and row.suite != "gabor"}
+    run = Trials(cfg, range(1), w=F.space.weights[None], F=F.vectors[None], G=G.vectors[None],
+                 m=m.values[None])
+    # the gabor and wavelet rows and those of NO_INSTANCE read no instance
+    table = {c: row for c, row in CHECKS.items()
+             if row.suite not in ("gabor", "wavelet") and c not in NO_INSTANCE}
     if np.all(m.values == 1.0) and np.array_equal(F.vectors, G.vectors):
         table["equals_frame_operator"] = EQUALS_FRAME_OPERATOR
-    report = Report(suite="multiplier-run", seed=cfg.seed, started=_timestamp())
-    report = _report(report, table, cfg.tolerances, lambda _, row: [row.measure(run)])
+    report = _run("multiplier-run", table, run)
     # the budget rows read sigma_M: it is kept, or the report carries its error
     return report, hb.spectrum_to_csv(vars(run).get("sigma_M", []))

@@ -1,7 +1,7 @@
 """Reports are byte-identical, timestamps aside, across BLAS thread counts.
 
-One child interpreter per BLAS setting runs every configuration in process,
-so the ten comparisons start two interpreters, not twenty.
+One child interpreter per BLAS setting runs every invocation in process, so
+the thirteen comparisons start two interpreters, not twenty-six.
 """
 
 import json
@@ -18,31 +18,38 @@ import contframes
 SRC = str(Path(contframes.__file__).resolve().parents[1])
 TIMESTAMP = re.compile(r'^  "(started|finished)": .*$', re.MULTILINE)
 
-# (suite, d, n, trials) of each compared run, by the test that compares it
-CONFIGS = {
-    "identities": ("identities", 8, 64, 5),
-    "large_identities": ("identities", 64, 4096, 1),
-    "small_bounds": ("bounds", 8, 64, 5),
-    "bounds": ("bounds", 8, 64, 70),
-    "controlled": ("controlled", 8, 64, 70),
-    "convergence": ("convergence", 8, 64, 5),
-    "weighted": ("weighted", 8, 64, 5),
-    "gabor": ("gabor", 8, 64, 5),
-    "all": ("all", 8, 64, 5),
-    "chunked": ("all", 64, 1100, 2),
+
+def verify(suite, d, n, trials):
+    return ["verify", "--suite", suite, "--d", str(d), "--n", str(n), "--trials", str(trials)]
+
+
+# the argv of each compared run, by the test that compares it
+INVOCATIONS = {
+    "identities": verify("identities", 8, 64, 5),
+    "large_identities": verify("identities", 64, 4096, 1),
+    "small_bounds": verify("bounds", 8, 64, 5),
+    "bounds": verify("bounds", 8, 64, 70),
+    "controlled": verify("controlled", 8, 64, 70),
+    "convergence": verify("convergence", 8, 64, 5),
+    "weighted": verify("weighted", 8, 64, 5),
+    "gabor": verify("gabor", 8, 64, 5),
+    "all": verify("all", 8, 64, 5),
+    "chunked": verify("all", 64, 1100, 2),
+    "wavelet_suite": ["verify", "--suite", "wavelet"],
+    "wavelet": ["wavelet"],
+    "wavelet_grid": ["wavelet", "--d", "64", "--n-a", "16"],
 }
 
-# runs every configuration of argv[2] (JSON) with its report in the folder
+# runs every invocation of argv[2] (JSON) with its report in the folder
 # argv[1], and prints the exit codes as JSON
 CHILD = """
 import contextlib, json, os, sys
 from contframes.cli import main
-out, configs = sys.argv[1], json.loads(sys.argv[2])
+out, invocations = sys.argv[1], json.loads(sys.argv[2])
 codes = {}
 with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
-    for name, (suite, d, n, trials) in configs.items():
-        codes[name] = main(["verify", "--suite", suite, "--d", str(d), "--n", str(n),
-                            "--trials", str(trials), "--out", f"{out}/{name}.json"])
+    for name, argv in invocations.items():
+        codes[name] = main(argv + ["--out", f"{out}/{name}.json"])
 print(json.dumps(codes))
 """
 
@@ -58,7 +65,7 @@ def reports(tmp_path_factory):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
         children[threads] = out, subprocess.Popen(
-            [sys.executable, "-c", CHILD, str(out), json.dumps(CONFIGS)],
+            [sys.executable, "-c", CHILD, str(out), json.dumps(INVOCATIONS)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     runs = {}
     for threads, (out, child) in children.items():
@@ -68,9 +75,9 @@ def reports(tmp_path_factory):
     return runs
 
 
-def assert_same_across_threads(reports, name: str):
+def assert_same_across_threads(reports, name: str, code: int = 0):
     (codes_one, one), (codes_two, two) = reports["1"], reports["2"]
-    assert codes_one[name] == codes_two[name] == 0
+    assert codes_one[name] == codes_two[name] == code
     one, two = (Path(folder, f"{name}.json").read_text() for folder in (one, two))
     assert len(TIMESTAMP.findall(one)) == 2
     assert TIMESTAMP.sub("", one) == TIMESTAMP.sub("", two)
@@ -126,3 +133,19 @@ def test_a_run_whose_products_cross_chunk_ends_is_independent_of_blas_threads(re
     # at d = 64 a product sums chunks of 512 points, so N = 1100 ends in a
     # chunk of 76; each trial is its own block
     assert_same_across_threads(reports, "chunked")
+
+
+def test_wavelet_suite_report_independent_of_blas_threads(reports):
+    # the rows that read no trial, the Calderon rows on the default study
+    assert_same_across_threads(reports, "wavelet_suite")
+
+
+def test_wavelet_report_independent_of_blas_threads(reports):
+    # the Calderon study of the wavelet subcommand at its defaults
+    assert_same_across_threads(reports, "wavelet")
+
+
+def test_wavelet_report_on_its_own_grid_independent_of_blas_threads(reports):
+    # at d = 64 with 16 scale cells the refinement exceeds its range of
+    # [1.5, 3], so the run exits 1 on both
+    assert_same_across_threads(reports, "wavelet_grid", code=1)

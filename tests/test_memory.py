@@ -21,9 +21,6 @@ MIB = 2**20
 # may be alive at a peak beside the roles: 4 complex values a point, where a
 # d x N temporary at d = 64 holds 64
 VECTORS_A_POINT = 4 * 16
-# the bounds suite's unbounded-family rows hold a 64 x 10000 complex frame at
-# d = 64, whatever N is
-UNBOUNDED_FRAME = 64 * 10000 * 16
 
 
 @pytest.fixture
@@ -64,7 +61,7 @@ def test_no_temporary_grows_with_the_number_of_points(drawn, suite):
     (peak, roles), (double_peak, double_roles) = (traced_run(suite, n, drawn)
                                                   for n in (4096, 8192))
     assert double_peak - peak <= double_roles - roles + VECTORS_A_POINT * 4096
-    # what a suite holds beyond its roles: a few chunks; the unbounded rows
-    # of the bounds suite hold their own frame, with no role drawn
-    held = max(roles, UNBOUNDED_FRAME) if suite == "bounds" else roles
-    assert peak <= held + 2 * MIB
+    # what a suite holds beyond its roles: a few chunks, also for the
+    # unbounded-family rows of the bounds suite, whose d x 10000 families
+    # exist a chunk at a time
+    assert peak <= roles + 2 * MIB

@@ -644,17 +644,17 @@ def check_ids(suite):
     return [c for c, row in suites.CHECKS.items() if row.suite == suite]
 
 
-STACKED = {c for c, row in suites.CHECKS.items() if row.kind is not None}
+# every algebra and gabor check reads the trials of its contexts but the two
+# unbounded-family checks, which loop over three grids, not over trials
+LOOPS = {check_id for name in SEEDED for check_id in check_ids(name)}
+STACKED = LOOPS - set(suites.NO_INSTANCE)
 
 
 def test_every_trial_loop_of_the_algebra_and_gabor_suites_is_stacked():
-    loops = {check_id for name in SEEDED for check_id in check_ids(name)}
-    # every algebra and gabor check reads trial contexts; the two
-    # unbounded-family checks loop over three grids, not over trials
-    assert STACKED == loops - {"unbounded_norm_growth", "unbounded_bessel_cap"}
+    assert set(suites.NO_INSTANCE) < LOOPS
     assert set(ORACLES) == STACKED
-    # one kind of context: every stacked check reads the plain one
-    assert {suites.CHECKS[check_id].kind for check_id in STACKED} == {suites.STACKED}
+    # every other row reads no trial, and a run measures it once
+    assert {row.cap for c, row in suites.CHECKS.items() if c not in STACKED} == {1}
 
 
 # at N < d the random draws are no frames, which these checks need
@@ -826,19 +826,21 @@ def below(x):
      "0 failing instance(s)"),
     ("positive_symbol_coercivity", [(np.array([-1.0]), np.array([True]))], -1.0, False,
      "1 failing instance(s)"),
-    # config rows: the value, or the value and a detail
-    ("wavelet_diagonality", 1e-10, 1e-10, True, ""),
-    ("wavelet_diagonality", above(1e-10), above(1e-10), False, ""),
-    ("admissibility_oracle", (above(1e-4), "value 0.25"), above(1e-4), False, "value 0.25"),
-    ("unbounded_bessel_cap", -5.0, -5.0, True, ""),
+    # the rows measured once a run: the value, or the value and a detail, of
+    # one context
+    ("wavelet_diagonality", [1e-10], 1e-10, True, ""),
+    ("wavelet_diagonality", [above(1e-10)], above(1e-10), False, ""),
+    ("admissibility_oracle", [(above(1e-4), "value 0.25")], above(1e-4), False,
+     "value 0.25"),
+    ("unbounded_bessel_cap", [-5.0], -5.0, True, ""),
     # >= floor
-    ("unbounded_norm_growth", (1.5, "norms"), 1.5, True, "norms"),
-    ("unbounded_norm_growth", (below(1.5), "norms"), below(1.5), False, "norms"),
+    ("unbounded_norm_growth", [(1.5, "norms")], 1.5, True, "norms"),
+    ("unbounded_norm_growth", [(below(1.5), "norms")], below(1.5), False, "norms"),
     # in [1.5, tol]
-    ("calderon_refinement", 1.5, 1.5, True, ""),
-    ("calderon_refinement", 3.0, 3.0, True, ""),
-    ("calderon_refinement", below(1.5), below(1.5), False, ""),
-    ("calderon_refinement", above(3.0), above(3.0), False, ""),
+    ("calderon_refinement", [1.5], 1.5, True, ""),
+    ("calderon_refinement", [3.0], 3.0, True, ""),
+    ("calderon_refinement", [below(1.5)], below(1.5), False, ""),
+    ("calderon_refinement", [above(3.0)], above(3.0), False, ""),
     # a NaN value fails every gate, and a non-finite measured value is
     # recorded as null with the value in the detail
     ("op_norm_budget", [np.array([np.nan])], None, False, "measured nan"),
@@ -850,9 +852,9 @@ def below(x):
     ("op_norm_budget", [np.array([-math.inf])], None, True, "measured -inf"),
     ("certificates", [(np.array([np.nan]), np.array([False]))], None, False,
      "measured nan; 0 failing instance(s)"),
-    ("wavelet_diagonality", math.nan, None, False, "measured nan"),
-    ("unbounded_norm_growth", (math.nan, "norms"), None, False, "measured nan; norms"),
-    ("calderon_refinement", math.nan, None, False, "measured nan"),
+    ("wavelet_diagonality", [math.nan], None, False, "measured nan"),
+    ("unbounded_norm_growth", [(math.nan, "norms")], None, False, "measured nan; norms"),
+    ("calderon_refinement", [math.nan], None, False, "measured nan"),
 ])
 def test_verdict_gates_at_their_boundaries(check_id, values, measured, passed, detail):
     row = suites.CHECKS[check_id]
@@ -923,8 +925,10 @@ def test_each_family_draws_and_measures_once_per_configuration(monkeypatch):
     assert sorted(calls, key=lambda call: call[0]) == calls
     assert len(calls) == 3 * len(names)
     # every role and quantity but the eigen-solve that only the gabor
-    # subcommand's bound rows read
-    assert names == set(PLAIN) | set(suites.SHARED) - {"gabor_extremes"}
+    # subcommand's bound rows read and those of a Calderon study, which the
+    # suite reads from the default study a process keeps
+    assert names == set(PLAIN) | set(suites.SHARED) - {
+        "gabor_extremes", "c_full", "c_plus", "constants", "residuals"}
 
 
 def test_a_family_whose_measure_raises_aborts_every_member(monkeypatch, tmp_path):
@@ -1052,14 +1056,17 @@ def test_each_shared_quantity_is_formed_once_a_trial(monkeypatch):
 
 
 def test_the_contexts_of_one_block_are_gone_before_the_next_block_draws(monkeypatch):
-    # blocks of 3 trials; the cap of 20 ends inside the block [18, 21)
+    # blocks of 3 trials; the cap of 1 ends inside the block [0, 3) and the
+    # cap of 20 inside [18, 21).  The Calderon study a process keeps is
+    # built before the run
     monkeypatch.setattr(fr, "BLOCK_ENTRIES", 3 * 4 * 12)
+    suites._default_calderon_study()
     alive = []
     init, read = suites.Trials.__init__, suites.Trials._read
     contexts = set()
 
-    def tracked(self, cfg, trials):
-        init(self, cfg, trials)
+    def tracked(self, cfg, trials, **given):
+        init(self, cfg, trials, **given)
         contexts.add((type(self), trials))
         alive.append(weakref.ref(self))
 
@@ -1077,7 +1084,7 @@ def test_the_contexts_of_one_block_are_gone_before_the_next_block_draws(monkeypa
     finally:
         gc.enable()
     assert contexts == {(suites.Trials, range(i, min(i + 3, 22))) for i in range(0, 22, 3)} | {
-        (suites.Head, range(18, 20))}
+        (suites.Head, range(0, 1)), (suites.Head, range(18, 20))}
     assert all(ref() is None for ref in alive)
 
 
@@ -1091,17 +1098,35 @@ def test_suite_all_reports_the_checks_of_every_suite():
 def test_calderon_checks_read_one_study_per_process(monkeypatch):
     cfg = SuiteConfig(suite="wavelet")
     expected = run_suite(cfg).checks
-    study = suites._calderon_study
+    context = suites._calderon_context
     calls = []
-    monkeypatch.setattr(suites, "_calderon_study",
-                        lambda *args, **kwargs: calls.append(args) or study(*args, **kwargs))
+    monkeypatch.setattr(suites, "_calderon_context",
+                        lambda *args, **kwargs: calls.append(args) or context(*args, **kwargs))
     suites._default_calderon_study.cache_clear()
     try:
-        # two runs and both Calderon checks of each read one study
+        # two runs and both Calderon checks of each read one cached context
         assert run_suite(cfg).checks == run_suite(cfg).checks == expected
     finally:
         suites._default_calderon_study.cache_clear()
     assert len(calls) == 1
+
+
+def test_a_wavelet_run_on_its_own_grid_leaves_the_default_study_alone(monkeypatch):
+    default = suites._default_calderon_study()
+    default.residuals
+    held = dict(vars(default))
+    context, calls = suites._calderon_context, []
+    monkeypatch.setattr(suites, "_calderon_context",
+                        lambda *args, **kwargs: calls.append(args) or context(*args, **kwargs))
+    report = suites.run_wavelet(d=64, n_a=16)
+    # the run builds its own study, on its grid
+    assert [args[1:] for args in calls] == [(64, 2.0**-6, 4.0, 16, 64, (2.0, 8.0), 1.0)]
+    residual = next(c for c in report.checks if c.check_id == "calderon_residual")
+    assert residual.detail.startswith("d=64 a=[0.015625,4] n_a=16 n_b=64 ")
+    # the default is the same context, holding the same values
+    assert suites._default_calderon_study() is default
+    assert vars(default).keys() == held.keys()
+    assert all(vars(default)[name] is value for name, value in held.items())
 
 
 # ---------------------------------------------------------------------------
@@ -1360,19 +1385,21 @@ def built_contexts(monkeypatch) -> list:
     built = []
     init = suites.Trials.__init__
 
-    def recorded(self, cfg, trials):
+    def recorded(self, cfg, trials, **given):
         built.append((type(self).__name__, trials))
-        init(self, cfg, trials)
+        init(self, cfg, trials, **given)
 
     monkeypatch.setattr(suites.Trials, "__init__", recorded)
     return built
 
 
 @pytest.mark.parametrize("d,n,trials,size,contexts", [
-    # 64 trials a block; the caps of 50 and 20 end inside block 0, the cap
-    # of 100 inside block 1, one head a cap, built in table order
-    (8, 64, 200, 64, [("Trials", range(0, 64)), ("Head", range(0, 50)),
-                      ("Head", range(0, 20)), ("Trials", range(64, 128)),
+    # 64 trials a block; the caps of 1, 50 and 20 end inside block 0, the
+    # cap of 100 inside block 1, one head a cap, built in the order the rows
+    # run: the rows of cap 1 first, then the others in table order
+    (8, 64, 200, 64, [("Trials", range(0, 64)), ("Head", range(0, 1)),
+                      ("Head", range(0, 50)), ("Head", range(0, 20)),
+                      ("Trials", range(64, 128)),
                       ("Head", range(64, 100)), ("Trials", range(128, 192)),
                       ("Trials", range(192, 200))]),
     # a block of one trial from d max(d, N) = 2^15 on: no head
@@ -1381,12 +1408,12 @@ def built_contexts(monkeypatch) -> list:
     # trial fills a block whatever N is
     (256, 1, 3, 1, [("Trials", range(i, i + 1)) for i in range(3)]),
     (256, 64, 3, 1, [("Trials", range(i, i + 1)) for i in range(3)]),
-    (8, 4, 600, 512, [("Trials", range(0, 512)), ("Head", range(0, 50)),
-                      ("Head", range(0, 20)), ("Head", range(0, 100)),
-                      ("Trials", range(512, 600))]),
+    (8, 4, 600, 512, [("Trials", range(0, 512)), ("Head", range(0, 1)),
+                      ("Head", range(0, 50)), ("Head", range(0, 20)),
+                      ("Head", range(0, 100)), ("Trials", range(512, 600))]),
     # caps above the trial count end at it, with the last block
-    (1, 1, 3, 2**15, [("Trials", range(0, 3))]),
-    (8, 64, 10, 64, [("Trials", range(0, 10))]),
+    (1, 1, 3, 2**15, [("Trials", range(0, 3)), ("Head", range(0, 1))]),
+    (8, 64, 10, 64, [("Trials", range(0, 10)), ("Head", range(0, 1))]),
 ])
 def test_block_rule(monkeypatch, d, n, trials, size, contexts):
     cfg = SuiteConfig(d=d, n_points=n, trials=trials)
@@ -1420,10 +1447,13 @@ def test_every_trial_of_every_stacked_check_equals_its_replay(monkeypatch, trial
     built = built_contexts(monkeypatch)
     values = suites._stacked_values(cfg, suites.CHECKS)
     assert [head for kind, head in built if kind == "Head"] == (
-        [range(14, 20)] + [range(49, 50)] * (trials > 50))
+        [range(0, 1), range(14, 20)] + [range(49, 50)] * (trials > 50))
     replays = [Trials(cfg, range(i, i + 1)) for i in range(trials)]
     for check_id, found in values.items():
         measure = suites.CHECKS[check_id].measure
+        if check_id not in STACKED:  # measured once, on trial 0, as on any context
+            assert found == [measure(replays[0])], check_id
+            continue
         limit = min(trials, suites.CHECKS[check_id].cap or trials)
         assert [row for context in found for row in per_trial(context)] == [
             row for t in replays[:limit] for row in per_trial(measure(t))], check_id

@@ -216,7 +216,7 @@ def test_the_budget_rows_gate_the_excess_relative_to_the_budget(actual, budget, 
 @pytest.mark.parametrize("measured", [math.inf, math.nan])
 def test_non_finite_values_move_into_the_detail(measured):
     row = suites.Row("test-run", "a claim", 0.5, suites.MAX0, None)
-    assert suites.verdict("c", row, 0.5, (measured, "value")) == Check(
+    assert suites.verdict("c", row, 0.5, [(measured, "value")]) == Check(
         "c", "a claim", None, 0.5, 0.5, False, f"measured {measured!r}; value")
 
 
@@ -244,9 +244,10 @@ def test_gabor_command_records_an_overflowing_window(tmp_path, capsys):
     assert "gabor-run: 0/3 checks passed" in capsys.readouterr().out
 
 
-# the ids of a multiplier report: the stacked rows of the algebra suites
+# the ids of a multiplier report: the rows of the algebra suites that read an
+# instance
 STACKED_ALGEBRA_IDS = [c for c, row in suites.CHECKS.items()
-                       if row.kind == suites.STACKED and row.suite != "gabor"]
+                       if row.suite not in ("gabor", "wavelet") and c not in suites.NO_INSTANCE]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -285,6 +286,18 @@ def test_the_budget_gate_is_relative_to_the_budget(tmp_path):
     checks = {c["check_id"]: c for c in strict_json(out)["checks"]}
     assert [c for c in suites.BUDGET_IDS if not checks[c]["pass"]] == ["op_norm_budget"]
     assert checks["op_norm_budget"]["detail"] == "measured inf"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_a_multiplier_at_the_ends_of_the_float_range_is_reported_without_warnings(scale):
+    # both frames scaled by 1e100: the squared inverse of the smallest
+    # singular value of M underflows to 0, and the certificate floors divide
+    # by it.  The report records what comes of it, and no check aborts on a
+    # warning
+    report, _ = suites.run_multiplier(multiplier_config(scale=scale))
+    assert [c.check_id for c in report.checks] == STACKED_ALGEBRA_IDS
+    assert not report.all_passed and not [c.error for c in report.checks if c.error]
 
 
 def test_a_zero_symbol_passes_every_budget_row():
