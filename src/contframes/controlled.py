@@ -10,7 +10,7 @@ multipliers.
 
 The functions on ``SampledFrame`` objects validate one frame and call array
 kernels (``spectral_controls``, ``mixed_operator``, ``mixed_spectrum``,
-``precondition_residual``) that also take stacks of frame operators,
+``undone_controls``) that also take stacks of frame operators,
 controls and frame vectors along leading axes, so a stack of instances gives,
 instance by instance, the values of single calls.  Each instance keeps its
 own ``ControlSpec``: its spectral map is applied to that instance's row of
@@ -195,7 +195,7 @@ def mixed_spectrum(C: np.ndarray, S: np.ndarray, L: np.ndarray) -> np.ndarray:
         raise ContractViolationError("control operator is not positive")
     scale = np.maximum(np.abs(extremes[0]), np.abs(extremes[1]))
     commutator = hilbert.frobenius_norm(C @ S - S @ C)
-    apart = commutator > 1e-10 * np.maximum(1.0, scale * hilbert.frobenius_scale(S))
+    apart = commutator > 1e-10 * scale * hilbert.frobenius_scale(S)
     if np.any(apart):
         defect = np.ravel(commutator)[np.argmax(np.ravel(apart))]
         raise ContractViolationError(
@@ -218,18 +218,14 @@ def precondition_identity_residual(control_spec: ControlSpec,
     D = make_control(dual_spec, G)
     c = F.space.weights * _aligned(m, F, G)
     M = weighted_gram(G.vectors, c, F.vectors)
-    return precondition_residual(C, D, c, F.vectors, G.vectors, M)
+    return hilbert.defect(undone_controls(C, D, c, F.vectors, G.vectors), M,
+                          hilbert.frobenius_scale(M))
 
 
-def precondition_residual(C: np.ndarray, D: np.ndarray, c, F: np.ndarray,
-                          G: np.ndarray, M: np.ndarray):
-    """||D^-1 M_C C^-1 - M||_F / (||M||_F / sqrt(d)) (the unscaled norm when
-    M = 0), where M is the multiplier sum_j c_j G_j F_j^*, given as formed,
-    and M_C that of the controlled vectors C F_j, D G_j, formed a chunk of
-    points at a time inside its product; for one instance or each of a
-    stack."""
+def undone_controls(C: np.ndarray, D: np.ndarray, c, F: np.ndarray,
+                    G: np.ndarray) -> np.ndarray:
+    """D^-1 M_C C^-1, the plain multiplier sum_j c_j G_j F_j^* in exact
+    arithmetic, where M_C is that of the controlled vectors C F_j, D G_j,
+    formed a chunk of points at a time; for one instance or a stack."""
     mixed = weighted_gram(lambda s: D @ G[..., s], c, lambda s: C @ F[..., s])
-    defect = hilbert.invert(D) @ mixed @ hilbert.invert(C) - M
-    scale = hilbert.frobenius_scale(M)
-    residual = hilbert.frobenius_norm(defect)
-    return hilbert.value_or_stack(residual / np.where(scale > 0.0, scale, 1.0))
+    return hilbert.invert(D) @ mixed @ hilbert.invert(C)

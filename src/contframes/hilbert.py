@@ -7,17 +7,18 @@ package's error contract on top.  The norms, spectra and the inverse also
 take a stack of operators along leading axes: LAPACK then runs once per
 operator, as for a single call, and the values come back as arrays.
 
-Norm policy, the one rule for identities checked to rounding: a defect D
-that vanishes in exact arithmetic is ``frobenius_norm(D) / scale``, with no
-SVD.  The scale of X is read from a spectrum the caller holds, or else is
-``frobenius_scale(X)``, ||X||_F / sqrt(d).  As ||A|| <= ||A||_F <= sqrt(d)
-||A|| (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 6.2),
-the defect is at least its operator norm and the scale at most ||X||, so no
-check is looser than in the operator norm.  No SVD or eigen-solve is taken
-only for a scale; an SVD is taken where singular values are measured: the
-Schatten norms, the invertibility cutoff and ``invert``.  Gabor tightness,
-one row of the suite that the ``gabor`` subcommand runs as well, is
-||S - ||g||^2 I||_F / ||g||^2.
+Norm policy, the one rule for identities checked to rounding: the defect
+of A = B at scale s is ``defect(A, B, s)``, ||A - B|| / s with no SVD, where
+the axes of A beyond those of s are those of one comparison: the Frobenius
+norm for an operator, the Euclidean norm for a vector, abs for a scalar.
+The scale of an operator X is read from a spectrum the caller holds, or
+else is ``frobenius_scale(X)``, ||X||_F / sqrt(d).  As ||A|| <= ||A||_F <=
+sqrt(d) ||A|| (Higham, Accuracy and Stability of Numerical Algorithms,
+2002, 6.2), the defect is at least its operator norm and the scale at most
+||X||, so no check is looser than in the operator norm.  No SVD or
+eigen-solve is taken only for a scale; an SVD is taken where singular
+values are measured: the Schatten norms, the invertibility cutoff and
+``invert``.  No scale has a floor; ``defect`` says what a scale of 0 gives.
 """
 
 from __future__ import annotations
@@ -78,9 +79,11 @@ def norm(x):
         values = _root_sum_squares(x.real, x.imag)
         rescale = ~(np.isfinite(values) & (values >= TINY_ROOT))
         if np.any(rescale):
-            scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(x), axis=-1))[1])[..., None]
-            values = np.where(rescale, _root_sum_squares(x.real * scale, x.imag * scale)
-                              / scale[..., 0], values)
+            # ldexp of the entries: 2^-e overflows below 2^-1024
+            e = np.frexp(np.max(np.abs(x), axis=-1))[1]
+            scaled = _root_sum_squares(np.ldexp(x.real, -e[..., None]),
+                                       np.ldexp(x.imag, -e[..., None]))
+            values = np.where(rescale, np.ldexp(scaled, e), values)
     return value_or_stack(values)
 
 
@@ -102,6 +105,19 @@ def frobenius_scale(T):
     """||T||_F / sqrt(d) of a d x d operator, at most ||T||, the scale of the
     norm policy where no spectrum is held: a float, an array for a stack."""
     return frobenius_norm(T) / math.sqrt(np.shape(T)[-1])
+
+
+def defect(A, B, scale):
+    """||A - B|| / scale, where the axes of A - B past the ndim(scale)
+    leading ones are one comparison, whose ``norm`` is that of its entries,
+    or abs where there are none; scale broadcasts.  0 where A = B, over a
+    scale of 0 too, and inf for any other A over a scale of 0."""
+    gap = np.subtract(A, B)
+    leading = np.ndim(scale)
+    size = (norm(gap.reshape(*np.shape(gap)[:leading], -1)) if np.ndim(gap) > leading
+            else np.abs(gap))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return value_or_stack(np.where(np.equal(size, 0.0), 0.0, np.divide(size, scale)))
 
 
 def power(x, y):
@@ -213,12 +229,12 @@ def _flag_or_stack(flags):
 
 
 def is_hermitian(T, tol: float = 1e-10, extremes=None):
-    """True when ||T - T^*||_F <= tol max(1, ||(T + T^*)/2||), an array for a
-    stack; ``extremes``, the ``extreme_eigenvalues(T)`` the caller holds,
-    spare the eigen-solve that gives the scale."""
+    """True when ||T - T^*||_F <= tol ||(T + T^*)/2||, an array for a stack;
+    ``extremes``, the ``extreme_eigenvalues(T)`` the caller holds, spare the
+    eigen-solve that gives the scale."""
     T = _as_operators(T)
     lower, upper = extreme_eigenvalues(T) if extremes is None else extremes
-    scale = np.maximum(1.0, np.maximum(np.abs(lower), np.abs(upper)))
+    scale = np.maximum(np.abs(lower), np.abs(upper))
     return _flag_or_stack(frobenius_norm(T - adjoint(T)) <= tol * scale)
 
 
@@ -243,8 +259,8 @@ def hermitian_bounds(T) -> tuple[float, float]:
 
 def nonnegative_spectrum(lower, upper, tol: float = 1e-10):
     """True when extreme eigenvalues (lower, upper) put the spectrum at or
-    above -tol max(1, upper); an array for arrays of them."""
-    return _flag_or_stack(lower >= -tol * np.maximum(1.0, upper))
+    above -tol |upper|; an array for arrays of them."""
+    return _flag_or_stack(lower >= -tol * np.abs(upper))
 
 
 def is_positive(T, tol: float = 1e-10, extremes=None):

@@ -117,10 +117,15 @@ def stft_coefficients(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.fft.fft(products, axis=-1).reshape(*products.shape[:-2], d * d)
 
 
+def _require_dimension(d) -> None:
+    """Refuse a signal length that is no integer >= 1, such as a bool or a float."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise InvalidParameterError(f"need an integer d >= 1, got {d!r}")
+
+
 def gaussian_window(d: int) -> np.ndarray:
     """Periodized Gaussian on Z_d, the default Gabor window."""
-    if d < 1:
-        raise InvalidParameterError(f"need d >= 1, got {d}")
+    _require_dimension(d)
     t = np.arange(d, dtype=float)
     g = np.zeros(d)
     for k in range(-4, 5):
@@ -337,8 +342,7 @@ def positive_axis_constant(wavelet: WaveletSpec,
 
 def dft_frequencies(d: int) -> np.ndarray:
     """Integer frequencies of the d-point period-1 signal space, DFT order."""
-    if d < 1:
-        raise InvalidParameterError(f"need d >= 1, got {d}")
+    _require_dimension(d)
     return np.fft.fftfreq(d, 1.0 / d)
 
 

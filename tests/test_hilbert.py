@@ -140,15 +140,25 @@ def test_singular_values_reject_non_finite_as_the_eigen_solves_do(bad):
     assert hb._require_finite(finite) is finite
 
 
-def test_is_positive():
-    assert hb.is_positive(np.eye(4), 1e-12)
-    assert not hb.is_positive(np.diag([1.0, -1.0]), 1e-12)
+# scales far below and far above 1: the tests are relative to the norm of
+# the operator, so the verdicts are those at scale 1
+SCALES = [1e-20, 1.0, 1e20]
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_is_positive(c):
+    assert hb.is_positive(c * np.eye(4), 1e-12)
+    assert not hb.is_positive(c * np.diag([1.0, -1.0]), 1e-12)
+    assert not hb.is_positive(np.diag([-c, c]), 1e-12)
+    assert hb.nonnegative_spectrum(-1e-13 * c, c, 1e-12)
+    assert not hb.nonnegative_spectrum(-1e-11 * c, c, 1e-12)
     rng = np.random.default_rng(6)
     V = rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
     w = rng.uniform(0.1, 2.0, 12)
-    assert hb.is_positive((V * w) @ V.conj().T, 1e-10)
+    assert hb.is_positive(c * (V * w) @ V.conj().T, 1e-10)
     # non-Hermitian input is simply not positive
-    assert not hb.is_positive(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12)
+    assert not hb.is_positive(c * np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12)
+    assert not hb.is_positive(np.array([[c, c], [0.0, c]]), 1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -166,6 +176,9 @@ def test_norms_past_the_float_range_of_their_squares_stay_finite():
     assert hb.frobenius_norm(np.full((2, 2), 1e-170)) == pytest.approx(
         2e-170, rel=4 * np.finfo(float).eps)
     assert hb.norm(np.zeros((2, 3))).tolist() == [0.0, 0.0]
+    # below 2^-1024 too, where 2^-e of the largest entry overflows
+    assert hb.norm([5e-324, 0.0]) == 5e-324
+    assert hb.frobenius_norm(np.full((2, 2), 5e-324)) == 1e-323
 
 
 def positivity_cases(rng, d):
@@ -181,9 +194,12 @@ def positivity_cases(rng, d):
     return T
 
 
+@pytest.mark.parametrize("c", SCALES)
 @pytest.mark.parametrize("d", [1, 4, 8])
-def test_is_hermitian_and_is_positive_take_given_extremes_and_no_svd(monkeypatch, d):
-    T = positivity_cases(np.random.default_rng(12), d)
+def test_is_hermitian_and_is_positive_take_given_extremes_and_no_svd(monkeypatch, d, c):
+    T = c * positivity_cases(np.random.default_rng(12), d)
+    assert not hb.is_hermitian(np.array([[c, c], [0.0, c]]), 1e-10)
+    assert hb.is_hermitian(np.array([[c, 1e-12j * c], [-1e-12j * c, c]]), 1e-10)
     extremes = hb.extreme_eigenvalues(T)
 
     def no_svd(*args, **kwargs):

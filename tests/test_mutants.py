@@ -5,16 +5,18 @@ expanded perturbed and reweighted frame operators form, can fail.
 Each mutant of an identity adds to one operator a perturbation E of
 Frobenius norm 10^3 times the row's tolerance times the row's scale, so the
 row must measure about 10^3 times its tolerance and fail.  Each mutant of a
-convergence row puts a fault into the product of a bump or of a segment of
+convergence row puts a fault into the product of a bump or of a set of
 dropped points, so a deviation passes its budget or stops shrinking.  The
 reconstructions are synthesized 10^3 times too large, the frame operator of
 G + eps F is formed 10^3 times too large or too small, and that of conj(m) F
-negated.  No
-check outside the family of rows that read the faulty product may flip.
-The adjoint identity and the frame operator row are also mutated on the one
-trial of a given instance, as the multiplier subcommand runs them.  The
-difference identities are also held at (d, N) = (64, 16384), where
-their entries, and so their rounding, are largest.
+negated.  No check outside the family of rows that read the faulty product
+may flip.  The adjoint identity and the frame operator row are also mutated
+on the one trial of a given instance, as the multiplier subcommand runs
+them.  Every EQUAL row of every table fails, and no other row with it, when
+its measure gives side A offset by 10^3 times its tolerance times its
+scale: the mutant its relation gives.  The difference identities are also
+held at (d, N) = (64, 16384), where their entries, and so their rounding,
+are largest.
 """
 
 import math
@@ -24,7 +26,6 @@ import pytest
 
 from contframes import controlled as ctrl
 from contframes import frame as fr
-from contframes import hilbert as hb
 from contframes import multiplier as mult
 from contframes import suites
 from contframes.frame import SampledFrame
@@ -103,8 +104,11 @@ def faulty_product(quantity, module, call, fault, name="weighted_gram"):
     return mutant
 
 
-def m_scale(t):
-    return hb.frobenius_scale(t.M)
+def row_scale(check_id):
+    """The scale of each trial in the sides the unfaulted measure of row
+    ``check_id`` gives."""
+    row = suites.CHECKS[check_id]
+    return lambda t: row.measure(t)[2]
 
 
 def perturbed_wavelet_operator(monkeypatch):
@@ -121,12 +125,12 @@ def perturbed_wavelet_operator(monkeypatch):
 
 def offset_frame_operator(monkeypatch):
     """S_F, as the frame operator row of a multiplier run reads it, gains
-    perturbation(10^3 tol ||M||_F / sqrt(d))."""
+    perturbation(10^3 tol scale) at the scale of the row's sides."""
     row = suites.EQUALS_FRAME_OPERATOR
 
     def measure(t):
         held = t.S_F
-        t.S_F = held + perturbation(1e3 * row.tolerance * m_scale(t), t.cfg.d)
+        t.S_F = held + perturbation(1e3 * row.tolerance * row.measure(t)[2], t.cfg.d)
         try:
             return row.measure(t)
         finally:
@@ -163,25 +167,20 @@ def magnified(product):
 
 # check id -> (the run, the mutant, the family of ids that may fail with it)
 MUTANTS = {
-    **{check_id: (suite_run("identities"), perturbed_product(check_id, fr, 0, m_scale),
-                  {check_id}) for check_id in DIFFERENCES},
-    "multiplier_adjoint": (suite_run("identities"),
-                           perturbed_product("multiplier_adjoint", fr, 0, m_scale),
-                           {"multiplier_adjoint"}),
-    "weighted_identity": (suite_run("identities"), perturbed_product(
-        "weighted_identity", fr, 0, lambda t: np.maximum(
-            hb.frobenius_scale(fr.weighted_gram(t.F, t.w * t.nonnegative, t.F)), 1.0)),
-        {"weighted_identity"}),
+    **{check_id: (suite_run("identities"),
+                  perturbed_product(check_id, fr, 0, row_scale(check_id)), {check_id})
+       for check_id in DIFFERENCES + ("multiplier_adjoint", "weighted_identity")},
     # its one product is the multiplier of the controlled vectors; the plain
     # multiplier M is the context's
-    "precondition_identity": (suite_run("controlled"),
-                              perturbed_product("precondition_identity", ctrl, 0, m_scale),
-                              {"precondition_identity"}),
+    "precondition_identity": (suite_run("controlled"), perturbed_product(
+        "precondition_identity", ctrl, 0, row_scale("precondition_identity")),
+        {"precondition_identity"}),
     "weighted_scaling": (suite_run("weighted"), perturbed_product(
         "weighted_scaling", fr, 0, lambda t: 3.0 * t.bounds_F.upper), {"weighted_scaling"}),
-    # a bump's multiplier, or the last segment of dropped points, formed 10^3
-    # times too large passes every budget; the first segment negated makes
-    # the first deviation smaller than the second
+    # a bump's multiplier, or that of the largest set of dropped points,
+    # formed 10^3 times too large passes every budget; that of the largest
+    # set 10^3 times too small makes the first deviation smaller than the
+    # second
     **{check_id: (suite_run("convergence"), faulty_product("convergence", mult, 0, magnified),
                   SYMBOL_ROWS) for check_id in SYMBOL_ROWS},
     **{check_id: (suite_run("convergence"), faulty_product("convergence", fr, 0, magnified),
@@ -189,7 +188,8 @@ MUTANTS = {
     "truncation_budget": (suite_run("convergence"), faulty_product("truncation", fr, 0, magnified),
                           TRUNCATION_ROWS),
     "truncation_monotone": (suite_run("convergence"),
-                            faulty_product("truncation", fr, 2, np.negative), TRUNCATION_ROWS),
+                            faulty_product("truncation", fr, 0, lambda product: 1e-3 * product),
+                            TRUNCATION_ROWS),
     "wavelet_shift_commutation": (suite_run("wavelet"), perturbed_wavelet_operator, WAVELET_S),
     # the composition of synthesis with the analysis of the basis, a chunk of
     # points at a time, off by 10^3 tol B_F
@@ -217,9 +217,8 @@ MUTANTS = {
 }
 # the same on the one trial of a given instance, in a multiplier run
 MULTIPLIER_MUTANTS = {
-    "multiplier_adjoint": (multiplier_run(unit=False),
-                           perturbed_product("multiplier_adjoint", fr, 0, m_scale),
-                           {"multiplier_adjoint"}),
+    "multiplier_adjoint": (multiplier_run(unit=False), perturbed_product(
+        "multiplier_adjoint", fr, 0, row_scale("multiplier_adjoint")), {"multiplier_adjoint"}),
     "equals_frame_operator": (multiplier_run(unit=True), offset_frame_operator,
                               {"equals_frame_operator"}),
 }
@@ -251,3 +250,72 @@ def test_every_remeasured_row_fails_under_its_mutant(monkeypatch, name):
     mutant(monkeypatch)
     failed = {c for c, passed in verdicts(run()).items() if not passed}
     assert check_id in failed and failed <= family
+
+
+# ---------------------------------------------------------------------------
+# one mutant per identity, from its relation
+# ---------------------------------------------------------------------------
+
+def offset_side(sides, size):
+    """(A + E, B, scale) of EQUAL sides, where E adds size times the scale to
+    the first entry of each comparison, so that ||A + E - B|| / scale is at
+    least size less the defect the row measured."""
+    A, B, scale = sides
+    shape = np.broadcast(A, B).shape
+    E = np.zeros(shape)
+    lead = np.ndim(scale)
+    E.reshape(*shape[:lead], -1)[..., 0] = size * np.broadcast_to(scale, shape[:lead])
+    return np.add(A, E), B, scale
+
+
+def offset_identity(row):
+    """``row`` whose measure gives side A offset by 10^3 tol scale."""
+    def measure(t):
+        result = row.measure(t)
+        if isinstance(result, suites.Noted):
+            return result._replace(value=offset_side(result.value, 1e3 * row.tolerance))
+        return offset_side(result, 1e3 * row.tolerance)
+    return row._replace(measure=measure)
+
+
+def gabor_run():
+    return suites.run_gabor(16, "gaussian")
+
+
+def wavelet_run():
+    return suites.run_wavelet(d=64, n_a=64, band=(2.0, 8.0))
+
+
+def replaced_row(table, check_id):
+    """The mutant that offsets side A of row ``check_id`` of ``table``, named
+    by the module attribute that holds it."""
+    def mutant(monkeypatch):
+        if isinstance(table, str):
+            monkeypatch.setattr(suites, table, offset_identity(getattr(suites, table)))
+        else:
+            monkeypatch.setitem(table, check_id, offset_identity(table[check_id]))
+    return mutant
+
+
+# every EQUAL row of every table: its run and the mutant of its side A
+IDENTITIES = {
+    **{check_id: (suite_run(row.suite), replaced_row(suites.CHECKS, check_id))
+       for check_id, row in suites.CHECKS.items() if row.relation == suites.EQUAL},
+    **{f"gabor-run:{check_id}": (gabor_run, replaced_row(suites.GABOR_RUN, check_id))
+       for check_id, row in suites.GABOR_RUN.items() if row.relation == suites.EQUAL},
+    **{f"wavelet-run:{check_id}": (wavelet_run, replaced_row(suites.WAVELET_RUN, check_id))
+       for check_id, row in suites.WAVELET_RUN.items() if row.relation == suites.EQUAL},
+    "multiplier-run:equals_frame_operator": (multiplier_run(unit=True),
+                                             replaced_row("EQUALS_FRAME_OPERATOR", None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_every_identity_fails_with_its_side_offset_by_a_thousand_tolerances(monkeypatch, name):
+    run, mutant = IDENTITIES[name]
+    check_id = name.split(":")[-1]
+    before = verdicts(run())
+    assert check_id in before and all(before.values())
+    mutant(monkeypatch)
+    failed = {c for c, passed in verdicts(run()).items() if not passed}
+    assert failed == {check_id}

@@ -207,16 +207,17 @@ def test_the_budget_rows_gate_the_excess_relative_to_the_budget(actual, budget, 
     t = types.SimpleNamespace(budgets=(np.full((1, 5), actual), np.full((1, 5), budget)))
     for check_id in suites.BUDGET_IDS:
         row = suites.CHECKS[check_id]
-        assert row.gate == suites.MAX
-        check = suites.verdict(check_id, row, tol, [row.measure(t)])
+        assert row.relation == suites.AT_MOST
+        check = suites.verdict(check_id, row, tol, [suites._evaluate(row, t)])
         assert (check.measured, check.passed) == (
             (measured, passed) if math.isfinite(measured) else (None, passed))
 
 
 @pytest.mark.parametrize("measured", [math.inf, math.nan])
 def test_non_finite_values_move_into_the_detail(measured):
-    row = suites.Row("test-run", "a claim", 0.5, suites.MAX0, None)
-    assert suites.verdict("c", row, 0.5, [(measured, "value")]) == Check(
+    row = suites.Row("test-run", "a claim", 0.5, suites.EQUAL, lambda t: suites.Noted(
+        (measured, 0.0, 1.0), "value"))
+    assert suites.verdict("c", row, 0.5, [suites._evaluate(row, None)]) == Check(
         "c", "a claim", None, 0.5, 0.5, False, f"measured {measured!r}; value")
 
 
@@ -419,3 +420,40 @@ def test_tolerance_override_reaches_the_measure(monkeypatch, check_id, fault):
     relaxed = suites.run_check(dataclasses.replace(cfg, tolerances={check_id: 1e-6}),
                                check_id)
     assert relaxed.passed and relaxed.tolerance == 1e-6
+
+
+# ---------------------------------------------------------------------------
+# verdicts do not depend on the scale of the instance
+# ---------------------------------------------------------------------------
+
+U = np.finfo(float).eps / 2
+# 1e-6 as well: the difference rows subtract drawn vectors of scale 1, which
+# outgrow M there
+SCALES = (1e-20, 1e-6, 1e-3, 1.0, 1e3, 1e20)
+
+
+def one_point(scale):
+    """F = G = [[scale]] on one point of mass 1, symbol 0.5: every certificate
+    and every budget holds with equality."""
+    space = counting_space(1)
+    F = SampledFrame(space, np.array([[scale]], dtype=complex))
+    return {"analysis_frame": F.to_dict(), "synthesis_frame": F.to_dict(),
+            "symbol": Symbol(np.array([0.5 + 0j]), space).to_dict()}
+
+
+@pytest.mark.parametrize("config,d,n", [(lambda c: multiplier_config(scale=c), 4, 12),
+                                        (one_point, 1, 1)], ids=["generic", "one-point"])
+def test_verdicts_do_not_depend_on_the_scale_of_the_instance(config, d, n):
+    # scaling F and G by c scales every side of a row by the same power of c,
+    # so each row's defect is the same up to rounding.  Each side is a Gram
+    # product of N terms of d entries, or an eigen-solve or SVD of a few such
+    # products, and errs by a small multiple of (N + d) u relative to its
+    # scale: the values may lie 64 (N + d) u apart
+    reports = {c: suites.run_multiplier(config(c))[0] for c in SCALES}
+    base = reports[1.0].checks
+    assert all(check.passed for check in base)
+    for c, report in reports.items():
+        assert [(check.check_id, check.passed) for check in report.checks] == [
+            (check.check_id, check.passed) for check in base], c
+        for check, unit in zip(report.checks, base):
+            assert abs(check.measured - unit.measured) <= 64 * (n + d) * U, (c, check.check_id)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -462,11 +463,12 @@ def test_bandlimited_bump_properties():
         tf.bandlimited_bump(64, (8.0, 2.0))
 
 
-@pytest.mark.parametrize("d", [0, -4])
+@pytest.mark.parametrize("d", [0, -4, 4.5, True, math.nan, 4.0])
 def test_signal_spaces_need_a_point(d):
-    for build in (tf.dft_frequencies, tf.gaussian_window,
+    for build in (tf.dft_frequencies, tf.gaussian_window, tf.WindowSpec("gaussian").build,
                   lambda d: tf.bandlimited_bump(d, (2.0, 8.0))):
-        with pytest.raises(InvalidParameterError, match=f"need d >= 1, got {d}"):
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"need an integer d >= 1, got {d!r}")):
             build(d)
 
 
